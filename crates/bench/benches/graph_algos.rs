@@ -1,6 +1,7 @@
 //! Bench — graph substrate: Tarjan SCC/sink detection, vertex-disjoint
-//! paths (Menger via Dinic), and the full `k`-OSR check (Definition 6),
-//! across graph sizes.
+//! paths (Menger via Dinic), the full `k`-OSR check (Definition 6), and
+//! the Theorem-1 premise the campaign oracle evaluates per run, across
+//! graph sizes.
 
 use std::hint::black_box;
 
@@ -52,5 +53,27 @@ fn bench_kosr_check(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_scc, bench_disjoint_paths, bench_kosr_check);
+/// The premise oracle's cost on the BFT-CUP scaling graphs: Byzantine-safe,
+/// 8-member sink, f = 1, so every check asks `k = 2` of O(n²) pairs.
+fn bench_premise(c: &mut Criterion) {
+    let mut group = c.benchmark_group("satisfies_theorem1");
+    group.sample_size(10);
+    for n in [24usize, 64, 128] {
+        let mut rng = StdRng::seed_from_u64(4);
+        let (g, faulty) = generators::random_byzantine_safe(8, n - 8, 1, &mut rng);
+        assert!(kosr::satisfies_theorem1(g.graph(), 1, &faulty));
+        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
+            b.iter(|| kosr::satisfies_theorem1(black_box(g.graph()), 1, &faulty))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_scc,
+    bench_disjoint_paths,
+    bench_kosr_check,
+    bench_premise
+);
 criterion_main!(benches);

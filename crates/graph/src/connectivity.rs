@@ -46,9 +46,10 @@ pub fn is_k_strongly_connected(g: &DiGraph, k: usize, within: &ProcessSet) -> bo
         return false;
     }
     let verts = within.to_vec();
+    let mut net = flow::SplitNetwork::new(g, within);
     for &s in &verts {
         for &t in &verts {
-            if s != t && !flow::has_k_vertex_disjoint_paths(g, s, t, k, within) {
+            if s != t && !net.has_k_disjoint_paths(s, t, k) {
                 return false;
             }
         }

@@ -158,9 +158,149 @@ pub fn max_vertex_disjoint_paths(
     net.max_flow(2 * s.index() + 1, 2 * t.index()) as usize
 }
 
-/// Like [`max_vertex_disjoint_paths`], but returns early once `k` paths are
-/// known to exist — used by the `k`-OSR checker where only the threshold
-/// matters.
+/// "Are there at least `k` internally node-disjoint `s → t` paths?" for many
+/// pairs over one graph and one vertex restriction — the shape of the
+/// `k`-OSR and `k`-strong-connectivity checks, which ask it O(n²) times.
+///
+/// The node-split unit-capacity network is built once, in compressed
+/// adjacency form. One network serves every pair: a query runs from
+/// `s_out` to `t_in`, and flow through either endpoint's own split edge
+/// can only be part of a cycle through that endpoint, which adds nothing
+/// to the flow value — so the endpoints need no per-pair capacities. A
+/// query restores the capacities with one slice copy and stops after `k`
+/// augmenting paths.
+///
+/// [`max_vertex_disjoint_paths`] stays the reference implementation.
+#[derive(Debug, Clone)]
+pub struct SplitNetwork {
+    within: ProcessSet,
+    /// Edges leaving node `u` are `first[u]..first[u + 1]`; `v_in = 2v`,
+    /// `v_out = 2v + 1`.
+    first: Vec<u32>,
+    to: Vec<u32>,
+    /// The paired residual edge of each edge.
+    rev: Vec<u32>,
+    /// Capacities before any flow: 1 on split and graph edges, 0 on
+    /// their residual twins.
+    untouched: Vec<u8>,
+    cap: Vec<u8>,
+    /// Search scratch: the edge each node was reached by, and the BFS
+    /// queue.
+    via: Vec<u32>,
+    queue: Vec<u32>,
+}
+
+/// "Not reached" in [`SplitNetwork::via`]; the search root carries its own
+/// marker so it is never re-entered.
+const UNREACHED: u32 = u32::MAX;
+const ROOT: u32 = u32::MAX - 1;
+
+impl SplitNetwork {
+    /// Builds the network of `g` restricted to the vertices in `within`.
+    pub fn new(g: &DiGraph, within: &ProcessSet) -> Self {
+        let nodes = 2 * g.vertex_count();
+        let mut forward: Vec<(usize, usize)> = Vec::new();
+        for v in within {
+            forward.push((2 * v.index(), 2 * v.index() + 1));
+        }
+        for u in within {
+            for v in g.successors(u).iter().filter(|&v| within.contains(v)) {
+                forward.push((2 * u.index() + 1, 2 * v.index()));
+            }
+        }
+        let mut first = vec![0u32; nodes + 1];
+        for &(a, b) in &forward {
+            first[a + 1] += 1;
+            first[b + 1] += 1;
+        }
+        for u in 0..nodes {
+            first[u + 1] += first[u];
+        }
+        let edges = 2 * forward.len();
+        let mut to = vec![0u32; edges];
+        let mut rev = vec![0u32; edges];
+        let mut untouched = vec![0u8; edges];
+        let mut cursor = first.clone();
+        for &(a, b) in &forward {
+            let e = cursor[a] as usize;
+            let r = cursor[b] as usize;
+            cursor[a] += 1;
+            cursor[b] += 1;
+            (to[e], rev[e], untouched[e]) = (b as u32, r as u32, 1);
+            (to[r], rev[r]) = (a as u32, e as u32);
+        }
+        SplitNetwork {
+            within: within.clone(),
+            first,
+            to,
+            rev,
+            cap: untouched.clone(),
+            untouched,
+            via: vec![UNREACHED; nodes],
+            queue: Vec::with_capacity(nodes),
+        }
+    }
+
+    /// `true` iff at least `k` internally node-disjoint directed paths lead
+    /// from `s` to `t` — the same answer as
+    /// `max_vertex_disjoint_paths(g, s, t, within) >= k`, at the cost of at
+    /// most `k` path searches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s == t`.
+    pub fn has_k_disjoint_paths(&mut self, s: ProcessId, t: ProcessId, k: usize) -> bool {
+        assert_ne!(s, t, "disjoint paths require distinct endpoints");
+        if k == 0 {
+            return true;
+        }
+        if !self.within.contains(s) || !self.within.contains(t) {
+            return false;
+        }
+        self.cap.copy_from_slice(&self.untouched);
+        let (source, sink) = (2 * s.index() + 1, 2 * t.index());
+        (0..k).all(|_| self.augment(source, sink))
+    }
+
+    /// Finds one residual `source → sink` path by BFS and pushes a unit of
+    /// flow along it; `false` when the sink is unreachable.
+    fn augment(&mut self, source: usize, sink: usize) -> bool {
+        self.via.fill(UNREACHED);
+        self.via[source] = ROOT;
+        self.queue.clear();
+        self.queue.push(source as u32);
+        let mut head = 0;
+        while head < self.queue.len() {
+            let u = self.queue[head] as usize;
+            head += 1;
+            for e in self.first[u]..self.first[u + 1] {
+                let v = self.to[e as usize] as usize;
+                if self.cap[e as usize] == 0 || self.via[v] != UNREACHED {
+                    continue;
+                }
+                self.via[v] = e;
+                if v == sink {
+                    let mut at = sink;
+                    while at != source {
+                        let e = self.via[at] as usize;
+                        let r = self.rev[e] as usize;
+                        self.cap[e] -= 1;
+                        self.cap[r] += 1;
+                        at = self.to[r] as usize;
+                    }
+                    return true;
+                }
+                self.queue.push(v as u32);
+            }
+        }
+        false
+    }
+}
+
+/// Like [`max_vertex_disjoint_paths`], but stops once `k` paths are known
+/// to exist: `k` path searches instead of a full max flow. Builds a
+/// [`SplitNetwork`] for the one query; callers asking about many pairs of
+/// the same `(g, within)` should build it once themselves.
 pub fn has_k_vertex_disjoint_paths(
     g: &DiGraph,
     s: ProcessId,
@@ -168,9 +308,7 @@ pub fn has_k_vertex_disjoint_paths(
     k: usize,
     within: &ProcessSet,
 ) -> bool {
-    // Dinic on unit networks is fast enough that computing the exact value
-    // costs about the same as thresholding; keep the API for intent.
-    max_vertex_disjoint_paths(g, s, t, within) >= k
+    SplitNetwork::new(g, within).has_k_disjoint_paths(s, t, k)
 }
 
 #[cfg(test)]

@@ -69,10 +69,11 @@ pub fn check_kosr_within(g: &DiGraph, k: usize, within: &ProcessSet) -> KosrRepo
         [sink] => {
             let k_conn = connectivity::is_k_strongly_connected(g, k, sink);
             let nonsink = within.difference(sink);
+            let mut net = flow::SplitNetwork::new(g, within);
             let mut paths_ok = true;
             'outer: for i in &nonsink {
                 for j in sink {
-                    if !flow::has_k_vertex_disjoint_paths(g, i, j, k, within) {
+                    if !net.has_k_disjoint_paths(i, j, k) {
                         paths_ok = false;
                         break 'outer;
                     }

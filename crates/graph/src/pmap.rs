@@ -17,9 +17,9 @@
 //!
 //! The shape is a two-level Arc-chunked sorted array rather than a full
 //! HAMT/B-tree: the maps these back (vote tallies per statement, slice
-//! registries per process, envelope dedup sets) hold tens of entries, so a
-//! flat spine of small chunks beats pointer-chased trees on every
-//! operation while keeping the same asymptotic sharing behaviour.
+//! registries per process, seen-envelope origins per statement) hold tens
+//! of entries, so a flat spine of small chunks beats pointer-chased trees
+//! on every operation while keeping the same asymptotic sharing behaviour.
 //!
 //! [`PersistentVec`] is the append-only sibling used for the envelope
 //! backlog, where `Arc<Vec<T>>` + `make_mut` would re-clone the entire
@@ -236,80 +236,6 @@ impl<K: Ord + Clone, V: Clone> FromIterator<(K, V)> for PersistentMap<K, V> {
     }
 }
 
-/// A persistent sorted set: [`PersistentMap`] with unit values.
-pub struct PersistentSet<K> {
-    map: PersistentMap<K, ()>,
-}
-
-impl<K> Clone for PersistentSet<K> {
-    fn clone(&self) -> Self {
-        PersistentSet {
-            map: self.map.clone(),
-        }
-    }
-}
-
-impl<K> Default for PersistentSet<K> {
-    fn default() -> Self {
-        PersistentSet::new()
-    }
-}
-
-impl<K> PersistentSet<K> {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        PersistentSet {
-            map: PersistentMap::new(),
-        }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` when the set has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Iterates elements in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = &K> + '_ {
-        self.map.keys()
-    }
-}
-
-impl<K: Ord + Clone> PersistentSet<K> {
-    /// Inserts `key`; returns `true` when it was not already present.
-    pub fn insert(&mut self, key: K) -> bool {
-        self.map.insert(key, ()).is_none()
-    }
-
-    /// `true` when `key` is present.
-    pub fn contains(&self, key: &K) -> bool {
-        self.map.contains_key(key)
-    }
-
-    /// Removes `key`; returns `true` when it was present.
-    pub fn remove(&mut self, key: &K) -> bool {
-        self.map.remove(key).is_some()
-    }
-}
-
-impl<K: PartialEq> PartialEq for PersistentSet<K> {
-    fn eq(&self, other: &Self) -> bool {
-        self.map == other.map
-    }
-}
-
-impl<K: Eq> Eq for PersistentSet<K> {}
-
-impl<K: fmt::Debug> fmt::Debug for PersistentSet<K> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_set().entries(self.iter()).finish()
-    }
-}
-
 /// Append-only chunks per push; full chunks are sealed.
 const VEC_CHUNK: usize = 16;
 
@@ -441,19 +367,6 @@ mod tests {
         m.get_or_default(2).push(2);
         assert_eq!(m.get(&2), Some(&vec![1, 2]));
         assert_eq!(m.len(), 1);
-    }
-
-    #[test]
-    fn set_dedups_and_orders() {
-        let mut s = PersistentSet::new();
-        assert!(s.insert(4u32));
-        assert!(!s.insert(4));
-        assert!(s.insert(1));
-        assert!(s.contains(&4));
-        assert_eq!(s.iter().copied().collect::<Vec<_>>(), vec![1, 4]);
-        let t = s.clone();
-        assert!(s.remove(&4));
-        assert!(t.contains(&4), "fork unaffected");
     }
 
     #[test]

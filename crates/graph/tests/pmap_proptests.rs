@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use scup_graph::{PersistentMap, PersistentSet, PersistentVec};
+use scup_graph::{PersistentMap, PersistentVec};
 
 /// One mutation of the map under test.
 #[derive(Clone, Debug)]
@@ -91,22 +91,6 @@ proptest! {
             // however the original diverged afterwards.
             prop_assert!(forked.iter().eq(frozen.iter()));
         }
-    }
-
-    #[test]
-    fn persistent_set_matches_btreeset(keys in proptest::collection::vec(0u32..64, 0..150)) {
-        let mut subject = PersistentSet::new();
-        let mut oracle = std::collections::BTreeSet::new();
-        for (i, k) in keys.iter().enumerate() {
-            if i % 5 == 4 {
-                prop_assert_eq!(subject.remove(k), oracle.remove(k));
-            } else {
-                prop_assert_eq!(subject.insert(*k), oracle.insert(*k));
-            }
-            prop_assert_eq!(subject.contains(k), oracle.contains(k));
-        }
-        prop_assert!(subject.iter().eq(oracle.iter()));
-        prop_assert_eq!(subject.len(), oracle.len());
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! - Tarjan SCC output is checked against reachability-defined equivalence;
 //! - Dinic disjoint-path counts are checked against structural bounds and a
 //!   brute-force path-packing lower bound on small graphs;
+//! - the reusable `SplitNetwork` is checked against those Dinic counts;
 //! - generated `k`-OSR graphs must pass the Definition 6 checker.
 
 use std::collections::BTreeSet;
@@ -101,6 +102,33 @@ proptest! {
                     let k2 = flow::max_vertex_disjoint_paths(&g, s, t, &without);
                     prop_assert!(k2 + 1 >= k, "removing {} lost more than one path", x);
                 }
+            }
+        }
+    }
+
+    /// One reusable split network answers every `(s, t, k)` query as the
+    /// per-pair max flow does — across pairs (so stale capacities would
+    /// show), with endpoints inside and outside `within`.
+    #[test]
+    fn split_network_matches_max_flow_threshold(
+        g in arb_digraph(10, 45),
+        mask in proptest::collection::vec(0u32..4, 10),
+    ) {
+        let within: ProcessSet = g
+            .vertices()
+            .filter(|v| mask[v.index()] != 0)
+            .collect();
+        let mut net = flow::SplitNetwork::new(&g, &within);
+        for s in g.vertices() {
+            for t in g.vertices() {
+                if s == t { continue; }
+                let exact = flow::max_vertex_disjoint_paths(&g, s, t, &within);
+                for k in 0..=4usize {
+                    prop_assert_eq!(net.has_k_disjoint_paths(s, t, k), exact >= k,
+                        "s={} t={} k={} exact={} within={:?}", s, t, k, exact, within);
+                }
+                prop_assert!(flow::has_k_vertex_disjoint_paths(&g, s, t, exact, &within));
+                prop_assert!(!flow::has_k_vertex_disjoint_paths(&g, s, t, exact + 1, &within));
             }
         }
     }

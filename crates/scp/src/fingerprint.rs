@@ -3,8 +3,8 @@
 //! Exploration hashes every actor once per visited state. The two big
 //! per-node collections — the envelope dedup set and the slice registry —
 //! only ever *grow* (or overwrite one key), so instead of re-walking them
-//! per hash, the node and [`QuorumCheck`](crate::voting::QuorumCheck)
-//! maintain **XOR multiset digests**: each entry contributes a well-mixed
+//! per hash, the node's dedup set (`crate::seen`) and
+//! [`QuorumCheck`](crate::voting::QuorumCheck) maintain **XOR multiset digests**: each entry contributes a well-mixed
 //! 128-bit value, combined by XOR. Inserting XORs the entry in;
 //! overwriting XORs the old entry out and the new one in. XOR is
 //! order-independent, so the digest is a canonical function of the set's
@@ -64,16 +64,6 @@ pub(crate) fn family_entry_digest(i: ProcessId, family: &SliceFamily) -> u128 {
     let mut h = StateHasher::new();
     h.write_u32(i.as_u32());
     hash_family(&mut h, family);
-    h.finish()
-}
-
-/// The digest contribution of one `(origin, statement, accept)` envelope
-/// entry.
-pub(crate) fn seen_entry_digest(origin: ProcessId, stmt: &Statement, accept: bool) -> u128 {
-    let mut h = StateHasher::new();
-    h.write_u32(origin.as_u32());
-    hash_statement(&mut h, stmt);
-    h.write_bool(accept);
     h.finish()
 }
 

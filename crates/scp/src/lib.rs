@@ -36,6 +36,7 @@
 
 mod fingerprint;
 pub mod node;
+mod seen;
 pub mod statement;
 pub mod voting;
 

@@ -38,7 +38,7 @@
 //! externalize state they missed.
 
 use scup_fbqs::SliceFamily;
-use scup_graph::{PersistentSet, PersistentVec, ProcessId, ProcessSet};
+use scup_graph::{PersistentVec, ProcessId, ProcessSet};
 use scup_obs::causal::{ProvEntry, ProvRule, ProvenanceLog};
 use scup_sim::{
     Actor, Backoff, Context, Journal, RetransmitConfig, SimMessage, StateHasher, RETRANSMIT_TAG,
@@ -49,7 +49,8 @@ use crate::voting::{QuorumCheck, VoteLevel, VoteTracker};
 
 use scup_sim::Perm;
 
-use crate::fingerprint::{hash_family, hash_family_perm, hash_statement, seen_entry_digest};
+use crate::fingerprint::{hash_family, hash_family_perm, hash_statement};
+use crate::seen::SeenEnvelopes;
 
 /// An SCP envelope: a federated-voting pledge by `origin`, carrying the
 /// origin's declared slices, relayed through the overlay.
@@ -267,15 +268,7 @@ pub struct ScpNode {
     tracker: VoteTracker,
     check: QuorumCheck,
     /// Envelopes already processed/relayed: (origin, stmt, accept).
-    /// Persistent: the dedup set is the node's largest collection, and
-    /// exploration forks a node per visited state — structural sharing
-    /// makes the fork an `Arc` bump and each new envelope a one-chunk
-    /// path copy.
-    seen: PersistentSet<(ProcessId, Statement, bool)>,
-    /// XOR multiset digest of `seen`, maintained incrementally so the
-    /// per-state fingerprint is O(1) in the envelope count (see
-    /// [`crate::fingerprint`]).
-    seen_digest: u128,
+    seen: SeenEnvelopes,
     /// Every distinct envelope, kept for late-learned processes (see the
     /// module docs on straggler repair). Persistent append-only chunks:
     /// the previous whole-`Vec` copy-on-write re-cloned the entire history
@@ -316,8 +309,7 @@ impl ScpNode {
             shared_slices,
             tracker: VoteTracker::new(),
             check: QuorumCheck::new(),
-            seen: PersistentSet::new(),
-            seen_digest: 0,
+            seen: SeenEnvelopes::default(),
             backlog: PersistentVec::new(),
             synced: ProcessSet::new(),
             candidates: Vec::new(),
@@ -387,17 +379,6 @@ impl ScpNode {
         }
     }
 
-    /// Records an envelope in the dedup set, keeping the incremental
-    /// digest in sync. Returns `true` when the envelope is new.
-    fn note_seen(&mut self, origin: ProcessId, stmt: Statement, accept: bool) -> bool {
-        if self.seen.insert((origin, stmt, accept)) {
-            self.seen_digest ^= seen_entry_digest(origin, &stmt, accept);
-            true
-        } else {
-            false
-        }
-    }
-
     fn broadcast_own(&mut self, ctx: &mut Context<'_, ScpMsg>, stmt: Statement, accept: bool) {
         let msg = ScpMsg {
             origin: ctx.self_id(),
@@ -411,7 +392,7 @@ impl ScpNode {
             let (kind, n, v) = encode_stmt(stmt);
             j.append(J_PLEDGE, &[kind, n, v, accept as u64]);
         }
-        self.note_seen(ctx.self_id(), stmt, accept);
+        self.seen.note(ctx.self_id(), stmt, accept);
         if accept {
             self.stats.accepts_sent += 1;
         } else {
@@ -644,7 +625,7 @@ impl Actor<ScpMsg> for ScpNode {
         self.sync_latecomers(ctx);
         self.stats.envelopes_delivered += 1;
         // Flood-style gossip with dedup; `origin` is signature-verified.
-        if msg.origin == ctx.self_id() || !self.note_seen(msg.origin, msg.stmt, msg.accept) {
+        if msg.origin == ctx.self_id() || !self.seen.note(msg.origin, msg.stmt, msg.accept) {
             self.stats.envelopes_duplicate += 1;
             return;
         }
@@ -764,7 +745,7 @@ impl Actor<ScpMsg> for ScpNode {
                         continue;
                     };
                     let accept = accept != 0;
-                    self.note_seen(me, stmt, accept);
+                    self.seen.note(me, stmt, accept);
                     self.prov_note(me, ProvRule::Replay, || (format!("{stmt:?}"), Vec::new()));
                     if accept {
                         self.tracker.record_accept(me, stmt);
@@ -848,7 +829,7 @@ impl Actor<ScpMsg> for ScpNode {
     fn fingerprint(&self, h: &mut StateHasher) {
         h.write_u64(self.config.input);
         h.write_u64(self.seen.len() as u64);
-        h.write_u128(self.seen_digest);
+        h.write_u128(self.seen.digest());
         h.write_u64(self.check.recorded_len() as u64);
         h.write_u128(self.check.registry_digest());
         h.write_set(&self.synced);
@@ -879,7 +860,7 @@ impl Actor<ScpMsg> for ScpNode {
     ) -> bool {
         (msg.origin == self_id || known.contains(msg.origin))
             && known.difference_len(&self.synced) == 0
-            && self.seen.contains(&(msg.origin, msg.stmt, msg.accept))
+            && self.seen.contains(msg.origin, &msg.stmt, msg.accept)
     }
 
     /// [`Actor::fingerprint`] under a process-id renaming. The incremental
@@ -889,10 +870,7 @@ impl Actor<ScpMsg> for ScpNode {
     fn fingerprint_perm(&self, h: &mut StateHasher, perm: &Perm) {
         h.write_u64(self.config.input);
         h.write_u64(self.seen.len() as u64);
-        let seen_digest = self.seen.iter().fold(0u128, |acc, (origin, stmt, accept)| {
-            acc ^ seen_entry_digest(perm.apply(*origin), stmt, *accept)
-        });
-        h.write_u128(seen_digest);
+        h.write_u128(self.seen.digest_perm(perm));
         h.write_u64(self.check.recorded_len() as u64);
         h.write_u128(self.check.registry_digest_perm(perm));
         h.write_set(&perm.apply_set(&self.synced));

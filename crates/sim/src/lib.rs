@@ -62,6 +62,7 @@
 mod actor;
 mod metrics;
 mod network;
+mod queue;
 mod runner;
 mod time;
 mod trace;

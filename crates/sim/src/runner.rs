@@ -1,6 +1,4 @@
 use std::any::Any;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
@@ -14,6 +12,7 @@ use crate::churn::ChurnPlan;
 use crate::faults::{FaultPlan, MemJournal};
 use crate::metrics::{ProcessStats, SimReport};
 use crate::network::NetworkConfig;
+use crate::queue::EventQueue;
 use crate::retransmit::RETRANSMIT_TAG;
 use crate::time::SimTime;
 use crate::trace::{Trace, TraceEvent};
@@ -50,12 +49,6 @@ enum EventKind<M> {
     },
 }
 
-struct QueueEntry<M> {
-    at: SimTime,
-    seq: u64,
-    kind: EventKind<M>,
-}
-
 /// Owned copy of a [`JoinEvent`](crate::churn::JoinEvent)'s fields,
 /// cloned out of the plan so the join handler can dispatch actors
 /// without holding a borrow of `self.churn`.
@@ -63,24 +56,6 @@ struct JoinEventParts {
     process: ProcessId,
     contacts: ProcessSet,
     introduce_to: ProcessSet,
-}
-
-impl<M> PartialEq for QueueEntry<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for QueueEntry<M> {}
-impl<M> PartialOrd for QueueEntry<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for QueueEntry<M> {
-    // Reversed: BinaryHeap is a max-heap, we want the earliest event first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
 }
 
 /// A deterministic discrete-event simulation of `n` processes exchanging
@@ -96,8 +71,9 @@ pub struct Simulation<M: SimMessage> {
     kg: KnowledgeGraph,
     actors: Vec<Box<dyn Actor<M>>>,
     known: Vec<ProcessSet>,
-    queue: BinaryHeap<QueueEntry<M>>,
-    seq: u64,
+    /// Pending events; among those of one tick, the order they were
+    /// queued in is the order they fire in.
+    queue: EventQueue<EventKind<M>>,
     now: SimTime,
     rng: StdRng,
     report: SimReport,
@@ -154,8 +130,7 @@ impl<M: SimMessage> Simulation<M> {
             kg,
             actors: Vec::new(),
             known,
-            queue: BinaryHeap::new(),
-            seq: 0,
+            queue: EventQueue::new(),
             now: SimTime::ZERO,
             rng,
             report,
@@ -349,19 +324,15 @@ impl<M: SimMessage> Simulation<M> {
         // Scheduled fault events enter the queue before any protocol
         // traffic; with a zero plan this loop body never runs.
         for c in self.faults.crashes.clone() {
-            self.seq += 1;
-            self.queue.push(QueueEntry {
-                at: SimTime::from_ticks(c.at),
-                seq: self.seq,
-                kind: EventKind::Crash { process: c.process },
-            });
+            self.queue.push(
+                SimTime::from_ticks(c.at),
+                EventKind::Crash { process: c.process },
+            );
             if let Some(r) = c.recover_at {
-                self.seq += 1;
-                self.queue.push(QueueEntry {
-                    at: SimTime::from_ticks(r),
-                    seq: self.seq,
-                    kind: EventKind::Recover { process: c.process },
-                });
+                self.queue.push(
+                    SimTime::from_ticks(r),
+                    EventKind::Recover { process: c.process },
+                );
             }
         }
         // Churn events likewise (joiners were already marked dormant at
@@ -369,20 +340,14 @@ impl<M: SimMessage> Simulation<M> {
         // plan touches nothing.
         if self.churn_active {
             for (idx, j) in self.churn.joins.iter().enumerate() {
-                self.seq += 1;
-                self.queue.push(QueueEntry {
-                    at: SimTime::from_ticks(j.at),
-                    seq: self.seq,
-                    kind: EventKind::Join { idx },
-                });
+                self.queue
+                    .push(SimTime::from_ticks(j.at), EventKind::Join { idx });
             }
             for l in self.churn.leaves.clone() {
-                self.seq += 1;
-                self.queue.push(QueueEntry {
-                    at: SimTime::from_ticks(l.at),
-                    seq: self.seq,
-                    kind: EventKind::Leave { process: l.process },
-                });
+                self.queue.push(
+                    SimTime::from_ticks(l.at),
+                    EventKind::Leave { process: l.process },
+                );
             }
         }
         for i in 0..self.actors.len() {
@@ -474,29 +439,25 @@ impl<M: SimMessage> Simulation<M> {
                 self.report.messages_duplicated += 1;
                 self.causal
                     .record_duplicate(self.now.ticks(), pid.as_u32(), to.as_u32(), send_ev);
-                self.seq += 1;
-                self.queue.push(QueueEntry {
-                    at: dup_at,
-                    seq: self.seq,
-                    kind: EventKind::Deliver {
+                self.queue.push(
+                    dup_at,
+                    EventKind::Deliver {
                         from: pid,
                         to,
                         msg: msg.clone(),
                         cause: send_ev,
                     },
-                });
+                );
             }
-            self.seq += 1;
-            self.queue.push(QueueEntry {
-                at: deliver_at,
-                seq: self.seq,
-                kind: EventKind::Deliver {
+            self.queue.push(
+                deliver_at,
+                EventKind::Deliver {
                     from: pid,
                     to,
                     msg,
                     cause: send_ev,
                 },
-            });
+            );
         }
         let epoch = self.epoch[pid.index()];
         for (delay, tag) in timers.drain(..) {
@@ -509,16 +470,14 @@ impl<M: SimMessage> Simulation<M> {
                 }
                 self.report.retransmit_delay_buckets[bucket] += 1;
             }
-            self.seq += 1;
-            self.queue.push(QueueEntry {
-                at: self.now + delay,
-                seq: self.seq,
-                kind: EventKind::Timer {
+            self.queue.push(
+                self.now + delay,
+                EventKind::Timer {
                     process: pid,
                     tag,
                     epoch,
                 },
-            });
+            );
         }
         self.outbox_buf = outbox;
         self.timers_buf = timers;
@@ -563,12 +522,12 @@ impl<M: SimMessage> Simulation<M> {
     /// empty.
     pub fn step(&mut self) -> bool {
         self.start();
-        let Some(entry) = self.queue.pop() else {
+        let Some((at, kind)) = self.queue.pop() else {
             return false;
         };
-        debug_assert!(entry.at >= self.now, "time must be monotone");
-        self.now = entry.at;
-        match entry.kind {
+        debug_assert!(at >= self.now, "time must be monotone");
+        self.now = at;
+        match kind {
             EventKind::Deliver {
                 from,
                 to,
@@ -781,12 +740,12 @@ impl<M: SimMessage> Simulation<M> {
             if !keep_going(self) {
                 break;
             }
-            match self.queue.peek() {
+            match self.queue.next_time() {
                 None => {
                     quiescent = true;
                     break;
                 }
-                Some(e) if e.at.ticks() > max_ticks => break,
+                Some(at) if at.ticks() > max_ticks => break,
                 Some(_) => {
                     self.step();
                 }
@@ -940,6 +899,23 @@ mod tests {
         let report = sim.run_until_quiet(0);
         assert!(!report.quiescent);
         assert_eq!(report.end_time, SimTime::ZERO);
+    }
+
+    #[test]
+    fn time_horizon_is_inclusive() {
+        // Traffic ends by tick 20; the t = 50 timers are all that is left.
+        let mut sim = build(3);
+        let report = sim.run_until_quiet(49);
+        assert!(!report.quiescent);
+        assert_eq!(report.timers_fired, 0);
+        assert_eq!(sim.pending_events(), 8);
+        assert!(report.end_time < SimTime::from_ticks(50));
+        // An event at exactly `max_ticks` still runs.
+        let report = sim.run_until_quiet(50);
+        assert!(report.quiescent);
+        assert_eq!(report.timers_fired, 8);
+        assert_eq!(report.end_time, SimTime::from_ticks(50));
+        assert_eq!(sim.pending_events(), 0);
     }
 
     #[test]
