@@ -57,7 +57,7 @@ use scup_sim::{Actor, Context, Perm, SimMessage, StateHasher};
 pub fn write_set_perm(h: &mut StateHasher, s: &ProcessSet, perm: Option<&Perm>) {
     match perm {
         None => h.write_set(s),
-        Some(p) => h.write_set(&p.apply_set(s)),
+        Some(p) => h.write_set_perm(s, p),
     }
 }
 

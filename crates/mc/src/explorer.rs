@@ -556,7 +556,7 @@ impl<'a, D: Driver> Engine<'a, D> {
             };
             top.next += 1;
             // A frame is pushed with the live sim exactly in `state`, so
-            // the first child skips the (actor-forking) restore.
+            // the first child skips the restore.
             if top.next > 1 {
                 sim.restore(&top.state);
             }
@@ -666,6 +666,8 @@ impl<'a, D: Driver> Engine<'a, D> {
     /// (workers are single-threaded), and one live simulation per variant
     /// serves as the restore target, so expanding a job is
     /// restore → fire → settle → classify with no replay from the root.
+    /// Restore and snapshot copy slot pointers; the one actor fork a
+    /// delivery needs happens at its first write, inside fire or settle.
     ///
     /// # Errors
     ///

@@ -383,13 +383,14 @@ impl Symmetry {
     ) -> (u128, bool) {
         let mut min = identity;
         let mut moved = false;
-        for (p, &shift) in self.perms.iter().zip(&self.shifts) {
+        for (k, (p, &shift)) in self.perms.iter().zip(&self.shifts).enumerate() {
             let v = if self.variants > 1 {
                 (variant + shift) % self.variants
             } else {
                 variant
             };
-            let h = mix_variant(sim.state_hash_perm(p), v);
+            // `k` keys the simulation's slot and event hash memos.
+            let h = mix_variant(sim.state_hash_perm(k, p), v);
             moved |= h != identity;
             if h < min {
                 min = h;

@@ -20,9 +20,13 @@ use std::time::Instant;
 #[repr(usize)]
 pub enum Phase {
     /// Restoring a parent snapshot (and snapshotting expanded states) in
-    /// the uniform-cost frontier.
+    /// the uniform-cost frontier: pointer copies only — states share
+    /// process slots, so no actor is forked here.
     Restore,
-    /// Firing a pending event on a forked simulator state.
+    /// Firing a pending event on the restored state. The first write to a
+    /// slot the parent still shares forks that actor, so the copy a
+    /// transition needs is paid here (and under [`Phase::Settle`] for the
+    /// slots settling writes), not under [`Phase::Restore`].
     Expand,
     /// Identity-permutation state hashing.
     Fingerprint,

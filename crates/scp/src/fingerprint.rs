@@ -76,12 +76,12 @@ pub(crate) fn hash_family_perm(h: &mut StateHasher, family: &SliceFamily, perm: 
             h.write_u8(1);
             h.write_u64(slices.len() as u64);
             for s in slices {
-                h.write_set(&perm.apply_set(s));
+                h.write_set_perm(s, perm);
             }
         }
         SliceFamily::AllSubsets { of, size } => {
             h.write_u8(2);
-            h.write_set(&perm.apply_set(of));
+            h.write_set_perm(of, perm);
             h.write_u64(*size as u64);
         }
     }

@@ -873,7 +873,7 @@ impl Actor<ScpMsg> for ScpNode {
         h.write_u128(self.seen.digest_perm(perm));
         h.write_u64(self.check.recorded_len() as u64);
         h.write_u128(self.check.registry_digest_perm(perm));
-        h.write_set(&perm.apply_set(&self.synced));
+        h.write_set_perm(&self.synced, perm);
         let mut candidates = self.candidates.clone();
         candidates.sort_unstable();
         h.write_u64(candidates.len() as u64);

@@ -135,8 +135,13 @@ pub trait Actor<M: SimMessage>: Any {
     /// extension of this state* (monotone dedup state, e.g. an envelope
     /// already seen). `self_id` is this actor's process id and `known` its
     /// current knowledge set (actors otherwise only see their id through
-    /// the callback context). The explorer fires absorbed events eagerly
-    /// without branching on them. The default (`false`) is always sound.
+    /// the callback context). The explorer retires absorbed events eagerly
+    /// without branching on them and, taking the declaration at its word,
+    /// **without calling [`Actor::on_message`]** (debug builds replay each
+    /// one on a scratch fork and assert the no-op). Counters an actor
+    /// keeps beside its protocol state — `NodeStats::envelopes_duplicate`
+    /// and the like — therefore do not count absorbed deliveries under
+    /// exploration. The default (`false`) is always sound.
     fn absorbs(&self, self_id: ProcessId, known: &ProcessSet, from: ProcessId, msg: &M) -> bool {
         let _ = (self_id, known, from, msg);
         false

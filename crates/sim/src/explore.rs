@@ -13,19 +13,30 @@
 //!   choices, not a time-ordered queue. Any delivery order is legal, which
 //!   over-approximates every partially synchronous schedule (sound for
 //!   safety properties);
-//! - **snapshot/restore** — [`ExploreSim::snapshot`] forks every actor
-//!   (via [`Actor::fork`]), the knowledge sets, and the pending multiset
-//!   into a [`SimState`]; [`ExploreSim::restore`] rewinds to it;
-//! - **canonical hashing** — [`ExploreSim::state_hash`] folds the actor
-//!   fingerprints ([`Actor::fingerprint`]), knowledge sets, timer budgets
-//!   and the *sorted* pending-event multiset into a 128-bit value that is
-//!   identical for identical states however they were reached (iteration
-//!   everywhere is over id-ordered or sorted data — no hash-ordered
-//!   collections touch this path);
+//! - **snapshot/restore over shared slots** — each process is one
+//!   reference-counted *slot* (actor, knowledge set, timer count).
+//!   [`ExploreSim::snapshot`] and [`ExploreSim::restore`] copy `n` slot
+//!   pointers and the pending multiset's pointers; no actor is forked.
+//!   The first write to a slot that a [`SimState`] still shares forks
+//!   that one actor ([`Actor::fork`]), so a transition pays for the
+//!   processes it delivers to, not for `n`;
+//! - **canonical hashing** — [`ExploreSim::state_hash`] folds per-slot
+//!   hashes (knowledge set, timer count, [`Actor::fingerprint`]) in id
+//!   order with an order-independent digest of the pending-event multiset
+//!   into a 128-bit value that is identical for identical states however
+//!   they were reached (no hash-ordered collection touches this path).
+//!   A slot remembers its hash — under the identity and under each
+//!   symmetry-group element — until it is next written, and a pending
+//!   event remembers its renamed hashes for as long as it is in flight,
+//!   so hashing a state re-fingerprints only what the last transition
+//!   touched;
 //! - **absorbed events** — gossip floods make most deliveries no-ops
 //!   (duplicate envelopes the receiver has already seen).
 //!   [`Actor::absorbs`] lets an actor declare such deliveries, and
-//!   [`ExploreSim::drain_absorbed`] fires them eagerly without branching.
+//!   [`ExploreSim::drain_absorbed`] retires them eagerly without
+//!   branching — and, the declaration being a contract, without calling
+//!   the actor (debug builds replay each one on a scratch fork and assert
+//!   it was the no-op it claimed to be).
 //!
 //! Timers carry no delay here: a pending timer is just another schedulable
 //! choice (asynchrony lets it fire at any point), bounded by a per-process
@@ -37,6 +48,8 @@
 //! protocol actors in this workspace are rng-free.
 
 use std::any::Any;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng as _;
@@ -134,6 +147,36 @@ impl StateHasher {
         }
     }
 
+    /// Feeds the image of `s` under `perm` — value-identical to
+    /// `write_set(&perm.apply_set(s))` without building the renamed set:
+    /// the renamed words are assembled in registers and fed directly. One
+    /// pass over `s` when every image is below 64, one more pass per
+    /// further word otherwise.
+    pub fn write_set_perm(&mut self, s: &ProcessSet, perm: &Perm) {
+        const BITS: usize = u64::BITS as usize;
+        let mut first = 0u64;
+        let mut words = 0;
+        for i in s.iter() {
+            let image = perm.apply(i).index();
+            words = words.max(image / BITS + 1);
+            if image < BITS {
+                first |= 1u64 << image;
+            }
+        }
+        self.write_u64(words as u64);
+        if words > 0 {
+            self.write_u64(first);
+        }
+        for w in 1..words {
+            let word = s
+                .iter()
+                .map(|i| perm.apply(i).index())
+                .filter(|image| image / BITS == w)
+                .fold(0u64, |word, image| word | 1u64 << (image % BITS));
+            self.write_u64(word);
+        }
+    }
+
     /// The 128-bit digest.
     pub fn finish(&self) -> u128 {
         // Final avalanche so short inputs still spread across both halves.
@@ -161,6 +204,7 @@ impl Default for StateHasher {
 pub struct Perm {
     map: Vec<u32>,
     inv: Vec<u32>,
+    identity: bool,
 }
 
 impl Perm {
@@ -178,7 +222,8 @@ impl Perm {
             );
             inv[j as usize] = i as u32;
         }
-        Perm { map, inv }
+        let identity = map.iter().enumerate().all(|(i, &j)| i as u32 == j);
+        Perm { map, inv, identity }
     }
 
     /// The identity permutation on `n` processes.
@@ -186,12 +231,14 @@ impl Perm {
         Perm {
             map: (0..n as u32).collect(),
             inv: (0..n as u32).collect(),
+            identity: true,
         }
     }
 
-    /// `true` when every id maps to itself.
+    /// `true` when every id maps to itself (decided at construction).
+    #[inline]
     pub fn is_identity(&self) -> bool {
-        self.map.iter().enumerate().all(|(i, &j)| i as u32 == j)
+        self.identity
     }
 
     /// The image of `i`.
@@ -294,16 +341,55 @@ impl<M: SimMessage> ExploreEvent<M> {
     }
 }
 
+/// A lazily filled row of hashes of one value, one entry per renaming it
+/// has been hashed under: the memo beside each slot and pending event.
+#[derive(Debug, Default)]
+struct HashMemo(RefCell<Vec<Option<u128>>>);
+
+impl HashMemo {
+    /// The hash remembered at `idx`, computing and remembering it first
+    /// when absent.
+    fn get_or_compute(&self, idx: usize, compute: impl FnOnce() -> u128) -> u128 {
+        if let Some(Some(hash)) = self.0.borrow().get(idx) {
+            return *hash;
+        }
+        let hash = compute();
+        let mut row = self.0.borrow_mut();
+        if row.len() <= idx {
+            row.resize(idx + 1, None);
+        }
+        row[idx] = Some(hash);
+        hash
+    }
+
+    /// Forgets everything (the value changed); keeps the allocation.
+    fn clear(&mut self) {
+        self.0.get_mut().clear();
+    }
+}
+
+/// A pending event as the states that hold it share it: the event itself
+/// and its hashes under the group elements it has been hashed under so
+/// far. Shared behind an `Rc`, so a renamed hash is computed once per
+/// event, not once per state the event stays in flight in.
+#[derive(Debug)]
+struct SharedEvent<M> {
+    event: ExploreEvent<M>,
+    /// `perm_hashes[k]`: [`ExploreEvent::event_hash_perm`] under group
+    /// element `k` (the identity hash is [`Pending::hash`]).
+    perm_hashes: HashMemo,
+}
+
 /// One pending entry: the event plus its hash, computed once on enqueue —
 /// the state hash and choice dedup then work on cached 128-bit values.
-/// The event rides behind an `Arc`: snapshot/restore clone the pending
+/// The event rides behind an `Rc`: snapshot/restore clone the pending
 /// multiset once per visited state, and sharing turns that from a deep
 /// payload copy (slice families and all) into reference bumps. The clone
 /// cost moves to [`ExploreSim::fire`], which unwraps or clones exactly the
 /// one event it consumes.
 #[derive(Debug)]
 struct Pending<M> {
-    event: std::sync::Arc<ExploreEvent<M>>,
+    event: Rc<SharedEvent<M>>,
     hash: u128,
     /// Causal-graph id of the send that enqueued this event
     /// ([`EventId::NONE`] unless causal recording is on — i.e. during
@@ -314,7 +400,7 @@ struct Pending<M> {
 impl<M> Clone for Pending<M> {
     fn clone(&self) -> Self {
         Pending {
-            event: std::sync::Arc::clone(&self.event),
+            event: Rc::clone(&self.event),
             hash: self.hash,
             cause: self.cause,
         }
@@ -325,48 +411,116 @@ impl<M: SimMessage> Pending<M> {
     fn new(event: ExploreEvent<M>, cause: EventId) -> Self {
         let hash = event.event_hash();
         Pending {
-            event: std::sync::Arc::new(event),
+            event: Rc::new(SharedEvent {
+                event,
+                perm_hashes: HashMemo::default(),
+            }),
             hash,
             cause,
         }
     }
 
+    /// The event's hash under group element `k`, remembered in the shared
+    /// event.
+    fn hash_perm(&self, k: usize, perm: &Perm) -> u128 {
+        self.event
+            .perm_hashes
+            .get_or_compute(k, || self.event.event.event_hash_perm(perm))
+    }
+
     fn event_size_hint(&self) -> usize {
-        match &*self.event {
+        match &self.event.event {
             ExploreEvent::Deliver { msg, .. } => msg.size_hint(),
             ExploreEvent::Timer { .. } => 16,
         }
     }
 }
 
-/// A forked simulation state: actors, knowledge sets, pending events and
-/// timer budgets. Produced by [`ExploreSim::snapshot`], consumed by
-/// [`ExploreSim::restore`].
+/// Everything the simulation holds about one process. States share slots
+/// behind an `Rc`; a slot is written only through
+/// `ExploreSim::slot_mut`, which forks it first when it is shared and
+/// clears the memo either way.
+struct Slot<M> {
+    actor: Box<dyn Actor<M>>,
+    known: ProcessSet,
+    /// Timers armed so far; arming stops at the budget (protocol liveness
+    /// timers re-arm forever, which would make the untimed state space
+    /// infinite).
+    timers_armed: u32,
+    /// `memo[0]`: the slot's hash under the identity; `memo[k + 1]`:
+    /// under group element `k`.
+    memo: HashMemo,
+}
+
+impl<M: SimMessage> Slot<M> {
+    /// The slot's hash from scratch: knowledge set, timer count and actor
+    /// fingerprint, renamed through `perm` when one is given.
+    fn compute_hash(&self, perm: Option<&Perm>) -> u128 {
+        let mut h = StateHasher::new();
+        match perm {
+            None => {
+                h.write_set(&self.known);
+                h.write_u32(self.timers_armed);
+                self.actor.fingerprint(&mut h);
+            }
+            Some(perm) => {
+                h.write_set_perm(&self.known, perm);
+                h.write_u32(self.timers_armed);
+                self.actor.fingerprint_perm(&mut h, perm);
+            }
+        }
+        h.finish()
+    }
+
+    /// The memoised hash under the identity.
+    fn hash(&self) -> u128 {
+        self.memo.get_or_compute(0, || self.compute_hash(None))
+    }
+
+    /// The memoised hash under group element `k`.
+    fn hash_perm(&self, k: usize, perm: &Perm) -> u128 {
+        self.memo
+            .get_or_compute(k + 1, || self.compute_hash(Some(perm)))
+    }
+
+    /// A private copy of the slot at process `pid`, with nothing
+    /// remembered.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the actor does not implement [`Actor::fork`].
+    fn fork(&self, pid: ProcessId) -> Slot<M> {
+        Slot {
+            actor: self
+                .actor
+                .fork()
+                .unwrap_or_else(|| panic!("actor {} does not support fork()", pid.index())),
+            known: self.known.clone(),
+            timers_armed: self.timers_armed,
+            memo: HashMemo::default(),
+        }
+    }
+}
+
+/// A saved simulation state: the process slots and pending events (both
+/// shared with the simulation that took it and with every state derived
+/// from it) and the step counters. Produced by [`ExploreSim::snapshot`],
+/// consumed by [`ExploreSim::restore`].
 pub struct SimState<M> {
-    actors: Vec<Box<dyn Actor<M>>>,
-    known: Vec<ProcessSet>,
+    slots: Vec<Rc<Slot<M>>>,
     pending: Vec<Pending<M>>,
-    timers_armed: Vec<u32>,
     steps: u64,
     events_fired: u64,
 }
 
 impl<M: SimMessage> SimState<M> {
-    /// A deep copy (re-forks every actor).
+    /// A second handle on the same state: slot and event pointers are
+    /// copied, no actor is. Saved states are immutable, so sharing is
+    /// unobservable.
     pub fn fork(&self) -> SimState<M> {
         SimState {
-            actors: self
-                .actors
-                .iter()
-                .enumerate()
-                .map(|(i, a)| {
-                    a.fork()
-                        .unwrap_or_else(|| panic!("actor {i} does not support fork()"))
-                })
-                .collect(),
-            known: self.known.clone(),
+            slots: self.slots.clone(),
             pending: self.pending.clone(),
-            timers_armed: self.timers_armed.clone(),
             steps: self.steps,
             events_fired: self.events_fired,
         }
@@ -383,13 +537,8 @@ impl<M: SimMessage> SimState<M> {
 /// [module docs](self).
 pub struct ExploreSim<M: SimMessage> {
     kg: KnowledgeGraph,
-    actors: Vec<Box<dyn Actor<M>>>,
-    known: Vec<ProcessSet>,
+    slots: Vec<Rc<Slot<M>>>,
     pending: Vec<Pending<M>>,
-    /// Per-process count of timers armed so far; arming stops at the
-    /// budget (protocol liveness timers re-arm forever, which would make
-    /// the untimed state space infinite).
-    timers_armed: Vec<u32>,
     timer_budget: u32,
     /// Branching events fired (depth in the exploration tree).
     steps: u64,
@@ -408,14 +557,10 @@ impl<M: SimMessage> ExploreSim<M> {
     /// knowledge `known_i = PD_i`. Each process may fire at most
     /// `timer_budget` timer events.
     pub fn new(kg: KnowledgeGraph, timer_budget: u32) -> Self {
-        let known = kg.pds();
-        let n = kg.n();
         ExploreSim {
             kg,
-            actors: Vec::new(),
-            known,
+            slots: Vec::new(),
             pending: Vec::new(),
-            timers_armed: vec![0; n],
             timer_budget,
             steps: 0,
             events_fired: 0,
@@ -432,12 +577,15 @@ impl<M: SimMessage> ExploreSim<M> {
     /// times, in id order).
     pub fn add_actor(&mut self, actor: Box<dyn Actor<M>>) -> ProcessId {
         assert!(!self.started, "cannot add actors after start");
-        assert!(
-            self.actors.len() < self.kg.n(),
-            "more actors than processes"
-        );
-        self.actors.push(actor);
-        ProcessId::new(self.actors.len() as u32 - 1)
+        assert!(self.slots.len() < self.kg.n(), "more actors than processes");
+        let pid = ProcessId::new(self.slots.len() as u32);
+        self.slots.push(Rc::new(Slot {
+            actor,
+            known: self.kg.pd(pid).clone(),
+            timers_armed: 0,
+            memo: HashMemo::default(),
+        }));
+        pid
     }
 
     /// Runs every actor's `on_start`, in id order. Idempotent.
@@ -446,12 +594,12 @@ impl<M: SimMessage> ExploreSim<M> {
             return;
         }
         assert_eq!(
-            self.actors.len(),
+            self.slots.len(),
             self.kg.n(),
             "every process needs an actor before the run starts"
         );
         self.started = true;
-        for i in 0..self.actors.len() {
+        for i in 0..self.slots.len() {
             self.dispatch(ProcessId::new(i as u32), |actor, ctx| actor.on_start(ctx));
         }
     }
@@ -468,12 +616,12 @@ impl<M: SimMessage> ExploreSim<M> {
 
     /// The current knowledge set of process `i`.
     pub fn known(&self, i: ProcessId) -> &ProcessSet {
-        &self.known[i.index()]
+        &self.slots[i.index()].known
     }
 
     /// The currently enabled events.
     pub fn pending(&self) -> impl ExactSizeIterator<Item = &ExploreEvent<M>> {
-        self.pending.iter().map(|p| &*p.event)
+        self.pending.iter().map(|p| &p.event.event)
     }
 
     /// `true` when no events remain.
@@ -493,7 +641,7 @@ impl<M: SimMessage> ExploreSim<M> {
 
     /// Downcasts an actor to its concrete type.
     pub fn actor_as<T: 'static>(&self, i: ProcessId) -> Option<&T> {
-        let any: &dyn Any = &*self.actors[i.index()];
+        let any: &dyn Any = &*self.slots[i.index()].actor;
         any.downcast_ref::<T>()
     }
 
@@ -522,10 +670,24 @@ impl<M: SimMessage> ExploreSim<M> {
     }
 
     /// Mutable access to an actor as its concrete type (for enabling
-    /// per-actor observability before a replay).
+    /// per-actor observability before a replay). Counts as a write to the
+    /// process's slot.
     pub fn actor_as_mut<T: 'static>(&mut self, i: ProcessId) -> Option<&mut T> {
-        let any: &mut dyn Any = &mut *self.actors[i.index()];
+        let any: &mut dyn Any = &mut *Self::slot_mut(&mut self.slots, i).actor;
         any.downcast_mut::<T>()
+    }
+
+    /// The one way to write to a process: forks the slot first when a
+    /// saved state still shares it (the copy-on-write step — the only
+    /// [`Actor::fork`] of the product path), and forgets its hashes.
+    fn slot_mut(slots: &mut [Rc<Slot<M>>], pid: ProcessId) -> &mut Slot<M> {
+        let rc = &mut slots[pid.index()];
+        if Rc::get_mut(rc).is_none() {
+            *rc = Rc::new(rc.fork(pid));
+        }
+        let slot = Rc::get_mut(rc).expect("the slot was just made unique");
+        slot.memo.clear();
+        slot
     }
 
     /// Runs one actor callback, flushing sends and timer arms into the
@@ -537,10 +699,11 @@ impl<M: SimMessage> ExploreSim<M> {
         let mut outbox = std::mem::take(&mut self.outbox_buf);
         let mut timers = std::mem::take(&mut self.timers_buf);
         debug_assert!(outbox.is_empty() && timers.is_empty());
+        let slot = Self::slot_mut(&mut self.slots, pid);
         let mut ctx = Context {
             self_id: pid,
             now: SimTime::from_ticks(self.events_fired),
-            known: &mut self.known[pid.index()],
+            known: &mut slot.known,
             rng: &mut self.rng,
             outbox: &mut outbox,
             timers: &mut timers,
@@ -548,7 +711,7 @@ impl<M: SimMessage> ExploreSim<M> {
             // be dead weight on the hot path; actors see `None` and skip.
             journal: None,
         };
-        f(&mut *self.actors[pid.index()], &mut ctx);
+        f(&mut *slot.actor, &mut ctx);
         let mut enqueued = 0;
         for (to, msg) in outbox.drain(..) {
             let cause = self
@@ -563,8 +726,8 @@ impl<M: SimMessage> ExploreSim<M> {
         for (_delay, tag) in timers.drain(..) {
             // Delays are meaningless in the untimed semantics; the budget
             // caps how often a process's timers may fire at all.
-            if self.timers_armed[pid.index()] < self.timer_budget {
-                self.timers_armed[pid.index()] += 1;
+            if slot.timers_armed < self.timer_budget {
+                slot.timers_armed += 1;
                 self.pending.push(Pending::new(
                     ExploreEvent::Timer { process: pid, tag },
                     EventId::NONE,
@@ -596,26 +759,17 @@ impl<M: SimMessage> ExploreSim<M> {
     fn fire_inner(&mut self, idx: usize) -> usize {
         self.start();
         let pending = self.pending.remove(idx);
-        let cause = pending.cause;
-        let event =
-            std::sync::Arc::try_unwrap(pending.event).unwrap_or_else(|shared| (*shared).clone());
+        let event = match Rc::try_unwrap(pending.event) {
+            Ok(owned) => owned.event,
+            Err(shared) => shared.event.clone(),
+        };
         self.events_fired += 1;
         match event {
             ExploreEvent::Deliver { from, to, msg } => {
                 // Authenticated channel: receiving teaches the receiver
                 // the sender's identity, exactly like the timed simulator.
-                self.known[to.index()].insert(from);
-                scup_obs::obs_event!(
-                    self.trace,
-                    TraceEvent::Delivered {
-                        at: SimTime::from_ticks(self.events_fired),
-                        from,
-                        to,
-                        payload: format!("{msg:?}"),
-                    }
-                );
-                self.causal
-                    .record_deliver(self.events_fired, from.as_u32(), to.as_u32(), cause);
+                Self::slot_mut(&mut self.slots, to).known.insert(from);
+                self.record_delivery(from, to, &msg, pending.cause);
                 self.dispatch(to, |actor, ctx| actor.on_message(ctx, from, msg))
             }
             ExploreEvent::Timer { process, tag } => {
@@ -634,41 +788,99 @@ impl<M: SimMessage> ExploreSim<M> {
         }
     }
 
+    /// The trace and causal records of one delivery, fired or absorbed.
+    fn record_delivery(&mut self, from: ProcessId, to: ProcessId, msg: &M, cause: EventId) {
+        scup_obs::obs_event!(
+            self.trace,
+            TraceEvent::Delivered {
+                at: SimTime::from_ticks(self.events_fired),
+                from,
+                to,
+                payload: format!("{msg:?}"),
+            }
+        );
+        self.causal
+            .record_deliver(self.events_fired, from.as_u32(), to.as_u32(), cause);
+    }
+
     /// `true` when pending event `idx` is a delivery its recipient declares
     /// a no-op ([`Actor::absorbs`]) that also cannot change the knowledge
     /// set (the sender is already known).
     pub fn is_absorbed(&self, idx: usize) -> bool {
-        match &*self.pending[idx].event {
+        match &self.pending[idx].event.event {
             ExploreEvent::Deliver { from, to, msg } => {
-                self.known[to.index()].contains(*from)
-                    && self.actors[to.index()].absorbs(*to, &self.known[to.index()], *from, msg)
+                let slot = &self.slots[to.index()];
+                slot.known.contains(*from) && slot.actor.absorbs(*to, &slot.known, *from, msg)
             }
             ExploreEvent::Timer { .. } => false,
         }
     }
 
-    /// Eagerly fires every absorbed event (without counting branching
-    /// steps) until none remain. Absorbed events commute with everything
-    /// and stay absorbed in any extension (dedup/knowledge state only
-    /// grows), so firing them immediately explores a representative of the
-    /// same trace class. Returns how many events were absorbed.
+    /// Eagerly retires every absorbed event (without counting branching
+    /// steps). Absorbed events commute with everything and stay absorbed
+    /// in any extension (dedup/knowledge state only grows), so retiring
+    /// them immediately explores a representative of the same trace class.
+    /// Returns how many events were absorbed.
     ///
-    /// One pass suffices: absorbed events are no-ops by contract, so
-    /// firing them cannot turn another pending event absorbable.
+    /// An absorbed delivery is a no-op by contract, so it is retired
+    /// *without calling the actor*: it leaves the pending multiset, counts
+    /// toward `events_fired`, and gets its trace and causal records —
+    /// nothing else happens, no slot is written. Debug builds check the
+    /// contract on every one (see `assert_absorbed_is_noop`).
+    ///
+    /// One pass suffices: absorbed events are no-ops, so retiring them
+    /// cannot turn another pending event absorbable.
     pub fn drain_absorbed(&mut self) -> u64 {
         self.start();
-        let mut absorbed = 0;
-        let mut idx = 0;
-        while idx < self.pending.len() {
-            if self.is_absorbed(idx) {
-                let enqueued = self.fire_inner(idx);
-                debug_assert_eq!(enqueued, 0, "absorbed event produced new events");
-                absorbed += 1;
-            } else {
-                idx += 1;
+        let mut kept = 0;
+        for idx in 0..self.pending.len() {
+            if !self.is_absorbed(idx) {
+                self.pending.swap(kept, idx);
+                kept += 1;
+                continue;
             }
+            self.events_fired += 1;
+            let shared = Rc::clone(&self.pending[idx].event);
+            let ExploreEvent::Deliver { from, to, msg } = &shared.event else {
+                unreachable!("only deliveries are absorbed");
+            };
+            self.record_delivery(*from, *to, msg, self.pending[idx].cause);
+            #[cfg(debug_assertions)]
+            self.assert_absorbed_is_noop(*from, *to, msg);
         }
-        absorbed
+        let absorbed = self.pending.len() - kept;
+        self.pending.truncate(kept);
+        absorbed as u64
+    }
+
+    /// The `absorbs ⇒ no-op` contract, checked the expensive way: deliver
+    /// `msg` to a scratch fork of the recipient and demand no sends, no
+    /// timers and an unchanged slot hash. The real slot is not touched, so
+    /// debug and release builds leave the simulation in the same state.
+    #[cfg(debug_assertions)]
+    fn assert_absorbed_is_noop(&mut self, from: ProcessId, to: ProcessId, msg: &M) {
+        let slot = &self.slots[to.index()];
+        let mut scratch = slot.fork(to);
+        let (mut outbox, mut timers) = (Vec::new(), Vec::new());
+        let mut ctx = Context {
+            self_id: to,
+            now: SimTime::from_ticks(self.events_fired),
+            known: &mut scratch.known,
+            rng: &mut self.rng,
+            outbox: &mut outbox,
+            timers: &mut timers,
+            journal: None,
+        };
+        scratch.actor.on_message(&mut ctx, from, msg.clone());
+        assert!(
+            outbox.is_empty() && timers.is_empty(),
+            "absorbed delivery {msg:?} from {from} made {to} emit"
+        );
+        assert_eq!(
+            scratch.compute_hash(None),
+            slot.compute_hash(None),
+            "absorbed delivery {msg:?} from {from} changed the state of {to}"
+        );
     }
 
     /// The canonical branching choices at this state: **every** pending
@@ -700,29 +912,39 @@ impl<M: SimMessage> ExploreSim<M> {
 
     /// The canonical 128-bit hash of the current state. Identical states
     /// (actor fingerprints, knowledge sets, timer budgets, pending-event
-    /// multiset) hash identically however they were reached.
+    /// multiset) hash identically however they were reached. Folds the
+    /// memoised slot hashes and the cached event hashes: only slots
+    /// written since they were last hashed are fingerprinted again.
     pub fn state_hash(&self) -> u128 {
+        Self::fold_state(
+            self.slots.iter().map(|slot| slot.hash()),
+            self.pending.iter().map(|p| p.hash),
+        )
+    }
+
+    /// The one definition of how slot hashes (in id order) and pending
+    /// event hashes (any order) combine into a state hash, shared by the
+    /// memoised hashes and the from-scratch oracle.
+    ///
+    /// The pending multiset enters as an order-independent digest — XOR
+    /// and wrapping sum of the per-event hashes, folded without sorting
+    /// or allocating; the two independent combines plus the length keep
+    /// multiset collisions as unlikely as the underlying 128-bit event
+    /// hashes.
+    fn fold_state(
+        slots: impl ExactSizeIterator<Item = u128>,
+        events: impl ExactSizeIterator<Item = u128>,
+    ) -> u128 {
         let mut h = StateHasher::new();
-        h.write_u64(self.actors.len() as u64);
-        for (i, actor) in self.actors.iter().enumerate() {
-            h.write_set(&self.known[i]);
-            h.write_u32(self.timers_armed[i]);
-            actor.fingerprint(&mut h);
+        h.write_u64(slots.len() as u64);
+        for slot in slots {
+            h.write_u128(slot);
         }
-        h.write_u64(self.pending.len() as u64);
-        let (xor, sum) = Self::pending_digest(self.pending.iter().map(|p| p.hash));
+        h.write_u64(events.len() as u64);
+        let (xor, sum) = events.fold((0u128, 0u128), |(x, s), e| (x ^ e, s.wrapping_add(e)));
         h.write_u128(xor);
         h.write_u128(sum);
         h.finish()
-    }
-
-    /// Order-independent multiset digest of the pending events: XOR and
-    /// wrapping sum of the cached per-event hashes. Replaces the previous
-    /// collect-and-sort (an allocation per hashed state) with a fold; the
-    /// two independent combines plus the length keep multiset collisions
-    /// as unlikely as the underlying 128-bit event hashes.
-    fn pending_digest(hashes: impl Iterator<Item = u128>) -> (u128, u128) {
-        hashes.fold((0u128, 0u128), |(x, s), e| (x ^ e, s.wrapping_add(e)))
     }
 
     /// The state hash this simulation *would have* after renaming every
@@ -733,33 +955,50 @@ impl<M: SimMessage> ExploreSim<M> {
     /// the minimum over an automorphism group to get a canonical
     /// representative hash.
     ///
+    /// `k` is `perm`'s index in the caller's group and keys the memos
+    /// beside each slot and pending event: over the life of this
+    /// simulation and every state restored into it, one `k` must always
+    /// mean the same permutation.
+    ///
     /// Only sound when every actor (and message type) whose state mentions
     /// process ids overrides [`Actor::fingerprint_perm`] — the checker
     /// enables symmetry only for rosters where that holds.
-    pub fn state_hash_perm(&self, perm: &Perm) -> u128 {
+    pub fn state_hash_perm(&self, k: usize, perm: &Perm) -> u128 {
         if perm.is_identity() {
             return self.state_hash();
         }
-        let mut h = StateHasher::new();
-        h.write_u64(self.actors.len() as u64);
-        for j in 0..self.actors.len() {
-            let i = perm.apply_inv(ProcessId::new(j as u32)).index();
-            h.write_set(&perm.apply_set(&self.known[i]));
-            h.write_u32(self.timers_armed[i]);
-            self.actors[i].fingerprint_perm(&mut h, perm);
-        }
-        h.write_u64(self.pending.len() as u64);
-        let (xor, sum) =
-            Self::pending_digest(self.pending.iter().map(|p| p.event.event_hash_perm(perm)));
-        h.write_u128(xor);
-        h.write_u128(sum);
-        h.finish()
+        Self::fold_state(
+            (0..self.slots.len()).map(|j| {
+                let i = perm.apply_inv(ProcessId::new(j as u32)).index();
+                self.slots[i].hash_perm(k, perm)
+            }),
+            self.pending.iter().map(|p| p.hash_perm(k, perm)),
+        )
+    }
+
+    /// [`ExploreSim::state_hash`] (`perm = None`) or
+    /// [`ExploreSim::state_hash_perm`] recomputed from scratch: every
+    /// actor re-fingerprinted, every pending event re-hashed, no memo read
+    /// or written. The oracle the memo tests compare against — the
+    /// explorer never calls it.
+    pub fn state_hash_from_scratch(&self, perm: Option<&Perm>) -> u128 {
+        let slot_of = |j: usize| match perm {
+            None => j,
+            Some(perm) => perm.apply_inv(ProcessId::new(j as u32)).index(),
+        };
+        Self::fold_state(
+            (0..self.slots.len()).map(|j| self.slots[slot_of(j)].compute_hash(perm)),
+            self.pending.iter().map(|p| match perm {
+                None => p.event.event.event_hash(),
+                Some(perm) => p.event.event.event_hash_perm(perm),
+            }),
+        )
     }
 
     /// The pending event at `idx` (an index as returned by
     /// [`ExploreSim::choices`]).
     pub fn pending_at(&self, idx: usize) -> &ExploreEvent<M> {
-        &self.pending[idx].event
+        &self.pending[idx].event.event
     }
 
     /// The cached canonical hash of pending event `idx`.
@@ -773,9 +1012,10 @@ impl<M: SimMessage> ExploreSim<M> {
     /// recipient — the dynamic independence the model checker's sleep-set
     /// reduction runs on.
     pub fn is_threshold_inert(&self, idx: usize) -> bool {
-        match &*self.pending[idx].event {
+        match &self.pending[idx].event.event {
             ExploreEvent::Deliver { from, to, msg } => {
-                self.actors[to.index()].threshold_inert(*to, &self.known[to.index()], *from, msg)
+                let slot = &self.slots[to.index()];
+                slot.actor.threshold_inert(*to, &slot.known, *from, msg)
             }
             ExploreEvent::Timer { .. } => false,
         }
@@ -794,43 +1034,39 @@ impl<M: SimMessage> ExploreSim<M> {
             .iter()
             .map(|p| p.event_size_hint() as u64 + 48)
             .sum();
-        self.actors.len() as u64 * PER_ACTOR + payloads
+        self.slots.len() as u64 * PER_ACTOR + payloads
     }
 
-    /// Forks the full simulation state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any actor does not implement [`Actor::fork`].
+    /// Saves the full simulation state: `n` slot pointers and the pending
+    /// events' pointers. No actor is forked here — the simulation forks a
+    /// slot when it next writes to it, and the saved state keeps the
+    /// original.
     pub fn snapshot(&self) -> SimState<M> {
         SimState {
-            actors: self
-                .actors
-                .iter()
-                .enumerate()
-                .map(|(i, a)| {
-                    a.fork()
-                        .unwrap_or_else(|| panic!("actor {i} does not support fork()"))
-                })
-                .collect(),
-            known: self.known.clone(),
+            slots: self.slots.clone(),
             pending: self.pending.clone(),
-            timers_armed: self.timers_armed.clone(),
             steps: self.steps,
             events_fired: self.events_fired,
         }
     }
 
-    /// Rewinds to a previously taken snapshot.
+    /// Rewinds to a previously taken snapshot, sharing its slots and
+    /// events. Copies into the live vectors, so their capacity — the
+    /// pending vector's head-room for the next enqueue included —
+    /// survives the rewind.
     pub fn restore(&mut self, state: &SimState<M>) {
-        let forked = state.fork();
-        self.actors = forked.actors;
-        self.known = forked.known;
-        self.pending = forked.pending;
-        self.timers_armed = forked.timers_armed;
-        self.steps = forked.steps;
-        self.events_fired = forked.events_fired;
+        self.slots.clone_from(&state.slots);
+        self.pending.clone_from(&state.pending);
+        self.steps = state.steps;
+        self.events_fired = state.events_fired;
         self.started = true;
+    }
+
+    /// `true` when process `i`'s slot is the very one `state` holds: not
+    /// written since the two last agreed (the copy-on-write invariant the
+    /// sharing tests pin).
+    pub fn shares_slot(&self, state: &SimState<M>, i: ProcessId) -> bool {
+        Rc::ptr_eq(&self.slots[i.index()], &state.slots[i.index()])
     }
 }
 
@@ -1030,6 +1266,134 @@ mod tests {
             fired += 1;
         }
         assert_eq!(fired, 6, "3 timer events per process, then quiescent");
+    }
+
+    /// A [`Flooder`] that counts its forks, to pin the copy-on-write
+    /// discipline: one fork per slot written while a saved state shares
+    /// it, none anywhere else.
+    struct CountingFlooder {
+        inner: Flooder,
+        forks: Rc<std::cell::Cell<u64>>,
+    }
+
+    impl Actor<Gossip> for CountingFlooder {
+        fn on_start(&mut self, ctx: &mut Context<'_, Gossip>) {
+            self.inner.on_start(ctx);
+        }
+        fn on_message(&mut self, ctx: &mut Context<'_, Gossip>, from: ProcessId, msg: Gossip) {
+            self.inner.on_message(ctx, from, msg);
+        }
+        fn fork(&self) -> Option<Box<dyn Actor<Gossip>>> {
+            self.forks.set(self.forks.get() + 1);
+            Some(Box::new(CountingFlooder {
+                inner: self.inner.clone(),
+                forks: Rc::clone(&self.forks),
+            }))
+        }
+        fn fingerprint(&self, h: &mut StateHasher) {
+            self.inner.fingerprint(h);
+        }
+        fn absorbs(&self, me: ProcessId, known: &ProcessSet, from: ProcessId, m: &Gossip) -> bool {
+            self.inner.absorbs(me, known, from, m)
+        }
+    }
+
+    #[test]
+    fn a_delivery_forks_the_one_slot_it_writes() {
+        let forks = Rc::new(std::cell::Cell::new(0));
+        let mut sim = ExploreSim::new(generators::fig1(), 0);
+        for _ in 0..8 {
+            sim.add_actor(Box::new(CountingFlooder {
+                inner: Flooder::default(),
+                forks: Rc::clone(&forks),
+            }));
+        }
+        sim.start();
+        assert_eq!(forks.get(), 0, "unshared slots are written in place");
+
+        let snap = sim.snapshot();
+        let h0 = sim.state_hash();
+        assert_eq!(forks.get(), 0, "snapshot and hashing fork nothing");
+        let to = sim.pending_at(0).recipient();
+        sim.fire(0);
+        assert_eq!(forks.get(), 1, "the first write to a shared slot forks it");
+        for i in sim.knowledge_graph().processes() {
+            assert_eq!(sim.shares_slot(&snap, i), i != to, "slot {i}");
+        }
+        // A second delivery to the same process writes the private copy.
+        let again = sim.pending().position(|e| e.recipient() == to);
+        if let Some(again) = again {
+            sim.fire(again);
+            assert_eq!(forks.get(), 1);
+        }
+
+        // Restore re-shares every slot without forking, and the saved
+        // state was never written through.
+        sim.restore(&snap);
+        assert_eq!(forks.get(), 1);
+        assert!(sim
+            .knowledge_graph()
+            .processes()
+            .all(|i| sim.shares_slot(&snap, i)));
+        assert_eq!(sim.state_hash(), h0);
+        assert_eq!(sim.state_hash_from_scratch(None), h0);
+
+        // Retiring absorbed deliveries writes no slot at all — in debug
+        // builds the contract check forks a scratch copy per retired
+        // event, but never the live slot.
+        let before = forks.get();
+        let absorbed = sim.drain_absorbed();
+        assert!(sim
+            .knowledge_graph()
+            .processes()
+            .all(|i| sim.shares_slot(&snap, i)));
+        let checks = if cfg!(debug_assertions) { absorbed } else { 0 };
+        assert_eq!(forks.get(), before + checks);
+    }
+
+    #[test]
+    fn restore_keeps_the_pending_vectors_head_room() {
+        let mut sim = flooder_sim();
+        let snap = sim.snapshot();
+        // Grow the live vector past the snapshot's length once …
+        while sim.pending().len() <= snap.pending.len() {
+            let c = sim.choices();
+            sim.fire(c[0]);
+        }
+        let capacity = sim.pending.capacity();
+        assert!(capacity > snap.pending.len());
+        // … and the room is still there after rewinding.
+        sim.restore(&snap);
+        assert_eq!(sim.pending.capacity(), capacity);
+    }
+
+    proptest::proptest! {
+        /// `write_set_perm` feeds exactly what hashing the allocated
+        /// renamed set feeds — ids beyond the permutation's range (which
+        /// map to themselves) and multi-word images included.
+        #[test]
+        fn write_set_perm_matches_the_allocating_form(
+            ids in proptest::collection::vec(0u32..200, 0..24),
+            swaps in proptest::collection::vec(0u32..130, 129),
+        ) {
+            let mut map: Vec<u32> = (0..130).collect();
+            for (i, &j) in swaps.iter().enumerate() {
+                map.swap(i, i + j as usize % (130 - i));
+            }
+            let perm = Perm::from_map(map);
+            let set = ProcessSet::from_ids(ids);
+            let (mut direct, mut allocating) = (StateHasher::new(), StateHasher::new());
+            direct.write_set_perm(&set, &perm);
+            allocating.write_set(&perm.apply_set(&set));
+            proptest::prop_assert_eq!(direct.finish(), allocating.finish());
+        }
+    }
+
+    #[test]
+    fn perm_identity_is_decided_at_construction() {
+        assert!(Perm::identity(4).is_identity());
+        assert!(Perm::from_map(vec![0, 1, 2]).is_identity());
+        assert!(!Perm::from_map(vec![1, 0, 2]).is_identity());
     }
 
     #[test]
