@@ -23,9 +23,7 @@
 use criterion::{
     criterion_group, criterion_main, custom_entry, BenchmarkId, Criterion, Throughput,
 };
-use scup_harness::scenario::{
-    ExploreSpec, FaultPlacement, ProtocolSpec, Scenario, SearchMode, TopologySpec,
-};
+use scup_harness::scenario::{ExploreSpec, FaultPlacement, ProtocolSpec, Scenario, TopologySpec};
 use scup_harness::AdversaryRegistry;
 use scup_mc::campaign::{explore_scenario, explore_scenario_obs};
 use scup_mc::ObsConfig;
@@ -108,7 +106,7 @@ fn sink2_discovery() -> Scenario {
 /// The three-active-proposer system from `campaigns/explore.toml`: a
 /// 3-member complete sink, no outsiders, one shared proposal — the
 /// largest exhaustible space in the campaign and the obs-overhead
-/// stress case (deep DFS chains, heavy settle phase).
+/// stress case (deep schedules, heavy settle phase).
 fn sink3_proposers() -> Scenario {
     Scenario::builder("sink3-proposers")
         .topology(TopologySpec::RandomKosr {
@@ -131,7 +129,6 @@ fn sink3_proposers() -> Scenario {
 
 fn without_reductions(mut s: Scenario) -> Scenario {
     s.explore.symmetry = false;
-    s.explore.sleep_sets = false;
     s.explore.eager_inert = false;
     s
 }
@@ -172,46 +169,32 @@ fn bench_explorer(c: &mut Criterion) {
     }
 }
 
-/// Uniform-cost frontier vs the legacy label-correcting DFS, same
-/// systems, same reduction knobs: `explore_ucs/<case>-{ucs,dfs}`.
-///
-/// Both rows share one element count — the canonical state census,
-/// which tests/differential.rs pins bit-equal between the two search
-/// disciplines — so the rate ratio between the paired rows is exactly
-/// the cost of DFS's re-expansions (label correcting re-expands a state
-/// every time a shorter path to it is found; the uniform-cost frontier
-/// expands each state once, at its minimal depth, by construction). The
-/// rows are tracked in `BENCH_PR10.json` and gated like the other
-/// `explore_*` throughput rows — the `-dfs` rows double as a regression
-/// oracle for the retained legacy discipline.
-fn bench_ucs_vs_dfs(c: &mut Criterion) {
+/// The uniform-cost search under the default reductions, scored on its
+/// own canonical state census: `explore_ucs/<case>-ucs`. (The rows were
+/// born paired with a second search discipline; the suffix stays because
+/// `BENCH_PR10.json` gates them by name.)
+fn bench_ucs(c: &mut Criterion) {
     let registry = AdversaryRegistry::builtin();
     let threads = 1usize;
 
     let cases = [
-        ("sink3-proposers", sink3_proposers(), 10usize),
-        ("split22-cex", split22(), 10),
-        ("bftcup-equiv-d5", bftcup_equiv(5), 10),
+        ("sink3-proposers", sink3_proposers()),
+        ("split22-cex", split22()),
+        ("bftcup-equiv-d5", bftcup_equiv(5)),
     ];
-    for (name, scenario, samples) in cases {
-        let mut ucs = scenario.clone();
-        ucs.explore.search = SearchMode::Ucs;
-        let mut dfs = scenario;
-        dfs.explore.search = SearchMode::Dfs;
-        let states = explore_scenario(&ucs, threads, &registry).states;
+    for (name, scenario) in cases {
+        let states = explore_scenario(&scenario, threads, &registry).states;
 
         let mut group = c.benchmark_group("explore_ucs");
-        group.sample_size(samples);
+        group.sample_size(10);
         group.throughput(Throughput::Elements(states));
-        for (suffix, s) in [("ucs", &ucs), ("dfs", &dfs)] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("{name}-{suffix}"), states),
-                s,
-                |b, s| {
-                    b.iter(|| explore_scenario(s, threads, &registry).states);
-                },
-            );
-        }
+        group.bench_with_input(
+            BenchmarkId::new(format!("{name}-ucs"), states),
+            &scenario,
+            |b, s| {
+                b.iter(|| explore_scenario(s, threads, &registry).states);
+            },
+        );
         group.finish();
     }
 }
@@ -355,7 +338,7 @@ fn bench_forensics_overhead(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_explorer,
-    bench_ucs_vs_dfs,
+    bench_ucs,
     bench_obs_overhead,
     bench_forensics_overhead
 );

@@ -15,7 +15,7 @@
 //!                       re-expansion counts to each record's `obs` block
 //!   --trace-out PATH    write a Chrome-trace-event JSON file (load in
 //!                       Perfetto / chrome://tracing): explore mode emits
-//!                       worker DFS timelines with per-phase spans; sample
+//!                       worker search timelines with per-phase spans; sample
 //!                       mode re-runs each scenario's first seed with the
 //!                       simulator trace on and exports the message
 //!                       schedule (one track per process, sim ticks as µs)

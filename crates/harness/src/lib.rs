@@ -68,5 +68,5 @@ pub use oracle::InvariantReport;
 pub use parse::campaign_from_str;
 pub use scenario::{
     ExploreSpec, FaultPlacement, FaultSpec, NetworkSpec, OracleMode, ProtocolSpec, Scenario,
-    SearchMode, TopologySpec,
+    TopologySpec,
 };

@@ -24,7 +24,7 @@ use crate::campaign::{Campaign, CampaignMode};
 use crate::json::{self, Json};
 use crate::scenario::{
     ChurnSpec, ExploreSpec, FaultPlacement, FaultSpec, NetworkSpec, OracleMode, ProtocolSpec,
-    Scenario, SearchMode, TopologySpec, ValidityMode,
+    Scenario, TopologySpec, ValidityMode,
 };
 use stellar_cup::attempts::LocalSliceStrategy;
 
@@ -102,11 +102,14 @@ fn validate_explore_knobs(_doc: &Json, s: &Scenario) -> Result<(), String> {
     if let Some(err) = s.preresolve_sink_unsupported() {
         return Err(err);
     }
-    if let Some(err) = s.sleep_sets_unsupported() {
-        return Err(err);
-    }
     Ok(())
 }
+
+/// Scenario keys that configured the explorer's second search discipline
+/// and its fixed parameters. Scenario tables ignore unknown keys, so an
+/// old campaign file carrying one of these would silently explore
+/// something other than what it asks for — they are rejected instead.
+const REMOVED_KEYS: [&str; 4] = ["search", "sleep_sets", "frontier_depth", "bft_view_timeout"];
 
 fn scenario_from_json(doc: &Json) -> Result<Scenario, String> {
     let name = doc
@@ -114,6 +117,11 @@ fn scenario_from_json(doc: &Json) -> Result<Scenario, String> {
         .and_then(Json::as_str)
         .ok_or("needs a string `name`")?
         .to_string();
+    if let Some(key) = REMOVED_KEYS.iter().find(|key| doc.get(key).is_some()) {
+        return Err(format!(
+            "scenario `{name}`: key `{key}` was removed: the explorer has one search discipline"
+        ));
+    }
 
     let topology = topology_from_json(doc)?;
     let f = get_usize(doc, "f")?.unwrap_or(1);
@@ -178,7 +186,6 @@ fn scenario_from_json(doc: &Json) -> Result<Scenario, String> {
         max_steps: get_u32(doc, "max_steps")?.unwrap_or(defaults.max_steps),
         max_states: get_u64(doc, "max_states")?.unwrap_or(defaults.max_states),
         timer_budget: get_u32(doc, "timer_budget")?.unwrap_or(defaults.timer_budget),
-        frontier_depth: get_u32(doc, "frontier_depth")?.unwrap_or(defaults.frontier_depth),
         expect_violation: match doc.get("expect_violation") {
             None => defaults.expect_violation,
             Some(v) => v.as_bool().ok_or("`expect_violation` must be a boolean")?,
@@ -186,10 +193,6 @@ fn scenario_from_json(doc: &Json) -> Result<Scenario, String> {
         symmetry: match doc.get("symmetry") {
             None => defaults.symmetry,
             Some(v) => v.as_bool().ok_or("`symmetry` must be a boolean")?,
-        },
-        sleep_sets: match doc.get("sleep_sets") {
-            None => defaults.sleep_sets,
-            Some(v) => v.as_bool().ok_or("`sleep_sets` must be a boolean")?,
         },
         eager_inert: match doc.get("eager_inert") {
             None => defaults.eager_inert,
@@ -202,17 +205,6 @@ fn scenario_from_json(doc: &Json) -> Result<Scenario, String> {
         preresolve_sink: match doc.get("preresolve_sink") {
             None => defaults.preresolve_sink,
             Some(v) => v.as_bool().ok_or("`preresolve_sink` must be a boolean")?,
-        },
-        bft_view_timeout: match get_u64(doc, "bft_view_timeout")? {
-            None => defaults.bft_view_timeout,
-            Some(0) => return Err("`bft_view_timeout` must be positive".into()),
-            Some(t) => t,
-        },
-        search: match doc.get("search").map(|v| v.as_str()) {
-            None => defaults.search,
-            Some(Some("ucs")) => SearchMode::Ucs,
-            Some(Some("dfs")) => SearchMode::Dfs,
-            Some(other) => return Err(format!("bad `search` {other:?}; use ucs | dfs")),
         },
     };
 
@@ -836,29 +828,13 @@ mode = "explore"
 name = "s"
 topology = "fig1"
 symmetry = false
-sleep_sets = true
-search = "dfs"
 eager_inert = false
 explore_discovery = true
 "#;
         let c = campaign_from_str(knobs).unwrap();
         assert!(!c.scenarios[0].explore.symmetry);
-        assert!(c.scenarios[0].explore.sleep_sets);
-        assert_eq!(c.scenarios[0].explore.search, SearchMode::Dfs);
         assert!(!c.scenarios[0].explore.eager_inert);
         assert!(c.scenarios[0].explore.explore_discovery);
-        // `search` defaults to the uniform-cost frontier and rejects
-        // unknown names.
-        let plain = campaign_from_str(
-            "name = \"x\"\nmode = \"explore\"\n[[scenario]]\nname = \"s\"\ntopology = \"fig1\"\n",
-        )
-        .unwrap();
-        assert_eq!(plain.scenarios[0].explore.search, SearchMode::Ucs);
-        let err = campaign_from_str(
-            "name = \"x\"\nmode = \"explore\"\n[[scenario]]\nname = \"s\"\ntopology = \"fig1\"\nsearch = \"bfs\"\n",
-        )
-        .unwrap_err();
-        assert!(err.contains("bad `search`"), "{err}");
     }
 
     #[test]
@@ -882,31 +858,29 @@ symmetry = true
         let scp = text.replace("protocol = \"bft-cup\"\n", "");
         assert!(campaign_from_str(&scp).is_ok());
 
-        // Sleep sets under the uniform-cost frontier: the cover cache
-        // is DFS-frame-scoped, so the combination is rejected at load
-        // time with the fix in the message.
-        let text = r#"
-name = "x"
-mode = "explore"
-
-[[scenario]]
-name = "sleepy-ucs"
-topology = "fig1"
-sleep_sets = true
-"#;
-        let err = campaign_from_str(text).unwrap_err();
-        assert!(err.contains("`sleepy-ucs`"), "{err}");
-        assert!(err.contains("`sleep_sets = true`"), "{err}");
-        assert!(err.contains("search = \"dfs\""), "{err}");
-        // Opting into the legacy DFS loop makes it load.
-        let dfs = text.replace(
-            "sleep_sets = true\n",
-            "sleep_sets = true\nsearch = \"dfs\"\n",
-        );
-        assert!(campaign_from_str(&dfs).is_ok());
-        // The same file loads under the sampling runner (knob ignored).
-        let sampled = text.replace("mode = \"explore\"", "mode = \"sample\"");
-        assert!(campaign_from_str(&sampled).is_ok());
+        // Removed keys are an error in either mode, not a silent no-op:
+        // an old file asking for `search = "dfs"` must not quietly run
+        // something else.
+        for (key, value) in [
+            ("search", "\"dfs\""),
+            ("sleep_sets", "true"),
+            ("frontier_depth", "3"),
+            ("bft_view_timeout", "400"),
+        ] {
+            for mode in ["explore", "sample"] {
+                let text = format!(
+                    "name = \"x\"\nmode = \"{mode}\"\n[[scenario]]\nname = \"old-file\"\n\
+                     topology = \"fig1\"\n{key} = {value}\n"
+                );
+                let err = campaign_from_str(&text).unwrap_err();
+                assert!(err.contains("`old-file`"), "{err}");
+                assert!(err.contains(&format!("`{key}`")), "{err}");
+                assert!(
+                    err.contains("removed: the explorer has one search discipline"),
+                    "{err}"
+                );
+            }
+        }
 
         // explore_discovery outside stellar-minimal.
         let text = r#"

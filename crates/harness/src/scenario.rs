@@ -487,34 +487,6 @@ impl OracleMode {
     }
 }
 
-/// Which search discipline drives the explorer's worker loops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SearchMode {
-    /// Min-depth-first (uniform-cost) frontier: states are expanded in
-    /// nondecreasing depth order, so every canonical state is expanded
-    /// exactly once at its minimal depth — re-expansions are zero by
-    /// construction and the visited table needs only a fingerprint, a
-    /// depth and a classification. The default.
-    #[default]
-    Ucs,
-    /// The legacy label-correcting depth-first loop: deep-first order
-    /// with min-depth correction on revisit (re-expanding when a state
-    /// is reached again at a shallower depth). Retained as the
-    /// differential oracle for `ucs` and as the only discipline that
-    /// supports `sleep_sets` (its covers are scoped to DFS frames).
-    Dfs,
-}
-
-impl SearchMode {
-    /// The mode name used in campaign files and reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SearchMode::Ucs => "ucs",
-            SearchMode::Dfs => "dfs",
-        }
-    }
-}
-
 /// Bounds and expectations for exhaustive exploration (`mode = "explore"`
 /// campaigns, run by the `scup-mc` bounded model checker).
 ///
@@ -536,10 +508,6 @@ pub struct ExploreSpec {
     /// treats a pending timer as a schedulable choice; re-arming would
     /// otherwise make the space infinite).
     pub timer_budget: u32,
-    /// The explorer shards the first `frontier_depth` branch decisions
-    /// across workers. Purely a parallelism knob — results are identical
-    /// for any value.
-    pub frontier_depth: u32,
     /// `true` for seeded-counterexample scenarios: the run *passes* iff a
     /// safety violation is found (and its minimal trace is reported).
     pub expect_violation: bool,
@@ -549,18 +517,6 @@ pub struct ExploreSpec {
     /// unreduced exploration agree on every verdict. On by default; turn
     /// off to compare (the differential soundness tests do).
     pub symmetry: bool,
-    /// Sleep-set partial-order reduction over commuting deliveries.
-    /// Verdict-preserving (violation/no-violation, minimal depth, decided
-    /// values, completeness — pinned by the differential tests); the raw
-    /// state census may shrink where interleavings are trace-equivalent
-    /// to extensions of terminal states. Off by default, and supported
-    /// under `search = "dfs"` only: the sleep-aware cover cache is
-    /// scoped to DFS frames (a revisit whose sleep set no cover
-    /// subsumes re-expands fully), which is incoherent under
-    /// uniform-cost order where each state is expanded exactly once —
-    /// the parser and `Setup::from_scenario` both reject
-    /// `sleep_sets = true` with the default `search = "ucs"`.
-    pub sleep_sets: bool,
     /// Persistent-set reduction over *threshold-inert* deliveries: an
     /// enabled delivery that provably commutes with every alternative
     /// (a vote for an already-accepted statement from a fully-registered
@@ -589,17 +545,6 @@ pub struct ExploreSpec {
     /// view changes). Off by default: the full-stack semantics explores
     /// discovery in-schedule.
     pub preresolve_sink: bool,
-    /// View timeout (in abstract delivery steps) the explored BFT-CUP
-    /// actors are configured with (`bft-cup` only; the timed sampling
-    /// drivers derive theirs from `Δ`). Must be positive — the parser
-    /// rejects 0 at load time.
-    pub bft_view_timeout: u64,
-    /// Search discipline for the worker loops (`ucs` by default; `dfs`
-    /// keeps the legacy label-correcting loop for differential runs and
-    /// for `sleep_sets`). Both produce identical verdicts, minimal
-    /// counterexample depths, decided values and state censuses —
-    /// pinned by the differential battery.
-    pub search: SearchMode,
 }
 
 impl Default for ExploreSpec {
@@ -613,15 +558,11 @@ impl Default for ExploreSpec {
             max_steps: 64,
             max_states: 200_000,
             timer_budget: 1,
-            frontier_depth: 2,
             expect_violation: false,
             symmetry: true,
-            sleep_sets: false,
             eager_inert: true,
             explore_discovery: false,
             preresolve_sink: false,
-            bft_view_timeout: 400,
-            search: SearchMode::Ucs,
         }
     }
 }
@@ -716,24 +657,6 @@ impl Scenario {
                 "scenario `{}`: knob `explore_discovery = true` does not support the \
                  value-injecting adversary `{}` yet; use silent / echo / crash:N",
                 self.name, self.adversary
-            ));
-        }
-        None
-    }
-
-    /// Shared validation for the `sleep_sets` knob: the sleep-aware
-    /// cover cache is scoped to DFS frames (a miss re-expands the whole
-    /// subtree), which has no coherent meaning under the uniform-cost
-    /// frontier where every state is expanded exactly once. The single
-    /// source of truth for the parse-time and the setup-time rejection.
-    pub fn sleep_sets_unsupported(&self) -> Option<String> {
-        if self.explore.sleep_sets && self.explore.search != SearchMode::Dfs {
-            return Some(format!(
-                "scenario `{}`: knob `sleep_sets = true` requires `search = \"dfs\"` \
-                 (sleep-set covers are scoped to DFS frames; the uniform-cost \
-                 frontier expands each state exactly once, so a cover miss has \
-                 nothing to re-expand)",
-                self.name
             ));
         }
         None

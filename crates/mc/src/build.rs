@@ -69,13 +69,6 @@ pub struct Setup {
     /// `preresolve_sink = true`): every actor starts with this member set
     /// and skips in-schedule discovery.
     pub preset_sink: Option<ProcessSet>,
-    /// View timeout handed to explored BFT-CUP actors (see
-    /// [`ExploreSpec`](scup_harness::scenario::ExploreSpec)). The untimed
-    /// semantics ignores timer delays (a pending timer is just a
-    /// schedulable choice), so any positive value is behaviorally
-    /// equivalent — the knob exists so a campaign can pin the view-change
-    /// cadence it also samples with.
-    pub bft_view_timeout: u64,
 }
 
 impl Setup {
@@ -108,9 +101,6 @@ impl Setup {
             return Err(err);
         }
         if let Some(err) = scenario.preresolve_sink_unsupported() {
-            return Err(err);
-        }
-        if let Some(err) = scenario.sleep_sets_unsupported() {
             return Err(err);
         }
         let preset_sink = if scenario.explore.preresolve_sink {
@@ -183,7 +173,6 @@ impl Setup {
             premise,
             timer_budget: scenario.explore.timer_budget,
             preset_sink,
-            bft_view_timeout: scenario.explore.bft_view_timeout,
         })
     }
 
@@ -270,8 +259,8 @@ pub trait Driver: Sync {
     /// CUP protocols.
     fn msg_origin(&self, from: ProcessId, msg: &Self::Msg) -> ProcessId;
 
-    /// Whether the eager-inert/sleep-set reductions may treat this
-    /// delivery as inert given whether its accountable origin is correct.
+    /// Whether the eager-inert reduction may treat this delivery as
+    /// inert given whether its accountable origin is correct.
     ///
     /// The default demands a correct origin — the conservative rule SCP
     /// needs (a Byzantine origin could re-announce different slices,
@@ -429,7 +418,11 @@ impl Driver for BftDriver<'_> {
     fn build_sim(&self, variant: u32) -> ExploreSim<BftMsg> {
         let setup = self.setup;
         let mut sim = ExploreSim::new(setup.kg.clone(), setup.timer_budget);
-        let config = BftConfig::new(setup.f, setup.bft_view_timeout);
+        // Any positive value explores the same space: the untimed
+        // semantics drops timer delays (a pending timer is just a
+        // schedulable choice) and the fingerprint does not hash them.
+        const VIEW_TIMEOUT: u64 = 400;
+        let config = BftConfig::new(setup.f, VIEW_TIMEOUT);
         // With `preresolve_sink`, membership is fixed up front and SINK
         // discovery never enters the schedule (correct actors and the
         // equivocating leader alike).

@@ -5,26 +5,24 @@
 //! timing, re-expansion counts and visited-set occupancy to each record
 //! (`obs` field), and tracing emits a Chrome-trace-event timeline —
 //! one Perfetto process track per scenario, one thread track per worker,
-//! spans per traversal chunk (one per frontier root under `search =
-//! "dfs"`, one per worker under the default uniform-cost search) with
-//! per-phase breakdown, plus the serial frontier/merge/counterexample
-//! sections on thread 0. Neither mode may change any deterministic
-//! record field (pinned by the differential obs test in
-//! `tests/explore.rs`).
+//! one span per worker's uniform-cost search with per-phase breakdown,
+//! plus the serial frontier/merge/counterexample sections on thread 0.
+//! Neither mode may change any deterministic record field (pinned by the
+//! differential obs test in `tests/explore.rs`).
 
 use std::collections::BTreeSet;
 use std::time::Instant;
 
 use scup_harness::campaign::Campaign;
 use scup_harness::forensics::ForensicReport;
-use scup_harness::scenario::{ProtocolSpec, SearchMode};
+use scup_harness::scenario::ProtocolSpec;
 use scup_harness::{oracle, AdversaryRegistry, OracleMode, Scenario};
 use scup_obs::chrome::{ArgValue, ChromeEvent, TraceBuffer, TraceClock};
 use scup_obs::profile::Phase;
 use scup_sim::TraceEvent;
 
 use crate::build::{BftDriver, Driver, ScpDriver, Setup, StackDriver};
-use crate::explorer::{merge_visited, Class, Engine, StateCapExceeded, Visited, WorkerStats};
+use crate::explorer::{Class, Engine, StateCapExceeded, WorkerStats};
 use crate::report::{CexReport, ExploreObs, ExploreRecord, ExploreReport};
 use crate::visited::{FpEntry, FpTable};
 
@@ -204,7 +202,6 @@ pub fn explore_scenario_obs(
         symmetry_dropped_arrangements: 0,
         symmetric_states: 0,
         transitions: 0,
-        sleep_prunes: 0,
         state_bytes_estimate: 0,
         peak_memory_bytes: 0,
         min_violation_depth: None,
@@ -308,10 +305,13 @@ fn explore_with_driver<D: Driver>(
         )
     };
 
-    // Serial prefix: the first `frontier_depth` branch decisions of every
-    // variant, recorded into the shared ancestor map.
+    // Serial prefix: the first branch decisions of every variant,
+    // recorded into the shared ancestor table. Prefix states carry their
+    // global minimal depths (the serial frontier is layered
+    // min-depth-first) — the invariant the workers' layered expansion
+    // relies on.
     let frontier_ts = ctx.span_start();
-    let mut prefix: Visited = Visited::new();
+    let mut prefix = FpTable::new();
     let mut prefix_stats = if ctx.config.profiling() {
         WorkerStats::profiled()
     } else {
@@ -334,290 +334,127 @@ fn explore_with_driver<D: Driver>(
     );
 
     // Sharded subtree exploration: worker `w` takes roots `w, w+T, …`,
-    // each starting from a copy of the ancestor map. Merging by minimal
+    // each starting from a copy of the ancestor table. Merging by minimal
     // depth makes the union partition-independent.
     let workers = threads.min(roots.len()).max(1);
     let obs = ctx.config;
     let clock = ctx.clock;
     let pid = ctx.pid;
     let explore_ts = ctx.span_start();
-    // Every census statistic is a pure function of the merged map —
-    // filled by whichever search discipline runs below.
+    let (merged, stats, buffers) = std::thread::scope(
+        |scope| -> Result<(FpTable, WorkerStats, Vec<TraceBuffer>), StateCapExceeded> {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let roots = &roots;
+                    let engine = &engine;
+                    let prefix = &prefix;
+                    scope.spawn(
+                        move || -> Result<(FpTable, WorkerStats, TraceBuffer), StateCapExceeded> {
+                            let mut visited = prefix.clone();
+                            let mut stats = if obs.profiling() {
+                                WorkerStats::profiled()
+                            } else {
+                                WorkerStats::default()
+                            };
+                            let mut buf = if obs.trace {
+                                TraceBuffer::enabled()
+                            } else {
+                                TraceBuffer::disabled()
+                            };
+                            let tid = w as u32 + 1;
+                            scup_obs::obs_event!(
+                                buf,
+                                ChromeEvent::ThreadName {
+                                    pid,
+                                    tid,
+                                    name: format!("worker {w}"),
+                                }
+                            );
+                            // All of this worker's roots seed one layered
+                            // expansion: they share a single depth, so one
+                            // frontier keeps the whole stride in global
+                            // depth order.
+                            let my_roots: Vec<(u32, Vec<u32>)> =
+                                roots.iter().skip(w).step_by(workers).cloned().collect();
+                            let span_ts = clock.now_us();
+                            let before = Phase::ALL.map(|p| stats.profile.nanos(p));
+                            engine.ucs(&my_roots, &mut visited, &mut stats)?;
+                            if buf.is_enabled() {
+                                push_phase_spans(
+                                    &mut buf,
+                                    &stats,
+                                    before,
+                                    span_ts,
+                                    clock,
+                                    pid,
+                                    tid,
+                                    my_roots.len() as u64,
+                                );
+                                buf.push(ChromeEvent::Counter {
+                                    name: format!("visited (worker {w})"),
+                                    ts: clock.now_us(),
+                                    pid,
+                                    series: vec![("states", visited.len() as u64)],
+                                });
+                            }
+                            stats.visited_peak = (visited.len() as u64, visited.capacity() as u64);
+                            Ok((visited, stats, buf))
+                        },
+                    )
+                })
+                .collect();
+            let mut merged = prefix.clone();
+            let mut stats = prefix_stats;
+            let mut buffers = Vec::new();
+            for handle in handles {
+                let (visited, worker_stats, buf) =
+                    handle.join().expect("explore worker panicked")?;
+                merged.merge(&visited);
+                stats.absorb(worker_stats);
+                buffers.push(buf);
+            }
+            // The per-worker checks are early aborts; this is the actual
+            // valve. A worker table is a subset of the union, so whether
+            // the scenario errors depends only on the
+            // (partition-independent) union size — never on the worker
+            // count.
+            if merged.len() as u64 > scenario.explore.max_states {
+                return Err(StateCapExceeded);
+            }
+            Ok((merged, stats, buffers))
+        },
+    )
+    .map_err(cap_error)?;
+    ctx.span_end(
+        "explore+merge",
+        explore_ts,
+        vec![("states", ArgValue::U64(merged.len() as u64))],
+    );
+    if ctx.config.profile {
+        record.obs = Some(ExploreObs {
+            phases: ExploreObs::phase_rows(&stats.profile),
+            reexpansions: stats.reexpansions,
+            visited_len: merged.len() as u64,
+            visited_capacity: merged.capacity() as u64,
+            worker_visited_peak: stats.visited_peak.0,
+            depth_samples: stats.depth_samples.clone(),
+        });
+    }
+    // Every census statistic is a commutative fold over the merged table.
     let mut decided: BTreeSet<u64> = BTreeSet::new();
     let mut min_violation: Option<u32> = None;
-    let (stats, buffers) = match scenario.explore.search {
-        SearchMode::Ucs => {
-            // The ancestor map converts into the compact fingerprint
-            // table the workers clone and extend. Prefix states carry
-            // their global minimal depths (the serial frontier is layered
-            // min-depth-first), so the conversion preserves the min-depth
-            // invariant the layered expansion relies on.
-            let mut fp_prefix = FpTable::new();
-            for (hash, entry) in &prefix {
-                fp_prefix.record(
-                    *hash,
-                    FpEntry {
-                        depth: entry.depth,
-                        class: entry.class,
-                        symmetric: entry.symmetric,
-                    },
-                );
-            }
-            let fp_prefix = fp_prefix;
-            let (merged, stats, buffers) = std::thread::scope(
-                |scope| -> Result<(FpTable, WorkerStats, Vec<TraceBuffer>), StateCapExceeded> {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|w| {
-                            let roots = &roots;
-                            let engine = &engine;
-                            let fp_prefix = &fp_prefix;
-                            scope.spawn(
-                                move || -> Result<
-                                    (FpTable, WorkerStats, TraceBuffer),
-                                    StateCapExceeded,
-                                > {
-                                    let mut visited = fp_prefix.clone();
-                                    let mut stats = if obs.profiling() {
-                                        WorkerStats::profiled()
-                                    } else {
-                                        WorkerStats::default()
-                                    };
-                                    let mut buf = if obs.trace {
-                                        TraceBuffer::enabled()
-                                    } else {
-                                        TraceBuffer::disabled()
-                                    };
-                                    let tid = w as u32 + 1;
-                                    scup_obs::obs_event!(
-                                        buf,
-                                        ChromeEvent::ThreadName {
-                                            pid,
-                                            tid,
-                                            name: format!("worker {w}"),
-                                        }
-                                    );
-                                    // All of this worker's roots seed one
-                                    // layered expansion: they share a single
-                                    // depth, so one frontier keeps the whole
-                                    // stride in global depth order.
-                                    let my_roots: Vec<(u32, Vec<u32>)> = roots
-                                        .iter()
-                                        .skip(w)
-                                        .step_by(workers)
-                                        .cloned()
-                                        .collect();
-                                    let span_ts = clock.now_us();
-                                    let before = Phase::ALL.map(|p| stats.profile.nanos(p));
-                                    engine.ucs(&my_roots, &mut visited, &mut stats)?;
-                                    if buf.is_enabled() {
-                                        push_phase_spans(
-                                            &mut buf,
-                                            &stats,
-                                            before,
-                                            span_ts,
-                                            clock,
-                                            pid,
-                                            tid,
-                                            format!("ucs ({} roots)", my_roots.len()),
-                                            "ucs",
-                                            vec![
-                                                ("roots", ArgValue::U64(my_roots.len() as u64)),
-                                                ("transitions", ArgValue::U64(stats.transitions)),
-                                            ],
-                                        );
-                                        buf.push(ChromeEvent::Counter {
-                                            name: format!("visited (worker {w})"),
-                                            ts: clock.now_us(),
-                                            pid,
-                                            series: vec![("states", visited.len() as u64)],
-                                        });
-                                    }
-                                    stats.visited_peak =
-                                        (visited.len() as u64, visited.capacity() as u64);
-                                    Ok((visited, stats, buf))
-                                },
-                            )
-                        })
-                        .collect();
-                    let mut merged = fp_prefix.clone();
-                    let mut stats = prefix_stats;
-                    let mut buffers = Vec::new();
-                    for handle in handles {
-                        let (visited, worker_stats, buf) =
-                            handle.join().expect("explore worker panicked")?;
-                        merged.merge(&visited);
-                        stats.absorb(worker_stats);
-                        buffers.push(buf);
-                    }
-                    // The per-worker checks are early aborts; this is the
-                    // actual valve, on the (partition-independent) union.
-                    if merged.len() as u64 > scenario.explore.max_states {
-                        return Err(StateCapExceeded);
-                    }
-                    Ok((merged, stats, buffers))
-                },
-            )
-            .map_err(cap_error)?;
-            ctx.span_end(
-                "explore+merge",
-                explore_ts,
-                vec![("states", ArgValue::U64(merged.len() as u64))],
-            );
-            if ctx.config.profile {
-                record.obs = Some(ExploreObs {
-                    phases: ExploreObs::phase_rows(&stats.profile),
-                    reexpansions: stats.reexpansions,
-                    visited_len: merged.len() as u64,
-                    visited_capacity: merged.capacity() as u64,
-                    worker_visited_peak: stats.visited_peak.0,
-                    depth_samples: stats.depth_samples.clone(),
-                });
-            }
-            for (_, entry) in merged.iter() {
-                tally(record, &mut decided, &mut min_violation, &entry);
-            }
-            // Flat-table memory: 32 bytes per slot (capacity is a pure
-            // function of the state count), plus the live frontier-layer
-            // snapshots, approximated by one state estimate per state.
-            record.peak_memory_bytes = record.states * record.state_bytes_estimate
-                + merged.capacity() as u64 * FpTable::SLOT_BYTES;
-            (stats, buffers)
-        }
-        SearchMode::Dfs => {
-            let (merged, stats, buffers) = std::thread::scope(
-                |scope| -> Result<(Visited, WorkerStats, Vec<TraceBuffer>), StateCapExceeded> {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|w| {
-                            let roots = &roots;
-                            let engine = &engine;
-                            let prefix = &prefix;
-                            scope.spawn(
-                                move || -> Result<
-                                    (Visited, WorkerStats, TraceBuffer),
-                                    StateCapExceeded,
-                                > {
-                                    let mut visited = prefix.clone();
-                                    let mut stats = if obs.profiling() {
-                                        WorkerStats::profiled()
-                                    } else {
-                                        WorkerStats::default()
-                                    };
-                                    let mut buf = if obs.trace {
-                                        TraceBuffer::enabled()
-                                    } else {
-                                        TraceBuffer::disabled()
-                                    };
-                                    let tid = w as u32 + 1;
-                                    scup_obs::obs_event!(
-                                        buf,
-                                        ChromeEvent::ThreadName {
-                                            pid,
-                                            tid,
-                                            name: format!("worker {w}"),
-                                        }
-                                    );
-                                    for (i, (variant, path)) in
-                                        roots.iter().enumerate().skip(w).step_by(workers)
-                                    {
-                                        let root_ts = clock.now_us();
-                                        let before = Phase::ALL.map(|p| stats.profile.nanos(p));
-                                        engine.dfs(*variant, path, &mut visited, &mut stats)?;
-                                        if buf.is_enabled() {
-                                            push_phase_spans(
-                                                &mut buf,
-                                                &stats,
-                                                before,
-                                                root_ts,
-                                                clock,
-                                                pid,
-                                                tid,
-                                                format!("root {i} (variant {variant})"),
-                                                "dfs",
-                                                vec![
-                                                    ("variant", ArgValue::U64(*variant as u64)),
-                                                    (
-                                                        "transitions_so_far",
-                                                        ArgValue::U64(stats.transitions),
-                                                    ),
-                                                ],
-                                            );
-                                            buf.push(ChromeEvent::Counter {
-                                                name: format!("visited (worker {w})"),
-                                                ts: clock.now_us(),
-                                                pid,
-                                                series: vec![("states", visited.len() as u64)],
-                                            });
-                                        }
-                                    }
-                                    stats.visited_peak =
-                                        (visited.len() as u64, visited.capacity() as u64);
-                                    Ok((visited, stats, buf))
-                                },
-                            )
-                        })
-                        .collect();
-                    let mut merged = prefix.clone();
-                    let mut stats = prefix_stats;
-                    let mut buffers = Vec::new();
-                    for handle in handles {
-                        let (visited, worker_stats, buf) =
-                            handle.join().expect("explore worker panicked")?;
-                        merge_visited(&mut merged, visited);
-                        stats.absorb(worker_stats);
-                        buffers.push(buf);
-                    }
-                    // The per-worker checks are early aborts; this is the
-                    // actual valve. A worker map is a subset of the union,
-                    // so whether the scenario errors depends only on the
-                    // (partition-independent) union size — never on the
-                    // worker count.
-                    if merged.len() as u64 > scenario.explore.max_states {
-                        return Err(StateCapExceeded);
-                    }
-                    Ok((merged, stats, buffers))
-                },
-            )
-            .map_err(cap_error)?;
-            ctx.span_end(
-                "explore+merge",
-                explore_ts,
-                vec![("states", ArgValue::U64(merged.len() as u64))],
-            );
-            if ctx.config.profile {
-                record.obs = Some(ExploreObs {
-                    phases: ExploreObs::phase_rows(&stats.profile),
-                    reexpansions: stats.reexpansions,
-                    visited_len: merged.len() as u64,
-                    visited_capacity: merged.capacity() as u64,
-                    worker_visited_peak: stats.visited_peak.0,
-                    depth_samples: stats.depth_samples.clone(),
-                });
-            }
-            for entry in merged.values() {
-                tally(
-                    record,
-                    &mut decided,
-                    &mut min_violation,
-                    &FpEntry {
-                        depth: entry.depth,
-                        class: entry.class,
-                        symmetric: entry.symmetric,
-                    },
-                );
-            }
-            // Visited-entry overhead: hash key + depth/class/flag + cover
-            // spine.
-            const VISITED_ENTRY_BYTES: u64 = 96;
-            record.peak_memory_bytes =
-                record.states * (record.state_bytes_estimate + VISITED_ENTRY_BYTES);
-            (stats, buffers)
-        }
-    };
+    for (_, entry) in merged.iter() {
+        tally(record, &mut decided, &mut min_violation, &entry);
+    }
+    // Flat-table memory: 32 bytes per slot (capacity is a pure function of
+    // the state count), plus the live frontier-layer snapshots,
+    // approximated by one state estimate per state.
+    record.peak_memory_bytes = record.states * record.state_bytes_estimate
+        + merged.capacity() as u64 * FpTable::SLOT_BYTES;
     for buf in buffers {
         ctx.events.extend(buf.into_events());
     }
     record.transitions = stats.transitions;
-    record.sleep_prunes = stats.sleep_prunes;
     record.decided_values = decided.into_iter().collect();
     record.complete = record.truncated == 0;
     record.min_violation_depth = min_violation;
@@ -656,7 +493,7 @@ fn explore_with_driver<D: Driver>(
 
 /// Accumulates one visited entry into the record's census. The census is
 /// a commutative fold over `(depth, class, symmetric)` — identical for
-/// either visited representation and any iteration order.
+/// any iteration order.
 fn tally(
     record: &mut ExploreRecord,
     decided: &mut BTreeSet<u64>,
@@ -682,12 +519,11 @@ fn tally(
     }
 }
 
-/// Emits one span covering a traversal chunk (a DFS root or a worker's
-/// whole ucs frontier) and, nested within it, one child span per phase
-/// whose attributed time grew during the chunk, laid out sequentially
-/// from the chunk's start (the real interleaving is sub-microsecond; the
-/// sequential layout shows the proportions, which is what the viewer is
-/// for).
+/// Emits one span covering a worker's whole ucs frontier and, nested
+/// within it, one child span per phase whose attributed time grew during
+/// the search, laid out sequentially from the span's start (the real
+/// interleaving is sub-microsecond; the sequential layout shows the
+/// proportions, which is what the viewer is for).
 #[allow(clippy::too_many_arguments)]
 fn push_phase_spans(
     buf: &mut TraceBuffer,
@@ -697,19 +533,20 @@ fn push_phase_spans(
     clock: &TraceClock,
     pid: u32,
     tid: u32,
-    name: String,
-    cat: &'static str,
-    args: Vec<(&'static str, ArgValue)>,
+    roots: u64,
 ) {
     let end = clock.now_us();
     buf.push(ChromeEvent::Complete {
-        name,
-        cat,
+        name: format!("ucs ({roots} roots)"),
+        cat: "ucs",
         ts: span_ts,
         dur: end.saturating_sub(span_ts),
         pid,
         tid,
-        args,
+        args: vec![
+            ("roots", ArgValue::U64(roots)),
+            ("transitions", ArgValue::U64(stats.transitions)),
+        ],
     });
     let mut cursor = span_ts;
     for (i, phase) in Phase::ALL.iter().enumerate() {
@@ -853,7 +690,7 @@ pub fn summary(report: &ExploreReport) -> String {
             let _ = writeln!(
                 out,
                 "    reductions: symmetry group {} (classes {}), {} symmetric states, \
-                 {} sleep prunes / {} transitions; mem ≈ {:.1} MiB ({} B/state × {} states)",
+                 {} transitions; mem ≈ {:.1} MiB ({} B/state × {} states)",
                 r.symmetry_group,
                 if classes.is_empty() {
                     "-".to_string()
@@ -861,7 +698,6 @@ pub fn summary(report: &ExploreReport) -> String {
                     classes
                 },
                 r.symmetric_states,
-                r.sleep_prunes,
                 r.transitions,
                 r.peak_memory_bytes as f64 / (1024.0 * 1024.0),
                 r.state_bytes_estimate,

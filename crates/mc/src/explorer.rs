@@ -1,8 +1,7 @@
-//! The bounded explorer: uniform-cost (min-depth-first) search by
-//! default with a legacy DFS discipline, visited-state memoization,
-//! symmetry-canonical hashing, sleep-set partial-order reduction (DFS
-//! only), sharded parallel frontier, and canonical minimal
-//! counterexamples.
+//! The bounded explorer: uniform-cost (min-depth-first) search with
+//! visited-state memoization, symmetry-canonical hashing, eager-inert
+//! persistent-set reduction, sharded parallel frontier, and canonical
+//! minimal counterexamples.
 //!
 //! # State graph
 //!
@@ -28,25 +27,12 @@
 //!   like a drain) explores a representative of every interleaving. This
 //!   collapses the flood tail and is the reduction that shrinks state
 //!   *counts* by orders of magnitude (38 k instead of > 3 M on the
-//!   3-proposer cycle);
-//! - **sleep sets** (Godefroid-style, over the same dynamic independence
-//!   via [`crate::reduce::ChoiceProfile`]): once a choice `e₁` has been
-//!   explored from a state, sibling subtrees do not re-fire `e₁` until an
-//!   event *dependent* on it fires. Visited caching is sleep-set-aware: a
-//!   state is pruned only when an earlier cover subsumes it (see
-//!   [`Cover`]), with each entry keeping a small Pareto frontier of
-//!   covers.
+//!   3-proposer cycle).
 //!
 //! Each reduction preserves the **verdict** exactly — violation found or
 //! not, minimal violating depth, decided values, completeness — pinned by
-//! the differential tests against the unreduced semantics. Sleep sets do
-//! *not* always preserve the raw state census: the explorer cuts
-//! exploration at terminal (decided/violating) states, and a state whose
-//! trace-equivalent sibling interleaving hits such a terminal earlier can
-//! be skipped — harmless, because a skipped state's decisions equal those
-//! of an extension of the visited terminal (same event multiset), so its
-//! verdict contribution (violating-ness, decided value, and a ≤-depth
-//! witness) is already on record.
+//! the differential tests, whose unreduced base run must in turn equal a
+//! test-side reference BFS that shares none of this module's code.
 //!
 //! The once-tempting *recipient-priority* reduction (restricting which
 //! recipients may fire at all) remains out: review of PR 3 showed it
@@ -56,41 +42,31 @@
 //! instrument: nothing else is ever *excluded*, exploration of the inert
 //! event is merely *forced first*.
 //!
-//! # Search disciplines
+//! # Search discipline
 //!
-//! The default discipline (`search = "ucs"`) is **uniform-cost**:
-//! [`Engine::ucs`] expands a depth-layered frontier, so every state is
-//! first reached at its *minimal* branching depth and expanded exactly
-//! once — re-expansion count ~0 by construction. The legacy
-//! `search = "dfs"` discipline ([`Engine::dfs`]) is *label-correcting*:
-//! DFS order reaches many states deep-first, and each strictly shallower
-//! revisit forces a full re-expansion to repair depths (167 656
-//! re-expansions over 38 359 states on the three-proposer cycle — the
-//! blowup that motivated the uniform-cost default). DFS remains the only
-//! discipline supporting sleep sets (covers are scoped to DFS frames)
-//! and anchors the differential battery that pins `ucs ≡ dfs` on
-//! verdict, minimal depth, decided values and census.
+//! The search is **uniform-cost**: [`Engine::ucs`] expands a
+//! depth-layered frontier, so every state is first reached at its
+//! *minimal* branching depth and expanded exactly once — the
+//! re-expansion count is 0 by construction (reported, and asserted by CI,
+//! to prove it).
 //!
 //! # Determinism across worker counts
 //!
-//! The first `frontier_depth` branch decisions are expanded serially —
-//! layered min-depth-first, so every prefix state is recorded at its
+//! The first two branch decisions are expanded serially — layered
+//! min-depth-first, so every prefix state is recorded at its
 //! global minimal depth — and the resulting frontier roots are sharded
 //! across workers by stride (no shared cursor, no mutex). Each worker
 //! computes the true minimal depth of each state reachable from its
-//! roots: under ucs because its layers ascend from roots of one common
-//! depth, under dfs by label correction (a state reached strictly
-//! shallower, or with a sleep set no earlier cover subsumes, is
-//! re-expanded). Per-worker maps are merged by minimum depth, and
-//! `reachable(⋃ roots) = ⋃ reachable(rootsᵂ)` (sleep sets preserve
-//! per-root reachability), so the merged map — and every statistic
-//! derived from it — is identical for 1, 2 or 8 workers. Only the
-//! traversal *effort* counters (transitions fired, sleep prunes) depend
-//! on the partition; reports exclude them from the bit-identical
-//! contract exactly like wall-clock times. Counterexamples are
-//! *recomputed* from the merged verdict (minimal violation depth) by one
-//! serial lexicographic search, never taken from whichever worker
-//! stumbled on one first.
+//! roots, because its layers ascend from roots of one common depth.
+//! Per-worker tables are merged by minimum depth, and
+//! `reachable(⋃ roots) = ⋃ reachable(rootsᵂ)`, so the merged table — and
+//! every statistic derived from it — is identical for 1, 2 or 8 workers.
+//! Only the traversal *effort* counter (transitions fired) depends on
+//! the partition; reports exclude it from the bit-identical contract
+//! exactly like wall-clock times. Counterexamples are *recomputed* from
+//! the merged verdict (minimal violation depth) by one serial
+//! lexicographic search, never taken from whichever worker stumbled on
+//! one first.
 
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -101,7 +77,7 @@ use scup_scp::Value;
 use scup_sim::{ExploreSim, SimState};
 
 use crate::build::Driver;
-use crate::reduce::{ChoiceProfile, Symmetry};
+use crate::reduce::Symmetry;
 use crate::visited::{FpEntry, FpTable, Recorded};
 
 /// What one canonical state is: an inner node or one of the leaf kinds.
@@ -122,57 +98,6 @@ pub enum Class {
     QuiescentUndecided,
 }
 
-/// One visited canonical state: its minimal depth and class (the
-/// deterministic statistics), whether its canonical representative
-/// differs from the state as reached (the symmetry-hit statistic — a pure
-/// function of the state), and the sleep-set covers (worker-local
-/// exploration bookkeeping, never merged).
-#[derive(Debug, Clone)]
-pub struct VisitEntry {
-    /// Minimal branching depth at which the state was reached.
-    pub depth: u32,
-    /// Classification at the minimal depth.
-    pub class: Class,
-    /// The canonical hash differed from the identity hash: some
-    /// interchangeable renaming of this state is the class representative.
-    pub symmetric: bool,
-    /// Pareto frontier of covers under which the state was expanded; a
-    /// revisit is pruned iff some cover subsumes it (see [`Cover`]).
-    covers: Vec<Cover>,
-}
-
-/// One recorded expansion of a visited canonical state.
-///
-/// A cover subsumes a revisit at depth `d` with sleep set `S` (in the
-/// revisit's own frame, identity hash `raw`) iff `depth ≤ d` and either
-/// the cover's sleep set is empty — a full expansion, valid for **every**
-/// orbit member since it promises nothing frame-specific — or the revisit
-/// is the *same* orbit member (`raw` matches) and the cover's sleep is a
-/// subset of `S`. Sleep hashes mention concrete process ids, so non-empty
-/// covers must never cross frames: applying one to a renamed orbit member
-/// would prune schedules nobody explored (caught by the cross-worker
-/// determinism test before this rule carried the frame).
-#[derive(Debug, Clone)]
-struct Cover {
-    depth: u32,
-    /// Identity (pre-canonicalization) hash of the member that was
-    /// expanded; only meaningful for non-empty sleep sets.
-    raw: u128,
-    /// Sorted, deduplicated sleeping event hashes, in `raw`'s frame.
-    sleep: Box<[u128]>,
-}
-
-impl Cover {
-    fn subsumes(&self, depth: u32, raw: u128, sleep: &[u128]) -> bool {
-        self.depth <= depth
-            && (self.sleep.is_empty() || (self.raw == raw && sorted_subset(&self.sleep, sleep)))
-    }
-}
-
-/// The visited map: canonical state hash → [`VisitEntry`]. Only lookups
-/// and merges touch it — never iteration order.
-pub type Visited = HashMap<u128, VisitEntry>;
-
 /// Traversal-effort counters and (optional) phase profiling;
 /// partition-dependent (excluded from the bit-identical report contract,
 /// like wall-clock times).
@@ -180,10 +105,9 @@ pub type Visited = HashMap<u128, VisitEntry>;
 pub struct WorkerStats {
     /// Branching events fired during exploration.
     pub transitions: u64,
-    /// Choices skipped because they were asleep.
-    pub sleep_prunes: u64,
-    /// Revisits of an already-recorded canonical state that no earlier
-    /// cover subsumed, forcing a re-expansion (label correction at work).
+    /// Strictly shallower revisits of an already-recorded canonical
+    /// state. Never taken under depth-layered expansion — the counter
+    /// exists to prove that.
     pub reexpansions: u64,
     /// Per-phase wall-time attribution (inert unless obs profiling is
     /// on — see [`WorkerStats::profiled`]).
@@ -205,7 +129,6 @@ impl Default for WorkerStats {
     fn default() -> Self {
         WorkerStats {
             transitions: 0,
-            sleep_prunes: 0,
             reexpansions: 0,
             profile: PhaseProfile::disabled(),
             visited_peak: (0, 0),
@@ -229,7 +152,6 @@ impl WorkerStats {
     /// back under the cap).
     pub fn absorb(&mut self, other: WorkerStats) {
         self.transitions += other.transitions;
-        self.sleep_prunes += other.sleep_prunes;
         self.reexpansions += other.reexpansions;
         self.profile.merge(&other.profile);
         if other.visited_peak.0 > self.visited_peak.0 {
@@ -268,28 +190,6 @@ impl WorkerStats {
 /// The state cap of [`ExploreSpec::max_states`] was exceeded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StateCapExceeded;
-
-/// `a ⊆ b` for sorted, deduplicated hash slices.
-fn sorted_subset(a: &[u128], b: &[u128]) -> bool {
-    let mut bi = b.iter();
-    'outer: for x in a {
-        for y in bi.by_ref() {
-            match y.cmp(x) {
-                std::cmp::Ordering::Less => continue,
-                std::cmp::Ordering::Equal => continue 'outer,
-                std::cmp::Ordering::Greater => return false,
-            }
-        }
-        return false;
-    }
-    true
-}
-
-/// Inserts a cover, dropping existing covers it subsumes.
-fn push_cover(covers: &mut Vec<Cover>, cover: Cover) {
-    covers.retain(|c| !cover.subsumes(c.depth, c.raw, &c.sleep));
-    covers.push(cover);
-}
 
 /// One exploration engine over a resolved scenario, generic over the
 /// protocol [`Driver`] (SCP phase, BFT-CUP, or the full stack).
@@ -412,209 +312,13 @@ impl<'a, D: Driver> Engine<'a, D> {
         }
     }
 
-    /// Records the canonical state in `visited`; returns the branching
-    /// choices to fire (with their sleep profiles, sleeping ones filtered
-    /// out) when the state is an inner node not subsumed by an earlier
-    /// cover.
-    /// Label-correcting and sleep-aware: a revisit re-expands fully when
-    /// it is strictly shallower, or when no earlier cover explored the
-    /// state under a subset of the current sleep set. (A diff-only
-    /// re-expansion — re-firing just the choices the best cover had left
-    /// asleep — was tried and *dropped*: transplanting a cover's
-    /// coverage promise into a different sleep context creates circular
-    /// justifications, and the differential tests caught it losing a
-    /// violating state.)
-    fn visit(
-        &self,
-        variant: u32,
-        sim: &ExploreSim<D::Msg>,
-        visited: &mut Visited,
-        sleep: &[ChoiceProfile],
-        stats: &mut WorkerStats,
-    ) -> Option<Vec<(usize, ChoiceProfile)>> {
-        let depth = sim.steps() as u32;
-        stats.profile.lap_start();
-        let (hash, raw, symmetric) = if stats.profile.is_enabled() {
-            let raw = self.symmetry.identity_hash(sim, variant);
-            stats.profile.lap(Phase::Fingerprint);
-            let (hash, moved) = self.symmetry.canonicalize_from(sim, variant, raw);
-            stats.profile.lap(Phase::Canonicalize);
-            (hash, raw, moved)
-        } else {
-            self.symmetry.canonical_hash(sim, variant)
-        };
-        let mut sleep_hashes: Vec<u128> = sleep.iter().map(|p| p.hash).collect();
-        sleep_hashes.sort_unstable();
-        sleep_hashes.dedup();
-
-        let mut revisit = false;
-        if let Some(entry) = visited.get(&hash) {
-            revisit = true;
-            if entry
-                .covers
-                .iter()
-                .any(|c| c.subsumes(depth, raw, &sleep_hashes))
-            {
-                stats.profile.lap(Phase::Dedup);
-                return None;
-            }
-        }
-        let class = self.classify(sim, depth);
-        let entry = visited.entry(hash).or_insert(VisitEntry {
-            depth,
-            class,
-            symmetric,
-            covers: Vec::new(),
-        });
-        if depth < entry.depth {
-            entry.depth = depth;
-            entry.class = class;
-        } else if depth == entry.depth {
-            debug_assert!(
-                entry.class == class,
-                "state classification must be a function of (state, depth)"
-            );
-        }
-        if class == Class::Expanded {
-            let mut choices = Vec::new();
-            for idx in sim.choices() {
-                let profile = ChoiceProfile::of(self.driver, sim, idx, self.spec.sleep_sets);
-                if sleep_hashes.binary_search(&profile.hash).is_ok() {
-                    stats.sleep_prunes += 1;
-                    continue;
-                }
-                choices.push((idx, profile));
-            }
-            push_cover(
-                &mut entry.covers,
-                Cover {
-                    depth,
-                    raw,
-                    sleep: sleep_hashes.into_boxed_slice(),
-                },
-            );
-            if revisit {
-                stats.reexpansions += 1;
-            }
-            stats.profile.lap(Phase::Dedup);
-            Some(choices)
-        } else {
-            // Terminal (or truncated): nothing below to cover — an empty
-            // sleep cover makes future dominance purely depth-based (and
-            // frame-free, hence valid for the whole orbit).
-            push_cover(
-                &mut entry.covers,
-                Cover {
-                    depth,
-                    raw: 0,
-                    sleep: Box::new([]),
-                },
-            );
-            stats.profile.lap(Phase::Dedup);
-            None
-        }
-    }
-
-    /// Depth-first exploration of the subtree rooted at `path` for one
-    /// adversary variant.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StateCapExceeded`] when `visited` outgrows the safety
-    /// valve.
-    pub fn dfs(
-        &self,
-        variant: u32,
-        path: &[u32],
-        visited: &mut Visited,
-        stats: &mut WorkerStats,
-    ) -> Result<(), StateCapExceeded> {
-        struct Frame<M: scup_sim::SimMessage> {
-            state: SimState<M>,
-            choices: Vec<(usize, ChoiceProfile)>,
-            sleep: Vec<ChoiceProfile>,
-            next: usize,
-        }
-
-        let mut sim = self.replay(variant, path);
-        let Some(choices) = self.visit(variant, &sim, visited, &[], stats) else {
-            return Ok(());
-        };
-        let mut stack = vec![Frame {
-            state: sim.snapshot(),
-            choices,
-            sleep: Vec::new(),
-            next: 0,
-        }];
-        while let Some(top) = stack.last_mut() {
-            if visited.len() as u64 > self.spec.max_states {
-                return Err(StateCapExceeded);
-            }
-            let Some(&(choice, profile)) = top.choices.get(top.next) else {
-                stack.pop();
-                continue;
-            };
-            top.next += 1;
-            // A frame is pushed with the live sim exactly in `state`, so
-            // the first child skips the restore.
-            if top.next > 1 {
-                sim.restore(&top.state);
-            }
-            // Sleep set of the child: surviving inherited sleepers plus
-            // the already-explored elder siblings — each kept only while
-            // independent of the fired choice (a dependent event wakes
-            // them up).
-            let mut child_sleep: Vec<ChoiceProfile> = if self.spec.sleep_sets {
-                top.sleep
-                    .iter()
-                    .chain(top.choices[..top.next - 1].iter().map(|(_, p)| p))
-                    .filter(|e| e.independent(&profile))
-                    .copied()
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            stats.transitions += 1;
-            stats.profile.lap_start();
-            sim.fire(choice);
-            stats.profile.lap(Phase::Expand);
-            self.settle(&mut sim);
-            stats.profile.lap(Phase::Settle);
-            stats.sample_depth(sim.steps() as u32);
-            // Single-choice chains run in place — no snapshot, no restore.
-            let mut choices = self.visit(variant, &sim, visited, &child_sleep, stats);
-            while let Some([(only, only_profile)]) = choices.as_deref() {
-                let (only, only_profile) = (*only, *only_profile);
-                child_sleep.retain(|e| e.independent(&only_profile));
-                stats.transitions += 1;
-                stats.profile.lap_start();
-                sim.fire(only);
-                stats.profile.lap(Phase::Expand);
-                self.settle(&mut sim);
-                stats.profile.lap(Phase::Settle);
-                stats.sample_depth(sim.steps() as u32);
-                choices = self.visit(variant, &sim, visited, &child_sleep, stats);
-            }
-            if let Some(choices) = choices {
-                stack.push(Frame {
-                    state: sim.snapshot(),
-                    choices,
-                    sleep: child_sleep,
-                    next: 0,
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Records the canonical state in the compact fingerprint table;
     /// returns the branching choices when the state is a first-sighted
-    /// inner node. The uniform-cost analogue of [`Engine::visit`]: no
-    /// sleep sets (rejected at parse time under ucs), no covers — one
-    /// fixed-size record per canonical state. Equal-or-deeper revisits
-    /// are pure table lookups; a strictly shallower revisit corrects the
-    /// record and counts as a re-expansion (never taken under
-    /// depth-layered expansion — the counter exists to prove that).
+    /// inner node. One fixed-size record per canonical state:
+    /// equal-or-deeper revisits are pure table lookups; a strictly
+    /// shallower revisit corrects the record and counts as a
+    /// re-expansion (never taken under depth-layered expansion — the
+    /// counter exists to prove that).
     fn visit_fp(
         &self,
         variant: u32,
@@ -631,8 +335,7 @@ impl<'a, D: Driver> Engine<'a, D> {
             stats.profile.lap(Phase::Canonicalize);
             (hash, moved)
         } else {
-            let (hash, _, moved) = self.symmetry.canonical_hash(sim, variant);
-            (hash, moved)
+            self.symmetry.canonical_hash(sim, variant)
         };
         if let Some(entry) = visited.get(hash) {
             if depth >= entry.depth {
@@ -750,11 +453,9 @@ impl<'a, D: Driver> Engine<'a, D> {
         Ok(())
     }
 
-    /// Serially expands the first [`ExploreSpec::frontier_depth`] branch
-    /// decisions of one variant, recording the prefix states in `visited`
-    /// and returning the frontier root paths to shard across workers.
-    /// The prefix is expanded without sleep sets (full covers), so every
-    /// root subtree starts clean.
+    /// Serially expands the first two branch decisions of one variant,
+    /// recording the prefix states in `visited` and returning the
+    /// frontier root paths to shard across workers.
     ///
     /// # Errors
     ///
@@ -762,19 +463,22 @@ impl<'a, D: Driver> Engine<'a, D> {
     pub fn frontier(
         &self,
         variant: u32,
-        visited: &mut Visited,
+        visited: &mut FpTable,
         stats: &mut WorkerStats,
     ) -> Result<Vec<Vec<u32>>, StateCapExceeded> {
+        // Purely a sharding granularity: the merged table is the same
+        // for any prefix depth, so there is nothing to configure.
+        const FRONTIER_DEPTH: u32 = 2;
         let mut layer: Vec<Vec<u32>> = vec![Vec::new()];
-        for _ in 0..self.spec.frontier_depth {
+        for _ in 0..FRONTIER_DEPTH {
             let mut next = Vec::new();
             for path in &layer {
                 if visited.len() as u64 > self.spec.max_states {
                     return Err(StateCapExceeded);
                 }
                 let sim = self.replay(variant, path);
-                if let Some(choices) = self.visit(variant, &sim, visited, &[], stats) {
-                    for (choice, _) in choices {
+                if let Some(choices) = self.visit_fp(variant, &sim, visited, stats) {
+                    for choice in choices {
                         let mut extended = path.clone();
                         extended.push(choice as u32);
                         next.push(extended);
@@ -795,8 +499,7 @@ impl<'a, D: Driver> Engine<'a, D> {
     /// stopping at the first violating state. Independent of the parallel
     /// traversal, hence identical for every worker count. (Symmetry
     /// pruning applies — a renamed violating state witnesses the same
-    /// minimal depth; sleep sets do not, keeping the search lexicographic
-    /// in the raw choice order.)
+    /// minimal depth.)
     pub fn find_cex(&self, variants: u32, d_star: u32) -> Option<(u32, Vec<u32>)> {
         for variant in 0..variants {
             let mut visited: HashMap<u128, u32> = HashMap::new();
@@ -833,7 +536,7 @@ impl<'a, D: Driver> Engine<'a, D> {
             if depth >= d_star {
                 return Ok(None);
             }
-            let (hash, _, _) = self.symmetry.canonical_hash(sim, variant);
+            let (hash, _) = self.symmetry.canonical_hash(sim, variant);
             match visited.get(&hash) {
                 Some(&prev) if prev <= depth => Ok(None),
                 _ => {
@@ -860,7 +563,8 @@ impl<'a, D: Driver> Engine<'a, D> {
                 continue;
             };
             top.next += 1;
-            // First child: the live sim is already in `state` (see dfs).
+            // A frame is pushed with the live sim exactly in `state`, so
+            // the first child skips the restore.
             if top.next > 1 {
                 sim.restore(&top.state);
             }
@@ -880,83 +584,5 @@ impl<'a, D: Driver> Engine<'a, D> {
             }
         }
         None
-    }
-}
-
-/// Merges worker maps by minimal depth (commutative and associative, so
-/// the merge order — and the worker count — cannot change the result).
-/// Covers are worker-local bookkeeping and are not merged.
-pub fn merge_visited(into: &mut Visited, from: Visited) {
-    for (hash, entry) in from {
-        match into.get_mut(&hash) {
-            Some(existing) => {
-                debug_assert_eq!(
-                    existing.symmetric, entry.symmetric,
-                    "symmetry-hit flag is a function of the state"
-                );
-                if entry.depth < existing.depth {
-                    existing.depth = entry.depth;
-                    existing.class = entry.class;
-                }
-            }
-            None => {
-                into.insert(hash, entry);
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sorted_subset_walks_merged() {
-        assert!(sorted_subset(&[], &[]));
-        assert!(sorted_subset(&[], &[1]));
-        assert!(sorted_subset(&[2], &[1, 2, 3]));
-        assert!(sorted_subset(&[1, 3], &[1, 2, 3]));
-        assert!(!sorted_subset(&[1, 4], &[1, 2, 3]));
-        assert!(!sorted_subset(&[0], &[1]));
-        assert!(!sorted_subset(&[1], &[]));
-    }
-
-    #[test]
-    fn covers_keep_a_pareto_frontier() {
-        let cover = |depth, raw, sleep: Vec<u128>| Cover {
-            depth,
-            raw,
-            sleep: sleep.into_boxed_slice(),
-        };
-        let mut covers = Vec::new();
-        push_cover(&mut covers, cover(5, 42, vec![1, 2]));
-        // Dominates (shallower, smaller sleep, same frame): drops the old.
-        push_cover(&mut covers, cover(3, 42, vec![1]));
-        assert_eq!(covers.len(), 1);
-        assert_eq!(covers[0].depth, 3);
-        // Incomparable (deeper but disjoint sleep): coexists.
-        push_cover(&mut covers, cover(7, 42, vec![9]));
-        assert_eq!(covers.len(), 2);
-    }
-
-    #[test]
-    fn nonempty_covers_never_cross_frames() {
-        let c = Cover {
-            depth: 2,
-            raw: 42,
-            sleep: vec![7u128].into_boxed_slice(),
-        };
-        assert!(c.subsumes(3, 42, &[7, 8]), "same frame, subset sleep");
-        assert!(
-            !c.subsumes(3, 43, &[7, 8]),
-            "a renamed orbit member's sleep hashes live in another frame"
-        );
-        let full = Cover {
-            depth: 2,
-            raw: 0,
-            sleep: Box::new([]),
-        };
-        assert!(full.subsumes(3, 43, &[7]), "full expansions are frame-free");
-        assert!(!full.subsumes(1, 43, &[7]), "but still depth-bounded");
     }
 }

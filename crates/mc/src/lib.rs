@@ -22,19 +22,19 @@
 //!   would prune real schedules), a [`reduce`] symmetry quotient over
 //!   interchangeable processes (full permutations including rotations,
 //!   with a victim-split quotient for equivocating adversaries),
-//!   eager-inert persistent sets over threshold-inert deliveries (the
-//!   lever that exhausts a third active proposer), and — under the
-//!   legacy `search = "dfs"` discipline — knob-gated sleep sets.
-//!   Differential tests pin that every reduction (and the uniform-cost
-//!   discipline itself) agrees with the unreduced DFS semantics on
+//!   and eager-inert persistent sets over threshold-inert deliveries
+//!   (the lever that exhausts a third active proposer). Differential
+//!   tests pin that every reduction agrees with the unreduced search on
 //!   violation/no-violation, minimal counterexample depth, decided
-//!   values and completeness. Equivocating adversaries contribute their
-//!   victim-split choice points as explored variants;
+//!   values and completeness — and that the unreduced search itself
+//!   equals a test-side reference BFS on the full census. Equivocating
+//!   adversaries contribute their victim-split choice points as
+//!   explored variants;
 //! - [`campaign`] integrates with `mode = "explore"` campaign files: the
-//!   first `frontier_depth` branch decisions are sharded across workers
-//!   (deterministic stride, mutex-free), per-worker maps merge by minimal
-//!   depth, and every reported number is a pure function of the campaign
-//!   file — bit-identical for 1, 2 or 8 workers;
+//!   first two branch decisions are sharded across workers
+//!   (deterministic stride, mutex-free), per-worker tables merge by
+//!   minimal depth, and every reported number is a pure function of the
+//!   campaign file — bit-identical for 1, 2 or 8 workers;
 //! - on a violation, [`report`] renders the **canonical minimal
 //!   counterexample**: the shortest schedule (lexicographically first
 //!   among equals) reaching a safety violation, replayed through the
@@ -104,7 +104,7 @@ pub use campaign::{
     explore_scenario, explore_scenario_obs, run_explore_campaign, run_explore_campaign_obs,
     summary, ObsConfig,
 };
-pub use explorer::{Class, Engine, Visited};
+pub use explorer::{Class, Engine};
 pub use reduce::Symmetry;
 pub use report::{CexReport, ExploreObs, ExploreRecord, ExploreReport, PhaseRow};
 pub use visited::{FpEntry, FpTable, Recorded};

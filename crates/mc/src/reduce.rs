@@ -1,6 +1,5 @@
-//! Sound state-space reductions: symmetry quotient over interchangeable
-//! nodes (full permutations, not just transpositions), and the choice
-//! profiles behind the sleep-set partial-order reduction.
+//! The symmetry reduction: a sound state-space quotient over
+//! interchangeable nodes (full permutations, not just transpositions).
 //!
 //! # Symmetry
 //!
@@ -86,23 +85,11 @@
 //! - The candidate enumeration is capped ([`GROUP_CAP`]); oversized
 //!   classes contribute nothing (identity-only), which is always sound —
 //!   and now counted.
-//!
-//! # Sleep-set independence
-//!
-//! [`ChoiceProfile`] carries what the sleep-set machinery in
-//! [`crate::explorer`] needs to decide whether two enabled events
-//! commute: deliveries to **distinct recipients** always do (disjoint
-//! state footprints, append-only pending multiset — the commuting-diamond
-//! property the hash collapse already relies on), and a delivery that is
-//! **threshold-inert** ([`scup_sim::Actor::threshold_inert`]) commutes
-//! even with siblings at the *same* recipient. Inertness additionally
-//! requires a correct origin: a Byzantine origin could later re-announce
-//! different slices, making the registry write order observable.
 
 use scup_graph::{sink, ProcessId, ProcessSet};
 use scup_harness::scenario::ProtocolSpec;
 use scup_harness::AdversaryKind;
-use scup_sim::{ExploreEvent, ExploreSim, Perm, SimMessage};
+use scup_sim::{ExploreSim, Perm, SimMessage};
 
 use crate::build::Setup;
 
@@ -344,23 +331,14 @@ impl Symmetry {
         self.perms.is_empty()
     }
 
-    /// The canonical (minimum-over-group) hash of `(state, variant)`,
-    /// the pair's own (identity) hash, and whether its orbit under the
-    /// group is nontrivial (some renaming yields a different pair) — the
-    /// per-state "symmetry hit" statistic. Orbit nontriviality is
-    /// invariant across the orbit, so the flag is a pure function of the
-    /// *canonical* state — deterministic however the class was first
-    /// reached. The identity hash identifies the concrete orbit member:
-    /// sleep-set covers are only comparable within one member's frame
-    /// (event hashes mention concrete process ids).
-    pub fn canonical_hash<M: SimMessage>(
-        &self,
-        sim: &ExploreSim<M>,
-        variant: u32,
-    ) -> (u128, u128, bool) {
-        let identity = self.identity_hash(sim, variant);
-        let (min, moved) = self.canonicalize_from(sim, variant, identity);
-        (min, identity, moved)
+    /// The canonical (minimum-over-group) hash of `(state, variant)` and
+    /// whether its orbit under the group is nontrivial (some renaming
+    /// yields a different pair) — the per-state "symmetry hit" statistic.
+    /// Orbit nontriviality is invariant across the orbit, so the flag is
+    /// a pure function of the *canonical* state — deterministic however
+    /// the class was first reached.
+    pub fn canonical_hash<M: SimMessage>(&self, sim: &ExploreSim<M>, variant: u32) -> (u128, bool) {
+        self.canonicalize_from(sim, variant, self.identity_hash(sim, variant))
     }
 
     /// The pair's own (identity-permutation) hash — the *fingerprint*
@@ -582,54 +560,6 @@ fn permutations_of(items: &[u32]) -> Vec<Vec<u32>> {
     }
     heap(work.len(), &mut work, &mut out);
     out
-}
-
-/// What the sleep-set machinery needs to know about one enabled choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChoiceProfile {
-    /// The canonical event hash (sleep sets are matched by hash, so a
-    /// re-created identical delivery stays asleep — it leads exactly where
-    /// the sleeping copy leads).
-    pub hash: u128,
-    /// The event's recipient.
-    pub recipient: u32,
-    /// Threshold-inert delivery from a correct origin (see module docs).
-    pub inert: bool,
-}
-
-impl ChoiceProfile {
-    /// Profiles pending event `idx` of `sim`. `sleep_enabled` gates the
-    /// (non-free) inertness probe; with sleep sets off every event is
-    /// profiled as non-inert.
-    pub fn of<D: crate::build::Driver>(
-        driver: &D,
-        sim: &ExploreSim<D::Msg>,
-        idx: usize,
-        sleep_enabled: bool,
-    ) -> Self {
-        let event = sim.pending_at(idx);
-        let inert = sleep_enabled
-            && match event {
-                ExploreEvent::Deliver { from, msg, .. } => {
-                    let origin = driver.msg_origin(*from, msg);
-                    let correct = !driver.setup().faulty.contains(origin);
-                    driver.inert_origin_ok(correct, msg) && sim.is_threshold_inert(idx)
-                }
-                ExploreEvent::Timer { .. } => false,
-            };
-        ChoiceProfile {
-            hash: sim.pending_hash(idx),
-            recipient: event.recipient().as_u32(),
-            inert,
-        }
-    }
-
-    /// The dynamic independence relation: distinct recipients always
-    /// commute; same-recipient deliveries commute when either is
-    /// threshold-inert.
-    pub fn independent(&self, other: &ChoiceProfile) -> bool {
-        self.recipient != other.recipient || self.inert || other.inert
-    }
 }
 
 #[cfg(test)]

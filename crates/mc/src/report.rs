@@ -2,8 +2,8 @@
 //! and the JSON shape.
 //!
 //! Every field except the `wall_micros` timings, the traversal-effort
-//! counters (`transitions`, `sleep_prunes` — how hard the particular
-//! worker partition had to work, not what it found) and the optional
+//! counter (`transitions` — how hard the particular worker partition
+//! had to work, not what it found) and the optional
 //! `obs` profiling payload is a pure function of the campaign file —
 //! identical across runs, machines and worker counts. The determinism
 //! test in `tests/explore.rs` pins that down.
@@ -182,14 +182,10 @@ pub struct ExploreRecord {
     /// Traversal effort — partition-dependent, excluded from the
     /// bit-identical contract (like `wall_micros`).
     pub transitions: u64,
-    /// Choices skipped by the sleep-set reduction, summed over workers.
-    /// Traversal effort — partition-dependent, excluded from the
-    /// bit-identical contract (like `wall_micros`).
-    pub sleep_prunes: u64,
     /// Rough bytes per forked state (initial-state estimate).
     pub state_bytes_estimate: u64,
-    /// Peak-memory estimate: visited entries × (state + visited-entry
-    /// bytes). Deterministic.
+    /// Peak-memory estimate: states × state bytes + visited-table slots
+    /// × slot bytes. Deterministic.
     pub peak_memory_bytes: u64,
     /// Minimal branching depth of a violation, if any exists.
     pub min_violation_depth: Option<u32>,
@@ -305,7 +301,6 @@ impl ExploreRecord {
             ),
             ("symmetric_states", Json::Int(self.symmetric_states as i64)),
             ("transitions", Json::Int(self.transitions as i64)),
-            ("sleep_prunes", Json::Int(self.sleep_prunes as i64)),
             (
                 "state_bytes_estimate",
                 Json::Int(self.state_bytes_estimate as i64),

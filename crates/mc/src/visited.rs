@@ -3,12 +3,10 @@
 //! fingerprint, with the per-state metadata (minimal depth, class, orbit
 //! flag) packed into one word beside the key.
 //!
-//! The legacy DFS keeps the `HashMap`-based [`crate::explorer::Visited`]
-//! because its sleep-set covers need per-entry vectors; the uniform-cost
-//! frontier stores exactly one fixed-size record per canonical state, so
-//! a flat probe table wins on both memory (32 bytes per slot against
-//! ~96 per `HashMap` entry) and lookup locality — the lever that lets
-//! `max_states` valves rise into the millions.
+//! The uniform-cost frontier stores exactly one fixed-size record per
+//! canonical state, so a flat probe table beats a `HashMap` on both
+//! memory (32 bytes per slot against ~96 per entry) and lookup locality
+//! — the lever that lets `max_states` valves rise into the millions.
 //!
 //! Layout per slot: the `u128` fingerprint, a packed meta word
 //! (occupancy sentinel, orbit flag, class tag, depth) and the decided
@@ -39,8 +37,8 @@ pub enum Recorded {
     /// First sighting: the entry was inserted.
     New,
     /// The fingerprint was known, but strictly deeper — depth and class
-    /// were corrected downward (the label-correcting fallback; never
-    /// taken under depth-ordered expansion).
+    /// were corrected downward (what merging worker tables does; never
+    /// taken during depth-ordered expansion).
     Shallower,
     /// The fingerprint was known at an equal or smaller depth; nothing
     /// changed.

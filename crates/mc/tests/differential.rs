@@ -1,26 +1,24 @@
 //! Differential soundness tests: reduced and unreduced exploration must
-//! agree on every verdict, for every small system in the suite.
+//! agree on every verdict, for every small system in the suite — and the
+//! unreduced exploration must equal a reference search that shares none
+//! of the explorer's code.
 //!
-//! Every reduction — symmetry quotient, sleep sets, eager-inert
-//! (persistent-set) firing, and their combinations — must preserve the
-//! verdict tuple against the fully unreduced (PR 3 semantics) baseline:
-//! violation found or not, minimal counterexample depth, completeness,
-//! decided values, pass/fail. None of them may *grow* the state space.
+//! Two layers:
 //!
-//! The search discipline rides the same battery: the uniform-cost
-//! (min-depth-first) frontier and the legacy label-correcting DFS are
-//! two traversal orders over the *same* canonical state space, so under
-//! identical reduction knobs they must produce the identical census —
-//! not just the verdict — on every system. The DFS baseline anchors
-//! this file; the uniform-cost runs are pinned against it combo by
-//! combo (sleep sets excepted: their covers are DFS-scoped and the
-//! parser rejects them under uniform cost).
-//!
-//! The raw state census is deliberately not required to match: symmetry
-//! and eager-inert shrink it by design, and sleep sets may skip states
-//! that are trace-equivalent to extensions of visited terminal states
-//! (whose verdict contribution is therefore already on record — see
-//! the explorer module docs).
+//! - **Engine vs reference.** With symmetry and eager-inert off, the
+//!   explorer visits the raw state graph. [`reference_bfs`] walks the
+//!   same graph with a queue and a hash set — no engine, no symmetry
+//!   group, no fingerprint table, no memoised hashing — and the two must
+//!   produce the identical census (state count, per-class counts, minimal
+//!   violation depth, decided values, completeness) on every system,
+//!   complete or bounded.
+//! - **Reductions vs unreduced.** Every reduction — symmetry quotient,
+//!   eager-inert (persistent-set) firing, and both together — must
+//!   preserve the verdict tuple of that unreduced base run: violation
+//!   found or not, minimal counterexample depth, completeness, decided
+//!   values, pass/fail. None of them may *grow* the state space. The raw
+//!   census is deliberately not required to match: both reductions
+//!   shrink it by design.
 //!
 //! One scoping note: the eager-inert comparison runs on *complete*
 //! (untruncated) systems only. Inert fires are free moves, so on a
@@ -29,12 +27,14 @@
 //! cuts of the space and their verdicts are incomparable by
 //! construction, not unsound.
 
-use scup_harness::scenario::{
-    ExploreSpec, FaultPlacement, ProtocolSpec, Scenario, SearchMode, TopologySpec,
-};
+use std::collections::{BTreeSet, HashSet, VecDeque};
+
+use scup_harness::scenario::{ExploreSpec, FaultPlacement, ProtocolSpec, Scenario, TopologySpec};
 use scup_harness::AdversaryRegistry;
+use scup_mc::build::{BftDriver, Driver, ScpDriver, Setup, StackDriver};
 use scup_mc::campaign::explore_scenario;
 use scup_mc::ExploreRecord;
+use scup_sim::{ExploreSim, SimState};
 use stellar_cup::attempts::LocalSliceStrategy;
 
 fn sink2(steps: u32, timer_budget: u32, adversary: &str, inputs: Vec<u64>) -> Scenario {
@@ -132,16 +132,8 @@ fn sink2_discovery(steps: u32) -> Scenario {
     s
 }
 
-fn explore_with(
-    mut s: Scenario,
-    search: SearchMode,
-    symmetry: bool,
-    sleep_sets: bool,
-    eager: bool,
-) -> ExploreRecord {
-    s.explore.search = search;
+fn explore_with(mut s: Scenario, symmetry: bool, eager: bool) -> ExploreRecord {
     s.explore.symmetry = symmetry;
-    s.explore.sleep_sets = sleep_sets;
     s.explore.eager_inert = eager;
     let r = explore_scenario(&s, 2, &AdversaryRegistry::builtin());
     assert_eq!(r.error, None, "scenario must explore cleanly");
@@ -159,21 +151,127 @@ fn verdict(r: &ExploreRecord) -> (bool, Option<u32>, bool, Vec<u64>, bool) {
     )
 }
 
-/// The full state census the two search disciplines must agree on under
-/// identical reduction knobs: same canonical states, same minimal
-/// depths, same per-state classifications. Traversal-effort counters
-/// (`transitions`, re-expansions) are the *only* thing allowed to
-/// differ between uniform cost and DFS.
-fn census(r: &ExploreRecord) -> (u64, u64, u64, u64, u64, u64, u64) {
-    (
-        r.states,
-        r.expanded,
-        r.decided,
-        r.quiescent_undecided,
-        r.truncated,
-        r.violating,
-        r.symmetric_states,
-    )
+/// Everything an exploration *found*: which states exist, how each is
+/// classified at its minimal depth, and the verdict fields derived from
+/// that. The unreduced engine and the reference BFS must agree on all
+/// of it.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Census {
+    states: u64,
+    expanded: u64,
+    decided: u64,
+    quiescent_undecided: u64,
+    truncated: u64,
+    violating: u64,
+    min_violation_depth: Option<u32>,
+    decided_values: Vec<u64>,
+    complete: bool,
+}
+
+impl Census {
+    fn of(r: &ExploreRecord) -> Census {
+        Census {
+            states: r.states,
+            expanded: r.expanded,
+            decided: r.decided,
+            quiescent_undecided: r.quiescent_undecided,
+            truncated: r.truncated,
+            violating: r.violating,
+            min_violation_depth: r.min_violation_depth,
+            decided_values: r.decided_values.clone(),
+            complete: r.complete,
+        }
+    }
+}
+
+/// The reference search: breadth-first over raw `(variant, state)` pairs.
+/// Every edge is one fired choice, so FIFO order reaches each state at
+/// its minimal depth first; a state is identified by its from-scratch
+/// hash (no memo), classified once, and expanded through every entry of
+/// `choices()`. Nothing from the explorer is reused — only the
+/// scenario-to-roster builders.
+fn reference_bfs<D: Driver>(driver: &D, max_steps: u32) -> Census {
+    let setup = driver.setup();
+    let correct = setup.correct();
+    let mut census = Census::default();
+    let mut decided_values = BTreeSet::new();
+    let mut seen: HashSet<(u32, u128)> = HashSet::new();
+    let mut queue: VecDeque<(u32, u32, SimState<D::Msg>)> = VecDeque::new();
+
+    // Records the state `sim` is in unless it is already known; inner
+    // nodes go on the queue.
+    let mut visit = |sim: &ExploreSim<D::Msg>,
+                     variant: u32,
+                     depth: u32,
+                     queue: &mut VecDeque<(u32, u32, SimState<D::Msg>)>| {
+        if !seen.insert((variant, sim.state_hash_from_scratch(None))) {
+            return;
+        }
+        census.states += 1;
+        let decisions = driver.decisions(sim);
+        if setup.violates(&decisions) {
+            census.violating += 1;
+            census.min_violation_depth.get_or_insert(depth);
+        } else if correct.iter().all(|i| decisions[i.index()].is_some()) {
+            // Not violating, so all correct processes decided one value.
+            let value = correct.iter().find_map(|i| decisions[i.index()]);
+            census.decided += 1;
+            decided_values.insert(value.expect("some process is correct"));
+        } else if sim.is_quiescent() {
+            census.quiescent_undecided += 1;
+        } else if depth >= max_steps {
+            census.truncated += 1;
+        } else {
+            census.expanded += 1;
+            queue.push_back((variant, depth, sim.snapshot()));
+        }
+    };
+
+    let mut sims: Vec<ExploreSim<D::Msg>> = (0..setup.variants())
+        .map(|variant| driver.build_sim(variant))
+        .collect();
+    for (variant, sim) in sims.iter_mut().enumerate() {
+        sim.start();
+        sim.drain_absorbed();
+        visit(sim, variant as u32, 0, &mut queue);
+    }
+    while let Some((variant, depth, state)) = queue.pop_front() {
+        let sim = &mut sims[variant as usize];
+        sim.restore(&state);
+        for choice in sim.choices() {
+            sim.restore(&state);
+            sim.fire(choice);
+            sim.drain_absorbed();
+            visit(sim, variant, depth + 1, &mut queue);
+        }
+    }
+    census.decided_values = decided_values.into_iter().collect();
+    census.complete = census.truncated == 0;
+    census
+}
+
+/// Resolves the scenario and runs [`reference_bfs`] under the driver the
+/// campaign runner would pick for it.
+fn reference_census(scenario: &Scenario) -> Census {
+    let setup = Setup::from_scenario(scenario, &AdversaryRegistry::builtin())
+        .expect("scenario must resolve");
+    let max_steps = scenario.explore.max_steps;
+    match (setup.protocol, setup.explore_discovery) {
+        (ProtocolSpec::BftCup, _) => reference_bfs(&BftDriver::new(&setup), max_steps),
+        (ProtocolSpec::StellarMinimal, true) => reference_bfs(&StackDriver::new(&setup), max_steps),
+        _ => reference_bfs(&ScpDriver::new(&setup), max_steps),
+    }
+}
+
+/// The unreduced engine run, checked against the reference BFS.
+fn unreduced_base(name: &str, scenario: &Scenario) -> ExploreRecord {
+    let base = explore_with(scenario.clone(), false, false);
+    assert_eq!(
+        Census::of(&base),
+        reference_census(scenario),
+        "{name}: unreduced engine census (left) vs reference BFS (right)"
+    );
+    base
 }
 
 /// Strips the fields outside the bit-identical contract (wall-clock
@@ -181,7 +279,6 @@ fn census(r: &ExploreRecord) -> (u64, u64, u64, u64, u64, u64, u64) {
 fn deterministic_view(mut r: ExploreRecord) -> ExploreRecord {
     r.wall_micros = 0;
     r.transitions = 0;
-    r.sleep_prunes = 0;
     r.obs = None;
     if let Some(v) = &mut r.violation {
         v.forensics = None;
@@ -189,13 +286,39 @@ fn deterministic_view(mut r: ExploreRecord) -> ExploreRecord {
     r
 }
 
-/// Every reduction combination agrees with the unreduced baseline on the
-/// verdict of every *complete* (untruncated) system, and never grows the
-/// space.
+/// On a *complete* (untruncated) system: the unreduced engine equals the
+/// reference, and every reduction combination agrees with it on the
+/// verdict and never grows the space.
+fn check_complete_system(name: &str, scenario: Scenario) {
+    let base = unreduced_base(name, &scenario);
+    assert!(base.complete, "{name}: baseline must exhaust");
+    for (symmetry, eager) in [(true, false), (false, true), (true, true)] {
+        let r = explore_with(scenario.clone(), symmetry, eager);
+        assert_eq!(
+            verdict(&r),
+            verdict(&base),
+            "{name}: verdict drifted under symmetry={symmetry} eager={eager}"
+        );
+        assert!(
+            r.states <= base.states,
+            "{name}: a reduction cannot grow the space"
+        );
+    }
+}
+
+/// The two complete systems small enough for an unoptimized build, so
+/// the default test run exercises the reference on exhausted spaces too.
 #[test]
-// Exhausts split22's full 20 880-state unreduced space 8 ways; affordable
-// in release, slow unoptimized (the explore-smoke CI job runs with
-// --include-ignored).
+fn reductions_agree_on_small_complete_systems() {
+    check_complete_system("sink2-silent", sink2(64, 0, "silent", vec![3, 9]));
+    check_complete_system("bftcup-sink2", bftcup_sink2(64, 0));
+}
+
+/// Every complete system, the 20 k-state ones included.
+#[test]
+// Exhausts split22's full 20 880-state unreduced space five ways;
+// affordable in release, slow unoptimized (the explore-smoke CI job runs
+// with --include-ignored).
 #[cfg_attr(debug_assertions, ignore = "release-only; see explore-smoke CI job")]
 fn reductions_agree_on_complete_systems() {
     let systems: Vec<(&str, Scenario)> = vec![
@@ -209,56 +332,15 @@ fn reductions_agree_on_complete_systems() {
         ("sink2-discovery", sink2_discovery(64)),
     ];
     for (name, scenario) in systems {
-        let base = explore_with(scenario.clone(), SearchMode::Dfs, false, false, false);
-        assert!(base.complete, "{name}: baseline must exhaust");
-        for symmetry in [false, true] {
-            for sleep_sets in [false, true] {
-                for eager in [false, true] {
-                    let r = explore_with(
-                        scenario.clone(),
-                        SearchMode::Dfs,
-                        symmetry,
-                        sleep_sets,
-                        eager,
-                    );
-                    if (symmetry, sleep_sets, eager) != (false, false, false) {
-                        assert_eq!(
-                            verdict(&r),
-                            verdict(&base),
-                            "{name}: verdict drifted under symmetry={symmetry} \
-                             sleep={sleep_sets} eager={eager}"
-                        );
-                        assert!(
-                            r.states <= base.states,
-                            "{name}: a reduction cannot grow the space"
-                        );
-                    }
-                    // The uniform-cost frontier must reproduce the DFS
-                    // census exactly under the same knobs (sleep sets
-                    // are DFS-only by construction).
-                    if !sleep_sets {
-                        let u =
-                            explore_with(scenario.clone(), SearchMode::Ucs, symmetry, false, eager);
-                        assert_eq!(
-                            verdict(&u),
-                            verdict(&base),
-                            "{name}: ucs verdict drifted under symmetry={symmetry} eager={eager}"
-                        );
-                        assert_eq!(
-                            census(&u),
-                            census(&r),
-                            "{name}: ucs/dfs census drift under symmetry={symmetry} eager={eager}"
-                        );
-                    }
-                }
-            }
-        }
+        check_complete_system(name, scenario);
     }
 }
 
 /// On step-truncated spaces the free-move depth metric of `eager_inert`
-/// legitimately diverges, so only the metric-compatible reductions are
-/// compared there.
+/// legitimately diverges, so only the metric-compatible reduction —
+/// symmetry — is compared there. The reference BFS truncates at exactly
+/// the same depth cut as the unreduced engine, so their censuses must
+/// still match bit for bit.
 #[test]
 fn metric_compatible_reductions_agree_on_bounded_systems() {
     let systems: Vec<(&str, Scenario)> = vec![
@@ -276,67 +358,46 @@ fn metric_compatible_reductions_agree_on_bounded_systems() {
         ("sink2-discovery-bounded", sink2_discovery(12)),
     ];
     for (name, scenario) in systems {
-        let base = explore_with(scenario.clone(), SearchMode::Dfs, false, false, false);
-        for (symmetry, sleep_sets) in [(true, false), (false, true), (true, true)] {
-            let r = explore_with(
-                scenario.clone(),
-                SearchMode::Dfs,
-                symmetry,
-                sleep_sets,
-                false,
-            );
-            assert_eq!(
-                verdict(&r),
-                verdict(&base),
-                "{name}: verdict drifted under symmetry={symmetry} sleep={sleep_sets}"
-            );
-            assert!(
-                r.states <= base.states,
-                "{name}: a reduction cannot grow the space"
-            );
-        }
-        // Uniform cost vs DFS on the bounded systems: the min-depth
-        // frontier truncates at exactly the same depth cut, so the
-        // census must match bit for bit — unreduced and under the
-        // symmetry quotient.
-        for symmetry in [false, true] {
-            let d = explore_with(scenario.clone(), SearchMode::Dfs, symmetry, false, false);
-            let u = explore_with(scenario.clone(), SearchMode::Ucs, symmetry, false, false);
-            assert_eq!(
-                verdict(&u),
-                verdict(&base),
-                "{name}: ucs verdict drifted under symmetry={symmetry}"
-            );
-            assert_eq!(
-                census(&u),
-                census(&d),
-                "{name}: ucs/dfs census drift under symmetry={symmetry}"
-            );
-        }
+        let base = unreduced_base(name, &scenario);
+        let r = explore_with(scenario, true, false);
+        assert_eq!(
+            verdict(&r),
+            verdict(&base),
+            "{name}: verdict drifted under symmetry"
+        );
+        assert!(
+            r.states <= base.states,
+            "{name}: a reduction cannot grow the space"
+        );
     }
+}
+
+/// The unreduced engine's and the reference BFS's census of one system,
+/// labelled for assertion messages.
+fn both_censuses(scenario: Scenario) -> [(&'static str, Census); 2] {
+    [
+        ("reference", reference_census(&scenario)),
+        ("engine", Census::of(&explore_with(scenario, false, false))),
+    ]
 }
 
 /// The pinned unreduced counts: the representation and reduction work
 /// must not have changed the *full* semantics. These are the PR 3
-/// exhaustive counts, now reproduced with every reduction off.
+/// exhaustive counts, reproduced with every reduction off and by the
+/// reference BFS.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-only; see explore-smoke CI job")]
 fn unreduced_counts_match_the_pr3_semantics() {
-    for search in [SearchMode::Dfs, SearchMode::Ucs] {
-        let r = explore_with(
-            sink2(64, 0, "silent", vec![3, 9]),
-            search,
-            false,
-            false,
-            false,
-        );
-        assert_eq!(r.states, 1_785, "search={}", search.name());
-        let r = explore_with(sink2(96, 1, "silent", vec![7]), search, false, false, false);
-        assert_eq!(r.states, 1_116, "search={}", search.name());
-        let r = explore_with(split22(48), search, false, false, false);
-        assert_eq!(r.states, 20_880, "search={}", search.name());
-        assert_eq!(r.violating, 3_240, "search={}", search.name());
-        assert_eq!(r.min_violation_depth, Some(16), "search={}", search.name());
+    for (who, c) in both_censuses(sink2(64, 0, "silent", vec![3, 9])) {
+        assert_eq!(c.states, 1_785, "{who}");
+    }
+    for (who, c) in both_censuses(sink2(96, 1, "silent", vec![7])) {
+        assert_eq!(c.states, 1_116, "{who}");
+    }
+    for (who, c) in both_censuses(split22(48)) {
+        assert_eq!(c.states, 20_880, "{who}");
+        assert_eq!(c.violating, 3_240, "{who}");
+        assert_eq!(c.min_violation_depth, Some(16), "{who}");
     }
 }
 
@@ -346,14 +407,14 @@ fn unreduced_counts_match_the_pr3_semantics() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-only; see explore-smoke CI job")]
 fn unreduced_counts_pin_the_full_stack_semantics() {
-    for search in [SearchMode::Dfs, SearchMode::Ucs] {
-        let r = explore_with(bftcup_sink2(64, 0), search, false, false, false);
-        assert_eq!(r.states, 180, "search={}", search.name());
-        assert!(r.complete && r.violating == 0);
-        let r = explore_with(sink2_discovery(64), search, false, false, false);
-        assert_eq!(r.states, 21_516, "search={}", search.name());
-        assert!(r.complete && r.violating == 0);
-        assert_eq!(r.decided_values, vec![3, 9]);
+    for (who, c) in both_censuses(bftcup_sink2(64, 0)) {
+        assert_eq!(c.states, 180, "{who}");
+        assert!(c.complete && c.violating == 0, "{who}");
+    }
+    for (who, c) in both_censuses(sink2_discovery(64)) {
+        assert_eq!(c.states, 21_516, "{who}");
+        assert!(c.complete && c.violating == 0, "{who}");
+        assert_eq!(c.decided_values, vec![3, 9], "{who}");
     }
 }
 
@@ -371,8 +432,7 @@ fn uniform_cost_reports_are_bit_identical_across_worker_counts() {
         sink2_discovery(12),
     ];
     let registry = AdversaryRegistry::builtin();
-    for mut s in systems {
-        s.explore.search = SearchMode::Ucs;
+    for s in systems {
         let base = explore_scenario(&s, 1, &registry);
         assert_eq!(base.error, None, "{}", s.name);
         for threads in [2, 8] {

@@ -3,9 +3,7 @@
 //! seeded counterexample.
 
 use scup_harness::campaign::{Campaign, CampaignMode};
-use scup_harness::scenario::{
-    ExploreSpec, FaultPlacement, ProtocolSpec, Scenario, SearchMode, TopologySpec,
-};
+use scup_harness::scenario::{ExploreSpec, FaultPlacement, ProtocolSpec, Scenario, TopologySpec};
 use scup_harness::AdversaryRegistry;
 use scup_mc::campaign::explore_scenario;
 use scup_mc::{run_explore_campaign, ExploreRecord};
@@ -73,7 +71,6 @@ fn split22_bounded() -> Scenario {
 fn deterministic_view(mut r: ExploreRecord) -> ExploreRecord {
     r.wall_micros = 0;
     r.transitions = 0;
-    r.sleep_prunes = 0;
     r.obs = None;
     // Forensics is opt-in annotation on the rendered counterexample;
     // like `obs`, it is outside the bit-identity contract.
@@ -339,15 +336,8 @@ fn reports_are_bit_identical_across_worker_counts() {
     // counterexample is recomputed canonically, so sharding cannot leak
     // into the report.
     let campaign = |threads: usize| {
-        // Default reductions (symmetry + eager-inert) everywhere, plus
-        // one scenario with sleep sets explicitly on (which requires the
-        // legacy DFS discipline): the sleep-aware covers are
-        // worker-local, so sharding must not leak into any deterministic
-        // field.
-        let mut sleepy = sink2(10, 0, "silent", vec![3, 9]);
-        sleepy.explore.search = SearchMode::Dfs;
-        sleepy.explore.sleep_sets = true;
-        // The full-stack drivers ride the same contract: BFT-CUP (with
+        // Default reductions (symmetry + eager-inert) everywhere. The
+        // full-stack drivers ride the same contract: BFT-CUP (with
         // its two equivocation variants) and the discovery-interleaved
         // stack, bounded to keep the debug suite quick.
         let mut discovery = sink2(12, 0, "silent", vec![3, 9]);
@@ -369,7 +359,7 @@ fn reports_are_bit_identical_across_worker_counts() {
             threads,
             scenarios: vec![
                 // A bounded (truncated) scenario stresses the min-depth merge.
-                sleepy,
+                sink2(10, 0, "silent", vec![3, 9]),
                 sink2(5, 0, "equivocate", vec![7]),
                 split22_bounded(),
                 bftcup_sink2(64, 0),
@@ -381,9 +371,7 @@ fn reports_are_bit_identical_across_worker_counts() {
     let base = run_explore_campaign(&campaign(1));
     assert!(base.all_passed());
     assert!(
-        base.records
-            .iter()
-            .any(|r| r.symmetry_group > 1 || r.sleep_prunes > 0),
+        base.records.iter().any(|r| r.symmetry_group > 1),
         "the determinism bar must be cleared with reductions actually engaged"
     );
     for threads in [2, 8] {

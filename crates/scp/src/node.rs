@@ -889,9 +889,9 @@ impl Actor<ScpMsg> for ScpNode {
 
     /// A delivery is *threshold-inert* (commutes with every sibling
     /// delivery to this node, in both orders, with identical emissions —
-    /// the independence hook behind the sleep-set and persistent-set
-    /// reductions) when the statement's tally entry it would extend can
-    /// no longer be read by any threshold rule:
+    /// the independence hook behind the persistent-set reduction) when
+    /// the statement's tally entry it would extend can no longer be read
+    /// by any threshold rule:
     ///
     /// - a **vote** for a statement already **accepted** here: the accept
     ///   rule is done with the statement and confirm reads only the

@@ -1009,8 +1009,8 @@ impl<M: SimMessage> ExploreSim<M> {
     /// `true` when pending event `idx` is a delivery its recipient declares
     /// *threshold-inert* ([`Actor::threshold_inert`]): not a no-op, but
     /// guaranteed to commute with every other delivery to the same
-    /// recipient — the dynamic independence the model checker's sleep-set
-    /// reduction runs on.
+    /// recipient — the dynamic independence the model checker's
+    /// persistent-set reduction runs on.
     pub fn is_threshold_inert(&self, idx: usize) -> bool {
         match &self.pending[idx].event.event {
             ExploreEvent::Deliver { from, to, msg } => {
