@@ -4,39 +4,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use scup_cup::bftcup::{BftConfig, BftCupActor, BftMsg};
-use scup_graph::{generators, KnowledgeGraph, ProcessId, ProcessSet};
-use scup_sim::{NetworkConfig, Simulation};
+use scup_graph::generators;
 use stellar_cup::consensus::{self, EndToEndConfig};
-
-fn bftcup_run(kg: &KnowledgeGraph, faulty: &ProcessSet, f: usize, seed: u64) -> bool {
-    let mut sim: Simulation<BftMsg> =
-        Simulation::new(kg.clone(), NetworkConfig::synchronous(10, seed));
-    for i in kg.processes() {
-        if faulty.contains(i) {
-            sim.add_actor(Box::new(scup_sim::adversary::SilentActor::new()));
-        } else {
-            sim.add_actor(Box::new(BftCupActor::new(
-                kg.pd(i).clone(),
-                i.as_u32() as u64,
-                BftConfig::new(f, 500),
-            )));
-        }
-    }
-    let correct: Vec<ProcessId> = kg.processes().filter(|i| !faulty.contains(*i)).collect();
-    sim.run_while(
-        |s| {
-            !correct.iter().all(|&i| {
-                s.actor_as::<BftCupActor>(i)
-                    .is_some_and(|a| a.decision().is_some())
-            })
-        },
-        5_000_000,
-    );
-    correct
-        .iter()
-        .all(|&i| sim.actor_as::<BftCupActor>(i).unwrap().decision().is_some())
-}
 
 fn bench_protocols(c: &mut Criterion) {
     let mut group = c.benchmark_group("consensus");
@@ -45,16 +14,17 @@ fn bench_protocols(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(13);
         let (kg, faulty) = generators::random_byzantine_safe(sink, out, 1, &mut rng);
         let n = kg.n();
+        // Both arms: a synchronous network (GST 0), same graph and inputs.
+        let config = |seed| EndToEndConfig {
+            seed,
+            gst: 0,
+            ..EndToEndConfig::default()
+        };
         group.bench_with_input(BenchmarkId::new("scp_plus_sd", n), &n, |b, _| {
             let mut seed = 0;
             b.iter(|| {
                 seed += 1;
-                let config = EndToEndConfig {
-                    seed,
-                    gst: 0,
-                    ..EndToEndConfig::default()
-                };
-                let outcome = consensus::run_end_to_end(&kg, 1, &faulty, &config);
+                let outcome = consensus::run_end_to_end(&kg, 1, &faulty, &config(seed));
                 assert!(outcome.agreement());
             })
         });
@@ -62,7 +32,8 @@ fn bench_protocols(c: &mut Criterion) {
             let mut seed = 0;
             b.iter(|| {
                 seed += 1;
-                assert!(bftcup_run(&kg, &faulty, 1, seed));
+                let phase = consensus::run_bftcup(&kg, 1, &faulty, &config(seed), None);
+                assert!(consensus::agreed_value(&phase.decisions, &faulty).is_some());
             })
         });
     }

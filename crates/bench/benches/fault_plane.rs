@@ -21,7 +21,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use scup_harness::campaign::run_one;
 use scup_harness::scenario::{FaultPlacement, FaultSpec, NetworkSpec, Scenario, TopologySpec};
-use scup_harness::{protocol, topology, AdversaryRegistry};
+use scup_harness::{protocol, AdversaryRegistry, System};
 
 fn fig2(spec: Option<FaultSpec>) -> Scenario {
     let mut b = Scenario::builder("bench")
@@ -93,55 +93,28 @@ fn bench_forensics_sample(c: &mut Criterion) {
         recover_at: Some(2_000),
         ..Default::default()
     }));
-    let adversary = registry.resolve(&scenario.adversary).unwrap();
-    let (kg, generated) = topology::instantiate(&scenario.topology, scenario.f, 0);
-    let faulty = topology::place_faults(&scenario.faults, &kg, generated, 0).unwrap();
+    let mut systems: Vec<System> = (0..4)
+        .map(|seed| System::of(&scenario, seed, &registry).unwrap())
+        .collect();
     // Element denominator: delivered messages per iteration (4 seeds),
     // deterministic for a fixed scenario + seed set.
-    let delivered: u64 = (0..4)
-        .map(|seed| {
-            protocol::execute_observed(
-                scenario.protocol,
-                &kg,
-                scenario.f,
-                &faulty,
-                adversary,
-                &scenario.network,
-                &scenario.fault_plan,
-                &scenario.churn,
-                scenario.resolved_inputs(kg.n()),
-                seed,
-                false,
-                false,
-            )
-            .0
-            .messages_delivered
-        })
+    let delivered: u64 = systems
+        .iter()
+        .map(|system| protocol::execute_observed(system).0.messages_delivered)
         .sum();
 
     let mut group = c.benchmark_group("forensics");
     group.sample_size(10);
     group.throughput(criterion::Throughput::Elements(delivered));
     for (suffix, forensics) in [("off", false), ("on", true)] {
+        for system in &mut systems {
+            system.config.forensics = forensics;
+        }
         group.bench_function(format!("fig2-crash-recover-{suffix}/{delivered}"), |b| {
             b.iter(|| {
                 let mut total = 0u64;
-                for seed in 0..4 {
-                    let out = protocol::execute_observed(
-                        scenario.protocol,
-                        &kg,
-                        scenario.f,
-                        &faulty,
-                        adversary,
-                        &scenario.network,
-                        &scenario.fault_plan,
-                        &scenario.churn,
-                        scenario.resolved_inputs(kg.n()),
-                        seed,
-                        false,
-                        forensics,
-                    )
-                    .0;
+                for system in &systems {
+                    let out = protocol::execute_observed(system).0;
                     assert_eq!(out.causal.is_enabled(), forensics);
                     total += out.messages_delivered;
                 }

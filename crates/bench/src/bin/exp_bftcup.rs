@@ -6,55 +6,7 @@
 //! Run: `cargo run --release -p scup-bench --bin exp_bftcup`
 
 use scup_bench::{table, workloads};
-use scup_cup::bftcup::{BftConfig, BftCupActor};
-use scup_graph::ProcessId;
-use scup_sim::adversary::SilentActor;
-use scup_sim::{NetworkConfig, Simulation};
 use stellar_cup::consensus::{self, EndToEndConfig};
-
-fn run_bftcup(sc: &workloads::Scenario, seed: u64) -> (bool, u64, u64) {
-    let mut sim = Simulation::new(
-        sc.kg.clone(),
-        NetworkConfig::partially_synchronous(150, 10, seed),
-    );
-    for i in sc.kg.processes() {
-        if sc.faulty.contains(i) {
-            sim.add_actor(Box::new(SilentActor::new()));
-        } else {
-            sim.add_actor(Box::new(BftCupActor::new(
-                sc.kg.pd(i).clone(),
-                100 + i.as_u32() as u64,
-                BftConfig::new(sc.f, 500),
-            )));
-        }
-    }
-    let correct: Vec<ProcessId> = sc
-        .kg
-        .processes()
-        .filter(|i| !sc.faulty.contains(*i))
-        .collect();
-    let report = sim.run_while(
-        |s| {
-            !correct.iter().all(|&i| {
-                s.actor_as::<BftCupActor>(i)
-                    .is_some_and(|a| a.decision().is_some())
-            })
-        },
-        5_000_000,
-    );
-    let mut value = None;
-    let mut ok = true;
-    for &i in &correct {
-        match sim.actor_as::<BftCupActor>(i).unwrap().decision() {
-            None => ok = false,
-            Some(v) => match value {
-                None => value = Some(v),
-                Some(prev) => ok &= prev == v,
-            },
-        }
-    }
-    (ok, report.messages_sent, report.end_time.ticks())
-}
 
 fn main() {
     println!("Experiment T1: BFT-CUP baseline vs SCP + sink detector.");
@@ -72,14 +24,18 @@ fn main() {
         5,
     ));
     for sc in &scenarios {
-        // BFT-CUP.
+        // BFT-CUP: same graph, faulty set, inputs and network as below.
         let mut agree = 0u64;
         let (mut msgs, mut ticks) = (0u64, 0u64);
         for seed in 0..SEEDS {
-            let (ok, m, t) = run_bftcup(sc, seed);
-            agree += ok as u64;
-            msgs += m;
-            ticks += t;
+            let config = EndToEndConfig {
+                seed,
+                ..EndToEndConfig::default()
+            };
+            let phase = consensus::run_bftcup(&sc.kg, sc.f, &sc.faulty, &config, None);
+            agree += consensus::agreed_value(&phase.decisions, &sc.faulty).is_some() as u64;
+            msgs += phase.report.messages_sent;
+            ticks += phase.report.end_time.ticks();
         }
         table::row(
             &[

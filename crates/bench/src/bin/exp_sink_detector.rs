@@ -7,9 +7,10 @@
 
 use scup_bench::{table, workloads};
 use scup_graph::sink;
-use scup_sim::adversary::SilentActor;
 use scup_sim::{NetworkConfig, Simulation};
+use stellar_cup::consensus::EndToEndConfig;
 use stellar_cup::oracle::validate_detection;
+use stellar_cup::roster::{self, AdversaryKind, SdProtocol};
 use stellar_cup::sink_detector::{GetSinkMode, LyingSinkValueActor, SinkDetectorActor};
 
 fn run_one(
@@ -22,22 +23,22 @@ fn run_one(
         sc.kg.clone(),
         NetworkConfig::partially_synchronous(150, 10, seed),
     );
+    let config = EndToEndConfig {
+        get_sink_mode: mode,
+        ..EndToEndConfig::default()
+    };
+    let detectors = SdProtocol::new(&sc.kg, sc.f, &config);
     for i in sc.kg.processes() {
-        if sc.faulty.contains(i) {
-            if lying {
-                sim.add_actor(Box::new(LyingSinkValueActor {
-                    fake_sink: scup_graph::ProcessSet::from_ids([0, 1]),
-                }));
-            } else {
-                sim.add_actor(Box::new(SilentActor::new()));
-            }
+        let faulty = sc.faulty.contains(i);
+        // The lying actor is an attack on this protocol only, so it is
+        // not an adversary kind the roster seats.
+        sim.add_actor(if faulty && lying {
+            Box::new(LyingSinkValueActor {
+                fake_sink: scup_graph::ProcessSet::from_ids([0, 1]),
+            })
         } else {
-            sim.add_actor(Box::new(SinkDetectorActor::new(
-                sc.kg.pd(i).clone(),
-                sc.f,
-                mode,
-            )));
-        }
+            roster::seat(&detectors, i, faulty, AdversaryKind::Silent, 0)
+        });
     }
     let report = sim.run_until_quiet(5_000_000);
     let v_sink = sink::unique_sink(sc.kg.graph()).unwrap();

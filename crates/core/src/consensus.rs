@@ -15,12 +15,13 @@
 //! The negative pipeline (attempt 1: local slices, no oracle) is also
 //! provided for the Theorem 2 / Corollary 1 experiments.
 
+use std::borrow::Cow;
+
 use scup_fbqs::SliceFamily;
 use scup_graph::{KnowledgeGraph, ProcessId, ProcessSet};
 use scup_obs::causal::{CausalGraph, ProvenanceLog};
-use scup_scp::node::EquivocatingScpNode;
-use scup_scp::{NodeStats, ScpConfig, ScpNode, Value};
-use scup_sim::adversary::{CrashActor, EchoActor, SilentActor};
+use scup_scp::{NodeStats, Value};
+use scup_sim::adversary::CrashActor;
 use scup_sim::{
     ChurnPlan, FaultPlan, MemJournal, NetworkConfig, ResilientActor, RetransmitConfig, SimReport,
     Simulation, TraceEvent,
@@ -29,31 +30,16 @@ use scup_sim::{
 use crate::attempts::LocalSliceStrategy;
 use crate::build_slices::build_slices;
 use crate::oracle::SinkDetection;
+use crate::roster::{self, BftProtocol, Protocol, ScpProtocol, SdProtocol};
 use crate::sink_detector::{GetSinkMode, SdMsg, SinkDetectorActor};
 
-/// How the Byzantine processes behave during the pipeline.
+/// How the Byzantine processes behave during the pipeline (the roster's
+/// [`AdversaryKind`](roster::AdversaryKind) under its pipeline name).
 ///
 /// `Silent`, `Equivocate` and `ForgedSlice` keep faulty processes silent
 /// during the knowledge-increasing phase (the behaviour Lemma 2 relies
 /// on); `Crash` and `Echo` apply their behaviour to both phases.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScpAdversary {
-    /// Stay silent (crash-like).
-    #[default]
-    Silent,
-    /// Equivocate votes and forge slices.
-    Equivocate,
-    /// Vote consistently but attach forged (self-only) slices.
-    ForgedSlice,
-    /// Reflect every received message to every known process.
-    Echo,
-    /// Behave correctly, then fail-stop after `after` deliveries in each
-    /// phase.
-    Crash {
-        /// Number of deliveries after which the process goes silent.
-        after: u64,
-    },
-}
+pub use crate::roster::AdversaryKind as ScpAdversary;
 
 /// Configuration of an end-to-end run.
 #[derive(Debug, Clone)]
@@ -158,39 +144,26 @@ pub struct Outcome {
     pub scp_provenance: Vec<ProvenanceLog>,
 }
 
+/// The value every correct process decided: `Some` exactly when all of
+/// them decided, and on the same value (agreement + termination).
+pub fn agreed_value(decisions: &[Option<Value>], faulty: &ProcessSet) -> Option<Value> {
+    let mut correct = (0..decisions.len())
+        .filter(|&i| !faulty.contains(ProcessId::new(i as u32)))
+        .map(|i| decisions[i]);
+    let first = correct.next()??;
+    correct.all(|d| d == Some(first)).then_some(first)
+}
+
 impl Outcome {
     /// Agreement + termination: every correct process decided, and all on
     /// the same value.
     pub fn agreement(&self) -> bool {
-        let mut value = None;
-        for (i, d) in self.decisions.iter().enumerate() {
-            if self.faulty.contains(ProcessId::new(i as u32)) {
-                continue;
-            }
-            match (d, value) {
-                (None, _) => return false,
-                (Some(v), None) => value = Some(*v),
-                (Some(v), Some(prev)) => {
-                    if *v != prev {
-                        return false;
-                    }
-                }
-            }
-        }
-        value.is_some()
+        self.decided_value().is_some()
     }
 
     /// The agreed value, if [`Outcome::agreement`] holds.
     pub fn decided_value(&self) -> Option<Value> {
-        self.agreement()
-            .then(|| {
-                self.decisions
-                    .iter()
-                    .enumerate()
-                    .find(|(i, _)| !self.faulty.contains(ProcessId::new(*i as u32)))
-                    .and_then(|(_, d)| *d)
-            })
-            .flatten()
+        agreed_value(&self.decisions, &self.faulty)
     }
 
     /// Validity (for silent adversaries): the decided value was proposed by
@@ -209,6 +182,129 @@ impl Outcome {
 
 fn default_inputs(n: usize) -> Vec<Value> {
     (0..n).map(|i| 100 + i as Value).collect()
+}
+
+/// The run's per-process inputs: [`EndToEndConfig::inputs`], or the
+/// default `100 + i`.
+fn inputs_of(config: &EndToEndConfig, n: usize) -> Cow<'_, [Value]> {
+    match &config.inputs {
+        Some(inputs) => Cow::Borrowed(inputs),
+        None => Cow::Owned(default_inputs(n)),
+    }
+}
+
+/// The dressing every sampled phase shares: a [`Simulation`] on the
+/// configured network with the trace switch and the fault and churn plans
+/// installed, and `protocol` seated through the [`roster`].
+fn seated<P: Protocol>(
+    protocol: &P,
+    kg: &KnowledgeGraph,
+    faulty: &ProcessSet,
+    config: &EndToEndConfig,
+    seed: u64,
+) -> Simulation<P::Msg> {
+    let net = NetworkConfig::partially_synchronous(config.gst, config.delta, seed);
+    let mut sim = Simulation::new(kg.clone(), net);
+    if config.trace {
+        sim.enable_trace();
+    }
+    if !config.faults.is_zero() {
+        sim.set_fault_plan(config.faults.clone());
+    }
+    if !config.churn.is_zero() {
+        sim.set_churn_plan(config.churn.clone());
+    }
+    for i in kg.processes() {
+        // The sampler fixes the equivocators' victim split at 0; the
+        // explorer enumerates it.
+        let is_faulty = faulty.contains(i);
+        sim.add_actor(roster::seat(protocol, i, is_faulty, config.adversary, 0));
+    }
+    sim
+}
+
+/// What each process's seat reads as after a phase: `get` of the correct
+/// actor, `None` for any other seat.
+fn read<'a, P: Protocol, T>(
+    sim: &'a Simulation<P::Msg>,
+    get: impl Fn(&'a P::Actor) -> T + 'a,
+) -> impl Iterator<Item = Option<T>> + 'a {
+    sim.knowledge_graph()
+        .processes()
+        .map(move |i| sim.actor_as::<P::Actor>(i).map(&get))
+}
+
+/// The one sampled consensus phase: [`seated`], forensics armed under
+/// [`EndToEndConfig::forensics`], run to the stop rule, and everything
+/// protocol-independent read out; the caller fills
+/// [`Phase::node_stats`] / [`Phase::retransmissions`] from the returned
+/// simulation.
+///
+/// The phase may stop once every planned recovery, join and leave has
+/// executed **and** every correct non-departing process has decided.
+/// Crash–recover cycles and churn must actually run (and the recovered
+/// node rejoin) first — otherwise early decisions would skip the very
+/// events the scenario schedules, and the scenario that ran would not be
+/// the scenario that was written. Departing processes owe no decision:
+/// waiting on them would burn the whole tick budget on a node the churn
+/// plan removed mid-run.
+fn run_consensus<P: Protocol>(
+    protocol: &P,
+    kg: &KnowledgeGraph,
+    faulty: &ProcessSet,
+    config: &EndToEndConfig,
+    seed: u64,
+) -> (Phase, Simulation<P::Msg>) {
+    let mut sim = seated(protocol, kg, faulty, config, seed);
+    if config.forensics {
+        sim.enable_causal();
+        for i in kg.processes() {
+            if let Some(actor) = sim.actor_as_mut::<P::Actor>(i) {
+                P::enable_provenance(actor);
+            }
+        }
+    }
+    let want_recoveries = config
+        .faults
+        .crashes
+        .iter()
+        .filter(|c| c.recover_at.is_some())
+        .count() as u64;
+    let want_joins = config.churn.joins.len() as u64;
+    let want_leaves = config.churn.leaves.len() as u64;
+    let departing = config.churn.departing();
+    let owing: Vec<ProcessId> = kg
+        .processes()
+        .filter(|i| !faulty.contains(*i) && !departing.contains(*i))
+        .collect();
+    let report = sim.run_while(
+        |s| {
+            s.report().recoveries < want_recoveries
+                || s.report().joins < want_joins
+                || s.report().departures < want_leaves
+                || !owing.iter().all(|&i| {
+                    s.actor_as::<P::Actor>(i)
+                        .is_some_and(|a| P::decision(a).is_some())
+                })
+        },
+        config.max_ticks,
+    );
+    let journals = sim.take_journals();
+    let phase = Phase {
+        decisions: read::<P, _>(&sim, P::decision)
+            .map(Option::flatten)
+            .collect(),
+        report,
+        node_stats: Vec::new(),
+        retransmissions: 0,
+        trace: sim.trace().events().to_vec(),
+        journals,
+        causal: sim.causal().clone(),
+        provenance: read::<P, _>(&sim, P::provenance)
+            .map(Option::unwrap_or_default)
+            .collect(),
+    };
+    (phase, sim)
 }
 
 /// Phase 1: runs Algorithm 3 for every correct process and returns the
@@ -232,72 +328,72 @@ pub fn run_sink_detection_traced(
     faulty: &ProcessSet,
     config: &EndToEndConfig,
 ) -> (Vec<Option<SinkDetection>>, SimReport, Vec<TraceEvent>) {
-    let net = NetworkConfig::partially_synchronous(config.gst, config.delta, config.seed);
-    let mut sim = Simulation::new(kg.clone(), net);
-    if config.trace {
-        sim.enable_trace();
-    }
-    if !config.faults.is_zero() {
-        sim.set_fault_plan(config.faults.clone());
-    }
-    if !config.churn.is_zero() {
-        sim.set_churn_plan(config.churn.clone());
-    }
-    for i in kg.processes() {
-        if faulty.contains(i) {
-            match config.adversary {
-                ScpAdversary::Crash { after } => sim.add_actor(Box::new(CrashActor::new(
-                    SinkDetectorActor::new(kg.pd(i).clone(), f, config.get_sink_mode),
-                    after,
-                ))),
-                ScpAdversary::Echo => sim.add_actor(Box::new(EchoActor::new())),
-                _ => sim.add_actor(Box::new(SilentActor::new())),
-            };
-        } else {
-            let actor = SinkDetectorActor::new(kg.pd(i).clone(), f, config.get_sink_mode);
-            if config.retransmit.enabled() {
-                // The sink detectors predate the fault plane; the wrapper
-                // retrofits lossy-link re-announcement onto them.
-                sim.add_actor(Box::new(ResilientActor::new(
-                    actor,
-                    config.retransmit.clone(),
-                )));
-            } else {
-                sim.add_actor(Box::new(actor));
-            }
-        }
-    }
+    // Nobody decides in this phase, so it runs to quiescence; forensics
+    // never records it.
+    let mut sim = seated(
+        &SdProtocol::new(kg, f, config),
+        kg,
+        faulty,
+        config,
+        config.seed,
+    );
     let report = sim.run_until_quiet(config.max_ticks);
+    // A crash seat's detection counts too: it feeds the slices its SCP
+    // node runs with until its own crash point.
     let detections = kg
         .processes()
         .map(|i| {
             sim.actor_as::<SinkDetectorActor>(i)
-                .and_then(SinkDetectorActor::detection)
                 .or_else(|| {
                     sim.actor_as::<CrashActor<SinkDetectorActor>>(i)
-                        .and_then(|c| c.inner().detection())
+                        .map(CrashActor::inner)
                 })
                 .or_else(|| {
                     sim.actor_as::<ResilientActor<SdMsg, SinkDetectorActor>>(i)
-                        .and_then(|r| r.inner().detection())
+                        .map(ResilientActor::inner)
                 })
+                .and_then(SinkDetectorActor::detection)
         })
         .collect();
     let trace = sim.trace().events().to_vec();
     (detections, report, trace)
 }
 
-/// Everything observable from the SCP phase of a pipeline run.
+/// Algorithm 2 applied to every detection of phase 1 (the empty family
+/// where a process detected nothing).
+pub fn slices_from_detections(detections: &[Option<SinkDetection>], f: usize) -> Vec<SliceFamily> {
+    detections
+        .iter()
+        .map(|d| match d {
+            Some(d) => build_slices(d, f),
+            None => SliceFamily::empty(),
+        })
+        .collect()
+}
+
+/// The negative pipeline's slices: `strategy` applied to every `PD_i`.
+pub fn local_slices(
+    kg: &KnowledgeGraph,
+    f: usize,
+    strategy: LocalSliceStrategy,
+) -> Vec<SliceFamily> {
+    kg.processes()
+        .map(|i| strategy.build(kg.pd(i), f))
+        .collect()
+}
+
+/// Everything observable from the consensus phase of a run.
 #[derive(Debug, Clone)]
-pub struct ScpPhase {
-    /// Externalized values (`None` if undecided, and for faulty
-    /// processes).
+pub struct Phase {
+    /// Decided values (`None` if undecided, and for faulty processes).
     pub decisions: Vec<Option<Value>>,
     /// Simulator metrics of the phase.
     pub report: SimReport,
-    /// Per-node message/ballot counters (defaults for faulty/non-SCP
-    /// actors).
+    /// Per-node SCP message/ballot counters (defaults for faulty/non-SCP
+    /// actors; empty for protocols without an SCP phase).
     pub node_stats: Vec<NodeStats>,
+    /// Messages re-sent by the correct actors' retransmission layer.
+    pub retransmissions: u64,
     /// Event trace (empty unless [`EndToEndConfig::trace`]).
     pub trace: Vec<TraceEvent>,
     /// Per-process durable journals.
@@ -308,6 +404,9 @@ pub struct ScpPhase {
     /// [`EndToEndConfig::forensics`]).
     pub provenance: Vec<ProvenanceLog>,
 }
+
+/// The [`Phase`] of an SCP run.
+pub type ScpPhase = Phase;
 
 /// Phases 2–3: builds slices from the detections (Algorithm 2) and runs
 /// SCP to externalization.
@@ -334,114 +433,58 @@ pub fn run_scp_with_slices_observed(
     inputs: &[Value],
     config: &EndToEndConfig,
 ) -> ScpPhase {
-    let net = NetworkConfig::partially_synchronous(config.gst, config.delta, config.seed ^ 0x5eed);
-    let mut sim = Simulation::new(kg.clone(), net);
-    if config.trace {
-        sim.enable_trace();
-    }
-    if !config.faults.is_zero() {
-        sim.set_fault_plan(config.faults.clone());
-    }
-    if !config.churn.is_zero() {
-        sim.set_churn_plan(config.churn.clone());
-    }
-    for i in kg.processes() {
-        if faulty.contains(i) {
-            match config.adversary {
-                ScpAdversary::Silent => sim.add_actor(Box::new(SilentActor::new())),
-                ScpAdversary::Equivocate => sim.add_actor(Box::new(EquivocatingScpNode::new(
-                    (u64::MAX - 1, u64::MAX),
-                    SliceFamily::explicit([ProcessSet::singleton(i)]),
-                ))),
-                ScpAdversary::ForgedSlice => sim.add_actor(Box::new(EquivocatingScpNode::new(
-                    (u64::MAX - 2, u64::MAX - 2),
-                    SliceFamily::explicit([ProcessSet::singleton(i)]),
-                ))),
-                ScpAdversary::Echo => sim.add_actor(Box::new(EchoActor::new())),
-                ScpAdversary::Crash { after } => {
-                    // Correct-then-fail-stop: runs real SCP with its own
-                    // slices until the crash point.
-                    let scp_config = ScpConfig::new(slices[i.index()].clone(), inputs[i.index()]);
-                    sim.add_actor(Box::new(CrashActor::new(ScpNode::new(scp_config), after)))
-                }
-            };
-        } else {
-            let mut scp_config = ScpConfig::new(slices[i.index()].clone(), inputs[i.index()]);
-            scp_config.retransmit = config.retransmit.clone();
-            sim.add_actor(Box::new(ScpNode::new(scp_config)));
+    let protocol = ScpProtocol::new(&slices, inputs, config);
+    let (mut phase, sim) = run_consensus(&protocol, kg, faulty, config, config.seed ^ 0x5eed);
+    phase.node_stats = read::<ScpProtocol, _>(&sim, |node| *node.stats())
+        .map(Option::unwrap_or_default)
+        .collect();
+    phase.retransmissions = phase.node_stats.iter().map(|s| s.retransmissions).sum();
+    phase
+}
+
+/// The BFT-CUP baseline (Theorem 1) on the same graph, inputs and
+/// configuration as the Stellar pipelines: discovery + quorum consensus
+/// in the sink, dissemination to the outside. `stale_joiner` seats the
+/// misconfiguration exhibit of [`BftProtocol::stale_joiner`].
+pub fn run_bftcup(
+    kg: &KnowledgeGraph,
+    f: usize,
+    faulty: &ProcessSet,
+    config: &EndToEndConfig,
+    stale_joiner: Option<ProcessId>,
+) -> Phase {
+    let inputs = inputs_of(config, kg.n());
+    let mut protocol = BftProtocol::new(kg, f, &inputs, config);
+    protocol.stale_joiner = stale_joiner;
+    let (mut phase, sim) = run_consensus(&protocol, kg, faulty, config, config.seed);
+    phase.retransmissions = read::<BftProtocol, _>(&sim, |actor| actor.retransmissions())
+        .flatten()
+        .sum();
+    phase
+}
+
+impl Outcome {
+    fn new(
+        faulty: &ProcessSet,
+        inputs: Vec<Value>,
+        knowledge: (Vec<Option<SinkDetection>>, SimReport, Vec<TraceEvent>),
+        scp: ScpPhase,
+    ) -> Outcome {
+        let (detections, sd_report, sd_trace) = knowledge;
+        Outcome {
+            faulty: faulty.clone(),
+            inputs,
+            detections,
+            decisions: scp.decisions,
+            sd_report,
+            scp_report: scp.report,
+            node_stats: scp.node_stats,
+            sd_trace,
+            scp_trace: scp.trace,
+            scp_journals: scp.journals,
+            scp_causal: scp.causal,
+            scp_provenance: scp.provenance,
         }
-    }
-    if config.forensics {
-        sim.enable_causal();
-        for i in kg.processes() {
-            if let Some(node) = sim.actor_as_mut::<ScpNode>(i) {
-                node.enable_provenance();
-            }
-        }
-    }
-    let correct: Vec<ProcessId> = kg.processes().filter(|i| !faulty.contains(*i)).collect();
-    // A crash–recover cycle must actually execute (and the recovered node
-    // rejoin) before the phase may stop — otherwise early decisions would
-    // skip the very fault the scenario schedules.
-    let want_recoveries = config
-        .faults
-        .crashes
-        .iter()
-        .filter(|c| c.recover_at.is_some())
-        .count() as u64;
-    // Departing processes owe no decision: waiting on them would burn the
-    // whole tick budget on a node the churn plan removed mid-run. But like
-    // recoveries, planned churn must actually execute before the phase may
-    // stop on all-decided — a leave scheduled after the last decision would
-    // otherwise silently never happen.
-    let departing = config.churn.departing();
-    let want_joins = config.churn.joins.len() as u64;
-    let want_leaves = config.churn.leaves.len() as u64;
-    let report = sim.run_while(
-        |s| {
-            s.report().recoveries < want_recoveries
-                || s.report().joins < want_joins
-                || s.report().departures < want_leaves
-                || !correct
-                    .iter()
-                    .filter(|i| !departing.contains(**i))
-                    .all(|&i| {
-                        s.actor_as::<ScpNode>(i)
-                            .is_some_and(|n| n.externalized().is_some())
-                    })
-        },
-        config.max_ticks,
-    );
-    let decisions = kg
-        .processes()
-        .map(|i| sim.actor_as::<ScpNode>(i).and_then(ScpNode::externalized))
-        .collect();
-    let node_stats = kg
-        .processes()
-        .map(|i| {
-            sim.actor_as::<ScpNode>(i)
-                .map(|n| *n.stats())
-                .unwrap_or_default()
-        })
-        .collect();
-    let trace = sim.trace().events().to_vec();
-    let journals = kg.processes().map(|i| sim.journal(i).clone()).collect();
-    let provenance = kg
-        .processes()
-        .map(|i| {
-            sim.actor_as::<ScpNode>(i)
-                .map(|n| n.provenance().clone())
-                .unwrap_or_default()
-        })
-        .collect();
-    ScpPhase {
-        decisions,
-        report,
-        node_stats,
-        trace,
-        journals,
-        causal: sim.causal().clone(),
-        provenance,
     }
 }
 
@@ -453,33 +496,11 @@ pub fn run_end_to_end(
     faulty: &ProcessSet,
     config: &EndToEndConfig,
 ) -> Outcome {
-    let inputs = config
-        .inputs
-        .clone()
-        .unwrap_or_else(|| default_inputs(kg.n()));
-    let (detections, sd_report, sd_trace) = run_sink_detection_traced(kg, f, faulty, config);
-    let slices: Vec<SliceFamily> = detections
-        .iter()
-        .map(|d| match d {
-            Some(d) => build_slices(d, f),
-            None => SliceFamily::empty(),
-        })
-        .collect();
+    let inputs = inputs_of(config, kg.n()).into_owned();
+    let knowledge = run_sink_detection_traced(kg, f, faulty, config);
+    let slices = slices_from_detections(&knowledge.0, f);
     let scp = run_scp_with_slices_observed(kg, faulty, slices, &inputs, config);
-    Outcome {
-        faulty: faulty.clone(),
-        inputs,
-        detections,
-        decisions: scp.decisions,
-        sd_report,
-        scp_report: scp.report,
-        node_stats: scp.node_stats,
-        sd_trace,
-        scp_trace: scp.trace,
-        scp_journals: scp.journals,
-        scp_causal: scp.causal,
-        scp_provenance: scp.provenance,
-    }
+    Outcome::new(faulty, inputs, knowledge, scp)
 }
 
 /// The negative pipeline (Theorem 2 / Corollary 1 in execution): local
@@ -491,29 +512,11 @@ pub fn run_local_slices_pipeline(
     strategy: LocalSliceStrategy,
     config: &EndToEndConfig,
 ) -> Outcome {
-    let inputs = config
-        .inputs
-        .clone()
-        .unwrap_or_else(|| default_inputs(kg.n()));
-    let slices: Vec<SliceFamily> = kg
-        .processes()
-        .map(|i| strategy.build(kg.pd(i), f))
-        .collect();
+    let inputs = inputs_of(config, kg.n()).into_owned();
+    let slices = local_slices(kg, f, strategy);
     let scp = run_scp_with_slices_observed(kg, faulty, slices, &inputs, config);
-    Outcome {
-        faulty: faulty.clone(),
-        inputs,
-        detections: vec![None; kg.n()],
-        decisions: scp.decisions,
-        sd_report: SimReport::default(),
-        scp_report: scp.report,
-        node_stats: scp.node_stats,
-        sd_trace: Vec::new(),
-        scp_trace: scp.trace,
-        scp_journals: scp.journals,
-        scp_causal: scp.causal,
-        scp_provenance: scp.provenance,
-    }
+    let no_knowledge = (vec![None; kg.n()], SimReport::default(), Vec::new());
+    Outcome::new(faulty, inputs, no_knowledge, scp)
 }
 
 #[cfg(test)]

@@ -11,12 +11,12 @@
 //! (the paper's model assumption) and each slot is an independent consensus
 //! instance, like Stellar's slot-per-ledger design.
 
-use scup_fbqs::SliceFamily;
 use scup_graph::{KnowledgeGraph, ProcessId, ProcessSet};
 use scup_scp::Value;
 
-use crate::build_slices::build_slices;
-use crate::consensus::{run_scp_with_slices, run_sink_detection, EndToEndConfig};
+use crate::consensus::{
+    run_scp_with_slices, run_sink_detection, slices_from_detections, EndToEndConfig,
+};
 
 /// A block of the replicated ledger.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -133,13 +133,7 @@ pub fn run_ledger(
     config: &EndToEndConfig,
 ) -> LedgerOutcome {
     let (detections, sd_report) = run_sink_detection(kg, f, faulty, config);
-    let slices: Vec<SliceFamily> = detections
-        .iter()
-        .map(|d| match d {
-            Some(d) => build_slices(d, f),
-            None => SliceFamily::empty(),
-        })
-        .collect();
+    let slices = slices_from_detections(&detections, f);
 
     let mut total_messages = sd_report.messages_sent;
     let mut chains: Vec<Option<Vec<Block>>> = kg

@@ -24,9 +24,13 @@
 //! - [`build_slices`](mod@build_slices) — Algorithm 2: slices from the sink
 //!   detector output;
 //! - [`theorems`] — every theorem of the paper as an executable check;
+//! - [`roster`] — who stands at process `i`: one protocol description
+//!   per wire type and the one function that seats correct actors and
+//!   Byzantine behaviours, for the sampler and the explorer alike;
 //! - [`consensus`] — the end-to-end pipeline: discover the sink, build
 //!   slices, run SCP; with the knowledge-increasing phase the paper's
-//!   conclusion calls for;
+//!   conclusion calls for — and the BFT-CUP baseline through the same
+//!   sampled phase runner;
 //! - [`ledger`] — the paper's future-work direction prototyped: a
 //!   hash-chained multi-slot ledger where the knowledge-increasing phase
 //!   runs once and the Algorithm-2 slices are reused across SCP slots;
@@ -59,6 +63,7 @@ pub mod explore_stack;
 pub mod ledger;
 pub mod oracle;
 pub mod report;
+pub mod roster;
 pub mod sink_detector;
 pub mod theorems;
 

@@ -5,55 +5,14 @@
 //! [`scup_scp::node::EquivocatingScpNode`],
 //! [`scup_cup::bftcup::EquivocatingLeader`], …). This module unifies them
 //! behind one protocol-agnostic [`AdversaryKind`] plus a name registry, so
-//! scenario files can say `adversary = "equivocate"` and every protocol
-//! driver maps the kind to its own actor.
+//! scenario files can say `adversary = "equivocate"` and the roster
+//! ([`stellar_cup::roster`]) maps the kind to each protocol's own actor.
 
 use std::collections::BTreeMap;
 
-use stellar_cup::consensus::ScpAdversary;
-
-/// A protocol-agnostic Byzantine behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdversaryKind {
-    /// Never send anything (the Lemma-2 behaviour; subsumes crashes in an
-    /// asynchronous analysis).
-    Silent,
-    /// Behave correctly, then fail-stop after `after` message deliveries.
-    Crash {
-        /// Deliveries before the stop.
-        after: u64,
-    },
-    /// Reflect every received message to every known process.
-    Echo,
-    /// Send conflicting protocol values to different processes.
-    Equivocate,
-    /// Participate consistently but advertise forged (self-only) quorum
-    /// slices; in slice-free protocols this degrades to equivocation.
-    ForgedSlice,
-}
-
-impl AdversaryKind {
-    /// Maps the kind onto the Stellar pipeline's adversary configuration.
-    pub fn to_scp(self) -> ScpAdversary {
-        match self {
-            AdversaryKind::Silent => ScpAdversary::Silent,
-            AdversaryKind::Crash { after } => ScpAdversary::Crash { after },
-            AdversaryKind::Echo => ScpAdversary::Echo,
-            AdversaryKind::Equivocate => ScpAdversary::Equivocate,
-            AdversaryKind::ForgedSlice => ScpAdversary::ForgedSlice,
-        }
-    }
-
-    /// `true` when the behaviour cannot inject values of its own, so the
-    /// validity oracle ("the decided value was proposed by a correct
-    /// process") is a sound requirement.
-    pub fn preserves_validity(self) -> bool {
-        match self {
-            AdversaryKind::Silent | AdversaryKind::Crash { .. } | AdversaryKind::Echo => true,
-            AdversaryKind::Equivocate | AdversaryKind::ForgedSlice => false,
-        }
-    }
-}
+/// A protocol-agnostic Byzantine behaviour — the roster's enum, so the
+/// kind a scenario file names is the kind every host seats.
+pub use stellar_cup::roster::AdversaryKind;
 
 /// A named, documented adversary strategy.
 #[derive(Debug, Clone)]

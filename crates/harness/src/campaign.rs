@@ -25,7 +25,7 @@ use crate::json::Json;
 use crate::oracle::{self, InvariantReport};
 use crate::protocol;
 use crate::scenario::Scenario;
-use crate::topology;
+use crate::system::System;
 
 /// How a campaign executes its scenarios.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -180,19 +180,14 @@ impl Campaign {
             })
             .collect();
 
-        let threads = if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-                .min(specs.len().max(1))
-        } else {
-            self.threads
-        };
-
         // Strided batches: worker `w` runs specs `w, w + T, w + 2T, …` into its
         // own vector; records are re-slotted by spec index afterwards, so
         // the report is byte-identical whatever the thread count.
-        let threads = threads.max(1);
+        let threads = if self.threads == 0 {
+            worker_threads(0).min(specs.len().max(1))
+        } else {
+            self.threads
+        };
         let counter = ProgressCounter::new();
         let ticker = progress.then(|| {
             Ticker::spawn(
@@ -241,6 +236,29 @@ impl Campaign {
             wall_micros: started.elapsed().as_micros() as u64,
         }
     }
+}
+
+/// The worker count a campaign's `threads` setting asks for: itself, or
+/// one per available CPU when it is `0`.
+pub fn worker_threads(requested: usize) -> usize {
+    if requested == 0 {
+        std::thread::available_parallelism().map_or(1, |p| p.get())
+    } else {
+        requested
+    }
+}
+
+/// Renders a caught panic as a configuration error. Topology generators
+/// assert their parameter contracts (e.g. `scale_free needs n >= m + 1`);
+/// a typo in one scenario must become that record's error, not abort the
+/// whole campaign process.
+pub fn configuration_panic(payload: Box<dyn std::any::Any + Send>) -> String {
+    let msg = payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string());
+    format!("configuration panic: {msg}")
 }
 
 /// Executes one `(scenario, seed)` run.
@@ -292,32 +310,13 @@ pub fn run_one(scenario: &Scenario, seed: u64, registry: &AdversaryRegistry) -> 
         error: None,
     };
 
-    let adversary = match registry.resolve(&scenario.adversary) {
-        Ok(kind) => kind,
-        Err(e) => {
-            record.error = Some(e);
-            record.wall_micros = started.elapsed().as_micros() as u64;
-            return record;
-        }
-    };
-
-    // Generators assert their parameter contracts (e.g. `scale_free needs
-    // n >= m + 1`); a typo in one scenario must become that run's error,
-    // not abort the whole campaign process.
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_configured(scenario, seed, adversary, &mut record)
+        run_configured(scenario, seed, registry, &mut record)
     }));
     match outcome {
         Ok(Ok(())) => {}
         Ok(Err(e)) => record.error = Some(e),
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            record.error = Some(format!("configuration panic: {msg}"));
-        }
+        Err(payload) => record.error = Some(configuration_panic(payload)),
     }
     record.wall_micros = started.elapsed().as_micros() as u64;
     record
@@ -326,32 +325,15 @@ pub fn run_one(scenario: &Scenario, seed: u64, registry: &AdversaryRegistry) -> 
 fn run_configured(
     scenario: &Scenario,
     seed: u64,
-    adversary: crate::adversary::AdversaryKind,
+    registry: &AdversaryRegistry,
     record: &mut RunRecord,
 ) -> Result<(), String> {
-    let (kg, generated) = topology::instantiate(&scenario.topology, scenario.f, seed);
+    let system = System::of(scenario, seed, registry)?;
+    let (kg, faulty, plan) = (&system.kg, &system.faulty, &system.config.faults);
+    let adversary = system.config.adversary;
     record.n = kg.n();
-
-    let faulty = topology::place_faults(&scenario.faults, &kg, generated, seed)?;
     record.faulty = faulty.iter().map(|p| p.as_u32()).collect();
-
-    let plan = scenario.fault_plan.to_plan();
-    plan.validate(kg.n())?;
-    // The simulator's installer panics on a bad plan; validating here turns
-    // an out-of-range churn id into this run's error record instead.
-    scenario.churn.to_plan(&kg).validate(kg.n())?;
-    let output = protocol::execute(
-        scenario.protocol,
-        &kg,
-        scenario.f,
-        &faulty,
-        adversary,
-        &scenario.network,
-        &scenario.fault_plan,
-        &scenario.churn,
-        scenario.resolved_inputs(kg.n()),
-        seed,
-    );
+    let (output, _, _) = protocol::execute_observed(&system);
 
     // Graceful degradation: a plan that heals (or injects nothing) must
     // still terminate; an unhealed plan only owes safety. Churn itself
@@ -360,9 +342,9 @@ fn run_configured(
     let termination_required = plan.is_zero() || plan.heal_tick().is_some();
     let departed = scenario.churn.departed();
     let invariants = oracle::evaluate_churned(
-        &kg,
+        kg,
         scenario.f,
-        &faulty,
+        faulty,
         &departed,
         &output.inputs,
         &output.decisions,

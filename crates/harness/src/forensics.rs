@@ -28,9 +28,9 @@ use scup_scp::Value;
 use crate::adversary::AdversaryRegistry;
 use crate::campaign::{Campaign, CampaignReport};
 use crate::json::Json;
-use crate::protocol::ProtocolOutput;
+use crate::protocol::{self, ProtocolOutput};
 use crate::scenario::Scenario;
-use crate::{protocol, topology};
+use crate::system::System;
 
 /// One violating decision walked backward to its provenance roots.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -210,27 +210,11 @@ impl ForensicReport {
     /// forensic capture explains exactly the run that failed — the
     /// sampling loop itself never pays the recording cost.
     pub fn analyze_run(scenario: &Scenario, seed: u64, violations: &[String]) -> Option<Self> {
-        let registry = AdversaryRegistry::builtin();
-        let adversary = registry.resolve(&scenario.adversary).ok()?;
-        let output = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let (kg, generated) = topology::instantiate(&scenario.topology, scenario.f, seed);
-            let faulty = topology::place_faults(&scenario.faults, &kg, generated, seed).ok()?;
-            let (output, _, _) = protocol::execute_observed(
-                scenario.protocol,
-                &kg,
-                scenario.f,
-                &faulty,
-                adversary,
-                &scenario.network,
-                &scenario.fault_plan,
-                &scenario.churn,
-                scenario.resolved_inputs(kg.n()),
-                seed,
-                false,
-                true,
-            );
-            Some(output)
-        }))
+        let output = std::panic::catch_unwind(|| {
+            let mut system = System::of(scenario, seed, &AdversaryRegistry::builtin()).ok()?;
+            system.config.forensics = true;
+            Some(protocol::execute_observed(&system).0)
+        })
         .ok()
         .flatten()?;
         Some(ForensicReport::build(

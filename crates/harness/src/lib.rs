@@ -16,8 +16,14 @@
 //! - [`adversary`] — the strategy registry unifying the per-protocol
 //!   Byzantine actors (silent, crash, echo, equivocate, forged-slice)
 //!   behind one name lookup;
-//! - [`protocol`] — drivers for the positive Stellar pipeline, the
-//!   negative local-slices pipeline, and the BFT-CUP baseline;
+//! - [`system`] — the one `Scenario` → system path: adversary, topology,
+//!   fault placement, lowered and validated plans, inputs, run
+//!   configuration — shared by the sampler, the forensic re-run, the
+//!   Perfetto export and the explorer's setup;
+//! - [`protocol`] — runs an instantiated system through its protocol's
+//!   phases (the positive Stellar pipeline, the negative local-slices
+//!   pipeline, the BFT-CUP baseline), seated by the roster in
+//!   [`stellar_cup::roster`];
 //! - [`oracle`] — agreement / validity / termination invariant oracles
 //!   judged with the `stellar-cup` and `scup-graph` predicates, plus the
 //!   structural premise that makes "must this run succeed?" precise;
@@ -60,6 +66,7 @@ pub mod parse;
 pub mod perfetto;
 pub mod protocol;
 pub mod scenario;
+pub mod system;
 pub mod topology;
 
 pub use adversary::{AdversaryKind, AdversaryRegistry, AdversaryStrategy};
@@ -70,3 +77,4 @@ pub use scenario::{
     ExploreSpec, FaultPlacement, FaultSpec, NetworkSpec, OracleMode, ProtocolSpec, Scenario,
     TopologySpec,
 };
+pub use system::System;

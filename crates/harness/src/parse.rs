@@ -75,11 +75,14 @@ pub fn campaign_from_json(doc: &Json) -> Result<Campaign, String> {
         scenarios.push(scenario_from_json(s).map_err(|e| format!("scenario #{}: {e}", i + 1))?);
     }
     if mode == CampaignMode::Explore {
-        // Knob combinations the explorer does not support fail at load
-        // time, naming the scenario and the offending knob — a generic
-        // per-record error at run time buries the fix.
-        for (doc, s) in scenario_docs.iter().zip(&scenarios) {
-            validate_explore_knobs(doc, s)?;
+        // Keys the explorer does not support fail at load time, naming
+        // the scenario and the offending key — a generic per-record
+        // error at run time buries the fix.
+        for s in &scenarios {
+            let value_injecting = matches!(s.adversary.as_str(), "equivocate" | "forged-slice");
+            if let Some(err) = s.explore_unsupported(value_injecting) {
+                return Err(err);
+            }
         }
     }
     Ok(Campaign {
@@ -88,21 +91,6 @@ pub fn campaign_from_json(doc: &Json) -> Result<Campaign, String> {
         threads,
         scenarios,
     })
-}
-
-/// Rejects explore-mode knob combinations without support, naming the
-/// scenario and the knob. (BFT-CUP scenarios themselves explore fine
-/// since the checker grew full-stack drivers; what remains unsupported
-/// are specific reduction/adversary pairings.)
-fn validate_explore_knobs(_doc: &Json, s: &Scenario) -> Result<(), String> {
-    let value_injecting = matches!(s.adversary.as_str(), "equivocate" | "forged-slice");
-    if let Some(err) = s.explore_discovery_unsupported(value_injecting) {
-        return Err(err);
-    }
-    if let Some(err) = s.preresolve_sink_unsupported() {
-        return Err(err);
-    }
-    Ok(())
 }
 
 /// Scenario keys that configured the explorer's second search discipline

@@ -16,7 +16,8 @@ use scup_sim::TraceEvent;
 
 use crate::adversary::AdversaryRegistry;
 use crate::campaign::Campaign;
-use crate::{protocol, topology};
+use crate::protocol;
+use crate::system::System;
 
 /// Converts one phase's simulator trace to Chrome events on process
 /// track `pid`. Thread `tid = i + 1` is simulated process `i`; ticks
@@ -190,30 +191,13 @@ pub fn trace_seeds(campaign: &Campaign, seed_override: Option<u64>) -> Vec<Chrom
     for (idx, scenario) in campaign.scenarios.iter().enumerate() {
         let pid = idx as u32 + 1;
         let seed = seed_override.unwrap_or(scenario.seed_base);
-        let Ok(adversary) = registry.resolve(&scenario.adversary) else {
-            continue;
-        };
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let (kg, generated) = topology::instantiate(&scenario.topology, scenario.f, seed);
-            let faulty = topology::place_faults(&scenario.faults, &kg, generated, seed).ok()?;
-            Some((
-                kg.n(),
-                protocol::execute_traced(
-                    scenario.protocol,
-                    &kg,
-                    scenario.f,
-                    &faulty,
-                    adversary,
-                    &scenario.network,
-                    &scenario.fault_plan,
-                    &scenario.churn,
-                    scenario.resolved_inputs(kg.n()),
-                    seed,
-                    true,
-                ),
-            ))
+            let mut system = System::of(scenario, seed, &registry).ok()?;
+            system.config.trace = true;
+            let (_, phase1, phase2) = protocol::execute_observed(&system);
+            Some((system.kg.n(), phase1, phase2))
         }));
-        let Ok(Some((n, (_, phase1, phase2)))) = outcome else {
+        let Ok(Some((n, phase1, phase2))) = outcome else {
             continue;
         };
         events.push(ChromeEvent::ProcessName {

@@ -1,20 +1,26 @@
-//! Protocol drivers: one function per [`ProtocolSpec`] that takes a
-//! concrete `(graph, faulty, adversary, network, seed)` and produces the
-//! per-process decision vector the oracles judge.
+//! Protocol execution: one flow that takes an instantiated
+//! [`System`] — or, for callers that bring their own graph, the pieces of
+//! one — through its protocol's phases and produces the per-process
+//! decision vector the oracles judge.
+//!
+//! Nothing here knows an actor type. Who stands at process `i` is the
+//! roster's decision ([`stellar_cup::roster`]); how a phase is dressed,
+//! when it may stop and how it is read out is the sampled phase runner's
+//! ([`stellar_cup::consensus`]); what a scenario means is
+//! [`System::of`]'s. This module picks the phases a [`ProtocolSpec`]
+//! consists of and folds their reports into one [`ProtocolOutput`].
 
 use std::collections::BTreeMap;
 
-use scup_cup::bftcup::{BftConfig, BftCupActor, BftMsg, EquivocatingLeader};
 use scup_graph::{KnowledgeGraph, ProcessId, ProcessSet};
 use scup_obs::causal::{CausalGraph, ProvenanceLog};
 use scup_scp::{NodeStats, Value};
-use scup_sim::adversary::{CrashActor, EchoActor, SilentActor};
-use scup_sim::{NetworkConfig, ProcessStats, Simulation, TraceEvent};
-use stellar_cup::consensus::{self, EndToEndConfig};
-use stellar_cup::sink_detector::GetSinkMode;
+use scup_sim::{Journal, ProcessStats, SimReport, TraceEvent};
+use stellar_cup::consensus::{self, EndToEndConfig, Phase};
 
 use crate::adversary::AdversaryKind;
 use crate::scenario::{ChurnSpec, FaultSpec, NetworkSpec, ProtocolSpec};
+use crate::system::{self, System};
 
 /// What one protocol execution produced.
 #[derive(Debug, Clone)]
@@ -76,8 +82,52 @@ pub struct ProtocolOutput {
     pub provenance: Vec<ProvenanceLog>,
 }
 
-/// Runs one protocol execution. `inputs` must have one proposal per
-/// process (see [`Scenario::resolved_inputs`](crate::Scenario::resolved_inputs)).
+impl ProtocolOutput {
+    /// Folds a run's phases into one output: traffic and fault counters
+    /// sum over the knowledge-increase phase (the default report for
+    /// protocols without one) and the consensus phase; everything else is
+    /// the consensus phase's.
+    fn new(
+        inputs: Vec<Value>,
+        knowledge: SimReport,
+        consensus: Phase,
+        pledge_violations: Vec<String>,
+    ) -> ProtocolOutput {
+        let end_ticks = consensus.report.end_time.ticks();
+        let mut total = knowledge;
+        total.absorb(&consensus.report);
+        ProtocolOutput {
+            inputs,
+            decisions: consensus.decisions,
+            messages_sent: total.messages_sent,
+            messages_delivered: total.messages_delivered,
+            bytes_sent: total.bytes_sent,
+            timers_fired: total.timers_fired,
+            end_ticks,
+            per_process: total.per_process,
+            node_stats: consensus.node_stats,
+            messages_dropped: total.messages_dropped,
+            messages_duplicated: total.messages_duplicated,
+            crashes: total.crashes,
+            recoveries: total.recoveries,
+            retransmissions: consensus.retransmissions,
+            pledge_violations,
+            retransmit_delay_buckets: total.retransmit_delay_buckets,
+            link_drops: total.link_drops,
+            joins: total.joins,
+            departures: total.departures,
+            churn_drops: total.churn_drops,
+            causal: consensus.causal,
+            provenance: consensus.provenance,
+        }
+    }
+}
+
+/// Runs one protocol execution from its pieces. `inputs` must have one
+/// proposal per process (see
+/// [`Scenario::resolved_inputs`](crate::Scenario::resolved_inputs)); the
+/// plans are lowered against `kg` but not validated — [`System::of`]
+/// followed by [`execute_observed`] is the checked path.
 #[allow(clippy::too_many_arguments)] // mirrors the scenario's fields
 pub fn execute(
     protocol: ProtocolSpec,
@@ -91,377 +141,100 @@ pub fn execute(
     inputs: Vec<Value>,
     seed: u64,
 ) -> ProtocolOutput {
-    execute_traced(
-        protocol, kg, f, faulty, adversary, network, fault_plan, churn, inputs, seed, false,
-    )
-    .0
+    let config = system::end_to_end_config(kg, adversary, network, fault_plan, churn, inputs, seed);
+    let stale_joiner = system::stale_joiner(churn, faulty);
+    run(protocol, kg, f, faulty, &config, stale_joiner).0
 }
 
-/// Like [`execute`], but when `trace` is on also returns the simulator
-/// event traces of the two phases (knowledge-increase, consensus) for
-/// Perfetto export. Tracing renders every message payload to a string —
-/// use it for one-off exports, not inside sampling loops. Phase traces
-/// are on independent sim clocks (each phase restarts at tick 0).
-#[allow(clippy::too_many_arguments)] // mirrors the scenario's fields
-pub fn execute_traced(
+/// Runs an instantiated system. Also returns the simulator event traces
+/// of the two phases (knowledge-increase, consensus; empty unless
+/// `system.config.trace`) for Perfetto export — tracing renders every
+/// message payload to a string, so use it for one-off exports, not
+/// inside sampling loops; phase traces are on independent sim clocks
+/// (each phase restarts at tick 0). Under `system.config.forensics` the
+/// output carries the consensus phase's causal event graph and per-node
+/// decision provenance. Neither switch perturbs the schedule: decisions,
+/// reports and traces are bit-identical with forensics on or off.
+pub fn execute_observed(system: &System) -> (ProtocolOutput, Vec<TraceEvent>, Vec<TraceEvent>) {
+    run(
+        system.protocol,
+        &system.kg,
+        system.f,
+        &system.faulty,
+        &system.config,
+        system.stale_joiner,
+    )
+}
+
+fn run(
     protocol: ProtocolSpec,
     kg: &KnowledgeGraph,
     f: usize,
     faulty: &ProcessSet,
-    adversary: AdversaryKind,
-    network: &NetworkSpec,
-    fault_plan: &FaultSpec,
-    churn: &ChurnSpec,
-    inputs: Vec<Value>,
-    seed: u64,
-    trace: bool,
+    config: &EndToEndConfig,
+    stale_joiner: Option<ProcessId>,
 ) -> (ProtocolOutput, Vec<TraceEvent>, Vec<TraceEvent>) {
-    execute_observed(
-        protocol, kg, f, faulty, adversary, network, fault_plan, churn, inputs, seed, trace, false,
-    )
-}
-
-/// Like [`execute_traced`], with an additional `forensics` switch that
-/// records the consensus phase's causal event graph and per-node
-/// decision provenance into the output. Forensics never perturbs the
-/// schedule: a forensics-on run produces bit-identical decisions,
-/// reports, and traces to a forensics-off run.
-#[allow(clippy::too_many_arguments)] // mirrors the scenario's fields
-pub fn execute_observed(
-    protocol: ProtocolSpec,
-    kg: &KnowledgeGraph,
-    f: usize,
-    faulty: &ProcessSet,
-    adversary: AdversaryKind,
-    network: &NetworkSpec,
-    fault_plan: &FaultSpec,
-    churn: &ChurnSpec,
-    inputs: Vec<Value>,
-    seed: u64,
-    trace: bool,
-    forensics: bool,
-) -> (ProtocolOutput, Vec<TraceEvent>, Vec<TraceEvent>) {
+    let inputs = config
+        .inputs
+        .as_deref()
+        .expect("a run's configuration carries its inputs");
     debug_assert_eq!(inputs.len(), kg.n());
-    match protocol {
+    let scp = |slices| consensus::run_scp_with_slices_observed(kg, faulty, slices, inputs, config);
+    let (knowledge, knowledge_trace, mut phase) = match protocol {
         ProtocolSpec::StellarMinimal => {
-            let mut config = pipeline_config(adversary, network, fault_plan, inputs, seed);
-            config.trace = trace;
-            config.forensics = forensics;
-            config.churn = churn.to_plan(kg);
-            let outcome = consensus::run_end_to_end(kg, f, faulty, &config);
-            let mut combined = outcome.sd_report.clone();
-            combined.absorb(&outcome.scp_report);
-            let retransmissions = outcome.node_stats.iter().map(|s| s.retransmissions).sum();
-            let pledge_violations = scp_pledge_violations(kg, faulty, &outcome.scp_journals);
-            let output = ProtocolOutput {
-                inputs: outcome.inputs,
-                decisions: outcome.decisions,
-                messages_sent: combined.messages_sent,
-                messages_delivered: combined.messages_delivered,
-                bytes_sent: combined.bytes_sent,
-                timers_fired: combined.timers_fired,
-                end_ticks: outcome.scp_report.end_time.ticks(),
-                per_process: combined.per_process,
-                node_stats: outcome.node_stats,
-                messages_dropped: combined.messages_dropped,
-                messages_duplicated: combined.messages_duplicated,
-                crashes: combined.crashes,
-                recoveries: combined.recoveries,
-                retransmissions,
-                pledge_violations,
-                retransmit_delay_buckets: combined.retransmit_delay_buckets,
-                link_drops: combined.link_drops,
-                joins: combined.joins,
-                departures: combined.departures,
-                churn_drops: combined.churn_drops,
-                causal: outcome.scp_causal,
-                provenance: outcome.scp_provenance,
-            };
-            (output, outcome.sd_trace, outcome.scp_trace)
+            let (detections, report, trace) =
+                consensus::run_sink_detection_traced(kg, f, faulty, config);
+            let slices = consensus::slices_from_detections(&detections, f);
+            (report, trace, scp(slices))
         }
-        ProtocolSpec::StellarLocal(strategy) => {
-            let mut config = pipeline_config(adversary, network, fault_plan, inputs, seed);
-            config.trace = trace;
-            config.forensics = forensics;
-            config.churn = churn.to_plan(kg);
-            let outcome = consensus::run_local_slices_pipeline(kg, f, faulty, strategy, &config);
-            let retransmissions = outcome.node_stats.iter().map(|s| s.retransmissions).sum();
-            let pledge_violations = scp_pledge_violations(kg, faulty, &outcome.scp_journals);
-            let output = ProtocolOutput {
-                inputs: outcome.inputs,
-                decisions: outcome.decisions,
-                messages_sent: outcome.scp_report.messages_sent,
-                messages_delivered: outcome.scp_report.messages_delivered,
-                bytes_sent: outcome.scp_report.bytes_sent,
-                timers_fired: outcome.scp_report.timers_fired,
-                end_ticks: outcome.scp_report.end_time.ticks(),
-                per_process: outcome.scp_report.per_process.clone(),
-                node_stats: outcome.node_stats,
-                messages_dropped: outcome.scp_report.messages_dropped,
-                messages_duplicated: outcome.scp_report.messages_duplicated,
-                crashes: outcome.scp_report.crashes,
-                recoveries: outcome.scp_report.recoveries,
-                retransmissions,
-                pledge_violations,
-                retransmit_delay_buckets: outcome.scp_report.retransmit_delay_buckets.clone(),
-                link_drops: outcome.scp_report.link_drops.clone(),
-                joins: outcome.scp_report.joins,
-                departures: outcome.scp_report.departures,
-                churn_drops: outcome.scp_report.churn_drops,
-                causal: outcome.scp_causal,
-                provenance: outcome.scp_provenance,
-            };
-            (output, Vec::new(), outcome.scp_trace)
-        }
-        ProtocolSpec::BftCup => {
-            let (output, events) = run_bftcup(
-                kg, f, faulty, adversary, network, fault_plan, churn, inputs, seed, trace,
-                forensics,
-            );
-            (output, Vec::new(), events)
-        }
-    }
-}
-
-/// Re-reads each correct process's SCP journal through the durability
-/// oracle, prefixing findings with the process id.
-fn scp_pledge_violations(
-    kg: &KnowledgeGraph,
-    faulty: &ProcessSet,
-    journals: &[scup_sim::MemJournal],
-) -> Vec<String> {
-    kg.processes()
+        ProtocolSpec::StellarLocal(strategy) => (
+            SimReport::default(),
+            Vec::new(),
+            scp(consensus::local_slices(kg, f, strategy)),
+        ),
+        ProtocolSpec::BftCup => (
+            SimReport::default(),
+            Vec::new(),
+            consensus::run_bftcup(kg, f, faulty, config, stale_joiner),
+        ),
+    };
+    // The durability oracle: each correct process's journal re-read for
+    // pledges a crash–recovery cycle made it betray.
+    let contradictions: fn(&dyn Journal) -> Vec<String> = match protocol {
+        ProtocolSpec::BftCup => scup_cup::bftcup::journal_contradictions,
+        _ => scup_scp::journal_contradictions,
+    };
+    let pledge_violations = kg
+        .processes()
         .filter(|i| !faulty.contains(*i))
         .flat_map(|i| {
-            journals
-                .get(i.index())
-                .map(|j| scup_scp::journal_contradictions(j))
-                .unwrap_or_default()
-                .into_iter()
-                .map(move |v| format!("process {i}: {v}"))
-        })
-        .collect()
-}
-
-fn pipeline_config(
-    adversary: AdversaryKind,
-    network: &NetworkSpec,
-    fault_plan: &FaultSpec,
-    inputs: Vec<Value>,
-    seed: u64,
-) -> EndToEndConfig {
-    EndToEndConfig {
-        seed,
-        gst: network.gst,
-        delta: network.delta,
-        get_sink_mode: GetSinkMode::Direct,
-        adversary: adversary.to_scp(),
-        inputs: Some(inputs),
-        max_ticks: network.max_ticks,
-        trace: false,
-        faults: fault_plan.to_plan(),
-        retransmit: fault_plan.retransmit_config(network),
-        // Callers overwrite with the scenario's plan; the zero default
-        // keeps `pipeline_config` signature-stable.
-        churn: scup_sim::ChurnPlan::default(),
-        forensics: false,
-    }
-}
-
-/// The BFT-CUP baseline (Theorem 1): discovery + quorum consensus in the
-/// sink, dissemination to the outside.
-#[allow(clippy::too_many_arguments)] // mirrors the scenario's fields
-fn run_bftcup(
-    kg: &KnowledgeGraph,
-    f: usize,
-    faulty: &ProcessSet,
-    adversary: AdversaryKind,
-    network: &NetworkSpec,
-    fault_plan: &FaultSpec,
-    churn: &ChurnSpec,
-    inputs: Vec<Value>,
-    seed: u64,
-    trace: bool,
-    forensics: bool,
-) -> (ProtocolOutput, Vec<TraceEvent>) {
-    let net = NetworkConfig::partially_synchronous(network.gst, network.delta, seed);
-    let mut sim: Simulation<BftMsg> = Simulation::new(kg.clone(), net);
-    if trace {
-        sim.enable_trace();
-    }
-    if forensics {
-        sim.enable_causal();
-    }
-    let plan = fault_plan.to_plan();
-    if !plan.is_zero() {
-        sim.set_fault_plan(plan);
-    }
-    let churn_plan = churn.to_plan(kg);
-    // Like planned recoveries below, planned churn must actually execute
-    // before the sim may stop on all-decided: a leave scheduled after the
-    // last decision would otherwise silently never happen, and the
-    // scenario that ran would not be the scenario that was written.
-    let want_joins = churn_plan.joins.len() as u64;
-    let want_leaves = churn_plan.leaves.len() as u64;
-    if !churn_plan.is_zero() {
-        sim.set_churn_plan(churn_plan);
-    }
-    // View timeout must comfortably exceed pre-GST delays or view changes
-    // churn; 500 matches the workspace's experiment binaries.
-    let mut bft_config = BftConfig::new(f, (network.delta * 4).max(500));
-    bft_config.retransmit = fault_plan.retransmit_config(network);
-
-    // The `stale_joiner` exhibit: the first scheduled joiner boots with a
-    // pre-baked decision for a value nobody proposed — a deliberately
-    // misconfigured node the validity oracle must flag under `strong`
-    // (and `external`) validity.
-    let stale = churn
-        .stale_joiner
-        .then(|| churn.joins.first().copied().map(ProcessId::new))
-        .flatten()
-        .filter(|j| !faulty.contains(*j));
-    let unproposed = inputs.iter().copied().max().unwrap_or(0) + 999;
-
-    for i in kg.processes() {
-        if stale == Some(i) {
-            sim.add_actor(Box::new(
-                BftCupActor::new(kg.pd(i).clone(), inputs[i.index()], bft_config.clone())
-                    .with_forced_decision(unproposed),
-            ));
-        } else if faulty.contains(i) {
-            match adversary {
-                AdversaryKind::Silent => sim.add_actor(Box::new(SilentActor::new())),
-                AdversaryKind::Echo => sim.add_actor(Box::new(EchoActor::new())),
-                AdversaryKind::Crash { after } => sim.add_actor(Box::new(CrashActor::new(
-                    BftCupActor::new(kg.pd(i).clone(), inputs[i.index()], bft_config.clone()),
-                    after,
-                ))),
-                // BFT-CUP has no slices to forge; both value-injecting
-                // kinds map to the equivocating leader.
-                AdversaryKind::Equivocate | AdversaryKind::ForgedSlice => sim.add_actor(Box::new(
-                    EquivocatingLeader::new(kg.pd(i).clone(), f, (u64::MAX - 1, u64::MAX)),
-                )),
-            };
-        } else {
-            sim.add_actor(Box::new(BftCupActor::new(
-                kg.pd(i).clone(),
-                inputs[i.index()],
-                bft_config.clone(),
-            )));
-        }
-    }
-
-    if forensics {
-        for i in kg.processes() {
-            if let Some(actor) = sim.actor_as_mut::<BftCupActor>(i) {
-                actor.enable_provenance();
-            }
-        }
-    }
-    let correct: Vec<ProcessId> = kg.processes().filter(|i| !faulty.contains(*i)).collect();
-    // Planned crash–recover cycles must actually run (and the recovered
-    // node rejoin) before the sim may stop on all-decided.
-    let want_recoveries = fault_plan.planned_recoveries();
-    // Departing processes owe no decision — the churn plan removes them
-    // mid-run, so waiting on them would burn the whole tick budget.
-    let departing = churn.departed();
-    let report = sim.run_while(
-        |s| {
-            s.report().recoveries < want_recoveries
-                || s.report().joins < want_joins
-                || s.report().departures < want_leaves
-                || !correct
-                    .iter()
-                    .filter(|i| !departing.contains(**i))
-                    .all(|&i| {
-                        s.actor_as::<BftCupActor>(i)
-                            .is_some_and(|a| a.decision().is_some())
-                    })
-        },
-        network.max_ticks,
-    );
-    let decisions: Vec<Option<Value>> = kg
-        .processes()
-        .map(|i| {
-            sim.actor_as::<BftCupActor>(i)
-                .and_then(BftCupActor::decision)
-        })
-        .collect();
-    let retransmissions = correct
-        .iter()
-        .filter_map(|&i| sim.actor_as::<BftCupActor>(i))
-        .map(BftCupActor::retransmissions)
-        .sum();
-    let pledge_violations: Vec<String> = correct
-        .iter()
-        .flat_map(|&i| {
-            scup_cup::bftcup::journal_contradictions(sim.journal(i))
+            contradictions(&phase.journals[i.index()])
                 .into_iter()
                 .map(move |v| format!("process {i}: {v}"))
         })
         .collect();
-
-    let provenance = kg
-        .processes()
-        .map(|i| {
-            sim.actor_as::<BftCupActor>(i)
-                .map(|a| a.provenance().clone())
-                .unwrap_or_default()
-        })
-        .collect();
-
-    let output = ProtocolOutput {
-        inputs,
-        decisions,
-        messages_sent: report.messages_sent,
-        messages_delivered: report.messages_delivered,
-        bytes_sent: report.bytes_sent,
-        timers_fired: report.timers_fired,
-        end_ticks: report.end_time.ticks(),
-        per_process: report.per_process.clone(),
-        // BFT-CUP has no SCP ballot machinery to count.
-        node_stats: Vec::new(),
-        messages_dropped: report.messages_dropped,
-        messages_duplicated: report.messages_duplicated,
-        crashes: report.crashes,
-        recoveries: report.recoveries,
-        retransmissions,
-        pledge_violations,
-        retransmit_delay_buckets: report.retransmit_delay_buckets.clone(),
-        link_drops: report.link_drops.clone(),
-        joins: report.joins,
-        departures: report.departures,
-        churn_drops: report.churn_drops,
-        causal: sim.causal().clone(),
-        provenance,
-    };
-    let events = sim.trace().events().to_vec();
-    (output, events)
+    let consensus_trace = std::mem::take(&mut phase.trace);
+    let output = ProtocolOutput::new(inputs.to_vec(), knowledge, phase, pledge_violations);
+    (output, knowledge_trace, consensus_trace)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::TopologySpec;
+    use crate::adversary::AdversaryRegistry;
+    use crate::scenario::{FaultPlacement, Scenario, TopologySpec};
     use crate::topology;
     use stellar_cup::attempts::LocalSliceStrategy;
 
+    fn run(scenario: Scenario, seed: u64) -> ProtocolOutput {
+        let system = System::of(&scenario, seed, &AdversaryRegistry::builtin()).unwrap();
+        execute_observed(&system).0
+    }
+
     #[test]
     fn stellar_minimal_on_fig2_decides() {
-        let (kg, _) = topology::instantiate(&TopologySpec::Fig2, 1, 0);
-        let faulty = ProcessSet::from_ids([5]);
-        let out = execute(
-            ProtocolSpec::StellarMinimal,
-            &kg,
-            1,
-            &faulty,
-            AdversaryKind::Silent,
-            &NetworkSpec::default(),
-            &FaultSpec::default(),
-            &ChurnSpec::default(),
-            (0..7).map(|i| 100 + i as Value).collect(),
-            0,
-        );
+        let fig2 = Scenario::builder("fig2").faults(FaultPlacement::Ids(vec![5]));
+        let out = run(fig2.build(), 0);
         for i in 0..7usize {
             if i == 5 {
                 continue;
@@ -491,23 +264,22 @@ mod tests {
         let decided: Vec<Value> = out.decisions.iter().flatten().copied().collect();
         assert_eq!(decided.len(), 8, "all processes decide");
         assert!(decided.windows(2).all(|w| w[0] == w[1]));
+        // The piecewise entry and the instantiated system are one path.
+        let fig1 = Scenario::builder("fig1")
+            .topology(TopologySpec::Fig1)
+            .f(0)
+            .protocol(ProtocolSpec::BftCup);
+        let same = run(fig1.build(), 3);
+        assert_eq!(
+            (out.decisions, out.messages_sent, out.end_ticks),
+            (same.decisions, same.messages_sent, same.end_ticks)
+        );
     }
 
     #[test]
     fn stellar_local_runs() {
-        let (kg, _) = topology::instantiate(&TopologySpec::Fig2, 1, 1);
-        let out = execute(
-            ProtocolSpec::StellarLocal(LocalSliceStrategy::AllButOne),
-            &kg,
-            1,
-            &ProcessSet::new(),
-            AdversaryKind::Silent,
-            &NetworkSpec::default(),
-            &FaultSpec::default(),
-            &ChurnSpec::default(),
-            (0..7).map(|i| 100 + i as Value).collect(),
-            1,
-        );
-        assert_eq!(out.inputs.len(), 7);
+        let local = Scenario::builder("local")
+            .protocol(ProtocolSpec::StellarLocal(LocalSliceStrategy::AllButOne));
+        assert_eq!(run(local.build(), 1).inputs.len(), 7);
     }
 }

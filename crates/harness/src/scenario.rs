@@ -255,21 +255,20 @@ impl FaultSpec {
     /// for unhealed plans, so senders keep trying for a while but
     /// eventually quiesce.
     pub fn retransmit_config(&self, network: &NetworkSpec) -> RetransmitConfig {
-        let plan = self.to_plan();
+        self.retransmit_for(&self.to_plan(), network)
+    }
+
+    /// [`FaultSpec::retransmit_config`] given the already-lowered `plan`.
+    pub(crate) fn retransmit_for(
+        &self,
+        plan: &FaultPlan,
+        network: &NetworkSpec,
+    ) -> RetransmitConfig {
         if !self.retransmit || plan.is_zero() {
             return RetransmitConfig::disabled();
         }
         let heal = plan.heal_tick().unwrap_or(0).max(network.gst);
         RetransmitConfig::covering(heal, network.delta.max(1))
-    }
-
-    /// How many scheduled crash–recover cycles the spec contains.
-    pub fn planned_recoveries(&self) -> u64 {
-        if self.recover_at.is_some() {
-            self.crash.len() as u64
-        } else {
-            0
-        }
     }
 }
 
@@ -632,14 +631,22 @@ impl Scenario {
         }
     }
 
-    /// Why `explore_discovery = true` cannot be explored for this
-    /// scenario, if it cannot: the knob applies to the `stellar-minimal`
-    /// pipeline only, and value-injecting adversaries are unsupported
-    /// (`value_injecting` is the caller's classification — a string match
-    /// at parse time, the resolved `AdversaryKind` at setup time). The
-    /// single source of truth for both the parse-time and the setup-time
-    /// rejection, so the error text cannot drift between entry paths.
-    pub fn explore_discovery_unsupported(&self, value_injecting: bool) -> Option<String> {
+    /// Why this scenario cannot run under `mode = "explore"`, if it
+    /// cannot, naming the scenario and the offending key. The single
+    /// source of truth for the parser (`mode = "explore"` files) and the
+    /// explorer's setup (`--mode explore`, programmatic scenarios), so
+    /// the error text cannot drift between entry paths. `value_injecting`
+    /// is the caller's classification of the adversary — a string match
+    /// at parse time, the resolved `AdversaryKind` at setup time.
+    pub fn explore_unsupported(&self, value_injecting: bool) -> Option<String> {
+        self.explore_discovery_unsupported(value_injecting)
+            .or_else(|| self.preresolve_sink_unsupported())
+            .or_else(|| self.explore_plans_unsupported())
+    }
+
+    /// `explore_discovery = true` applies to the `stellar-minimal`
+    /// pipeline only, and value-injecting adversaries are unsupported.
+    fn explore_discovery_unsupported(&self, value_injecting: bool) -> Option<String> {
         if !self.explore.explore_discovery {
             return None;
         }
@@ -662,11 +669,9 @@ impl Scenario {
         None
     }
 
-    /// Shared validation for the `preresolve_sink` knob: it fixes BFT-CUP
-    /// sink membership ahead of exploration, so it applies to `bft-cup`
-    /// only. Returns the rejection message, or `None` when the
-    /// combination is supported.
-    pub fn preresolve_sink_unsupported(&self) -> Option<String> {
+    /// `preresolve_sink = true` fixes BFT-CUP sink membership ahead of
+    /// exploration, so it applies to `bft-cup` only.
+    fn preresolve_sink_unsupported(&self) -> Option<String> {
         if !self.explore.preresolve_sink {
             return None;
         }
@@ -680,6 +685,30 @@ impl Scenario {
             ));
         }
         None
+    }
+
+    /// The explorer quantifies over schedules, not over timed fault or
+    /// churn plans (they have no untimed counterpart), and its per-state
+    /// safety check judges strong validity only: a scenario setting one
+    /// of these keys would silently explore something other than what it
+    /// asks for.
+    fn explore_plans_unsupported(&self) -> Option<String> {
+        let (key, what) = if !self.fault_plan.to_plan().is_zero() {
+            ("faults", "a fault plan")
+        } else if !self.churn.is_zero() {
+            ("churn", "a churn plan")
+        } else if self.validity != ValidityMode::Strong {
+            ("validity", "a non-`strong` validity mode")
+        } else {
+            return None;
+        };
+        Some(format!(
+            "scenario `{}`: key `{key}` sets {what}, which exploration does not \
+             support (the explorer covers every schedule of the fault-free, \
+             churn-free system under strong validity); remove the key or \
+             sample the scenario",
+            self.name
+        ))
     }
 
     /// Starts building a scenario with defaults (Fig. 2, `f = 1`, silent
@@ -867,15 +896,12 @@ mod tests {
         );
         assert_eq!(plan.partitions.len(), 1);
         assert_eq!(plan.crashes.len(), 2);
-        assert_eq!(spec.planned_recoveries(), 2);
-        // Dropping the recovery makes the plan unhealed — and the spec
-        // reports no planned recoveries.
+        // Dropping the recovery makes the plan unhealed.
         let down_forever = FaultSpec {
             recover_at: None,
             ..spec
         };
         assert_eq!(down_forever.to_plan().heal_tick(), None);
-        assert_eq!(down_forever.planned_recoveries(), 0);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use scup_harness::forensics::{attach_failures, ForensicReport};
 use scup_harness::scenario::{
     FaultPlacement, FaultSpec, NetworkSpec, ProtocolSpec, Scenario, TopologySpec,
 };
-use scup_harness::{protocol, topology, AdversaryRegistry};
+use scup_harness::{protocol, AdversaryRegistry, System};
 use stellar_cup::attempts::LocalSliceStrategy;
 
 /// The split-quorum disaster, sampled: two bridgeless 2-clusters with
@@ -157,25 +157,10 @@ fn forensics_never_changes_the_outcome() {
         .build();
     for scenario in [fig2, split_quorums_bad(), amnesia_pledge()] {
         for seed in [scenario.seed_base, scenario.seed_base + 1] {
-            let adversary = registry.resolve(&scenario.adversary).unwrap();
-            let (kg, generated) = topology::instantiate(&scenario.topology, scenario.f, seed);
-            let faulty = topology::place_faults(&scenario.faults, &kg, generated, seed).unwrap();
-            let run = |forensics: bool| {
-                protocol::execute_observed(
-                    scenario.protocol,
-                    &kg,
-                    scenario.f,
-                    &faulty,
-                    adversary,
-                    &scenario.network,
-                    &scenario.fault_plan,
-                    &scenario.churn,
-                    scenario.resolved_inputs(kg.n()),
-                    seed,
-                    false,
-                    forensics,
-                )
-                .0
+            let mut system = System::of(&scenario, seed, &registry).unwrap();
+            let mut run = |forensics: bool| {
+                system.config.forensics = forensics;
+                protocol::execute_observed(&system).0
             };
             let off = run(false);
             let on = run(true);
@@ -226,25 +211,10 @@ fn equivocation_pairs_are_attributed_in_the_cone() {
         .adversary("equivocate")
         .faults(FaultPlacement::Ids(vec![5]))
         .build();
-    let registry = AdversaryRegistry::builtin();
-    let adversary = registry.resolve(&scenario.adversary).unwrap();
     let seed = 0;
-    let (kg, generated) = topology::instantiate(&scenario.topology, scenario.f, seed);
-    let faulty = topology::place_faults(&scenario.faults, &kg, generated, seed).unwrap();
-    let (output, _, _) = protocol::execute_observed(
-        scenario.protocol,
-        &kg,
-        scenario.f,
-        &faulty,
-        adversary,
-        &scenario.network,
-        &scenario.fault_plan,
-        &scenario.churn,
-        scenario.resolved_inputs(kg.n()),
-        seed,
-        false,
-        true,
-    );
+    let mut system = System::of(&scenario, seed, &AdversaryRegistry::builtin()).unwrap();
+    system.config.forensics = true;
+    let (output, _, _) = protocol::execute_observed(&system);
     assert!(
         !output.causal.equivocations().is_empty(),
         "the equivocator's same-slot splits must be recorded"

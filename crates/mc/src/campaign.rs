@@ -13,7 +13,7 @@
 use std::collections::BTreeSet;
 use std::time::Instant;
 
-use scup_harness::campaign::Campaign;
+use scup_harness::campaign::{configuration_panic, worker_threads, Campaign};
 use scup_harness::forensics::ForensicReport;
 use scup_harness::scenario::ProtocolSpec;
 use scup_harness::{oracle, AdversaryRegistry, OracleMode, Scenario};
@@ -21,7 +21,7 @@ use scup_obs::chrome::{ArgValue, ChromeEvent, TraceBuffer, TraceClock};
 use scup_obs::profile::Phase;
 use scup_sim::TraceEvent;
 
-use crate::build::{BftDriver, Driver, ScpDriver, Setup, StackDriver};
+use crate::build::{Driver, Explored, Setup};
 use crate::explorer::{Class, Engine, StateCapExceeded, WorkerStats};
 use crate::report::{CexReport, ExploreObs, ExploreRecord, ExploreReport};
 use crate::visited::{FpEntry, FpTable};
@@ -108,14 +108,7 @@ pub fn run_explore_campaign_obs(
     let started = Instant::now();
     let clock = TraceClock::start();
     let registry = AdversaryRegistry::builtin();
-    let threads = if campaign.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        campaign.threads
-    }
-    .max(1);
+    let threads = worker_threads(campaign.threads);
 
     let mut events = Vec::new();
     let records = campaign
@@ -238,14 +231,7 @@ pub fn explore_scenario_obs(
     match outcome {
         Ok(Ok(())) => {}
         Ok(Err(e)) => record.error = Some(e),
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            record.error = Some(format!("configuration panic: {msg}"));
-        }
+        Err(payload) => record.error = Some(configuration_panic(payload)),
     }
     record.wall_micros = started.elapsed().as_micros() as u64;
     record
@@ -264,20 +250,26 @@ fn explore_configured(
     record.premise = setup.premise;
     record.variants = setup.variants();
 
-    // Protocol dispatch: one generic exploration, three drivers.
+    // Protocol dispatch: one generic exploration, one driver, three
+    // roster descriptions.
     match (setup.protocol, setup.explore_discovery) {
         (ProtocolSpec::BftCup, _) => {
-            explore_with_driver(&BftDriver::new(&setup), scenario, threads, record, ctx)
+            let driver = Driver::new(&setup, setup.bft());
+            explore_with_driver(&driver, scenario, threads, record, ctx)
         }
         (ProtocolSpec::StellarMinimal, true) => {
-            explore_with_driver(&StackDriver::new(&setup), scenario, threads, record, ctx)
+            let driver = Driver::new(&setup, setup.stack());
+            explore_with_driver(&driver, scenario, threads, record, ctx)
         }
-        _ => explore_with_driver(&ScpDriver::new(&setup), scenario, threads, record, ctx),
+        _ => {
+            let driver = Driver::new(&setup, setup.scp());
+            explore_with_driver(&driver, scenario, threads, record, ctx)
+        }
     }
 }
 
-fn explore_with_driver<D: Driver>(
-    driver: &D,
+fn explore_with_driver<P: Explored>(
+    driver: &Driver<'_, P>,
     scenario: &Scenario,
     threads: usize,
     record: &mut ExploreRecord,
@@ -571,9 +563,9 @@ fn push_phase_spans(
 /// `forensics`, the replay also records the causal event graph and
 /// per-process decision provenance, and the report gains the violation's
 /// causal cone and provenance chains.
-fn render_cex<D: Driver>(
-    driver: &D,
-    engine: &Engine<'_, D>,
+fn render_cex<P: Explored>(
+    driver: &Driver<'_, P>,
+    engine: &Engine<'_, P>,
     variant: u32,
     path: &[u32],
     scenario: &str,
@@ -613,9 +605,9 @@ fn render_cex<D: Driver>(
         &setup.kg,
         setup.f,
         &setup.faulty,
-        &setup.inputs,
+        setup.inputs(),
         &decisions,
-        setup.adversary,
+        setup.config.adversary,
     );
     let violations: Vec<String> = invariants
         .violations

@@ -76,7 +76,7 @@ use scup_obs::profile::{Phase, PhaseProfile};
 use scup_scp::Value;
 use scup_sim::{ExploreSim, SimState};
 
-use crate::build::Driver;
+use crate::build::{Driver, Explored};
 use crate::reduce::Symmetry;
 use crate::visited::{FpEntry, FpTable, Recorded};
 
@@ -192,17 +192,17 @@ impl WorkerStats {
 pub struct StateCapExceeded;
 
 /// One exploration engine over a resolved scenario, generic over the
-/// protocol [`Driver`] (SCP phase, BFT-CUP, or the full stack).
-pub struct Engine<'a, D: Driver> {
-    driver: &'a D,
+/// protocol its [`Driver`] seats (SCP phase, BFT-CUP, or the full stack).
+pub struct Engine<'a, P: Explored> {
+    driver: &'a Driver<'a, P>,
     spec: ExploreSpec,
     symmetry: Symmetry,
 }
 
-impl<'a, D: Driver> Engine<'a, D> {
+impl<'a, P: Explored> Engine<'a, P> {
     /// Creates the engine, computing the scenario's automorphism group
     /// once (identity-only when `spec.symmetry` is off).
-    pub fn new(driver: &'a D, spec: ExploreSpec) -> Self {
+    pub fn new(driver: &'a Driver<'a, P>, spec: ExploreSpec) -> Self {
         let symmetry = if spec.symmetry {
             Symmetry::compute(driver.setup())
         } else {
@@ -225,7 +225,7 @@ impl<'a, D: Driver> Engine<'a, D> {
 
     /// Builds a simulation for `variant` and replays a canonical choice
     /// path: drain absorbed events, fire the recorded choice, repeat.
-    pub fn replay(&self, variant: u32, path: &[u32]) -> ExploreSim<D::Msg> {
+    pub fn replay(&self, variant: u32, path: &[u32]) -> ExploreSim<P::Msg> {
         let mut sim = self.driver.build_sim(variant);
         self.replay_into(&mut sim, path);
         sim
@@ -233,7 +233,7 @@ impl<'a, D: Driver> Engine<'a, D> {
 
     /// Replays a canonical choice path into a caller-prepared simulation
     /// (e.g. one with tracing enabled for counterexample rendering).
-    pub fn replay_into(&self, sim: &mut ExploreSim<D::Msg>, path: &[u32]) {
+    pub fn replay_into(&self, sim: &mut ExploreSim<P::Msg>, path: &[u32]) {
         sim.start();
         for &choice in path {
             self.settle(sim);
@@ -251,7 +251,7 @@ impl<'a, D: Driver> Engine<'a, D> {
     /// every extension, so exploring only the schedule that fires it
     /// immediately covers a representative of every interleaving. Fires
     /// ascend by pending index — deterministic for any worker count.
-    fn settle(&self, sim: &mut ExploreSim<D::Msg>) {
+    fn settle(&self, sim: &mut ExploreSim<P::Msg>) {
         sim.drain_absorbed();
         if !self.spec.eager_inert {
             return;
@@ -261,9 +261,9 @@ impl<'a, D: Driver> Engine<'a, D> {
             for idx in 0..pending {
                 let origin_ok = match sim.pending_at(idx) {
                     scup_sim::ExploreEvent::Deliver { from, msg, .. } => {
-                        let origin = self.driver.msg_origin(*from, msg);
+                        let origin = P::msg_origin(*from, msg);
                         let correct = !self.driver.setup().faulty.contains(origin);
-                        self.driver.inert_origin_ok(correct, msg)
+                        P::inert_origin_ok(correct, msg)
                     }
                     scup_sim::ExploreEvent::Timer { .. } => false,
                 };
@@ -278,7 +278,7 @@ impl<'a, D: Driver> Engine<'a, D> {
     }
 
     /// Classifies the (canonical) current state.
-    fn classify(&self, sim: &ExploreSim<D::Msg>, depth: u32) -> Class {
+    fn classify(&self, sim: &ExploreSim<P::Msg>, depth: u32) -> Class {
         let decisions = self.driver.decisions(sim);
         if self.driver.setup().violates(&decisions) {
             return Class::Violating;
@@ -322,7 +322,7 @@ impl<'a, D: Driver> Engine<'a, D> {
     fn visit_fp(
         &self,
         variant: u32,
-        sim: &ExploreSim<D::Msg>,
+        sim: &ExploreSim<P::Msg>,
         visited: &mut FpTable,
         stats: &mut WorkerStats,
     ) -> Option<Vec<usize>> {
@@ -391,8 +391,8 @@ impl<'a, D: Driver> Engine<'a, D> {
         // Bootstrap: replay every root (the only replays ucs ever does),
         // keep one live sim per variant as the restore target, and seed
         // the first layer with the roots' children.
-        let mut sims: Vec<Option<ExploreSim<D::Msg>>> = Vec::new();
-        let mut layer: Vec<Job<D::Msg>> = Vec::new();
+        let mut sims: Vec<Option<ExploreSim<P::Msg>>> = Vec::new();
+        let mut layer: Vec<Job<P::Msg>> = Vec::new();
         for (variant, path) in roots {
             if visited.len() as u64 > self.spec.max_states {
                 return Err(StateCapExceeded);
@@ -418,7 +418,7 @@ impl<'a, D: Driver> Engine<'a, D> {
         }
 
         while !layer.is_empty() {
-            let mut next: Vec<Job<D::Msg>> = Vec::new();
+            let mut next: Vec<Job<P::Msg>> = Vec::new();
             for job in &layer {
                 if visited.len() as u64 > self.spec.max_states {
                     return Err(StateCapExceeded);
@@ -516,7 +516,7 @@ impl<'a, D: Driver> Engine<'a, D> {
     fn cex_dfs(
         &self,
         variant: u32,
-        sim: &mut ExploreSim<D::Msg>,
+        sim: &mut ExploreSim<P::Msg>,
         d_star: u32,
         visited: &mut HashMap<u128, u32>,
     ) -> Option<Vec<u32>> {
@@ -525,7 +525,7 @@ impl<'a, D: Driver> Engine<'a, D> {
             choices: Vec<usize>,
             next: usize,
         }
-        let enter = |sim: &ExploreSim<D::Msg>,
+        let enter = |sim: &ExploreSim<P::Msg>,
                      visited: &mut HashMap<u128, u32>,
                      path: &[u32]|
          -> Result<Option<Vec<usize>>, Vec<u32>> {

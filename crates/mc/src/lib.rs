@@ -10,8 +10,9 @@
 //! crate closes that gap for small systems:
 //!
 //! - [`build`] resolves any harness [`Scenario`](scup_harness::Scenario)
-//!   (topology family, adversary, protocol) into a concrete roster of
-//!   forkable actors — the knowledge-increase phase runs once,
+//!   (topology family, adversary, protocol) through the sampler's own
+//!   instantiation path and seats it through the sampler's own roster
+//!   ([`stellar_cup::roster`]) — the knowledge-increase phase runs once,
 //!   deterministically, and exploration quantifies over the SCP phase;
 //! - [`explorer`] runs a uniform-cost (min-depth-first) search over
 //!   *canonical* states (powered by [`scup_sim::ExploreSim`]'s
@@ -99,7 +100,7 @@ pub mod reduce;
 pub mod report;
 pub mod visited;
 
-pub use build::{BftDriver, Driver, ScpDriver, Setup, StackDriver};
+pub use build::{Driver, Explored, Setup};
 pub use campaign::{
     explore_scenario, explore_scenario_obs, run_explore_campaign, run_explore_campaign_obs,
     summary, ObsConfig,

@@ -166,7 +166,7 @@ impl Symmetry {
     pub fn compute(setup: &Setup) -> Self {
         let variants = setup.variants();
         let value_injecting = !matches!(
-            setup.adversary,
+            setup.config.adversary,
             AdversaryKind::Silent | AdversaryKind::Crash { .. } | AdversaryKind::Echo
         );
         // BFT-CUP: sink members are pinned (see module docs); no unique
@@ -200,9 +200,12 @@ impl Symmetry {
             if (faulty && value_injecting) || bft_sink.as_ref().is_some_and(|s| s.contains(pid)) {
                 continue;
             }
-            let inputless =
-                faulty && matches!(setup.adversary, AdversaryKind::Silent | AdversaryKind::Echo);
-            let input = (!inputless).then(|| setup.inputs[i]);
+            let inputless = faulty
+                && matches!(
+                    setup.config.adversary,
+                    AdversaryKind::Silent | AdversaryKind::Echo
+                );
+            let input = (!inputless).then(|| setup.inputs()[i]);
             let pd = setup.kg.pd(pid);
             let slice_shape: Vec<u64> = if setup.slices.is_empty() {
                 Vec::new()
@@ -393,7 +396,7 @@ fn orbit_find(parent: &mut [usize], mut x: usize) -> usize {
 /// image process's family.
 fn permutation_ok(setup: &Setup, map: &[u32]) -> bool {
     let value_injecting = !matches!(
-        setup.adversary,
+        setup.config.adversary,
         AdversaryKind::Silent | AdversaryKind::Crash { .. } | AdversaryKind::Echo
     );
     let apply = |p: ProcessId| ProcessId::new(map[p.index()]);
@@ -413,9 +416,12 @@ fn permutation_ok(setup: &Setup, map: &[u32]) -> bool {
         // Silent/echo faulty processes never read their input; everyone
         // else must agree on it (crash adversaries wrap a live node, so
         // inputs matter).
-        let inputless =
-            faulty_u && matches!(setup.adversary, AdversaryKind::Silent | AdversaryKind::Echo);
-        if !inputless && setup.inputs[u] != setup.inputs[image] {
+        let inputless = faulty_u
+            && matches!(
+                setup.config.adversary,
+                AdversaryKind::Silent | AdversaryKind::Echo
+            );
+        if !inputless && setup.inputs()[u] != setup.inputs()[image] {
             return false;
         }
         // Knowledge graph: π(PD(u)) = PD(π(u)).

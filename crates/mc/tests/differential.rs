@@ -31,7 +31,7 @@ use std::collections::{BTreeSet, HashSet, VecDeque};
 
 use scup_harness::scenario::{ExploreSpec, FaultPlacement, ProtocolSpec, Scenario, TopologySpec};
 use scup_harness::AdversaryRegistry;
-use scup_mc::build::{BftDriver, Driver, ScpDriver, Setup, StackDriver};
+use scup_mc::build::{Driver, Explored, Setup};
 use scup_mc::campaign::explore_scenario;
 use scup_mc::ExploreRecord;
 use scup_sim::{ExploreSim, SimState};
@@ -190,20 +190,20 @@ impl Census {
 /// hash (no memo), classified once, and expanded through every entry of
 /// `choices()`. Nothing from the explorer is reused — only the
 /// scenario-to-roster builders.
-fn reference_bfs<D: Driver>(driver: &D, max_steps: u32) -> Census {
+fn reference_bfs<P: Explored>(driver: &Driver<'_, P>, max_steps: u32) -> Census {
     let setup = driver.setup();
     let correct = setup.correct();
     let mut census = Census::default();
     let mut decided_values = BTreeSet::new();
     let mut seen: HashSet<(u32, u128)> = HashSet::new();
-    let mut queue: VecDeque<(u32, u32, SimState<D::Msg>)> = VecDeque::new();
+    let mut queue: VecDeque<(u32, u32, SimState<P::Msg>)> = VecDeque::new();
 
     // Records the state `sim` is in unless it is already known; inner
     // nodes go on the queue.
-    let mut visit = |sim: &ExploreSim<D::Msg>,
+    let mut visit = |sim: &ExploreSim<P::Msg>,
                      variant: u32,
                      depth: u32,
-                     queue: &mut VecDeque<(u32, u32, SimState<D::Msg>)>| {
+                     queue: &mut VecDeque<(u32, u32, SimState<P::Msg>)>| {
         if !seen.insert((variant, sim.state_hash_from_scratch(None))) {
             return;
         }
@@ -227,7 +227,7 @@ fn reference_bfs<D: Driver>(driver: &D, max_steps: u32) -> Census {
         }
     };
 
-    let mut sims: Vec<ExploreSim<D::Msg>> = (0..setup.variants())
+    let mut sims: Vec<ExploreSim<P::Msg>> = (0..setup.variants())
         .map(|variant| driver.build_sim(variant))
         .collect();
     for (variant, sim) in sims.iter_mut().enumerate() {
@@ -257,9 +257,11 @@ fn reference_census(scenario: &Scenario) -> Census {
         .expect("scenario must resolve");
     let max_steps = scenario.explore.max_steps;
     match (setup.protocol, setup.explore_discovery) {
-        (ProtocolSpec::BftCup, _) => reference_bfs(&BftDriver::new(&setup), max_steps),
-        (ProtocolSpec::StellarMinimal, true) => reference_bfs(&StackDriver::new(&setup), max_steps),
-        _ => reference_bfs(&ScpDriver::new(&setup), max_steps),
+        (ProtocolSpec::BftCup, _) => reference_bfs(&Driver::new(&setup, setup.bft()), max_steps),
+        (ProtocolSpec::StellarMinimal, true) => {
+            reference_bfs(&Driver::new(&setup, setup.stack()), max_steps)
+        }
+        _ => reference_bfs(&Driver::new(&setup, setup.scp()), max_steps),
     }
 }
 

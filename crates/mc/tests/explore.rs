@@ -108,6 +108,45 @@ fn exhaustive_pass_on_the_positive_system() {
 }
 
 #[test]
+fn sampling_only_keys_are_an_error_not_a_silent_no_op() {
+    // A fault plan, a churn plan or a non-strong validity mode must fail
+    // an explored scenario, not explore the plain 287-state system and
+    // print `ok`. One validator, two entry paths: the parser for
+    // `mode = "explore"` files, the setup for `--mode explore` and
+    // programmatic scenarios (which bypass the parser's check).
+    let registry = AdversaryRegistry::builtin();
+    let file = |mode: &str, line: &str| {
+        format!(
+            "name = \"x\"\nmode = \"{mode}\"\n[[scenario]]\nname = \"sink2\"\ntopology = \"random-kosr\"\n\
+             sink = 2\nnonsink = 2\nk = 1\nf = 0\nfaulty = [2, 3]\ninputs = [3, 9]\ntimer_budget = 0\n{line}\n"
+        )
+    };
+    for (key, line) in [
+        (
+            "faults",
+            "faults = { loss = 1.0, crash = [0], crash_at = 1 }",
+        ),
+        ("churn", "churn = { leaves = [1], leave_at = 1 }"),
+        ("validity", "validity = \"weak\""),
+    ] {
+        let expect = |err: &str| {
+            assert!(err.contains("`sink2`"), "{err}");
+            assert!(err.contains(&format!("key `{key}`")), "{err}");
+        };
+        expect(&scup_harness::campaign_from_str(&file("explore", line)).unwrap_err());
+        let sampled = scup_harness::campaign_from_str(&file("sample", line)).unwrap();
+        let r = explore_scenario(&sampled.scenarios[0], 1, &registry);
+        expect(r.error.as_deref().expect("the scenario must be rejected"));
+        assert!(!r.passed && r.states == 0);
+    }
+    // The zero plans and the default validity mode explore fine.
+    let zero = file("explore", "faults = {}\nchurn = {}\nvalidity = \"strong\"");
+    let campaign = scup_harness::campaign_from_str(&zero).unwrap();
+    let r = explore_scenario(&campaign.scenarios[0], 1, &registry);
+    assert_eq!((r.error, r.states, r.passed), (None, 287, true));
+}
+
+#[test]
 fn timer_choices_stay_safe_and_exhaustive() {
     let no_timers = explore_scenario(
         &sink2(96, 0, "silent", vec![7]),

@@ -222,6 +222,14 @@ impl<M: SimMessage> Simulation<M> {
         &self.journals[i.index()]
     }
 
+    /// Moves every process's durable journal out of a finished run,
+    /// leaving empty ones behind — the read-out that does not copy the
+    /// records.
+    pub fn take_journals(&mut self) -> Vec<MemJournal> {
+        let empty = vec![MemJournal::new(); self.journals.len()];
+        std::mem::replace(&mut self.journals, empty)
+    }
+
     /// Registers the actor for the next process id (call exactly `n` times,
     /// in id order).
     ///

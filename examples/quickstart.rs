@@ -7,10 +7,8 @@
 //! Run: `cargo run --release --example quickstart`
 
 use scup_fbqs::{cluster, paper, quorum};
-use scup_graph::{generators, sink, ProcessId, ProcessSet};
-use scup_scp::{ScpConfig, ScpNode};
-use scup_sim::adversary::SilentActor;
-use scup_sim::{NetworkConfig, Simulation};
+use scup_graph::{generators, sink, ProcessSet};
+use stellar_cup::consensus::{self, EndToEndConfig};
 
 fn main() {
     // 1. The knowledge connectivity graph of Fig. 1 (0-based ids).
@@ -46,36 +44,27 @@ fn main() {
     );
 
     // 3. Run SCP: 7 correct nodes with the paper's slices, process 8 silent.
-    let mut sim = Simulation::new(kg, NetworkConfig::partially_synchronous(150, 10, 1));
-    for i in 0..7u32 {
-        let i = ProcessId::new(i);
-        sim.add_actor(Box::new(ScpNode::new(ScpConfig::new(
-            sys.slices(i).clone(),
-            40 + i.as_u32() as u64,
-        ))));
-    }
-    sim.add_actor(Box::new(SilentActor::new()));
-    sim.run_while(
-        |s| {
-            !(0..7u32).all(|i| {
-                s.actor_as::<ScpNode>(ProcessId::new(i))
-                    .is_some_and(|n| n.externalized().is_some())
-            })
-        },
-        2_000_000,
-    );
+    let slices = kg.processes().map(|i| sys.slices(i).clone()).collect();
+    let inputs: Vec<u64> = (0..kg.n() as u64).map(|i| 40 + i).collect();
+    let config = EndToEndConfig {
+        seed: 1,
+        ..EndToEndConfig::default()
+    };
+    let (decisions, report) =
+        consensus::run_scp_with_slices(&kg, &paper::fig1_faulty(), slices, &inputs, &config);
 
     let mut value = None;
-    for i in 0..7u32 {
-        let node = sim.actor_as::<ScpNode>(ProcessId::new(i)).unwrap();
-        let v = node
-            .externalized()
-            .expect("every correct node externalizes");
-        println!("node {} externalized {v}", i + 1);
+    for i in w.iter() {
+        let v = decisions[i.index()].expect("every correct node externalizes");
+        println!("node {} externalized {v}", i.as_u32() + 1);
         match value {
             None => value = Some(v),
             Some(prev) => assert_eq!(prev, v, "agreement"),
         }
     }
-    println!("consensus reached on {} in {}", value.unwrap(), sim.now());
+    println!(
+        "consensus reached on {} in {}",
+        value.unwrap(),
+        report.end_time
+    );
 }
