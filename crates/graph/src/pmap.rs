@@ -34,10 +34,14 @@ const MAX_CHUNK: usize = 12;
 /// A persistent sorted map with O(1) clone and path-copying mutation.
 /// See the [module docs](self).
 pub struct PersistentMap<K, V> {
-    /// Sorted, non-empty chunks; keys ascend across and within chunks.
-    chunks: Arc<Vec<Arc<Vec<(K, V)>>>>,
+    /// The spine: sorted, non-empty chunks, each beside a copy of its last
+    /// (largest) key, so locating a key's chunk reads the spine alone.
+    /// Keys ascend across and within chunks.
+    chunks: Arc<Vec<(K, Chunk<K, V>)>>,
     len: usize,
 }
+
+type Chunk<K, V> = Arc<Vec<(K, V)>>;
 
 impl<K, V> Clone for PersistentMap<K, V> {
     fn clone(&self) -> Self {
@@ -77,7 +81,7 @@ impl<K, V> PersistentMap<K, V> {
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> + '_ {
         self.chunks
             .iter()
-            .flat_map(|c| c.iter())
+            .flat_map(|(_, c)| c.iter())
             .map(|(k, v)| (k, v))
     }
 
@@ -99,16 +103,14 @@ impl<K: Ord, V> PersistentMap<K, V> {
         if self.chunks.is_empty() {
             return None;
         }
-        let ci = self
-            .chunks
-            .partition_point(|c| c.last().expect("chunks are non-empty").0 < *key);
+        let ci = self.chunks.partition_point(|(last, _)| last < key);
         Some(ci.min(self.chunks.len() - 1))
     }
 
     /// The value for `key`, if any.
     pub fn get(&self, key: &K) -> Option<&V> {
         let ci = self.chunk_for(key)?;
-        let chunk = &self.chunks[ci];
+        let chunk = &self.chunks[ci].1;
         let i = chunk.binary_search_by(|(k, _)| k.cmp(key)).ok()?;
         Some(&chunk[i].1)
     }
@@ -117,6 +119,15 @@ impl<K: Ord, V> PersistentMap<K, V> {
     pub fn contains_key(&self, key: &K) -> bool {
         self.get(key).is_some()
     }
+
+    /// `true` when every spine key equals its chunk's last key — the
+    /// invariant lookups rely on, exposed for the property tests.
+    #[doc(hidden)]
+    pub fn spine_is_consistent(&self) -> bool {
+        self.chunks
+            .iter()
+            .all(|(last, chunk)| chunk.last().is_some_and(|(k, _)| k == last))
+    }
 }
 
 impl<K: Ord + Clone, V: Clone> PersistentMap<K, V> {
@@ -124,40 +135,68 @@ impl<K: Ord + Clone, V: Clone> PersistentMap<K, V> {
     /// Path-copying: only the spine and the touched chunk are cloned, and
     /// only when shared with another map.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        match self.chunk_for(&key) {
-            None => {
-                Arc::make_mut(&mut self.chunks).push(Arc::new(vec![(key, value)]));
+        let Some(ci) = self.chunk_for(&key) else {
+            self.push_first(key, value);
+            return None;
+        };
+        let chunks = Arc::make_mut(&mut self.chunks);
+        let chunk = Arc::make_mut(&mut chunks[ci].1);
+        match chunk.binary_search_by(|(k, _)| k.cmp(&key)) {
+            Ok(i) => Some(std::mem::replace(&mut chunk[i].1, value)),
+            Err(i) => {
+                chunk.insert(i, (key, value));
                 self.len += 1;
+                Self::settle(chunks, ci);
                 None
             }
-            Some(ci) => {
-                let chunks = Arc::make_mut(&mut self.chunks);
-                let chunk = Arc::make_mut(&mut chunks[ci]);
-                match chunk.binary_search_by(|(k, _)| k.cmp(&key)) {
-                    Ok(i) => Some(std::mem::replace(&mut chunk[i].1, value)),
-                    Err(i) => {
-                        chunk.insert(i, (key, value));
-                        self.len += 1;
-                        if chunk.len() > MAX_CHUNK {
-                            let tail = chunk.split_off(chunk.len() / 2);
-                            chunks.insert(ci + 1, Arc::new(tail));
-                        }
-                        None
-                    }
-                }
-            }
         }
+    }
+
+    /// The first entry of an empty map.
+    fn push_first(&mut self, key: K, value: V) {
+        Arc::make_mut(&mut self.chunks).push((key.clone(), Arc::new(vec![(key, value)])));
+        self.len += 1;
+    }
+
+    /// Restores the spine around the uniquely owned chunk `ci` after an
+    /// entry was inserted into it: splits it in half when over-full, and
+    /// re-reads the last key of each resulting chunk. Returns the split
+    /// point when it split (entries from there on moved to chunk `ci + 1`).
+    fn settle(chunks: &mut Vec<(K, Chunk<K, V>)>, ci: usize) -> Option<usize> {
+        let chunk = Arc::get_mut(&mut chunks[ci].1).expect("made unique by the caller");
+        let mut split = None;
+        if chunk.len() > MAX_CHUNK {
+            let mid = chunk.len() / 2;
+            let tail = chunk.split_off(mid);
+            let tail_last = tail.last().expect("half a chunk").0.clone();
+            chunks.insert(ci + 1, (tail_last, Arc::new(tail)));
+            split = Some(mid);
+        }
+        let (last, chunk) = &mut chunks[ci];
+        let chunk_last = &chunk.last().expect("chunks are non-empty").0;
+        if last != chunk_last {
+            *last = chunk_last.clone();
+        }
+        split
     }
 
     /// Removes `key`; returns its value, if any.
     pub fn remove(&mut self, key: &K) -> Option<V> {
         let ci = self.chunk_for(key)?;
-        let i = self.chunks[ci].binary_search_by(|(k, _)| k.cmp(key)).ok()?;
+        let i = self.chunks[ci]
+            .1
+            .binary_search_by(|(k, _)| k.cmp(key))
+            .ok()?;
         let chunks = Arc::make_mut(&mut self.chunks);
-        let chunk = Arc::make_mut(&mut chunks[ci]);
+        let (last, chunk) = &mut chunks[ci];
+        let chunk = Arc::make_mut(chunk);
         let (_, v) = chunk.remove(i);
-        if chunk.is_empty() {
-            chunks.remove(ci);
+        match chunk.last() {
+            None => {
+                chunks.remove(ci);
+            }
+            Some((new_last, _)) if i == chunk.len() => *last = new_last.clone(),
+            Some(_) => {}
         }
         self.len -= 1;
         Some(v)
@@ -173,42 +212,25 @@ impl<K: Ord + Clone, V: Clone> PersistentMap<K, V> {
         V: Default,
     {
         let Some(ci) = self.chunk_for(&key) else {
-            // Empty map: create the first chunk.
-            self.len += 1;
+            self.push_first(key, V::default());
             let chunks = Arc::make_mut(&mut self.chunks);
-            chunks.push(Arc::new(vec![(key, V::default())]));
-            return &mut Arc::make_mut(&mut chunks[0])[0].1;
+            return &mut Arc::make_mut(&mut chunks[0].1)[0].1;
         };
         let chunks = Arc::make_mut(&mut self.chunks);
-        // Locate (or create) the slot, deferring any split until the
-        // chunk borrow ends.
-        let mut split_tail = None;
-        let mut slot_ci = ci;
-        let mut slot_i;
-        {
-            let chunk = Arc::make_mut(&mut chunks[ci]);
-            match chunk.binary_search_by(|(k, _)| k.cmp(&key)) {
-                Ok(i) => slot_i = i,
-                Err(i) => {
-                    chunk.insert(i, (key, V::default()));
-                    self.len += 1;
-                    slot_i = i;
-                    if chunk.len() > MAX_CHUNK {
-                        let mid = chunk.len() / 2;
-                        split_tail = Some(chunk.split_off(mid));
-                        if i >= mid {
-                            slot_ci = ci + 1;
-                            slot_i = i - mid;
-                        }
-                    }
+        let chunk = Arc::make_mut(&mut chunks[ci].1);
+        let (slot_ci, slot_i) = match chunk.binary_search_by(|(k, _)| k.cmp(&key)) {
+            Ok(i) => (ci, i),
+            Err(i) => {
+                chunk.insert(i, (key, V::default()));
+                self.len += 1;
+                match Self::settle(chunks, ci) {
+                    Some(mid) if i >= mid => (ci + 1, i - mid),
+                    _ => (ci, i),
                 }
             }
-        }
-        if let Some(tail) = split_tail {
-            chunks.insert(ci + 1, Arc::new(tail));
-        }
+        };
         // Uniquely owned by the `make_mut`s above: no copies here.
-        &mut Arc::make_mut(&mut chunks[slot_ci])[slot_i].1
+        &mut Arc::make_mut(&mut chunks[slot_ci].1)[slot_i].1
     }
 }
 

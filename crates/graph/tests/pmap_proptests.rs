@@ -50,6 +50,8 @@ proptest! {
                 }
             }
             prop_assert_eq!(subject.len(), oracle.len());
+            // Lookups read the spine's copy of each chunk's last key.
+            prop_assert!(subject.spine_is_consistent());
         }
         // Contents and — the fingerprint-critical property — iteration
         // order coincide exactly.
@@ -90,7 +92,14 @@ proptest! {
             // The fork still reads exactly the state it was taken at,
             // however the original diverged afterwards.
             prop_assert!(forked.iter().eq(frozen.iter()));
+            // ... through its own spine, which the original's splits, chunk
+            // removals and last-key updates never touched.
+            prop_assert!(forked.spine_is_consistent());
+            for k in 0u32..48 {
+                prop_assert_eq!(forked.get(&k), frozen.get(&k));
+            }
         }
+        prop_assert!(subject.spine_is_consistent());
     }
 
     #[test]

@@ -131,6 +131,9 @@ fn scenario_from_json(doc: &Json) -> Result<Scenario, String> {
         delta: get_u64(doc, "delta")?.unwrap_or(defaults.delta),
         max_ticks: get_u64(doc, "max_ticks")?.unwrap_or(defaults.max_ticks),
     };
+    network
+        .validate()
+        .map_err(|e| format!("scenario `{name}`: {e}"))?;
 
     let seeds = get_u64(doc, "seeds")?.unwrap_or(8);
     if seeds == 0 {
@@ -780,6 +783,11 @@ max_ticks = 1_000_000
             (
                 "name = \"x\"\n[[scenario]]\nname = \"s\"\ntopology = \"fig1\"\nfaulty = [1]\nfault_count = 2",
                 "not both",
+            ),
+            // The simulator's network asserts `Δ ≥ 1`, once per run.
+            (
+                "name = \"x\"\n[[scenario]]\nname = \"s\"\ntopology = \"fig2\"\ndelta = 0",
+                "scenario `s`: `delta` must be at least 1",
             ),
         ];
         for (input, needle) in cases {

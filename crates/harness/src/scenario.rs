@@ -461,6 +461,22 @@ impl Default for NetworkSpec {
     }
 }
 
+impl NetworkSpec {
+    /// Rejects timing the simulator cannot run: a message is in flight for
+    /// at least one tick, so `Δ = 0` is no bound at all (and
+    /// `NetworkConfig::partially_synchronous` panics on it).
+    ///
+    /// # Errors
+    ///
+    /// Names the offending key.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.delta == 0 {
+            return Err("`delta` must be at least 1".into());
+        }
+        Ok(())
+    }
+}
+
 /// How oracle violations affect a run's pass/fail status.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OracleMode {

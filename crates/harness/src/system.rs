@@ -41,15 +41,20 @@ impl System {
     /// # Errors
     ///
     /// Returns a description when the scenario cannot be configured: an
-    /// unknown adversary, an unsatisfiable fault placement, or a fault or
-    /// churn plan the simulator would reject (its installers panic on a
-    /// bad plan; validating here turns an out-of-range id into an error).
+    /// unknown adversary, an unsatisfiable fault placement, or network
+    /// timing, a fault plan or a churn plan the simulator would reject (it
+    /// panics on a bad one; validating here turns `delta = 0` or an
+    /// out-of-range id into an error).
     pub fn of(
         scenario: &Scenario,
         seed: u64,
         registry: &AdversaryRegistry,
     ) -> Result<System, String> {
         let adversary = registry.resolve(&scenario.adversary)?;
+        scenario
+            .network
+            .validate()
+            .map_err(|e| format!("scenario `{}`: {e}", scenario.name))?;
         let (kg, generated) = topology::instantiate(&scenario.topology, scenario.f, seed);
         let faulty = topology::place_faults(&scenario.faults, &kg, generated, seed)?;
         let config = end_to_end_config(
@@ -118,4 +123,21 @@ pub(crate) fn stale_joiner(churn: &ChurnSpec, faulty: &ProcessSet) -> Option<Pro
         .then(|| churn.joins.first().copied().map(ProcessId::new))
         .flatten()
         .filter(|j| !faulty.contains(*j))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn zero_delta_is_an_error_not_a_panic_in_every_run() {
+        let scenario = Scenario::builder("instant")
+            .network(NetworkSpec {
+                delta: 0,
+                ..NetworkSpec::default()
+            })
+            .build();
+        let err = System::of(&scenario, 0, &AdversaryRegistry::builtin()).unwrap_err();
+        assert_eq!(err, "scenario `instant`: `delta` must be at least 1");
+    }
 }

@@ -74,7 +74,6 @@ pub struct Simulation<M: SimMessage> {
     /// Pending events; among those of one tick, the order they were
     /// queued in is the order they fire in.
     queue: EventQueue<EventKind<M>>,
-    now: SimTime,
     rng: StdRng,
     report: SimReport,
     trace: Trace,
@@ -131,7 +130,6 @@ impl<M: SimMessage> Simulation<M> {
             actors: Vec::new(),
             known,
             queue: EventQueue::new(),
-            now: SimTime::ZERO,
             rng,
             report,
             trace: Trace::new(),
@@ -254,7 +252,7 @@ impl<M: SimMessage> Simulation<M> {
 
     /// The current simulated time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.queue.now()
     }
 
     /// The knowledge graph the run started from.
@@ -380,7 +378,7 @@ impl<M: SimMessage> Simulation<M> {
         debug_assert!(outbox.is_empty() && timers.is_empty());
         let mut ctx = Context {
             self_id: pid,
-            now: self.now,
+            now: self.now(),
             known: &mut self.known[pid.index()],
             rng: &mut self.rng,
             outbox: &mut outbox,
@@ -397,7 +395,7 @@ impl<M: SimMessage> Simulation<M> {
             stats.bytes_sent += bytes;
             let send_ev = self
                 .causal
-                .record_send(self.now.ticks(), pid.as_u32(), to.as_u32());
+                .record_send(self.now().ticks(), pid.as_u32(), to.as_u32());
             // Equivocation attribution is send-time evidence: book the
             // payload's slot claim before the network can drop or split
             // it. Guarded by the recorder's enable flag, so the common
@@ -413,11 +411,11 @@ impl<M: SimMessage> Simulation<M> {
             // a plan is active — a zero plan draws exactly the historical
             // stream.
             if self.faults_active {
-                if self.faults.severed(pid, to, self.now) {
+                if self.faults.severed(pid, to, self.now()) {
                     self.record_drop(pid, to, send_ev, &msg);
                     continue;
                 }
-                let p = self.faults.loss_prob(pid, to, self.now);
+                let p = self.faults.loss_prob(pid, to, self.now());
                 if p > 0.0 && self.rng.random_bool(p) {
                     self.record_drop(pid, to, send_ev, &msg);
                     continue;
@@ -427,7 +425,7 @@ impl<M: SimMessage> Simulation<M> {
             obs_event!(
                 self.trace,
                 TraceEvent::Sent {
-                    at: self.now,
+                    at: self.now(),
                     from: pid,
                     to,
                     deliver_at,
@@ -435,7 +433,7 @@ impl<M: SimMessage> Simulation<M> {
                 }
             );
             let duplicate = if self.faults_active {
-                let dp = self.faults.dup_prob(self.now);
+                let dp = self.faults.dup_prob(self.now());
                 dp > 0.0 && self.rng.random_bool(dp)
             } else {
                 false
@@ -445,8 +443,12 @@ impl<M: SimMessage> Simulation<M> {
                 // deliveries interleave arbitrarily with other traffic.
                 let dup_at = self.delivery_time();
                 self.report.messages_duplicated += 1;
-                self.causal
-                    .record_duplicate(self.now.ticks(), pid.as_u32(), to.as_u32(), send_ev);
+                self.causal.record_duplicate(
+                    self.now().ticks(),
+                    pid.as_u32(),
+                    to.as_u32(),
+                    send_ev,
+                );
                 self.queue.push(
                     dup_at,
                     EventKind::Deliver {
@@ -479,7 +481,7 @@ impl<M: SimMessage> Simulation<M> {
                 self.report.retransmit_delay_buckets[bucket] += 1;
             }
             self.queue.push(
-                self.now + delay,
+                self.now() + delay,
                 EventKind::Timer {
                     process: pid,
                     tag,
@@ -501,11 +503,11 @@ impl<M: SimMessage> Simulation<M> {
             .entry((from.as_u32(), to.as_u32()))
             .or_insert(0) += 1;
         self.causal
-            .record_drop(self.now.ticks(), from.as_u32(), to.as_u32(), send_ev);
+            .record_drop(self.now().ticks(), from.as_u32(), to.as_u32(), send_ev);
         obs_event!(
             self.trace,
             TraceEvent::Dropped {
-                at: self.now,
+                at: self.now(),
                 from,
                 to,
                 payload: format!("{msg:?}"),
@@ -518,23 +520,21 @@ impl<M: SimMessage> Simulation<M> {
     /// [`DelayFault`](crate::DelayFault) widens the horizon beyond the
     /// `Δ` contract until it heals.
     fn delivery_time(&mut self) -> SimTime {
-        let mut horizon = self.config.max_delivery(self.now);
+        let mut horizon = self.config.max_delivery(self.now());
         if self.faults_active {
-            horizon += self.faults.extra_delay(self.now);
+            horizon += self.faults.extra_delay(self.now());
         }
-        let span = horizon - self.now; // ≥ delta ≥ 1
-        self.now + self.rng.random_range(1..=span)
+        let span = horizon - self.now(); // ≥ delta ≥ 1
+        self.now() + self.rng.random_range(1..=span)
     }
 
     /// Processes the next queued event. Returns `false` if the queue is
     /// empty.
     pub fn step(&mut self) -> bool {
         self.start();
-        let Some((at, kind)) = self.queue.pop() else {
+        let Some((_, kind)) = self.queue.pop() else {
             return false;
         };
-        debug_assert!(at >= self.now, "time must be monotone");
-        self.now = at;
         match kind {
             EventKind::Deliver {
                 from,
@@ -562,14 +562,14 @@ impl<M: SimMessage> Simulation<M> {
                 obs_event!(
                     self.trace,
                     TraceEvent::Delivered {
-                        at: self.now,
+                        at: self.now(),
                         from,
                         to,
                         payload: format!("{msg:?}"),
                     }
                 );
                 self.causal
-                    .record_deliver(self.now.ticks(), from.as_u32(), to.as_u32(), cause);
+                    .record_deliver(self.now().ticks(), from.as_u32(), to.as_u32(), cause);
                 self.report.messages_delivered += 1;
                 self.report.per_process[to.index()].delivered += 1;
                 self.dispatch(to, |actor, ctx| actor.on_message(ctx, from, msg));
@@ -592,17 +592,17 @@ impl<M: SimMessage> Simulation<M> {
                 obs_event!(
                     self.trace,
                     TraceEvent::Timer {
-                        at: self.now,
+                        at: self.now(),
                         process,
                         tag,
                     }
                 );
                 if tag == RETRANSMIT_TAG {
                     self.causal
-                        .record_retransmit(self.now.ticks(), process.as_u32());
+                        .record_retransmit(self.now().ticks(), process.as_u32());
                 } else {
                     self.causal
-                        .record_timer(self.now.ticks(), process.as_u32(), tag);
+                        .record_timer(self.now().ticks(), process.as_u32(), tag);
                 }
                 self.report.timers_fired += 1;
                 self.dispatch(process, |actor, ctx| actor.on_timer(ctx, tag));
@@ -615,11 +615,12 @@ impl<M: SimMessage> Simulation<M> {
                     obs_event!(
                         self.trace,
                         TraceEvent::Crashed {
-                            at: self.now,
+                            at: self.now(),
                             process,
                         }
                     );
-                    self.causal.record_crash(self.now.ticks(), process.as_u32());
+                    self.causal
+                        .record_crash(self.now().ticks(), process.as_u32());
                 }
             }
             EventKind::Recover { process } => {
@@ -629,12 +630,12 @@ impl<M: SimMessage> Simulation<M> {
                     obs_event!(
                         self.trace,
                         TraceEvent::Recovered {
-                            at: self.now,
+                            at: self.now(),
                             process,
                         }
                     );
                     self.causal
-                        .record_recover(self.now.ticks(), process.as_u32());
+                        .record_recover(self.now().ticks(), process.as_u32());
                     // Hand the actor its pre-crash journal; records it
                     // appends *during* recovery land after the pre-crash
                     // prefix, preserving append order. An amnesiac process
@@ -666,11 +667,12 @@ impl<M: SimMessage> Simulation<M> {
                     obs_event!(
                         self.trace,
                         TraceEvent::Joined {
-                            at: self.now,
+                            at: self.now(),
                             process,
                         }
                     );
-                    self.causal.record_join(self.now.ticks(), process.as_u32());
+                    self.causal
+                        .record_join(self.now().ticks(), process.as_u32());
                     // The joiner materializes knowing exactly its
                     // contacts (its participant-detector output at join
                     // time); the introduced members learn its identity —
@@ -708,11 +710,12 @@ impl<M: SimMessage> Simulation<M> {
                     obs_event!(
                         self.trace,
                         TraceEvent::Left {
-                            at: self.now,
+                            at: self.now(),
                             process,
                         }
                     );
-                    self.causal.record_leave(self.now.ticks(), process.as_u32());
+                    self.causal
+                        .record_leave(self.now().ticks(), process.as_u32());
                 }
             }
         }
@@ -759,7 +762,7 @@ impl<M: SimMessage> Simulation<M> {
                 }
             }
         }
-        self.report.end_time = self.now;
+        self.report.end_time = self.now();
         self.report.quiescent = quiescent;
         self.report.clone()
     }

@@ -4,9 +4,11 @@
 //! (a protocol fix, a new report field) re-pins deliberately — the
 //! failure message prints the table to paste.
 //!
-//! Covered: `fig1`, `fig2`, `nemesis`, `churn` and `forensics` thinned to
-//! two seeds per scenario (failing runs re-executed with forensics armed,
-//! DOT cone included), and five scenarios of `campaigns/explore.toml` at
+//! Covered: `fig1`, `fig2`, `nemesis`, `churn`, `forensics`, `families`
+//! (its `scale-free-f0` is `n = 24`, the only checked-in campaign whose
+//! ticks run hundreds of events deep) and `theorem3`, thinned to two seeds
+//! per scenario (failing runs re-executed with forensics armed, DOT cone
+//! included), and five scenarios of `campaigns/explore.toml` at
 //! one worker — one per protocol description plus the seeded
 //! counterexample, replayed with forensics on. A digest covers every
 //! record field except `wall_micros`, `transitions`, `threads` and `obs`.
@@ -20,7 +22,8 @@ use scup::harness::{campaign_from_str, AdversaryRegistry};
 use scup::mc::{explore_scenario_obs, ObsConfig};
 use scup_obs::chrome::TraceClock;
 
-/// Captured at `9bc770e` (the parent of the roster refactor).
+/// Captured at `9bc770e` (the parent of the roster refactor); the `families`
+/// and `theorem3` rows at `6219372` (the parent of the chunked event queue).
 const PINNED: &[(&str, u64)] = &[
     ("fig1/minimal-f0", 0x97ce39d97ffbba1d),
     ("fig1/bftcup-f0", 0xf8cef0f6257295ea),
@@ -62,6 +65,19 @@ const PINNED: &[(&str, u64)] = &[
     ("churn/bft-stale-joiner-exhibit", 0x694373a315940094),
     ("forensics/split-quorums-bad", 0x6ad9272374fd70c6),
     ("forensics/amnesia-pledge", 0x156dae659bbf327f),
+    ("families/scale-free-f0", 0xa62ae741a6efecd1),
+    ("families/scale-free-m2-straggler", 0x423ce86d03787a76),
+    ("families/clustered-tiered-f0", 0x064899aa0b6256e6),
+    ("families/clustered-partitioned", 0x19c48b1a4f8a688f),
+    ("families/erdos-renyi-sparse", 0xafc6b4e2b14bfb04),
+    ("families/erdos-renyi-dense", 0xf6f34a816bd80381),
+    ("theorem3/bsafe-5-3", 0x19a5a86b81ba922e),
+    ("theorem3/bsafe-6-6", 0x3de4af95d0b51d25),
+    ("theorem3/bsafe-8-8", 0x25fa69c296a33ea4),
+    ("theorem3/bsafe-equivocate", 0x1a0a3fd7bb91b533),
+    ("theorem3/bsafe-crash", 0xf880bcf31b9c47d4),
+    ("theorem3/bsafe-bftcup", 0x3da57a5f9ac9a0c6),
+    ("theorem3/kosr3-random-fault", 0x28b54fb7c9c9a79a),
     ("explore/sink2-outsiders-silent", 0xa95a292de8d856d1),
     ("explore/sink2-timers", 0x7139a7314ab26afe),
     ("explore/bftcup-sink2-outsiders", 0x1edffce9f51d781b),
@@ -69,7 +85,15 @@ const PINNED: &[(&str, u64)] = &[
     ("explore/split-quorums-bad", 0x866c464ba029219a),
 ];
 
-const SAMPLED: [&str; 5] = ["fig1", "fig2", "nemesis", "churn", "forensics"];
+const SAMPLED: [&str; 7] = [
+    "fig1",
+    "fig2",
+    "nemesis",
+    "churn",
+    "forensics",
+    "families",
+    "theorem3",
+];
 
 const EXPLORED: [&str; 5] = [
     "sink2-outsiders-silent",
