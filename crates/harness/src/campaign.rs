@@ -124,9 +124,10 @@ pub struct RunRecord {
     pub churn_drops: u64,
     /// Messages re-sent by the protocols' retransmission layer.
     pub retransmissions: u64,
-    /// log₂ histogram of retransmission delays (bucket `k` counts
-    /// retransmit rounds that fired `[2^k, 2^(k+1))` ticks after being
-    /// armed), summed across phases.
+    /// log₂ histogram of retransmission delays, summed across phases:
+    /// bucket `0` counts retransmit rounds armed with delay `0`, bucket
+    /// `k ≥ 1` those armed `[2^(k-1), 2^k)` ticks ahead
+    /// ([`scup_sim::bucket_of`]).
     pub retransmit_delay_buckets: Vec<u64>,
     /// Per-link fault-plane drop counters, sorted `(from, to, dropped)`.
     pub link_drops: Vec<(u32, u32, u64)>,

@@ -236,6 +236,25 @@ fn scenario_from_json(doc: &Json) -> Result<Scenario, String> {
     })
 }
 
+/// Reads `table.key` of the inline table `section` as a list of process
+/// ids; an absent key is the empty list.
+fn id_list(table: &Json, section: &str, key: &str) -> Result<Vec<u32>, String> {
+    let Some(v) = table.get(key) else {
+        return Ok(Vec::new());
+    };
+    let arr = v
+        .as_arr()
+        .ok_or_else(|| format!("`{section}.{key}` must be an array of ids"))?;
+    arr.iter()
+        .map(|item| {
+            item.as_i64()
+                .filter(|&id| id >= 0)
+                .map(|id| id as u32)
+                .ok_or_else(|| format!("`{section}.{key}` ids must be non-negative integers"))
+        })
+        .collect()
+}
+
 /// Reads the `faults = { ... }` inline table into a [`FaultSpec`]; absent
 /// key = the zero spec. Unknown keys are an error — a typo like
 /// `los = 0.3` silently becoming a fault-free run would defeat the
@@ -263,7 +282,6 @@ fn fault_spec_from_json(doc: &Json) -> Result<FaultSpec, String> {
         "crash_at",
         "recover_at",
         "amnesia",
-        "retransmit",
     ];
     for (key, _) in fields {
         if !KNOWN.contains(&key.as_str()) {
@@ -273,24 +291,7 @@ fn fault_spec_from_json(doc: &Json) -> Result<FaultSpec, String> {
             ));
         }
     }
-    let ids = |key: &str| -> Result<Vec<u32>, String> {
-        match table.get(key) {
-            None => Ok(Vec::new()),
-            Some(v) => {
-                let arr = v
-                    .as_arr()
-                    .ok_or(format!("`faults.{key}` must be an array of ids"))?;
-                arr.iter()
-                    .map(|item| {
-                        item.as_i64()
-                            .filter(|&id| id >= 0)
-                            .map(|id| id as u32)
-                            .ok_or(format!("`faults.{key}` ids must be non-negative integers"))
-                    })
-                    .collect()
-            }
-        }
-    };
+    let ids = |key: &str| id_list(table, "faults", key);
     let d = FaultSpec::default();
     let spec = FaultSpec {
         loss: get_f64(table, "loss")?.unwrap_or(d.loss),
@@ -306,10 +307,6 @@ fn fault_spec_from_json(doc: &Json) -> Result<FaultSpec, String> {
         crash_at: get_u64(table, "crash_at")?.unwrap_or(d.crash_at),
         recover_at: get_u64(table, "recover_at")?,
         amnesia: ids("amnesia")?,
-        retransmit: match table.get("retransmit") {
-            None => d.retransmit,
-            Some(v) => v.as_bool().ok_or("`faults.retransmit` must be a boolean")?,
-        },
     };
     Ok(spec)
 }
@@ -333,7 +330,6 @@ fn churn_spec_from_json(doc: &Json) -> Result<ChurnSpec, String> {
         "join_stagger",
         "leaves",
         "leave_at",
-        "leave_stagger",
         "stale_joiner",
     ];
     for (key, _) in fields {
@@ -344,24 +340,7 @@ fn churn_spec_from_json(doc: &Json) -> Result<ChurnSpec, String> {
             ));
         }
     }
-    let ids = |key: &str| -> Result<Vec<u32>, String> {
-        match table.get(key) {
-            None => Ok(Vec::new()),
-            Some(v) => {
-                let arr = v
-                    .as_arr()
-                    .ok_or(format!("`churn.{key}` must be an array of ids"))?;
-                arr.iter()
-                    .map(|item| {
-                        item.as_i64()
-                            .filter(|&id| id >= 0)
-                            .map(|id| id as u32)
-                            .ok_or(format!("`churn.{key}` ids must be non-negative integers"))
-                    })
-                    .collect()
-            }
-        }
-    };
+    let ids = |key: &str| id_list(table, "churn", key);
     let d = ChurnSpec::default();
     Ok(ChurnSpec {
         joins: ids("joins")?,
@@ -369,7 +348,6 @@ fn churn_spec_from_json(doc: &Json) -> Result<ChurnSpec, String> {
         join_stagger: get_u64(table, "join_stagger")?.unwrap_or(d.join_stagger),
         leaves: ids("leaves")?,
         leave_at: get_u64(table, "leave_at")?.unwrap_or(d.leave_at),
-        leave_stagger: get_u64(table, "leave_stagger")?.unwrap_or(d.leave_stagger),
         stale_joiner: match table.get("stale_joiner") {
             None => d.stale_joiner,
             Some(v) => v
@@ -920,7 +898,7 @@ name = "x"
 name = "lossy"
 topology = "fig2"
 faulty = [5]
-faults = { loss = 0.3, loss_until = 2000, partition = [0, 1], partition_from = 50, partition_until = 900, crash = [2], crash_at = 300, recover_at = 2500, retransmit = false }
+faults = { loss = 0.3, loss_until = 2000, partition = [0, 1], partition_from = 50, partition_until = 900, crash = [2], crash_at = 300, recover_at = 2500 }
 "#;
         let c = campaign_from_str(text).unwrap();
         let spec = &c.scenarios[0].fault_plan;
@@ -929,7 +907,6 @@ faults = { loss = 0.3, loss_until = 2000, partition = [0, 1], partition_from = 5
         assert_eq!((spec.partition_from, spec.partition_until), (50, 900));
         assert_eq!((spec.crash.clone(), spec.crash_at), (vec![2], 300));
         assert_eq!(spec.recover_at, Some(2500));
-        assert!(!spec.retransmit);
         // Unstated windows never heal; unstated knobs stay zero.
         assert_eq!(spec.dup, 0.0);
         assert_eq!(spec.loss_until, 2000);

@@ -59,9 +59,10 @@ pub struct ProtocolOutput {
     /// journal contradicts its pre-crash pledges (always a safety bug,
     /// regardless of oracle mode).
     pub pledge_violations: Vec<String>,
-    /// log₂ histogram of retransmission delays (bucket `k` counts
-    /// retransmit timers that fired `[2^k, 2^(k+1))` ticks after being
-    /// armed), summed across phases.
+    /// log₂ histogram of retransmission delays, summed across phases:
+    /// bucket `0` counts retransmit timers armed with delay `0`, bucket
+    /// `k ≥ 1` those armed `[2^(k-1), 2^k)` ticks ahead
+    /// ([`scup_sim::bucket_of`]).
     pub retransmit_delay_buckets: Vec<u64>,
     /// Per-link fault-plane drop counters, keyed `(from, to)`, summed
     /// across phases.

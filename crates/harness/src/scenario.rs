@@ -183,10 +183,6 @@ pub struct FaultSpec {
     /// (amnesia): they come back with empty state instead of replaying.
     /// Must be a subset of `crash`. Empty = every recovery replays.
     pub amnesia: Vec<u32>,
-    /// Whether protocols run their retransmission layer to heal the lossy
-    /// links (`true` by default; a zero plan never retransmits either
-    /// way, preserving bit-identical fault-free schedules).
-    pub retransmit: bool,
 }
 
 impl Default for FaultSpec {
@@ -205,7 +201,6 @@ impl Default for FaultSpec {
             crash_at: 0,
             recover_at: None,
             amnesia: Vec::new(),
-            retransmit: true,
         }
     }
 }
@@ -250,26 +245,22 @@ impl FaultSpec {
     }
 
     /// The retransmission schedule protocols should run under this spec:
-    /// disabled for the zero plan (or when `retransmit = false`),
-    /// otherwise a backoff ladder covering the plan's heal tick — or GST
-    /// for unhealed plans, so senders keep trying for a while but
-    /// eventually quiesce.
+    /// disabled for the zero plan (fault-free schedules stay
+    /// bit-identical), otherwise a backoff ladder covering the plan's heal
+    /// tick — or GST for unhealed plans, so senders keep trying for a
+    /// while but eventually quiesce.
     pub fn retransmit_config(&self, network: &NetworkSpec) -> RetransmitConfig {
-        self.retransmit_for(&self.to_plan(), network)
+        retransmit_for(&self.to_plan(), network)
     }
+}
 
-    /// [`FaultSpec::retransmit_config`] given the already-lowered `plan`.
-    pub(crate) fn retransmit_for(
-        &self,
-        plan: &FaultPlan,
-        network: &NetworkSpec,
-    ) -> RetransmitConfig {
-        if !self.retransmit || plan.is_zero() {
-            return RetransmitConfig::disabled();
-        }
-        let heal = plan.heal_tick().unwrap_or(0).max(network.gst);
-        RetransmitConfig::covering(heal, network.delta.max(1))
+/// [`FaultSpec::retransmit_config`] given the already-lowered `plan`.
+pub(crate) fn retransmit_for(plan: &FaultPlan, network: &NetworkSpec) -> RetransmitConfig {
+    if plan.is_zero() {
+        return RetransmitConfig::disabled();
     }
+    let heal = plan.heal_tick().unwrap_or(0).max(network.gst);
+    RetransmitConfig::covering(heal, network.delta.max(1))
 }
 
 /// Declarative membership-churn spec: the flat, campaign-file-friendly
@@ -283,7 +274,7 @@ impl FaultSpec {
 /// `join_at + index * join_stagger`, with their static participant
 /// detector as contacts; every incumbent whose PD names the joiner gets
 /// an `on_peer_joined` introduction (the incremental re-discovery hook).
-/// Leavers fall silent for good at `leave_at + index * leave_stagger`.
+/// Leavers all fall silent for good at `leave_at`.
 /// The default spec is the zero plan, which is bit-identical to running
 /// without a churn plane at all.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -296,10 +287,8 @@ pub struct ChurnSpec {
     pub join_stagger: u64,
     /// Processes that leave mid-run (silent from their leave tick on).
     pub leaves: Vec<u32>,
-    /// Tick of the first leave.
+    /// Tick at which the `leaves` processes depart.
     pub leave_at: u64,
-    /// Extra delay between consecutive leaves.
-    pub leave_stagger: u64,
     /// Misconfiguration exhibit: the first joiner boots with a stale
     /// forced decision (a value nobody proposed) instead of catching up
     /// properly — the strong-validity oracle must flag it. BFT-CUP only;
@@ -315,7 +304,6 @@ impl Default for ChurnSpec {
             join_stagger: 0,
             leaves: Vec::new(),
             leave_at: 20_000,
-            leave_stagger: 0,
             stale_joiner: false,
         }
     }
@@ -366,10 +354,9 @@ impl ChurnSpec {
         let leaves = self
             .leaves
             .iter()
-            .enumerate()
-            .map(|(idx, &p)| LeaveEvent {
+            .map(|&p| LeaveEvent {
                 process: ProcessId::new(p),
-                at: self.leave_at + idx as u64 * self.leave_stagger,
+                at: self.leave_at,
             })
             .collect();
         ChurnPlan { joins, leaves }
@@ -923,8 +910,8 @@ mod tests {
     #[test]
     fn retransmission_covers_the_heal_and_is_inert_on_zero_plans() {
         let network = NetworkSpec::default();
-        // The zero plan never retransmits, even though `retransmit`
-        // defaults to true: fault-free schedules stay bit-identical.
+        // The zero plan never retransmits: fault-free schedules stay
+        // bit-identical.
         let zero = FaultSpec::default();
         assert!(zero.to_plan().is_zero());
         assert!(!zero.retransmit_config(&network).enabled());
@@ -934,13 +921,6 @@ mod tests {
             loss_until: 2_000,
             ..Default::default()
         };
-        let config = lossy.retransmit_config(&network);
-        assert!(config.enabled());
-        // Opting out disables the layer regardless of the plan.
-        let stubborn = FaultSpec {
-            retransmit: false,
-            ..lossy
-        };
-        assert!(!stubborn.retransmit_config(&network).enabled());
+        assert!(lossy.retransmit_config(&network).enabled());
     }
 }

@@ -13,7 +13,7 @@ use stellar_cup::consensus::EndToEndConfig;
 use stellar_cup::sink_detector::GetSinkMode;
 
 use crate::adversary::{AdversaryKind, AdversaryRegistry};
-use crate::scenario::{ChurnSpec, FaultSpec, NetworkSpec, ProtocolSpec, Scenario};
+use crate::scenario::{retransmit_for, ChurnSpec, FaultSpec, NetworkSpec, ProtocolSpec, Scenario};
 use crate::topology;
 
 /// One `(scenario, seed)` instantiated.
@@ -108,7 +108,7 @@ pub(crate) fn end_to_end_config(
         inputs: Some(inputs),
         max_ticks: network.max_ticks,
         trace: false,
-        retransmit: fault_plan.retransmit_for(&faults, network),
+        retransmit: retransmit_for(&faults, network),
         faults,
         churn: churn.to_plan(kg),
         forensics: false,

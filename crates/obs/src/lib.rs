@@ -1,4 +1,4 @@
-//! Workspace-wide observability: tracing, metrics, and profiling.
+//! Workspace-wide observability: tracing, profiling, and forensics.
 //!
 //! Everything here is hand-rolled on `std` (the build environment has no
 //! crates.io access) and obeys two hard rules:
@@ -8,19 +8,13 @@
 //!    clock read happens for a disabled sink. The [`obs_event!`] macro
 //!    makes the guard impossible to forget at call sites that would
 //!    otherwise eagerly render payloads.
-//! 2. **Off the bit-identity surface.** Metrics and timings are *effort*
+//! 2. **Off the bit-identity surface.** Timings and profiles are *effort*
 //!    data: they may differ across worker counts, machines, and runs.
 //!    Consumers embed them next to — never inside — deterministic report
 //!    fields, exactly as `wall_micros` is handled today.
 //!
 //! The pieces:
 //!
-//! - [`metrics`] — a [`Registry`](metrics::Registry) of named counters,
-//!   gauges, and log2-bucket histograms. Workers record into private
-//!   [`Shard`](metrics::Shard)s (plain `u64` arrays, no atomics in the hot
-//!   path) and either merge shards pairwise or flush them into a
-//!   [`SharedMetrics`](metrics::SharedMetrics) cell array with relaxed
-//!   `fetch_add`s — lock-free in both directions.
 //! - [`profile`] — [`PhaseProfile`](profile::PhaseProfile), a lap-based
 //!   timer that attributes wall time to explorer phases with one clock
 //!   read per phase boundary.
@@ -40,7 +34,6 @@
 
 pub mod causal;
 pub mod chrome;
-pub mod metrics;
 pub mod profile;
 pub mod progress;
 

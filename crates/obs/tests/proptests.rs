@@ -1,119 +1,7 @@
-//! Histogram algebra properties: the merge is associative and
-//! commutative (so sharded aggregation is independent of worker count
-//! and join order), buckets partition the `u64` range correctly, and
-//! quantile bounds always bracket the true inverse-CDF quantile.
+//! Vector-clock laws and causal-cone laws (the forensics substrate).
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use scup_obs::metrics::{bucket_bounds, bucket_of, Histogram, Registry, Shard, HIST_BUCKETS};
-
-fn hist_of(values: &[u64]) -> Histogram {
-    let mut h = Histogram::default();
-    for &v in values {
-        h.record(v);
-    }
-    h
-}
-
-fn merged(a: &Histogram, b: &Histogram) -> Histogram {
-    let mut out = a.clone();
-    out.merge(b);
-    out
-}
-
-/// Values that exercise every bucket-size regime: small ints land in the
-/// dense low buckets, the full range stresses the wide high buckets and
-/// the `u64::MAX` edge of bucket 64.
-fn value() -> impl Strategy<Value = u64> {
-    prop_oneof![0u64..=16, 0u64..1000, 0u64..u64::MAX, Just(u64::MAX),]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn merge_is_commutative(xs in vec(value(), 0..40), ys in vec(value(), 0..40)) {
-        let (a, b) = (hist_of(&xs), hist_of(&ys));
-        prop_assert_eq!(merged(&a, &b), merged(&b, &a));
-    }
-
-    #[test]
-    fn merge_is_associative(
-        xs in vec(value(), 0..30),
-        ys in vec(value(), 0..30),
-        zs in vec(value(), 0..30),
-    ) {
-        let (a, b, c) = (hist_of(&xs), hist_of(&ys), hist_of(&zs));
-        prop_assert_eq!(merged(&merged(&a, &b), &c), merged(&a, &merged(&b, &c)));
-    }
-
-    #[test]
-    fn any_sharding_merges_to_the_serial_histogram(
-        values in vec(value(), 1..60),
-        splits in vec(0usize..4, 1..60),
-    ) {
-        // Scatter the observations over four shards by an arbitrary
-        // assignment, then merge: the result must equal recording the
-        // whole sequence into one shard.
-        let mut reg = Registry::new();
-        let h = reg.histogram("latency");
-        let mut shards: Vec<Shard> = (0..4).map(|_| Shard::for_registry(&reg)).collect();
-        let mut serial = Shard::for_registry(&reg);
-        for (i, &v) in values.iter().enumerate() {
-            shards[splits[i % splits.len()]].observe(h, v);
-            serial.observe(h, v);
-        }
-        let mut combined = Shard::for_registry(&reg);
-        for s in &shards {
-            combined.merge(s);
-        }
-        prop_assert_eq!(combined.histogram(h), serial.histogram(h));
-    }
-
-    #[test]
-    fn every_value_lands_in_a_bucket_that_contains_it(v in value()) {
-        let b = bucket_of(v);
-        prop_assert!(b < HIST_BUCKETS);
-        let (low, high) = bucket_bounds(b);
-        prop_assert!(low <= v && v <= high, "{v} outside bucket {b} = [{low}, {high}]");
-    }
-
-    #[test]
-    fn bucket_occupancy_counts_exactly(values in vec(value(), 0..80)) {
-        let h = hist_of(&values);
-        prop_assert_eq!(h.count(), values.len() as u64);
-        for (b, &occupancy) in h.buckets().iter().enumerate() {
-            let expect = values.iter().filter(|&&v| bucket_of(v) == b).count() as u64;
-            prop_assert_eq!(occupancy, expect, "bucket {} occupancy", b);
-        }
-    }
-
-    #[test]
-    fn quantile_bounds_bracket_the_true_quantile(
-        values in vec(value(), 1..80),
-        q_permille in 0u64..=1000,
-    ) {
-        let q = q_permille as f64 / 1000.0;
-        let h = hist_of(&values);
-        let mut sorted = values.clone();
-        sorted.sort_unstable();
-        // Inverse CDF: the value at 1-based rank ceil(q·count), rank 1
-        // for q = 0 — the definition `quantile_bounds` documents.
-        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        let truth = sorted[rank - 1];
-        let (low, high) = h.quantile_bounds(q).unwrap();
-        prop_assert!(
-            low <= truth && truth <= high,
-            "q={}: true quantile {} outside [{}, {}]", q, truth, low, high
-        );
-        // And the bounds are never looser than the recorded extrema.
-        prop_assert!(low >= h.min().unwrap() && high <= h.max().unwrap());
-    }
-}
-
-// ---------------------------------------------------------------------
-// Vector-clock laws and causal-cone laws (the forensics substrate).
-
 use scup_obs::causal::{CausalGraph, EventId, VectorClock};
 
 fn clock_of(components: &[u64]) -> VectorClock {

@@ -80,7 +80,7 @@ pub use faults::{
     CrashFault, DelayFault, DupFault, FaultPlan, Journal, JournalRecord, LossFault, MemJournal,
     Partition,
 };
-pub use metrics::{ProcessStats, SimReport};
+pub use metrics::{bucket_bounds, bucket_of, ProcessStats, SimReport, HIST_BUCKETS};
 pub use network::NetworkConfig;
 pub use retransmit::{Backoff, ResilientActor, RetransmitConfig, RETRANSMIT_TAG};
 pub use runner::Simulation;

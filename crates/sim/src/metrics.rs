@@ -3,6 +3,36 @@ use std::fmt;
 
 use crate::SimTime;
 
+/// Number of histogram buckets: one for zero plus one per power of two.
+pub const HIST_BUCKETS: usize = 65;
+
+/// The bucket index a value lands in: bucket `0` holds exactly `0`,
+/// bucket `b ≥ 1` holds `[2^(b-1), 2^b - 1]`.
+#[inline]
+pub fn bucket_of(value: u64) -> usize {
+    if value == 0 {
+        0
+    } else {
+        64 - value.leading_zeros() as usize
+    }
+}
+
+/// The inclusive `[low, high]` value range of bucket `bucket`.
+///
+/// # Panics
+/// If `bucket >= HIST_BUCKETS`.
+#[inline]
+pub fn bucket_bounds(bucket: usize) -> (u64, u64) {
+    assert!(bucket < HIST_BUCKETS, "bucket {bucket} out of range");
+    if bucket == 0 {
+        (0, 0)
+    } else if bucket == 64 {
+        (1 << 63, u64::MAX)
+    } else {
+        (1 << (bucket - 1), (1 << bucket) - 1)
+    }
+}
+
 /// Per-process traffic breakdown inside a [`SimReport`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProcessStats {
@@ -65,8 +95,8 @@ pub struct SimReport {
     /// (empty for reports built before the run started).
     pub per_process: Vec<ProcessStats>,
     /// log₂ histogram of retransmission-round delays in ticks (bucket
-    /// layout of [`scup_obs::metrics::bucket_of`]; empty when no
-    /// retransmission timer was armed). Deterministic per seed.
+    /// layout of [`bucket_of`]; empty when no retransmission timer was
+    /// armed). Deterministic per seed.
     pub retransmit_delay_buckets: Vec<u64>,
     /// Messages dropped per directed link `(from, to)` — link loss,
     /// partition cuts, and arrivals at crashed receivers. Deterministic
@@ -137,6 +167,21 @@ impl fmt::Display for SimReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn buckets_partition_the_u64_range() {
+        assert_eq!(bucket_of(0), 0);
+        assert_eq!(bucket_of(1), 1);
+        assert_eq!(bucket_of(2), 2);
+        assert_eq!(bucket_of(3), 2);
+        assert_eq!(bucket_of(4), 3);
+        assert_eq!(bucket_of(u64::MAX), 64);
+        for b in 0..HIST_BUCKETS {
+            let (low, high) = bucket_bounds(b);
+            assert_eq!(bucket_of(low), b);
+            assert_eq!(bucket_of(high), b);
+        }
+    }
 
     #[test]
     fn display_contains_fields() {

@@ -10,7 +10,7 @@ use scup_obs::obs_event;
 use crate::actor::{Actor, Context, SimMessage};
 use crate::churn::ChurnPlan;
 use crate::faults::{FaultPlan, MemJournal};
-use crate::metrics::{ProcessStats, SimReport};
+use crate::metrics::{bucket_of, ProcessStats, SimReport, HIST_BUCKETS};
 use crate::network::NetworkConfig;
 use crate::queue::EventQueue;
 use crate::retransmit::RETRANSMIT_TAG;
@@ -472,11 +472,9 @@ impl<M: SimMessage> Simulation<M> {
         let epoch = self.epoch[pid.index()];
         for (delay, tag) in timers.drain(..) {
             if tag == RETRANSMIT_TAG {
-                let bucket = scup_obs::metrics::bucket_of(delay);
+                let bucket = bucket_of(delay);
                 if self.report.retransmit_delay_buckets.len() <= bucket {
-                    self.report
-                        .retransmit_delay_buckets
-                        .resize(scup_obs::metrics::HIST_BUCKETS, 0);
+                    self.report.retransmit_delay_buckets.resize(HIST_BUCKETS, 0);
                 }
                 self.report.retransmit_delay_buckets[bucket] += 1;
             }
@@ -1222,10 +1220,7 @@ mod tests {
         let report = sim.run_until_quiet(10_000);
         let total: u64 = report.retransmit_delay_buckets.iter().sum();
         assert_eq!(total, 8, "one retransmit arm per process, tag-1 excluded");
-        assert_eq!(
-            report.retransmit_delay_buckets[scup_obs::metrics::bucket_of(3)],
-            8
-        );
+        assert_eq!(report.retransmit_delay_buckets[bucket_of(3)], 8);
     }
 
     #[test]

@@ -1,9 +1,13 @@
 //! Property-based tests for the simulator: determinism, the partial
-//! synchrony delivery bound, and knowledge monotonicity.
+//! synchrony delivery bound, knowledge monotonicity, and the log₂ bucket
+//! layout of the retransmit-delay histogram.
 
 use proptest::prelude::*;
 use scup_graph::{KnowledgeGraph, ProcessId, ProcessSet};
-use scup_sim::{Actor, Context, NetworkConfig, SimMessage, Simulation, TraceEvent};
+use scup_sim::{
+    bucket_bounds, bucket_of, Actor, Context, NetworkConfig, SimMessage, Simulation, TraceEvent,
+    HIST_BUCKETS,
+};
 
 #[derive(Clone, Debug, PartialEq)]
 struct Tick(u32);
@@ -130,5 +134,24 @@ proptest! {
             let pred = ProcessId::new(((i + n - 1) % n) as u32);
             prop_assert!(sim.known(id).contains(pred), "sender must be learned");
         }
+    }
+}
+
+/// Values that exercise every bucket-size regime: small ints land in the
+/// dense low buckets, the full range stresses the wide high buckets and
+/// the `u64::MAX` edge of bucket 64.
+fn value() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..=16, 0u64..1000, 0u64..u64::MAX, Just(u64::MAX),]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn every_value_lands_in_a_bucket_that_contains_it(v in value()) {
+        let b = bucket_of(v);
+        prop_assert!(b < HIST_BUCKETS);
+        let (low, high) = bucket_bounds(b);
+        prop_assert!(low <= v && v <= high, "{v} outside bucket {b} = [{low}, {high}]");
     }
 }

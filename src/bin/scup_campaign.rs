@@ -8,7 +8,8 @@
 //!   --threads N         override worker threads (0 = one per CPU)
 //!   --mode MODE         override the campaign mode (sample | explore)
 //!   --out PATH          write the JSON report here (`-` = stdout);
-//!                       default: target/campaign-reports/<name>.json
+//!                       default: target/campaign-reports/<name>.json.
+//!                       One campaign file only, like --trace-out
 //!   --obs               collect observability detail: sample mode gets a
 //!                       live progress ticker on stderr; explore mode adds
 //!                       per-phase timing, visited-set occupancy and
@@ -131,6 +132,20 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     }
     if options.files.is_empty() {
         return Err(usage().to_string());
+    }
+    // One path holds one document: a second campaign would overwrite the
+    // first one's report (or, with `--out -`, append a second JSON value).
+    for (flag, set) in [
+        ("--out", options.out.is_some()),
+        ("--trace-out", options.trace_out.is_some()),
+    ] {
+        if set && options.files.len() > 1 {
+            return Err(format!(
+                "{flag} takes one campaign file, got {}; run them separately\n{}",
+                options.files.len(),
+                usage()
+            ));
+        }
     }
     Ok(Some(options))
 }

@@ -1,4 +1,6 @@
 //! Facade crate; see the workspace member crates for the actual library.
+//! The package's binary, `scup-campaign` (`src/bin/scup_campaign.rs`), is
+//! the operator surface.
 pub use scup_cup as cup;
 pub use scup_fbqs as fbqs;
 pub use scup_graph as graph;
