@@ -53,5 +53,5 @@ pub use digraph::DiGraph;
 pub use error::GraphError;
 pub use id::ProcessId;
 pub use knowledge::KnowledgeGraph;
-pub use pmap::{PersistentMap, PersistentVec};
+pub use pmap::PersistentVec;
 pub use set::ProcessSet;

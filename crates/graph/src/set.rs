@@ -1,5 +1,6 @@
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::iter::FromIterator;
 use std::ops::{BitAnd, BitOr, Sub};
 
@@ -7,14 +8,38 @@ use crate::ProcessId;
 
 const BITS: usize = 64;
 
+/// Words kept inside the set itself: ids `0..128` never touch the heap.
+///
+/// A constant, not a knob. 128 covers every system the workspace simulates,
+/// explores or benchmarks (`n ≤ 128`), so no set on a measured path owns
+/// heap memory, and two words are what fits in the footprint of the
+/// `Vec<u64>` they stand in for: the enum below reuses the vector's niche
+/// as its tag, so `size_of::<ProcessSet>()` is still 24 bytes (a unit test
+/// bounds it at 32, should the layout ever need a separate tag).
+const INLINE_WORDS: usize = 2;
+
 /// A set of [`ProcessId`]s backed by a bitset.
 ///
 /// `ProcessSet` is the workhorse collection of the workspace: quorums,
 /// slices, participant-detector outputs and fault sets are all process sets,
 /// and quorum checks reduce to word-parallel intersection/subset tests.
 ///
-/// The representation keeps the invariant that no trailing all-zero block is
-/// stored, so structural equality and hashing coincide with set equality.
+/// # Representation
+///
+/// The first `INLINE_WORDS` words (ids `0..128`) live inline; a set spills
+/// to a `Vec<u64>` only when an id beyond them is inserted, so creating,
+/// cloning and dropping a set of small ids never allocates. Which form a
+/// set sits in follows from the highest id it has held, and a spilled set
+/// that shrinks keeps its allocation (as a `Vec` keeps its capacity), so
+/// the form is *not* a function of the contents.
+///
+/// **The canon rule:** nothing observable may depend on the form.
+/// [`ProcessSet::as_words`] is the one normalised view — no trailing
+/// all-zero word, whichever form backs it — and `Eq`, `Hash`, `Ord`, the
+/// iterator and all set algebra are written over it. A set that spilled and
+/// shrank back equals, hashes like and exposes the same words as one built
+/// inline; state fingerprints (`StateHasher::write_set` reads `as_words`)
+/// therefore cannot tell the forms apart either.
 ///
 /// # Example
 ///
@@ -27,24 +52,70 @@ const BITS: usize = 64;
 /// assert_eq!(q1.intersection_len(&q2), 2);
 /// assert!(ProcessSet::from_ids([2]).is_subset(&q2));
 /// ```
-#[derive(Default, PartialEq, Eq, Hash)]
 pub struct ProcessSet {
-    blocks: Vec<u64>,
+    repr: Repr,
+}
+
+enum Repr {
+    /// All `INLINE_WORDS` words, zero-padded: no invariant to maintain.
+    Inline([u64; INLINE_WORDS]),
+    /// No trailing all-zero word. May be shorter than `INLINE_WORDS` after
+    /// shrinking.
+    Heap(Vec<u64>),
+}
+
+/// `words` without its trailing all-zero words.
+#[inline]
+fn trimmed(words: &[u64]) -> &[u64] {
+    let mut n = words.len();
+    while n > 0 && words[n - 1] == 0 {
+        n -= 1;
+    }
+    &words[..n]
+}
+
+impl Default for ProcessSet {
+    #[inline]
+    fn default() -> Self {
+        ProcessSet::new()
+    }
 }
 
 impl Clone for ProcessSet {
+    #[inline]
     fn clone(&self) -> Self {
-        ProcessSet {
-            blocks: self.blocks.clone(),
+        match &self.repr {
+            Repr::Inline(words) => ProcessSet {
+                repr: Repr::Inline(*words),
+            },
+            Repr::Heap(words) => ProcessSet::from_normalized(words),
         }
     }
 
-    /// Reuses the existing allocation when possible — the workhorse of the
+    /// A plain word copy when both sides are inline, and reuses the
+    /// existing allocation when `self` has spilled — the workhorse of the
     /// allocation-free hot paths (`x.clone_from(&y)` instead of
     /// `x = y.clone()`).
     fn clone_from(&mut self, source: &Self) {
-        self.blocks.clear();
-        self.blocks.extend_from_slice(&source.blocks);
+        match (&mut self.repr, &source.repr) {
+            (Repr::Inline(a), Repr::Inline(b)) => *a = *b,
+            _ => self.copy_from_words(source.as_words()),
+        }
+    }
+}
+
+impl PartialEq for ProcessSet {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.as_words() == other.as_words()
+    }
+}
+
+impl Eq for ProcessSet {}
+
+impl Hash for ProcessSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_words().hash(state);
     }
 }
 
@@ -52,13 +123,35 @@ impl ProcessSet {
     /// Creates an empty set.
     #[inline]
     pub fn new() -> Self {
-        ProcessSet { blocks: Vec::new() }
+        ProcessSet {
+            repr: Repr::Inline([0; INLINE_WORDS]),
+        }
     }
 
     /// Creates an empty set with capacity for ids `0..n` without reallocating.
     pub fn with_capacity(n: usize) -> Self {
-        ProcessSet {
-            blocks: Vec::with_capacity(n.div_ceil(BITS)),
+        let words = n.div_ceil(BITS);
+        if words <= INLINE_WORDS {
+            ProcessSet::new()
+        } else {
+            ProcessSet {
+                repr: Repr::Heap(Vec::with_capacity(words)),
+            }
+        }
+    }
+
+    /// The set backed by a copy of `words`, which has no trailing zero word.
+    fn from_normalized(words: &[u64]) -> Self {
+        if words.len() <= INLINE_WORDS {
+            let mut inline = [0; INLINE_WORDS];
+            inline[..words.len()].copy_from_slice(words);
+            ProcessSet {
+                repr: Repr::Inline(inline),
+            }
+        } else {
+            ProcessSet {
+                repr: Repr::Heap(words.to_vec()),
+            }
         }
     }
 
@@ -71,13 +164,13 @@ impl ProcessSet {
 
     /// Creates the full set `{0, 1, ..., n-1}`.
     pub fn full(n: usize) -> Self {
-        let mut blocks = vec![!0u64; n / BITS];
+        let mut s = ProcessSet::with_capacity(n);
+        let words = s.widen(n.div_ceil(BITS));
+        words[..n / BITS].fill(!0);
         let rem = n % BITS;
         if rem > 0 {
-            blocks.push((1u64 << rem) - 1);
+            words[n / BITS] = (1u64 << rem) - 1;
         }
-        let mut s = ProcessSet { blocks };
-        s.normalize();
         s
     }
 
@@ -88,27 +181,68 @@ impl ProcessSet {
         ids.into_iter().map(ProcessId::new).collect()
     }
 
+    /// Every stored word: the inline form's zero padding included, so
+    /// *not* normalised. For in-place edits; follow an edit that may clear
+    /// a word with [`ProcessSet::normalize`].
+    #[inline]
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.repr {
+            Repr::Inline(words) => words,
+            Repr::Heap(words) => words,
+        }
+    }
+
+    /// [`ProcessSet::words_mut`] widened (zero-filled) to at least `n`
+    /// words, spilling to the heap when the inline words do not reach. The
+    /// caller sets a bit in word `n - 1` when the view grew, which keeps
+    /// the spilled form free of trailing zero words.
+    fn widen(&mut self, n: usize) -> &mut [u64] {
+        if let Repr::Inline(words) = &self.repr {
+            if n > INLINE_WORDS {
+                let mut spilled = Vec::with_capacity(n);
+                spilled.extend_from_slice(trimmed(words));
+                self.repr = Repr::Heap(spilled);
+            }
+        }
+        match &mut self.repr {
+            Repr::Inline(words) => words,
+            Repr::Heap(words) => {
+                if words.len() < n {
+                    words.resize(n, 0);
+                }
+                words
+            }
+        }
+    }
+
+    /// Restores the spilled form's no-trailing-zero-word invariant.
+    fn normalize(&mut self) {
+        if let Repr::Heap(words) = &mut self.repr {
+            while words.last() == Some(&0) {
+                words.pop();
+            }
+        }
+    }
+
     /// Inserts `id`; returns `true` if the set did not already contain it.
     pub fn insert(&mut self, id: ProcessId) -> bool {
         let (b, bit) = (id.index() / BITS, id.index() % BITS);
-        if b >= self.blocks.len() {
-            self.blocks.resize(b + 1, 0);
-        }
+        let word = &mut self.widen(b + 1)[b];
         let mask = 1u64 << bit;
-        let fresh = self.blocks[b] & mask == 0;
-        self.blocks[b] |= mask;
+        let fresh = *word & mask == 0;
+        *word |= mask;
         fresh
     }
 
     /// Removes `id`; returns `true` if the set contained it.
     pub fn remove(&mut self, id: ProcessId) -> bool {
         let (b, bit) = (id.index() / BITS, id.index() % BITS);
-        if b >= self.blocks.len() {
+        let Some(word) = self.words_mut().get_mut(b) else {
             return false;
-        }
+        };
         let mask = 1u64 << bit;
-        let present = self.blocks[b] & mask != 0;
-        self.blocks[b] &= !mask;
+        let present = *word & mask != 0;
+        *word &= !mask;
         if present {
             self.normalize();
         }
@@ -119,23 +253,33 @@ impl ProcessSet {
     #[inline]
     pub fn contains(&self, id: ProcessId) -> bool {
         let (b, bit) = (id.index() / BITS, id.index() % BITS);
-        self.blocks.get(b).is_some_and(|w| w & (1u64 << bit) != 0)
+        let words: &[u64] = match &self.repr {
+            Repr::Inline(words) => words,
+            Repr::Heap(words) => words,
+        };
+        words.get(b).is_some_and(|w| w & (1u64 << bit) != 0)
     }
 
     /// Returns the number of elements.
     pub fn len(&self) -> usize {
-        self.blocks.iter().map(|w| w.count_ones() as usize).sum()
+        self.as_words()
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
     }
 
     /// Returns `true` if the set has no elements.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
+        self.as_words().is_empty()
     }
 
     /// Removes all elements.
     pub fn clear(&mut self) {
-        self.blocks.clear();
+        match &mut self.repr {
+            Repr::Inline(words) => *words = [0; INLINE_WORDS],
+            Repr::Heap(words) => words.clear(),
+        }
     }
 
     /// Returns the union `self ∪ other` as a new set.
@@ -147,10 +291,8 @@ impl ProcessSet {
 
     /// Adds all elements of `other` into `self`.
     pub fn union_with(&mut self, other: &ProcessSet) {
-        if other.blocks.len() > self.blocks.len() {
-            self.blocks.resize(other.blocks.len(), 0);
-        }
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
+        let other = other.as_words();
+        for (a, b) in self.widen(other.len()).iter_mut().zip(other) {
             *a |= b;
         }
     }
@@ -164,9 +306,9 @@ impl ProcessSet {
 
     /// Keeps only the elements also present in `other`.
     pub fn intersect_with(&mut self, other: &ProcessSet) {
-        self.blocks.truncate(other.blocks.len());
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            *a &= b;
+        let other = other.as_words();
+        for (k, a) in self.words_mut().iter_mut().enumerate() {
+            *a &= other.get(k).copied().unwrap_or(0);
         }
         self.normalize();
     }
@@ -180,7 +322,7 @@ impl ProcessSet {
 
     /// Removes all elements of `other` from `self`.
     pub fn difference_with(&mut self, other: &ProcessSet) {
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
+        for (a, b) in self.words_mut().iter_mut().zip(other.as_words()) {
             *a &= !b;
         }
         self.normalize();
@@ -191,22 +333,17 @@ impl ProcessSet {
     /// This is the hot operation behind the paper's threshold-based
     /// intertwined check `|Q ∩ Q'| > f` (Section III-F).
     pub fn intersection_len(&self, other: &ProcessSet) -> usize {
-        self.blocks
+        self.as_words()
             .iter()
-            .zip(&other.blocks)
+            .zip(other.as_words())
             .map(|(a, b)| (a & b).count_ones() as usize)
             .sum()
     }
 
     /// Returns `true` if every element of `self` is in `other`.
     pub fn is_subset(&self, other: &ProcessSet) -> bool {
-        if self.blocks.len() > other.blocks.len() {
-            return false;
-        }
-        self.blocks
-            .iter()
-            .zip(&other.blocks)
-            .all(|(a, b)| a & !b == 0)
+        let (a, b) = (self.as_words(), other.as_words());
+        a.len() <= b.len() && a.iter().zip(b).all(|(a, b)| a & !b == 0)
     }
 
     /// Returns `true` if every element of `other` is in `self`.
@@ -217,9 +354,9 @@ impl ProcessSet {
 
     /// Returns `true` if `self ∩ other = ∅`.
     pub fn is_disjoint(&self, other: &ProcessSet) -> bool {
-        self.blocks
+        self.as_words()
             .iter()
-            .zip(&other.blocks)
+            .zip(other.as_words())
             .all(|(a, b)| a & b == 0)
     }
 
@@ -233,11 +370,12 @@ impl ProcessSet {
     /// Returns `|self \ other|` without allocating — the non-allocating
     /// form of `self.difference(other).len()` used by discovery wait rules.
     pub fn difference_len(&self, other: &ProcessSet) -> usize {
-        self.blocks
+        let other = other.as_words();
+        self.as_words()
             .iter()
             .enumerate()
             .map(|(k, a)| {
-                let b = other.blocks.get(k).copied().unwrap_or(0);
+                let b = other.get(k).copied().unwrap_or(0);
                 (a & !b).count_ones() as usize
             })
             .sum()
@@ -246,56 +384,63 @@ impl ProcessSet {
     /// Keeps only the elements for which `keep` returns `true`, in place —
     /// the non-allocating counterpart of filter-and-recollect.
     pub fn retain<F: FnMut(ProcessId) -> bool>(&mut self, mut keep: F) {
-        for k in 0..self.blocks.len() {
-            let mut word = self.blocks[k];
+        for (k, slot) in self.words_mut().iter_mut().enumerate() {
+            let mut word = *slot;
             while word != 0 {
                 let bit = word.trailing_zeros() as usize;
                 word &= word - 1;
                 let id = ProcessId::new((k * BITS + bit) as u32);
                 if !keep(id) {
-                    self.blocks[k] &= !(1u64 << bit);
+                    *slot &= !(1u64 << bit);
                 }
             }
         }
         self.normalize();
     }
 
-    /// The backing `u64` words, least-significant id first. No trailing
-    /// all-zero word is ever present. Exposed for word-parallel engines
-    /// (e.g. `scup-fbqs`'s `QuorumEngine`) that pack sets into fixed-stride
-    /// rows.
+    /// The set as `u64` words, least-significant id first. No trailing
+    /// all-zero word is ever present, whichever form backs the set (the
+    /// canon rule in the [type docs](ProcessSet)). Exposed for
+    /// word-parallel engines (e.g. `scup-fbqs`'s `QuorumEngine`) that pack
+    /// sets into fixed-stride rows.
     #[inline]
     pub fn as_words(&self) -> &[u64] {
-        &self.blocks
+        match &self.repr {
+            Repr::Inline(words) => trimmed(words),
+            Repr::Heap(words) => words,
+        }
     }
 
     /// Builds a set directly from backing words (trailing zero words are
     /// stripped to restore the representation invariant).
-    pub fn from_words(blocks: Vec<u64>) -> Self {
-        let mut s = ProcessSet { blocks };
-        s.normalize();
-        s
+    pub fn from_words(mut blocks: Vec<u64>) -> Self {
+        blocks.truncate(trimmed(&blocks).len());
+        if blocks.len() <= INLINE_WORDS {
+            ProcessSet::from_normalized(&blocks)
+        } else {
+            ProcessSet {
+                repr: Repr::Heap(blocks),
+            }
+        }
     }
 
     /// Replaces the contents with the given words, reusing the existing
     /// allocation (the non-allocating counterpart of
     /// [`ProcessSet::from_words`]).
     pub fn copy_from_words(&mut self, blocks: &[u64]) {
-        self.blocks.clear();
-        self.blocks.extend_from_slice(blocks);
-        self.normalize();
+        let blocks = trimmed(blocks);
+        match &mut self.repr {
+            Repr::Heap(words) => {
+                words.clear();
+                words.extend_from_slice(blocks);
+            }
+            Repr::Inline(_) => *self = ProcessSet::from_normalized(blocks),
+        }
     }
 
     /// Returns the smallest id in the set, if any.
     pub fn first(&self) -> Option<ProcessId> {
-        for (i, w) in self.blocks.iter().enumerate() {
-            if *w != 0 {
-                return Some(ProcessId::new(
-                    (i * BITS + w.trailing_zeros() as usize) as u32,
-                ));
-            }
-        }
-        None
+        self.iter().next()
     }
 
     /// Returns an arbitrary (the smallest) element and removes it.
@@ -307,22 +452,17 @@ impl ProcessSet {
 
     /// Iterates over the ids in ascending order.
     pub fn iter(&self) -> Iter<'_> {
+        let blocks = self.as_words();
         Iter {
-            blocks: &self.blocks,
+            blocks,
             block_idx: 0,
-            current: self.blocks.first().copied().unwrap_or(0),
+            current: blocks.first().copied().unwrap_or(0),
         }
     }
 
     /// Collects the ids into a `Vec`, ascending.
     pub fn to_vec(&self) -> Vec<ProcessId> {
         self.iter().collect()
-    }
-
-    fn normalize(&mut self) {
-        while self.blocks.last() == Some(&0) {
-            self.blocks.pop();
-        }
     }
 }
 
@@ -627,6 +767,11 @@ mod tests {
         assert_eq!(target, ProcessSet::from_ids([1]));
         target.clone_from(&big);
         assert_eq!(target, big);
+    }
+
+    #[test]
+    fn the_inline_words_do_not_grow_the_type() {
+        assert!(std::mem::size_of::<ProcessSet>() <= 32);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property-based tests for `scup-graph`.
 //!
-//! - `ProcessSet` is checked against a `BTreeSet<u32>` oracle;
+//! - `ProcessSet` is checked against a `BTreeSet<u32>` oracle, built once
+//!   and through mutation sequences that cross the inline/heap line;
 //! - Tarjan SCC output is checked against reachability-defined equivalence;
 //! - Dinic disjoint-path counts are checked against structural bounds and a
 //!   brute-force path-packing lower bound on small graphs;
@@ -16,6 +17,13 @@ use scup_graph::{
 
 fn small_ids() -> impl Strategy<Value = Vec<u32>> {
     proptest::collection::vec(0u32..200, 0..40)
+}
+
+fn default_hash(set: &ProcessSet) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    set.hash(&mut h);
+    h.finish()
 }
 
 fn arb_digraph(max_n: usize, max_m: usize) -> impl Strategy<Value = DiGraph> {
@@ -53,6 +61,96 @@ proptest! {
         let ids: Vec<u32> = a.iter().map(|p| p.as_u32()).collect();
         let oracle_ids: Vec<u32> = oa.iter().copied().collect();
         prop_assert_eq!(ids, oracle_ids, "iteration must be ascending");
+    }
+
+    /// Mutation sequences, not build-then-query: ids reach 300 while the
+    /// inline words end at 128, so the subject and the operand each sit on
+    /// either side of the inline/heap line and cross it both ways. After
+    /// every step the set, its words, its hash and every relation to the
+    /// operand must be those of the oracle, whichever form backs them.
+    #[test]
+    fn set_operation_sequences_match_btreeset_oracle(
+        steps in proptest::collection::vec(
+            (0u32..10, 0u32..300, proptest::collection::vec(0u32..300, 0..6),
+             proptest::bool::ANY, proptest::bool::ANY),
+            1..60,
+        ),
+    ) {
+        let mut set = ProcessSet::new();
+        let mut oracle: BTreeSet<u32> = BTreeSet::new();
+        for (op, id, operand_ids, small, shrunk) in steps {
+            // The operand: below the line, across it, or spilled and shrunk
+            // back under it.
+            let operand_oracle: BTreeSet<u32> = operand_ids
+                .into_iter()
+                .map(|i| if small { i % 128 } else { i })
+                .collect();
+            let mut operand = ProcessSet::from_ids(operand_oracle.iter().copied());
+            if shrunk {
+                operand.insert(ProcessId::new(299));
+                if !operand_oracle.contains(&299) {
+                    operand.remove(ProcessId::new(299));
+                }
+            }
+            let pid = ProcessId::new(id);
+            match op {
+                0 => prop_assert_eq!(set.insert(pid), oracle.insert(id)),
+                1 => prop_assert_eq!(set.remove(pid), oracle.remove(&id)),
+                2 => prop_assert_eq!(set.pop_first().map(|p| p.as_u32()), oracle.pop_first()),
+                3 => {
+                    set.retain(|p| p.as_u32() < id);
+                    oracle.retain(|i| *i < id);
+                }
+                4 => {
+                    set.union_with(&operand);
+                    oracle.extend(&operand_oracle);
+                }
+                5 => {
+                    set.intersect_with(&operand);
+                    oracle.retain(|i| operand_oracle.contains(i));
+                }
+                6 => {
+                    set.difference_with(&operand);
+                    oracle.retain(|i| !operand_oracle.contains(i));
+                }
+                7 => {
+                    set.clone_from(&operand);
+                    oracle.clone_from(&operand_oracle);
+                }
+                8 => {
+                    let mut padded = operand.as_words().to_vec();
+                    padded.push(0);
+                    set.copy_from_words(&padded);
+                    oracle.clone_from(&operand_oracle);
+                }
+                _ => set = ProcessSet::from_words(set.as_words().to_vec()),
+            }
+
+            prop_assert_eq!(set.len(), oracle.len());
+            prop_assert_eq!(set.is_empty(), oracle.is_empty());
+            prop_assert!(set.iter().map(|p| p.as_u32()).eq(oracle.iter().copied()));
+            prop_assert_eq!(set.first().map(|p| p.as_u32()), oracle.first().copied());
+            prop_assert_eq!(set.contains(pid), oracle.contains(&id));
+            prop_assert!(set.as_words().last() != Some(&0), "trailing zero word");
+
+            prop_assert_eq!(set.is_subset(&operand), oracle.is_subset(&operand_oracle));
+            prop_assert_eq!(operand.is_subset(&set), operand_oracle.is_subset(&oracle));
+            prop_assert_eq!(set.is_disjoint(&operand), oracle.is_disjoint(&operand_oracle));
+            prop_assert_eq!(set.intersection_len(&operand),
+                            oracle.intersection(&operand_oracle).count());
+            prop_assert_eq!(set.difference_len(&operand),
+                            oracle.difference(&operand_oracle).count());
+            prop_assert_eq!(operand.difference_len(&set),
+                            operand_oracle.difference(&oracle).count());
+            prop_assert_eq!(set.cmp(&operand), oracle.cmp(&operand_oracle));
+
+            let rebuilt = ProcessSet::from_ids(oracle.iter().copied());
+            prop_assert_eq!(&set, &rebuilt);
+            prop_assert_eq!(set.as_words(), rebuilt.as_words());
+            prop_assert_eq!(set.cmp(&rebuilt), std::cmp::Ordering::Equal);
+            prop_assert_eq!(default_hash(&set), default_hash(&rebuilt));
+            prop_assert_eq!(&set.clone(), &rebuilt);
+        }
     }
 
     #[test]

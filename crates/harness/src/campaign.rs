@@ -249,9 +249,10 @@ pub fn worker_threads(requested: usize) -> usize {
     }
 }
 
-/// Renders a caught panic as a configuration error. Topology generators
-/// assert their parameter contracts (e.g. `scale_free needs n >= m + 1`);
-/// a typo in one scenario must become that record's error, not abort the
+/// Renders a caught panic as a configuration error. The net under
+/// [`System::of`](crate::system::System::of)'s validation: generators and
+/// the simulator assert their parameter contracts, and a contract no
+/// validator mirrors yet must become that record's error, not abort the
 /// whole campaign process.
 pub fn configuration_panic(payload: Box<dyn std::any::Any + Send>) -> String {
     let msg = payload
@@ -717,7 +718,8 @@ mod tests {
 
     #[test]
     fn invalid_topology_parameters_are_a_run_error_not_a_process_abort() {
-        // scale_free asserts n >= m + 1; the panic must be contained.
+        // `System::of` validates the parameters (the generator would
+        // panic on them): each run carries the error, none a caught panic.
         let report = Campaign {
             name: "bad-params".into(),
             mode: CampaignMode::Sample,
@@ -731,7 +733,10 @@ mod tests {
         assert_eq!(report.runs.len(), 2);
         for run in &report.runs {
             let err = run.error.as_ref().expect("run carries the error");
-            assert!(err.contains("n >= m + 1"), "{err}");
+            assert_eq!(
+                err,
+                "scenario `impossible`: topology `scale-free` needs n >= m + 1"
+            );
             assert!(!run.passed);
         }
     }

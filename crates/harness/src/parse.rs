@@ -113,6 +113,9 @@ fn scenario_from_json(doc: &Json) -> Result<Scenario, String> {
 
     let topology = topology_from_json(doc)?;
     let f = get_usize(doc, "f")?.unwrap_or(1);
+    topology
+        .validate(f)
+        .map_err(|e| format!("scenario `{name}`: {e}"))?;
 
     let adversary = doc
         .get("adversary")
@@ -766,6 +769,40 @@ max_ticks = 1_000_000
             (
                 "name = \"x\"\n[[scenario]]\nname = \"s\"\ntopology = \"fig2\"\ndelta = 0",
                 "scenario `s`: `delta` must be at least 1",
+            ),
+            // So does each topology generator assert its parameters (and
+            // an empty Erdős–Rényi graph would pass vacuously).
+            (
+                "name = \"x\"\n[[scenario]]\nname = \"s\"\ntopology = \"byzantine-safe\"\nsink = 0\nnonsink = 2\nf = 1",
+                "scenario `s`: topology `byzantine-safe` needs sink >= 3f + 2 = 5",
+            ),
+            (
+                "name = \"x\"\n[[scenario]]\nname = \"s\"\ntopology = \"random-kosr\"\nsink = 3\nnonsink = 2\nk = 5",
+                "scenario `s`: topology `random-kosr` needs sink > k",
+            ),
+            (
+                "name = \"x\"\n[[scenario]]\nname = \"s\"\ntopology = \"random-kosr\"\nsink = 3\nnonsink = 2\nk = 0",
+                "scenario `s`: topology `random-kosr` needs k >= 1",
+            ),
+            (
+                "name = \"x\"\n[[scenario]]\nname = \"s\"\ntopology = \"erdos-renyi\"\nn = 0\np = 0.5",
+                "scenario `s`: topology `erdos-renyi` needs n >= 1",
+            ),
+            (
+                "name = \"x\"\n[[scenario]]\nname = \"s\"\ntopology = \"erdos-renyi\"\nn = 5\np = 1.5",
+                "scenario `s`: topology `erdos-renyi` needs `p` in [0, 1], got 1.5",
+            ),
+            (
+                "name = \"x\"\n[[scenario]]\nname = \"s\"\ntopology = \"fig2-family\"\nsink = 3\nouter = 2",
+                "scenario `s`: topology `fig2-family` needs outer >= 3",
+            ),
+            (
+                "name = \"x\"\n[[scenario]]\nname = \"s\"\ntopology = \"scale-free\"\nn = 3\nm = 4",
+                "scenario `s`: topology `scale-free` needs n >= m + 1",
+            ),
+            (
+                "name = \"x\"\n[[scenario]]\nname = \"s\"\ntopology = \"clustered\"\nclusters = 2\ncluster_size = 1",
+                "scenario `s`: topology `clustered` needs cluster_size >= 2",
             ),
         ];
         for (input, needle) in cases {

@@ -112,6 +112,77 @@ impl TopologySpec {
             TopologySpec::PerturbedFig2 { .. } => "perturbed-fig2",
         }
     }
+
+    /// Rejects parameters the family's generator cannot build: each
+    /// generator in `scup_graph::generators` asserts its contract, so an
+    /// unchecked typo would panic once per run (or, for an empty
+    /// Erdős–Rényi graph, pass vacuously on a system with no process).
+    /// `f` is the scenario's fault threshold (`byzantine-safe` sizes its
+    /// sink by it).
+    ///
+    /// # Errors
+    ///
+    /// Names the family and the violated bound.
+    pub fn validate(&self, f: usize) -> Result<(), String> {
+        let family = self.family_name();
+        let need = |ok: bool, bound: &str| {
+            if ok {
+                Ok(())
+            } else {
+                Err(format!("topology `{family}` needs {bound}"))
+            }
+        };
+        let probability = |key: &str, p: f64| {
+            need(
+                (0.0..=1.0).contains(&p),
+                &format!("`{key}` in [0, 1], got {p}"),
+            )
+        };
+        match *self {
+            TopologySpec::Fig1
+            | TopologySpec::Fig2
+            | TopologySpec::PerturbedFig1 { .. }
+            | TopologySpec::PerturbedFig2 { .. } => Ok(()),
+            TopologySpec::Fig2Family { sink, outer } => {
+                need(sink >= 3, "sink >= 3")?;
+                need(outer >= 3, "outer >= 3")
+            }
+            TopologySpec::RandomKosr {
+                sink,
+                k,
+                extra_edge_prob,
+                ..
+            } => {
+                need(k >= 1, "k >= 1")?;
+                need(sink > k, "sink > k")?;
+                probability("extra_edge_prob", extra_edge_prob)
+            }
+            TopologySpec::ByzantineSafe { sink, .. } => {
+                let bound = f.saturating_mul(3).saturating_add(2);
+                need(sink >= bound, &format!("sink >= 3f + 2 = {bound}"))
+            }
+            TopologySpec::ErdosRenyi { n, p } => {
+                need(n >= 1, "n >= 1")?;
+                probability("p", p)
+            }
+            TopologySpec::ScaleFree { n, m } => {
+                need(m >= 1, "m >= 1")?;
+                need(n > m, "n >= m + 1")
+            }
+            TopologySpec::Clustered {
+                clusters,
+                cluster_size,
+                intra_extra_prob,
+                inter_extra_prob,
+                ..
+            } => {
+                need(clusters >= 1, "clusters >= 1")?;
+                need(cluster_size >= 2, "cluster_size >= 2")?;
+                probability("intra_extra_prob", intra_extra_prob)?;
+                probability("inter_extra_prob", inter_extra_prob)
+            }
+        }
+    }
 }
 
 /// Where the faulty processes sit.

@@ -42,9 +42,10 @@ impl System {
     ///
     /// Returns a description when the scenario cannot be configured: an
     /// unknown adversary, an unsatisfiable fault placement, or network
-    /// timing, a fault plan or a churn plan the simulator would reject (it
-    /// panics on a bad one; validating here turns `delta = 0` or an
-    /// out-of-range id into an error).
+    /// timing, topology parameters, a fault plan or a churn plan the
+    /// simulator or a generator would reject (they panic on a bad one;
+    /// validating here turns `delta = 0`, `sink <= k` or an out-of-range
+    /// id into an error).
     pub fn of(
         scenario: &Scenario,
         seed: u64,
@@ -54,6 +55,7 @@ impl System {
         scenario
             .network
             .validate()
+            .and_then(|()| scenario.topology.validate(scenario.f))
             .map_err(|e| format!("scenario `{}`: {e}", scenario.name))?;
         let (kg, generated) = topology::instantiate(&scenario.topology, scenario.f, seed);
         let faulty = topology::place_faults(&scenario.faults, &kg, generated, seed)?;
@@ -139,5 +141,38 @@ mod tests {
             .build();
         let err = System::of(&scenario, 0, &AdversaryRegistry::builtin()).unwrap_err();
         assert_eq!(err, "scenario `instant`: `delta` must be at least 1");
+    }
+
+    #[test]
+    fn bad_topology_parameters_are_an_error_not_a_panic_in_every_run() {
+        use crate::scenario::TopologySpec as T;
+        let cases = [
+            (
+                T::ByzantineSafe {
+                    sink: 0,
+                    nonsink: 2,
+                },
+                "topology `byzantine-safe` needs sink >= 3f + 2 = 5",
+            ),
+            (
+                T::RandomKosr {
+                    sink: 3,
+                    nonsink: 2,
+                    k: 5,
+                    extra_edge_prob: 0.0,
+                },
+                "topology `random-kosr` needs sink > k",
+            ),
+            // Used to pass vacuously: no process, no message, no violation.
+            (
+                T::ErdosRenyi { n: 0, p: 0.5 },
+                "topology `erdos-renyi` needs n >= 1",
+            ),
+        ];
+        for (topology, needle) in cases {
+            let scenario = Scenario::builder("typo").topology(topology).f(1).build();
+            let err = System::of(&scenario, 0, &AdversaryRegistry::builtin()).unwrap_err();
+            assert_eq!(err, format!("scenario `typo`: {needle}"));
+        }
     }
 }

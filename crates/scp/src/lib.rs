@@ -38,6 +38,7 @@ mod fingerprint;
 pub mod node;
 mod seen;
 pub mod statement;
+mod table;
 pub mod voting;
 
 pub use node::{journal_contradictions, NodeStats, ScpConfig, ScpMsg, ScpNode};

@@ -3,21 +3,37 @@
 //! Flood gossip delivers every envelope once per knowledge edge, so more
 //! than nine deliveries in ten are duplicates and the dedup test is the
 //! node's hottest operation. The set of `(origin, statement, accept)`
-//! triples is therefore stored per *statement*: a run pledges a few dozen
-//! statements however many processes pledge them, so a lookup searches a
-//! few dozen keys and then tests one bit. Duplicates are answered by that
-//! read alone; only a new envelope takes the path-copying write.
+//! triples is therefore stored per *statement*, in a flat copy-on-write
+//! [`Table`]: a run pledges a few dozen statements however many processes
+//! pledge them, so a lookup is one binary search over a few dozen
+//! contiguous keys and then one bit test on an inline
+//! [`ProcessSet`]. Duplicates are answered by that read alone; only a new
+//! envelope takes the write, which copies the table if a fork still
+//! shares it (at most 6 statements in any explored system — see
+//! [`crate::table`]).
 //!
 //! The set's contribution to the state fingerprint is its size and an XOR
 //! multiset digest over the triples (see [`crate::fingerprint`]), kept
 //! incrementally. Both are functions of the triples alone, not of how
 //! they are stored.
+//!
+//! # Relation to the vote tally
+//!
+//! At every actor-callback boundary the node's
+//! [`VoteTracker`](crate::voting::VoteTracker) holds the same pledges:
+//! for each statement `s`, `tracker.accepted[s] = seen.accepts[s]` and
+//! `tracker.voted[s] = seen.votes[s] ∪ seen.accepts[s]` (an accept implies
+//! a vote; own pledges enter the tally first and this set when they are
+//! broadcast, inside the same callback). One table could serve both. They
+//! stay apart because `VoteTracker` is a public type with no notion of an
+//! envelope — and the benchmark's probe surface for federated voting.
 
-use scup_graph::{PersistentMap, ProcessId, ProcessSet};
+use scup_graph::{ProcessId, ProcessSet};
 use scup_sim::{Perm, StateHasher};
 
 use crate::fingerprint::hash_statement;
 use crate::statement::Statement;
+use crate::table::Table;
 
 /// The origins whose pledge for one statement has been seen, by level.
 #[derive(Clone, Default)]
@@ -46,11 +62,11 @@ fn entry_digest(origin: ProcessId, stmt: &Statement, accept: bool) -> u128 {
 }
 
 /// Envelopes already processed, as a set of `(origin, statement, accept)`
-/// triples. Persistent: exploration forks a node per visited state, so a
-/// fork is an `Arc` bump and a new envelope a one-chunk path copy.
+/// triples. Exploration forks a node per visited state: a fork is an `Arc`
+/// bump, and the first new envelope after it copies the table.
 #[derive(Clone, Default)]
 pub(crate) struct SeenEnvelopes {
-    by_stmt: PersistentMap<Statement, Pledgers>,
+    by_stmt: Table<Statement, Pledgers>,
     /// Number of triples.
     len: usize,
     /// XOR of [`entry_digest`] over the triples.

@@ -22,19 +22,31 @@
 //! [`VoteTracker`] keeps the per-statement tally; [`QuorumCheck`] holds the
 //! slice registry built from received envelopes and answers the
 //! quorum/v-blocking queries.
+//!
+//! Both store their keyed state in a flat copy-on-write
+//! table (`table.rs`) — one row per statement (who voted, who
+//! accepted, our own level: the abstract per-statement state of federated
+//! voting) and one row per process (its latest slice claim). Exploration
+//! forks a node per visited state, so a fork is an `Arc` bump; a write
+//! after a fork copies the whole table, which the explorer's systems keep
+//! at 6 statements or fewer, and a sampled run never forks, so it writes
+//! in place. The node's envelope dedup set (`seen.rs`) holds the same
+//! pledges keyed by envelope; the invariant tying the two is stated there.
 
 use std::sync::Arc;
 
 use scup_fbqs::{EngineScratch, QuorumEngine, SliceFamily};
-use scup_graph::{PersistentMap, ProcessId, ProcessSet};
+use scup_graph::{ProcessId, ProcessSet};
 use scup_obs::causal::{ProvEntry, ProvRule, ProvenanceLog};
 
 use crate::statement::Statement;
+use crate::table::Table;
 
 /// How far a process has progressed on one statement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum VoteLevel {
     /// No pledge yet.
+    #[default]
     None,
     /// Voted for the statement.
     Voted,
@@ -51,15 +63,15 @@ pub enum VoteLevel {
 ///
 /// Exploration forks one `QuorumCheck` per SCP node per visited state, and
 /// most forked nodes are never mutated before the next fork, so every
-/// heavy field is structurally shared: the registry is a
-/// [`PersistentMap`] (clone = `Arc` bump, mutation path-copies one chunk)
-/// and the compiled engine rides behind an `Arc` — a fork keeps querying
-/// the shared compilation and only [`Arc::make_mut`]-copies it when a
-/// divergent slice claim actually arrives. Scratch and closure buffers are
-/// cheap transients and start empty in each clone.
+/// heavy field is shared until written: the registry is a copy-on-write
+/// table in process-id order (clone = `Arc` bump) and the compiled engine
+/// rides behind an `Arc` — a fork keeps querying the shared compilation
+/// and only [`Arc::make_mut`]-copies it when a divergent slice claim
+/// actually arrives. Scratch and closure buffers are cheap transients and
+/// start empty in each clone.
 #[derive(Debug, Default)]
 pub struct QuorumCheck {
-    slices: PersistentMap<ProcessId, SliceFamily>,
+    slices: Table<ProcessId, SliceFamily>,
     engine: Option<Arc<QuorumEngine>>,
     scratch: EngineScratch,
     closure: ProcessSet,
@@ -172,8 +184,7 @@ impl QuorumCheck {
     }
 
     /// Every recorded `(process, slices)` claim, in process-id order —
-    /// canonical iteration for exploration state fingerprints (identical
-    /// to the pre-persistent-map `BTreeMap` order).
+    /// canonical iteration for exploration state fingerprints.
     pub fn recorded(&self) -> impl Iterator<Item = (ProcessId, &SliceFamily)> + '_ {
         self.slices.iter().map(|(i, fam)| (*i, fam))
     }
@@ -237,17 +248,28 @@ impl QuorumCheck {
     }
 }
 
+/// One statement's tally: the processes that pledged it, and how far this
+/// process got on it.
+#[derive(Debug, Clone, Default)]
+struct Tally {
+    /// Voted or accepted (an accept implies a vote).
+    voted: ProcessSet,
+    accepted: ProcessSet,
+    /// Our own level.
+    level: VoteLevel,
+}
+
 /// Per-statement federated-voting tally for one process.
 ///
-/// Structurally shared: exploration forks a tracker per SCP node per
-/// visited state, so the per-statement maps are [`PersistentMap`]s —
-/// `Clone` is three `Arc` bumps, and recording a pledge path-copies one
-/// chunk instead of the whole tally.
+/// Exploration forks a tracker per SCP node per visited state, so the
+/// tallies sit in one copy-on-write table keyed by statement: `Clone` is
+/// an `Arc` bump, and the first pledge recorded after a fork copies the
+/// table (see the [module docs](self)).
 #[derive(Debug, Default)]
 pub struct VoteTracker {
-    voted: PersistentMap<Statement, ProcessSet>,
-    accepted: PersistentMap<Statement, ProcessSet>,
-    mine: PersistentMap<Statement, VoteLevel>,
+    /// Every accept is also recorded as a vote and every own pledge joins
+    /// `voted`, so the keys are the statement universe.
+    tallies: Table<Statement, Tally>,
     /// Statements whose tally changed since the last [`VoteTracker::update`]
     /// — the incremental worklist. A statement's level depends only on its
     /// own tally sets, the caller's slices, and the slice registry, so
@@ -265,9 +287,7 @@ pub struct VoteTracker {
 impl Clone for VoteTracker {
     fn clone(&self) -> Self {
         VoteTracker {
-            voted: self.voted.clone(),
-            accepted: self.accepted.clone(),
-            mine: self.mine.clone(),
+            tallies: self.tallies.clone(),
             dirty: self.dirty.clone(),
             all_dirty: self.all_dirty,
             stmt_buf: Vec::new(),
@@ -296,15 +316,16 @@ impl VoteTracker {
 
     /// Records a remote vote.
     pub fn record_vote(&mut self, from: ProcessId, stmt: Statement) {
-        if self.voted.get_or_default(stmt).insert(from) {
+        if self.tallies.get_or_default(stmt).voted.insert(from) {
             self.mark_dirty(stmt);
         }
     }
 
     /// Records a remote accept (an accept implies a vote).
     pub fn record_accept(&mut self, from: ProcessId, stmt: Statement) {
-        let fresh_vote = self.voted.get_or_default(stmt).insert(from);
-        if self.accepted.get_or_default(stmt).insert(from) || fresh_vote {
+        let tally = self.tallies.get_or_default(stmt);
+        let fresh_vote = tally.voted.insert(from);
+        if tally.accepted.insert(from) || fresh_vote {
             self.mark_dirty(stmt);
         }
     }
@@ -315,15 +336,16 @@ impl VoteTracker {
         if self.level(stmt) >= VoteLevel::Voted {
             return false;
         }
-        self.mine.insert(stmt, VoteLevel::Voted);
-        self.voted.get_or_default(stmt).insert(self_id);
+        let tally = self.tallies.get_or_default(stmt);
+        tally.level = VoteLevel::Voted;
+        tally.voted.insert(self_id);
         self.mark_dirty(stmt);
         true
     }
 
     /// Our level on `stmt`.
     pub fn level(&self, stmt: Statement) -> VoteLevel {
-        self.mine.get(&stmt).copied().unwrap_or(VoteLevel::None)
+        self.tallies.get(&stmt).map_or(VoteLevel::None, |t| t.level)
     }
 
     /// The accept ratchet: `true` when `stmt` contradicts a statement we
@@ -333,27 +355,31 @@ impl VoteTracker {
     /// different values impossible whenever correct quorums intersect
     /// (see [`Statement::contradicts`]).
     pub fn accept_would_contradict(&self, stmt: Statement) -> bool {
-        self.mine
+        self.tallies
             .iter()
-            .any(|(s, l)| *l >= VoteLevel::Accepted && stmt.contradicts(s))
+            .any(|(s, t)| t.level >= VoteLevel::Accepted && stmt.contradicts(s))
     }
 
     /// All statements we confirmed.
     pub fn confirmed(&self) -> impl Iterator<Item = Statement> + '_ {
-        self.mine
+        self.tallies
             .iter()
-            .filter(|(_, l)| **l == VoteLevel::Confirmed)
+            .filter(|(_, t)| t.level == VoteLevel::Confirmed)
             .map(|(s, _)| *s)
     }
 
     /// The processes that voted-or-accepted `stmt`.
     pub fn voters(&self, stmt: Statement) -> ProcessSet {
-        self.voted.get(&stmt).cloned().unwrap_or_default()
+        self.tallies
+            .get(&stmt)
+            .map_or_else(ProcessSet::new, |t| t.voted.clone())
     }
 
     /// The processes that accepted `stmt`.
     pub fn accepters(&self, stmt: Statement) -> ProcessSet {
-        self.accepted.get(&stmt).cloned().unwrap_or_default()
+        self.tallies
+            .get(&stmt)
+            .map_or_else(ProcessSet::new, |t| t.accepted.clone())
     }
 
     /// Re-evaluates the accept/confirm rules for every *stale* statement
@@ -400,9 +426,7 @@ impl VoteTracker {
         let mut statements = std::mem::take(&mut self.stmt_buf);
         statements.clear();
         if self.all_dirty {
-            // Every accept is also recorded as a vote, so `voted`'s keys
-            // cover the statement universe.
-            statements.extend(self.voted.keys().copied());
+            statements.extend_from_slice(self.tallies.keys());
             self.all_dirty = false;
             self.dirty.clear();
         } else {
@@ -411,99 +435,71 @@ impl VoteTracker {
             statements.sort_unstable();
             statements.dedup();
         }
-        let empty = ProcessSet::new();
         for stmt in statements.iter().copied() {
-            loop {
-                let level = self.level(stmt);
-                let next = match level {
+            // Every statement on the worklist got its row when it was
+            // recorded.
+            while let Some(tally) = self.tallies.get(&stmt) {
+                let level = match tally.level {
                     VoteLevel::None | VoteLevel::Voted => {
-                        let accepters = self.accepted.get(&stmt).unwrap_or(&empty);
                         // Which accept rule fires matters only to the
                         // provenance log; the `||` order matches the old
                         // short-circuit exactly, so the quorum query runs
                         // iff it used to.
                         let rule = if self.accept_would_contradict(stmt) {
                             None
-                        } else if check.is_v_blocking(own_slices, accepters) {
+                        } else if check.is_v_blocking(own_slices, &tally.accepted) {
                             Some(ProvRule::AcceptVBlocking)
-                        } else if level == VoteLevel::Voted
-                            && check.has_quorum_through(
-                                self_id,
-                                own_slices,
-                                self.voted.get(&stmt).unwrap_or(&empty),
-                            )
+                        } else if tally.level == VoteLevel::Voted
+                            && check.has_quorum_through(self_id, own_slices, &tally.voted)
                         {
                             Some(ProvRule::AcceptQuorum)
                         } else {
                             None
                         };
-                        if let Some(rule) = rule {
-                            if prov.is_enabled() {
-                                let (support, label) = match rule {
-                                    ProvRule::AcceptVBlocking => (
-                                        self.accepted
-                                            .get(&stmt)
-                                            .unwrap_or(&empty)
-                                            .iter()
-                                            .map(|p| p.as_u32())
-                                            .collect(),
-                                        format!("accept {stmt:?}"),
-                                    ),
-                                    _ => (
-                                        check.last_closure().iter().map(|p| p.as_u32()).collect(),
-                                        format!("vote {stmt:?}"),
-                                    ),
-                                };
-                                prov.push(ProvEntry {
-                                    process: self_id.as_u32(),
-                                    rule,
-                                    statement: format!("{stmt:?}"),
-                                    premises: Vec::new(),
-                                    support,
-                                    support_label: Some(label),
-                                });
-                            }
-                            self.accepted.get_or_default(stmt).insert(self_id);
-                            self.voted.get_or_default(stmt).insert(self_id);
-                            self.mine.insert(stmt, VoteLevel::Accepted);
-                            changes.push((stmt, VoteLevel::Accepted));
-                            true
-                        } else {
-                            false
+                        let Some(rule) = rule else { break };
+                        if prov.is_enabled() {
+                            let (support, label) = match rule {
+                                ProvRule::AcceptVBlocking => {
+                                    (&tally.accepted, format!("accept {stmt:?}"))
+                                }
+                                _ => (check.last_closure(), format!("vote {stmt:?}")),
+                            };
+                            prov.push(ProvEntry {
+                                process: self_id.as_u32(),
+                                rule,
+                                statement: format!("{stmt:?}"),
+                                premises: Vec::new(),
+                                support: support.iter().map(|p| p.as_u32()).collect(),
+                                support_label: Some(label),
+                            });
                         }
+                        VoteLevel::Accepted
                     }
                     VoteLevel::Accepted => {
-                        if check.has_quorum_through(
-                            self_id,
-                            own_slices,
-                            self.accepted.get(&stmt).unwrap_or(&empty),
-                        ) {
-                            if prov.is_enabled() {
-                                prov.push(ProvEntry {
-                                    process: self_id.as_u32(),
-                                    rule: ProvRule::Confirm,
-                                    statement: format!("{stmt:?}"),
-                                    premises: Vec::new(),
-                                    support: check
-                                        .last_closure()
-                                        .iter()
-                                        .map(|p| p.as_u32())
-                                        .collect(),
-                                    support_label: Some(format!("accept {stmt:?}")),
-                                });
-                            }
-                            self.mine.insert(stmt, VoteLevel::Confirmed);
-                            changes.push((stmt, VoteLevel::Confirmed));
-                            true
-                        } else {
-                            false
+                        if !check.has_quorum_through(self_id, own_slices, &tally.accepted) {
+                            break;
                         }
+                        if prov.is_enabled() {
+                            prov.push(ProvEntry {
+                                process: self_id.as_u32(),
+                                rule: ProvRule::Confirm,
+                                statement: format!("{stmt:?}"),
+                                premises: Vec::new(),
+                                support: check.last_closure().iter().map(|p| p.as_u32()).collect(),
+                                support_label: Some(format!("accept {stmt:?}")),
+                            });
+                        }
+                        VoteLevel::Confirmed
                     }
-                    VoteLevel::Confirmed => false,
+                    VoteLevel::Confirmed => break,
                 };
-                if !next {
-                    break;
+                let tally = self.tallies.get_or_default(stmt);
+                if level == VoteLevel::Accepted {
+                    tally.accepted.insert(self_id);
+                    tally.voted.insert(self_id);
                 }
+                tally.level = level;
+                changes.push((stmt, level));
             }
         }
         self.stmt_buf = statements;
