@@ -330,6 +330,10 @@ impl SinkCore {
     ///
     /// `known` stays hashed forever: `Check` answers carry it, so late
     /// discovery can still change future emissions.
+    ///
+    /// One reader of `replied` survives the rule, though — the
+    /// [`SinkCore::absorbs_msg`] hook — so this fingerprint is not a
+    /// congruence; see the note there.
     pub fn fingerprint_into(&self, h: &mut StateHasher, perm: Option<&Perm>) {
         h.write_u32(apply_perm(self.self_id, perm).as_u32());
         write_set_perm(h, &self.pd, perm);
@@ -382,6 +386,25 @@ impl SinkCore {
     ///   the fire/verdict rules re-fire only on change;
     /// - a `CheckReply` after the verdict only mutates the dead `echoes`
     ///   map (the verdict is write-once).
+    ///
+    /// **Known defect — not a congruence.** [`SinkCore::fingerprint_into`]
+    /// drops `replied` once `fired`, but the `DiscoverReply` arm still
+    /// reads it: two fingerprint-equal fired cores answer differently for
+    /// a late duplicate reply, which is absorbed on one path and becomes a
+    /// branching step (touching only dead state) on another. Every local
+    /// step is still exact; the *census* is path-dependent. On the
+    /// benchmark's `bftcup-equiv-leader` (depth 5): **35 528** states as
+    /// explored and frozen today; 37 136 (the sizing prototype) or 38 040
+    /// (the memo as merged) under a hash-keyed local-transition memo —
+    /// which of two fingerprint-equal cores it keeps is itself an accident
+    /// of the search order (which is why `BftProtocol` and `StackProtocol` leave
+    /// `Explored::CONGRUENT_FINGERPRINT` off, and what clause (c) of the
+    /// explorer's debug replay check trips on); **18 872** with the
+    /// congruent hook, with or without the memo — nearly half of today's
+    /// census is dead-state branching. The fix is one line,
+    /// `(self.fired || self.replied.contains(from)) && set.is_subset(&self.known)`,
+    /// and has to wait for a benchmark-only change that re-freezes the
+    /// census (ROADMAP, *Benchmark upkeep*).
     pub fn absorbs_msg(&self, from: ProcessId, msg: &SinkMsg) -> bool {
         match msg {
             SinkMsg::DiscoverReply(set) => {

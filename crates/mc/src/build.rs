@@ -241,14 +241,44 @@ pub trait Explored: Protocol + Sync {
         let _ = msg;
         origin_correct
     }
+
+    /// Whether every actor this protocol seats has a *congruent*
+    /// fingerprint: two slots with equal hashes give, for every event,
+    /// successors with equal hashes, the same emitted events as a
+    /// multiset and the same timers, and equal
+    /// [`absorbs`](scup_sim::Actor::absorbs) /
+    /// [`threshold_inert`](scup_sim::Actor::threshold_inert) answers ever
+    /// after (the contract in [`scup_sim::explore`]'s module docs). It is
+    /// what lets [`Engine::ucs`](crate::Engine::ucs) replay a repeated
+    /// local step from a memo instead of executing it, and `ucs` is the
+    /// only reader.
+    ///
+    /// A declared invariant of the protocol's implementation, like
+    /// [`Explored::inert_origin_ok`] — not a setting. The default is the
+    /// safe side: every step is executed.
+    const CONGRUENT_FINGERPRINT: bool = false;
 }
 
 impl Explored for ScpProtocol<'_> {
+    /// `ScpNode::fingerprint` hashes the envelope set, the slice
+    /// registry, the sync set and the ballot state; everything its hooks
+    /// and callbacks read beyond that (the vote tracker, the quorum
+    /// engine) is the monotone fixpoint of exactly those, so
+    /// fingerprint-equal nodes react alike.
+    /// The one thing outside is the backlog's *order*, which permutes
+    /// catch-up sends without changing them as a multiset. The SCP
+    /// adversaries hash all they branch on (the victim split is fixed per
+    /// simulation, and a memo never outlives one).
+    const CONGRUENT_FINGERPRINT: bool = true;
+
     fn msg_origin(_from: ProcessId, msg: &ScpMsg) -> ProcessId {
         msg.origin
     }
 }
 
+/// `CONGRUENT_FINGERPRINT` stays `false`: `SinkCore`'s fingerprint drops
+/// `replied` once the core has fired, but its `absorbs` still reads it
+/// (see the note at `SinkCore::absorbs_msg`).
 impl Explored for BftProtocol<'_> {
     /// BFT-CUP messages are point-to-point and unrelayed: the channel
     /// sender is the accountable origin.
@@ -265,6 +295,8 @@ impl Explored for BftProtocol<'_> {
     }
 }
 
+/// `CONGRUENT_FINGERPRINT` stays `false`: the stack's sink detector
+/// embeds the same `SinkCore` as BFT-CUP's.
 impl Explored for StackProtocol<'_> {
     /// Discovery traffic is point-to-point (sender-accountable); embedded
     /// SCP envelopes carry their signed origin.

@@ -426,6 +426,8 @@ fn explore_with_driver<P: Explored>(
         record.obs = Some(ExploreObs {
             phases: ExploreObs::phase_rows(&stats.profile),
             reexpansions: stats.reexpansions,
+            steps_replayed: stats.steps_replayed,
+            steps_executed: stats.steps_executed,
             visited_len: merged.len() as u64,
             visited_capacity: merged.capacity() as u64,
             worker_visited_peak: stats.visited_peak.0,

@@ -105,6 +105,13 @@ pub enum Class {
 pub struct WorkerStats {
     /// Branching events fired during exploration.
     pub transitions: u64,
+    /// Fires (branching and forced) that [`Engine::ucs`] answered from a
+    /// local-transition memo instead of calling the actor. 0 for every
+    /// protocol whose [`Explored::CONGRUENT_FINGERPRINT`] is `false`.
+    pub steps_replayed: u64,
+    /// Fires (branching and forced) for which `ucs` ran an actor
+    /// callback.
+    pub steps_executed: u64,
     /// Strictly shallower revisits of an already-recorded canonical
     /// state. Never taken under depth-layered expansion — the counter
     /// exists to prove that.
@@ -129,6 +136,8 @@ impl Default for WorkerStats {
     fn default() -> Self {
         WorkerStats {
             transitions: 0,
+            steps_replayed: 0,
+            steps_executed: 0,
             reexpansions: 0,
             profile: PhaseProfile::disabled(),
             visited_peak: (0, 0),
@@ -152,6 +161,8 @@ impl WorkerStats {
     /// back under the cap).
     pub fn absorb(&mut self, other: WorkerStats) {
         self.transitions += other.transitions;
+        self.steps_replayed += other.steps_replayed;
+        self.steps_executed += other.steps_executed;
         self.reexpansions += other.reexpansions;
         self.profile.merge(&other.profile);
         if other.visited_peak.0 > self.visited_peak.0 {
@@ -165,6 +176,13 @@ impl WorkerStats {
                 keep
             });
         }
+    }
+
+    /// Adds the step counters of a simulation `ucs` is done with.
+    fn count_steps<M: scup_sim::SimMessage>(&mut self, sim: &ExploreSim<M>) {
+        let (replayed, executed) = sim.step_counts();
+        self.steps_replayed += replayed;
+        self.steps_executed += executed;
     }
 
     /// Records one frontier-depth sample if profiling is on and the
@@ -372,6 +390,17 @@ impl<'a, P: Explored> Engine<'a, P> {
     /// Restore and snapshot copy slot pointers; the one actor fork a
     /// delivery needs happens at its first write, inside fire or settle.
     ///
+    /// Repeated local steps are replayed, not executed: when the protocol
+    /// declares [`Explored::CONGRUENT_FINGERPRINT`], every restore target
+    /// carries a local-transition memo ([`ExploreSim::memoise_steps`]), so
+    /// a fire — here or inside settle — whose (recipient slot, event)
+    /// pair this call has fired before installs the remembered successor.
+    /// One memo per variant (the victim split is outside the fingerprint)
+    /// and per worker, dropped with the simulations when this returns.
+    /// Nothing else gets one: [`Engine::replay`], [`Engine::frontier`] and
+    /// [`Engine::find_cex`] execute every step, so every rendered
+    /// schedule, trace and provenance chain comes from real callbacks.
+    ///
     /// # Errors
     ///
     /// Returns [`StateCapExceeded`] when `visited` outgrows the safety
@@ -397,7 +426,7 @@ impl<'a, P: Explored> Engine<'a, P> {
             if visited.len() as u64 > self.spec.max_states {
                 return Err(StateCapExceeded);
             }
-            let sim = self.replay(*variant, path);
+            let mut sim = self.replay(*variant, path);
             if let Some(choices) = self.visit_fp(*variant, &sim, visited, stats) {
                 let parent = Rc::new(sim.snapshot());
                 for choice in choices {
@@ -413,7 +442,12 @@ impl<'a, P: Explored> Engine<'a, P> {
                 sims.resize_with(slot + 1, || None);
             }
             if sims[slot].is_none() {
+                if P::CONGRUENT_FINGERPRINT {
+                    sim.memoise_steps();
+                }
                 sims[slot] = Some(sim);
+            } else {
+                stats.count_steps(&sim);
             }
         }
 
@@ -449,6 +483,9 @@ impl<'a, P: Explored> Engine<'a, P> {
                 }
             }
             layer = next;
+        }
+        for sim in sims.iter().flatten() {
+            stats.count_steps(sim);
         }
         Ok(())
     }

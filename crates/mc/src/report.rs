@@ -35,6 +35,10 @@ pub struct ExploreObs {
     pub phases: Vec<PhaseRow>,
     /// Re-expansions of already-visited states (label correction).
     pub reexpansions: u64,
+    /// Fires the workers answered from their local-transition memos.
+    pub steps_replayed: u64,
+    /// Fires for which the workers ran an actor callback.
+    pub steps_executed: u64,
     /// Entries in the merged visited map.
     pub visited_len: u64,
     /// Allocated capacity of the merged visited map.
@@ -77,6 +81,13 @@ impl ExploreObs {
                 ),
             ),
             ("reexpansions", Json::Int(self.reexpansions as i64)),
+            (
+                "step_memo",
+                Json::obj([
+                    ("replayed", Json::Int(self.steps_replayed as i64)),
+                    ("executed", Json::Int(self.steps_executed as i64)),
+                ]),
+            ),
             ("visited_len", Json::Int(self.visited_len as i64)),
             ("visited_capacity", Json::Int(self.visited_capacity as i64)),
             (

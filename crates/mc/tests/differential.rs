@@ -32,8 +32,9 @@ use std::collections::{BTreeSet, HashSet, VecDeque};
 use scup_harness::scenario::{ExploreSpec, FaultPlacement, ProtocolSpec, Scenario, TopologySpec};
 use scup_harness::AdversaryRegistry;
 use scup_mc::build::{Driver, Explored, Setup};
-use scup_mc::campaign::explore_scenario;
+use scup_mc::campaign::{explore_scenario, explore_scenario_obs, ObsConfig};
 use scup_mc::ExploreRecord;
+use scup_obs::chrome::TraceClock;
 use scup_sim::{ExploreSim, SimState};
 use stellar_cup::attempts::LocalSliceStrategy;
 
@@ -447,4 +448,44 @@ fn uniform_cost_reports_are_bit_identical_across_worker_counts() {
             );
         }
     }
+}
+
+/// The local-transition memo on the product path. For SCP every worker
+/// memoises its own restore targets (one per victim split): the census
+/// must not notice, at any worker count, while the step counters show
+/// replays did happen. BFT-CUP is fenced off (`SinkCore`'s fingerprint is
+/// no congruence): nothing is replayed and the census is the one the
+/// executed path has always produced — a hash-keyed memo would make it
+/// 2 144.
+#[test]
+fn step_memo_serves_scp_per_worker_and_is_fenced_off_bftcup() {
+    let registry = AdversaryRegistry::builtin();
+    let clock = TraceClock::start();
+    let profiled = |s: &Scenario, threads: usize| {
+        let obs = ObsConfig {
+            profile: true,
+            trace: false,
+            forensics: false,
+        };
+        let r = explore_scenario_obs(s, threads, &registry, obs, &clock, 1, &mut Vec::new());
+        assert_eq!(r.error, None, "{}", s.name);
+        let obs = r.obs.as_ref().expect("profiling populates the obs block");
+        (Census::of(&r), obs.steps_replayed, obs.steps_executed)
+    };
+
+    let scp = sink2(6, 0, "equivocate", vec![7]);
+    let (census, replayed, executed) = profiled(&scp, 1);
+    assert!(
+        replayed > executed,
+        "{replayed} replayed, {executed} executed"
+    );
+    for threads in [2, 8] {
+        let (other, replayed, _) = profiled(&scp, threads);
+        assert_eq!(other, census, "workers=1 vs workers={threads}");
+        assert!(replayed > 0, "workers={threads} memoise too");
+    }
+
+    let (census, replayed, executed) = profiled(&bftcup_equiv_leader(3), 1);
+    assert_eq!(census.states, 2_048);
+    assert_eq!((replayed, executed > 0), (0, true));
 }

@@ -206,7 +206,8 @@ impl<M> Context<'_, M> {
         self.self_id
     }
 
-    /// The current simulated time.
+    /// The current simulated time. Always [`SimTime::ZERO`] under an
+    /// [`ExploreSim`](crate::ExploreSim), whose semantics are untimed.
     #[inline]
     pub fn now(&self) -> SimTime {
         self.now

@@ -36,7 +36,26 @@
 //!   [`ExploreSim::drain_absorbed`] retires them eagerly without
 //!   branching — and, the declaration being a contract, without calling
 //!   the actor (debug builds replay each one on a scratch fork and assert
-//!   it was the no-op it claimed to be).
+//!   it was the no-op it claimed to be);
+//! - **local-transition memo** — in the untimed semantics a step is a
+//!   function of *(recipient's slot, event)* alone, and an exploration
+//!   fires the same few thousand such pairs hundreds of thousands of
+//!   times. A simulation that was handed a memo
+//!   ([`ExploreSim::memoise_steps`]) looks every fire — branching or
+//!   forced, delivery or timer — up by *(slot hash before the write,
+//!   event hash)*. A hit costs two pointer copies: the remembered
+//!   successor slot (with its hashes under every group element already
+//!   memoised) is installed and the remembered events (with theirs) are
+//!   pushed, in the first execution's order; no actor is forked or
+//!   called. A miss executes as ever, then *interns* the successor — the
+//!   first slot object seen with a given hash stands for all of them, so
+//!   the table pins one object per distinct slot state, not one per
+//!   step — and records the step. Only an exhaustive search over actors
+//!   whose fingerprint is a congruence (below) may hand one out: a
+//!   memoised simulation records no trace and no causal graph, and its
+//!   observational actor state (statistics, provenance) is whichever
+//!   path first produced each slot. A simulation without a memo executes
+//!   every step.
 //!
 //! Timers carry no delay here: a pending timer is just another schedulable
 //! choice (asynchrony lets it fire at any point), bounded by a per-process
@@ -45,10 +64,24 @@
 //! Determinism contract: actors driven by an `ExploreSim` must not consume
 //! [`Context::rng`] — the RNG is not part of the canonical hash, so
 //! rng-dependent behaviour would make visited-state pruning unsound. All
-//! protocol actors in this workspace are rng-free.
+//! protocol actors in this workspace are rng-free. They cannot observe
+//! time either: [`Context::now`] is [`SimTime::ZERO`] in every callback
+//! (only trace and causal records carry the fired-event count).
+//!
+//! Congruence contract: visited-state pruning assumes that slots with
+//! equal hashes behave equally from then on, and the memo relies on it
+//! step by step — equal slot hash and equal event must give an equal
+//! successor hash, the same emitted events *as a multiset* (an actor's
+//! send order may depend on state outside its fingerprint, and `pending`
+//! is a multiset to the state hash) and the same timers, and the
+//! successors must answer [`Actor::absorbs`] and
+//! [`Actor::threshold_inert`] alike. Debug builds re-execute every
+//! replayed step on a scratch fork and assert exactly that.
 
 use std::any::Any;
 use std::cell::RefCell;
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
@@ -500,6 +533,79 @@ impl<M: SimMessage> Slot<M> {
             memo: HashMemo::default(),
         }
     }
+
+    /// Arms one more timer unless the budget is spent; `true` when armed.
+    fn arm_timer(&mut self, budget: u32) -> bool {
+        let armed = self.timers_armed < budget;
+        self.timers_armed += armed as u32;
+        armed
+    }
+
+    /// Whether delivering `event` here is a declared no-op
+    /// ([`Actor::absorbs`]) that also cannot change the knowledge set (the
+    /// sender is already known). Never for a timer.
+    fn absorbs(&self, event: &ExploreEvent<M>) -> bool {
+        match event {
+            ExploreEvent::Deliver { from, to, msg } => {
+                self.known.contains(*from) && self.actor.absorbs(*to, &self.known, *from, msg)
+            }
+            ExploreEvent::Timer { .. } => false,
+        }
+    }
+
+    /// Whether delivering `event` here is declared threshold-inert
+    /// ([`Actor::threshold_inert`]). Never for a timer.
+    fn threshold_inert(&self, event: &ExploreEvent<M>) -> bool {
+        match event {
+            ExploreEvent::Deliver { from, to, msg } => {
+                self.actor.threshold_inert(*to, &self.known, *from, msg)
+            }
+            ExploreEvent::Timer { .. } => false,
+        }
+    }
+}
+
+/// Hasher of the memo tables. Their keys are 128-bit state hashes —
+/// already uniform — so folding the words together is all the mixing a
+/// bucket index needs.
+#[derive(Default)]
+struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = self.0.rotate_left(8) ^ byte as u64;
+        }
+    }
+
+    fn write_u128(&mut self, v: u128) {
+        self.0 = self.0.rotate_left(32) ^ v as u64 ^ (v >> 64) as u64;
+    }
+}
+
+type FoldMap<K, V> = HashMap<K, V, BuildHasherDefault<FoldHasher>>;
+
+/// One remembered local transition: what firing an event at a slot left
+/// behind.
+struct Step<M> {
+    successor: Rc<Slot<M>>,
+    /// The events the callback enqueued, in the order of the execution
+    /// that was recorded.
+    emitted: Box<[Pending<M>]>,
+}
+
+/// The local-transition memo of one simulation (see the
+/// [module docs](self)). Both tables are only ever probed by key —
+/// nothing iterates them, so their layout reaches no result.
+struct StepMemo<M> {
+    /// `(slot hash before the write, event hash)` → the step.
+    steps: FoldMap<(u128, u128), Step<M>>,
+    /// Slot hash → the first slot object produced with that hash.
+    interned: FoldMap<u128, Rc<Slot<M>>>,
 }
 
 /// A saved simulation state: the process slots and pending events (both
@@ -550,6 +656,12 @@ pub struct ExploreSim<M: SimMessage> {
     causal: CausalGraph,
     outbox_buf: Vec<(ProcessId, M)>,
     timers_buf: Vec<(u64, u64)>,
+    /// `None` unless [`ExploreSim::memoise_steps`] was called.
+    memo: Option<StepMemo<M>>,
+    /// Fires answered from the memo / fires that ran an actor callback.
+    /// Effort counters: not part of any state, untouched by `restore`.
+    steps_replayed: u64,
+    steps_executed: u64,
 }
 
 impl<M: SimMessage> ExploreSim<M> {
@@ -570,6 +682,9 @@ impl<M: SimMessage> ExploreSim<M> {
             causal: CausalGraph::disabled(),
             outbox_buf: Vec::new(),
             timers_buf: Vec::new(),
+            memo: None,
+            steps_replayed: 0,
+            steps_executed: 0,
         }
     }
 
@@ -646,7 +761,15 @@ impl<M: SimMessage> ExploreSim<M> {
     }
 
     /// Enables event tracing (used to render counterexample schedules).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a memoised simulation: a replayed step records nothing.
     pub fn enable_trace(&mut self) {
+        assert!(
+            self.memo.is_none(),
+            "a memoised simulation records no trace"
+        );
         self.trace.enable();
     }
 
@@ -660,8 +783,50 @@ impl<M: SimMessage> ExploreSim<M> {
     /// meaningful for branching exploration: the graph records the one
     /// linear schedule actually fired and is untouched by
     /// [`ExploreSim::restore`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on a memoised simulation: a replayed step records nothing.
     pub fn enable_causal(&mut self) {
+        assert!(
+            self.memo.is_none(),
+            "a memoised simulation records no causal graph"
+        );
         self.causal.enable(self.kg.n());
+    }
+
+    /// Hands this simulation an (empty) local-transition memo: from here
+    /// on a fire whose *(recipient slot hash, event hash)* pair was fired
+    /// before — in this simulation, in any state restored into it —
+    /// installs the remembered successor slot and events instead of
+    /// calling the actor (see the [module docs](self)). The memo lives
+    /// and dies with the simulation.
+    ///
+    /// Exact only when every actor's fingerprint is a congruence, and
+    /// only worth it for an exhaustive search; everything that renders a
+    /// schedule (replay, counterexample search, forensics) must run on a
+    /// simulation that never called this.
+    ///
+    /// # Panics
+    ///
+    /// Panics when trace or causal recording is on.
+    pub fn memoise_steps(&mut self) {
+        assert!(
+            !self.trace.is_enabled() && !self.causal.is_enabled(),
+            "a memoised simulation records no trace and no causal graph"
+        );
+        self.memo.get_or_insert_with(|| StepMemo {
+            steps: FoldMap::default(),
+            interned: FoldMap::default(),
+        });
+    }
+
+    /// `(replayed, executed)`: how many fires so far were answered from
+    /// the memo, and how many ran an actor callback. Effort counters over
+    /// the life of the simulation: [`ExploreSim::restore`] does not rewind
+    /// them.
+    pub fn step_counts(&self) -> (u64, u64) {
+        (self.steps_replayed, self.steps_executed)
     }
 
     /// The recorded causal event graph.
@@ -702,7 +867,9 @@ impl<M: SimMessage> ExploreSim<M> {
         let slot = Self::slot_mut(&mut self.slots, pid);
         let mut ctx = Context {
             self_id: pid,
-            now: SimTime::from_ticks(self.events_fired),
+            // Not `events_fired`: that is path-dependent, and neither the
+            // state hash nor the memo key covers it.
+            now: SimTime::ZERO,
             known: &mut slot.known,
             rng: &mut self.rng,
             outbox: &mut outbox,
@@ -726,8 +893,7 @@ impl<M: SimMessage> ExploreSim<M> {
         for (_delay, tag) in timers.drain(..) {
             // Delays are meaningless in the untimed semantics; the budget
             // caps how often a process's timers may fire at all.
-            if slot.timers_armed < self.timer_budget {
-                slot.timers_armed += 1;
+            if slot.arm_timer(self.timer_budget) {
                 self.pending.push(Pending::new(
                     ExploreEvent::Timer { process: pid, tag },
                     EventId::NONE,
@@ -759,11 +925,57 @@ impl<M: SimMessage> ExploreSim<M> {
     fn fire_inner(&mut self, idx: usize) -> usize {
         self.start();
         let pending = self.pending.remove(idx);
+        self.events_fired += 1;
+        let Some(memo) = &self.memo else {
+            return self.execute(pending);
+        };
+        // The key is pinned here, before any write to the slot.
+        let to = pending.event.event.recipient().index();
+        let key = (self.slots[to].hash(), pending.hash);
+        if let Some(step) = memo.steps.get(&key) {
+            #[cfg(debug_assertions)]
+            let before = Rc::clone(&self.slots[to]);
+            self.slots[to] = Rc::clone(&step.successor);
+            self.pending.extend(step.emitted.iter().cloned());
+            self.steps_replayed += 1;
+            let enqueued = step.emitted.len();
+            #[cfg(debug_assertions)]
+            self.assert_replay_is_exact(&before, &pending.event.event, enqueued);
+            return enqueued;
+        }
+        let enqueued = self.execute(pending);
+        let memo = self.memo.as_mut().expect("the memo probed above");
+        let slot = &mut self.slots[to];
+        // Intern: the first object with this hash stands for every later
+        // one, so equal successors of different steps are one allocation
+        // and share their renamed-hash memos. The memo's own handle makes
+        // the slot shared, so the next write forks it: a remembered slot
+        // is as immutable as a saved state's.
+        match memo.interned.entry(slot.hash()) {
+            Entry::Occupied(first) => *slot = Rc::clone(first.get()),
+            Entry::Vacant(vacant) => {
+                vacant.insert(Rc::clone(slot));
+            }
+        }
+        let emitted = self.pending[self.pending.len() - enqueued..].into();
+        memo.steps.insert(
+            key,
+            Step {
+                successor: Rc::clone(slot),
+                emitted,
+            },
+        );
+        enqueued
+    }
+
+    /// Runs the actor callback of a fired event. Returns how many new
+    /// events it enqueued (at the end of `pending`).
+    fn execute(&mut self, pending: Pending<M>) -> usize {
+        self.steps_executed += 1;
         let event = match Rc::try_unwrap(pending.event) {
             Ok(owned) => owned.event,
             Err(shared) => shared.event.clone(),
         };
-        self.events_fired += 1;
         match event {
             ExploreEvent::Deliver { from, to, msg } => {
                 // Authenticated channel: receiving teaches the receiver
@@ -807,13 +1019,8 @@ impl<M: SimMessage> ExploreSim<M> {
     /// a no-op ([`Actor::absorbs`]) that also cannot change the knowledge
     /// set (the sender is already known).
     pub fn is_absorbed(&self, idx: usize) -> bool {
-        match &self.pending[idx].event.event {
-            ExploreEvent::Deliver { from, to, msg } => {
-                let slot = &self.slots[to.index()];
-                slot.known.contains(*from) && slot.actor.absorbs(*to, &slot.known, *from, msg)
-            }
-            ExploreEvent::Timer { .. } => false,
-        }
+        let event = &self.pending[idx].event.event;
+        self.slots[event.recipient().index()].absorbs(event)
     }
 
     /// Eagerly retires every absorbed event (without counting branching
@@ -846,41 +1053,120 @@ impl<M: SimMessage> ExploreSim<M> {
             };
             self.record_delivery(*from, *to, msg, self.pending[idx].cause);
             #[cfg(debug_assertions)]
-            self.assert_absorbed_is_noop(*from, *to, msg);
+            self.assert_absorbed_is_noop(&shared.event);
         }
         let absorbed = self.pending.len() - kept;
         self.pending.truncate(kept);
         absorbed as u64
     }
 
-    /// The `absorbs ⇒ no-op` contract, checked the expensive way: deliver
-    /// `msg` to a scratch fork of the recipient and demand no sends, no
-    /// timers and an unchanged slot hash. The real slot is not touched, so
-    /// debug and release builds leave the simulation in the same state.
+    /// Fires `event` at a scratch fork of `slot`, for the debug contract
+    /// checks: the scratch successor plus the sends and timer arms of the
+    /// callback, raw. Nothing of the live simulation is touched.
     #[cfg(debug_assertions)]
-    fn assert_absorbed_is_noop(&mut self, from: ProcessId, to: ProcessId, msg: &M) {
-        let slot = &self.slots[to.index()];
-        let mut scratch = slot.fork(to);
+    fn fire_on_scratch(
+        &mut self,
+        slot: &Slot<M>,
+        event: &ExploreEvent<M>,
+    ) -> (Slot<M>, Vec<(ProcessId, M)>, Vec<(u64, u64)>) {
+        let pid = event.recipient();
+        let mut scratch = slot.fork(pid);
         let (mut outbox, mut timers) = (Vec::new(), Vec::new());
+        if let ExploreEvent::Deliver { from, .. } = event {
+            scratch.known.insert(*from);
+        }
         let mut ctx = Context {
-            self_id: to,
-            now: SimTime::from_ticks(self.events_fired),
+            self_id: pid,
+            now: SimTime::ZERO,
             known: &mut scratch.known,
             rng: &mut self.rng,
             outbox: &mut outbox,
             timers: &mut timers,
             journal: None,
         };
-        scratch.actor.on_message(&mut ctx, from, msg.clone());
+        match event {
+            ExploreEvent::Deliver { from, msg, .. } => {
+                scratch.actor.on_message(&mut ctx, *from, msg.clone());
+            }
+            ExploreEvent::Timer { tag, .. } => scratch.actor.on_timer(&mut ctx, *tag),
+        }
+        (scratch, outbox, timers)
+    }
+
+    /// The `absorbs ⇒ no-op` contract, checked the expensive way: deliver
+    /// the event to a scratch fork of the recipient and demand no sends,
+    /// no timers and an unchanged slot hash. The real slot is not touched,
+    /// so debug and release builds leave the simulation in the same state.
+    #[cfg(debug_assertions)]
+    fn assert_absorbed_is_noop(&mut self, event: &ExploreEvent<M>) {
+        let slot = Rc::clone(&self.slots[event.recipient().index()]);
+        let (scratch, outbox, timers) = self.fire_on_scratch(&slot, event);
         assert!(
             outbox.is_empty() && timers.is_empty(),
-            "absorbed delivery {msg:?} from {from} made {to} emit"
+            "absorbed {event:?} made its recipient emit"
         );
         assert_eq!(
             scratch.compute_hash(None),
             slot.compute_hash(None),
-            "absorbed delivery {msg:?} from {from} changed the state of {to}"
+            "absorbed {event:?} changed its recipient's state"
         );
+    }
+
+    /// The congruence contract behind a memo hit, checked the expensive
+    /// way: `event` was just replayed at its recipient, whose slot was
+    /// `before`; fire it at a scratch fork of `before` and demand (a) the
+    /// memoised successor's hash, (b) the `replayed` events the memo
+    /// pushed, as a multiset of event hashes — which covers the timers
+    /// armed — and (c) the same [`Actor::absorbs`] and
+    /// [`Actor::threshold_inert`] answers from both successors for
+    /// everything now pending at the recipient. The live simulation is
+    /// left as the release build leaves it.
+    #[cfg(debug_assertions)]
+    fn assert_replay_is_exact(
+        &mut self,
+        before: &Slot<M>,
+        event: &ExploreEvent<M>,
+        replayed: usize,
+    ) {
+        let pid = event.recipient();
+        let (mut scratch, outbox, timers) = self.fire_on_scratch(before, event);
+        let mut executed: Vec<u128> = outbox
+            .into_iter()
+            .map(|(to, msg)| ExploreEvent::Deliver { from: pid, to, msg }.event_hash())
+            .collect();
+        for (_delay, tag) in timers {
+            if scratch.arm_timer(self.timer_budget) {
+                executed.push(ExploreEvent::<M>::Timer { process: pid, tag }.event_hash());
+            }
+        }
+        let successor = &self.slots[pid.index()];
+        assert_eq!(
+            scratch.compute_hash(None),
+            successor.hash(),
+            "replaying {event:?} installed a successor its execution does not reach: \
+             the recipient's fingerprint is not a congruence"
+        );
+        let mut memoised: Vec<u128> = self.pending[self.pending.len() - replayed..]
+            .iter()
+            .map(|p| p.hash)
+            .collect();
+        executed.sort_unstable();
+        memoised.sort_unstable();
+        assert_eq!(
+            executed, memoised,
+            "replaying {event:?} emitted other events than its execution"
+        );
+        for p in &self.pending {
+            let later = &p.event.event;
+            if later.recipient() == pid {
+                assert_eq!(
+                    (scratch.absorbs(later), scratch.threshold_inert(later)),
+                    (successor.absorbs(later), successor.threshold_inert(later)),
+                    "after replaying {event:?}, the memoised and the executed successor \
+                     (equal fingerprints) disagree on absorbs / threshold_inert of {later:?}"
+                );
+            }
+        }
     }
 
     /// The canonical branching choices at this state: **every** pending
@@ -1012,13 +1298,8 @@ impl<M: SimMessage> ExploreSim<M> {
     /// recipient — the dynamic independence the model checker's
     /// persistent-set reduction runs on.
     pub fn is_threshold_inert(&self, idx: usize) -> bool {
-        match &self.pending[idx].event.event {
-            ExploreEvent::Deliver { from, to, msg } => {
-                let slot = &self.slots[to.index()];
-                slot.actor.threshold_inert(*to, &slot.known, *from, msg)
-            }
-            ExploreEvent::Timer { .. } => false,
-        }
+        let event = &self.pending[idx].event.event;
+        self.slots[event.recipient().index()].threshold_inert(event)
     }
 
     /// A rough estimate of one forked state's resident size in bytes:
@@ -1235,30 +1516,39 @@ mod tests {
         assert!(flooded.seen.len() >= 4, "sink heard the flood");
     }
 
-    #[test]
-    fn timer_budget_caps_timer_events() {
-        #[derive(Clone)]
-        struct Rearm;
-        impl Actor<Gossip> for Rearm {
-            fn on_start(&mut self, ctx: &mut Context<'_, Gossip>) {
-                ctx.set_timer(1, 0);
-            }
-            fn on_message(&mut self, _: &mut Context<'_, Gossip>, _: ProcessId, _: Gossip) {}
-            fn on_timer(&mut self, ctx: &mut Context<'_, Gossip>, tag: u64) {
-                ctx.set_timer(1, tag + 1);
-            }
-            fn fork(&self) -> Option<Box<dyn Actor<Gossip>>> {
-                Some(Box::new(self.clone()))
-            }
+    /// Re-arms a timer whenever one fires: stateless but for the budget.
+    #[derive(Clone)]
+    struct Rearm;
+
+    impl Actor<Gossip> for Rearm {
+        fn on_start(&mut self, ctx: &mut Context<'_, Gossip>) {
+            ctx.set_timer(1, 0);
         }
+        fn on_message(&mut self, _: &mut Context<'_, Gossip>, _: ProcessId, _: Gossip) {}
+        fn on_timer(&mut self, ctx: &mut Context<'_, Gossip>, tag: u64) {
+            ctx.set_timer(1, tag + 1);
+        }
+        fn fork(&self) -> Option<Box<dyn Actor<Gossip>>> {
+            Some(Box::new(self.clone()))
+        }
+    }
+
+    /// Two mutually known [`Rearm`] processes, 3 timer events each.
+    fn rearm_sim() -> ExploreSim<Gossip> {
         let kg = scup_graph::KnowledgeGraph::from_pds(vec![
             ProcessSet::from_ids([1]),
             ProcessSet::from_ids([0]),
         ]);
-        let mut sim: ExploreSim<Gossip> = ExploreSim::new(kg, 3);
+        let mut sim = ExploreSim::new(kg, 3);
         sim.add_actor(Box::new(Rearm));
         sim.add_actor(Box::new(Rearm));
         sim.start();
+        sim
+    }
+
+    #[test]
+    fn timer_budget_caps_timer_events() {
+        let mut sim = rearm_sim();
         let mut fired = 0;
         while !sim.is_quiescent() {
             let c = sim.choices();
@@ -1349,6 +1639,208 @@ mod tests {
             .all(|i| sim.shares_slot(&snap, i)));
         let checks = if cfg!(debug_assertions) { absorbed } else { 0 };
         assert_eq!(forks.get(), before + checks);
+    }
+
+    fn counting_sim(forks: &Rc<std::cell::Cell<u64>>) -> ExploreSim<Gossip> {
+        let mut sim = ExploreSim::new(generators::fig1(), 0);
+        for _ in 0..8 {
+            sim.add_actor(Box::new(CountingFlooder {
+                inner: Flooder::default(),
+                forks: Rc::clone(forks),
+            }));
+        }
+        sim.start();
+        sim
+    }
+
+    /// The hashes of the pending events, sorted: the multiset a state
+    /// hash sees.
+    fn pending_multiset<M: SimMessage>(sim: &ExploreSim<M>) -> Vec<u128> {
+        let mut hashes: Vec<u128> = sim.pending().map(ExploreEvent::event_hash).collect();
+        hashes.sort_unstable();
+        hashes
+    }
+
+    #[test]
+    fn a_repeated_delivery_is_replayed_without_forking() {
+        let forks = Rc::new(std::cell::Cell::new(0));
+        let mut sim = counting_sim(&forks);
+        sim.memoise_steps();
+        let snap = sim.snapshot();
+        let to = sim.pending_at(0).recipient();
+
+        let enqueued = sim.fire(0);
+        assert_eq!(forks.get(), 1, "a first delivery executes: one fork");
+        assert_eq!(sim.step_counts(), (0, 1));
+        let (hash, pending) = (sim.state_hash(), pending_multiset(&sim));
+
+        // The same delivery at the same slot: the successor and its sends
+        // come out of the memo. Only the debug contract check forks (its
+        // scratch copy, once per hit).
+        sim.restore(&snap);
+        assert_eq!(sim.fire(0), enqueued);
+        let checks = if cfg!(debug_assertions) { 1 } else { 0 };
+        assert_eq!(forks.get(), 1 + checks);
+        assert_eq!(sim.step_counts(), (1, 1));
+        assert_eq!(sim.state_hash(), hash);
+        assert_eq!(sim.state_hash_from_scratch(None), hash);
+        assert_eq!(pending_multiset(&sim), pending);
+        assert!(!sim.shares_slot(&snap, to));
+
+        // A remembered slot is immutable: the next write forks it, and a
+        // third replay still finds the successor it recorded.
+        let again = sim.pending().position(|e| e.recipient() == to);
+        if let Some(again) = again {
+            let before = forks.get();
+            sim.fire(again);
+            assert_eq!(
+                forks.get(),
+                before + 1,
+                "writes to a memoised slot fork first"
+            );
+        }
+        sim.restore(&snap);
+        sim.fire(0);
+        assert_eq!(sim.state_hash_from_scratch(None), hash);
+    }
+
+    #[test]
+    fn a_memoised_walk_equals_the_executed_walk() {
+        let forks = Rc::new(std::cell::Cell::new(0));
+        let mut memoised = counting_sim(&forks);
+        memoised.memoise_steps();
+        let start = memoised.snapshot();
+        // First pass records every step, second pass replays every step;
+        // both must track a simulation that executes them.
+        for pass in 0..2 {
+            memoised.restore(&start);
+            let mut executed = flooder_sim();
+            let mut fired = 0;
+            loop {
+                assert_eq!(memoised.drain_absorbed(), executed.drain_absorbed());
+                assert_eq!(memoised.state_hash(), executed.state_hash());
+                assert_eq!(
+                    memoised.state_hash_from_scratch(None),
+                    executed.state_hash_from_scratch(None)
+                );
+                assert_eq!(pending_multiset(&memoised), pending_multiset(&executed));
+                // Replayed sends keep their first execution's order, so
+                // pick the choice by event hash, not by index.
+                let Some(&choice) = executed.choices().first() else {
+                    break;
+                };
+                let event = executed.pending_hash(choice);
+                let twin = (0..memoised.pending().len())
+                    .find(|&idx| memoised.pending_hash(idx) == event)
+                    .expect("equal pending multisets");
+                assert_eq!(memoised.fire(twin), executed.fire(choice));
+                fired += 1;
+            }
+            assert!(fired > 20, "the walk floods the whole graph");
+            assert_eq!(memoised.step_counts(), (pass * fired, fired));
+        }
+    }
+
+    #[test]
+    fn a_timer_step_is_memoised_like_a_delivery() {
+        let mut sim = rearm_sim();
+        sim.memoise_steps();
+        let start = sim.snapshot();
+        let mut hashes = Vec::new();
+        for pass in 0..2 {
+            sim.restore(&start);
+            let mut fired = 0;
+            while !sim.is_quiescent() {
+                sim.fire(0);
+                // The budget is part of the remembered successor: the
+                // replayed walk stops re-arming where the executed one did.
+                let hash = sim.state_hash_from_scratch(None);
+                if pass == 0 {
+                    hashes.push(hash);
+                } else {
+                    assert_eq!(hash, hashes[fired]);
+                }
+                fired += 1;
+            }
+            assert_eq!(fired, 6, "3 timer events per process, then quiescent");
+            assert_eq!(sim.step_counts(), (pass as u64 * 6, 6));
+        }
+    }
+
+    /// The `SinkCore` shape: once `fired`, the fingerprint stops covering
+    /// `heard` — but `absorbs` keeps reading it. Fingerprint-equal actors
+    /// then disagree on whether a late duplicate is a no-op, which is
+    /// clause (c) of the congruence contract.
+    #[derive(Clone, Default)]
+    struct Forgetful {
+        heard: Vec<ProcessId>,
+        fired: bool,
+    }
+
+    impl Actor<Gossip> for Forgetful {
+        fn on_start(&mut self, ctx: &mut Context<'_, Gossip>) {
+            let hub = ProcessId::new(0);
+            match ctx.self_id().as_u32() {
+                // Three copies of one reply, and the message that fires.
+                1 => (0..3).for_each(|_| ctx.send(hub, Gossip(0))),
+                2 => ctx.send(hub, Gossip(1)),
+                _ => {}
+            }
+        }
+        fn on_message(&mut self, _: &mut Context<'_, Gossip>, from: ProcessId, msg: Gossip) {
+            match msg.0 {
+                0 if !self.heard.contains(&from) => self.heard.push(from),
+                1 => self.fired = true,
+                _ => {}
+            }
+        }
+        fn fork(&self) -> Option<Box<dyn Actor<Gossip>>> {
+            Some(Box::new(self.clone()))
+        }
+        fn fingerprint(&self, h: &mut StateHasher) {
+            h.write_bool(self.fired);
+            if !self.fired {
+                h.write_u64(self.heard.len() as u64);
+                for from in &self.heard {
+                    h.write_u32(from.as_u32());
+                }
+            }
+        }
+        fn absorbs(&self, _: ProcessId, _: &ProcessSet, from: ProcessId, msg: &Gossip) -> bool {
+            msg.0 == 0 && self.heard.contains(&from)
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "disagree on absorbs / threshold_inert")]
+    fn a_fingerprint_that_is_no_congruence_trips_the_replay_check() {
+        let kg = scup_graph::KnowledgeGraph::from_pds(vec![
+            ProcessSet::from_ids([1, 2]),
+            ProcessSet::from_ids([0]),
+            ProcessSet::from_ids([0]),
+        ]);
+        let mut sim: ExploreSim<Gossip> = ExploreSim::new(kg, 0);
+        for _ in 0..3 {
+            sim.add_actor(Box::new(Forgetful::default()));
+        }
+        sim.start();
+        sim.memoise_steps();
+        let fire = |sim: &mut ExploreSim<Gossip>, value: u32| {
+            let idx = sim
+                .pending()
+                .position(|e| matches!(e, ExploreEvent::Deliver { msg, .. } if msg.0 == value))
+                .expect("still in flight");
+            sim.fire(idx);
+        };
+        // Fire, then the first reply: executed, and its successor (which
+        // heard p1) is interned onto the fired slot that did not — equal
+        // fingerprints.
+        fire(&mut sim, 1);
+        fire(&mut sim, 0);
+        // The second copy is the same (slot hash, event) pair: a hit. Its
+        // re-execution absorbs the third copy; the installed slot does not.
+        fire(&mut sim, 0);
     }
 
     #[test]
