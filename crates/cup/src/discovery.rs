@@ -321,7 +321,7 @@ impl SinkCore {
     /// be read again:
     ///
     /// - `replied` is only consulted by the step-1 termination rule
-    ///   ([`SinkCore::try_fire`] early-returns once `fired`), so duplicate
+    ///   (`SinkCore::try_fire` early-returns once `fired`), so duplicate
     ///   replies mutating it after the rule fired are invisible;
     /// - `pending_askers` is drained at fire time and never refilled
     ///   (`Check` handling replies directly once `fired`);

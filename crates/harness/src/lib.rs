@@ -4,7 +4,7 @@
 //! The paper's results are claims over *families* of knowledge graphs and
 //! adversaries; this crate makes those families executable at scale:
 //!
-//! - [`scenario`] — the declarative model: a [`Scenario`](scenario::Scenario)
+//! - [`scenario`] — the declarative model: a [`Scenario`]
 //!   names a topology family, fault threshold, adversary strategy, fault
 //!   placement, protocol, network timing, seed range, and oracle mode;
 //!   built programmatically ([`Scenario::builder`](scenario::Scenario::builder))

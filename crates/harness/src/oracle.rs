@@ -15,7 +15,7 @@
 //! The **premise** is the paper's structural precondition (Theorem 1 /
 //! Theorem 5): the knowledge graph is Byzantine-safe for the actual faulty
 //! set and the sink keeps at least `2f + 1` correct members. Under
-//! [`OracleMode::Conditional`](crate::scenario::OracleMode::Conditional) a
+//! [`OracleMode::Conditional`] a
 //! violation only fails the run when the premise held — exactly the
 //! implication the theorems state.
 

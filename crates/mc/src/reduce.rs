@@ -19,7 +19,7 @@
 //! classes by a cheap invariant signature (faulty role, input, PD size,
 //! in-degree, self-knowledge, slice shape) that any admissible
 //! permutation must preserve, and the product of per-class symmetric
-//! groups (capped at [`GROUP_CAP`], smallest classes first) is filtered
+//! groups (capped at `GROUP_CAP`, smallest classes first) is filtered
 //! by full verification of **every** candidate. This finds *rotations* —
 //! the directed 3-cycle sink has no valid transposition at all, but its
 //! two rotations are admissible — where the previous
@@ -82,7 +82,7 @@
 //!   not rename the leader schedule. Processes outside the sink never
 //!   enter the leader rotation (discovery, asking and `f + 1` adoption
 //!   are all set-based). No unique sink ⇒ no sound class at all.
-//! - The candidate enumeration is capped ([`GROUP_CAP`]); oversized
+//! - The candidate enumeration is capped (`GROUP_CAP`); oversized
 //!   classes contribute nothing (identity-only), which is always sound —
 //!   and now counted.
 
@@ -159,7 +159,7 @@ impl Symmetry {
 
     /// Computes the admissible permutation group of `setup`: candidate
     /// classes by invariant signature, product-of-symmetric-groups
-    /// enumeration (capped at [`GROUP_CAP`], drops counted), then full
+    /// enumeration (capped at `GROUP_CAP`, drops counted), then full
     /// verification of every candidate — automorphism of graph, slices,
     /// inputs and adversary role, plus victim-split admissibility for
     /// value-injecting adversaries.
@@ -318,7 +318,7 @@ impl Symmetry {
         &self.class_sizes
     }
 
-    /// Candidate classes never expanded because of [`GROUP_CAP`].
+    /// Candidate classes never expanded because of `GROUP_CAP`.
     pub fn dropped_classes(&self) -> u64 {
         self.dropped_classes
     }

@@ -36,7 +36,6 @@
 
 mod fingerprint;
 pub mod node;
-mod seen;
 pub mod statement;
 mod table;
 pub mod voting;

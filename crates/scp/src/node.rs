@@ -49,8 +49,7 @@ use crate::voting::{QuorumCheck, VoteLevel, VoteTracker};
 
 use scup_sim::Perm;
 
-use crate::fingerprint::{hash_family, hash_family_perm, hash_statement};
-use crate::seen::SeenEnvelopes;
+use crate::fingerprint::{hash_family, hash_set, hash_statement, renamed};
 
 /// An SCP envelope: a federated-voting pledge by `origin`, carrying the
 /// origin's declared slices, relayed through the overlay.
@@ -70,6 +69,18 @@ pub struct ScpMsg {
     pub accept: bool,
 }
 
+impl ScpMsg {
+    /// Canonical fingerprint with an optional process-id renaming (the
+    /// symmetry reduction hashes the renamed envelope through the same
+    /// path).
+    fn fingerprint_into(&self, h: &mut StateHasher, perm: Option<&Perm>) {
+        h.write_u32(renamed(self.origin, perm).as_u32());
+        hash_family(h, &self.slices, perm);
+        hash_statement(h, &self.stmt);
+        h.write_bool(self.accept);
+    }
+}
+
 impl SimMessage for ScpMsg {
     fn size_hint(&self) -> usize {
         let slice_size = match self.slices.as_ref() {
@@ -80,17 +91,11 @@ impl SimMessage for ScpMsg {
     }
 
     fn fingerprint(&self, h: &mut StateHasher) {
-        h.write_u32(self.origin.as_u32());
-        hash_family(h, &self.slices);
-        hash_statement(h, &self.stmt);
-        h.write_bool(self.accept);
+        self.fingerprint_into(h, None);
     }
 
     fn fingerprint_perm(&self, h: &mut StateHasher, perm: &Perm) {
-        h.write_u32(perm.apply(self.origin).as_u32());
-        hash_family_perm(h, &self.slices, perm);
-        hash_statement(h, &self.stmt);
-        h.write_bool(self.accept);
+        self.fingerprint_into(h, Some(perm));
     }
 
     /// Equivocation attribution (forensics only). SCP envelopes are
@@ -265,10 +270,10 @@ pub struct ScpNode {
     config: std::sync::Arc<ScpConfig>,
     /// The own slice family as shared by every outgoing envelope.
     shared_slices: std::sync::Arc<SliceFamily>,
+    /// The pledge table: federated voting's state, and — an envelope is
+    /// processed and relayed once — the envelope dedup set.
     tracker: VoteTracker,
     check: QuorumCheck,
-    /// Envelopes already processed/relayed: (origin, stmt, accept).
-    seen: SeenEnvelopes,
     /// Every distinct envelope, kept for late-learned processes (see the
     /// module docs on straggler repair). Persistent append-only chunks:
     /// the previous whole-`Vec` copy-on-write re-cloned the entire history
@@ -309,7 +314,6 @@ impl ScpNode {
             shared_slices,
             tracker: VoteTracker::new(),
             check: QuorumCheck::new(),
-            seen: SeenEnvelopes::default(),
             backlog: PersistentVec::new(),
             synced: ProcessSet::new(),
             candidates: Vec::new(),
@@ -379,6 +383,39 @@ impl ScpNode {
         }
     }
 
+    /// Canonical state fingerprint, with an optional process-id renaming
+    /// (the symmetry reduction hashes the renamed node through the same
+    /// path). What is hashed of `tracker` and `check` is the pledge sets
+    /// and the slice registry: levels are their deterministic monotone
+    /// fixpoint, and the backlog holds exactly the envelopes of the
+    /// pledges on file (its order only permutes future catch-up sends,
+    /// which the explorer treats as a multiset anyway). Both contribute
+    /// through XOR multiset digests (see `fingerprint.rs`): without a
+    /// renaming the incrementally maintained ones, so hashing a node is
+    /// O(1) in its history; under one, recomputed by renaming each entry
+    /// and XOR-folding — no re-sorting pass, since XOR is
+    /// order-independent.
+    fn fingerprint_into(&self, h: &mut StateHasher, perm: Option<&Perm>) {
+        let (tracker, check) = (&self.tracker, &self.check);
+        h.write_u64(self.config.input);
+        h.write_u64(tracker.len() as u64);
+        h.write_u128(perm.map_or(tracker.digest(), |p| tracker.digest_perm(p)));
+        h.write_u64(check.recorded_len() as u64);
+        h.write_u128(perm.map_or(check.registry_digest(), |p| check.registry_digest_perm(p)));
+        hash_set(h, &self.synced, perm);
+        let mut candidates = self.candidates.clone();
+        candidates.sort_unstable();
+        h.write_u64(candidates.len() as u64);
+        for v in candidates {
+            h.write_u64(v);
+        }
+        h.write_u64(self.ballot);
+        h.write_bool(self.lock.is_some());
+        h.write_u64(self.lock.unwrap_or(0));
+        h.write_bool(self.externalized.is_some());
+        h.write_u64(self.externalized.unwrap_or(0));
+    }
+
     fn broadcast_own(&mut self, ctx: &mut Context<'_, ScpMsg>, stmt: Statement, accept: bool) {
         let msg = ScpMsg {
             origin: ctx.self_id(),
@@ -392,7 +429,6 @@ impl ScpNode {
             let (kind, n, v) = encode_stmt(stmt);
             j.append(J_PLEDGE, &[kind, n, v, accept as u64]);
         }
-        self.seen.note(ctx.self_id(), stmt, accept);
         if accept {
             self.stats.accepts_sent += 1;
         } else {
@@ -496,9 +532,9 @@ impl ScpNode {
 
     /// One pledge-rebroadcast round: re-floods the entire envelope
     /// backlog to every known process. Ack-free — receivers absorb
-    /// duplicates through `seen` — and sound against loss because the
-    /// backlog holds every distinct envelope this node ever saw, own and
-    /// relayed alike.
+    /// duplicates through their pledge tables — and sound against loss
+    /// because the backlog holds every distinct envelope this node ever
+    /// saw, own and relayed alike.
     fn retransmit_round(&mut self, ctx: &mut Context<'_, ScpMsg>) {
         for msg in self.backlog.iter() {
             ctx.broadcast_known(msg.clone());
@@ -625,16 +661,16 @@ impl Actor<ScpMsg> for ScpNode {
         self.sync_latecomers(ctx);
         self.stats.envelopes_delivered += 1;
         // Flood-style gossip with dedup; `origin` is signature-verified.
-        if msg.origin == ctx.self_id() || !self.seen.note(msg.origin, msg.stmt, msg.accept) {
+        if msg.origin == ctx.self_id() || self.tracker.has_pledge(msg.origin, &msg.stmt, msg.accept)
+        {
             self.stats.envelopes_duplicate += 1;
             return;
         }
         // A changed slice claim invalidates every statement's quorum
         // evaluation; an unchanged one (the common case — correct origins
-        // always attach the same family) keeps the incremental tally
-        // worklist small.
-        if self.check.slices_of(msg.origin) != Some(&*msg.slices) {
-            self.check.record_slices(msg.origin, &msg.slices);
+        // always attach the same family) keeps the incremental worklist
+        // small.
+        if self.check.record_slices(msg.origin, &msg.slices) {
             self.tracker.invalidate_all();
         }
         if msg.accept {
@@ -745,7 +781,6 @@ impl Actor<ScpMsg> for ScpNode {
                         continue;
                     };
                     let accept = accept != 0;
-                    self.seen.note(me, stmt, accept);
                     self.prov_note(me, ProvRule::Replay, || (format!("{stmt:?}"), Vec::new()));
                     if accept {
                         self.tracker.record_accept(me, stmt);
@@ -784,7 +819,7 @@ impl Actor<ScpMsg> for ScpNode {
                 _ => {}
             }
         }
-        // Re-announce every rehydrated pledge (peers dedup via `seen`).
+        // Re-announce every rehydrated pledge (peers dedup them).
         let pledges: Vec<ScpMsg> = self.backlog.iter().cloned().collect();
         for msg in pledges {
             ctx.broadcast_known(msg);
@@ -818,39 +853,15 @@ impl Actor<ScpMsg> for ScpNode {
         Some(Box::new(self.clone()))
     }
 
-    /// Canonical state fingerprint. `tracker` and `backlog` are not hashed
-    /// directly: the tally is the deterministic monotone fixpoint of the
-    /// hashed envelope set (`seen`) and slice registry, and the backlog
-    /// holds exactly the distinct envelopes of `seen` (its order only
-    /// permutes future catch-up sends, which the explorer treats as a
-    /// multiset anyway). The envelope set and the registry contribute
-    /// through incrementally maintained XOR digests (see
-    /// [`crate::fingerprint`]), so hashing a node is O(1) in its history.
     fn fingerprint(&self, h: &mut StateHasher) {
-        h.write_u64(self.config.input);
-        h.write_u64(self.seen.len() as u64);
-        h.write_u128(self.seen.digest());
-        h.write_u64(self.check.recorded_len() as u64);
-        h.write_u128(self.check.registry_digest());
-        h.write_set(&self.synced);
-        let mut candidates = self.candidates.clone();
-        candidates.sort_unstable();
-        h.write_u64(candidates.len() as u64);
-        for v in candidates {
-            h.write_u64(v);
-        }
-        h.write_u64(self.ballot);
-        h.write_bool(self.lock.is_some());
-        h.write_u64(self.lock.unwrap_or(0));
-        h.write_bool(self.externalized.is_some());
-        h.write_u64(self.externalized.unwrap_or(0));
+        self.fingerprint_into(h, None);
     }
 
-    /// A delivery is a no-op iff the envelope was already processed (this
-    /// covers echoes of our own envelopes: `broadcast_own` records them in
-    /// `seen`) and neither the knowledge set nor the latecomer-sync state
-    /// can change. All three conditions are monotone — once absorbed,
-    /// absorbed in every extension.
+    /// A delivery is a no-op iff the envelope's pledge is on file (this
+    /// covers echoes of our own envelopes: own pledges enter the table
+    /// before they are broadcast) and neither the knowledge set nor the
+    /// latecomer-sync state can change. All three conditions are monotone
+    /// — once absorbed, absorbed in every extension.
     fn absorbs(
         &self,
         self_id: ProcessId,
@@ -860,31 +871,11 @@ impl Actor<ScpMsg> for ScpNode {
     ) -> bool {
         (msg.origin == self_id || known.contains(msg.origin))
             && known.difference_len(&self.synced) == 0
-            && self.seen.contains(msg.origin, &msg.stmt, msg.accept)
+            && self.tracker.has_pledge(msg.origin, &msg.stmt, msg.accept)
     }
 
-    /// [`Actor::fingerprint`] under a process-id renaming. The incremental
-    /// XOR digests pay off twice here: renamed digests are recomputed by
-    /// renaming each entry and XOR-folding — no re-sorting pass, since XOR
-    /// is order-independent.
     fn fingerprint_perm(&self, h: &mut StateHasher, perm: &Perm) {
-        h.write_u64(self.config.input);
-        h.write_u64(self.seen.len() as u64);
-        h.write_u128(self.seen.digest_perm(perm));
-        h.write_u64(self.check.recorded_len() as u64);
-        h.write_u128(self.check.registry_digest_perm(perm));
-        h.write_set_perm(&self.synced, perm);
-        let mut candidates = self.candidates.clone();
-        candidates.sort_unstable();
-        h.write_u64(candidates.len() as u64);
-        for v in candidates {
-            h.write_u64(v);
-        }
-        h.write_u64(self.ballot);
-        h.write_bool(self.lock.is_some());
-        h.write_u64(self.lock.unwrap_or(0));
-        h.write_bool(self.externalized.is_some());
-        h.write_u64(self.externalized.unwrap_or(0));
+        self.fingerprint_into(h, Some(perm));
     }
 
     /// A delivery is *threshold-inert* (commutes with every sibling
@@ -1051,7 +1042,7 @@ impl Actor<ScpMsg> for EquivocatingScpNode {
     fn fingerprint(&self, h: &mut StateHasher) {
         h.write_u64(self.values.0);
         h.write_u64(self.values.1);
-        hash_family(h, &self.fake_slices);
+        hash_family(h, &self.fake_slices, None);
     }
 
     /// Nomination envelopes and out-of-cap ballot counters draw no
@@ -1287,6 +1278,109 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Sends a fixed script of envelopes — `(at, stmt)`, all accept-level —
+    /// to process 0 and ignores everything it receives.
+    #[derive(Clone)]
+    struct ScriptedAccepter {
+        slices: std::sync::Arc<SliceFamily>,
+        script: Vec<(u64, Statement)>,
+    }
+
+    impl Actor<ScpMsg> for ScriptedAccepter {
+        fn on_start(&mut self, ctx: &mut Context<'_, ScpMsg>) {
+            for (i, &(at, _)) in self.script.iter().enumerate() {
+                ctx.set_timer(at, i as u64);
+            }
+        }
+
+        fn on_message(&mut self, _: &mut Context<'_, ScpMsg>, _: ProcessId, _: ScpMsg) {}
+
+        fn on_timer(&mut self, ctx: &mut Context<'_, ScpMsg>, tag: u64) {
+            let msg = ScpMsg {
+                origin: ctx.self_id(),
+                slices: std::sync::Arc::clone(&self.slices),
+                stmt: self.script[tag as usize].1,
+                accept: true,
+            };
+            ctx.send(ProcessId::new(0), msg);
+        }
+    }
+
+    /// Crash recovery forgets the accept ratchet: `on_recover` replays an
+    /// accept-level pledge as `record_accept(me, ..)`, which files the
+    /// pledge but leaves the level at `Voted`, and the ratchet reads the
+    /// level. Node 0 (slices `{{1, 2}}`) is walked to an accepted
+    /// `commit(1, 5)` by its two scripted peers, crashes, recovers, and is
+    /// then offered accepts of `commit(2, 7)`: it must refuse them, and it
+    /// must not re-derive — journal, count and backlog a second time — the
+    /// accept it replayed.
+    #[test]
+    #[ignore = "ROADMAP direction 1(d)"]
+    fn recovered_node_keeps_its_accept_ratchet() {
+        use scup_graph::KnowledgeGraph;
+        use scup_sim::{CrashFault, FaultPlan};
+        let kg = KnowledgeGraph::from_pds(
+            (0..3u32)
+                .map(|i| ProcessSet::from_ids((0..3).filter(|&j| j != i)))
+                .collect(),
+        );
+        let mut sim = Simulation::new(kg, NetworkConfig::synchronous(10, 0));
+        sim.set_fault_plan(FaultPlan {
+            crashes: vec![CrashFault {
+                process: ProcessId::new(0),
+                at: 300,
+                recover_at: Some(350),
+            }],
+            ..FaultPlan::default()
+        });
+        let slices = |ids: [u32; 2]| SliceFamily::explicit([ProcessSet::from_ids(ids)]);
+        sim.add_actor(Box::new(ScpNode::new(ScpConfig::new(slices([1, 2]), 5))));
+        // Both peers accept the nomination and the prepare, so node 0
+        // confirms them and votes commit(1, 5); only peer 1 accepts that
+        // commit before the crash — v-blocking, so node 0 accepts it, but
+        // {0, 1} is no quorum and nothing is externalized. After the
+        // recovery peer 1 repeats its prepare accept (lost with node 0's
+        // volatile state), then both accept commit(2, 7).
+        let both = [
+            (20, Statement::Nominate(5)),
+            (60, Statement::Prepare(1, 5)),
+            (400, Statement::Commit(2, 7)),
+        ];
+        let only_1 = [
+            (100, Statement::Commit(1, 5)),
+            (380, Statement::Prepare(1, 5)),
+        ];
+        sim.add_actor(Box::new(ScriptedAccepter {
+            slices: std::sync::Arc::new(slices([0, 2])),
+            script: both.into_iter().chain(only_1).collect(),
+        }));
+        sim.add_actor(Box::new(ScriptedAccepter {
+            slices: std::sync::Arc::new(slices([0, 1])),
+            script: both.to_vec(),
+        }));
+        sim.run_while(|s| s.now().ticks() < 600, 600);
+        assert_eq!(sim.report().recoveries, 1);
+        let accepted: Vec<Statement> = sim
+            .journal(ProcessId::new(0))
+            .records()
+            .iter()
+            .filter(|rec| rec.tag == J_PLEDGE)
+            .filter_map(|rec| match rec.words[..] {
+                [kind, n, v, 1] => decode_stmt(kind, n, v),
+                _ => None,
+            })
+            .collect();
+        assert!(accepted.contains(&Statement::Commit(1, 5)), "{accepted:?}");
+        for (i, a) in accepted.iter().enumerate() {
+            for b in &accepted[i + 1..] {
+                assert!(!a.contradicts(b), "accepted {a} and {b}: {accepted:?}");
+                assert_ne!(a, b, "accept journalled twice: {accepted:?}");
+            }
+        }
+        let node = sim.actor_as::<ScpNode>(ProcessId::new(0)).unwrap();
+        assert_eq!(node.externalized(), None);
     }
 
     #[test]

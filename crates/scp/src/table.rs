@@ -1,5 +1,6 @@
 //! The flat copy-on-write table behind an SCP node's keyed state: the
-//! envelope dedup set and the vote tally (one row per statement) and the
+//! pledge table (one row per statement — who voted, who accepted, the own
+//! level; it answers envelope dedup and federated voting alike) and the
 //! slice registry (one row per process).
 //!
 //! A sorted key vector and a parallel row vector behind one [`Arc`]:
@@ -104,16 +105,26 @@ impl<K: Ord + Clone, R: Clone> Table<K, R> {
         &mut columns.rows[i]
     }
 
-    /// Sets the row of `key`, replacing an earlier one.
-    pub(crate) fn insert(&mut self, key: K, row: R) {
+    /// Sets the row of `key` to a clone of `row` unless it already equals
+    /// it. `None` when it did — the table is then not written, so a shared
+    /// one is not copied — else the displaced row, if there was one.
+    pub(crate) fn replace_if_changed(&mut self, key: K, row: &R) -> Option<Option<R>>
+    where
+        R: PartialEq,
+    {
+        let found = self.columns.keys.binary_search(&key);
+        if found.is_ok_and(|i| self.columns.rows[i] == *row) {
+            return None;
+        }
         let columns = Arc::make_mut(&mut self.columns);
-        match columns.keys.binary_search(&key) {
-            Ok(i) => columns.rows[i] = row,
+        Some(match found {
+            Ok(i) => Some(std::mem::replace(&mut columns.rows[i], row.clone())),
             Err(i) => {
                 columns.keys.insert(i, key);
-                columns.rows.insert(i, row);
+                columns.rows.insert(i, row.clone());
+                None
             }
-        }
+        })
     }
 }
 
@@ -148,8 +159,17 @@ mod tests {
                     fork = Some((subject.clone(), oracle.clone()));
                 }
                 if overwrite {
-                    subject.insert(k, vec![v]);
-                    oracle.insert(k, vec![v]);
+                    // Every third overwrite repeats the row on file.
+                    let row = match oracle.get(&k) {
+                        Some(old) if v % 3 == 0 => old.clone(),
+                        _ => vec![v],
+                    };
+                    let unchanged = oracle.get(&k) == Some(&row);
+                    let displaced = subject.replace_if_changed(k, &row);
+                    prop_assert_eq!(displaced.is_none(), unchanged);
+                    if let Some(displaced) = displaced {
+                        prop_assert_eq!(displaced, oracle.insert(k, row));
+                    }
                 } else {
                     subject.get_or_default(k).push(v);
                     oracle.entry(k).or_default().push(v);

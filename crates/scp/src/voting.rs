@@ -19,8 +19,8 @@
 //! accepts only grow — so the incremental dirty-tracking below remains
 //! sound.)
 //!
-//! [`VoteTracker`] keeps the per-statement tally; [`QuorumCheck`] holds the
-//! slice registry built from received envelopes and answers the
+//! [`VoteTracker`] keeps the pledge table; [`QuorumCheck`] holds the slice
+//! registry built from received envelopes and answers the
 //! quorum/v-blocking queries.
 //!
 //! Both store their keyed state in a flat copy-on-write
@@ -30,15 +30,38 @@
 //! forks a node per visited state, so a fork is an `Arc` bump; a write
 //! after a fork copies the whole table, which the explorer's systems keep
 //! at 6 statements or fewer, and a sampled run never forks, so it writes
-//! in place. The node's envelope dedup set (`seen.rs`) holds the same
-//! pledges keyed by envelope; the invariant tying the two is stated there.
+//! in place.
+//!
+//! # One table, two questions
+//!
+//! The pledge table is also the node's envelope dedup set: an envelope
+//! `(origin, statement, accept)` is a duplicate iff `origin` already sits
+//! in that statement's vote or accept set ([`VoteTracker::has_pledge`]).
+//! Flood gossip delivers every envelope once per knowledge edge, so more
+//! than nine deliveries in ten are duplicates and that test — one binary
+//! search over a few dozen contiguous keys, then one bit test on an inline
+//! [`ProcessSet`] — is the node's hottest operation; it is read-only, so
+//! a duplicate never copies a fork-shared table.
+//!
+//! Votes stay apart from accepts. The accept-by-quorum rule reads
+//! "voted-or-accepted", which is `votes ∪ accepts` taken *on read*:
+//! folding a vote into a stored union would answer "duplicate" for a vote
+//! that arrives after the same origin's accept, and the node would stop
+//! relaying it.
+//!
+//! The table's contribution to the state fingerprint is the number of
+//! pledges and an XOR multiset digest over them (see `fingerprint.rs`),
+//! kept incrementally. Levels are not hashed: they are the deterministic
+//! monotone fixpoint of the pledge sets and the slice registry.
 
 use std::sync::Arc;
 
 use scup_fbqs::{EngineScratch, QuorumEngine, SliceFamily};
 use scup_graph::{ProcessId, ProcessSet};
 use scup_obs::causal::{ProvEntry, ProvRule, ProvenanceLog};
+use scup_sim::Perm;
 
+use crate::fingerprint::{family_entry_digest, pledge_digest};
 use crate::statement::Statement;
 use crate::table::Table;
 
@@ -123,39 +146,28 @@ impl QuorumCheck {
     /// (overwriting earlier ones — a Byzantine equivocator is pinned to its
     /// most recent claim). Recompiles the process's engine row, and clones
     /// the family into the registry, only when the claim actually changed.
-    pub fn record_slices(&mut self, from: ProcessId, slices: &SliceFamily) {
-        if let Some((own, _)) = &self.own_row {
-            if *own == from {
-                // A recorded claim for our own id would fight the own-slices
-                // override; force re-compilation on the next quorum query.
-                self.own_row = None;
-                if let Some(engine) = &mut self.engine {
-                    Arc::make_mut(engine).set_slices(from, slices);
-                }
-                self.record_digested(from, slices);
-                return;
-            }
+    ///
+    /// Returns `true` when the stored claim changed — every quorum
+    /// evaluation made against the old registry is then stale (see
+    /// [`VoteTracker::invalidate_all`]).
+    pub fn record_slices(&mut self, from: ProcessId, slices: &SliceFamily) -> bool {
+        let Some(displaced) = self.slices.replace_if_changed(from, slices) else {
+            return false;
+        };
+        // The displaced entry leaves the registry digest, the new one joins.
+        if let Some(old) = displaced {
+            self.digest ^= family_entry_digest(from, &old, None);
         }
-        if self.slices.get(&from) == Some(slices) {
-            return;
+        self.digest ^= family_entry_digest(from, slices, None);
+        if self.own_row.as_ref().is_some_and(|(own, _)| *own == from) {
+            // A recorded claim for our own id would fight the own-slices
+            // override; force re-compilation on the next quorum query.
+            self.own_row = None;
         }
         if let Some(engine) = &mut self.engine {
             Arc::make_mut(engine).set_slices(from, slices);
         }
-        self.record_digested(from, slices);
-    }
-
-    /// Stores the claim, XORing the displaced entry out of the registry
-    /// digest and the new one in.
-    fn record_digested(&mut self, from: ProcessId, slices: &SliceFamily) {
-        if let Some(old) = self.slices.get(&from) {
-            if old == slices {
-                return;
-            }
-            self.digest ^= crate::fingerprint::family_entry_digest(from, old);
-        }
-        self.digest ^= crate::fingerprint::family_entry_digest(from, slices);
-        self.slices.insert(from, slices.clone());
+        true
     }
 
     /// Number of recorded claims.
@@ -172,9 +184,9 @@ impl QuorumCheck {
     /// [`QuorumCheck::registry_digest`] of the registry with every process
     /// id renamed through `perm` — the symmetry reduction's slow path,
     /// recomputed per permutation (XOR needs no re-sorting).
-    pub fn registry_digest_perm(&self, perm: &scup_sim::Perm) -> u128 {
+    pub fn registry_digest_perm(&self, perm: &Perm) -> u128 {
         self.slices.iter().fold(0u128, |acc, (i, fam)| {
-            acc ^ crate::fingerprint::family_entry_digest_perm(*i, fam, perm)
+            acc ^ family_entry_digest(*i, fam, Some(perm))
         })
     }
 
@@ -248,31 +260,38 @@ impl QuorumCheck {
     }
 }
 
-/// One statement's tally: the processes that pledged it, and how far this
-/// process got on it.
+/// One statement's row: the processes whose pledge is on file, by level,
+/// and how far this process got on it.
 #[derive(Debug, Clone, Default)]
-struct Tally {
-    /// Voted or accepted (an accept implies a vote).
-    voted: ProcessSet,
-    accepted: ProcessSet,
+struct Pledges {
+    /// Origins of the vote-level pledges (ours included, once cast).
+    votes: ProcessSet,
+    /// Origins of the accept-level pledges (ours included, once accepted).
+    accepts: ProcessSet,
     /// Our own level.
     level: VoteLevel,
 }
 
-/// Per-statement federated-voting tally for one process.
+/// The pledge table of one process: for every statement, who voted, who
+/// accepted, and the own level — the whole state of federated voting, and
+/// the dedup set of the envelopes that carried the pledges.
 ///
 /// Exploration forks a tracker per SCP node per visited state, so the
-/// tallies sit in one copy-on-write table keyed by statement: `Clone` is
-/// an `Arc` bump, and the first pledge recorded after a fork copies the
-/// table (see the [module docs](self)).
+/// rows sit in one copy-on-write table keyed by statement: `Clone` is an
+/// `Arc` bump, and the first new pledge after a fork copies the table
+/// (see the [module docs](self)).
 #[derive(Debug, Default)]
 pub struct VoteTracker {
-    /// Every accept is also recorded as a vote and every own pledge joins
-    /// `voted`, so the keys are the statement universe.
-    tallies: Table<Statement, Tally>,
-    /// Statements whose tally changed since the last [`VoteTracker::update`]
+    /// Every pledge, own or remote, gets its statement a row, so the keys
+    /// are the statement universe.
+    pledges: Table<Statement, Pledges>,
+    /// Number of `(origin, statement, accept)` pledges on file.
+    len: usize,
+    /// XOR of [`pledge_digest`] over the pledges on file.
+    digest: u128,
+    /// Statements whose row changed since the last [`VoteTracker::update`]
     /// — the incremental worklist. A statement's level depends only on its
-    /// own tally sets, the caller's slices, and the slice registry, so
+    /// own pledge sets, the caller's slices, and the slice registry, so
     /// re-evaluating anything else is wasted quorum queries (the previous
     /// full-rescan `update` dominated the exploration profile).
     dirty: Vec<Statement>,
@@ -287,7 +306,9 @@ pub struct VoteTracker {
 impl Clone for VoteTracker {
     fn clone(&self) -> Self {
         VoteTracker {
-            tallies: self.tallies.clone(),
+            pledges: self.pledges.clone(),
+            len: self.len,
+            digest: self.digest,
             dirty: self.dirty.clone(),
             all_dirty: self.all_dirty,
             stmt_buf: Vec::new(),
@@ -314,38 +335,101 @@ impl VoteTracker {
         self.dirty.clear();
     }
 
-    /// Records a remote vote.
-    pub fn record_vote(&mut self, from: ProcessId, stmt: Statement) {
-        if self.tallies.get_or_default(stmt).voted.insert(from) {
-            self.mark_dirty(stmt);
-        }
+    /// `true` when the pledge `(origin, stmt, accept)` is on file — the
+    /// envelope that carries it is then a duplicate. Read-only: a
+    /// fork-shared table is not copied.
+    pub fn has_pledge(&self, origin: ProcessId, stmt: &Statement, accept: bool) -> bool {
+        self.pledges.get(stmt).is_some_and(|row| {
+            let origins = if accept { &row.accepts } else { &row.votes };
+            origins.contains(origin)
+        })
     }
 
-    /// Records a remote accept (an accept implies a vote).
-    pub fn record_accept(&mut self, from: ProcessId, stmt: Statement) {
-        let tally = self.tallies.get_or_default(stmt);
-        let fresh_vote = tally.voted.insert(from);
-        if tally.accepted.insert(from) || fresh_vote {
+    /// Books one more pledge into the fingerprint pair.
+    fn count_pledge(&mut self, origin: ProcessId, stmt: &Statement, accept: bool) {
+        self.len += 1;
+        self.digest ^= pledge_digest(origin, stmt, accept, None);
+    }
+
+    /// Files a remote pledge; `true` when it is new. The statement goes on
+    /// the worklist when a set an accept/confirm rule reads grew: the
+    /// accept set, or `votes ∪ accepts` — which a vote from a process
+    /// whose accept is already on file does not extend.
+    fn record(&mut self, from: ProcessId, stmt: Statement, accept: bool) -> bool {
+        let row = self.pledges.get_or_default(stmt);
+        let fresh = if accept {
+            row.accepts.insert(from)
+        } else {
+            row.votes.insert(from)
+        };
+        if !fresh {
+            return false;
+        }
+        let grew = accept || !row.accepts.contains(from);
+        self.count_pledge(from, &stmt, accept);
+        if grew {
             self.mark_dirty(stmt);
         }
+        true
+    }
+
+    /// Records a remote vote. Returns `true` when the pledge is new.
+    pub fn record_vote(&mut self, from: ProcessId, stmt: Statement) -> bool {
+        self.record(from, stmt, false)
+    }
+
+    /// Records a remote accept (an accept implies a vote). Returns `true`
+    /// when the pledge is new.
+    pub fn record_accept(&mut self, from: ProcessId, stmt: Statement) -> bool {
+        self.record(from, stmt, true)
     }
 
     /// Registers our own vote for `stmt` (no-op if we already pledged).
-    /// Returns `true` if this is a new vote that should be broadcast.
+    /// Returns `true` if this is a new vote that should be broadcast — in
+    /// which case it is also a new pledge, unless the caller had recorded
+    /// its own id as a remote voter.
     pub fn vote(&mut self, self_id: ProcessId, stmt: Statement) -> bool {
         if self.level(stmt) >= VoteLevel::Voted {
             return false;
         }
-        let tally = self.tallies.get_or_default(stmt);
-        tally.level = VoteLevel::Voted;
-        tally.voted.insert(self_id);
+        let row = self.pledges.get_or_default(stmt);
+        row.level = VoteLevel::Voted;
+        if row.votes.insert(self_id) {
+            self.count_pledge(self_id, &stmt, false);
+        }
         self.mark_dirty(stmt);
         true
     }
 
     /// Our level on `stmt`.
     pub fn level(&self, stmt: Statement) -> VoteLevel {
-        self.tallies.get(&stmt).map_or(VoteLevel::None, |t| t.level)
+        self.pledges.get(&stmt).map_or(VoteLevel::None, |t| t.level)
+    }
+
+    /// Number of pledges on file — with [`VoteTracker::digest`], the
+    /// table's contribution to the state fingerprint.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The multiset digest of the pledges on file, kept incrementally.
+    pub(crate) fn digest(&self) -> u128 {
+        self.digest
+    }
+
+    /// [`VoteTracker::digest`] of the table with every origin renamed
+    /// through `perm`. XOR is order-independent, so renaming each pledge
+    /// and folding needs no re-sorting pass.
+    pub(crate) fn digest_perm(&self, perm: &Perm) -> u128 {
+        let mut digest = 0;
+        for (stmt, row) in self.pledges.iter() {
+            for (origins, accept) in [(&row.votes, false), (&row.accepts, true)] {
+                for origin in origins {
+                    digest ^= pledge_digest(origin, stmt, accept, Some(perm));
+                }
+            }
+        }
+        digest
     }
 
     /// The accept ratchet: `true` when `stmt` contradicts a statement we
@@ -355,14 +439,14 @@ impl VoteTracker {
     /// different values impossible whenever correct quorums intersect
     /// (see [`Statement::contradicts`]).
     pub fn accept_would_contradict(&self, stmt: Statement) -> bool {
-        self.tallies
+        self.pledges
             .iter()
             .any(|(s, t)| t.level >= VoteLevel::Accepted && stmt.contradicts(s))
     }
 
     /// All statements we confirmed.
     pub fn confirmed(&self) -> impl Iterator<Item = Statement> + '_ {
-        self.tallies
+        self.pledges
             .iter()
             .filter(|(_, t)| t.level == VoteLevel::Confirmed)
             .map(|(s, _)| *s)
@@ -370,26 +454,26 @@ impl VoteTracker {
 
     /// The processes that voted-or-accepted `stmt`.
     pub fn voters(&self, stmt: Statement) -> ProcessSet {
-        self.tallies
+        self.pledges
             .get(&stmt)
-            .map_or_else(ProcessSet::new, |t| t.voted.clone())
+            .map_or_else(ProcessSet::new, |t| t.votes.union(&t.accepts))
     }
 
     /// The processes that accepted `stmt`.
     pub fn accepters(&self, stmt: Statement) -> ProcessSet {
-        self.tallies
+        self.pledges
             .get(&stmt)
-            .map_or_else(ProcessSet::new, |t| t.accepted.clone())
+            .map_or_else(ProcessSet::new, |t| t.accepts.clone())
     }
 
     /// Re-evaluates the accept/confirm rules for every *stale* statement
-    /// (tally changed since the last call, or all of them after a registry
+    /// (row changed since the last call, or all of them after a registry
     /// change). Returns the statements whose level rose, with their new
     /// level — the caller broadcasts new accepts and reacts to
     /// confirmations.
     ///
     /// Incremental: a statement's level is a monotone function of its own
-    /// tally sets, the caller's slices, and the slice registry. Recording
+    /// pledge sets, the caller's slices, and the slice registry. Recording
     /// paths mark the touched statement dirty and
     /// [`VoteTracker::invalidate_all`] handles registry changes, so a
     /// statement whose inputs did not change since its last evaluation
@@ -426,7 +510,7 @@ impl VoteTracker {
         let mut statements = std::mem::take(&mut self.stmt_buf);
         statements.clear();
         if self.all_dirty {
-            statements.extend_from_slice(self.tallies.keys());
+            statements.extend_from_slice(self.pledges.keys());
             self.all_dirty = false;
             self.dirty.clear();
         } else {
@@ -438,8 +522,8 @@ impl VoteTracker {
         for stmt in statements.iter().copied() {
             // Every statement on the worklist got its row when it was
             // recorded.
-            while let Some(tally) = self.tallies.get(&stmt) {
-                let level = match tally.level {
+            while let Some(row) = self.pledges.get(&stmt) {
+                let level = match row.level {
                     VoteLevel::None | VoteLevel::Voted => {
                         // Which accept rule fires matters only to the
                         // provenance log; the `||` order matches the old
@@ -447,10 +531,14 @@ impl VoteTracker {
                         // iff it used to.
                         let rule = if self.accept_would_contradict(stmt) {
                             None
-                        } else if check.is_v_blocking(own_slices, &tally.accepted) {
+                        } else if check.is_v_blocking(own_slices, &row.accepts) {
                             Some(ProvRule::AcceptVBlocking)
-                        } else if tally.level == VoteLevel::Voted
-                            && check.has_quorum_through(self_id, own_slices, &tally.voted)
+                        } else if row.level == VoteLevel::Voted
+                            && check.has_quorum_through(
+                                self_id,
+                                own_slices,
+                                &row.votes.union(&row.accepts),
+                            )
                         {
                             Some(ProvRule::AcceptQuorum)
                         } else {
@@ -460,7 +548,7 @@ impl VoteTracker {
                         if prov.is_enabled() {
                             let (support, label) = match rule {
                                 ProvRule::AcceptVBlocking => {
-                                    (&tally.accepted, format!("accept {stmt:?}"))
+                                    (&row.accepts, format!("accept {stmt:?}"))
                                 }
                                 _ => (check.last_closure(), format!("vote {stmt:?}")),
                             };
@@ -476,7 +564,7 @@ impl VoteTracker {
                         VoteLevel::Accepted
                     }
                     VoteLevel::Accepted => {
-                        if !check.has_quorum_through(self_id, own_slices, &tally.accepted) {
+                        if !check.has_quorum_through(self_id, own_slices, &row.accepts) {
                             break;
                         }
                         if prov.is_enabled() {
@@ -493,12 +581,13 @@ impl VoteTracker {
                     }
                     VoteLevel::Confirmed => break,
                 };
-                let tally = self.tallies.get_or_default(stmt);
-                if level == VoteLevel::Accepted {
-                    tally.accepted.insert(self_id);
-                    tally.voted.insert(self_id);
+                let row = self.pledges.get_or_default(stmt);
+                row.level = level;
+                // Our own accept is a pledge like any other (it is already
+                // on file when a recovered node re-derives a replayed one).
+                if level == VoteLevel::Accepted && row.accepts.insert(self_id) {
+                    self.count_pledge(self_id, &stmt, true);
                 }
-                tally.level = level;
                 changes.push((stmt, level));
             }
         }
@@ -509,6 +598,10 @@ impl VoteTracker {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
+    use proptest::prelude::*;
+
     use super::*;
     use scup_fbqs::paper;
 
@@ -663,13 +756,147 @@ mod tests {
         assert!(changes.contains(&(prepare_v, VoteLevel::Accepted)));
     }
 
+    /// Ids range past one `ProcessSet` word.
+    const N: u32 = 70;
+
+    fn statement() -> impl Strategy<Value = Statement> {
+        (0u32..3, 0u64..3, 0u64..4).prop_map(|(kind, n, v)| match kind {
+            0 => Statement::Nominate(v),
+            1 => Statement::Prepare(n, v),
+            _ => Statement::Commit(n, v),
+        })
+    }
+
+    /// A permutation of `0..N` from a vector of swap targets
+    /// (Fisher–Yates driven by the generated indices).
+    fn perm_from(swaps: &[u32]) -> Perm {
+        let mut map: Vec<u32> = (0..N).collect();
+        for (i, &j) in swaps.iter().enumerate() {
+            map.swap(i, i + (j as usize) % (N as usize - i));
+        }
+        Perm::from_map(map)
+    }
+
+    proptest! {
+        /// The dedup half of the table against the representation it
+        /// replaced: an ordered set of the `(origin, statement, accept)`
+        /// triples themselves. Remote pledges interleave with own votes
+        /// and `update` cascades (process 4 of Fig. 1, whose accepts a
+        /// lone accepter in `{5, 6}` triggers), so own pledges are
+        /// booked through every path that files one.
+        #[test]
+        fn matches_a_set_of_triples(
+            ops in proptest::collection::vec(
+                (0u32..5, prop_oneof![4u32..8, 0u32..N], statement(), proptest::bool::ANY),
+                0..200,
+            ),
+            swaps in proptest::collection::vec(0u32..N, (N - 1) as usize),
+        ) {
+            let perm = perm_from(&swaps);
+            let me = p(4);
+            let own = paper::fig1_system().slices(me).clone();
+            let mut check = fig1_check();
+            let mut subject = VoteTracker::new();
+            let mut oracle: BTreeSet<(ProcessId, Statement, bool)> = BTreeSet::new();
+            for (kind, origin, stmt, accept) in ops {
+                match kind {
+                    0 => {
+                        if subject.vote(me, stmt) {
+                            oracle.insert((me, stmt, false));
+                        }
+                    }
+                    1 => {
+                        for (stmt, level) in subject.update(me, &own, &mut check) {
+                            if level == VoteLevel::Accepted {
+                                oracle.insert((me, stmt, true));
+                            }
+                        }
+                    }
+                    _ => {
+                        let origin = p(origin);
+                        prop_assert_eq!(subject.has_pledge(origin, &stmt, accept),
+                                        oracle.contains(&(origin, stmt, accept)));
+                        let fresh = if accept {
+                            subject.record_accept(origin, stmt)
+                        } else {
+                            subject.record_vote(origin, stmt)
+                        };
+                        prop_assert_eq!(fresh, oracle.insert((origin, stmt, accept)));
+                        prop_assert!(subject.has_pledge(origin, &stmt, accept));
+                    }
+                }
+                prop_assert_eq!(subject.len(), oracle.len());
+            }
+            for &(origin, stmt, accept) in &oracle {
+                prop_assert!(subject.has_pledge(origin, &stmt, accept));
+            }
+            let from_scratch = |perm: Option<&Perm>| {
+                oracle.iter().fold(0u128, |acc, (origin, stmt, accept)| {
+                    acc ^ pledge_digest(*origin, stmt, *accept, perm)
+                })
+            };
+            prop_assert_eq!(subject.digest(), from_scratch(None));
+            prop_assert_eq!(subject.digest_perm(&perm), from_scratch(Some(&perm)));
+            prop_assert_eq!(subject.digest_perm(&Perm::identity(N as usize)), subject.digest());
+        }
+    }
+
+    #[test]
+    fn a_fork_is_isolated_from_later_envelopes() {
+        let sys = paper::fig1_system();
+        let mut check = fig1_check();
+        let stmt = Statement::Nominate(1);
+        let mut a = VoteTracker::new();
+        assert!(a.record_vote(p(3), stmt));
+        let b = a.clone();
+        // A remote accept, an own vote and an own accept (v-blocked by 5)
+        // after the fork: none of them reaches it.
+        assert!(a.record_accept(p(5), stmt));
+        assert!(a.vote(p(4), stmt));
+        let changes = a.update(p(4), sys.slices(p(4)), &mut check);
+        assert_eq!(changes, vec![(stmt, VoteLevel::Accepted)]);
+        for (origin, accept) in [(p(5), true), (p(4), false), (p(4), true)] {
+            assert!(a.has_pledge(origin, &stmt, accept));
+            assert!(!b.has_pledge(origin, &stmt, accept));
+        }
+        assert!(b.has_pledge(p(3), &stmt, false));
+        assert_eq!((a.len(), b.len()), (4, 1));
+        assert_ne!(a.digest(), b.digest());
+        assert_eq!(b.level(stmt), VoteLevel::None);
+    }
+
+    #[test]
+    fn a_vote_after_the_same_origins_accept_is_a_new_pledge() {
+        // The trap of storing "voted-or-accepted": the vote envelope of a
+        // process whose accept came first is not a duplicate — the node
+        // must still relay it — although it extends no set a rule reads.
+        let sys = paper::fig1_system();
+        let mut check = fig1_check();
+        let stmt = Statement::Prepare(1, 2);
+        let mut tracker = VoteTracker::new();
+        assert!(tracker.record_accept(p(1), stmt));
+        // Drains the worklist (1 is not in 4's slices: nothing fires).
+        assert!(tracker
+            .update(p(4), sys.slices(p(4)), &mut check)
+            .is_empty());
+        let (voters, len) = (tracker.voters(stmt), tracker.len());
+        assert!(!tracker.has_pledge(p(1), &stmt, false));
+        assert!(tracker.record_vote(p(1), stmt), "new, not a duplicate");
+        assert!(tracker.has_pledge(p(1), &stmt, false));
+        assert!(!tracker.record_vote(p(1), stmt), "now it is one");
+        assert_eq!(tracker.len(), len + 1);
+        assert_eq!(tracker.voters(stmt), voters);
+        assert!(tracker.dirty.is_empty() && !tracker.all_dirty, "worklist");
+    }
+
     #[test]
     fn byzantine_slice_equivocation_pins_latest() {
         let mut check = QuorumCheck::new();
         let a = SliceFamily::explicit([ProcessSet::from_ids([1])]);
         let b = SliceFamily::explicit([ProcessSet::from_ids([2])]);
-        check.record_slices(p(9), &a);
-        check.record_slices(p(9), &b);
+        assert!(check.record_slices(p(9), &a));
+        assert!(!check.record_slices(p(9), &a), "unchanged claim");
+        assert!(check.record_slices(p(9), &b));
         assert_eq!(check.slices_of(p(9)), Some(&b));
     }
 
@@ -677,7 +904,7 @@ mod tests {
     /// incremental bookkeeping must track it.
     fn digest_from_scratch(check: &QuorumCheck) -> u128 {
         check.recorded().fold(0u128, |acc, (i, fam)| {
-            acc ^ crate::fingerprint::family_entry_digest(i, fam)
+            acc ^ family_entry_digest(i, fam, None)
         })
     }
 
@@ -698,7 +925,7 @@ mod tests {
         assert_eq!(check.registry_digest(), digest_from_scratch(&check));
         // Re-recording the same family is a digest no-op.
         let before = check.registry_digest();
-        check.record_slices(p(9), &b);
+        assert!(!check.record_slices(p(9), &b));
         assert_eq!(check.registry_digest(), before);
         // Two registries with the same contents agree regardless of
         // insertion order (the digest is a function of the set).

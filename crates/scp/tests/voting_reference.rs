@@ -5,7 +5,8 @@
 //! quorum rule as Algorithm 1's fixpoint over `SliceFamily` predicates on
 //! the paper's Fig. 1 system. Random interleavings of every recording call
 //! must agree on the returned changes *in order* — that order is the order
-//! of a node's broadcasts — and on every read-out; a fork taken
+//! of a node's broadcasts — on whether each recorded pledge was new (the
+//! node's envelope dedup answer) and on every read-out; a fork taken
 //! mid-sequence and the original must not see each other's later writes.
 //! Counters and values sit at both ends of `u64`, so a key encoding that
 //! is not the derived `Statement` order on all of it fails here.
@@ -19,7 +20,8 @@ use scup_scp::{QuorumCheck, Statement, VoteLevel, VoteTracker};
 
 #[derive(Clone, Default)]
 struct Reference {
-    /// Statement → (voted-or-accepted, accepted).
+    /// Statement → (votes, accepts), each exactly as pledged: "voted or
+    /// accepted" is their union, taken where a rule reads it.
     pledges: BTreeMap<Statement, (BTreeSet<u32>, BTreeSet<u32>)>,
     levels: BTreeMap<Statement, VoteLevel>,
 }
@@ -60,11 +62,13 @@ impl Reference {
         true
     }
 
-    fn record(&mut self, from: u32, stmt: Statement, accept: bool) {
-        let (voted, accepted) = self.pledges.entry(stmt).or_default();
-        voted.insert(from);
+    /// `true` when the pledge was not on file yet.
+    fn record(&mut self, from: u32, stmt: Statement, accept: bool) -> bool {
+        let (votes, accepts) = self.pledges.entry(stmt).or_default();
         if accept {
-            accepted.insert(from);
+            accepts.insert(from)
+        } else {
+            votes.insert(from)
         }
     }
 
@@ -74,7 +78,8 @@ impl Reference {
         let statements: Vec<Statement> = self.pledges.keys().copied().collect();
         for stmt in statements {
             loop {
-                let (voted, accepted) = &self.pledges[&stmt];
+                let (votes, accepted) = &self.pledges[&stmt];
+                let voted: BTreeSet<u32> = votes.union(accepted).copied().collect();
                 let level = self.level(stmt);
                 let next = match level {
                     VoteLevel::None | VoteLevel::Voted => {
@@ -85,7 +90,7 @@ impl Reference {
                         let accept = !ratcheted
                             && (own.is_v_blocked_by(&as_set(accepted))
                                 || (level == VoteLevel::Voted
-                                    && has_quorum_through(sys, me, voted)));
+                                    && has_quorum_through(sys, me, &voted)));
                         if !accept {
                             break;
                         }
@@ -120,14 +125,14 @@ impl Pair {
                 self.tracker.vote(ProcessId::new(me), stmt),
                 self.reference.vote(me, stmt)
             ),
-            1 => {
-                self.tracker.record_vote(ProcessId::new(from), stmt);
-                self.reference.record(from, stmt, false);
-            }
-            2 => {
-                self.tracker.record_accept(ProcessId::new(from), stmt);
-                self.reference.record(from, stmt, true);
-            }
+            1 => assert_eq!(
+                self.tracker.record_vote(ProcessId::new(from), stmt),
+                self.reference.record(from, stmt, false)
+            ),
+            2 => assert_eq!(
+                self.tracker.record_accept(ProcessId::new(from), stmt),
+                self.reference.record(from, stmt, true)
+            ),
             // The registry did not change, so a full rescan finds nothing
             // the worklist would not: a no-op for the model.
             3 => self.tracker.invalidate_all(),
@@ -145,12 +150,24 @@ impl Pair {
 
     fn assert_same_readouts(&self, pool: &[Statement]) {
         for &stmt in pool {
-            let (voted, accepted) = self
+            let (votes, accepted) = self
                 .reference
                 .pledges
                 .get(&stmt)
                 .cloned()
                 .unwrap_or_default();
+            for i in 0..10 {
+                let id = ProcessId::new(i);
+                assert_eq!(
+                    self.tracker.has_pledge(id, &stmt, false),
+                    votes.contains(&i)
+                );
+                assert_eq!(
+                    self.tracker.has_pledge(id, &stmt, true),
+                    accepted.contains(&i)
+                );
+            }
+            let voted: BTreeSet<u32> = votes.union(&accepted).copied().collect();
             assert_eq!(
                 self.tracker.level(stmt),
                 self.reference.level(stmt),
