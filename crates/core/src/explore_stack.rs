@@ -27,7 +27,7 @@
 
 use scup_graph::{ProcessId, ProcessSet};
 use scup_scp::{ScpConfig, ScpMsg, ScpNode, Value};
-use scup_sim::{Actor, Context, Perm, SimMessage, StateHasher};
+use scup_sim::{Actor, Context, SimMessage, StateHasher};
 
 use crate::build_slices::build_slices;
 use crate::sink_detector::{GetSinkMode, SdMsg, SinkDetectorActor};
@@ -60,19 +60,6 @@ impl SimMessage for StackMsg {
             StackMsg::Scp(m) => {
                 h.write_u8(2);
                 m.fingerprint(h);
-            }
-        }
-    }
-
-    fn fingerprint_perm(&self, h: &mut StateHasher, perm: &Perm) {
-        match self {
-            StackMsg::Sd(m) => {
-                h.write_u8(1);
-                m.fingerprint_perm(h, perm);
-            }
-            StackMsg::Scp(m) => {
-                h.write_u8(2);
-                m.fingerprint_perm(h, perm);
             }
         }
     }
@@ -232,28 +219,8 @@ impl Actor<StackMsg> for StackActor {
                 h.write_u8(0);
                 h.write_u64(self.buffered.len() as u64);
                 for (from, msg) in &self.buffered {
-                    h.write_u32(from.as_u32());
+                    h.write_id(*from);
                     msg.fingerprint(h);
-                }
-            }
-        }
-    }
-
-    fn fingerprint_perm(&self, h: &mut StateHasher, perm: &Perm) {
-        h.write_u64(self.f as u64);
-        h.write_u64(self.input);
-        Actor::fingerprint_perm(&self.sd, h, perm);
-        match &self.scp {
-            Some(node) => {
-                h.write_u8(1);
-                Actor::fingerprint_perm(node, h, perm);
-            }
-            None => {
-                h.write_u8(0);
-                h.write_u64(self.buffered.len() as u64);
-                for (from, msg) in &self.buffered {
-                    h.write_u32(perm.apply(*from).as_u32());
-                    msg.fingerprint_perm(h, perm);
                 }
             }
         }

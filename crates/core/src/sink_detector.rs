@@ -27,10 +27,10 @@
 //! Both modes satisfy Theorem 6; the bench harness compares their message
 //! complexity (ablation).
 
-use scup_cup::discovery::{apply_perm, write_set_perm, SinkCore, SinkMsg};
+use scup_cup::discovery::{SinkCore, SinkMsg};
 use scup_cup::rrb::{RrbCore, RrbMsg};
 use scup_graph::{ProcessId, ProcessSet};
-use scup_sim::{Actor, Context, Perm, SimMessage, StateHasher};
+use scup_sim::{Actor, Context, SimMessage, StateHasher};
 
 use crate::oracle::SinkDetection;
 
@@ -57,28 +57,6 @@ pub enum SdMsg {
     SinkValue(ProcessSet),
 }
 
-impl SdMsg {
-    /// Canonical fingerprint with an optional process-id renaming
-    /// (exploration support).
-    fn fingerprint_into(&self, h: &mut StateHasher, perm: Option<&Perm>) {
-        match self {
-            SdMsg::Sink(m) => {
-                h.write_u8(1);
-                m.fingerprint_into(h, perm);
-            }
-            SdMsg::GetSink => h.write_u8(2),
-            SdMsg::GetSinkRb(m) => {
-                h.write_u8(3);
-                m.fingerprint_with(h, perm, &mut |_, ()| {});
-            }
-            SdMsg::SinkValue(s) => {
-                h.write_u8(4);
-                write_set_perm(h, s, perm);
-            }
-        }
-    }
-}
-
 impl SimMessage for SdMsg {
     fn size_hint(&self) -> usize {
         match self {
@@ -90,11 +68,21 @@ impl SimMessage for SdMsg {
     }
 
     fn fingerprint(&self, h: &mut StateHasher) {
-        self.fingerprint_into(h, None);
-    }
-
-    fn fingerprint_perm(&self, h: &mut StateHasher, perm: &Perm) {
-        self.fingerprint_into(h, Some(perm));
+        match self {
+            SdMsg::Sink(m) => {
+                h.write_u8(1);
+                m.fingerprint(h);
+            }
+            SdMsg::GetSink => h.write_u8(2),
+            SdMsg::GetSinkRb(m) => {
+                h.write_u8(3);
+                m.fingerprint_payload(h, |_, ()| {});
+            }
+            SdMsg::SinkValue(s) => {
+                h.write_u8(4);
+                h.write_set(s);
+            }
+        }
     }
 }
 
@@ -225,53 +213,6 @@ impl SinkDetectorActor {
         }
     }
 
-    /// Canonical state fingerprint with an optional renaming.
-    ///
-    /// Dead state once the sink is adopted: `asked_by_us` (only
-    /// `ask_direct` reads it, and it early-returns) and `values` (only the
-    /// adoption rule reads it) are skipped then. `asked_us` stays hashed
-    /// forever — it gates whether a repeat `GET_SINK` draws a reply. The
-    /// RRB core is *not* hashed: exploration drives the detector in
-    /// [`GetSinkMode::Direct`] only, where the core is never touched after
-    /// construction (no correct process ever emits `GetSinkRb` traffic,
-    /// and the explored adversaries replay only observed message kinds) —
-    /// asserted below so a future `ReachableBroadcast` driver fails loudly
-    /// instead of silently merging states that differ in broadcast state.
-    fn fingerprint_into(&self, h: &mut StateHasher, perm: Option<&Perm>) {
-        debug_assert!(
-            matches!(self.mode, GetSinkMode::Direct),
-            "exploration fingerprints skip the RRB core; hash it before \
-             exploring a ReachableBroadcast detector"
-        );
-        write_set_perm(h, &self.pd, perm);
-        h.write_u64(self.f as u64);
-        h.write_u8(match self.mode {
-            GetSinkMode::Direct => 1,
-            GetSinkMode::ReachableBroadcast => 2,
-        });
-        h.write_u32(apply_perm(self.sink_algo_self_id, perm).as_u32());
-        self.sink_algo.fingerprint_into(h, perm);
-        write_set_perm(h, &self.asked_us, perm);
-        match &self.sink {
-            Some(s) => {
-                h.write_u8(1);
-                write_set_perm(h, s, perm);
-            }
-            None => {
-                h.write_u8(0);
-                write_set_perm(h, &self.asked_by_us, perm);
-                let digest = self.values.iter().fold(0u128, |acc, (set, senders)| {
-                    let mut eh = StateHasher::new();
-                    write_set_perm(&mut eh, set, perm);
-                    write_set_perm(&mut eh, senders, perm);
-                    acc ^ eh.finish()
-                });
-                h.write_u64(self.values.len() as u64);
-                h.write_u128(digest);
-            }
-        }
-    }
-
     /// `true` when the detector-level post-hooks of a discovery delivery
     /// (`ask_direct`, `maybe_adopt_own_verdict`) are guaranteed no-ops
     /// given unchanged `SINK` state.
@@ -334,12 +275,49 @@ impl Actor<SdMsg> for SinkDetectorActor {
         Some(Box::new(self.clone()))
     }
 
+    /// Dead state once the sink is adopted: `asked_by_us` (only
+    /// `ask_direct` reads it, and it early-returns) and `values` (only the
+    /// adoption rule reads it) are skipped then. `asked_us` stays hashed
+    /// forever — it gates whether a repeat `GET_SINK` draws a reply. The
+    /// RRB core is *not* hashed: exploration drives the detector in
+    /// [`GetSinkMode::Direct`] only, where the core is never touched after
+    /// construction (no correct process ever emits `GetSinkRb` traffic,
+    /// and the explored adversaries replay only observed message kinds) —
+    /// asserted below so a future `ReachableBroadcast` driver fails loudly
+    /// instead of silently merging states that differ in broadcast state.
     fn fingerprint(&self, h: &mut StateHasher) {
-        self.fingerprint_into(h, None);
-    }
-
-    fn fingerprint_perm(&self, h: &mut StateHasher, perm: &Perm) {
-        self.fingerprint_into(h, Some(perm));
+        debug_assert!(
+            matches!(self.mode, GetSinkMode::Direct),
+            "exploration fingerprints skip the RRB core; hash it before \
+             exploring a ReachableBroadcast detector"
+        );
+        h.write_set(&self.pd);
+        h.write_u64(self.f as u64);
+        h.write_u8(match self.mode {
+            GetSinkMode::Direct => 1,
+            GetSinkMode::ReachableBroadcast => 2,
+        });
+        h.write_id(self.sink_algo_self_id);
+        self.sink_algo.fingerprint(h);
+        h.write_set(&self.asked_us);
+        match &self.sink {
+            Some(s) => {
+                h.write_u8(1);
+                h.write_set(s);
+            }
+            None => {
+                h.write_u8(0);
+                h.write_set(&self.asked_by_us);
+                let mut values = h.unordered();
+                for (set, senders) in &self.values {
+                    values.entry(|eh| {
+                        eh.write_set(set);
+                        eh.write_set(senders);
+                    });
+                }
+                h.write_unordered(values);
+            }
+        }
     }
 
     /// Duplicate discovery traffic absorbs at the `SINK` core (with quiet

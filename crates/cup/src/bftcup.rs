@@ -33,11 +33,10 @@ use std::collections::BTreeMap;
 use scup_graph::{ProcessId, ProcessSet};
 use scup_obs::causal::{ProvEntry, ProvRule, ProvenanceLog};
 use scup_sim::{
-    Actor, Backoff, Context, Journal, Perm, RetransmitConfig, SimMessage, StateHasher,
-    RETRANSMIT_TAG,
+    Actor, Backoff, Context, Journal, RetransmitConfig, SimMessage, StateHasher, RETRANSMIT_TAG,
 };
 
-use crate::discovery::{apply_perm, write_set_perm, SinkCore, SinkMsg};
+use crate::discovery::{SinkCore, SinkMsg};
 
 /// The value type BFT-CUP agrees on.
 pub type Value = u64;
@@ -85,45 +84,6 @@ pub enum BftMsg {
     AskDecision,
 }
 
-impl BftMsg {
-    /// Canonical fingerprint with an optional process-id renaming. Only
-    /// the embedded discovery payloads mention process ids; the consensus
-    /// messages carry views and values, which renaming leaves untouched.
-    fn fingerprint_into(&self, h: &mut StateHasher, perm: Option<&Perm>) {
-        match self {
-            BftMsg::Sink(m) => {
-                h.write_u8(1);
-                m.fingerprint_into(h, perm);
-            }
-            BftMsg::Propose { view, value } => {
-                h.write_u8(2);
-                h.write_u64(*view);
-                h.write_u64(*value);
-            }
-            BftMsg::Echo { view, value } => {
-                h.write_u8(3);
-                h.write_u64(*view);
-                h.write_u64(*value);
-            }
-            BftMsg::Commit { view, value } => {
-                h.write_u8(4);
-                h.write_u64(*view);
-                h.write_u64(*value);
-            }
-            BftMsg::ViewChange { view, lock } => {
-                h.write_u8(5);
-                h.write_u64(*view);
-                write_lock(h, *lock);
-            }
-            BftMsg::Decide(v) => {
-                h.write_u8(6);
-                h.write_u64(*v);
-            }
-            BftMsg::AskDecision => h.write_u8(7),
-        }
-    }
-}
-
 /// Feeds an optional `(view, value)` lock.
 fn write_lock(h: &mut StateHasher, lock: Option<(u64, Value)>) {
     match lock {
@@ -163,12 +123,41 @@ impl SimMessage for BftMsg {
         }
     }
 
+    /// Only the embedded discovery payloads mention process ids; the
+    /// consensus messages carry views and values, which renaming leaves
+    /// untouched.
     fn fingerprint(&self, h: &mut StateHasher) {
-        self.fingerprint_into(h, None);
-    }
-
-    fn fingerprint_perm(&self, h: &mut StateHasher, perm: &Perm) {
-        self.fingerprint_into(h, Some(perm));
+        match self {
+            BftMsg::Sink(m) => {
+                h.write_u8(1);
+                m.fingerprint(h);
+            }
+            BftMsg::Propose { view, value } => {
+                h.write_u8(2);
+                h.write_u64(*view);
+                h.write_u64(*value);
+            }
+            BftMsg::Echo { view, value } => {
+                h.write_u8(3);
+                h.write_u64(*view);
+                h.write_u64(*value);
+            }
+            BftMsg::Commit { view, value } => {
+                h.write_u8(4);
+                h.write_u64(*view);
+                h.write_u64(*value);
+            }
+            BftMsg::ViewChange { view, lock } => {
+                h.write_u8(5);
+                h.write_u64(*view);
+                write_lock(h, *lock);
+            }
+            BftMsg::Decide(v) => {
+                h.write_u8(6);
+                h.write_u64(*v);
+            }
+            BftMsg::AskDecision => h.write_u8(7),
+        }
     }
 }
 
@@ -762,81 +751,6 @@ impl BftCupActor {
         }
     }
 
-    /// Canonical state fingerprint with an optional renaming.
-    ///
-    /// Once a decision exists, every consensus and dissemination field is
-    /// dead — `on_consensus`, `decide`, `ask_new_contacts` and the timer
-    /// handler all early-return, `Decide` handling is a guard away from a
-    /// no-op, and `AskDecision` answers read only the (write-once)
-    /// decision — so the fingerprint collapses to the discovery core plus
-    /// the decision. That collapse is what makes the dissemination flood
-    /// tail finite for the explorer.
-    fn fingerprint_into(&self, h: &mut StateHasher, perm: Option<&Perm>) {
-        write_set_perm(h, &self.pd, perm);
-        h.write_u64(self.config.f as u64);
-        h.write_u64(self.proposal);
-        self.sink.fingerprint_into(h, perm);
-        h.write_bool(self.started_consensus);
-        match self.decision {
-            Some(v) => {
-                h.write_u8(1);
-                h.write_u64(v);
-            }
-            None => {
-                h.write_u8(0);
-                write_set_perm(h, &self.members, perm);
-                h.write_u64(self.view);
-                h.write_bool(self.echoed_in_view);
-                h.write_bool(self.committed_in_view);
-                h.write_bool(self.proposed_in_view);
-                write_lock(h, self.lock);
-                let (entries, digest) = self.tally_digest(perm);
-                h.write_u64(entries);
-                h.write_u128(digest);
-                write_set_perm(h, &self.askers, perm);
-                write_set_perm(h, &self.asked, perm);
-            }
-        }
-    }
-
-    /// XOR multiset digest (plus entry count) over the four consensus
-    /// tallies — order-independent, so the renamed digest is computed by
-    /// renaming each entry, no re-sorting pass.
-    fn tally_digest(&self, perm: Option<&Perm>) -> (u64, u128) {
-        let mut entries = 0u64;
-        let mut digest = 0u128;
-        let mut fold = |tag: u8, a: u64, b: u64, voters: &ProcessSet| {
-            let mut eh = StateHasher::new();
-            eh.write_u8(tag);
-            eh.write_u64(a);
-            eh.write_u64(b);
-            write_set_perm(&mut eh, voters, perm);
-            digest ^= eh.finish();
-            entries += 1;
-        };
-        for ((view, value), voters) in &self.echoes {
-            fold(1, *view, *value, voters);
-        }
-        for ((view, value), voters) in &self.commits {
-            fold(2, *view, *value, voters);
-        }
-        for (value, voters) in &self.decide_votes {
-            fold(3, *value, 0, voters);
-        }
-        for (view, vcs) in &self.view_changes {
-            for (j, lock) in vcs {
-                let mut eh = StateHasher::new();
-                eh.write_u8(4);
-                eh.write_u64(*view);
-                eh.write_u32(apply_perm(*j, perm).as_u32());
-                write_lock(&mut eh, *lock);
-                digest ^= eh.finish();
-                entries += 1;
-            }
-        }
-        (entries, digest)
-    }
-
     /// `true` when the post-handler hooks (`maybe_start_consensus`,
     /// `ask_new_contacts`) are guaranteed no-ops given unchanged discovery
     /// state — the invariant every callback re-establishes.
@@ -1115,12 +1029,66 @@ impl Actor<BftMsg> for BftCupActor {
         Some(Box::new(self.clone()))
     }
 
+    /// Once a decision exists, every consensus and dissemination field is
+    /// dead — `on_consensus`, `decide`, `ask_new_contacts` and the timer
+    /// handler all early-return, `Decide` handling is a guard away from a
+    /// no-op, and `AskDecision` answers read only the (write-once)
+    /// decision — so the fingerprint collapses to the discovery core plus
+    /// the decision. That collapse is what makes the dissemination flood
+    /// tail finite for the explorer.
     fn fingerprint(&self, h: &mut StateHasher) {
-        self.fingerprint_into(h, None);
-    }
-
-    fn fingerprint_perm(&self, h: &mut StateHasher, perm: &Perm) {
-        self.fingerprint_into(h, Some(perm));
+        h.write_set(&self.pd);
+        h.write_u64(self.config.f as u64);
+        h.write_u64(self.proposal);
+        self.sink.fingerprint(h);
+        h.write_bool(self.started_consensus);
+        match self.decision {
+            Some(v) => {
+                h.write_u8(1);
+                h.write_u64(v);
+            }
+            None => {
+                h.write_u8(0);
+                h.write_set(&self.members);
+                h.write_u64(self.view);
+                h.write_bool(self.echoed_in_view);
+                h.write_bool(self.committed_in_view);
+                h.write_bool(self.proposed_in_view);
+                write_lock(h, self.lock);
+                // The four consensus tallies as one unordered collection.
+                let mut tallies = h.unordered();
+                let mut votes = |tag: u8, a: u64, b: u64, voters: &ProcessSet| {
+                    tallies.entry(|eh| {
+                        eh.write_u8(tag);
+                        eh.write_u64(a);
+                        eh.write_u64(b);
+                        eh.write_set(voters);
+                    });
+                };
+                for ((view, value), voters) in &self.echoes {
+                    votes(1, *view, *value, voters);
+                }
+                for ((view, value), voters) in &self.commits {
+                    votes(2, *view, *value, voters);
+                }
+                for (value, voters) in &self.decide_votes {
+                    votes(3, *value, 0, voters);
+                }
+                for (view, vcs) in &self.view_changes {
+                    for (j, lock) in vcs {
+                        tallies.entry(|eh| {
+                            eh.write_u8(4);
+                            eh.write_u64(*view);
+                            eh.write_id(*j);
+                            write_lock(eh, *lock);
+                        });
+                    }
+                }
+                h.write_unordered(tallies);
+                h.write_set(&self.askers);
+                h.write_set(&self.asked);
+            }
+        }
     }
 
     /// A delivery is a guaranteed no-op when
@@ -1278,14 +1246,18 @@ impl Actor<BftMsg> for EquivocatingLeader {
         Some(Box::new(self.clone()))
     }
 
-    /// Behaviourally parameterized (values, split) plus the live discovery
-    /// state; `attacked` gates the one-shot burst.
+    /// Behaviourally parameterized (values) plus the live discovery
+    /// state; `attacked` gates the one-shot burst. The victim `split` is
+    /// deliberately not fingerprinted: it equals the explorer's adversary
+    /// variant, which the engine mixes into every state hash itself (see
+    /// `scup-mc`'s victim-split quotient).
     fn fingerprint(&self, h: &mut StateHasher) {
-        self.fingerprint_into(h, None);
-    }
-
-    fn fingerprint_perm(&self, h: &mut StateHasher, perm: &Perm) {
-        self.fingerprint_into(h, Some(perm));
+        h.write_set(&self.pd);
+        h.write_u64(self.f as u64);
+        h.write_u64(self.values.0);
+        h.write_u64(self.values.1);
+        h.write_bool(self.attacked);
+        self.sink.fingerprint(h);
     }
 
     /// Non-discovery deliveries are ignored forever; discovery duplicates
@@ -1318,20 +1290,6 @@ impl Actor<BftMsg> for EquivocatingLeader {
             BftMsg::Sink(m) => known.contains(from) && self.sink.inert_msg(m),
             _ => false,
         }
-    }
-}
-
-impl EquivocatingLeader {
-    // The victim `split` is deliberately not fingerprinted: it equals the
-    // explorer's adversary variant, which the engine mixes into every
-    // state hash itself (see `scup-mc`'s victim-split quotient).
-    fn fingerprint_into(&self, h: &mut StateHasher, perm: Option<&Perm>) {
-        write_set_perm(h, &self.pd, perm);
-        h.write_u64(self.f as u64);
-        h.write_u64(self.values.0);
-        h.write_u64(self.values.1);
-        h.write_bool(self.attacked);
-        self.sink.fingerprint_into(h, perm);
     }
 }
 

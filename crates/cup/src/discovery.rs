@@ -48,26 +48,7 @@
 use std::collections::BTreeMap;
 
 use scup_graph::{ProcessId, ProcessSet};
-use scup_sim::{Actor, Context, Perm, SimMessage, StateHasher};
-
-/// Feeds `s` into `h`, renamed through `perm` when one is given — the
-/// shared helper behind every CUP-stack fingerprint (exploration hashes
-/// identity and renamed views of the same state through one code path so
-/// they cannot drift).
-pub fn write_set_perm(h: &mut StateHasher, s: &ProcessSet, perm: Option<&Perm>) {
-    match perm {
-        None => h.write_set(s),
-        Some(p) => h.write_set_perm(s, p),
-    }
-}
-
-/// `id` renamed through `perm` when one is given.
-pub fn apply_perm(id: ProcessId, perm: Option<&Perm>) -> ProcessId {
-    match perm {
-        None => id,
-        Some(p) => p.apply(id),
-    }
-}
+use scup_sim::{Actor, Context, SimMessage, StateHasher};
 
 /// Messages of the `SINK` protocol.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -84,29 +65,6 @@ pub enum SinkMsg {
     CheckReply(ProcessSet),
 }
 
-impl SinkMsg {
-    /// Canonical fingerprint with an optional process-id renaming (the
-    /// symmetry reduction hashes the renamed payload through the same
-    /// path).
-    pub fn fingerprint_into(&self, h: &mut StateHasher, perm: Option<&Perm>) {
-        match self {
-            SinkMsg::Discover => h.write_u8(1),
-            SinkMsg::DiscoverReply(s) => {
-                h.write_u8(2);
-                write_set_perm(h, s, perm);
-            }
-            SinkMsg::Check(s) => {
-                h.write_u8(3);
-                write_set_perm(h, s, perm);
-            }
-            SinkMsg::CheckReply(s) => {
-                h.write_u8(4);
-                write_set_perm(h, s, perm);
-            }
-        }
-    }
-}
-
 impl SimMessage for SinkMsg {
     fn size_hint(&self) -> usize {
         match self {
@@ -118,11 +76,21 @@ impl SimMessage for SinkMsg {
     }
 
     fn fingerprint(&self, h: &mut StateHasher) {
-        self.fingerprint_into(h, None);
-    }
-
-    fn fingerprint_perm(&self, h: &mut StateHasher, perm: &Perm) {
-        self.fingerprint_into(h, Some(perm));
+        match self {
+            SinkMsg::Discover => h.write_u8(1),
+            SinkMsg::DiscoverReply(s) => {
+                h.write_u8(2);
+                h.write_set(s);
+            }
+            SinkMsg::Check(s) => {
+                h.write_u8(3);
+                h.write_set(s);
+            }
+            SinkMsg::CheckReply(s) => {
+                h.write_u8(4);
+                h.write_set(s);
+            }
+        }
     }
 }
 
@@ -312,8 +280,7 @@ impl SinkCore {
         }
     }
 
-    /// Exploration support: canonical fingerprint of the live state, with
-    /// an optional process-id renaming.
+    /// Exploration support: canonical fingerprint of the live state.
     ///
     /// Dead state is deliberately skipped — collapsing it is what makes
     /// the post-verdict flood tail of discovery traffic tractable for the
@@ -334,18 +301,19 @@ impl SinkCore {
     /// One reader of `replied` survives the rule, though — the
     /// [`SinkCore::absorbs_msg`] hook — so this fingerprint is not a
     /// congruence; see the note there.
-    pub fn fingerprint_into(&self, h: &mut StateHasher, perm: Option<&Perm>) {
-        h.write_u32(apply_perm(self.self_id, perm).as_u32());
-        write_set_perm(h, &self.pd, perm);
+    pub fn fingerprint(&self, h: &mut StateHasher) {
+        h.write_id(self.self_id);
+        h.write_set(&self.pd);
         h.write_u64(self.f as u64);
-        write_set_perm(h, &self.known, perm);
+        h.write_set(&self.known);
         h.write_bool(self.fired);
         if !self.fired {
-            write_set_perm(h, &self.replied, perm);
+            h.write_set(&self.replied);
+            let renaming = h.renaming();
             let mut askers: Vec<u32> = self
                 .pending_askers
                 .iter()
-                .map(|&p| apply_perm(p, perm).as_u32())
+                .map(|&p| renaming.map_or(p, |perm| perm.apply(p)).as_u32())
                 .collect();
             // The queue is drained in one pass whose emissions form a
             // multiset, so only the *set* of queued askers is behavioural
@@ -359,20 +327,18 @@ impl SinkCore {
         match &self.verdict {
             Some(v) => {
                 h.write_u8(1);
-                write_set_perm(h, &v.sink, perm);
+                h.write_set(&v.sink);
             }
             None => {
                 h.write_u8(0);
-                // XOR multiset digest: order-independent, so the renamed
-                // digest needs no re-sorting pass.
-                let digest = self.echoes.iter().fold(0u128, |acc, (j, set)| {
-                    let mut eh = StateHasher::new();
-                    eh.write_u32(apply_perm(*j, perm).as_u32());
-                    write_set_perm(&mut eh, set, perm);
-                    acc ^ eh.finish()
-                });
-                h.write_u64(self.echoes.len() as u64);
-                h.write_u128(digest);
+                let mut echoes = h.unordered();
+                for (j, set) in &self.echoes {
+                    echoes.entry(|eh| {
+                        eh.write_id(*j);
+                        eh.write_set(set);
+                    });
+                }
+                h.write_unordered(echoes);
             }
         }
     }
@@ -387,7 +353,7 @@ impl SinkCore {
     /// - a `CheckReply` after the verdict only mutates the dead `echoes`
     ///   map (the verdict is write-once).
     ///
-    /// **Known defect — not a congruence.** [`SinkCore::fingerprint_into`]
+    /// **Known defect — not a congruence.** [`SinkCore::fingerprint`]
     /// drops `replied` once `fired`, but the `DiscoverReply` arm still
     /// reads it: two fingerprint-equal fired cores answer differently for
     /// a late duplicate reply, which is absorbed on one path and becomes a
@@ -489,11 +455,7 @@ impl Actor<SinkMsg> for SinkActor {
     }
 
     fn fingerprint(&self, h: &mut StateHasher) {
-        self.core.fingerprint_into(h, None);
-    }
-
-    fn fingerprint_perm(&self, h: &mut StateHasher, perm: &Perm) {
-        self.core.fingerprint_into(h, Some(perm));
+        self.core.fingerprint(h);
     }
 
     fn absorbs(

@@ -34,9 +34,7 @@
 use std::collections::BTreeMap;
 
 use scup_graph::{ProcessId, ProcessSet};
-use scup_sim::{Perm, SimMessage, StateHasher};
-
-use crate::discovery::apply_perm;
+use scup_sim::{SimMessage, StateHasher};
 
 /// A flooded copy of a broadcast.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -53,21 +51,20 @@ pub struct RrbMsg<P> {
 }
 
 impl<P> RrbMsg<P> {
-    /// Canonical fingerprint with an optional process-id renaming; the
-    /// payload is hashed by the caller-supplied closure (exploration
-    /// support — the path is ordered state, so it hashes in order).
-    pub fn fingerprint_with(
+    /// Canonical fingerprint; the payload is hashed by the
+    /// caller-supplied closure (exploration support — the path is ordered
+    /// state, so it hashes in order).
+    pub fn fingerprint_payload(
         &self,
         h: &mut StateHasher,
-        perm: Option<&Perm>,
-        hash_payload: &mut dyn FnMut(&mut StateHasher, &P),
+        hash_payload: impl FnOnce(&mut StateHasher, &P),
     ) {
-        h.write_u32(apply_perm(self.origin, perm).as_u32());
+        h.write_id(self.origin);
         h.write_u64(self.seq);
         hash_payload(h, &self.payload);
         h.write_u64(self.path.len() as u64);
         for &p in &self.path {
-            h.write_u32(apply_perm(p, perm).as_u32());
+            h.write_id(p);
         }
     }
 }
@@ -80,11 +77,7 @@ impl<P: Clone + std::fmt::Debug + 'static> SimMessage for RrbMsg<P> {
     fn fingerprint(&self, h: &mut StateHasher) {
         // The `Debug` rendering determines the payload for every payload
         // type this crate floods (unit and small value types).
-        self.fingerprint_with(h, None, &mut |h, p| h.write_str(&format!("{p:?}")));
-    }
-
-    fn fingerprint_perm(&self, h: &mut StateHasher, perm: &Perm) {
-        self.fingerprint_with(h, Some(perm), &mut |h, p| h.write_str(&format!("{p:?}")));
+        self.fingerprint_payload(h, |h, p| h.write_str(&format!("{p:?}")));
     }
 }
 
@@ -236,70 +229,62 @@ impl<P: Clone + PartialEq> RrbCore<P> {
         self.delivered.iter().map(|((o, s), p)| (*o, *s, p))
     }
 
-    /// Exploration support: canonical fingerprint of the broadcast state
-    /// with an optional process-id renaming. Received copies, forward
-    /// quotas and deliveries are all live state (each can change a future
-    /// emission or delivery), so everything is hashed; XOR multiset
-    /// digests keep the renamed hash a per-entry rename, and the ordered
-    /// path lists hash in order (path order never affects behaviour, but
-    /// over-discriminating is always sound).
-    pub fn fingerprint_with(
+    /// Exploration support: canonical fingerprint of the broadcast state.
+    /// Received copies, forward quotas and deliveries are all live state
+    /// (each can change a future emission or delivery), so everything is
+    /// hashed: one unordered entry per copy group, forward counter and
+    /// delivery, and the ordered path lists in order (path order never
+    /// affects behaviour, but over-discriminating is always sound).
+    pub fn fingerprint_payload(
         &self,
         h: &mut StateHasher,
-        perm: Option<&Perm>,
-        hash_payload: &mut dyn FnMut(&mut StateHasher, &P),
+        mut hash_payload: impl FnMut(&mut StateHasher, &P),
     ) {
-        h.write_u32(apply_perm(self.self_id, perm).as_u32());
+        h.write_id(self.self_id);
         h.write_u64(self.f as u64);
         h.write_u64(self.forward_quota as u64);
         h.write_u64(self.next_seq);
-        let mut digest = 0u128;
-        let mut entries = 0u64;
+        let mut entries = h.unordered();
         for ((origin, seq), groups) in &self.copies {
             for (payload, paths) in groups {
-                let mut eh = StateHasher::new();
-                eh.write_u8(1);
-                eh.write_u32(apply_perm(*origin, perm).as_u32());
-                eh.write_u64(*seq);
-                hash_payload(&mut eh, payload);
-                // The path *set* per payload group is canonical: arrival
-                // order changes neither forwarding nor delivery decisions,
-                // so fold paths into a nested XOR digest.
-                let mut paths_digest = 0u128;
-                for path in paths {
-                    let mut ph = StateHasher::new();
-                    ph.write_u64(path.len() as u64);
-                    for &p in path {
-                        ph.write_u32(apply_perm(p, perm).as_u32());
+                entries.entry(|eh| {
+                    eh.write_u8(1);
+                    eh.write_id(*origin);
+                    eh.write_u64(*seq);
+                    hash_payload(eh, payload);
+                    // The path *set* per payload group is canonical:
+                    // arrival order changes neither forwarding nor
+                    // delivery decisions.
+                    let mut path_set = eh.unordered();
+                    for path in paths {
+                        path_set.entry(|ph| {
+                            ph.write_u64(path.len() as u64);
+                            for &p in path {
+                                ph.write_id(p);
+                            }
+                        });
                     }
-                    paths_digest ^= ph.finish();
-                }
-                eh.write_u64(paths.len() as u64);
-                eh.write_u128(paths_digest);
-                digest ^= eh.finish();
-                entries += 1;
+                    eh.write_unordered(path_set);
+                });
             }
         }
         for ((origin, seq), used) in &self.forwarded {
-            let mut eh = StateHasher::new();
-            eh.write_u8(2);
-            eh.write_u32(apply_perm(*origin, perm).as_u32());
-            eh.write_u64(*seq);
-            eh.write_u64(*used as u64);
-            digest ^= eh.finish();
-            entries += 1;
+            entries.entry(|eh| {
+                eh.write_u8(2);
+                eh.write_id(*origin);
+                eh.write_u64(*seq);
+                eh.write_u64(*used as u64);
+            });
         }
         for ((origin, seq), payload) in &self.delivered {
-            let mut eh = StateHasher::new();
-            eh.write_u8(3);
-            eh.write_u32(apply_perm(*origin, perm).as_u32());
-            eh.write_u64(*seq);
-            hash_payload(&mut eh, payload);
-            digest ^= eh.finish();
-            entries += 1;
+            entries.entry(|eh| {
+                eh.write_u8(3);
+                eh.write_id(*origin);
+                eh.write_u64(*seq);
+                hash_payload(eh, payload);
+            });
         }
-        h.write_u64(entries);
-        h.write_u128(digest);
+        h.write_unordered(entries);
     }
 }
 

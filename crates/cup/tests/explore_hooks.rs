@@ -166,7 +166,7 @@ fn sink_state_hash_is_stable_across_rebuilds() {
 
 fn core_fingerprint(core: &SinkCore) -> u128 {
     let mut h = StateHasher::new();
-    core.fingerprint_into(&mut h, None);
+    core.fingerprint(&mut h);
     h.finish()
 }
 

@@ -43,7 +43,6 @@ pub mod connectivity;
 pub mod flow;
 pub mod generators;
 pub mod kosr;
-pub mod pmap;
 pub mod reachability;
 pub mod scc;
 pub mod sink;
@@ -53,5 +52,4 @@ pub use digraph::DiGraph;
 pub use error::GraphError;
 pub use id::ProcessId;
 pub use knowledge::KnowledgeGraph;
-pub use pmap::PersistentVec;
 pub use set::ProcessSet;

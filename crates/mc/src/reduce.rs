@@ -334,6 +334,13 @@ impl Symmetry {
         self.perms.is_empty()
     }
 
+    /// Every non-identity group element with its variant shift, in the
+    /// order whose index [`Symmetry::canonicalize_from`] hands to
+    /// [`ExploreSim::state_hash_perm`].
+    pub fn elements(&self) -> impl Iterator<Item = (&Perm, u32)> {
+        self.perms.iter().zip(self.shifts.iter().copied())
+    }
+
     /// The canonical (minimum-over-group) hash of `(state, variant)` and
     /// whether its orbit under the group is nontrivial (some renaming
     /// yields a different pair) — the per-state "symmetry hit" statistic.

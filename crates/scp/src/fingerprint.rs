@@ -15,46 +15,32 @@
 //! process-id renaming, which the model checker's symmetry reduction
 //! exploits (no re-sorting step: rename each entry, XOR).
 //!
-//! Every helper takes the renaming as an `Option<&Perm>`, so the plain
-//! and the renamed fingerprint of a value are one body and cannot drift:
-//! a field hashed in one and forgotten in the other would break the
-//! symmetry reduction silently.
+//! The renaming rides in the [`StateHasher`]: every helper writes process
+//! ids through `write_id` / `write_set`, so the plain and the renamed
+//! fingerprint of a value are one body. The two entry digests take the
+//! (empty) hasher to fill — `StateHasher::new()` for the incrementally
+//! kept digests, `StateHasher::with_renaming(π)` for the per-entry recompute.
 
 use scup_fbqs::SliceFamily;
-use scup_graph::{ProcessId, ProcessSet};
-use scup_sim::{Perm, StateHasher};
+use scup_graph::ProcessId;
+use scup_sim::StateHasher;
 
 use crate::statement::Statement;
 
-/// `id` renamed through `perm` when one is given.
-pub(crate) fn renamed(id: ProcessId, perm: Option<&Perm>) -> ProcessId {
-    perm.map_or(id, |p| p.apply(id))
-}
-
-/// Feeds `s`, with every member renamed through `perm` when one is given.
-pub(crate) fn hash_set(h: &mut StateHasher, s: &ProcessSet, perm: Option<&Perm>) {
-    match perm {
-        None => h.write_set(s),
-        Some(p) => h.write_set_perm(s, p),
-    }
-}
-
 /// Feeds a canonical fingerprint of a slice family into `h` (exploration
-/// state hashing) — of the renamed family when `perm` is given (slice
-/// order preserved; set words re-normalized by the renamed-set
-/// construction).
-pub(crate) fn hash_family(h: &mut StateHasher, family: &SliceFamily, perm: Option<&Perm>) {
+/// state hashing), slice order preserved.
+pub(crate) fn hash_family(h: &mut StateHasher, family: &SliceFamily) {
     match family {
         SliceFamily::Explicit(slices) => {
             h.write_u8(1);
             h.write_u64(slices.len() as u64);
             for s in slices {
-                hash_set(h, s, perm);
+                h.write_set(s);
             }
         }
         SliceFamily::AllSubsets { of, size } => {
             h.write_u8(2);
-            hash_set(h, of, perm);
+            h.write_set(of);
             h.write_u64(*size as u64);
         }
     }
@@ -80,25 +66,23 @@ pub(crate) fn hash_statement(h: &mut StateHasher, stmt: &Statement) {
     }
 }
 
-/// The digest contribution of one `(process, family)` registry entry —
-/// of the renamed entry `(perm(i), perm(family))` when `perm` is given.
-pub(crate) fn family_entry_digest(i: ProcessId, family: &SliceFamily, perm: Option<&Perm>) -> u128 {
-    let mut h = StateHasher::new();
-    h.write_u32(renamed(i, perm).as_u32());
-    hash_family(&mut h, family, perm);
+/// The digest contribution of one `(process, family)` registry entry,
+/// hashed into the empty `h`.
+pub(crate) fn family_entry_digest(mut h: StateHasher, i: ProcessId, family: &SliceFamily) -> u128 {
+    h.write_id(i);
+    hash_family(&mut h, family);
     h.finish()
 }
 
-/// The digest contribution of one `(origin, statement, accept)` pledge —
-/// with the origin renamed when `perm` is given.
+/// The digest contribution of one `(origin, statement, accept)` pledge,
+/// hashed into the empty `h`.
 pub(crate) fn pledge_digest(
+    mut h: StateHasher,
     origin: ProcessId,
     stmt: &Statement,
     accept: bool,
-    perm: Option<&Perm>,
 ) -> u128 {
-    let mut h = StateHasher::new();
-    h.write_u32(renamed(origin, perm).as_u32());
+    h.write_id(origin);
     hash_statement(&mut h, stmt);
     h.write_bool(accept);
     h.finish()

@@ -38,7 +38,7 @@
 //! externalize state they missed.
 
 use scup_fbqs::SliceFamily;
-use scup_graph::{PersistentVec, ProcessId, ProcessSet};
+use scup_graph::{ProcessId, ProcessSet};
 use scup_obs::causal::{ProvEntry, ProvRule, ProvenanceLog};
 use scup_sim::{
     Actor, Backoff, Context, Journal, RetransmitConfig, SimMessage, StateHasher, RETRANSMIT_TAG,
@@ -47,9 +47,7 @@ use scup_sim::{
 use crate::statement::{Statement, Value};
 use crate::voting::{QuorumCheck, VoteLevel, VoteTracker};
 
-use scup_sim::Perm;
-
-use crate::fingerprint::{hash_family, hash_set, hash_statement, renamed};
+use crate::fingerprint::{hash_family, hash_statement};
 
 /// An SCP envelope: a federated-voting pledge by `origin`, carrying the
 /// origin's declared slices, relayed through the overlay.
@@ -69,18 +67,6 @@ pub struct ScpMsg {
     pub accept: bool,
 }
 
-impl ScpMsg {
-    /// Canonical fingerprint with an optional process-id renaming (the
-    /// symmetry reduction hashes the renamed envelope through the same
-    /// path).
-    fn fingerprint_into(&self, h: &mut StateHasher, perm: Option<&Perm>) {
-        h.write_u32(renamed(self.origin, perm).as_u32());
-        hash_family(h, &self.slices, perm);
-        hash_statement(h, &self.stmt);
-        h.write_bool(self.accept);
-    }
-}
-
 impl SimMessage for ScpMsg {
     fn size_hint(&self) -> usize {
         let slice_size = match self.slices.as_ref() {
@@ -91,11 +77,10 @@ impl SimMessage for ScpMsg {
     }
 
     fn fingerprint(&self, h: &mut StateHasher) {
-        self.fingerprint_into(h, None);
-    }
-
-    fn fingerprint_perm(&self, h: &mut StateHasher, perm: &Perm) {
-        self.fingerprint_into(h, Some(perm));
+        h.write_id(self.origin);
+        hash_family(h, &self.slices);
+        hash_statement(h, &self.stmt);
+        h.write_bool(self.accept);
     }
 
     /// Equivocation attribution (forensics only). SCP envelopes are
@@ -275,10 +260,11 @@ pub struct ScpNode {
     tracker: VoteTracker,
     check: QuorumCheck,
     /// Every distinct envelope, kept for late-learned processes (see the
-    /// module docs on straggler repair). Persistent append-only chunks:
-    /// the previous whole-`Vec` copy-on-write re-cloned the entire history
-    /// on the first append after every fork.
-    backlog: PersistentVec<ScpMsg>,
+    /// module docs on straggler repair). Copy-on-write like the tables: a
+    /// fork shares it, and the first append after a fork copies it (a
+    /// `Vec` of `Arc`-backed envelopes). The explorer's step memo replays
+    /// nearly every repeated step, so that append is rare.
+    backlog: std::sync::Arc<Vec<ScpMsg>>,
     /// Processes already brought up to date with the backlog.
     synced: ProcessSet,
     /// Confirmed nominees.
@@ -314,7 +300,7 @@ impl ScpNode {
             shared_slices,
             tracker: VoteTracker::new(),
             check: QuorumCheck::new(),
-            backlog: PersistentVec::new(),
+            backlog: Default::default(),
             synced: ProcessSet::new(),
             candidates: Vec::new(),
             ballot: 0,
@@ -383,39 +369,6 @@ impl ScpNode {
         }
     }
 
-    /// Canonical state fingerprint, with an optional process-id renaming
-    /// (the symmetry reduction hashes the renamed node through the same
-    /// path). What is hashed of `tracker` and `check` is the pledge sets
-    /// and the slice registry: levels are their deterministic monotone
-    /// fixpoint, and the backlog holds exactly the envelopes of the
-    /// pledges on file (its order only permutes future catch-up sends,
-    /// which the explorer treats as a multiset anyway). Both contribute
-    /// through XOR multiset digests (see `fingerprint.rs`): without a
-    /// renaming the incrementally maintained ones, so hashing a node is
-    /// O(1) in its history; under one, recomputed by renaming each entry
-    /// and XOR-folding — no re-sorting pass, since XOR is
-    /// order-independent.
-    fn fingerprint_into(&self, h: &mut StateHasher, perm: Option<&Perm>) {
-        let (tracker, check) = (&self.tracker, &self.check);
-        h.write_u64(self.config.input);
-        h.write_u64(tracker.len() as u64);
-        h.write_u128(perm.map_or(tracker.digest(), |p| tracker.digest_perm(p)));
-        h.write_u64(check.recorded_len() as u64);
-        h.write_u128(perm.map_or(check.registry_digest(), |p| check.registry_digest_perm(p)));
-        hash_set(h, &self.synced, perm);
-        let mut candidates = self.candidates.clone();
-        candidates.sort_unstable();
-        h.write_u64(candidates.len() as u64);
-        for v in candidates {
-            h.write_u64(v);
-        }
-        h.write_u64(self.ballot);
-        h.write_bool(self.lock.is_some());
-        h.write_u64(self.lock.unwrap_or(0));
-        h.write_bool(self.externalized.is_some());
-        h.write_u64(self.externalized.unwrap_or(0));
-    }
-
     fn broadcast_own(&mut self, ctx: &mut Context<'_, ScpMsg>, stmt: Statement, accept: bool) {
         let msg = ScpMsg {
             origin: ctx.self_id(),
@@ -434,7 +387,7 @@ impl ScpNode {
         } else {
             self.stats.votes_sent += 1;
         }
-        self.backlog.push(msg.clone());
+        std::sync::Arc::make_mut(&mut self.backlog).push(msg.clone());
         ctx.broadcast_known(msg);
     }
 
@@ -689,7 +642,7 @@ impl Actor<ScpMsg> for ScpNode {
             });
         }
         ctx.broadcast_known(msg.clone());
-        self.backlog.push(msg);
+        std::sync::Arc::make_mut(&mut self.backlog).push(msg);
         self.reevaluate(ctx);
     }
 
@@ -787,7 +740,7 @@ impl Actor<ScpMsg> for ScpNode {
                     } else {
                         self.tracker.vote(me, stmt);
                     }
-                    self.backlog.push(ScpMsg {
+                    std::sync::Arc::make_mut(&mut self.backlog).push(ScpMsg {
                         origin: me,
                         slices: std::sync::Arc::clone(&self.shared_slices),
                         stmt,
@@ -820,9 +773,8 @@ impl Actor<ScpMsg> for ScpNode {
             }
         }
         // Re-announce every rehydrated pledge (peers dedup them).
-        let pledges: Vec<ScpMsg> = self.backlog.iter().cloned().collect();
-        for msg in pledges {
-            ctx.broadcast_known(msg);
+        for msg in self.backlog.iter() {
+            ctx.broadcast_known(msg.clone());
         }
         // Restart the protocol clocks for the phase we crashed in.
         if self.externalized.is_none() {
@@ -853,8 +805,35 @@ impl Actor<ScpMsg> for ScpNode {
         Some(Box::new(self.clone()))
     }
 
+    /// What is hashed of `tracker` and `check` is the pledge sets and the
+    /// slice registry: levels are their deterministic monotone fixpoint,
+    /// and the backlog holds exactly the envelopes of the pledges on file
+    /// (its order only permutes future catch-up sends, which the explorer
+    /// treats as a multiset anyway). Both contribute through XOR multiset
+    /// digests (see `fingerprint.rs`): without a renaming the
+    /// incrementally maintained ones, so hashing a node is O(1) in its
+    /// history; under one, recomputed by renaming each entry and
+    /// XOR-folding — no re-sorting pass, since XOR is order-independent.
     fn fingerprint(&self, h: &mut StateHasher) {
-        self.fingerprint_into(h, None);
+        let (tracker, check) = (&self.tracker, &self.check);
+        let renaming = h.renaming();
+        h.write_u64(self.config.input);
+        h.write_u64(tracker.len() as u64);
+        h.write_u128(renaming.map_or(tracker.digest(), |p| tracker.digest_perm(p)));
+        h.write_u64(check.recorded_len() as u64);
+        h.write_u128(renaming.map_or(check.registry_digest(), |p| check.registry_digest_perm(p)));
+        h.write_set(&self.synced);
+        let mut candidates = self.candidates.clone();
+        candidates.sort_unstable();
+        h.write_u64(candidates.len() as u64);
+        for v in candidates {
+            h.write_u64(v);
+        }
+        h.write_u64(self.ballot);
+        h.write_bool(self.lock.is_some());
+        h.write_u64(self.lock.unwrap_or(0));
+        h.write_bool(self.externalized.is_some());
+        h.write_u64(self.externalized.unwrap_or(0));
     }
 
     /// A delivery is a no-op iff the envelope's pledge is on file (this
@@ -872,10 +851,6 @@ impl Actor<ScpMsg> for ScpNode {
         (msg.origin == self_id || known.contains(msg.origin))
             && known.difference_len(&self.synced) == 0
             && self.tracker.has_pledge(msg.origin, &msg.stmt, msg.accept)
-    }
-
-    fn fingerprint_perm(&self, h: &mut StateHasher, perm: &Perm) {
-        self.fingerprint_into(h, Some(perm));
     }
 
     /// A delivery is *threshold-inert* (commutes with every sibling
@@ -1042,7 +1017,7 @@ impl Actor<ScpMsg> for EquivocatingScpNode {
     fn fingerprint(&self, h: &mut StateHasher) {
         h.write_u64(self.values.0);
         h.write_u64(self.values.1);
-        hash_family(h, &self.fake_slices, None);
+        hash_family(h, &self.fake_slices);
     }
 
     /// Nomination envelopes and out-of-cap ballot counters draw no

@@ -59,7 +59,7 @@ use std::sync::Arc;
 use scup_fbqs::{EngineScratch, QuorumEngine, SliceFamily};
 use scup_graph::{ProcessId, ProcessSet};
 use scup_obs::causal::{ProvEntry, ProvRule, ProvenanceLog};
-use scup_sim::Perm;
+use scup_sim::{Perm, StateHasher};
 
 use crate::fingerprint::{family_entry_digest, pledge_digest};
 use crate::statement::Statement;
@@ -156,9 +156,9 @@ impl QuorumCheck {
         };
         // The displaced entry leaves the registry digest, the new one joins.
         if let Some(old) = displaced {
-            self.digest ^= family_entry_digest(from, &old, None);
+            self.digest ^= family_entry_digest(StateHasher::new(), from, &old);
         }
-        self.digest ^= family_entry_digest(from, slices, None);
+        self.digest ^= family_entry_digest(StateHasher::new(), from, slices);
         if self.own_row.as_ref().is_some_and(|(own, _)| *own == from) {
             // A recorded claim for our own id would fight the own-slices
             // override; force re-compilation on the next quorum query.
@@ -186,7 +186,7 @@ impl QuorumCheck {
     /// recomputed per permutation (XOR needs no re-sorting).
     pub fn registry_digest_perm(&self, perm: &Perm) -> u128 {
         self.slices.iter().fold(0u128, |acc, (i, fam)| {
-            acc ^ family_entry_digest(*i, fam, Some(perm))
+            acc ^ family_entry_digest(StateHasher::with_renaming(perm), *i, fam)
         })
     }
 
@@ -348,7 +348,7 @@ impl VoteTracker {
     /// Books one more pledge into the fingerprint pair.
     fn count_pledge(&mut self, origin: ProcessId, stmt: &Statement, accept: bool) {
         self.len += 1;
-        self.digest ^= pledge_digest(origin, stmt, accept, None);
+        self.digest ^= pledge_digest(StateHasher::new(), origin, stmt, accept);
     }
 
     /// Files a remote pledge; `true` when it is new. The statement goes on
@@ -425,7 +425,7 @@ impl VoteTracker {
         for (stmt, row) in self.pledges.iter() {
             for (origins, accept) in [(&row.votes, false), (&row.accepts, true)] {
                 for origin in origins {
-                    digest ^= pledge_digest(origin, stmt, accept, Some(perm));
+                    digest ^= pledge_digest(StateHasher::with_renaming(perm), origin, stmt, accept);
                 }
             }
         }
@@ -830,13 +830,13 @@ mod tests {
             for &(origin, stmt, accept) in &oracle {
                 prop_assert!(subject.has_pledge(origin, &stmt, accept));
             }
-            let from_scratch = |perm: Option<&Perm>| {
+            let from_scratch = |h: StateHasher| {
                 oracle.iter().fold(0u128, |acc, (origin, stmt, accept)| {
-                    acc ^ pledge_digest(*origin, stmt, *accept, perm)
+                    acc ^ pledge_digest(h.clone(), *origin, stmt, *accept)
                 })
             };
-            prop_assert_eq!(subject.digest(), from_scratch(None));
-            prop_assert_eq!(subject.digest_perm(&perm), from_scratch(Some(&perm)));
+            prop_assert_eq!(subject.digest(), from_scratch(StateHasher::new()));
+            prop_assert_eq!(subject.digest_perm(&perm), from_scratch(StateHasher::with_renaming(&perm)));
             prop_assert_eq!(subject.digest_perm(&Perm::identity(N as usize)), subject.digest());
         }
     }
@@ -904,7 +904,7 @@ mod tests {
     /// incremental bookkeeping must track it.
     fn digest_from_scratch(check: &QuorumCheck) -> u128 {
         check.recorded().fold(0u128, |acc, (i, fam)| {
-            acc ^ family_entry_digest(i, fam, None)
+            acc ^ family_entry_digest(StateHasher::new(), i, fam)
         })
     }
 
@@ -952,7 +952,7 @@ mod tests {
 
     #[test]
     fn forked_checks_share_then_diverge() {
-        // Persistent-map + Arc-engine semantics: a clone answers queries
+        // Copy-on-write table + Arc-engine semantics: a clone answers queries
         // identically, and divergent slice claims after the fork do not
         // leak across.
         let mut a = fig1_check();

@@ -4,7 +4,7 @@ use std::fmt::Debug;
 use rand::rngs::StdRng;
 use scup_graph::{ProcessId, ProcessSet};
 
-use crate::explore::{Perm, StateHasher};
+use crate::explore::StateHasher;
 use crate::faults::{Journal, MemJournal};
 use crate::SimTime;
 
@@ -20,21 +20,15 @@ pub trait SimMessage: Clone + Debug + 'static {
 
     /// Feeds a canonical fingerprint of the payload into `h` — two
     /// messages must fingerprint equal iff delivering them is
-    /// indistinguishable. The default hashes the `Debug` rendering, which
-    /// is correct for any value type whose `Debug` output determines it;
-    /// override to hash fields directly on hot exploration paths.
+    /// indistinguishable. Write every process id the payload mentions
+    /// through [`StateHasher::write_id`] / [`StateHasher::write_set`]:
+    /// the symmetry reduction hashes the renamed payload by handing this
+    /// same method a renaming hasher. The default hashes the `Debug`
+    /// rendering, which is correct for any value type whose `Debug`
+    /// output determines it and which mentions no process id; override
+    /// to hash fields directly on hot exploration paths.
     fn fingerprint(&self, h: &mut StateHasher) {
         h.write_str(&format!("{self:?}"));
-    }
-
-    /// Like [`SimMessage::fingerprint`], but with every process id the
-    /// payload mentions renamed through `perm` (symmetry reduction). The
-    /// default delegates to `fingerprint`, which is only sound for
-    /// payloads that mention no process ids; id-bearing payloads must
-    /// override.
-    fn fingerprint_perm(&self, h: &mut StateHasher, perm: &Perm) {
-        let _ = perm;
-        self.fingerprint(h);
     }
 
     /// Forensics support: `(slot, digest)` when this payload *claims a
@@ -125,6 +119,16 @@ pub trait Actor<M: SimMessage>: Any {
     /// unsound. Derived caches need not be hashed when they are a
     /// deterministic function of hashed state. The default hashes nothing,
     /// which is only correct for stateless actors.
+    ///
+    /// Write every process id the hashed state mentions through
+    /// [`StateHasher::write_id`] / [`StateHasher::write_set`], and hash
+    /// collections whose order a renaming would permute through
+    /// [`StateHasher::unordered`]. Handed a hasher built with
+    /// [`StateHasher::with_renaming`], this same method then feeds exactly what
+    /// the renamed copy of this actor would feed a plain one — the hash
+    /// the symmetry reduction takes its minimum over. An id written as a
+    /// plain integer breaks that silently; the model checker enables
+    /// symmetry only for rosters whose actors uphold it.
     fn fingerprint(&self, h: &mut StateHasher) {
         let _ = h;
     }
@@ -145,20 +149,6 @@ pub trait Actor<M: SimMessage>: Any {
     fn absorbs(&self, self_id: ProcessId, known: &ProcessSet, from: ProcessId, msg: &M) -> bool {
         let _ = (self_id, known, from, msg);
         false
-    }
-
-    /// Like [`Actor::fingerprint`], but with every process id the hashed
-    /// state mentions renamed through `perm` — the fingerprint this actor
-    /// *would have* at its renamed slot in the `perm`-image run (symmetry
-    /// reduction). Must satisfy: `fingerprint_perm(h, π)` feeds exactly
-    /// what the π-renamed copy of this actor's `fingerprint(h)` would
-    /// feed. The default delegates to `fingerprint`, which is only sound
-    /// for actors whose hashed state mentions no process ids (stateless
-    /// adversaries); the model checker enables symmetry only for rosters
-    /// where every actor upholds this contract.
-    fn fingerprint_perm(&self, h: &mut StateHasher, perm: &Perm) {
-        let _ = perm;
-        self.fingerprint(h);
     }
 
     /// Exploration support, partial-order reduction: returns `true` when

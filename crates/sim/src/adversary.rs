@@ -104,9 +104,8 @@ impl<A> CrashActor<A> {
     }
 }
 
-// The `Clone` bound (new in the explore-support revision) lets the wrapper
-// fork for exploration; every wrapped protocol actor in the workspace is a
-// plain cloneable state machine.
+// The `Clone` bound lets the wrapper fork for exploration; every wrapped
+// protocol actor in the workspace is a plain cloneable state machine.
 impl<M: SimMessage, A: Actor<M> + Clone> Actor<M> for CrashActor<A> {
     fn on_start(&mut self, ctx: &mut Context<'_, M>) {
         if self.crash_after > 0 {
@@ -132,11 +131,6 @@ impl<M: SimMessage, A: Actor<M> + Clone> Actor<M> for CrashActor<A> {
         h.write_u64(self.crash_after);
         h.write_u64(self.received);
         self.inner.fingerprint(h);
-    }
-    fn fingerprint_perm(&self, h: &mut StateHasher, perm: &crate::explore::Perm) {
-        h.write_u64(self.crash_after);
-        h.write_u64(self.received);
-        self.inner.fingerprint_perm(h, perm);
     }
     // A delivery before the crash point always advances `received` (state
     // change); after it, everything is dropped — permanently.

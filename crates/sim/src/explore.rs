@@ -25,6 +25,11 @@
 //!   order with an order-independent digest of the pending-event multiset
 //!   into a 128-bit value that is identical for identical states however
 //!   they were reached (no hash-ordered collection touches this path).
+//!   A process-id renaming is a mode of the hasher, not a second hook:
+//!   fingerprints write ids through [`StateHasher::write_id`] /
+//!   [`StateHasher::write_set`], and [`ExploreSim::state_hash_perm`]
+//!   runs the same fingerprints on [`StateHasher::with_renaming`] hashers to
+//!   get the hash of the renamed state (symmetry reduction).
 //!   A slot remembers its hash — under the identity and under each
 //!   symmetry-group element — until it is next written, and a pending
 //!   event remembers its renamed hashes for as long as it is in flight,
@@ -98,10 +103,17 @@ use crate::trace::{Trace, TraceEvent};
 /// FNV-1a-style streams). Unlike [`std::hash::DefaultHasher`], its output
 /// is specified and stable across processes and platforms, so visited-state
 /// sets and cross-worker frontier sharding agree on state identity.
+///
+/// A hasher is built plain ([`StateHasher::new`]) or under a renaming
+/// ([`StateHasher::with_renaming`]); [`StateHasher::write_id`] and
+/// [`StateHasher::write_set`] feed the image of what they are given, so
+/// one fingerprint body yields the hash of a value and — under `π` — the
+/// hash its `π`-renamed copy would have.
 #[derive(Debug, Clone)]
-pub struct StateHasher {
+pub struct StateHasher<'p> {
     a: u64,
     b: u64,
+    perm: Option<&'p Perm>,
 }
 
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -110,12 +122,40 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// tail, so the two 64-bit halves fail independently.
 const ALT_OFFSET: u64 = 0x9e37_79b9_7f4a_7c15;
 
-impl StateHasher {
-    /// A fresh hasher.
-    pub fn new() -> Self {
+impl<'p> StateHasher<'p> {
+    fn under(perm: Option<&'p Perm>) -> Self {
         StateHasher {
             a: FNV_OFFSET,
             b: ALT_OFFSET,
+            perm,
+        }
+    }
+
+    /// A fresh hasher that feeds process ids as they are.
+    pub fn new() -> Self {
+        StateHasher::under(None)
+    }
+
+    /// A fresh hasher that feeds every process id renamed through `perm`.
+    pub fn with_renaming(perm: &'p Perm) -> Self {
+        StateHasher::under(Some(perm))
+    }
+
+    /// The renaming this hasher applies, if any — for state that keeps a
+    /// cached digest of its plain form and recomputes only the renamed
+    /// one.
+    pub fn renaming(&self) -> Option<&'p Perm> {
+        self.perm
+    }
+
+    /// An empty unordered collection to hash entries into under this
+    /// hasher's renaming; feed it back with
+    /// [`StateHasher::write_unordered`].
+    pub fn unordered(&self) -> Unordered<'p> {
+        Unordered {
+            perm: self.perm,
+            len: 0,
+            digest: 0,
         }
     }
 
@@ -171,21 +211,31 @@ impl StateHasher {
         self.write_bytes(s.as_bytes());
     }
 
-    /// Feeds a process set (canonical: the normalized word representation).
-    pub fn write_set(&mut self, s: &ProcessSet) {
-        let words = s.as_words();
-        self.write_u64(words.len() as u64);
-        for &w in words {
-            self.write_u64(w);
-        }
+    /// Feeds a process id — its image under the renaming, if there is
+    /// one. Every id a fingerprint mentions must enter through here or
+    /// through [`StateHasher::write_set`]: an id fed as a plain integer
+    /// is invisible to the symmetry reduction.
+    #[inline]
+    pub fn write_id(&mut self, id: ProcessId) {
+        let image = self.perm.map_or(id, |perm| perm.apply(id));
+        self.write_u32(image.as_u32());
     }
 
-    /// Feeds the image of `s` under `perm` — value-identical to
-    /// `write_set(&perm.apply_set(s))` without building the renamed set:
-    /// the renamed words are assembled in registers and fed directly. One
+    /// Feeds a process set (canonical: the normalized word
+    /// representation) — under a renaming, its image, value-identical to
+    /// feeding `perm.apply_set(s)` without building the renamed set: the
+    /// renamed words are assembled in registers and fed directly. One
     /// pass over `s` when every image is below 64, one more pass per
     /// further word otherwise.
-    pub fn write_set_perm(&mut self, s: &ProcessSet, perm: &Perm) {
+    pub fn write_set(&mut self, s: &ProcessSet) {
+        let Some(perm) = self.perm else {
+            let words = s.as_words();
+            self.write_u64(words.len() as u64);
+            for &w in words {
+                self.write_u64(w);
+            }
+            return;
+        };
         const BITS: usize = u64::BITS as usize;
         let mut first = 0u64;
         let mut words = 0;
@@ -210,6 +260,12 @@ impl StateHasher {
         }
     }
 
+    /// Feeds an unordered collection: its entry count and digest.
+    pub fn write_unordered(&mut self, entries: Unordered<'p>) {
+        self.write_u64(entries.len);
+        self.write_u128(entries.digest);
+    }
+
     /// The 128-bit digest.
     pub fn finish(&self) -> u128 {
         // Final avalanche so short inputs still spread across both halves.
@@ -219,7 +275,30 @@ impl StateHasher {
     }
 }
 
-impl Default for StateHasher {
+/// The hash of a collection whose order carries no meaning — or would be
+/// permuted by a renaming: each entry is hashed on its own and the entry
+/// hashes are XORed. XOR is order-independent, so the digest is a function
+/// of the contents, and the renamed digest needs no sorting pass. Made by
+/// [`StateHasher::unordered`].
+#[derive(Debug)]
+pub struct Unordered<'p> {
+    perm: Option<&'p Perm>,
+    len: u64,
+    digest: u128,
+}
+
+impl<'p> Unordered<'p> {
+    /// Adds one entry: whatever `write` feeds the empty hasher it is
+    /// handed (under the renaming of the hasher this collection is for).
+    pub fn entry(&mut self, write: impl FnOnce(&mut StateHasher<'p>)) {
+        let mut h = StateHasher::under(self.perm);
+        write(&mut h);
+        self.digest ^= h.finish();
+        self.len += 1;
+    }
+}
+
+impl Default for StateHasher<'_> {
     fn default() -> Self {
         StateHasher::new()
     }
@@ -332,44 +411,33 @@ impl<M: SimMessage> ExploreEvent<M> {
         }
     }
 
+    /// Feeds the event: kind, the process ids it names, payload
+    /// fingerprint. Under a renaming, what the event *would be* in the
+    /// renamed run.
+    pub fn fingerprint(&self, h: &mut StateHasher) {
+        match self {
+            ExploreEvent::Deliver { from, to, msg } => {
+                h.write_u8(1);
+                h.write_id(*from);
+                h.write_id(*to);
+                msg.fingerprint(h);
+            }
+            ExploreEvent::Timer { process, tag } => {
+                h.write_u8(2);
+                h.write_id(*process);
+                h.write_u64(*tag);
+            }
+        }
+    }
+
     /// Canonical per-event hash (used for the pending-multiset part of the
     /// state hash and for deduplicating equivalent choices).
     pub fn event_hash(&self) -> u128 {
-        let mut h = StateHasher::new();
-        match self {
-            ExploreEvent::Deliver { from, to, msg } => {
-                h.write_u8(1);
-                h.write_u32(from.as_u32());
-                h.write_u32(to.as_u32());
-                msg.fingerprint(&mut h);
-            }
-            ExploreEvent::Timer { process, tag } => {
-                h.write_u8(2);
-                h.write_u32(process.as_u32());
-                h.write_u64(*tag);
-            }
-        }
-        h.finish()
+        self.hash_with(StateHasher::new())
     }
 
-    /// [`ExploreEvent::event_hash`] of the event with every process id
-    /// renamed through `perm` — what the hash of this event *would be* in
-    /// the permuted run.
-    pub fn event_hash_perm(&self, perm: &Perm) -> u128 {
-        let mut h = StateHasher::new();
-        match self {
-            ExploreEvent::Deliver { from, to, msg } => {
-                h.write_u8(1);
-                h.write_u32(perm.apply(*from).as_u32());
-                h.write_u32(perm.apply(*to).as_u32());
-                msg.fingerprint_perm(&mut h, perm);
-            }
-            ExploreEvent::Timer { process, tag } => {
-                h.write_u8(2);
-                h.write_u32(perm.apply(*process).as_u32());
-                h.write_u64(*tag);
-            }
-        }
+    fn hash_with(&self, mut h: StateHasher) -> u128 {
+        self.fingerprint(&mut h);
         h.finish()
     }
 }
@@ -408,8 +476,8 @@ impl HashMemo {
 #[derive(Debug)]
 struct SharedEvent<M> {
     event: ExploreEvent<M>,
-    /// `perm_hashes[k]`: [`ExploreEvent::event_hash_perm`] under group
-    /// element `k` (the identity hash is [`Pending::hash`]).
+    /// `perm_hashes[k]`: the event's hash under group element `k` (the
+    /// identity hash is [`Pending::hash`]).
     perm_hashes: HashMemo,
 }
 
@@ -456,9 +524,9 @@ impl<M: SimMessage> Pending<M> {
     /// The event's hash under group element `k`, remembered in the shared
     /// event.
     fn hash_perm(&self, k: usize, perm: &Perm) -> u128 {
-        self.event
-            .perm_hashes
-            .get_or_compute(k, || self.event.event.event_hash_perm(perm))
+        self.event.perm_hashes.get_or_compute(k, || {
+            self.event.event.hash_with(StateHasher::with_renaming(perm))
+        })
     }
 
     fn event_size_hint(&self) -> usize {
@@ -487,33 +555,25 @@ struct Slot<M> {
 
 impl<M: SimMessage> Slot<M> {
     /// The slot's hash from scratch: knowledge set, timer count and actor
-    /// fingerprint, renamed through `perm` when one is given.
-    fn compute_hash(&self, perm: Option<&Perm>) -> u128 {
-        let mut h = StateHasher::new();
-        match perm {
-            None => {
-                h.write_set(&self.known);
-                h.write_u32(self.timers_armed);
-                self.actor.fingerprint(&mut h);
-            }
-            Some(perm) => {
-                h.write_set_perm(&self.known, perm);
-                h.write_u32(self.timers_armed);
-                self.actor.fingerprint_perm(&mut h, perm);
-            }
-        }
+    /// fingerprint, fed to the (empty) hasher given.
+    fn compute_hash(&self, mut h: StateHasher) -> u128 {
+        h.write_set(&self.known);
+        h.write_u32(self.timers_armed);
+        self.actor.fingerprint(&mut h);
         h.finish()
     }
 
     /// The memoised hash under the identity.
     fn hash(&self) -> u128 {
-        self.memo.get_or_compute(0, || self.compute_hash(None))
+        self.memo
+            .get_or_compute(0, || self.compute_hash(StateHasher::new()))
     }
 
     /// The memoised hash under group element `k`.
     fn hash_perm(&self, k: usize, perm: &Perm) -> u128 {
-        self.memo
-            .get_or_compute(k + 1, || self.compute_hash(Some(perm)))
+        self.memo.get_or_compute(k + 1, || {
+            self.compute_hash(StateHasher::with_renaming(perm))
+        })
     }
 
     /// A private copy of the slot at process `pid`, with nothing
@@ -1106,8 +1166,8 @@ impl<M: SimMessage> ExploreSim<M> {
             "absorbed {event:?} made its recipient emit"
         );
         assert_eq!(
-            scratch.compute_hash(None),
-            slot.compute_hash(None),
+            scratch.compute_hash(StateHasher::new()),
+            slot.compute_hash(StateHasher::new()),
             "absorbed {event:?} changed its recipient's state"
         );
     }
@@ -1141,7 +1201,7 @@ impl<M: SimMessage> ExploreSim<M> {
         }
         let successor = &self.slots[pid.index()];
         assert_eq!(
-            scratch.compute_hash(None),
+            scratch.compute_hash(StateHasher::new()),
             successor.hash(),
             "replaying {event:?} installed a successor its execution does not reach: \
              the recipient's fingerprint is not a congruence"
@@ -1246,9 +1306,10 @@ impl<M: SimMessage> ExploreSim<M> {
     /// simulation and every state restored into it, one `k` must always
     /// mean the same permutation.
     ///
-    /// Only sound when every actor (and message type) whose state mentions
-    /// process ids overrides [`Actor::fingerprint_perm`] — the checker
-    /// enables symmetry only for rosters where that holds.
+    /// Only sound when every fingerprint writes the process ids it
+    /// mentions through [`StateHasher::write_id`] /
+    /// [`StateHasher::write_set`] — the checker enables symmetry only for
+    /// rosters where that holds.
     pub fn state_hash_perm(&self, k: usize, perm: &Perm) -> u128 {
         if perm.is_identity() {
             return self.state_hash();
@@ -1268,16 +1329,16 @@ impl<M: SimMessage> ExploreSim<M> {
     /// or written. The oracle the memo tests compare against — the
     /// explorer never calls it.
     pub fn state_hash_from_scratch(&self, perm: Option<&Perm>) -> u128 {
+        let hasher = || StateHasher::under(perm);
         let slot_of = |j: usize| match perm {
             None => j,
             Some(perm) => perm.apply_inv(ProcessId::new(j as u32)).index(),
         };
         Self::fold_state(
-            (0..self.slots.len()).map(|j| self.slots[slot_of(j)].compute_hash(perm)),
-            self.pending.iter().map(|p| match perm {
-                None => p.event.event.event_hash(),
-                Some(perm) => p.event.event.event_hash_perm(perm),
-            }),
+            (0..self.slots.len()).map(|j| self.slots[slot_of(j)].compute_hash(hasher())),
+            self.pending
+                .iter()
+                .map(|p| p.event.event.hash_with(hasher())),
         )
     }
 
@@ -1307,8 +1368,8 @@ impl<M: SimMessage> ExploreSim<M> {
     /// Multiplied by the visited-state count it approximates the
     /// explorer's peak memory; deterministic (no allocator introspection).
     pub fn state_size_estimate(&self) -> u64 {
-        // Box + vtable + knowledge set + timer counter + the persistent
-        // collections' spines, per actor.
+        // Box + vtable + knowledge set + timer counter + the handles of
+        // the copy-on-write tables, per actor.
         const PER_ACTOR: u64 = 160;
         let payloads: u64 = self
             .pending
@@ -1860,9 +1921,9 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// `write_set_perm` feeds exactly what hashing the allocated
-        /// renamed set feeds — ids beyond the permutation's range (which
-        /// map to themselves) and multi-word images included.
+        /// `write_set` under a renaming feeds exactly what hashing the
+        /// allocated renamed set feeds — ids beyond the permutation's
+        /// range (which map to themselves) and multi-word images included.
         #[test]
         fn write_set_perm_matches_the_allocating_form(
             ids in proptest::collection::vec(0u32..200, 0..24),
@@ -1874,8 +1935,8 @@ mod tests {
             }
             let perm = Perm::from_map(map);
             let set = ProcessSet::from_ids(ids);
-            let (mut direct, mut allocating) = (StateHasher::new(), StateHasher::new());
-            direct.write_set_perm(&set, &perm);
+            let (mut direct, mut allocating) = (StateHasher::with_renaming(&perm), StateHasher::new());
+            direct.write_set(&set);
             allocating.write_set(&perm.apply_set(&set));
             proptest::prop_assert_eq!(direct.finish(), allocating.finish());
         }

@@ -20,15 +20,12 @@ struct Gossip(u32);
 
 impl SimMessage for Gossip {
     fn fingerprint(&self, h: &mut StateHasher) {
-        h.write_u32(self.0);
-    }
-    fn fingerprint_perm(&self, h: &mut StateHasher, perm: &Perm) {
-        h.write_u32(perm.apply(ProcessId::new(self.0)).as_u32());
+        h.write_id(ProcessId::new(self.0));
     }
 }
 
 /// Floods every newly seen process id to all known processes once. Its
-/// state mentions process ids, so the renamed fingerprint renames them.
+/// state mentions process ids, so they go in through `write_set`.
 #[derive(Clone, Default)]
 struct Flooder {
     seen: ProcessSet,
@@ -49,9 +46,6 @@ impl Actor<Gossip> for Flooder {
     }
     fn fingerprint(&self, h: &mut StateHasher) {
         h.write_set(&self.seen);
-    }
-    fn fingerprint_perm(&self, h: &mut StateHasher, perm: &Perm) {
-        h.write_set_perm(&self.seen, perm);
     }
     fn absorbs(&self, _: ProcessId, _: &ProcessSet, _: ProcessId, msg: &Gossip) -> bool {
         self.seen.contains(ProcessId::new(msg.0))
