@@ -24,7 +24,7 @@ use scup_scp::{NodeStats, Value};
 use scup_sim::adversary::CrashActor;
 use scup_sim::{
     ChurnPlan, FaultPlan, MemJournal, NetworkConfig, ResilientActor, RetransmitConfig, SimReport,
-    Simulation, TraceEvent,
+    Simulation,
 };
 
 use crate::attempts::LocalSliceStrategy;
@@ -58,9 +58,11 @@ pub struct EndToEndConfig {
     pub inputs: Option<Vec<Value>>,
     /// Time horizons for the two phases.
     pub max_ticks: u64,
-    /// Record simulator event traces into [`Outcome::sd_trace`] /
-    /// [`Outcome::scp_trace`]. Off by default: enabling it renders every
-    /// message payload to a string.
+    /// Turn on the event log of *both* phases ([`Outcome::sd_causal`],
+    /// [`Outcome::scp_causal`]) — what a timeline export reads. Off by
+    /// default: the log renders every message payload to a string, once,
+    /// at its send. Off the bit-identity surface like
+    /// [`EndToEndConfig::forensics`].
     pub trace: bool,
     /// Deterministic fault injection, applied to *both* phases (each phase
     /// runs its own simulation clock, so a crash at tick `t` happens at
@@ -78,9 +80,10 @@ pub struct EndToEndConfig {
     /// permanently. The default zero plan is bit-identical to a
     /// churn-free run.
     pub churn: ChurnPlan,
-    /// Record the causal event graph and per-node decision provenance of
-    /// the SCP phase into [`Outcome::scp_causal`] /
-    /// [`Outcome::scp_provenance`]. Off by default and off the
+    /// Turn on the event log of the consensus phase
+    /// ([`Outcome::scp_causal`] — the same log [`EndToEndConfig::trace`]
+    /// turns on, in that phase only) and per-node decision provenance
+    /// ([`Outcome::scp_provenance`]). Off by default and off the
     /// bit-identity surface: the schedule, reports, and decisions are
     /// unchanged by enabling it.
     pub forensics: bool,
@@ -125,18 +128,16 @@ pub struct Outcome {
     /// processes and non-`ScpNode` actors). Observational only — never
     /// part of any verdict.
     pub node_stats: Vec<NodeStats>,
-    /// Sink-detector-phase event trace (empty unless
+    /// Event log of the sink-detector phase (disabled/empty unless
     /// [`EndToEndConfig::trace`]). Times are that phase's sim clock.
-    pub sd_trace: Vec<TraceEvent>,
-    /// SCP-phase event trace (empty unless [`EndToEndConfig::trace`]).
-    /// Times restart at zero — the phase runs its own simulation.
-    pub scp_trace: Vec<TraceEvent>,
+    pub sd_causal: CausalGraph,
     /// Per-process durable journals of the SCP phase (empty records when
     /// no fault plan journals anything). Feed them to
     /// [`scup_scp::journal_contradictions`] to audit crash recovery.
     pub scp_journals: Vec<MemJournal>,
-    /// Causal event graph of the SCP phase (disabled/empty unless
-    /// [`EndToEndConfig::forensics`]).
+    /// Event log of the SCP phase (disabled/empty unless
+    /// [`EndToEndConfig::trace`] or [`EndToEndConfig::forensics`]). Times
+    /// restart at zero — the phase runs its own simulation.
     pub scp_causal: CausalGraph,
     /// Per-process decision-provenance logs of the SCP phase (disabled
     /// unless [`EndToEndConfig::forensics`]; disabled entries for faulty
@@ -194,8 +195,9 @@ fn inputs_of(config: &EndToEndConfig, n: usize) -> Cow<'_, [Value]> {
 }
 
 /// The dressing every sampled phase shares: a [`Simulation`] on the
-/// configured network with the trace switch and the fault and churn plans
-/// installed, and `protocol` seated through the [`roster`].
+/// configured network with the event log switched on under
+/// [`EndToEndConfig::trace`], the fault and churn plans installed, and
+/// `protocol` seated through the [`roster`].
 fn seated<P: Protocol>(
     protocol: &P,
     kg: &KnowledgeGraph,
@@ -206,7 +208,7 @@ fn seated<P: Protocol>(
     let net = NetworkConfig::partially_synchronous(config.gst, config.delta, seed);
     let mut sim = Simulation::new(kg.clone(), net);
     if config.trace {
-        sim.enable_trace();
+        sim.enable_causal();
     }
     if !config.faults.is_zero() {
         sim.set_fault_plan(config.faults.clone());
@@ -234,8 +236,9 @@ fn read<'a, P: Protocol, T>(
         .map(move |i| sim.actor_as::<P::Actor>(i).map(&get))
 }
 
-/// The one sampled consensus phase: [`seated`], forensics armed under
-/// [`EndToEndConfig::forensics`], run to the stop rule, and everything
+/// The one sampled consensus phase: [`seated`], the event log and
+/// provenance armed under [`EndToEndConfig::forensics`], run to the stop
+/// rule, and everything
 /// protocol-independent read out; the caller fills
 /// [`Phase::node_stats`] / [`Phase::retransmissions`] from the returned
 /// simulation.
@@ -297,7 +300,6 @@ fn run_consensus<P: Protocol>(
         report,
         node_stats: Vec::new(),
         retransmissions: 0,
-        trace: sim.trace().events().to_vec(),
         journals,
         causal: sim.causal().clone(),
         provenance: read::<P, _>(&sim, P::provenance)
@@ -320,14 +322,14 @@ pub fn run_sink_detection(
     (detections, report)
 }
 
-/// [`run_sink_detection`], additionally returning the phase's event
-/// trace (empty unless [`EndToEndConfig::trace`]).
+/// [`run_sink_detection`], additionally returning the phase's event log
+/// (disabled unless [`EndToEndConfig::trace`]).
 pub fn run_sink_detection_traced(
     kg: &KnowledgeGraph,
     f: usize,
     faulty: &ProcessSet,
     config: &EndToEndConfig,
-) -> (Vec<Option<SinkDetection>>, SimReport, Vec<TraceEvent>) {
+) -> (Vec<Option<SinkDetection>>, SimReport, CausalGraph) {
     // Nobody decides in this phase, so it runs to quiescence; forensics
     // never records it.
     let mut sim = seated(
@@ -355,8 +357,7 @@ pub fn run_sink_detection_traced(
                 .and_then(SinkDetectorActor::detection)
         })
         .collect();
-    let trace = sim.trace().events().to_vec();
-    (detections, report, trace)
+    (detections, report, sim.causal().clone())
 }
 
 /// Algorithm 2 applied to every detection of phase 1 (the empty family
@@ -394,11 +395,10 @@ pub struct Phase {
     pub node_stats: Vec<NodeStats>,
     /// Messages re-sent by the correct actors' retransmission layer.
     pub retransmissions: u64,
-    /// Event trace (empty unless [`EndToEndConfig::trace`]).
-    pub trace: Vec<TraceEvent>,
     /// Per-process durable journals.
     pub journals: Vec<MemJournal>,
-    /// Causal event graph (disabled unless [`EndToEndConfig::forensics`]).
+    /// The phase's event log (disabled unless [`EndToEndConfig::trace`] or
+    /// [`EndToEndConfig::forensics`]).
     pub causal: CausalGraph,
     /// Per-process provenance logs (disabled unless
     /// [`EndToEndConfig::forensics`]).
@@ -422,10 +422,10 @@ pub fn run_scp_with_slices(
 }
 
 /// [`run_scp_with_slices`], additionally returning each correct node's
-/// [`NodeStats`] counters (defaults for faulty/non-SCP actors), the
-/// phase's event trace (empty unless [`EndToEndConfig::trace`]), its
-/// journals, and — under [`EndToEndConfig::forensics`] — the causal
-/// event graph and decision-provenance logs.
+/// [`NodeStats`] counters (defaults for faulty/non-SCP actors), its
+/// journals, its event log (under [`EndToEndConfig::trace`] or
+/// [`EndToEndConfig::forensics`]) and — under the latter — the
+/// decision-provenance logs.
 pub fn run_scp_with_slices_observed(
     kg: &KnowledgeGraph,
     faulty: &ProcessSet,
@@ -467,10 +467,10 @@ impl Outcome {
     fn new(
         faulty: &ProcessSet,
         inputs: Vec<Value>,
-        knowledge: (Vec<Option<SinkDetection>>, SimReport, Vec<TraceEvent>),
+        knowledge: (Vec<Option<SinkDetection>>, SimReport, CausalGraph),
         scp: ScpPhase,
     ) -> Outcome {
-        let (detections, sd_report, sd_trace) = knowledge;
+        let (detections, sd_report, sd_causal) = knowledge;
         Outcome {
             faulty: faulty.clone(),
             inputs,
@@ -479,8 +479,7 @@ impl Outcome {
             sd_report,
             scp_report: scp.report,
             node_stats: scp.node_stats,
-            sd_trace,
-            scp_trace: scp.trace,
+            sd_causal,
             scp_journals: scp.journals,
             scp_causal: scp.causal,
             scp_provenance: scp.provenance,
@@ -515,7 +514,11 @@ pub fn run_local_slices_pipeline(
     let inputs = inputs_of(config, kg.n()).into_owned();
     let slices = local_slices(kg, f, strategy);
     let scp = run_scp_with_slices_observed(kg, faulty, slices, &inputs, config);
-    let no_knowledge = (vec![None; kg.n()], SimReport::default(), Vec::new());
+    let no_knowledge = (
+        vec![None; kg.n()],
+        SimReport::default(),
+        CausalGraph::disabled(),
+    );
     Outcome::new(faulty, inputs, no_knowledge, scp)
 }
 
@@ -609,8 +612,7 @@ mod tests {
             sd_report: SimReport::default(),
             scp_report: SimReport::default(),
             node_stats: Vec::new(),
-            sd_trace: Vec::new(),
-            scp_trace: Vec::new(),
+            sd_causal: CausalGraph::disabled(),
             scp_journals: Vec::new(),
             scp_causal: CausalGraph::disabled(),
             scp_provenance: Vec::new(),

@@ -288,8 +288,8 @@ impl Actor<SdMsg> for SinkDetectorActor {
     fn fingerprint(&self, h: &mut StateHasher) {
         debug_assert!(
             matches!(self.mode, GetSinkMode::Direct),
-            "exploration fingerprints skip the RRB core; hash it before \
-             exploring a ReachableBroadcast detector"
+            "this fingerprint skips the RRB core, so a ReachableBroadcast \
+             detector cannot be explored"
         );
         h.write_set(&self.pd);
         h.write_u64(self.f as u64);

@@ -33,7 +33,8 @@ use std::collections::BTreeMap;
 use scup_graph::{ProcessId, ProcessSet};
 use scup_obs::causal::{ProvEntry, ProvRule, ProvenanceLog};
 use scup_sim::{
-    Actor, Backoff, Context, Journal, RetransmitConfig, SimMessage, StateHasher, RETRANSMIT_TAG,
+    Actor, Context, Journal, RetransmitConfig, Retransmitter, SimMessage, StateHasher,
+    RETRANSMIT_TAG,
 };
 
 use crate::discovery::{SinkCore, SinkMsg};
@@ -163,11 +164,6 @@ impl SimMessage for BftMsg {
 
 /// Timer tags. View timers are `VIEW_TIMER + (view << 8)`.
 const VIEW_TIMER: u64 = 1;
-/// Retransmission rounds: the simulator-wide [`scup_sim::RETRANSMIT_TAG`]
-/// (`u64::MAX`), so the runner's retransmission-delay histogram sees these
-/// rounds. Still matched *before* the `tag >> 8` view decode in
-/// `on_timer`, which would otherwise treat it as a stale view timer.
-const RETRANSMIT_TIMER: u64 = RETRANSMIT_TAG;
 
 // Journal record tags: the durable pledges a crash must not erase.
 /// `[member ids...]` — the sink membership consensus runs over.
@@ -281,8 +277,7 @@ pub struct BftCupActor {
     // messages re-announced on each backoff round; excluded from
     // fingerprints, so retransmission must stay disabled under
     // exploration.
-    sent_log: Vec<(ProcessId, BftMsg)>,
-    backoff: Backoff,
+    retransmit: Retransmitter<BftMsg>,
     retransmissions: u64,
     /// Membership fixed ahead of the run ([`Self::with_members`]):
     /// consumed by `on_start`, which then skips SINK discovery entirely.
@@ -302,6 +297,7 @@ impl BftCupActor {
     pub fn new(pd: ProcessSet, proposal: Value, config: BftConfig) -> Self {
         BftCupActor {
             sink: SinkCore::new(ProcessId::new(u32::MAX), pd.clone(), config.f),
+            retransmit: Retransmitter::new(config.retransmit.clone()),
             config,
             pd,
             proposal,
@@ -319,8 +315,6 @@ impl BftCupActor {
             asked: ProcessSet::new(),
             decide_votes: BTreeMap::new(),
             decision: None,
-            sent_log: Vec::new(),
-            backoff: Backoff::new(),
             retransmissions: 0,
             preset_members: None,
             forced_decision: None,
@@ -459,19 +453,13 @@ impl BftCupActor {
         }
     }
 
-    /// Sends `msg` and, when retransmission is enabled, records it in the
-    /// dedup log re-announced on every backoff round.
+    /// Sends `msg` and notes it for the retransmission rounds. Receivers
+    /// absorb the re-sent duplicates — discovery dedups at the core, the
+    /// consensus tallies are sets, and `Decide` is write-once.
     fn send_logged(&mut self, ctx: &mut Context<'_, BftMsg>, to: ProcessId, msg: BftMsg) {
         ctx.learn(to);
-        if self.config.retransmit.enabled() {
-            let entry = (to, msg);
-            ctx.send(entry.0, entry.1.clone());
-            if !self.sent_log.contains(&entry) {
-                self.sent_log.push(entry);
-            }
-        } else {
-            ctx.send(to, msg);
-        }
+        self.retransmit.note(to, &msg);
+        ctx.send(to, msg);
     }
 
     /// Write-ahead journaling: durable pledges are appended before the
@@ -780,26 +768,6 @@ impl BftCupActor {
             self.send_logged(ctx, j, BftMsg::AskDecision);
         }
     }
-
-    /// Arms the next retransmission round, if the schedule has any left.
-    fn arm_retransmit(&mut self, ctx: &mut Context<'_, BftMsg>) {
-        let cfg = self.config.retransmit.clone();
-        if let Some(delay) = self.backoff.next_delay(&cfg, ctx.rng()) {
-            ctx.set_timer(delay, RETRANSMIT_TIMER);
-        }
-    }
-
-    /// One backoff round: re-sends the whole dedup log. Receivers absorb
-    /// the duplicates — discovery dedups at the core, the consensus
-    /// tallies are sets, and `Decide` is write-once.
-    fn retransmit_round(&mut self, ctx: &mut Context<'_, BftMsg>) {
-        for (to, msg) in &self.sent_log {
-            ctx.learn(*to);
-            ctx.send(*to, msg.clone());
-        }
-        self.retransmissions += self.sent_log.len() as u64;
-        self.arm_retransmit(ctx);
-    }
 }
 
 impl Actor<BftMsg> for BftCupActor {
@@ -840,7 +808,7 @@ impl Actor<BftMsg> for BftCupActor {
                     self.send_logged(ctx, j, BftMsg::AskDecision);
                 }
             }
-            self.arm_retransmit(ctx);
+            self.retransmit.arm(ctx);
             return;
         }
         self.sink = SinkCore::new(ctx.self_id(), self.pd.clone(), self.config.f);
@@ -848,7 +816,7 @@ impl Actor<BftMsg> for BftCupActor {
         self.flush_sink_logged(ctx, out);
         self.maybe_start_consensus(ctx);
         self.ask_new_contacts(ctx);
-        self.arm_retransmit(ctx);
+        self.retransmit.arm(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, BftMsg>, from: ProcessId, msg: BftMsg) {
@@ -903,8 +871,8 @@ impl Actor<BftMsg> for BftCupActor {
         // Matched before the view decode (which would misread the tag as
         // a stale view timer) and before the decision early-return: peers
         // may still need re-announcements after we decide.
-        if tag == RETRANSMIT_TIMER {
-            self.retransmit_round(ctx);
+        if tag == RETRANSMIT_TAG {
+            self.retransmissions += self.retransmit.round(ctx);
             return;
         }
         if self.decision.is_some() || !self.started_consensus {
@@ -1021,8 +989,7 @@ impl Actor<BftMsg> for BftCupActor {
                 }
             }
         }
-        self.backoff.reset();
-        self.arm_retransmit(ctx);
+        self.retransmit.reset(ctx);
     }
 
     fn fork(&self) -> Option<Box<dyn Actor<BftMsg>>> {

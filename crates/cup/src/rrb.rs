@@ -228,64 +228,6 @@ impl<P: Clone + PartialEq> RrbCore<P> {
     pub fn deliveries(&self) -> impl Iterator<Item = (ProcessId, u64, &P)> {
         self.delivered.iter().map(|((o, s), p)| (*o, *s, p))
     }
-
-    /// Exploration support: canonical fingerprint of the broadcast state.
-    /// Received copies, forward quotas and deliveries are all live state
-    /// (each can change a future emission or delivery), so everything is
-    /// hashed: one unordered entry per copy group, forward counter and
-    /// delivery, and the ordered path lists in order (path order never
-    /// affects behaviour, but over-discriminating is always sound).
-    pub fn fingerprint_payload(
-        &self,
-        h: &mut StateHasher,
-        mut hash_payload: impl FnMut(&mut StateHasher, &P),
-    ) {
-        h.write_id(self.self_id);
-        h.write_u64(self.f as u64);
-        h.write_u64(self.forward_quota as u64);
-        h.write_u64(self.next_seq);
-        let mut entries = h.unordered();
-        for ((origin, seq), groups) in &self.copies {
-            for (payload, paths) in groups {
-                entries.entry(|eh| {
-                    eh.write_u8(1);
-                    eh.write_id(*origin);
-                    eh.write_u64(*seq);
-                    hash_payload(eh, payload);
-                    // The path *set* per payload group is canonical:
-                    // arrival order changes neither forwarding nor
-                    // delivery decisions.
-                    let mut path_set = eh.unordered();
-                    for path in paths {
-                        path_set.entry(|ph| {
-                            ph.write_u64(path.len() as u64);
-                            for &p in path {
-                                ph.write_id(p);
-                            }
-                        });
-                    }
-                    eh.write_unordered(path_set);
-                });
-            }
-        }
-        for ((origin, seq), used) in &self.forwarded {
-            entries.entry(|eh| {
-                eh.write_u8(2);
-                eh.write_id(*origin);
-                eh.write_u64(*seq);
-                eh.write_u64(*used as u64);
-            });
-        }
-        for ((origin, seq), payload) in &self.delivered {
-            entries.entry(|eh| {
-                eh.write_u8(3);
-                eh.write_id(*origin);
-                eh.write_u64(*seq);
-                hash_payload(eh, payload);
-            });
-        }
-        h.write_unordered(entries);
-    }
 }
 
 fn has_duplicates(path: &[ProcessId]) -> bool {

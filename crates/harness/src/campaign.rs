@@ -335,7 +335,7 @@ fn run_configured(
     let adversary = system.config.adversary;
     record.n = kg.n();
     record.faulty = faulty.iter().map(|p| p.as_u32()).collect();
-    let (output, _, _) = protocol::execute_observed(&system);
+    let (output, _) = protocol::execute_observed(&system);
 
     // Graceful degradation: a plan that heals (or injects nothing) must
     // still terminate; an unhealed plan only owes safety. Churn itself

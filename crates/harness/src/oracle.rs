@@ -86,25 +86,6 @@ pub fn evaluate(
     decisions: &[Option<Value>],
     adversary: AdversaryKind,
 ) -> InvariantReport {
-    evaluate_degraded(kg, f, faulty, inputs, decisions, adversary, true, &[])
-}
-
-/// Evaluates the oracles for one run under a fault plan: the
-/// graceful-degradation contract. `termination_required` is `false` when
-/// the plan never heals (the run may stall without failing);
-/// `pledge_violations` are the durability oracle's findings — each one is
-/// a safety violation no mode short of `observe` forgives.
-#[allow(clippy::too_many_arguments)] // mirrors the scenario's fields
-pub fn evaluate_degraded(
-    kg: &KnowledgeGraph,
-    f: usize,
-    faulty: &ProcessSet,
-    inputs: &[Value],
-    decisions: &[Option<Value>],
-    adversary: AdversaryKind,
-    termination_required: bool,
-    pledge_violations: &[String],
-) -> InvariantReport {
     evaluate_churned(
         kg,
         f,
@@ -113,16 +94,19 @@ pub fn evaluate_degraded(
         inputs,
         decisions,
         adversary,
-        termination_required,
-        pledge_violations,
+        true,
+        &[],
         ValidityMode::Strong,
     )
 }
 
-/// The full oracle: [`evaluate_degraded`] extended with membership churn
-/// and validity variants.
+/// The full oracle: [`evaluate`] extended with the graceful-degradation
+/// contract of fault plans, membership churn and validity variants.
 ///
-/// `departed` are the processes a [`ChurnSpec`](crate::scenario::ChurnSpec)
+/// `termination_required` is `false` when the fault plan never heals (the
+/// run may stall without failing); `pledge_violations` are the durability
+/// oracle's findings — each one is a safety violation no mode short of
+/// `observe` forgives. `departed` are the processes a [`ChurnSpec`](crate::scenario::ChurnSpec)
 /// removed for good: they are not owed termination (they left), their
 /// pre-departure decisions still count for agreement (safety survives the
 /// exit), and the structural premise is judged as if they were faulty —
@@ -259,6 +243,27 @@ mod tests {
     use super::*;
     use scup_graph::generators;
 
+    /// The oracle under a fault plan on Fig. 2: nobody faulty or
+    /// departed, the silent adversary, strong validity.
+    fn degraded(
+        decisions: &[Option<Value>],
+        termination_required: bool,
+        pledge_violations: &[String],
+    ) -> InvariantReport {
+        evaluate_churned(
+            &generators::fig2(),
+            1,
+            &ProcessSet::new(),
+            &ProcessSet::new(),
+            &fig2_inputs(),
+            decisions,
+            AdversaryKind::Silent,
+            termination_required,
+            pledge_violations,
+            ValidityMode::Strong,
+        )
+    }
+
     fn fig2_inputs() -> Vec<Value> {
         (0..7).map(|i| 100 + i as Value).collect()
     }
@@ -377,22 +382,12 @@ mod tests {
 
     #[test]
     fn unhealed_plan_forgives_stalls_but_not_splits() {
-        let kg = generators::fig2();
         // Two processes stalled under an unhealed fault plan: not a
         // violation — termination is not owed.
         let mut decisions = vec![Some(100); 7];
         decisions[2] = None;
         decisions[6] = None;
-        let r = evaluate_degraded(
-            &kg,
-            1,
-            &ProcessSet::new(),
-            &fig2_inputs(),
-            &decisions,
-            AdversaryKind::Silent,
-            false,
-            &[],
-        );
+        let r = degraded(&decisions, false, &[]);
         assert!(!r.termination && !r.termination_required);
         assert!(r.holds(), "{:?}", r.violations);
         assert!(r.violations.is_empty());
@@ -400,35 +395,16 @@ mod tests {
         // But a split among the processes that DID decide stays a safety
         // violation whatever the plan.
         decisions[3] = Some(101);
-        let split = evaluate_degraded(
-            &kg,
-            1,
-            &ProcessSet::new(),
-            &fig2_inputs(),
-            &decisions,
-            AdversaryKind::Silent,
-            false,
-            &[],
-        );
+        let split = degraded(&decisions, false, &[]);
         assert!(!split.agreement && !split.holds());
         assert!(!split.passes(OracleMode::Require));
     }
 
     #[test]
     fn pledge_violations_are_safety_not_liveness() {
-        let kg = generators::fig2();
         let decisions = vec![Some(100); 7];
         let findings = vec!["p2 re-voted prepare(1, 7) below its journaled lock".to_string()];
-        let r = evaluate_degraded(
-            &kg,
-            1,
-            &ProcessSet::new(),
-            &fig2_inputs(),
-            &decisions,
-            AdversaryKind::Silent,
-            true,
-            &findings,
-        );
+        let r = degraded(&decisions, true, &findings);
         assert!(!r.pledges_ok);
         assert!(r.termination && r.agreement, "only durability is at fault");
         assert!(!r.holds());

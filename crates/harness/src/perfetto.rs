@@ -1,175 +1,138 @@
-//! Perfetto export of sampled simulation runs: simulator event traces
-//! rendered as Chrome trace events, one process track per scenario, one
-//! thread track per simulated process.
+//! Perfetto export of sampled simulation runs: a run's event log
+//! ([`CausalGraph`]) rendered as Chrome trace events, one process track
+//! per scenario, one thread track per simulated process.
 //!
 //! Simulated ticks map 1:1 to trace microseconds — the exported
 //! timeline is the *logical* network schedule, not wall time, which is
 //! exactly what makes message flight times and timer cadences readable
 //! in the viewer. A message in flight is a `Complete` span on its
-//! sender's track (send tick → delivery tick); deliveries and timer
-//! fires are instants on the receiving process's track.
+//! sender's track (send tick → the tick it was delivered or dropped);
+//! deliveries and timer fires are instants on the receiving process's
+//! track.
 
-use std::collections::{HashMap, VecDeque};
-
+use scup_obs::causal::{CausalGraph, CausalKind, EventId};
 use scup_obs::chrome::{ArgValue, ChromeEvent};
-use scup_sim::TraceEvent;
 
 use crate::adversary::AdversaryRegistry;
 use crate::campaign::Campaign;
 use crate::protocol;
 use crate::system::System;
 
-/// Converts one phase's simulator trace to Chrome events on process
-/// track `pid`. Thread `tid = i + 1` is simulated process `i`; ticks
-/// shift by `offset_us` so multi-phase pipelines lay out sequentially.
+/// Converts one phase's event log to Chrome events on process track
+/// `pid`. Thread `tid = i + 1` is simulated process `i`; ticks shift by
+/// `offset_us` so multi-phase pipelines lay out sequentially.
 ///
-/// Each send→deliver pair additionally emits a flow arrow (Perfetto
-/// draws it from the in-flight span to the delivery instant), with ids
-/// allocated upward from `flow_base` — callers combining multiple
-/// phases into one document must pass disjoint bases.
+/// Each send additionally starts a flow arrow (Perfetto draws it from the
+/// in-flight span to the delivery instant) that ends at the delivery the
+/// log names as caused by that send. Its id is `flow_base` plus the send's
+/// event id — callers combining multiple phases into one document must
+/// pass bases further apart than the logs are long.
 pub fn sim_trace_to_chrome(
-    events: &[TraceEvent],
+    log: &CausalGraph,
     pid: u32,
     offset_us: u64,
     cat: &'static str,
     flow_base: u64,
 ) -> Vec<ChromeEvent> {
+    let events = log.events();
+    // Per send, the event that took it out of flight: its first delivery
+    // or drop (a fault-plane duplicate may land a second copy later).
+    let mut landing = vec![EventId::NONE; events.len()];
+    for e in events {
+        if matches!(e.kind, CausalKind::Deliver { .. } | CausalKind::Drop { .. }) {
+            match landing.get_mut(e.cause().0 as usize) {
+                Some(first) if !first.is_some() => *first = e.id,
+                _ => {}
+            }
+        }
+    }
+    let horizon = events.last().map_or(0, |e| e.at);
+    let payload = |e| ArgValue::Str(log.payload(e).unwrap_or_default().to_string());
     let mut out = Vec::with_capacity(events.len());
-    // Pending flow ids keyed by (from, to, payload), FIFO: the simulator
-    // delivers same-link same-payload messages in send order, so the
-    // front of the queue is the matching send.
-    let mut pending: HashMap<(u32, u32, &str), VecDeque<u64>> = HashMap::new();
-    let mut next_flow = flow_base;
-    for event in events {
-        match event {
-            TraceEvent::Sent {
-                at,
-                from,
-                to,
-                deliver_at,
-                payload,
-            } => {
-                let id = next_flow;
-                next_flow += 1;
-                pending
-                    .entry((from.as_u32(), to.as_u32(), payload.as_str()))
-                    .or_default()
-                    .push_back(id);
+    for e in events {
+        let ts = offset_us + e.at;
+        let tid = e.kind.acting_process() + 1;
+        let instant = |name: String, cat, args| ChromeEvent::Instant {
+            name,
+            cat,
+            ts,
+            pid,
+            tid,
+            args,
+        };
+        let fault = |what: &str, from: u32, to: u32| {
+            instant(
+                format!("{what} p{from}->p{to}"),
+                "fault",
+                vec![("payload", payload(e.id)), ("to", ArgValue::U64(to as u64))],
+            )
+        };
+        match e.kind {
+            CausalKind::Send { from, to } => {
+                // A send the run ended on stays in flight to the end.
+                let until = match landing[e.id.0 as usize] {
+                    EventId::NONE => horizon,
+                    end => events[end.0 as usize].at,
+                };
                 out.push(ChromeEvent::Complete {
-                    name: format!("{from}->{to}"),
+                    name: format!("p{from}->p{to}"),
                     cat,
-                    ts: offset_us + at.ticks(),
+                    ts,
                     // Zero-length spans vanish in the viewer; clamp to 1 µs.
-                    dur: deliver_at.ticks().saturating_sub(at.ticks()).max(1),
+                    dur: until.saturating_sub(e.at).max(1),
                     pid,
-                    tid: from.as_u32() + 1,
-                    args: vec![
-                        ("payload", ArgValue::Str(payload.clone())),
-                        ("to", ArgValue::U64(to.as_u32() as u64)),
-                    ],
+                    tid,
+                    args: vec![("payload", payload(e.id)), ("to", ArgValue::U64(to as u64))],
                 });
                 out.push(ChromeEvent::FlowStart {
-                    name: format!("{from}->{to}"),
+                    name: format!("p{from}->p{to}"),
                     cat,
-                    id,
-                    ts: offset_us + at.ticks(),
+                    id: flow_base + e.id.0 as u64,
+                    ts,
                     pid,
-                    tid: from.as_u32() + 1,
+                    tid,
                 });
             }
-            TraceEvent::Delivered {
-                at,
-                from,
-                to,
-                payload,
-            } => {
-                // Unmatched deliveries (fault-plane duplicates) get no
-                // arrow — only the original send is in flight.
-                let flow = pending
-                    .get_mut(&(from.as_u32(), to.as_u32(), payload.as_str()))
-                    .and_then(VecDeque::pop_front);
-                out.push(ChromeEvent::Instant {
-                    name: format!("deliver {from}->{to}"),
+            CausalKind::Deliver { from, to } => {
+                out.push(instant(
+                    format!("deliver p{from}->p{to}"),
                     cat,
-                    ts: offset_us + at.ticks(),
-                    pid,
-                    tid: to.as_u32() + 1,
-                    args: vec![("payload", ArgValue::Str(payload.clone()))],
-                });
-                if let Some(id) = flow {
+                    vec![("payload", payload(e.id))],
+                ));
+                // The arrow ends where the span does; a later copy of the
+                // same send gets its instant and no arrow.
+                if landing.get(e.cause().0 as usize) == Some(&e.id) {
                     out.push(ChromeEvent::FlowEnd {
-                        name: format!("{from}->{to}"),
+                        name: format!("p{from}->p{to}"),
                         cat,
-                        id,
-                        ts: offset_us + at.ticks(),
+                        id: flow_base + e.cause().0 as u64,
+                        ts,
                         pid,
-                        tid: to.as_u32() + 1,
+                        tid,
                     });
                 }
             }
-            TraceEvent::Timer { at, process, tag } => out.push(ChromeEvent::Instant {
-                name: format!("timer {tag}"),
-                cat: "timer",
-                ts: offset_us + at.ticks(),
-                pid,
-                tid: process.as_u32() + 1,
-                args: vec![("tag", ArgValue::U64(*tag))],
-            }),
-            TraceEvent::Dropped {
-                at,
-                from,
-                to,
-                payload,
-            } => out.push(ChromeEvent::Instant {
-                name: format!("drop {from}->{to}"),
-                cat: "fault",
-                ts: offset_us + at.ticks(),
-                pid,
-                tid: from.as_u32() + 1,
-                args: vec![
-                    ("payload", ArgValue::Str(payload.clone())),
-                    ("to", ArgValue::U64(to.as_u32() as u64)),
-                ],
-            }),
-            TraceEvent::Crashed { at, process } => out.push(ChromeEvent::Instant {
-                name: "crash".into(),
-                cat: "fault",
-                ts: offset_us + at.ticks(),
-                pid,
-                tid: process.as_u32() + 1,
-                args: Vec::new(),
-            }),
-            TraceEvent::Recovered { at, process } => out.push(ChromeEvent::Instant {
-                name: "recover".into(),
-                cat: "fault",
-                ts: offset_us + at.ticks(),
-                pid,
-                tid: process.as_u32() + 1,
-                args: Vec::new(),
-            }),
-            TraceEvent::Joined { at, process } => out.push(ChromeEvent::Instant {
-                name: "join".into(),
-                cat: "churn",
-                ts: offset_us + at.ticks(),
-                pid,
-                tid: process.as_u32() + 1,
-                args: Vec::new(),
-            }),
-            TraceEvent::Left { at, process } => out.push(ChromeEvent::Instant {
-                name: "leave".into(),
-                cat: "churn",
-                ts: offset_us + at.ticks(),
-                pid,
-                tid: process.as_u32() + 1,
-                args: Vec::new(),
-            }),
+            CausalKind::Timer { tag, .. } => out.push(instant(
+                format!("timer {tag}"),
+                "timer",
+                vec![("tag", ArgValue::U64(tag))],
+            )),
+            CausalKind::Retransmit { .. } => {
+                out.push(instant("retransmit".into(), "timer", Vec::new()))
+            }
+            CausalKind::Drop { from, to } => out.push(fault("drop", from, to)),
+            CausalKind::Duplicate { from, to } => out.push(fault("duplicate", from, to)),
+            CausalKind::Crash { .. } => out.push(instant("crash".into(), "fault", Vec::new())),
+            CausalKind::Recover { .. } => out.push(instant("recover".into(), "fault", Vec::new())),
+            CausalKind::Join { .. } => out.push(instant("join".into(), "churn", Vec::new())),
+            CausalKind::Leave { .. } => out.push(instant("leave".into(), "churn", Vec::new())),
         }
     }
     out
 }
 
-/// Re-runs the **first seed** of every scenario in `campaign` with
-/// simulator tracing enabled and returns the combined Chrome events —
+/// Re-runs the **first seed** of every scenario in `campaign` with the
+/// event log on and returns the combined Chrome events —
 /// one Perfetto process track per scenario (pid = declaration index +
 /// 1), one thread track per simulated process. Scenarios that fail to
 /// configure are skipped (the campaign report is where errors belong).
@@ -194,8 +157,8 @@ pub fn trace_seeds(campaign: &Campaign, seed_override: Option<u64>) -> Vec<Chrom
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut system = System::of(scenario, seed, &registry).ok()?;
             system.config.trace = true;
-            let (_, phase1, phase2) = protocol::execute_observed(&system);
-            Some((system.kg.n(), phase1, phase2))
+            let (output, phase1) = protocol::execute_observed(&system);
+            Some((system.kg.n(), phase1, output.causal))
         }));
         let Ok(Some((n, phase1, phase2))) = outcome else {
             continue;
@@ -211,31 +174,19 @@ pub fn trace_seeds(campaign: &Campaign, seed_override: Option<u64>) -> Vec<Chrom
                 name: format!("process {i}"),
             });
         }
-        // Phase traces run on independent sim clocks; lay phase 2 out
-        // after phase 1's end so the pipeline reads left to right.
-        let phase1_end = phase1
-            .iter()
-            .map(|e| match e {
-                TraceEvent::Sent { deliver_at, .. } => deliver_at.ticks(),
-                TraceEvent::Delivered { at, .. }
-                | TraceEvent::Timer { at, .. }
-                | TraceEvent::Dropped { at, .. }
-                | TraceEvent::Crashed { at, .. }
-                | TraceEvent::Recovered { at, .. }
-                | TraceEvent::Joined { at, .. }
-                | TraceEvent::Left { at, .. } => at.ticks(),
-            })
-            .max()
-            .unwrap_or(0);
-        // Disjoint flow-id ranges: pid in the high bits, phase below.
-        let base = (pid as u64) << 32;
+        // The phases' logs run on independent sim clocks; lay phase 2 out
+        // after phase 1's last event so the pipeline reads left to right.
+        let phase1_end = phase1.events().last().map_or(0, |e| e.at);
+        // Disjoint flow-id ranges: pid in the high bits, phase below, the
+        // send's 32-bit event id lowest.
+        let base = (pid as u64) << 40;
         events.extend(sim_trace_to_chrome(&phase1, pid, 0, "sink-detect", base));
         events.extend(sim_trace_to_chrome(
             &phase2,
             pid,
             phase1_end,
             "consensus",
-            base | (1 << 24),
+            base | (1 << 32),
         ));
     }
     events
@@ -278,6 +229,63 @@ mod tests {
         let json = write_trace_json(&events);
         assert!(json.contains("\"traceEvents\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    #[test]
+    fn flow_arrows_follow_the_cause_not_the_payload() {
+        use CausalKind::{Deliver, Duplicate};
+        let (from, to) = (0, 1);
+        let mut log = CausalGraph::disabled();
+        log.enable(2);
+        let vote = || ("Vote(1)".to_string(), None);
+        // The same payload twice on one link, the first copy duplicated in
+        // flight; the second send overtakes it, then both copies land.
+        let first = log.record_send(1, from, to, vote);
+        log.record(1, Duplicate { from, to }, first);
+        let second = log.record_send(2, from, to, vote);
+        log.record(3, Deliver { from, to }, second);
+        log.record(5, Deliver { from, to }, first);
+        log.record(6, Deliver { from, to }, first);
+
+        let events = sim_trace_to_chrome(&log, 1, 0, "net", 100);
+        let starts: Vec<(u64, u64)> = events
+            .iter()
+            .filter_map(|e| match e {
+                ChromeEvent::FlowStart { id, ts, .. } => Some((*ts, *id)),
+                _ => None,
+            })
+            .collect();
+        let ends: Vec<(u64, u64)> = events
+            .iter()
+            .filter_map(|e| match e {
+                ChromeEvent::FlowEnd { id, ts, .. } => Some((*ts, *id)),
+                _ => None,
+            })
+            .collect();
+        let (first, second) = (100 + first.0 as u64, 100 + second.0 as u64);
+        assert_eq!(starts, [(1, first), (2, second)], "one flow id per send");
+        // Each arrow ends at the delivery its send caused; the duplicate's
+        // late copy takes nobody's arrow.
+        assert_eq!(ends, [(3, second), (5, first)]);
+        let spans: Vec<(u64, u64)> = events
+            .iter()
+            .filter_map(|e| match e {
+                ChromeEvent::Complete { ts, dur, .. } => Some((*ts, *dur)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(spans, [(1, 4), (2, 1)], "in flight until the first landing");
+        let payloads = events
+            .iter()
+            .filter(|e| {
+                matches!(e, ChromeEvent::Instant { args, .. }
+                if args.contains(&("payload", ArgValue::Str("Vote(1)".into()))))
+            })
+            .count();
+        assert_eq!(
+            payloads, 4,
+            "deliveries and the duplicate read the send's payload"
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use scup_graph::{KnowledgeGraph, ProcessId, ProcessSet};
 use scup_obs::causal::{CausalGraph, ProvenanceLog};
 use scup_scp::{NodeStats, Value};
-use scup_sim::{Journal, ProcessStats, SimReport, TraceEvent};
+use scup_sim::{Journal, ProcessStats, SimReport};
 use stellar_cup::consensus::{self, EndToEndConfig, Phase};
 
 use crate::adversary::AdversaryKind;
@@ -75,8 +75,8 @@ pub struct ProtocolOutput {
     /// Messages lost because an endpoint was dormant or departed; a
     /// subset of `messages_dropped`, summed across phases.
     pub churn_drops: u64,
-    /// Causal event graph of the consensus phase (disabled unless the run
-    /// asked for forensics).
+    /// Event log of the consensus phase (disabled unless the run asked
+    /// for a trace or for forensics).
     pub causal: CausalGraph,
     /// Per-process decision-provenance logs of the consensus phase
     /// (disabled unless the run asked for forensics).
@@ -147,16 +147,17 @@ pub fn execute(
     run(protocol, kg, f, faulty, &config, stale_joiner).0
 }
 
-/// Runs an instantiated system. Also returns the simulator event traces
-/// of the two phases (knowledge-increase, consensus; empty unless
-/// `system.config.trace`) for Perfetto export — tracing renders every
-/// message payload to a string, so use it for one-off exports, not
-/// inside sampling loops; phase traces are on independent sim clocks
-/// (each phase restarts at tick 0). Under `system.config.forensics` the
-/// output carries the consensus phase's causal event graph and per-node
-/// decision provenance. Neither switch perturbs the schedule: decisions,
-/// reports and traces are bit-identical with forensics on or off.
-pub fn execute_observed(system: &System) -> (ProtocolOutput, Vec<TraceEvent>, Vec<TraceEvent>) {
+/// Runs an instantiated system. Also returns the event log of the
+/// knowledge-increase phase (disabled unless `system.config.trace`; the
+/// consensus phase's is [`ProtocolOutput::causal`]) for Perfetto export —
+/// the log renders every message payload to a string, so use it for
+/// one-off exports, not inside sampling loops; the two logs are on
+/// independent sim clocks (each phase restarts at tick 0). Under
+/// `system.config.forensics` the consensus phase is logged as well, and
+/// the output carries per-node decision provenance. Neither switch
+/// perturbs the schedule: decisions, reports and logs are bit-identical
+/// whichever turned the log on.
+pub fn execute_observed(system: &System) -> (ProtocolOutput, CausalGraph) {
     run(
         system.protocol,
         &system.kg,
@@ -174,28 +175,28 @@ fn run(
     faulty: &ProcessSet,
     config: &EndToEndConfig,
     stale_joiner: Option<ProcessId>,
-) -> (ProtocolOutput, Vec<TraceEvent>, Vec<TraceEvent>) {
+) -> (ProtocolOutput, CausalGraph) {
     let inputs = config
         .inputs
         .as_deref()
         .expect("a run's configuration carries its inputs");
     debug_assert_eq!(inputs.len(), kg.n());
     let scp = |slices| consensus::run_scp_with_slices_observed(kg, faulty, slices, inputs, config);
-    let (knowledge, knowledge_trace, mut phase) = match protocol {
+    let (knowledge, knowledge_log, phase) = match protocol {
         ProtocolSpec::StellarMinimal => {
-            let (detections, report, trace) =
+            let (detections, report, log) =
                 consensus::run_sink_detection_traced(kg, f, faulty, config);
             let slices = consensus::slices_from_detections(&detections, f);
-            (report, trace, scp(slices))
+            (report, log, scp(slices))
         }
         ProtocolSpec::StellarLocal(strategy) => (
             SimReport::default(),
-            Vec::new(),
+            CausalGraph::disabled(),
             scp(consensus::local_slices(kg, f, strategy)),
         ),
         ProtocolSpec::BftCup => (
             SimReport::default(),
-            Vec::new(),
+            CausalGraph::disabled(),
             consensus::run_bftcup(kg, f, faulty, config, stale_joiner),
         ),
     };
@@ -214,9 +215,8 @@ fn run(
                 .map(move |v| format!("process {i}: {v}"))
         })
         .collect();
-    let consensus_trace = std::mem::take(&mut phase.trace);
     let output = ProtocolOutput::new(inputs.to_vec(), knowledge, phase, pledge_violations);
-    (output, knowledge_trace, consensus_trace)
+    (output, knowledge_log)
 }
 
 #[cfg(test)]

@@ -214,7 +214,7 @@ fn equivocation_pairs_are_attributed_in_the_cone() {
     let seed = 0;
     let mut system = System::of(&scenario, seed, &AdversaryRegistry::builtin()).unwrap();
     system.config.forensics = true;
-    let (output, _, _) = protocol::execute_observed(&system);
+    let (output, _) = protocol::execute_observed(&system);
     assert!(
         !output.causal.equivocations().is_empty(),
         "the equivocator's same-slot splits must be recorded"

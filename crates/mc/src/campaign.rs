@@ -17,9 +17,9 @@ use scup_harness::campaign::{configuration_panic, worker_threads, Campaign};
 use scup_harness::forensics::ForensicReport;
 use scup_harness::scenario::ProtocolSpec;
 use scup_harness::{oracle, AdversaryRegistry, OracleMode, Scenario};
+use scup_obs::causal::CausalKind;
 use scup_obs::chrome::{ArgValue, ChromeEvent, TraceBuffer, TraceClock};
 use scup_obs::profile::Phase;
-use scup_sim::TraceEvent;
 
 use crate::build::{Driver, Explored, Setup};
 use crate::explorer::{Class, Engine, StateCapExceeded, WorkerStats};
@@ -561,10 +561,11 @@ fn push_phase_spans(
     }
 }
 
-/// Replays the counterexample path with tracing on and renders it. With
-/// `forensics`, the replay also records the causal event graph and
-/// per-process decision provenance, and the report gains the violation's
-/// causal cone and provenance chains.
+/// Replays the counterexample path with the event log on and renders its
+/// deliveries and timer fires as the schedule. With `forensics`, the
+/// replay also records per-process decision provenance, and the report
+/// gains the violation's causal cone over that log and its provenance
+/// chains.
 fn render_cex<P: Explored>(
     driver: &Driver<'_, P>,
     engine: &Engine<'_, P>,
@@ -575,31 +576,25 @@ fn render_cex<P: Explored>(
 ) -> CexReport {
     let setup = driver.setup();
     let mut sim = driver.build_sim(variant);
-    sim.enable_trace();
+    sim.enable_causal();
     if forensics {
-        sim.enable_causal();
         driver.enable_provenance(&mut sim);
     }
     engine.replay_into(&mut sim, path);
     let decisions = driver.decisions(&sim);
 
-    let schedule = sim
-        .trace()
+    let log = sim.causal();
+    let schedule = log
         .events()
         .iter()
-        .map(|e| match e {
-            TraceEvent::Delivered {
-                from, to, payload, ..
-            } => format!("deliver {from}->{to}: {payload}"),
-            TraceEvent::Timer { process, tag, .. } => format!("timer {process} tag {tag}"),
-            TraceEvent::Sent { .. }
-            | TraceEvent::Dropped { .. }
-            | TraceEvent::Crashed { .. }
-            | TraceEvent::Recovered { .. }
-            | TraceEvent::Joined { .. }
-            | TraceEvent::Left { .. } => {
-                unreachable!("ExploreSim only records deliveries and timers")
+        .filter_map(|e| match e.kind {
+            CausalKind::Deliver { from, to } => {
+                let payload = log.payload(e.id).unwrap_or_default();
+                Some(format!("deliver p{from}->p{to}: {payload}"))
             }
+            CausalKind::Timer { process, tag } => Some(format!("timer p{process} tag {tag}")),
+            // The sends are the schedule's consequences, not its choices.
+            _ => None,
         })
         .collect();
 
@@ -625,7 +620,7 @@ fn render_cex<P: Explored>(
             scenario,
             variant as u64,
             &violations,
-            sim.causal(),
+            log,
             &provenance,
             &decisions,
         )

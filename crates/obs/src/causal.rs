@@ -1,18 +1,27 @@
-//! Causal forensics: vector-clock event graphs and decision provenance.
+//! The event log of a run, and decision provenance.
 //!
-//! Two recorders live here, both **zero-cost when disabled** (every record
-//! call early-returns behind a single branch) and both kept *off* the
-//! bit-identity surface: nothing recorded here may flow into deterministic
-//! report fields, fingerprints, or schedules.
+//! A run in the paper's model (Section III-A) is a partial order of sends,
+//! authenticated deliveries and timer fires over reliable channels. The
+//! simulators record exactly that, once: the trace of a run *is* its
+//! [`CausalGraph`]. Both recorders here are **zero-cost when disabled**
+//! (every record call early-returns behind a single branch; no payload is
+//! rendered) and both are kept *off* the bit-identity surface: nothing
+//! recorded here may flow into deterministic report fields, fingerprints,
+//! or schedules.
 //!
-//! - [`CausalGraph`]: a per-run event DAG. Every network and fault-plane
-//!   event (send, deliver, drop, duplicate, timer, retransmit, crash,
-//!   recover) becomes a node carrying the acting process's
+//! - [`CausalGraph`]: the per-run event log, in recording order. Every
+//!   network, timer, fault-plane and churn-plane event (send, deliver,
+//!   drop, duplicate, timer, retransmit, crash, recover, join, leave) is
+//!   one [`CausalEvent`] carrying its tick, the acting process's
 //!   [`VectorClock`] and up to two parent edges: the previous event of the
 //!   same process, and — for deliveries, drops and duplicates — the send
-//!   that caused it. The backward closure of a violating decision over
-//!   this graph is its **causal cone**: the exact set of events that
-//!   could have influenced it.
+//!   that caused it. A send carries the rendered payload; whatever the
+//!   network later did to the message reads it through that cause edge
+//!   ([`CausalGraph::payload`]). Timelines (Perfetto export),
+//!   counterexample schedules and forensics are all views of this log; the
+//!   backward closure of a violating decision over it is the decision's
+//!   **causal cone**: the exact set of events that could have influenced
+//!   it.
 //! - [`ProvenanceLog`]: a per-process log of *why* each pledge was made.
 //!   Every vote→accept→confirm ratchet step records the justifying quorum
 //!   or v-blocking set ([`ProvEntry::support`]) plus the triggering
@@ -201,9 +210,26 @@ pub struct CausalEvent {
     pub kind: CausalKind,
     /// The acting process's vector clock *after* this event.
     pub clock: VectorClock,
-    /// Parent edges: `[program-order predecessor, causing send]`. Either
-    /// may be [`EventId::NONE`].
+    /// Parent edges: `[program-order predecessor, causing send]` for a
+    /// step of a process, `[causing send, NONE]` for a drop or duplicate.
+    /// Either may be [`EventId::NONE`].
     pub parents: [EventId; 2],
+    /// The rendered payload of a send recorded through
+    /// [`CausalGraph::record_send`]; `None` on every other event (read
+    /// theirs with [`CausalGraph::payload`]).
+    pub payload: Option<String>,
+}
+
+impl CausalEvent {
+    /// The send this delivery, drop or duplicate happened to
+    /// ([`EventId::NONE`] for every other kind).
+    pub fn cause(&self) -> EventId {
+        match self.kind {
+            CausalKind::Deliver { .. } => self.parents[1],
+            CausalKind::Drop { .. } | CausalKind::Duplicate { .. } => self.parents[0],
+            _ => EventId::NONE,
+        }
+    }
 }
 
 /// An attributed equivocation: one process sent two payloads that claim
@@ -228,10 +254,10 @@ pub struct EquivocationPair {
     pub second: EventId,
 }
 
-/// A zero-cost-when-disabled recorder of the causal event DAG.
+/// The zero-cost-when-disabled event log of one run.
 ///
 /// Disabled by default; [`CausalGraph::enable`] sizes the per-process
-/// clock state. Every `record_*` call returns the new event's id (or
+/// clock state. [`CausalGraph::record`] returns the new event's id (or
 /// [`EventId::NONE`] when disabled) so the simulation can thread send→
 /// deliver causality through its event queue.
 #[derive(Debug, Clone, Default)]
@@ -248,7 +274,7 @@ pub struct CausalGraph {
 }
 
 impl CausalGraph {
-    /// A disabled graph (records nothing).
+    /// A disabled log (records nothing).
     pub fn disabled() -> Self {
         CausalGraph::default()
     }
@@ -289,132 +315,102 @@ impl CausalGraph {
             .unwrap_or(EventId::NONE)
     }
 
-    fn push(
-        &mut self,
-        at: u64,
-        kind: CausalKind,
-        clock: VectorClock,
-        parents: [EventId; 2],
-    ) -> EventId {
+    /// The rendered payload of the message event `id` is about: a send's
+    /// own, a delivery's, drop's or duplicate's through its cause. `None`
+    /// for events without a message and for sends recorded without one.
+    pub fn payload(&self, id: EventId) -> Option<&str> {
+        let event = self.events.get(id.0 as usize)?;
+        let send = match event.kind {
+            CausalKind::Send { .. } => event,
+            _ => self.events.get(event.cause().0 as usize)?,
+        };
+        send.payload.as_deref()
+    }
+
+    /// Appends one event and returns its id ([`EventId::NONE`] while
+    /// disabled). `cause` is the send a delivery, drop or duplicate
+    /// happened to, [`EventId::NONE`] for every other kind.
+    ///
+    /// A drop or duplicate is a network artifact: it depends on the
+    /// causing send but advances *no* process clock and enters no program
+    /// order, so later events never falsely depend on undelivered
+    /// messages. Every other kind is a step of its
+    /// [`CausalKind::acting_process`]: it merges the cause's clock, ticks
+    /// the process's own component and becomes its program-order tail.
+    #[inline]
+    pub fn record(&mut self, at: u64, kind: CausalKind, cause: EventId) -> EventId {
+        if !self.enabled {
+            return EventId::NONE;
+        }
+        self.append(at, kind, cause)
+    }
+
+    /// [`CausalGraph::record`] while the log is on; kept out of line so
+    /// that the off case is one branch at the simulator's event site.
+    #[inline(never)]
+    fn append(&mut self, at: u64, kind: CausalKind, cause: EventId) -> EventId {
         let id = EventId(self.events.len() as u32);
+        // `EventId::NONE` indexes past every event.
+        let send_clock = self.events.get(cause.0 as usize).map(|send| &send.clock);
+        let (clock, parents) = match kind {
+            CausalKind::Drop { .. } | CausalKind::Duplicate { .. } => {
+                let clock = send_clock
+                    .cloned()
+                    .unwrap_or_else(|| VectorClock::new(self.clocks.len()));
+                (clock, [cause, EventId::NONE])
+            }
+            _ => {
+                let p = kind.acting_process() as usize;
+                if p >= self.clocks.len() {
+                    return EventId::NONE;
+                }
+                if let Some(other) = send_clock {
+                    self.clocks[p].merge(other);
+                }
+                self.clocks[p].tick(p);
+                let prev = std::mem::replace(&mut self.last[p], id);
+                (self.clocks[p].clone(), [prev, cause])
+            }
+        };
         self.events.push(CausalEvent {
             id,
             at,
             kind,
             clock,
             parents,
+            payload: None,
         });
         id
     }
 
-    /// An event that advances `process`'s clock and program order.
-    fn record_step(&mut self, at: u64, process: u32, kind: CausalKind, cause: EventId) -> EventId {
-        if !self.enabled {
-            return EventId::NONE;
+    /// Records a message leaving `from` for `to`, with what it carried.
+    /// `describe` runs only while the log is on, so a disabled log never
+    /// renders a payload; it returns the rendered payload and the
+    /// message's slot claim — the `(slot, digest)` of the simulator's
+    /// `SimMessage::equivocation_key`, if it has one. Two sends by the
+    /// same process claiming the same slot with different digests book an
+    /// [`EquivocationPair`] (one witness pair per contested slot); the
+    /// claim is send-time evidence, booked before the network can drop or
+    /// split the message.
+    pub fn record_send(
+        &mut self,
+        at: u64,
+        from: u32,
+        to: u32,
+        describe: impl FnOnce() -> (String, Option<(u64, u64)>),
+    ) -> EventId {
+        let id = self.record(at, CausalKind::Send { from, to }, EventId::NONE);
+        if id.is_some() {
+            let (payload, claim) = describe();
+            self.events[id.0 as usize].payload = Some(payload);
+            if let Some((slot, digest)) = claim {
+                self.claim_slot(from, slot, digest, id);
+            }
         }
-        let p = process as usize;
-        if p >= self.clocks.len() {
-            return EventId::NONE;
-        }
-        if cause.is_some() {
-            let other = self.events[cause.0 as usize].clock.clone();
-            self.clocks[p].merge(&other);
-        }
-        self.clocks[p].tick(p);
-        let prev = self.last[p];
-        let id = self.push(at, kind, self.clocks[p].clone(), [prev, cause]);
-        self.last[p] = id;
         id
     }
 
-    /// A network artifact (drop/duplicate): depends on the causing send
-    /// but advances *no* process clock and enters no program order, so
-    /// later events never falsely depend on undelivered messages.
-    fn record_artifact(&mut self, at: u64, kind: CausalKind, cause: EventId) -> EventId {
-        if !self.enabled {
-            return EventId::NONE;
-        }
-        let clock = if cause.is_some() {
-            self.events[cause.0 as usize].clock.clone()
-        } else {
-            VectorClock::new(self.clocks.len())
-        };
-        self.push(at, kind, clock, [cause, EventId::NONE])
-    }
-
-    /// Records a message leaving `from` for `to`.
-    pub fn record_send(&mut self, at: u64, from: u32, to: u32) -> EventId {
-        self.record_step(at, from, CausalKind::Send { from, to }, EventId::NONE)
-    }
-
-    /// Records delivery of the message sent at `cause` to `to`.
-    pub fn record_deliver(&mut self, at: u64, from: u32, to: u32, cause: EventId) -> EventId {
-        self.record_step(at, to, CausalKind::Deliver { from, to }, cause)
-    }
-
-    /// Records the fault plane dropping the message sent at `cause`.
-    pub fn record_drop(&mut self, at: u64, from: u32, to: u32, cause: EventId) -> EventId {
-        self.record_artifact(at, CausalKind::Drop { from, to }, cause)
-    }
-
-    /// Records the fault plane duplicating the message sent at `cause`.
-    pub fn record_duplicate(&mut self, at: u64, from: u32, to: u32, cause: EventId) -> EventId {
-        self.record_artifact(at, CausalKind::Duplicate { from, to }, cause)
-    }
-
-    /// Records a protocol timer firing at `process`.
-    pub fn record_timer(&mut self, at: u64, process: u32, tag: u64) -> EventId {
-        self.record_step(
-            at,
-            process,
-            CausalKind::Timer { process, tag },
-            EventId::NONE,
-        )
-    }
-
-    /// Records a retransmission round firing at `process`.
-    pub fn record_retransmit(&mut self, at: u64, process: u32) -> EventId {
-        self.record_step(
-            at,
-            process,
-            CausalKind::Retransmit { process },
-            EventId::NONE,
-        )
-    }
-
-    /// Records the fault plane crashing `process`.
-    pub fn record_crash(&mut self, at: u64, process: u32) -> EventId {
-        self.record_step(at, process, CausalKind::Crash { process }, EventId::NONE)
-    }
-
-    /// Records the fault plane recovering `process`.
-    pub fn record_recover(&mut self, at: u64, process: u32) -> EventId {
-        self.record_step(at, process, CausalKind::Recover { process }, EventId::NONE)
-    }
-
-    /// Records the churn plane materializing `process` (join).
-    pub fn record_join(&mut self, at: u64, process: u32) -> EventId {
-        self.record_step(at, process, CausalKind::Join { process }, EventId::NONE)
-    }
-
-    /// Records the churn plane silencing `process` (departure).
-    pub fn record_leave(&mut self, at: u64, process: u32) -> EventId {
-        self.record_step(at, process, CausalKind::Leave { process }, EventId::NONE)
-    }
-
-    /// Notes the payload identity of the send recorded as `send_ev`:
-    /// `slot` is the protocol slot the payload claims and `digest` its
-    /// content fingerprint (the simulator feeds both from
-    /// `SimMessage::equivocation_key`). Two sends by the same process
-    /// claiming the same slot with different digests book an
-    /// [`EquivocationPair`] (one witness pair per contested slot).
-    ///
-    /// No-op when disabled — like every recorder here, this is pure
-    /// observability.
-    pub fn note_send_payload(&mut self, from: u32, slot: u64, digest: u64, send_ev: EventId) {
-        if !self.enabled || !send_ev.is_some() {
-            return;
-        }
+    fn claim_slot(&mut self, from: u32, slot: u64, digest: u64, send_ev: EventId) {
         match self.slot_claims.entry((from, slot)) {
             std::collections::btree_map::Entry::Vacant(e) => {
                 e.insert((digest, send_ev, false));
@@ -706,56 +702,97 @@ pub fn walk_to_roots(logs: &[ProvenanceLog], process: u32, label: &str) -> ProvW
 #[cfg(test)]
 mod tests {
     use super::*;
+    use CausalKind::*;
+
+    /// A graph over `n` processes, recording.
+    fn graph(n: usize) -> CausalGraph {
+        let mut g = CausalGraph::disabled();
+        g.enable(n);
+        g
+    }
+
+    fn send(g: &mut CausalGraph, at: u64, from: u32, to: u32) -> EventId {
+        g.record(at, Send { from, to }, EventId::NONE)
+    }
+
+    fn timer(g: &mut CausalGraph, at: u64, process: u32, tag: u64) -> EventId {
+        g.record(at, Timer { process, tag }, EventId::NONE)
+    }
+
+    /// A send claiming `slot` with a payload of digest `digest`.
+    fn claim(g: &mut CausalGraph, at: u64, to: u32, slot: u64, digest: u64) -> EventId {
+        g.record_send(at, 0, to, || (format!("v{digest}"), Some((slot, digest))))
+    }
 
     #[test]
     fn disabled_graph_records_nothing() {
         let mut g = CausalGraph::disabled();
-        assert_eq!(g.record_send(1, 0, 1), EventId::NONE);
-        assert_eq!(g.record_timer(2, 0, 7), EventId::NONE);
+        assert_eq!(send(&mut g, 1, 0, 1), EventId::NONE);
+        assert_eq!(timer(&mut g, 2, 0, 7), EventId::NONE);
+        let described = g.record_send(3, 0, 1, || unreachable!("rendered while off"));
+        assert_eq!(described, EventId::NONE);
         assert!(g.is_empty());
         assert!(!g.is_enabled());
     }
 
     #[test]
     fn deliver_merges_clocks_and_links_cause() {
-        let mut g = CausalGraph::disabled();
-        g.enable(3);
-        let s = g.record_send(1, 0, 1);
-        let d = g.record_deliver(5, 0, 1, s);
+        let mut g = graph(3);
+        let s = send(&mut g, 1, 0, 1);
+        let d = g.record(5, Deliver { from: 0, to: 1 }, s);
         let events = g.events();
         assert_eq!(events[s.0 as usize].clock.get(0), 1);
         let dc = &events[d.0 as usize].clock;
         assert_eq!((dc.get(0), dc.get(1)), (1, 1), "merged then ticked");
         assert_eq!(events[d.0 as usize].parents, [EventId::NONE, s]);
+        assert_eq!(events[d.0 as usize].cause(), s);
         assert!(g.happens_before(s, d));
         assert!(!g.happens_before(d, s));
     }
 
     #[test]
     fn drops_do_not_advance_clocks() {
-        let mut g = CausalGraph::disabled();
-        g.enable(2);
-        let s = g.record_send(1, 0, 1);
-        let dr = g.record_drop(3, 0, 1, s);
-        let t = g.record_timer(9, 1, 4);
+        let mut g = graph(2);
+        let s = send(&mut g, 1, 0, 1);
+        let dr = g.record(3, Drop { from: 0, to: 1 }, s);
+        let t = timer(&mut g, 9, 1, 4);
         assert_eq!(
             g.events()[dr.0 as usize].clock,
             g.events()[s.0 as usize].clock
         );
+        assert_eq!(g.events()[dr.0 as usize].cause(), s);
         // The timer at process 1 is concurrent with the dropped send.
         assert!(!g.happens_before(s, t));
         assert_eq!(g.last_of(0), s, "drop is not program order");
     }
 
     #[test]
+    fn a_payload_is_stored_on_the_send_and_read_through_the_cause() {
+        let mut g = graph(2);
+        let s = g.record_send(1, 0, 1, || ("Ping(7)".into(), None));
+        let dup = g.record(1, Duplicate { from: 0, to: 1 }, s);
+        let d = g.record(4, Deliver { from: 0, to: 1 }, s);
+        let dr = g.record(6, Drop { from: 0, to: 1 }, s);
+        let t = timer(&mut g, 9, 1, 4);
+        for id in [s, dup, d, dr] {
+            assert_eq!(g.payload(id), Some("Ping(7)"));
+        }
+        assert_eq!(g.payload(t), None, "a timer is about no message");
+        assert_eq!(g.payload(EventId::NONE), None);
+        let bare = send(&mut g, 10, 1, 0);
+        assert_eq!(g.payload(bare), None, "recorded without a payload");
+        let stored = g.events().iter().filter(|e| e.payload.is_some()).count();
+        assert_eq!(stored, 1, "rendered once, on the send");
+    }
+
+    #[test]
     fn cone_is_backward_closure() {
-        let mut g = CausalGraph::disabled();
-        g.enable(3);
-        let s01 = g.record_send(1, 0, 1);
-        let d01 = g.record_deliver(4, 0, 1, s01);
-        let s12 = g.record_send(5, 1, 2);
-        let _unrelated = g.record_timer(6, 0, 9);
-        let d12 = g.record_deliver(8, 1, 2, s12);
+        let mut g = graph(3);
+        let s01 = send(&mut g, 1, 0, 1);
+        let d01 = g.record(4, Deliver { from: 0, to: 1 }, s01);
+        let s12 = send(&mut g, 5, 1, 2);
+        let _unrelated = timer(&mut g, 6, 0, 9);
+        let d12 = g.record(8, Deliver { from: 1, to: 2 }, s12);
         let cone = g.cone(&[d12]);
         assert_eq!(cone, vec![s01, d01, s12, d12]);
         assert!(cone.len() < g.len(), "cone strictly smaller than graph");
@@ -763,11 +800,10 @@ mod tests {
 
     #[test]
     fn join_and_leave_enter_program_order() {
-        let mut g = CausalGraph::disabled();
-        g.enable(2);
-        let j = g.record_join(5, 1);
-        let s = g.record_send(6, 1, 0);
-        let l = g.record_leave(9, 1);
+        let mut g = graph(2);
+        let j = g.record(5, Join { process: 1 }, EventId::NONE);
+        let s = send(&mut g, 6, 1, 0);
+        let l = g.record(9, Leave { process: 1 }, EventId::NONE);
         assert!(g.happens_before(j, s));
         assert!(g.happens_before(s, l));
         assert_eq!(g.last_of(1), l);
@@ -775,19 +811,14 @@ mod tests {
 
     #[test]
     fn equivocation_pairs_book_one_witness_per_slot() {
-        let mut g = CausalGraph::disabled();
-        g.enable(3);
-        let a = g.record_send(1, 0, 1);
-        g.note_send_payload(0, 7, 100, a);
+        let mut g = graph(3);
+        let a = claim(&mut g, 1, 1, 7, 100);
         // Same slot, same digest: a split broadcast, not an equivocation.
-        let b = g.record_send(1, 0, 2);
-        g.note_send_payload(0, 7, 100, b);
+        claim(&mut g, 1, 2, 7, 100);
         assert!(g.equivocations().is_empty());
         // Same slot, different digest: booked once...
-        let c = g.record_send(2, 0, 2);
-        g.note_send_payload(0, 7, 200, c);
-        let d = g.record_send(3, 0, 1);
-        g.note_send_payload(0, 7, 300, d);
+        let c = claim(&mut g, 2, 2, 7, 200);
+        claim(&mut g, 3, 1, 7, 300);
         assert_eq!(
             g.equivocations(),
             &[EquivocationPair {
@@ -798,28 +829,24 @@ mod tests {
             }]
         );
         // ...and a different slot books independently.
-        let e = g.record_send(4, 0, 1);
-        g.note_send_payload(0, 8, 100, e);
-        let f = g.record_send(5, 0, 2);
-        g.note_send_payload(0, 8, 101, f);
+        claim(&mut g, 4, 1, 8, 100);
+        claim(&mut g, 5, 2, 8, 101);
         assert_eq!(g.equivocations().len(), 2);
     }
 
     #[test]
     fn disabled_graph_books_no_equivocations() {
         let mut g = CausalGraph::disabled();
-        let a = g.record_send(1, 0, 1);
-        g.note_send_payload(0, 7, 100, a);
-        g.note_send_payload(0, 7, 200, a);
+        claim(&mut g, 1, 1, 7, 100);
+        claim(&mut g, 1, 1, 7, 200);
         assert!(g.equivocations().is_empty());
     }
 
     #[test]
     fn dot_renders_clusters_and_edges() {
-        let mut g = CausalGraph::disabled();
-        g.enable(2);
-        let s = g.record_send(1, 0, 1);
-        let d = g.record_deliver(2, 0, 1, s);
+        let mut g = graph(2);
+        let s = send(&mut g, 1, 0, 1);
+        let d = g.record(2, Deliver { from: 0, to: 1 }, s);
         let all: Vec<EventId> = g.events().iter().map(|e| e.id).collect();
         let dot = g.to_dot(&all, "test");
         assert!(dot.contains("cluster_p0"));

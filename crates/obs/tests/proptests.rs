@@ -2,7 +2,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use scup_obs::causal::{CausalGraph, EventId, VectorClock};
+use scup_obs::causal::{CausalGraph, CausalKind, EventId, VectorClock};
 
 fn clock_of(components: &[u64]) -> VectorClock {
     let mut c = VectorClock::new(components.len());
@@ -54,19 +54,19 @@ fn graph_of(ops: &[CausalOp]) -> CausalGraph {
         let at = at as u64;
         match *op {
             CausalOp::Send { from, to } => {
-                let id = g.record_send(at, from, to);
+                let id = g.record(at, CausalKind::Send { from, to }, EventId::NONE);
                 in_flight.push_back((from, to, id));
             }
             CausalOp::DeliverOldest => {
                 if let Some((from, to, cause)) = in_flight.pop_front() {
-                    g.record_deliver(at, from, to, cause);
+                    g.record(at, CausalKind::Deliver { from, to }, cause);
                 }
             }
             CausalOp::Timer { process, tag } => {
-                g.record_timer(at, process, tag);
+                g.record(at, CausalKind::Timer { process, tag }, EventId::NONE);
             }
             CausalOp::Crash { process } => {
-                g.record_crash(at, process);
+                g.record(at, CausalKind::Crash { process }, EventId::NONE);
             }
         }
     }

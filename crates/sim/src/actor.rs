@@ -37,8 +37,8 @@ pub trait SimMessage: Clone + Debug + 'static {
     /// nomination). `slot` identifies the position (without the value),
     /// `digest` fingerprints the claimed content. Two sends by one
     /// process with equal `slot` but different `digest` are an
-    /// equivocation, attributed by the causal recorder
-    /// ([`scup_obs::causal::CausalGraph::note_send_payload`]).
+    /// equivocation, attributed by the event log
+    /// ([`scup_obs::causal::CausalGraph::record_send`]).
     ///
     /// `sender` is the process transmitting this copy; gossip protocols
     /// whose envelopes carry an `origin` distinct from the transmitter
@@ -47,7 +47,7 @@ pub trait SimMessage: Clone + Debug + 'static {
     /// themselves equivocating.
     ///
     /// The default (`None`) opts the message out of equivocation
-    /// tracking; it is only consulted when causal recording is enabled,
+    /// tracking; it is only consulted while the event log is on,
     /// so it stays entirely off the bit-identity surface.
     fn equivocation_key(&self, sender: ProcessId) -> Option<(u64, u64)> {
         let _ = sender;

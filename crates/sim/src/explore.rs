@@ -57,7 +57,7 @@
 //!   the table pins one object per distinct slot state, not one per
 //!   step — and records the step. Only an exhaustive search over actors
 //!   whose fingerprint is a congruence (below) may hand one out: a
-//!   memoised simulation records no trace and no causal graph, and its
+//!   memoised simulation records no event log, and its
 //!   observational actor state (statistics, provenance) is whichever
 //!   path first produced each slot. A simulation without a memo executes
 //!   every step.
@@ -71,7 +71,7 @@
 //! rng-dependent behaviour would make visited-state pruning unsound. All
 //! protocol actors in this workspace are rng-free. They cannot observe
 //! time either: [`Context::now`] is [`SimTime::ZERO`] in every callback
-//! (only trace and causal records carry the fired-event count).
+//! (only the event log carries the fired-event count).
 //!
 //! Congruence contract: visited-state pruning assumes that slots with
 //! equal hashes behave equally from then on, and the memo relies on it
@@ -93,11 +93,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng as _;
 use scup_graph::{KnowledgeGraph, ProcessId, ProcessSet};
 
-use scup_obs::causal::{CausalGraph, EventId};
+use scup_obs::causal::{CausalGraph, CausalKind, EventId};
 
 use crate::actor::{Actor, Context, SimMessage};
 use crate::time::SimTime;
-use crate::trace::{Trace, TraceEvent};
 
 /// A canonical, deterministic 128-bit state hasher (two independent
 /// FNV-1a-style streams). Unlike [`std::hash::DefaultHasher`], its output
@@ -492,9 +491,9 @@ struct SharedEvent<M> {
 struct Pending<M> {
     event: Rc<SharedEvent<M>>,
     hash: u128,
-    /// Causal-graph id of the send that enqueued this event
-    /// ([`EventId::NONE`] unless causal recording is on — i.e. during
-    /// counterexample replay). Never part of the state hash.
+    /// Log id of the send that enqueued this event ([`EventId::NONE`]
+    /// while the event log is off — i.e. outside counterexample replay).
+    /// Never part of the state hash.
     cause: EventId,
 }
 
@@ -712,7 +711,8 @@ pub struct ExploreSim<M: SimMessage> {
     events_fired: u64,
     started: bool,
     rng: StdRng,
-    trace: Trace,
+    /// The event log of the one path fired so far. Off unless
+    /// [`ExploreSim::enable_causal`] was called.
     causal: CausalGraph,
     outbox_buf: Vec<(ProcessId, M)>,
     timers_buf: Vec<(u64, u64)>,
@@ -738,7 +738,6 @@ impl<M: SimMessage> ExploreSim<M> {
             events_fired: 0,
             started: false,
             rng: StdRng::seed_from_u64(0),
-            trace: Trace::new(),
             causal: CausalGraph::disabled(),
             outbox_buf: Vec::new(),
             timers_buf: Vec::new(),
@@ -820,29 +819,11 @@ impl<M: SimMessage> ExploreSim<M> {
         any.downcast_ref::<T>()
     }
 
-    /// Enables event tracing (used to render counterexample schedules).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a memoised simulation: a replayed step records nothing.
-    pub fn enable_trace(&mut self) {
-        assert!(
-            self.memo.is_none(),
-            "a memoised simulation records no trace"
-        );
-        self.trace.enable();
-    }
-
-    /// The recorded trace.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Enables causal event-graph recording (used when replaying a
-    /// counterexample schedule to build its forensic report). Not
-    /// meaningful for branching exploration: the graph records the one
-    /// linear schedule actually fired and is untouched by
-    /// [`ExploreSim::restore`].
+    /// Turns the event log on (see [`CausalGraph`]; used when replaying
+    /// a counterexample schedule, to render it and to build its forensic
+    /// report). Not meaningful for branching exploration: the log records
+    /// the one linear schedule actually fired and is untouched by
+    /// [`ExploreSim::restore`]. Event times are fired-event counts.
     ///
     /// # Panics
     ///
@@ -850,7 +831,7 @@ impl<M: SimMessage> ExploreSim<M> {
     pub fn enable_causal(&mut self) {
         assert!(
             self.memo.is_none(),
-            "a memoised simulation records no causal graph"
+            "a memoised simulation records no event log"
         );
         self.causal.enable(self.kg.n());
     }
@@ -869,11 +850,11 @@ impl<M: SimMessage> ExploreSim<M> {
     ///
     /// # Panics
     ///
-    /// Panics when trace or causal recording is on.
+    /// Panics when the event log is on.
     pub fn memoise_steps(&mut self) {
         assert!(
-            !self.trace.is_enabled() && !self.causal.is_enabled(),
-            "a memoised simulation records no trace and no causal graph"
+            !self.causal.is_enabled(),
+            "a memoised simulation records no event log"
         );
         self.memo.get_or_insert_with(|| StepMemo {
             steps: FoldMap::default(),
@@ -889,7 +870,8 @@ impl<M: SimMessage> ExploreSim<M> {
         (self.steps_replayed, self.steps_executed)
     }
 
-    /// The recorded causal event graph.
+    /// The event log (empty unless [`ExploreSim::enable_causal`] was
+    /// called before the first fire).
     pub fn causal(&self) -> &CausalGraph {
         &self.causal
     }
@@ -941,9 +923,13 @@ impl<M: SimMessage> ExploreSim<M> {
         f(&mut *slot.actor, &mut ctx);
         let mut enqueued = 0;
         for (to, msg) in outbox.drain(..) {
-            let cause = self
-                .causal
-                .record_send(self.events_fired, pid.as_u32(), to.as_u32());
+            // No slot claim: equivocation attribution is a sampled-run
+            // report, and an explored adversary is part of the scenario.
+            let cause =
+                self.causal
+                    .record_send(self.events_fired, pid.as_u32(), to.as_u32(), || {
+                        (format!("{msg:?}"), None)
+                    });
             self.pending.push(Pending::new(
                 ExploreEvent::Deliver { from: pid, to, msg },
                 cause,
@@ -977,7 +963,7 @@ impl<M: SimMessage> ExploreSim<M> {
     /// for forced moves the caller has proven commute with every enabled
     /// alternative (threshold-inert deliveries fired eagerly by the model
     /// checker's persistent-set reduction). The event still counts toward
-    /// `events_fired` and still appears in the trace.
+    /// `events_fired` and still appears in the event log.
     pub fn fire_uncounted(&mut self, idx: usize) -> usize {
         self.fire_inner(idx)
     }
@@ -1041,38 +1027,33 @@ impl<M: SimMessage> ExploreSim<M> {
                 // Authenticated channel: receiving teaches the receiver
                 // the sender's identity, exactly like the timed simulator.
                 Self::slot_mut(&mut self.slots, to).known.insert(from);
-                self.record_delivery(from, to, &msg, pending.cause);
+                self.record_delivery(from, to, pending.cause);
                 self.dispatch(to, |actor, ctx| actor.on_message(ctx, from, msg))
             }
             ExploreEvent::Timer { process, tag } => {
-                scup_obs::obs_event!(
-                    self.trace,
-                    TraceEvent::Timer {
-                        at: SimTime::from_ticks(self.events_fired),
-                        process,
+                self.causal.record(
+                    self.events_fired,
+                    CausalKind::Timer {
+                        process: process.as_u32(),
                         tag,
-                    }
+                    },
+                    EventId::NONE,
                 );
-                self.causal
-                    .record_timer(self.events_fired, process.as_u32(), tag);
                 self.dispatch(process, |actor, ctx| actor.on_timer(ctx, tag))
             }
         }
     }
 
-    /// The trace and causal records of one delivery, fired or absorbed.
-    fn record_delivery(&mut self, from: ProcessId, to: ProcessId, msg: &M, cause: EventId) {
-        scup_obs::obs_event!(
-            self.trace,
-            TraceEvent::Delivered {
-                at: SimTime::from_ticks(self.events_fired),
-                from,
-                to,
-                payload: format!("{msg:?}"),
-            }
+    /// Logs one delivery, fired or absorbed.
+    fn record_delivery(&mut self, from: ProcessId, to: ProcessId, cause: EventId) {
+        self.causal.record(
+            self.events_fired,
+            CausalKind::Deliver {
+                from: from.as_u32(),
+                to: to.as_u32(),
+            },
+            cause,
         );
-        self.causal
-            .record_deliver(self.events_fired, from.as_u32(), to.as_u32(), cause);
     }
 
     /// `true` when pending event `idx` is a delivery its recipient declares
@@ -1091,7 +1072,7 @@ impl<M: SimMessage> ExploreSim<M> {
     ///
     /// An absorbed delivery is a no-op by contract, so it is retired
     /// *without calling the actor*: it leaves the pending multiset, counts
-    /// toward `events_fired`, and gets its trace and causal records —
+    /// toward `events_fired`, and gets its log event —
     /// nothing else happens, no slot is written. Debug builds check the
     /// contract on every one (see `assert_absorbed_is_noop`).
     ///
@@ -1107,13 +1088,12 @@ impl<M: SimMessage> ExploreSim<M> {
                 continue;
             }
             self.events_fired += 1;
-            let shared = Rc::clone(&self.pending[idx].event);
-            let ExploreEvent::Deliver { from, to, msg } = &shared.event else {
+            let ExploreEvent::Deliver { from, to, .. } = self.pending[idx].event.event else {
                 unreachable!("only deliveries are absorbed");
             };
-            self.record_delivery(*from, *to, msg, self.pending[idx].cause);
+            self.record_delivery(from, to, self.pending[idx].cause);
             #[cfg(debug_assertions)]
-            self.assert_absorbed_is_noop(&shared.event);
+            self.assert_absorbed_is_noop(&Rc::clone(&self.pending[idx].event).event);
         }
         let absorbed = self.pending.len() - kept;
         self.pending.truncate(kept);
@@ -1617,6 +1597,62 @@ mod tests {
             fired += 1;
         }
         assert_eq!(fired, 6, "3 timer events per process, then quiescent");
+    }
+
+    #[test]
+    fn the_event_log_records_a_replayed_path_once() {
+        // Seven flooders and one timer re-armer, walked to quiescence
+        // along the canonical schedule with the log on.
+        let mut sim = ExploreSim::new(generators::fig1(), 2);
+        for _ in 0..7 {
+            sim.add_actor(Box::new(Flooder::default()));
+        }
+        sim.add_actor(Box::new(Rearm));
+        sim.enable_causal();
+        sim.start();
+        let (mut fired, mut absorbed) = (0, 0);
+        while !sim.is_quiescent() {
+            absorbed += sim.drain_absorbed();
+            if let Some(&idx) = sim.choices().first() {
+                sim.fire(idx);
+                fired += 1;
+            }
+        }
+        assert!(absorbed > 0, "the flood has duplicates to absorb");
+
+        let log = sim.causal();
+        let (mut sends, mut delivers, mut timer_tags) = (0, 0, Vec::new());
+        let mut last_at = 0;
+        for e in log.events() {
+            match e.kind {
+                CausalKind::Send { .. } => {
+                    sends += 1;
+                    assert!(e.payload.as_deref().unwrap().starts_with("Gossip("));
+                }
+                CausalKind::Deliver { from, to } => {
+                    delivers += 1;
+                    let send = &log.events()[e.cause().0 as usize];
+                    assert_eq!(send.kind, CausalKind::Send { from, to });
+                    assert_eq!(log.payload(e.id), send.payload.as_deref());
+                }
+                CausalKind::Timer { process, tag } => {
+                    assert_eq!(process, 7);
+                    timer_tags.push(tag);
+                }
+                other => panic!("the explorer has no {other:?}"),
+            }
+            // Event times are fired-event counts: each fire is one tick.
+            if !matches!(e.kind, CausalKind::Send { .. }) {
+                assert_eq!(e.at, last_at + 1);
+                last_at = e.at;
+            }
+        }
+        // One delivery per fired or absorbed delivery, one timer per
+        // timer fire; at quiescence every send was delivered.
+        assert_eq!(timer_tags, [0, 1], "the budget of two");
+        assert_eq!(delivers + 2, fired + absorbed);
+        assert_eq!(fired + absorbed, sim.events_fired());
+        assert_eq!(sends, delivers);
     }
 
     /// A [`Flooder`] that counts its forks, to pin the copy-on-write

@@ -24,6 +24,14 @@
 //! Runs are reproducible: all nondeterminism flows from the seed in
 //! [`NetworkConfig`].
 //!
+//! A run keeps **one event log**, a [`scup_obs::causal::CausalGraph`]:
+//! with [`Simulation::enable_causal`] (or [`ExploreSim::enable_causal`])
+//! every send, delivery, drop, duplicate, timer, crash, recovery, join
+//! and leave is recorded once, in order, each send with its payload
+//! rendered and each delivery linked to the send that caused it.
+//! Timelines, counterexample schedules and causal forensics are views of
+//! that log. It is off by default, and off it costs one branch per event.
+//!
 //! # Example
 //!
 //! ```
@@ -65,7 +73,6 @@ mod network;
 mod queue;
 mod runner;
 mod time;
-mod trace;
 
 pub mod adversary;
 pub mod churn;
@@ -82,7 +89,6 @@ pub use faults::{
 };
 pub use metrics::{bucket_bounds, bucket_of, ProcessStats, SimReport, HIST_BUCKETS};
 pub use network::NetworkConfig;
-pub use retransmit::{Backoff, ResilientActor, RetransmitConfig, RETRANSMIT_TAG};
+pub use retransmit::{Backoff, ResilientActor, RetransmitConfig, Retransmitter, RETRANSMIT_TAG};
 pub use runner::Simulation;
 pub use time::SimTime;
-pub use trace::{Trace, TraceEvent};

@@ -10,18 +10,20 @@
 //! which restores eventual delivery — the reliable-channel abstraction
 //! the paper assumes (Section III-A).
 //!
-//! Two pieces live here:
+//! Three pieces live here:
 //!
 //! - [`RetransmitConfig`] + [`Backoff`]: the shared schedule (exponential
 //!   backoff with deterministic jitter drawn from the simulation RNG,
-//!   capped interval, bounded round count) that `scup-scp` and `scup-cup`
-//!   nodes drive their native pledge-rebroadcast timers with;
-//! - [`ResilientActor`]: a generic wrapper that retrofits retransmission
-//!   onto any actor by recording its outbound messages and re-sending the
-//!   deduplicated log on each backoff round (used for the sink-detection
-//!   phase, whose actors predate the fault plane).
-
-use std::marker::PhantomData;
+//!   capped interval, bounded round count); `scup-scp` nodes drive their
+//!   native envelope re-flood with it directly;
+//! - [`Retransmitter`]: the schedule plus a deduplicated log of what was
+//!   sent, re-sent whole on each backoff round — the one retransmission
+//!   algorithm of every actor that has no backlog of its own to re-flood
+//!   (the BFT-CUP actor holds one natively);
+//! - [`ResilientActor`]: a generic wrapper that retrofits a
+//!   [`Retransmitter`] onto any actor by recording its outbound messages
+//!   (used for the sink-detection phase, whose actors predate the fault
+//!   plane).
 
 use rand::rngs::StdRng;
 use rand::RngExt as _;
@@ -143,11 +145,67 @@ impl Backoff {
     }
 }
 
-/// Retrofits ack-free retransmission onto any actor: records every
-/// message the inner actor sends (deduplicated) and re-sends the whole
-/// log on each backoff round. Receivers are expected to absorb
-/// duplicates — true for every protocol in this workspace, whose
-/// handlers dedup on message identity.
+/// Ack-free retransmission for one actor: a [`Backoff`] schedule and the
+/// deduplicated log of the messages the actor sent, re-sent whole on each
+/// round. Receivers are expected to absorb duplicates — true for every
+/// protocol in this workspace, whose handlers dedup on message identity.
+///
+/// The holder calls [`Retransmitter::note`] for every send,
+/// [`Retransmitter::arm`] once at start, [`Retransmitter::round`] when a
+/// [`RETRANSMIT_TAG`] timer fires and [`Retransmitter::reset`] after
+/// crash recovery. Under a disabled schedule all four do nothing.
+#[derive(Debug, Clone)]
+pub struct Retransmitter<M> {
+    cfg: RetransmitConfig,
+    backoff: Backoff,
+    log: Vec<(ProcessId, M)>,
+}
+
+impl<M: SimMessage + PartialEq> Retransmitter<M> {
+    /// An empty log on `cfg`'s schedule, at round zero.
+    pub fn new(cfg: RetransmitConfig) -> Self {
+        Retransmitter {
+            cfg,
+            backoff: Backoff::new(),
+            log: Vec::new(),
+        }
+    }
+
+    /// Remembers that `msg` went to `to`, once.
+    pub fn note(&mut self, to: ProcessId, msg: &M) {
+        if self.cfg.enabled() && !self.log.iter().any(|(t, m)| *t == to && m == msg) {
+            self.log.push((to, msg.clone()));
+        }
+    }
+
+    /// Arms the next round's timer, if the schedule has any left.
+    pub fn arm(&mut self, ctx: &mut Context<'_, M>) {
+        if let Some(delay) = self.backoff.next_delay(&self.cfg, ctx.rng()) {
+            ctx.set_timer(delay, RETRANSMIT_TAG);
+        }
+    }
+
+    /// One backoff round: re-sends the whole log, in the order it was
+    /// first sent, and arms the next round. Returns how many messages
+    /// were re-sent.
+    pub fn round(&mut self, ctx: &mut Context<'_, M>) -> u64 {
+        for (to, msg) in &self.log {
+            ctx.send(*to, msg.clone());
+        }
+        self.arm(ctx);
+        self.log.len() as u64
+    }
+
+    /// Restarts the schedule from the short intervals and arms it, so a
+    /// process rejoining after a crash catches up quickly.
+    pub fn reset(&mut self, ctx: &mut Context<'_, M>) {
+        self.backoff.reset();
+        self.arm(ctx);
+    }
+}
+
+/// Retrofits ack-free retransmission onto any actor: notes every message
+/// the inner actor sends in a [`Retransmitter`] and runs its rounds.
 ///
 /// The wrapper is for *timed* simulations only: it does not implement
 /// the exploration hooks (`fork` returns `None`), and its crash
@@ -155,11 +213,8 @@ impl Backoff {
 /// [`Actor::on_recover`]'s default).
 pub struct ResilientActor<M: SimMessage + PartialEq, A: Actor<M>> {
     inner: A,
-    cfg: RetransmitConfig,
-    backoff: Backoff,
-    log: Vec<(ProcessId, M)>,
+    retransmit: Retransmitter<M>,
     retransmissions: u64,
-    _marker: PhantomData<M>,
 }
 
 impl<M: SimMessage + PartialEq, A: Actor<M>> ResilientActor<M, A> {
@@ -167,11 +222,8 @@ impl<M: SimMessage + PartialEq, A: Actor<M>> ResilientActor<M, A> {
     pub fn new(inner: A, cfg: RetransmitConfig) -> Self {
         ResilientActor {
             inner,
-            cfg,
-            backoff: Backoff::new(),
-            log: Vec::new(),
+            retransmit: Retransmitter::new(cfg),
             retransmissions: 0,
-            _marker: PhantomData,
         }
     }
 
@@ -185,19 +237,10 @@ impl<M: SimMessage + PartialEq, A: Actor<M>> ResilientActor<M, A> {
         self.retransmissions
     }
 
-    /// Copies every send the inner callback appended past `mark` into the
-    /// dedup log.
+    /// Notes every send the inner callback appended past `mark`.
     fn capture(&mut self, ctx: &Context<'_, M>, mark: usize) {
-        for entry in &ctx.outbox[mark..] {
-            if !self.log.contains(entry) {
-                self.log.push(entry.clone());
-            }
-        }
-    }
-
-    fn arm(&mut self, ctx: &mut Context<'_, M>) {
-        if let Some(delay) = self.backoff.next_delay(&self.cfg, ctx.rng()) {
-            ctx.set_timer(delay, RETRANSMIT_TAG);
+        for (to, msg) in &ctx.outbox[mark..] {
+            self.retransmit.note(*to, msg);
         }
     }
 }
@@ -207,7 +250,7 @@ impl<M: SimMessage + PartialEq, A: Actor<M>> Actor<M> for ResilientActor<M, A> {
         let mark = ctx.outbox.len();
         self.inner.on_start(ctx);
         self.capture(ctx, mark);
-        self.arm(ctx);
+        self.retransmit.arm(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, M>, from: ProcessId, msg: M) {
@@ -218,11 +261,7 @@ impl<M: SimMessage + PartialEq, A: Actor<M>> Actor<M> for ResilientActor<M, A> {
 
     fn on_timer(&mut self, ctx: &mut Context<'_, M>, tag: u64) {
         if tag == RETRANSMIT_TAG {
-            for (to, msg) in &self.log {
-                ctx.outbox.push((*to, msg.clone()));
-            }
-            self.retransmissions += self.log.len() as u64;
-            self.arm(ctx);
+            self.retransmissions += self.retransmit.round(ctx);
         } else {
             let mark = ctx.outbox.len();
             self.inner.on_timer(ctx, tag);
@@ -235,8 +274,7 @@ impl<M: SimMessage + PartialEq, A: Actor<M>> Actor<M> for ResilientActor<M, A> {
         // but restart the re-announcement schedule from the short
         // intervals so the rejoining node catches up quickly.
         self.inner.on_recover(ctx, journal);
-        self.backoff.reset();
-        self.arm(ctx);
+        self.retransmit.reset(ctx);
     }
 }
 

@@ -4,8 +4,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
 use scup_graph::{KnowledgeGraph, ProcessId, ProcessSet};
 
-use scup_obs::causal::{CausalGraph, EventId};
-use scup_obs::obs_event;
+use scup_obs::causal::{CausalGraph, CausalKind, EventId};
 
 use crate::actor::{Actor, Context, SimMessage};
 use crate::churn::ChurnPlan;
@@ -15,15 +14,14 @@ use crate::network::NetworkConfig;
 use crate::queue::EventQueue;
 use crate::retransmit::RETRANSMIT_TAG;
 use crate::time::SimTime;
-use crate::trace::{Trace, TraceEvent};
 
 enum EventKind<M> {
     Deliver {
         from: ProcessId,
         to: ProcessId,
         msg: M,
-        /// Causal-graph id of the send that queued this delivery
-        /// ([`EventId::NONE`] unless causal recording is on).
+        /// Log id of the send that queued this delivery
+        /// ([`EventId::NONE`] while the event log is off).
         cause: EventId,
     },
     Timer {
@@ -76,7 +74,8 @@ pub struct Simulation<M: SimMessage> {
     queue: EventQueue<EventKind<M>>,
     rng: StdRng,
     report: SimReport,
-    trace: Trace,
+    /// The run's event log: every send, delivery, timer, fault and churn
+    /// event, once. Off unless [`Simulation::enable_causal`] was called.
     causal: CausalGraph,
     started: bool,
     /// Dispatch buffers reused across every actor callback: the outbox and
@@ -132,7 +131,6 @@ impl<M: SimMessage> Simulation<M> {
             queue: EventQueue::new(),
             rng,
             report,
-            trace: Trace::new(),
             causal: CausalGraph::disabled(),
             started: false,
             outbox_buf: Vec::new(),
@@ -293,26 +291,17 @@ impl<M: SimMessage> Simulation<M> {
         &self.report
     }
 
-    /// Enables event tracing (see [`Trace`]).
-    pub fn enable_trace(&mut self) {
-        self.trace.enable();
-    }
-
-    /// The event trace (empty unless [`Simulation::enable_trace`] was
-    /// called before the run).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Enables causal event-graph recording (see
-    /// [`CausalGraph`]). Like tracing, this is pure observability: it
-    /// never touches the RNG or the event schedule.
+    /// Turns the run's event log on (see [`CausalGraph`]): from here on
+    /// every simulator event is recorded once, each send with its payload
+    /// rendered. Pure observability: it never touches the RNG or the
+    /// event schedule. While off, an event costs one branch and renders
+    /// nothing.
     pub fn enable_causal(&mut self) {
         self.causal.enable(self.kg.n());
     }
 
-    /// The causal event graph (empty unless
-    /// [`Simulation::enable_causal`] was called before the run).
+    /// The run's event log (empty unless [`Simulation::enable_causal`]
+    /// was called before the run).
     pub fn causal(&self) -> &CausalGraph {
         &self.causal
     }
@@ -393,45 +382,27 @@ impl<M: SimMessage> Simulation<M> {
             let stats = &mut self.report.per_process[pid.index()];
             stats.sent += 1;
             stats.bytes_sent += bytes;
-            let send_ev = self
-                .causal
-                .record_send(self.now().ticks(), pid.as_u32(), to.as_u32());
-            // Equivocation attribution is send-time evidence: book the
-            // payload's slot claim before the network can drop or split
-            // it. Guarded by the recorder's enable flag, so the common
-            // path pays one branch and no payload hashing.
-            if self.causal.is_enabled() {
-                if let Some((slot, digest)) = msg.equivocation_key(pid) {
-                    self.causal
-                        .note_send_payload(pid.as_u32(), slot, digest, send_ev);
-                }
-            }
+            let send_ev =
+                self.causal
+                    .record_send(self.now().ticks(), pid.as_u32(), to.as_u32(), || {
+                        (format!("{msg:?}"), msg.equivocation_key(pid))
+                    });
             // Fault checks draw from the shared RNG in a fixed order
             // (loss, then delivery time, then duplication), and only when
             // a plan is active — a zero plan draws exactly the historical
             // stream.
             if self.faults_active {
                 if self.faults.severed(pid, to, self.now()) {
-                    self.record_drop(pid, to, send_ev, &msg);
+                    self.record_drop(pid, to, send_ev);
                     continue;
                 }
                 let p = self.faults.loss_prob(pid, to, self.now());
                 if p > 0.0 && self.rng.random_bool(p) {
-                    self.record_drop(pid, to, send_ev, &msg);
+                    self.record_drop(pid, to, send_ev);
                     continue;
                 }
             }
             let deliver_at = self.delivery_time();
-            obs_event!(
-                self.trace,
-                TraceEvent::Sent {
-                    at: self.now(),
-                    from: pid,
-                    to,
-                    deliver_at,
-                    payload: format!("{msg:?}"),
-                }
-            );
             let duplicate = if self.faults_active {
                 let dp = self.faults.dup_prob(self.now());
                 dp > 0.0 && self.rng.random_bool(dp)
@@ -443,10 +414,12 @@ impl<M: SimMessage> Simulation<M> {
                 // deliveries interleave arbitrarily with other traffic.
                 let dup_at = self.delivery_time();
                 self.report.messages_duplicated += 1;
-                self.causal.record_duplicate(
+                self.causal.record(
                     self.now().ticks(),
-                    pid.as_u32(),
-                    to.as_u32(),
+                    CausalKind::Duplicate {
+                        from: pid.as_u32(),
+                        to: to.as_u32(),
+                    },
                     send_ev,
                 );
                 self.queue.push(
@@ -491,26 +464,30 @@ impl<M: SimMessage> Simulation<M> {
         self.timers_buf = timers;
     }
 
-    /// Books a dropped message: aggregate counter, per-link counter,
-    /// trace event, and the causal-graph drop node.
-    fn record_drop(&mut self, from: ProcessId, to: ProcessId, send_ev: EventId, msg: &M) {
+    /// Books a dropped message: aggregate counter, per-link counter and
+    /// the log's drop event.
+    fn record_drop(&mut self, from: ProcessId, to: ProcessId, send_ev: EventId) {
         self.report.messages_dropped += 1;
         *self
             .report
             .link_drops
             .entry((from.as_u32(), to.as_u32()))
             .or_insert(0) += 1;
-        self.causal
-            .record_drop(self.now().ticks(), from.as_u32(), to.as_u32(), send_ev);
-        obs_event!(
-            self.trace,
-            TraceEvent::Dropped {
-                at: self.now(),
-                from,
-                to,
-                payload: format!("{msg:?}"),
-            }
+        self.causal.record(
+            self.now().ticks(),
+            CausalKind::Drop {
+                from: from.as_u32(),
+                to: to.as_u32(),
+            },
+            send_ev,
         );
+    }
+
+    /// Logs an event that is a step of one process and happened to no
+    /// message (timer, crash, recover, join, leave).
+    fn record_step(&mut self, process: ProcessId, kind: impl FnOnce(u32) -> CausalKind) {
+        self.causal
+            .record(self.now().ticks(), kind(process.as_u32()), EventId::NONE);
     }
 
     /// Draws an adversarial-but-legal delivery time for a message sent now:
@@ -545,29 +522,26 @@ impl<M: SimMessage> Simulation<M> {
                     // joined yet (or has left for good) dies on the
                     // wire — the churn analogue of a crashed receiver.
                     self.report.churn_drops += 1;
-                    self.record_drop(from, to, cause, &msg);
+                    self.record_drop(from, to, cause);
                     return true;
                 }
                 if self.down[to.index()] {
                     // A message arriving at a crashed process is lost,
                     // like a packet hitting a rebooting host.
-                    self.record_drop(from, to, cause, &msg);
+                    self.record_drop(from, to, cause);
                     return true;
                 }
                 // Authenticated channel: receiving teaches the receiver the
                 // sender's identity (Section III-A).
                 self.known[to.index()].insert(from);
-                obs_event!(
-                    self.trace,
-                    TraceEvent::Delivered {
-                        at: self.now(),
-                        from,
-                        to,
-                        payload: format!("{msg:?}"),
-                    }
+                self.causal.record(
+                    self.now().ticks(),
+                    CausalKind::Deliver {
+                        from: from.as_u32(),
+                        to: to.as_u32(),
+                    },
+                    cause,
                 );
-                self.causal
-                    .record_deliver(self.now().ticks(), from.as_u32(), to.as_u32(), cause);
                 self.report.messages_delivered += 1;
                 self.report.per_process[to.index()].delivered += 1;
                 self.dispatch(to, |actor, ctx| actor.on_message(ctx, from, msg));
@@ -587,21 +561,10 @@ impl<M: SimMessage> Simulation<M> {
                     self.report.timers_cancelled += 1;
                     return true;
                 }
-                obs_event!(
-                    self.trace,
-                    TraceEvent::Timer {
-                        at: self.now(),
-                        process,
-                        tag,
-                    }
-                );
-                if tag == RETRANSMIT_TAG {
-                    self.causal
-                        .record_retransmit(self.now().ticks(), process.as_u32());
-                } else {
-                    self.causal
-                        .record_timer(self.now().ticks(), process.as_u32(), tag);
-                }
+                self.record_step(process, |process| match tag {
+                    RETRANSMIT_TAG => CausalKind::Retransmit { process },
+                    _ => CausalKind::Timer { process, tag },
+                });
                 self.report.timers_fired += 1;
                 self.dispatch(process, |actor, ctx| actor.on_timer(ctx, tag));
             }
@@ -610,30 +573,14 @@ impl<M: SimMessage> Simulation<M> {
                     self.down[process.index()] = true;
                     self.epoch[process.index()] += 1;
                     self.report.crashes += 1;
-                    obs_event!(
-                        self.trace,
-                        TraceEvent::Crashed {
-                            at: self.now(),
-                            process,
-                        }
-                    );
-                    self.causal
-                        .record_crash(self.now().ticks(), process.as_u32());
+                    self.record_step(process, |process| CausalKind::Crash { process });
                 }
             }
             EventKind::Recover { process } => {
                 if self.down[process.index()] {
                     self.down[process.index()] = false;
                     self.report.recoveries += 1;
-                    obs_event!(
-                        self.trace,
-                        TraceEvent::Recovered {
-                            at: self.now(),
-                            process,
-                        }
-                    );
-                    self.causal
-                        .record_recover(self.now().ticks(), process.as_u32());
+                    self.record_step(process, |process| CausalKind::Recover { process });
                     // Hand the actor its pre-crash journal; records it
                     // appends *during* recovery land after the pre-crash
                     // prefix, preserving append order. An amnesiac process
@@ -662,15 +609,7 @@ impl<M: SimMessage> Simulation<M> {
                 if self.dormant[process.index()] {
                     self.dormant[process.index()] = false;
                     self.report.joins += 1;
-                    obs_event!(
-                        self.trace,
-                        TraceEvent::Joined {
-                            at: self.now(),
-                            process,
-                        }
-                    );
-                    self.causal
-                        .record_join(self.now().ticks(), process.as_u32());
+                    self.record_step(process, |process| CausalKind::Join { process });
                     // The joiner materializes knowing exactly its
                     // contacts (its participant-detector output at join
                     // time); the introduced members learn its identity —
@@ -705,15 +644,7 @@ impl<M: SimMessage> Simulation<M> {
                     // cancelled instead of fired.
                     self.epoch[process.index()] += 1;
                     self.report.departures += 1;
-                    obs_event!(
-                        self.trace,
-                        TraceEvent::Left {
-                            at: self.now(),
-                            process,
-                        }
-                    );
-                    self.causal
-                        .record_leave(self.now().ticks(), process.as_u32());
+                    self.record_step(process, |process| CausalKind::Leave { process });
                 }
             }
         }
@@ -937,15 +868,39 @@ mod tests {
 
     #[test]
     fn trace_records_events() {
+        use scup_obs::causal::CausalKind;
         let mut sim = build(3);
-        sim.enable_trace();
-        sim.run_until_quiet(10_000);
-        let events = sim.trace().events();
-        assert!(events.iter().any(|e| matches!(e, TraceEvent::Sent { .. })));
-        assert!(events
+        sim.enable_causal();
+        let report = sim.run_until_quiet(10_000);
+        let log = sim.causal();
+        let timers = log
+            .events()
             .iter()
-            .any(|e| matches!(e, TraceEvent::Delivered { .. })));
-        assert!(events.iter().any(|e| matches!(e, TraceEvent::Timer { .. })));
+            .filter(|e| matches!(e.kind, CausalKind::Timer { tag: 7, .. }))
+            .count() as u64;
+        assert_eq!(timers, report.timers_fired);
+        // Each payload is rendered once, on the send; a delivery reads it
+        // through its cause.
+        let mut rendered = 0;
+        for e in log.events() {
+            match e.kind {
+                CausalKind::Send { .. } => {
+                    rendered += 1;
+                    assert!(e.payload.as_deref().is_some_and(|p| p.starts_with('P')));
+                }
+                CausalKind::Deliver { .. } => {
+                    assert!(e.payload.is_none());
+                    assert_eq!(log.payload(e.id), log.payload(e.cause()));
+                    assert!(log.payload(e.id).is_some());
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(rendered, report.messages_sent);
+        // Off by default: the same run without the switch logs nothing.
+        let mut quiet = build(3);
+        quiet.run_until_quiet(10_000);
+        assert!(quiet.causal().is_empty());
     }
 
     #[test]

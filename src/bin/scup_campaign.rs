@@ -18,14 +18,15 @@
 //!                       Perfetto / chrome://tracing): explore mode emits
 //!                       worker search timelines with per-phase spans; sample
 //!                       mode re-runs each scenario's first seed with the
-//!                       simulator trace on and exports the message
-//!                       schedule (one track per process, sim ticks as µs)
+//!                       event log on and exports it as the message
+//!                       schedule (one track per process, sim ticks as µs,
+//!                       one arrow per send to the delivery it caused)
 //!   --trace-seed N      with --trace-out in sample mode, export seed N
 //!                       instead of each scenario's first seed — the way
 //!                       to look at the exact schedule a failing seed ran
 //!   --forensics-out DIR write causal-forensics artifacts for every
 //!                       oracle failure: sample mode re-runs each failing
-//!                       seed with the causal event graph and decision
+//!                       seed with the same event log and decision
 //!                       provenance armed; explore mode arms them on the
 //!                       counterexample replay. Each violation yields a
 //!                       `<scenario>-seed<N>.forensics.json` analysis and
@@ -276,9 +277,10 @@ fn run_file(path: &Path, options: &Options) -> Result<bool, String> {
                 report.to_json().pretty(),
             )?;
             if let Some(path) = &options.trace_out {
-                // The sampled runs themselves stay untraced (payload
-                // rendering would tax every run); one traced re-run per
-                // scenario gives Perfetto the representative schedule.
+                // The sampled runs themselves keep the event log off
+                // (payload rendering would tax every run); one logged
+                // re-run per scenario gives Perfetto the representative
+                // schedule.
                 write_trace(
                     options,
                     path,
