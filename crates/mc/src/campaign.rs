@@ -428,6 +428,8 @@ fn explore_with_driver<P: Explored>(
             reexpansions: stats.reexpansions,
             steps_replayed: stats.steps_replayed,
             steps_executed: stats.steps_executed,
+            settle_queries: stats.settle_queries,
+            settle_forced: stats.settle_forced,
             visited_len: merged.len() as u64,
             visited_capacity: merged.capacity() as u64,
             worker_visited_peak: stats.visited_peak.0,

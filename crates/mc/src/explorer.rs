@@ -71,10 +71,11 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use scup_graph::ProcessId;
 use scup_harness::scenario::ExploreSpec;
 use scup_obs::profile::{Phase, PhaseProfile};
 use scup_scp::Value;
-use scup_sim::{ExploreSim, SimState};
+use scup_sim::{ExploreEvent, ExploreSim, SimState};
 
 use crate::build::{Driver, Explored};
 use crate::reduce::Symmetry;
@@ -112,6 +113,11 @@ pub struct WorkerStats {
     /// Fires (branching and forced) for which `ucs` ran an actor
     /// callback.
     pub steps_executed: u64,
+    /// `absorbs` / `threshold_inert` answers `ucs`'s settles asked for
+    /// (see [`ExploreSim::settle_counts`]).
+    pub settle_queries: u64,
+    /// Threshold-inert deliveries `ucs`'s settles fired as forced moves.
+    pub settle_forced: u64,
     /// Strictly shallower revisits of an already-recorded canonical
     /// state. Never taken under depth-layered expansion — the counter
     /// exists to prove that.
@@ -138,6 +144,8 @@ impl Default for WorkerStats {
             transitions: 0,
             steps_replayed: 0,
             steps_executed: 0,
+            settle_queries: 0,
+            settle_forced: 0,
             reexpansions: 0,
             profile: PhaseProfile::disabled(),
             visited_peak: (0, 0),
@@ -163,6 +171,8 @@ impl WorkerStats {
         self.transitions += other.transitions;
         self.steps_replayed += other.steps_replayed;
         self.steps_executed += other.steps_executed;
+        self.settle_queries += other.settle_queries;
+        self.settle_forced += other.settle_forced;
         self.reexpansions += other.reexpansions;
         self.profile.merge(&other.profile);
         if other.visited_peak.0 > self.visited_peak.0 {
@@ -178,11 +188,15 @@ impl WorkerStats {
         }
     }
 
-    /// Adds the step counters of a simulation `ucs` is done with.
+    /// Adds the step and settle counters of a simulation `ucs` is done
+    /// with.
     fn count_steps<M: scup_sim::SimMessage>(&mut self, sim: &ExploreSim<M>) {
         let (replayed, executed) = sim.step_counts();
         self.steps_replayed += replayed;
         self.steps_executed += executed;
+        let (queries, forced) = sim.settle_counts();
+        self.settle_queries += queries;
+        self.settle_forced += forced;
     }
 
     /// Records one frontier-depth sample if profiling is on and the
@@ -201,6 +215,44 @@ impl WorkerStats {
                 });
                 self.depth_stride *= 2;
             }
+        }
+    }
+}
+
+/// The pending events whose `absorbs` / `threshold_inert` answers may
+/// have changed since they were last asked, as [`Engine::settle`] carries
+/// them from fire to fire: the events at `at`, and the events from index
+/// `start` on. Of the latter only the fire's emissions (from `fresh` on)
+/// can be absorbed — the drain before the fire left none behind.
+#[derive(Debug, Clone, Copy)]
+struct Touched {
+    /// The recipient whose slot the fire wrote.
+    at: ProcessId,
+    /// Below this index only events at `at` are open.
+    start: usize,
+    /// The fire's emissions begin here (never below `start`).
+    fresh: usize,
+}
+
+impl Touched {
+    /// Nothing asked yet (a fresh start): every event is open, so `at` is
+    /// never read.
+    const EVERYTHING: Touched = Touched {
+        at: ProcessId::new(0),
+        start: 0,
+        fresh: 0,
+    };
+
+    /// What firing pending event `idx` of `sim` — about to happen — will
+    /// open, when every event below index `asked` has been asked against
+    /// the slot its recipient has now: the fired recipient's events, and
+    /// every event from the (post-fire) position of `asked` on.
+    fn by_fire<M: scup_sim::SimMessage>(sim: &ExploreSim<M>, idx: usize, asked: usize) -> Self {
+        Touched {
+            at: sim.pending_at(idx).recipient(),
+            // The fire removes `idx`: everything above it moves down one.
+            start: if asked > idx { asked - 1 } else { asked },
+            fresh: sim.pending().len() - 1,
         }
     }
 }
@@ -242,7 +294,7 @@ impl<'a, P: Explored> Engine<'a, P> {
     }
 
     /// Builds a simulation for `variant` and replays a canonical choice
-    /// path: drain absorbed events, fire the recorded choice, repeat.
+    /// path (see [`Engine::replay_into`]).
     pub fn replay(&self, variant: u32, path: &[u32]) -> ExploreSim<P::Msg> {
         let mut sim = self.driver.build_sim(variant);
         self.replay_into(&mut sim, path);
@@ -250,14 +302,28 @@ impl<'a, P: Explored> Engine<'a, P> {
     }
 
     /// Replays a canonical choice path into a caller-prepared simulation
-    /// (e.g. one with tracing enabled for counterexample rendering).
+    /// (e.g. one with the event log on for counterexample rendering):
+    /// start and settle in full, then fire each recorded choice and settle
+    /// what it touched.
     pub fn replay_into(&self, sim: &mut ExploreSim<P::Msg>, path: &[u32]) {
         sim.start();
+        self.settle(sim, Touched::EVERYTHING);
         for &choice in path {
-            self.settle(sim);
-            sim.fire(choice as usize);
+            self.advance(sim, choice as usize, &mut PhaseProfile::disabled());
         }
-        self.settle(sim);
+    }
+
+    /// Fires branching choice `choice` of a settled state and settles the
+    /// successor — the one way every search here takes a step. Laps
+    /// `expand` after the fire and `settle` after the settle.
+    fn advance(&self, sim: &mut ExploreSim<P::Msg>, choice: usize, profile: &mut PhaseProfile) {
+        // A settled state has had every event asked: after the fire only
+        // the recipient's events and the emissions are open.
+        let touched = Touched::by_fire(sim, choice, sim.pending().len());
+        sim.fire(choice);
+        profile.lap(Phase::Expand);
+        self.settle(sim, touched);
+        profile.lap(Phase::Settle);
     }
 
     /// Canonicalizes the live state: drains absorbed no-op deliveries,
@@ -267,31 +333,64 @@ impl<'a, P: Explored> Engine<'a, P> {
     /// enabled alternative (same-recipient siblings by inertness,
     /// everything else by recipient-disjointness) and stays inert in
     /// every extension, so exploring only the schedule that fires it
-    /// immediately covers a representative of every interleaving. Fires
-    /// ascend by pending index — deterministic for any worker count.
-    fn settle(&self, sim: &mut ExploreSim<P::Msg>) {
-        sim.drain_absorbed();
-        if !self.spec.eager_inert {
-            return;
-        }
-        'outer: loop {
-            let pending = sim.pending().len();
-            for idx in 0..pending {
-                let origin_ok = match sim.pending_at(idx) {
-                    scup_sim::ExploreEvent::Deliver { from, msg, .. } => {
-                        let origin = P::msg_origin(*from, msg);
-                        let correct = !self.driver.setup().faulty.contains(origin);
-                        P::inert_origin_ok(correct, msg)
-                    }
-                    scup_sim::ExploreEvent::Timer { .. } => false,
-                };
-                if origin_ok && sim.is_threshold_inert(idx) {
-                    sim.fire_uncounted(idx);
-                    sim.drain_absorbed();
-                    continue 'outer;
-                }
+    /// immediately covers a representative of every interleaving. Each
+    /// forced fire is the lowest-index one — deterministic for any worker
+    /// count.
+    ///
+    /// Only what a fire `touched` is asked: an `absorbs` /
+    /// `threshold_inert` answer depends on the recipient's slot and the
+    /// event alone, and a fire writes one slot and appends its emissions.
+    /// So every event outside `touched` keeps the answer it had when last
+    /// asked — and `touched` covers every event that was never asked or
+    /// was asked against a slot since written. After a forced fire at
+    /// index `i`, the scan had asked everything below `i`, so the next
+    /// round opens the events at the fired recipient and those at `i` and
+    /// above. Debug builds end every settle with the full rescan and
+    /// assert that it finds nothing.
+    fn settle(&self, sim: &mut ExploreSim<P::Msg>, mut touched: Touched) {
+        loop {
+            touched.start = sim.drain_absorbed_touched(touched.at, touched.fresh, touched.start);
+            if !self.spec.eager_inert {
+                break;
             }
-            return;
+            let Some(idx) =
+                sim.first_threshold_inert(touched.at, touched.start, |e| self.forcible(e))
+            else {
+                break;
+            };
+            touched = Touched::by_fire(sim, idx, idx);
+            sim.fire_uncounted(idx);
+        }
+        #[cfg(debug_assertions)]
+        self.assert_settled(sim);
+    }
+
+    /// Whether settle may force `event` once its recipient declares it
+    /// threshold-inert: a delivery whose accountable origin passes the
+    /// protocol's gate ([`Explored::inert_origin_ok`]); never a timer.
+    fn forcible(&self, event: &ExploreEvent<P::Msg>) -> bool {
+        match event {
+            ExploreEvent::Deliver { from, msg, .. } => {
+                let origin = P::msg_origin(*from, msg);
+                let correct = !self.driver.setup().faulty.contains(origin);
+                P::inert_origin_ok(correct, msg)
+            }
+            ExploreEvent::Timer { .. } => false,
+        }
+    }
+
+    /// The settle postcondition, checked by asking every pending event:
+    /// none is absorbed, and (under `eager_inert`) none is forcible and
+    /// threshold-inert.
+    #[cfg(debug_assertions)]
+    fn assert_settled(&self, sim: &ExploreSim<P::Msg>) {
+        for idx in 0..sim.pending().len() {
+            let event = sim.pending_at(idx);
+            assert!(!sim.is_absorbed(idx), "settle left {event:?} absorbed");
+            assert!(
+                !(self.spec.eager_inert && self.forcible(event) && sim.is_threshold_inert(idx)),
+                "settle left {event:?} threshold-inert"
+            );
         }
     }
 
@@ -464,10 +563,7 @@ impl<'a, P: Explored> Engine<'a, P> {
                 sim.restore(&job.parent);
                 stats.profile.lap(Phase::Restore);
                 stats.transitions += 1;
-                sim.fire(job.choice);
-                stats.profile.lap(Phase::Expand);
-                self.settle(sim);
-                stats.profile.lap(Phase::Settle);
+                self.advance(sim, job.choice, &mut stats.profile);
                 stats.sample_depth(sim.steps() as u32);
                 if let Some(choices) = self.visit_fp(job.variant, sim, visited, stats) {
                     stats.profile.lap_start();
@@ -540,9 +636,7 @@ impl<'a, P: Explored> Engine<'a, P> {
     pub fn find_cex(&self, variants: u32, d_star: u32) -> Option<(u32, Vec<u32>)> {
         for variant in 0..variants {
             let mut visited: HashMap<u128, u32> = HashMap::new();
-            let mut sim = self.driver.build_sim(variant);
-            sim.start();
-            self.settle(&mut sim);
+            let mut sim = self.replay(variant, &[]);
             if let Some(found) = self.cex_dfs(variant, &mut sim, d_star, &mut visited) {
                 return Some((variant, found));
             }
@@ -605,8 +699,7 @@ impl<'a, P: Explored> Engine<'a, P> {
             if top.next > 1 {
                 sim.restore(&top.state);
             }
-            sim.fire(choice);
-            self.settle(sim);
+            self.advance(sim, choice, &mut PhaseProfile::disabled());
             path.push(choice as u32);
             match enter(sim, visited, &path) {
                 Err(found) => return Some(found),

@@ -39,6 +39,12 @@ pub struct ExploreObs {
     pub steps_replayed: u64,
     /// Fires for which the workers ran an actor callback.
     pub steps_executed: u64,
+    /// `absorbs` / `threshold_inert` answers the workers' settles asked
+    /// for.
+    pub settle_queries: u64,
+    /// Threshold-inert deliveries the workers' settles fired as forced
+    /// moves.
+    pub settle_forced: u64,
     /// Entries in the merged visited map.
     pub visited_len: u64,
     /// Allocated capacity of the merged visited map.
@@ -86,6 +92,13 @@ impl ExploreObs {
                 Json::obj([
                     ("replayed", Json::Int(self.steps_replayed as i64)),
                     ("executed", Json::Int(self.steps_executed as i64)),
+                ]),
+            ),
+            (
+                "settle",
+                Json::obj([
+                    ("queries", Json::Int(self.settle_queries as i64)),
+                    ("forced", Json::Int(self.settle_forced as i64)),
                 ]),
             ),
             ("visited_len", Json::Int(self.visited_len as i64)),

@@ -146,6 +146,12 @@ pub trait Actor<M: SimMessage>: Any {
     /// keeps beside its protocol state — `NodeStats::envelopes_duplicate`
     /// and the like — therefore do not count absorbed deliveries under
     /// exploration. The default (`false`) is always sound.
+    ///
+    /// The answer must depend on nothing but this actor's own state,
+    /// `known` and the event (`from`, `msg`): the explorer's step memo
+    /// hands one remembered answer to every slot with the same hash, and
+    /// its settle asks each pending event again only after a write to the
+    /// event's recipient.
     fn absorbs(&self, self_id: ProcessId, known: &ProcessSet, from: ProcessId, msg: &M) -> bool {
         let _ = (self_id, known, from, msg);
         false
@@ -161,6 +167,10 @@ pub trait Actor<M: SimMessage>: Any {
     /// actor's outgoing behaviour beyond a deterministic relay whose
     /// emissions are identical whichever same-recipient sibling fires
     /// first. The default (`false`) is always sound.
+    ///
+    /// Like [`Actor::absorbs`], the answer must depend on nothing but this
+    /// actor's own state, `known` and the event — the step memo and the
+    /// explorer's settle both rely on it.
     fn threshold_inert(
         &self,
         self_id: ProcessId,

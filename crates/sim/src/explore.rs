@@ -42,6 +42,16 @@
 //!   branching — and, the declaration being a contract, without calling
 //!   the actor (debug builds replay each one on a scratch fork and assert
 //!   it was the no-op it claimed to be);
+//! - **settling what a fire touched** — an [`Actor::absorbs`] or
+//!   [`Actor::threshold_inert`] answer is a function of the recipient's
+//!   slot and the event alone, and a fire writes one slot and appends its
+//!   emissions. So after a fire from a settled state only the events at
+//!   that recipient, and those past an index the caller names, can have
+//!   changed their answer: [`ExploreSim::drain_absorbed_touched`] and
+//!   [`ExploreSim::first_threshold_inert`] ask nothing else, and the
+//!   model checker's settle (absorbed drain plus forced inert fires)
+//!   costs what the fire touched instead of a rescan of the pending list
+//!   per forced fire. Both count their asks ([`ExploreSim::settle_counts`]);
 //! - **local-transition memo** — in the untimed semantics a step is a
 //!   function of *(recipient's slot, event)* alone, and an exploration
 //!   fires the same few thousand such pairs hundreds of thousands of
@@ -722,6 +732,11 @@ pub struct ExploreSim<M: SimMessage> {
     /// Effort counters: not part of any state, untouched by `restore`.
     steps_replayed: u64,
     steps_executed: u64,
+    /// `absorbs` / `threshold_inert` answers the targeted drain and scan
+    /// asked for, and forced (uncounted) fires. Effort counters, like the
+    /// two above.
+    verdict_queries: u64,
+    forced_fires: u64,
 }
 
 impl<M: SimMessage> ExploreSim<M> {
@@ -744,6 +759,8 @@ impl<M: SimMessage> ExploreSim<M> {
             memo: None,
             steps_replayed: 0,
             steps_executed: 0,
+            verdict_queries: 0,
+            forced_fires: 0,
         }
     }
 
@@ -870,6 +887,18 @@ impl<M: SimMessage> ExploreSim<M> {
         (self.steps_replayed, self.steps_executed)
     }
 
+    /// `(queries, forced)`: how many [`Actor::absorbs`] /
+    /// [`Actor::threshold_inert`] answers [`ExploreSim::drain_absorbed_touched`]
+    /// (hence [`ExploreSim::drain_absorbed`]) and
+    /// [`ExploreSim::first_threshold_inert`] asked for, and how many fires
+    /// were [`ExploreSim::fire_uncounted`]. Effort counters over the life
+    /// of the simulation, like [`ExploreSim::step_counts`]; the
+    /// [`ExploreSim::is_absorbed`] / [`ExploreSim::is_threshold_inert`]
+    /// probes count nothing.
+    pub fn settle_counts(&self) -> (u64, u64) {
+        (self.verdict_queries, self.forced_fires)
+    }
+
     /// The event log (empty unless [`ExploreSim::enable_causal`] was
     /// called before the first fire).
     pub fn causal(&self) -> &CausalGraph {
@@ -965,6 +994,7 @@ impl<M: SimMessage> ExploreSim<M> {
     /// checker's persistent-set reduction). The event still counts toward
     /// `events_fired` and still appears in the event log.
     pub fn fire_uncounted(&mut self, idx: usize) -> usize {
+        self.forced_fires += 1;
         self.fire_inner(idx)
     }
 
@@ -1079,14 +1109,39 @@ impl<M: SimMessage> ExploreSim<M> {
     /// One pass suffices: absorbed events are no-ops, so retiring them
     /// cannot turn another pending event absorbable.
     pub fn drain_absorbed(&mut self) -> u64 {
+        let before = self.pending.len();
+        // From index 0 on every event is fresh, so `at` is never read.
+        self.drain_absorbed_touched(ProcessId::new(0), 0, 0);
+        (before - self.pending.len()) as u64
+    }
+
+    /// [`ExploreSim::drain_absorbed`] after one fire at process `at` from a
+    /// drained state: asks only the events at `at` and the events from
+    /// index `fresh` on (the fire's emissions) whether they are absorbed.
+    /// Every other event was asked before, against a slot the fire did not
+    /// write, and the answer depends on that slot and the event alone
+    /// ([`Actor::absorbs`]) — so this retires exactly what the full drain
+    /// would, in the same order and with the same stable compaction. With
+    /// `fresh = 0` it *is* the full drain.
+    ///
+    /// Returns where the event at index `mark` sits afterwards (`mark`
+    /// minus the events retired below it), so an index the caller holds
+    /// into the pending list survives the compaction.
+    pub fn drain_absorbed_touched(&mut self, at: ProcessId, fresh: usize, mark: usize) -> usize {
         self.start();
         let mut kept = 0;
+        let mut retired_below_mark = 0;
         for idx in 0..self.pending.len() {
-            if !self.is_absorbed(idx) {
+            let event = &self.pending[idx].event.event;
+            let to = event.recipient();
+            let asked = idx >= fresh || to == at;
+            self.verdict_queries += asked as u64;
+            if !asked || !self.slots[to.index()].absorbs(event) {
                 self.pending.swap(kept, idx);
                 kept += 1;
                 continue;
             }
+            retired_below_mark += (idx < mark) as usize;
             self.events_fired += 1;
             let ExploreEvent::Deliver { from, to, .. } = self.pending[idx].event.event else {
                 unreachable!("only deliveries are absorbed");
@@ -1095,9 +1150,35 @@ impl<M: SimMessage> ExploreSim<M> {
             #[cfg(debug_assertions)]
             self.assert_absorbed_is_noop(&Rc::clone(&self.pending[idx].event).event);
         }
-        let absorbed = self.pending.len() - kept;
         self.pending.truncate(kept);
-        absorbed as u64
+        mark - retired_below_mark
+    }
+
+    /// The lowest index of a pending event that `forcible` admits and its
+    /// recipient declares threshold-inert ([`Actor::threshold_inert`]) —
+    /// asking, below index `start`, only the events at process `at`. The
+    /// caller vouches for the rest: each was asked (or refused by
+    /// `forcible`) against the slot its recipient has now, and the answer
+    /// depends on that slot and the event alone. With `start = 0` every
+    /// event is asked.
+    pub fn first_threshold_inert(
+        &mut self,
+        at: ProcessId,
+        start: usize,
+        mut forcible: impl FnMut(&ExploreEvent<M>) -> bool,
+    ) -> Option<usize> {
+        for (idx, p) in self.pending.iter().enumerate() {
+            let event = &p.event.event;
+            let to = event.recipient();
+            if (idx < start && to != at) || !forcible(event) {
+                continue;
+            }
+            self.verdict_queries += 1;
+            if self.slots[to.index()].threshold_inert(event) {
+                return Some(idx);
+            }
+        }
+        None
     }
 
     /// Fires `event` at a scratch fork of `slot`, for the debug contract
