@@ -31,9 +31,6 @@
 //!   slices, run SCP; with the knowledge-increasing phase the paper's
 //!   conclusion calls for — and the BFT-CUP baseline through the same
 //!   sampled phase runner;
-//! - [`ledger`] — the paper's future-work direction prototyped: a
-//!   hash-chained multi-slot ledger where the knowledge-increasing phase
-//!   runs once and the Algorithm-2 slices are reused across SCP slots;
 //! - [`report`] — operator-facing one-call verification: *can this
 //!   knowledge graph run Stellar with minimal knowledge plus a sink
 //!   detector?*
@@ -60,7 +57,6 @@ pub mod attempts;
 pub mod build_slices;
 pub mod consensus;
 pub mod explore_stack;
-pub mod ledger;
 pub mod oracle;
 pub mod report;
 pub mod roster;

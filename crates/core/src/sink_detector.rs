@@ -171,16 +171,19 @@ impl SinkDetectorActor {
         }
     }
 
-    /// Direct mode: (re)send GET_SINK to every newly known process.
+    /// Direct mode: send GET_SINK to every newly known process. The
+    /// frontier is one set difference, `known \ asked_by_us \ {me}`, asked
+    /// in ascending order.
     fn ask_direct(&mut self, ctx: &mut Context<'_, SdMsg>) {
         if self.sink.is_some() || self.mode != GetSinkMode::Direct {
             return;
         }
-        for j in self.sink_algo.known().clone().iter() {
-            if j != ctx.self_id() && self.asked_by_us.insert(j) {
-                ctx.learn(j);
-                ctx.send(j, SdMsg::GetSink);
-            }
+        let mut fresh = self.sink_algo.known().difference(&self.asked_by_us);
+        fresh.remove(ctx.self_id());
+        self.asked_by_us.union_with(&fresh);
+        for j in &fresh {
+            ctx.learn(j);
+            ctx.send(j, SdMsg::GetSink);
         }
     }
 
@@ -220,8 +223,9 @@ impl SinkDetectorActor {
         (self.sink.is_some() || self.sink_algo.verdict().is_none())
             && (self.sink.is_some()
                 || self.mode != GetSinkMode::Direct
-                // Everyone known has been asked (only the self id may sit
-                // in the difference — it is never asked).
+                // The frontier `ask_direct` computes, `known \ asked_by_us
+                // \ {me}`, is empty: `known \ asked_by_us` is at most the
+                // self id, which `known` holds and which is never asked.
                 || self.sink_algo.known().difference_len(&self.asked_by_us) <= 1)
     }
 }

@@ -746,25 +746,23 @@ impl BftCupActor {
         (self.started_consensus || self.sink.verdict().is_none())
             && (self.decision.is_some()
                 || self.sink.verdict().is_some()
-                // All known contacts already asked (only the self id may
-                // sit in the difference — it is never asked).
+                // The frontier `ask_new_contacts` computes, `known \ asked
+                // \ {me}`, is empty: `known \ asked` is at most the self
+                // id, which `known` holds and which is never asked.
                 || self.sink.known().difference_len(&self.asked) <= 1)
     }
 
-    /// Non-sink path: ask newly discovered processes for the decision.
+    /// Non-sink path: ask newly discovered processes for the decision. The
+    /// frontier is one set difference, `known \ asked \ {me}`, asked in
+    /// ascending order.
     fn ask_new_contacts(&mut self, ctx: &mut Context<'_, BftMsg>) {
         if self.decision.is_some() || self.sink.verdict().is_some() {
             return;
         }
-        let me = ctx.self_id();
-        let fresh: Vec<ProcessId> = self
-            .sink
-            .known()
-            .iter()
-            .filter(|&j| j != me && !self.asked.contains(j))
-            .collect();
-        for j in fresh {
-            self.asked.insert(j);
+        let mut fresh = self.sink.known().difference(&self.asked);
+        fresh.remove(ctx.self_id());
+        self.asked.union_with(&fresh);
+        for j in &fresh {
             self.send_logged(ctx, j, BftMsg::AskDecision);
         }
     }

@@ -174,18 +174,18 @@ impl SinkCore {
                 // Correct processes answer with their true, static PD.
                 vec![(from, SinkMsg::DiscoverReply(self.pd.clone()))]
             }
-            SinkMsg::DiscoverReply(set) => {
+            SinkMsg::DiscoverReply(mut fresh) => {
                 // Only count replies from processes we actually queried.
                 if !self.known.contains(from) {
                     return Vec::new();
                 }
                 self.replied.insert(from);
-                let mut out = Vec::new();
-                for w in &set {
-                    if w != self.self_id && self.known.insert(w) {
-                        out.push((w, SinkMsg::Discover));
-                    }
-                }
+                // Merge word-parallel, `fresh = set \ known \ {self}`: only
+                // the ids new to `known` draw a `Discover`, ascending.
+                fresh.difference_with(&self.known);
+                fresh.remove(self.self_id);
+                self.known.union_with(&fresh);
+                let mut out: SinkOutbox = fresh.iter().map(|w| (w, SinkMsg::Discover)).collect();
                 out.extend(self.try_fire());
                 self.try_verdict();
                 out
@@ -267,12 +267,20 @@ impl SinkCore {
         if self.verdict.is_some() || !self.fired {
             return;
         }
+        let needed = self.known.len().saturating_sub(self.f);
+        // An exact gate: `echoes` holds at most one set per sender and the
+        // matching echoes are a subset of it, so `matching ≤ |echoes|`.
+        // Below `|known| − f` echoes no verdict is possible, so the scan
+        // runs for the last few echoes of a round, not for every one.
+        if self.echoes.len() < needed {
+            return;
+        }
         let matching = self
             .echoes
             .iter()
             .filter(|(j, set)| self.known.contains(**j) && **set == self.known)
             .count();
-        if matching >= self.known.len().saturating_sub(self.f) {
+        if matching >= needed {
             self.verdict = Some(SinkVerdict {
                 is_sink_member: true,
                 sink: self.known.clone(),
