@@ -1,19 +1,18 @@
-//! The end-to-end pipeline: PD + `f` + sink detector ⟹ Stellar consensus.
+//! The pipeline's phases: PD + `f` + sink detector ⟹ Stellar consensus.
 //!
 //! The paper's conclusion: *"to make Stellar solve consensus in such
 //! conditions, processes need to run some distributed knowledge-increasing
-//! protocol before building their slices."* This module runs exactly that
-//! pipeline on the simulator:
+//! protocol before building their slices."* This module runs each phase
+//! on the simulator; `scup_harness::protocol` composes them:
 //!
 //! 1. **knowledge increase** — every correct process runs Algorithm 3
-//!    ([`crate::sink_detector`]) until `get_sink` returns;
-//! 2. **slice construction** — each correct process feeds *its own*
-//!    detection into Algorithm 2 ([`mod@crate::build_slices`]);
-//! 3. **SCP** — the processes run the Stellar Consensus Protocol
-//!    ([`scup_scp`]) with those slices and externalize.
-//!
-//! The negative pipeline (attempt 1: local slices, no oracle) is also
-//! provided for the Theorem 2 / Corollary 1 experiments.
+//!    ([`crate::sink_detector`]) until `get_sink` returns
+//!    ([`run_sink_detection`]);
+//! 2. **slice construction** — Algorithm 2 on each process's own
+//!    detection ([`slices_from_detections`]), or, for the negative
+//!    pipeline of Theorem 2, from `PD_i` and `f` alone ([`local_slices`]);
+//! 3. **SCP** — [`run_scp_with_slices_observed`] externalizes with those
+//!    slices; [`run_bftcup`] runs the BFT-CUP baseline instead.
 
 use std::borrow::Cow;
 
@@ -30,16 +29,8 @@ use scup_sim::{
 use crate::attempts::LocalSliceStrategy;
 use crate::build_slices::build_slices;
 use crate::oracle::SinkDetection;
-use crate::roster::{self, BftProtocol, Protocol, ScpProtocol, SdProtocol};
+use crate::roster::{self, AdversaryKind, BftProtocol, Protocol, ScpProtocol, SdProtocol};
 use crate::sink_detector::{GetSinkMode, SdMsg, SinkDetectorActor};
-
-/// How the Byzantine processes behave during the pipeline (the roster's
-/// [`AdversaryKind`](roster::AdversaryKind) under its pipeline name).
-///
-/// `Silent`, `Equivocate` and `ForgedSlice` keep faulty processes silent
-/// during the knowledge-increasing phase (the behaviour Lemma 2 relies
-/// on); `Crash` and `Echo` apply their behaviour to both phases.
-pub use crate::roster::AdversaryKind as ScpAdversary;
 
 /// Configuration of an end-to-end run.
 #[derive(Debug, Clone)]
@@ -52,14 +43,16 @@ pub struct EndToEndConfig {
     pub delta: u64,
     /// `GET_SINK` dissemination mode.
     pub get_sink_mode: GetSinkMode,
-    /// Byzantine behaviour during SCP.
-    pub adversary: ScpAdversary,
+    /// Byzantine behaviour: `Silent`, `Equivocate` and `ForgedSlice` keep
+    /// faulty processes silent during the knowledge-increasing phase (the
+    /// behaviour Lemma 2 relies on); `Crash` and `Echo` act in both phases.
+    pub adversary: AdversaryKind,
     /// Per-process inputs (defaults to `100 + i`).
     pub inputs: Option<Vec<Value>>,
     /// Time horizons for the two phases.
     pub max_ticks: u64,
-    /// Turn on the event log of *both* phases ([`Outcome::sd_causal`],
-    /// [`Outcome::scp_causal`]) — what a timeline export reads. Off by
+    /// Turn on the event log of *both* phases ([`run_sink_detection_traced`]'s
+    /// and [`Phase::causal`]) — what a timeline export reads. Off by
     /// default: the log renders every message payload to a string, once,
     /// at its send. Off the bit-identity surface like
     /// [`EndToEndConfig::forensics`].
@@ -81,9 +74,9 @@ pub struct EndToEndConfig {
     /// churn-free run.
     pub churn: ChurnPlan,
     /// Turn on the event log of the consensus phase
-    /// ([`Outcome::scp_causal`] — the same log [`EndToEndConfig::trace`]
+    /// ([`Phase::causal`] — the same log [`EndToEndConfig::trace`]
     /// turns on, in that phase only) and per-node decision provenance
-    /// ([`Outcome::scp_provenance`]). Off by default and off the
+    /// ([`Phase::provenance`]). Off by default and off the
     /// bit-identity surface: the schedule, reports, and decisions are
     /// unchanged by enabling it.
     pub forensics: bool,
@@ -96,7 +89,7 @@ impl Default for EndToEndConfig {
             gst: 150,
             delta: 10,
             get_sink_mode: GetSinkMode::Direct,
-            adversary: ScpAdversary::Silent,
+            adversary: AdversaryKind::Silent,
             inputs: None,
             max_ticks: 3_000_000,
             trace: false,
@@ -108,89 +101,12 @@ impl Default for EndToEndConfig {
     }
 }
 
-/// The outcome of an end-to-end run.
-#[derive(Debug, Clone)]
-pub struct Outcome {
-    /// The faulty set of the run.
-    pub faulty: ProcessSet,
-    /// Per-process inputs used.
-    pub inputs: Vec<Value>,
-    /// The sink detections of phase 1 (`None` for faulty processes).
-    pub detections: Vec<Option<SinkDetection>>,
-    /// The externalized values of phase 3 (`None` if not decided, and for
-    /// faulty processes).
-    pub decisions: Vec<Option<Value>>,
-    /// Metrics of the sink-detector phase.
-    pub sd_report: SimReport,
-    /// Metrics of the SCP phase.
-    pub scp_report: SimReport,
-    /// Per-node SCP message/ballot-phase counters (default for faulty
-    /// processes and non-`ScpNode` actors). Observational only — never
-    /// part of any verdict.
-    pub node_stats: Vec<NodeStats>,
-    /// Event log of the sink-detector phase (disabled/empty unless
-    /// [`EndToEndConfig::trace`]). Times are that phase's sim clock.
-    pub sd_causal: CausalGraph,
-    /// Per-process durable journals of the SCP phase (empty records when
-    /// no fault plan journals anything). Feed them to
-    /// [`scup_scp::journal_contradictions`] to audit crash recovery.
-    pub scp_journals: Vec<MemJournal>,
-    /// Event log of the SCP phase (disabled/empty unless
-    /// [`EndToEndConfig::trace`] or [`EndToEndConfig::forensics`]). Times
-    /// restart at zero — the phase runs its own simulation.
-    pub scp_causal: CausalGraph,
-    /// Per-process decision-provenance logs of the SCP phase (disabled
-    /// unless [`EndToEndConfig::forensics`]; disabled entries for faulty
-    /// processes).
-    pub scp_provenance: Vec<ProvenanceLog>,
-}
-
-/// The value every correct process decided: `Some` exactly when all of
-/// them decided, and on the same value (agreement + termination).
-pub fn agreed_value(decisions: &[Option<Value>], faulty: &ProcessSet) -> Option<Value> {
-    let mut correct = (0..decisions.len())
-        .filter(|&i| !faulty.contains(ProcessId::new(i as u32)))
-        .map(|i| decisions[i]);
-    let first = correct.next()??;
-    correct.all(|d| d == Some(first)).then_some(first)
-}
-
-impl Outcome {
-    /// Agreement + termination: every correct process decided, and all on
-    /// the same value.
-    pub fn agreement(&self) -> bool {
-        self.decided_value().is_some()
-    }
-
-    /// The agreed value, if [`Outcome::agreement`] holds.
-    pub fn decided_value(&self) -> Option<Value> {
-        agreed_value(&self.decisions, &self.faulty)
-    }
-
-    /// Validity (for silent adversaries): the decided value was proposed by
-    /// a correct process.
-    pub fn validity(&self) -> bool {
-        match self.decided_value() {
-            None => false,
-            Some(v) => {
-                self.inputs.iter().enumerate().any(|(i, input)| {
-                    *input == v && !self.faulty.contains(ProcessId::new(i as u32))
-                })
-            }
-        }
-    }
-}
-
-fn default_inputs(n: usize) -> Vec<Value> {
-    (0..n).map(|i| 100 + i as Value).collect()
-}
-
 /// The run's per-process inputs: [`EndToEndConfig::inputs`], or the
 /// default `100 + i`.
 fn inputs_of(config: &EndToEndConfig, n: usize) -> Cow<'_, [Value]> {
     match &config.inputs {
         Some(inputs) => Cow::Borrowed(inputs),
-        None => Cow::Owned(default_inputs(n)),
+        None => Cow::Owned((0..n).map(|i| 100 + i as Value).collect()),
     }
 }
 
@@ -405,24 +321,9 @@ pub struct Phase {
     pub provenance: Vec<ProvenanceLog>,
 }
 
-/// The [`Phase`] of an SCP run.
-pub type ScpPhase = Phase;
-
-/// Phases 2–3: builds slices from the detections (Algorithm 2) and runs
-/// SCP to externalization.
-pub fn run_scp_with_slices(
-    kg: &KnowledgeGraph,
-    faulty: &ProcessSet,
-    slices: Vec<SliceFamily>,
-    inputs: &[Value],
-    config: &EndToEndConfig,
-) -> (Vec<Option<Value>>, SimReport) {
-    let phase = run_scp_with_slices_observed(kg, faulty, slices, inputs, config);
-    (phase.decisions, phase.report)
-}
-
-/// [`run_scp_with_slices`], additionally returning each correct node's
-/// [`NodeStats`] counters (defaults for faulty/non-SCP actors), its
+/// Phase 3: runs SCP to externalization on `slices` (one family per
+/// process), returning the phase's decisions and report, each correct
+/// node's [`NodeStats`] counters (defaults for faulty/non-SCP actors), its
 /// journals, its event log (under [`EndToEndConfig::trace`] or
 /// [`EndToEndConfig::forensics`]) and — under the latter — the
 /// decision-provenance logs.
@@ -432,7 +333,7 @@ pub fn run_scp_with_slices_observed(
     slices: Vec<SliceFamily>,
     inputs: &[Value],
     config: &EndToEndConfig,
-) -> ScpPhase {
+) -> Phase {
     let protocol = ScpProtocol::new(&slices, inputs, config);
     let (mut phase, sim) = run_consensus(&protocol, kg, faulty, config, config.seed ^ 0x5eed);
     phase.node_stats = read::<ScpProtocol, _>(&sim, |node| *node.stats())
@@ -463,97 +364,21 @@ pub fn run_bftcup(
     phase
 }
 
-impl Outcome {
-    fn new(
-        faulty: &ProcessSet,
-        inputs: Vec<Value>,
-        knowledge: (Vec<Option<SinkDetection>>, SimReport, CausalGraph),
-        scp: ScpPhase,
-    ) -> Outcome {
-        let (detections, sd_report, sd_causal) = knowledge;
-        Outcome {
-            faulty: faulty.clone(),
-            inputs,
-            detections,
-            decisions: scp.decisions,
-            sd_report,
-            scp_report: scp.report,
-            node_stats: scp.node_stats,
-            sd_causal,
-            scp_journals: scp.journals,
-            scp_causal: scp.causal,
-            scp_provenance: scp.provenance,
-        }
-    }
-}
-
-/// The full positive pipeline: sink detector → Algorithm 2 → SCP
-/// (Theorem 5 / Corollary 2 in execution).
-pub fn run_end_to_end(
-    kg: &KnowledgeGraph,
-    f: usize,
-    faulty: &ProcessSet,
-    config: &EndToEndConfig,
-) -> Outcome {
-    let inputs = inputs_of(config, kg.n()).into_owned();
-    let knowledge = run_sink_detection_traced(kg, f, faulty, config);
-    let slices = slices_from_detections(&knowledge.0, f);
-    let scp = run_scp_with_slices_observed(kg, faulty, slices, &inputs, config);
-    Outcome::new(faulty, inputs, knowledge, scp)
-}
-
-/// The negative pipeline (Theorem 2 / Corollary 1 in execution): local
-/// slices from `PD_i` and `f` only, no oracle, then SCP.
-pub fn run_local_slices_pipeline(
-    kg: &KnowledgeGraph,
-    f: usize,
-    faulty: &ProcessSet,
-    strategy: LocalSliceStrategy,
-    config: &EndToEndConfig,
-) -> Outcome {
-    let inputs = inputs_of(config, kg.n()).into_owned();
-    let slices = local_slices(kg, f, strategy);
-    let scp = run_scp_with_slices_observed(kg, faulty, slices, &inputs, config);
-    let no_knowledge = (
-        vec![None; kg.n()],
-        SimReport::default(),
-        CausalGraph::disabled(),
-    );
-    Outcome::new(faulty, inputs, no_knowledge, scp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use scup_graph::generators;
 
-    #[test]
-    fn positive_pipeline_on_fig2() {
-        let kg = generators::fig2();
-        for faulty_id in [0u32, 5] {
-            for seed in 0..2 {
-                let config = EndToEndConfig {
-                    seed,
-                    ..EndToEndConfig::default()
-                };
-                let faulty = ProcessSet::from_ids([faulty_id]);
-                let outcome = run_end_to_end(&kg, 1, &faulty, &config);
-                assert!(outcome.agreement(), "faulty={faulty_id} seed={seed}");
-                assert!(outcome.validity(), "faulty={faulty_id} seed={seed}");
-            }
-        }
-    }
-
-    #[test]
-    fn positive_pipeline_survives_equivocation() {
-        let kg = generators::fig2();
-        let config = EndToEndConfig {
-            adversary: ScpAdversary::Equivocate,
-            ..EndToEndConfig::default()
-        };
-        let faulty = ProcessSet::from_ids([1]);
-        let outcome = run_end_to_end(&kg, 1, &faulty, &config);
-        assert!(outcome.agreement());
+    /// Agreement and termination: every correct process decided, and on
+    /// one value.
+    fn correct_agree(decisions: &[Option<Value>], faulty: &ProcessSet) -> bool {
+        let mut correct = decisions
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !faulty.contains(ProcessId::new(*i as u32)))
+            .map(|(_, d)| *d);
+        let first = correct.next().flatten();
+        first.is_some() && correct.all(|d| d == first)
     }
 
     #[test]
@@ -566,16 +391,20 @@ mod tests {
                 seed,
                 ..EndToEndConfig::default()
             };
-            let outcome = run_end_to_end(&kg, 1, &faulty, &config);
-            assert!(outcome.agreement(), "seed={seed}");
+            let (detections, _) = run_sink_detection(&kg, 1, &faulty, &config);
+            let slices = slices_from_detections(&detections, 1);
+            let inputs = inputs_of(&config, kg.n());
+            let scp = run_scp_with_slices_observed(&kg, &faulty, slices, &inputs, &config);
+            assert!(correct_agree(&scp.decisions, &faulty), "seed={seed}");
         }
     }
 
     #[test]
     fn negative_pipeline_can_disagree() {
-        // Corollary 1 in execution: across seeds, the local-slice pipeline
-        // must produce at least one disagreement on Fig. 2.
+        // Corollary 1 in execution: across seeds, local slices must
+        // produce at least one disagreement on Fig. 2.
         let kg = generators::fig2();
+        let none = ProcessSet::new();
         let mut disagreements = 0;
         for seed in 0..12 {
             let config = EndToEndConfig {
@@ -584,15 +413,11 @@ mod tests {
                 inputs: Some(vec![1, 1, 1, 1, 104, 105, 106]),
                 ..EndToEndConfig::default()
             };
-            let outcome = run_local_slices_pipeline(
-                &kg,
-                1,
-                &ProcessSet::new(),
-                LocalSliceStrategy::AllButOne,
-                &config,
-            );
-            let decided: Vec<Value> = outcome.decisions.iter().flatten().copied().collect();
-            if decided.len() == kg.n() && !outcome.agreement() {
+            let slices = local_slices(&kg, 1, LocalSliceStrategy::AllButOne);
+            let inputs = inputs_of(&config, kg.n());
+            let scp = run_scp_with_slices_observed(&kg, &none, slices, &inputs, &config);
+            let decided = scp.decisions.iter().flatten().count();
+            if decided == kg.n() && !correct_agree(&scp.decisions, &none) {
                 disagreements += 1;
             }
         }
@@ -600,31 +425,5 @@ mod tests {
             disagreements > 0,
             "local slices must break agreement on some schedule"
         );
-    }
-
-    #[test]
-    fn outcome_accessors() {
-        let outcome = Outcome {
-            faulty: ProcessSet::from_ids([2]),
-            inputs: vec![5, 6, 7],
-            detections: vec![None; 3],
-            decisions: vec![Some(5), Some(5), None],
-            sd_report: SimReport::default(),
-            scp_report: SimReport::default(),
-            node_stats: Vec::new(),
-            sd_causal: CausalGraph::disabled(),
-            scp_journals: Vec::new(),
-            scp_causal: CausalGraph::disabled(),
-            scp_provenance: Vec::new(),
-        };
-        assert!(outcome.agreement());
-        assert_eq!(outcome.decided_value(), Some(5));
-        assert!(outcome.validity());
-        let bad = Outcome {
-            decisions: vec![Some(5), Some(6), None],
-            ..outcome
-        };
-        assert!(!bad.agreement());
-        assert_eq!(bad.decided_value(), None);
     }
 }

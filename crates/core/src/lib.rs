@@ -27,10 +27,10 @@
 //! - [`roster`] — who stands at process `i`: one protocol description
 //!   per wire type and the one function that seats correct actors and
 //!   Byzantine behaviours, for the sampler and the explorer alike;
-//! - [`consensus`] — the end-to-end pipeline: discover the sink, build
-//!   slices, run SCP; with the knowledge-increasing phase the paper's
+//! - [`consensus`] — the pipeline's phases: discover the sink, build
+//!   slices, run SCP — the knowledge-increasing phase the paper's
 //!   conclusion calls for — and the BFT-CUP baseline through the same
-//!   sampled phase runner;
+//!   sampled phase runner (`scup_harness::protocol` composes them);
 //! - [`report`] — operator-facing one-call verification: *can this
 //!   knowledge graph run Stellar with minimal knowledge plus a sink
 //!   detector?*
@@ -45,9 +45,18 @@
 //! use rand::{rngs::StdRng, SeedableRng};
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let (kg, faulty) = generators::random_byzantine_safe(5, 3, 1, &mut rng);
+//! let config = EndToEndConfig::default();
 //!
-//! let outcome = consensus::run_end_to_end(&kg, 1, &faulty, &EndToEndConfig::default());
-//! assert!(outcome.agreement(), "all correct processes decide the same value");
+//! // Sink detection (Algorithm 3), slices (Algorithm 2), then SCP.
+//! let (detections, _) = consensus::run_sink_detection(&kg, 1, &faulty, &config);
+//! let slices = consensus::slices_from_detections(&detections, 1);
+//! let inputs: Vec<u64> = (0..kg.n() as u64).map(|i| 100 + i).collect();
+//! let scp = consensus::run_scp_with_slices_observed(&kg, &faulty, slices, &inputs, &config);
+//!
+//! let mut correct = kg.processes().filter(|i| !faulty.contains(*i));
+//! let first = scp.decisions[correct.next().unwrap().index()];
+//! assert!(first.is_some(), "correct processes decide");
+//! assert!(correct.all(|i| scp.decisions[i.index()] == first), "…the same value");
 //! ```
 
 #![forbid(unsafe_code)]

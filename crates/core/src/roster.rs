@@ -31,9 +31,8 @@ use crate::consensus::EndToEndConfig;
 use crate::explore_stack::{StackActor, StackMsg};
 use crate::sink_detector::{GetSinkMode, SdMsg, SinkDetectorActor};
 
-/// A protocol-agnostic Byzantine behaviour (`ScpAdversary` in
-/// [`crate::consensus`] and `AdversaryKind` in `scup-harness` are this
-/// type).
+/// A protocol-agnostic Byzantine behaviour (`scup-harness` re-exports
+/// this type).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AdversaryKind {
     /// Never send anything (the Lemma-2 behaviour; subsumes crashes in an

@@ -63,13 +63,9 @@ impl InvariantReport {
             && self.pledges_ok
     }
 
-    /// Whether this run passes under the given oracle mode.
+    /// Whether this run passes under the given oracle mode ([`passes`]).
     pub fn passes(&self, mode: OracleMode) -> bool {
-        match mode {
-            OracleMode::Require => self.holds(),
-            OracleMode::Conditional => !self.premise || self.holds(),
-            OracleMode::Observe => true,
-        }
+        passes(mode, self.premise, self.holds())
     }
 }
 
@@ -128,81 +124,42 @@ pub fn evaluate_churned(
     validity_mode: ValidityMode,
 ) -> InvariantReport {
     let mut violations = Vec::new();
-    let correct: Vec<ProcessId> = kg.processes().filter(|i| !faulty.contains(*i)).collect();
+    let correct = kg.graph().vertex_set().difference(faulty);
 
     // Termination — owed by correct processes that stayed. A departed
     // process left the system; demanding its decision would make every
     // leave-before-decide plan a liveness violation.
-    let undecided: Vec<ProcessId> = correct
-        .iter()
-        .copied()
-        .filter(|i| !departed.contains(*i) && decisions[i.index()].is_none())
-        .collect();
-    let termination = undecided.is_empty();
+    let undecided = || {
+        correct
+            .iter()
+            .filter(|i| !departed.contains(*i) && decisions[i.index()].is_none())
+    };
+    let termination = undecided().next().is_none();
     if !termination && termination_required {
+        let undecided: Vec<String> = undecided().map(|i| i.as_u32().to_string()).collect();
         violations.push(format!(
             "termination: {} of {} correct processes undecided ({})",
             undecided.len(),
             correct.len(),
-            join_ids(&undecided)
+            undecided.join(",")
         ));
     }
 
     // Agreement over the decisions that exist — departed included: a
     // decision taken before leaving must not contradict the stayers'.
-    let mut decided: Vec<(ProcessId, Value)> = correct
-        .iter()
-        .copied()
-        .filter_map(|i| decisions[i.index()].map(|v| (i, v)))
-        .collect();
-    decided.sort_by_key(|&(_, v)| v);
-    let agreement = decided.windows(2).all(|w| w[0].1 == w[1].1);
-    if !agreement {
-        let (lo, hi) = (decided.first().unwrap(), decided.last().unwrap());
+    let safety = safety(decisions, &correct, inputs, adversary, validity_mode);
+    if let (false, Some(lo), Some(hi)) = (safety.agreement(), safety.lowest, safety.highest) {
         violations.push(format!(
             "agreement: {} decided {} but {} decided {}",
             lo.0, lo.1, hi.0, hi.1
         ));
     }
-
-    // Validity, when the adversary cannot have injected values. A
-    // fail-stop process proposes honestly before crashing, so under the
-    // crash adversary its input is a legitimate decision too; a silent
-    // process never transmitted its proposal at all.
-    let validity = if adversary.preserves_validity() {
-        let crash = matches!(adversary, AdversaryKind::Crash { .. });
-        let ok = match validity_mode {
-            ValidityMode::Strong => decided.iter().all(|&(_, v)| {
-                inputs.iter().enumerate().any(|(i, &input)| {
-                    input == v && (crash || !faulty.contains(ProcessId::new(i as u32)))
-                })
-            }),
-            ValidityMode::Weak => {
-                // Binding only when the correct proposals are unanimous.
-                let mut correct_inputs = correct.iter().map(|i| inputs[i.index()]);
-                match correct_inputs.next() {
-                    Some(first) if correct_inputs.all(|v| v == first) => {
-                        decided.iter().all(|&(_, v)| v == first)
-                    }
-                    _ => true,
-                }
-            }
-            ValidityMode::External => {
-                // The legitimacy predicate: the value was somebody's
-                // proposal, faulty proposers included.
-                decided.iter().all(|&(_, v)| inputs.contains(&v))
-            }
-        };
-        if !ok {
-            violations.push(format!(
-                "validity ({}): a decided value fails the variant's legitimacy rule",
-                validity_mode.name()
-            ));
-        }
-        Some(ok)
-    } else {
-        None
-    };
+    if safety.validity == Some(false) {
+        violations.push(format!(
+            "validity ({}): a decided value fails the variant's legitimacy rule",
+            validity_mode.name()
+        ));
+    }
 
     // Durability: a recovered process must honor its pre-crash pledges.
     let pledges_ok = pledge_violations.is_empty();
@@ -210,32 +167,119 @@ pub fn evaluate_churned(
         violations.push(format!("durability: {v}"));
     }
 
-    // Structural premise, straight from the scup predicates. Departed
-    // processes count against it like faulty ones: the theorems speak
-    // about the processes still participating.
-    let gone = faulty.union(departed);
-    let all = kg.graph().vertex_set();
-    let correct_set = all.difference(&gone);
-    let premise = kosr::satisfies_theorem1(kg.graph(), f, &gone)
-        && sink::unique_sink(kg.graph())
-            .is_some_and(|v_sink| theorems::sink_has_enough_correct(&v_sink, &correct_set, f));
-
     InvariantReport {
         termination,
         termination_required,
-        agreement,
-        validity,
+        agreement: safety.agreement(),
+        validity: safety.validity,
         pledges_ok,
-        premise,
+        premise: premise(kg, f, &faulty.union(departed)),
         violations,
     }
 }
 
-fn join_ids(ids: &[ProcessId]) -> String {
-    ids.iter()
-        .map(|i| i.as_u32().to_string())
-        .collect::<Vec<_>>()
-        .join(",")
+/// The structural premise of Theorems 1 and 5, from the scup predicates:
+/// the graph is Byzantine-safe for `gone` (the faulty processes, plus the
+/// departed ones in a churned run) and its sink keeps `2f + 1` others.
+pub fn premise(kg: &KnowledgeGraph, f: usize, gone: &ProcessSet) -> bool {
+    let correct = kg.graph().vertex_set().difference(gone);
+    kosr::satisfies_theorem1(kg.graph(), f, gone)
+        && sink::unique_sink(kg.graph())
+            .is_some_and(|v_sink| theorems::sink_has_enough_correct(&v_sink, &correct, f))
+}
+
+/// What the safety rule found in one decision vector ([`safety`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Safety {
+    /// How many correct processes decided.
+    pub decided: usize,
+    /// The lowest decided value and the first process that decided it.
+    pub lowest: Option<(ProcessId, Value)>,
+    /// The highest decided value and the last process that decided it.
+    pub highest: Option<(ProcessId, Value)>,
+    /// Every decided value passes the validity variant's legitimacy rule;
+    /// `None` when the adversary may inject values (not judged).
+    pub validity: Option<bool>,
+}
+
+impl Safety {
+    /// No two correct processes decided differently.
+    pub fn agreement(&self) -> bool {
+        self.lowest.map(|(_, v)| v) == self.highest.map(|(_, v)| v)
+    }
+
+    /// Agreement, and validity wherever it is judged.
+    pub fn holds(&self) -> bool {
+        self.agreement() && self.validity != Some(false)
+    }
+}
+
+/// The safety rule on the `correct` processes' decisions, for the sampler's
+/// oracle and the explorer's per-state verdict alike; allocation-free.
+/// Validity is judged only when the adversary cannot inject values. Under
+/// [`ValidityMode::Strong`] a decided value must be a correct process's
+/// proposal — or, under the crash adversary, any process's: a fail-stop
+/// process proposes honestly before crashing; a silent one never does.
+pub fn safety(
+    decisions: &[Option<Value>],
+    correct: &ProcessSet,
+    inputs: &[Value],
+    adversary: AdversaryKind,
+    mode: ValidityMode,
+) -> Safety {
+    let decided = || {
+        correct
+            .iter()
+            .filter_map(|i| decisions[i.index()].map(|v| (i, v)))
+    };
+    let mut safety = Safety::default();
+    for (i, v) in decided() {
+        safety.decided += 1;
+        if safety.lowest.is_none_or(|(_, lo)| v < lo) {
+            safety.lowest = Some((i, v));
+        }
+        if safety.highest.is_none_or(|(_, hi)| v >= hi) {
+            safety.highest = Some((i, v));
+        }
+    }
+    if !adversary.preserves_validity() {
+        return safety;
+    }
+    let crash = matches!(adversary, AdversaryKind::Crash { .. });
+    // Weak validity binds only when the correct proposals are unanimous.
+    let mut proposals = correct.iter().map(|i| inputs[i.index()]);
+    let unanimous = match proposals.next() {
+        Some(first) if mode == ValidityMode::Weak && proposals.all(|v| v == first) => Some(first),
+        _ => None,
+    };
+    let legitimate = |v: Value| match mode {
+        ValidityMode::Strong => inputs
+            .iter()
+            .enumerate()
+            .any(|(j, &input)| input == v && (crash || correct.contains(ProcessId::new(j as u32)))),
+        ValidityMode::Weak => unanimous.is_none_or(|u| v == u),
+        // The legitimacy predicate: the value was somebody's proposal,
+        // faulty proposers included.
+        ValidityMode::External => inputs.contains(&v),
+    };
+    // Under agreement every decided value is the lowest one.
+    safety.validity = Some(if safety.agreement() {
+        safety.lowest.is_none_or(|(_, v)| legitimate(v))
+    } else {
+        decided().all(|(_, v)| legitimate(v))
+    });
+    safety
+}
+
+/// The [`OracleMode`] pass rule for a sampled run and an explored state
+/// space alike: whether a verdict whose oracles `hold` passes, given
+/// whether the [`premise`] held.
+pub fn passes(mode: OracleMode, premise: bool, holds: bool) -> bool {
+    match mode {
+        OracleMode::Require => holds,
+        OracleMode::Conditional => !premise || holds,
+        OracleMode::Observe => true,
+    }
 }
 
 #[cfg(test)]

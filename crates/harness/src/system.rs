@@ -41,11 +41,11 @@ impl System {
     /// # Errors
     ///
     /// Returns a description when the scenario cannot be configured: an
-    /// unknown adversary, an unsatisfiable fault placement, or network
-    /// timing, topology parameters, a fault plan or a churn plan the
-    /// simulator or a generator would reject (they panic on a bad one;
-    /// validating here turns `delta = 0`, `sink <= k` or an out-of-range
-    /// id into an error).
+    /// unknown adversary, an unsatisfiable fault placement, a fault
+    /// threshold no smaller than the system, or network timing, topology
+    /// parameters, a fault plan or a churn plan the simulator or a
+    /// generator would reject (they panic on a bad one; validating here
+    /// turns `delta = 0`, `sink <= k` or an out-of-range id into an error).
     pub fn of(
         scenario: &Scenario,
         seed: u64,
@@ -58,6 +58,14 @@ impl System {
             .and_then(|()| scenario.topology.validate(scenario.f))
             .map_err(|e| format!("scenario `{}`: {e}", scenario.name))?;
         let (kg, generated) = topology::instantiate(&scenario.topology, scenario.f, seed);
+        if scenario.f >= kg.n() {
+            // Thresholds like `4 (f + 1)` would overflow on a huge one.
+            let name = &scenario.name;
+            return Err(format!(
+                "scenario `{name}`: `f` must be below n = {}",
+                kg.n()
+            ));
+        }
         let faulty = topology::place_faults(&scenario.faults, &kg, generated, seed)?;
         let config = end_to_end_config(
             &kg,

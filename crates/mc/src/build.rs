@@ -31,16 +31,17 @@
 
 use scup_cup::bftcup::BftMsg;
 use scup_fbqs::SliceFamily;
-use scup_graph::{kosr, sink, ProcessId, ProcessSet};
-use scup_harness::scenario::{ProtocolSpec, Scenario};
-use scup_harness::{AdversaryKind, AdversaryRegistry, System};
+use scup_graph::{sink, ProcessId, ProcessSet};
+use scup_harness::scenario::{ProtocolSpec, Scenario, ValidityMode};
+use scup_harness::{oracle, AdversaryKind, AdversaryRegistry, System};
 use scup_obs::causal::ProvenanceLog;
 use scup_scp::{ScpMsg, Value};
 use scup_sim::ExploreSim;
 use stellar_cup::consensus;
 use stellar_cup::explore_stack::StackMsg;
 use stellar_cup::roster::{self, BftProtocol, Protocol, ScpProtocol, StackProtocol};
-use stellar_cup::theorems;
+
+use crate::explorer::Class;
 
 /// The resolved, concrete system one scenario explores: the sampler's
 /// [`System`] at the scenario's `seed_base` (reachable through `Deref`),
@@ -57,8 +58,10 @@ pub struct Setup {
     /// Whether the knowledge-increase phase is explored in-schedule
     /// (`stellar-minimal` with `explore_discovery = true`).
     pub explore_discovery: bool,
-    /// The paper's structural premise (Byzantine-safe `k`-OSR with enough
-    /// correct sink members) — computed once; it is schedule-independent.
+    /// The correct processes — whose decisions every state is judged by.
+    pub correct: ProcessSet,
+    /// The paper's structural premise ([`oracle::premise`]) — computed
+    /// once; it is schedule-independent.
     pub premise: bool,
     /// Timer budget per process (see
     /// [`ExploreSpec`](scup_harness::scenario::ExploreSpec)).
@@ -125,16 +128,14 @@ impl Setup {
             ProtocolSpec::BftCup => Vec::new(),
         };
 
-        let all = kg.graph().vertex_set();
-        let correct = all.difference(faulty);
-        let premise = kosr::satisfies_theorem1(kg.graph(), f, faulty)
-            && sink::unique_sink(kg.graph())
-                .is_some_and(|v_sink| theorems::sink_has_enough_correct(&v_sink, &correct, f));
+        let correct = kg.graph().vertex_set().difference(faulty);
+        let premise = oracle::premise(kg, f, faulty);
 
         Ok(Setup {
             system,
             slices,
             explore_discovery,
+            correct,
             premise,
             timer_budget: scenario.explore.timer_budget,
             preset_sink,
@@ -181,39 +182,26 @@ impl Setup {
         }
     }
 
-    /// The correct processes.
-    pub fn correct(&self) -> ProcessSet {
-        self.kg.graph().vertex_set().difference(&self.faulty)
-    }
-
-    /// Cheap per-state safety check: `true` when the decisions so far
-    /// already violate agreement, or (for value-preserving adversaries)
-    /// validity. Both violations are stable — decided values never
-    /// change — so flagging them at the first state they appear in yields
-    /// the minimal-depth witness.
-    pub fn violates(&self, decisions: &[Option<Value>]) -> bool {
-        let crash = matches!(self.config.adversary, AdversaryKind::Crash { .. });
-        let check_validity = self.config.adversary.preserves_validity();
-        let mut agreed: Option<Value> = None;
-        for i in self.correct().iter() {
-            let Some(v) = decisions[i.index()] else {
-                continue;
-            };
-            match agreed {
-                None => agreed = Some(v),
-                Some(prev) if prev != v => return true,
-                Some(_) => {}
-            }
-            if check_validity {
-                let proposed_ok = self.inputs().iter().enumerate().any(|(j, &input)| {
-                    input == v && (crash || !self.faulty.contains(ProcessId::new(j as u32)))
-                });
-                if !proposed_ok {
-                    return true;
-                }
-            }
+    /// The per-state verdict the explorer classifies by — the sampler's
+    /// safety rule ([`oracle::safety`], under strong validity: explore
+    /// mode accepts no other variant): `Violating` when the decisions so
+    /// far break agreement or validity, `Decided(v)` once every correct
+    /// process decided `v`, `None` otherwise. Both violations are stable —
+    /// decided values never change — so flagging them at the first state
+    /// they appear in yields the minimal-depth witness.
+    pub fn judge(&self, decisions: &[Option<Value>]) -> Option<Class> {
+        let safety = oracle::safety(
+            decisions,
+            &self.correct,
+            self.inputs(),
+            self.config.adversary,
+            ValidityMode::Strong,
+        );
+        if !safety.holds() {
+            return Some(Class::Violating);
         }
-        false
+        let (_, v) = safety.lowest?;
+        (safety.decided == self.correct.len()).then_some(Class::Decided(v))
     }
 }
 

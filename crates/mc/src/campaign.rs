@@ -13,10 +13,11 @@
 use std::collections::BTreeSet;
 use std::time::Instant;
 
+use scup_graph::ProcessSet;
 use scup_harness::campaign::{configuration_panic, worker_threads, Campaign};
 use scup_harness::forensics::ForensicReport;
-use scup_harness::scenario::ProtocolSpec;
-use scup_harness::{oracle, AdversaryRegistry, OracleMode, Scenario};
+use scup_harness::scenario::{ProtocolSpec, ValidityMode};
+use scup_harness::{oracle, AdversaryRegistry, Scenario};
 use scup_obs::causal::CausalKind;
 use scup_obs::chrome::{ArgValue, ChromeEvent, TraceBuffer, TraceClock};
 use scup_obs::profile::Phase;
@@ -478,11 +479,7 @@ fn explore_with_driver<P: Explored>(
     record.passed = if scenario.explore.expect_violation {
         record.violation.is_some()
     } else {
-        match scenario.oracle {
-            OracleMode::Require => record.violating == 0,
-            OracleMode::Conditional => !record.premise || record.violating == 0,
-            OracleMode::Observe => true,
-        }
+        oracle::passes(scenario.oracle, record.premise, record.violating == 0)
     };
     Ok(())
 }
@@ -600,21 +597,21 @@ fn render_cex<P: Explored>(
         })
         .collect();
 
-    let invariants = oracle::evaluate(
+    // Termination is a liveness property; mid-schedule states are
+    // legitimately undecided, so only safety is owed.
+    let violations = oracle::evaluate_churned(
         &setup.kg,
         setup.f,
         &setup.faulty,
+        &ProcessSet::new(),
         setup.inputs(),
         &decisions,
         setup.config.adversary,
-    );
-    let violations: Vec<String> = invariants
-        .violations
-        .into_iter()
-        // Termination is a liveness property; mid-schedule states are
-        // legitimately undecided.
-        .filter(|v| !v.starts_with("termination"))
-        .collect();
+        false,
+        &[],
+        ValidityMode::Strong,
+    )
+    .violations;
 
     let forensic = forensics.then(|| {
         let provenance = driver.provenance(&sim);

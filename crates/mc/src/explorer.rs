@@ -372,8 +372,7 @@ impl<'a, P: Explored> Engine<'a, P> {
         match event {
             ExploreEvent::Deliver { from, msg, .. } => {
                 let origin = P::msg_origin(*from, msg);
-                let correct = !self.driver.setup().faulty.contains(origin);
-                P::inert_origin_ok(correct, msg)
+                P::inert_origin_ok(self.driver.setup().correct.contains(origin), msg)
             }
             ExploreEvent::Timer { .. } => false,
         }
@@ -396,28 +395,8 @@ impl<'a, P: Explored> Engine<'a, P> {
 
     /// Classifies the (canonical) current state.
     fn classify(&self, sim: &ExploreSim<P::Msg>, depth: u32) -> Class {
-        let decisions = self.driver.decisions(sim);
-        if self.driver.setup().violates(&decisions) {
-            return Class::Violating;
-        }
-        let correct = self.driver.setup().correct();
-        let mut agreed = None;
-        let mut all_decided = true;
-        for i in correct.iter() {
-            match (decisions[i.index()], agreed) {
-                (None, _) => {
-                    all_decided = false;
-                    break;
-                }
-                (Some(v), None) => agreed = Some(v),
-                // classify ran after `violates`: equal by construction.
-                (Some(_), Some(_)) => {}
-            }
-        }
-        if all_decided {
-            if let Some(v) = agreed {
-                return Class::Decided(v);
-            }
+        if let Some(class) = self.driver.setup().judge(&self.driver.decisions(sim)) {
+            return class;
         }
         if sim.is_quiescent() {
             return Class::QuiescentUndecided;
@@ -661,7 +640,7 @@ impl<'a, P: Explored> Engine<'a, P> {
                      path: &[u32]|
          -> Result<Option<Vec<usize>>, Vec<u32>> {
             let depth = sim.steps() as u32;
-            if self.driver.setup().violates(&self.driver.decisions(sim)) {
+            if self.driver.setup().judge(&self.driver.decisions(sim)) == Some(Class::Violating) {
                 return Err(path.to_vec());
             }
             if depth >= d_star {

@@ -33,7 +33,7 @@ use scup_harness::scenario::{ExploreSpec, FaultPlacement, ProtocolSpec, Scenario
 use scup_harness::AdversaryRegistry;
 use scup_mc::build::{Driver, Explored, Setup};
 use scup_mc::campaign::{explore_scenario, explore_scenario_obs, ObsConfig};
-use scup_mc::ExploreRecord;
+use scup_mc::{Class, ExploreRecord};
 use scup_obs::chrome::TraceClock;
 use scup_sim::{ExploreSim, SimState};
 use stellar_cup::attempts::LocalSliceStrategy;
@@ -189,11 +189,12 @@ impl Census {
 /// Every edge is one fired choice, so FIFO order reaches each state at
 /// its minimal depth first; a state is identified by its from-scratch
 /// hash (no memo), classified once, and expanded through every entry of
-/// `choices()`. Nothing from the explorer is reused — only the
-/// scenario-to-roster builders.
+/// `choices()`. Nothing from the explorer's search is reused — only the
+/// scenario-to-roster builders and the per-state verdict
+/// ([`Setup::judge`], the sampler's safety rule; `tests/verdict.rs` pins
+/// it against the oracle).
 fn reference_bfs<P: Explored>(driver: &Driver<'_, P>, max_steps: u32) -> Census {
     let setup = driver.setup();
-    let correct = setup.correct();
     let mut census = Census::default();
     let mut decided_values = BTreeSet::new();
     let mut seen: HashSet<(u32, u128)> = HashSet::new();
@@ -209,16 +210,20 @@ fn reference_bfs<P: Explored>(driver: &Driver<'_, P>, max_steps: u32) -> Census 
             return;
         }
         census.states += 1;
-        let decisions = driver.decisions(sim);
-        if setup.violates(&decisions) {
-            census.violating += 1;
-            census.min_violation_depth.get_or_insert(depth);
-        } else if correct.iter().all(|i| decisions[i.index()].is_some()) {
-            // Not violating, so all correct processes decided one value.
-            let value = correct.iter().find_map(|i| decisions[i.index()]);
-            census.decided += 1;
-            decided_values.insert(value.expect("some process is correct"));
-        } else if sim.is_quiescent() {
+        match setup.judge(&driver.decisions(sim)) {
+            Some(Class::Violating) => {
+                census.violating += 1;
+                census.min_violation_depth.get_or_insert(depth);
+                return;
+            }
+            Some(Class::Decided(value)) => {
+                census.decided += 1;
+                decided_values.insert(value);
+                return;
+            }
+            _ => {}
+        }
+        if sim.is_quiescent() {
             census.quiescent_undecided += 1;
         } else if depth >= max_steps {
             census.truncated += 1;

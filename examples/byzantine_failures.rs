@@ -4,12 +4,14 @@
 //! Run: `cargo run --release --example byzantine_failures`
 
 use scup_graph::{generators, sink, ProcessSet};
-use stellar_cup::consensus::{self, EndToEndConfig, ScpAdversary};
+use scup_harness::scenario::{ChurnSpec, FaultSpec, NetworkSpec, ProtocolSpec};
+use scup_harness::{oracle, protocol, AdversaryKind};
 
 fn main() {
     let kg = generators::fig2();
     let v_sink = sink::unique_sink(kg.graph()).unwrap();
     println!("Fig. 2 graph; sink = {v_sink} (0-based)");
+    let inputs: Vec<u64> = (0..kg.n() as u64).map(|i| 100 + i).collect();
 
     for faulty_id in 0..kg.n() as u32 {
         let faulty = ProcessSet::from_ids([faulty_id]);
@@ -18,21 +20,29 @@ fn main() {
         } else {
             "non-sink"
         };
-        for adversary in [ScpAdversary::Silent, ScpAdversary::Equivocate] {
-            let config = EndToEndConfig {
-                seed: faulty_id as u64,
+        for adversary in [AdversaryKind::Silent, AdversaryKind::Equivocate] {
+            let out = protocol::execute(
+                ProtocolSpec::StellarMinimal,
+                &kg,
+                1,
+                &faulty,
                 adversary,
-                ..EndToEndConfig::default()
-            };
-            let outcome = consensus::run_end_to_end(&kg, 1, &faulty, &config);
-            assert!(
-                outcome.agreement(),
-                "faulty {faulty_id} ({where_}, {adversary:?}) must not break consensus"
+                &NetworkSpec::default(),
+                &FaultSpec::default(),
+                &ChurnSpec::default(),
+                inputs.clone(),
+                faulty_id as u64,
             );
+            let verdict = oracle::evaluate(&kg, 1, &faulty, &inputs, &out.decisions, adversary);
+            assert!(
+                verdict.holds(),
+                "faulty {faulty_id} ({where_}, {adversary:?}) must not break consensus: {:?}",
+                verdict.violations
+            );
+            let value = kg.processes().find_map(|i| out.decisions[i.index()]);
             println!(
-                "faulty p{} ({where_:8}, {adversary:?}): agreement, value {:?}",
-                faulty_id + 1,
-                outcome.decided_value()
+                "faulty p{} ({where_:8}, {adversary:?}): agreement, value {value:?}",
+                faulty_id + 1
             );
         }
     }

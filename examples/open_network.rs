@@ -8,7 +8,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scup_graph::generators;
-use stellar_cup::consensus::{self, EndToEndConfig};
+use scup_harness::scenario::{ChurnSpec, FaultSpec, NetworkSpec, ProtocolSpec};
+use scup_harness::{oracle, protocol, AdversaryKind};
 
 fn main() {
     let f = 1;
@@ -16,29 +17,45 @@ fn main() {
         let mut rng = StdRng::seed_from_u64(seed);
         // Sink of 6, 10 outer processes; one random Byzantine process.
         let (kg, faulty) = generators::random_byzantine_safe(6, 10, f, &mut rng);
-        let config = EndToEndConfig {
+        let inputs: Vec<u64> = (0..kg.n() as u64).map(|i| 100 + i).collect();
+        let out = protocol::execute(
+            ProtocolSpec::StellarMinimal,
+            &kg,
+            f,
+            &faulty,
+            AdversaryKind::Silent,
+            &NetworkSpec::default(),
+            &FaultSpec::default(),
+            &ChurnSpec::default(),
+            inputs.clone(),
             seed,
-            ..EndToEndConfig::default()
-        };
-        let outcome = consensus::run_end_to_end(&kg, f, &faulty, &config);
+        );
+        let verdict = oracle::evaluate(
+            &kg,
+            f,
+            &faulty,
+            &inputs,
+            &out.decisions,
+            AdversaryKind::Silent,
+        );
 
         println!("seed {seed}: n = {}, faulty = {}", kg.n(), faulty);
         println!(
-            "  sink detection: {} messages, {} bytes, finished at {}",
-            outcome.sd_report.messages_sent,
-            outcome.sd_report.bytes_sent,
-            outcome.sd_report.end_time
+            "  sink detection + SCP: {} messages, {} bytes, decided at tick {}",
+            out.messages_sent, out.bytes_sent, out.end_ticks
         );
-        println!(
-            "  SCP: {} messages, decided at {}",
-            outcome.scp_report.messages_sent, outcome.scp_report.end_time
+        assert!(
+            verdict.premise,
+            "the generator builds Byzantine-safe graphs"
         );
-        assert!(outcome.agreement(), "Theorem 5: consensus must hold");
+        assert!(verdict.holds(), "Theorem 5: consensus must hold");
+        let value = kg
+            .processes()
+            .find_map(|i| out.decisions[i.index()])
+            .expect("correct processes decide");
         println!(
-            "  agreement = {}, value = {:?}, validity = {}",
-            outcome.agreement(),
-            outcome.decided_value(),
-            outcome.validity()
+            "  agreement = {}, termination = {}, value = {value}, validity = {:?}",
+            verdict.agreement, verdict.termination, verdict.validity
         );
     }
     println!("all seeds agreed — PD + f + sink detector suffice (Corollary 2)");

@@ -2,12 +2,14 @@
 //!
 //! Builds the 8-participant knowledge connectivity graph, inspects its sink,
 //! checks the hand-crafted slices of Section III-D form a single maximal
-//! consensus cluster, and runs SCP on it to externalize a value.
+//! consensus cluster, runs SCP on it to externalize a value, and judges the
+//! run with the campaign oracle.
 //!
 //! Run: `cargo run --release --example quickstart`
 
 use scup_fbqs::{cluster, paper, quorum};
 use scup_graph::{generators, sink, ProcessSet};
+use scup_harness::{oracle, AdversaryKind};
 use stellar_cup::consensus::{self, EndToEndConfig};
 
 fn main() {
@@ -50,21 +52,30 @@ fn main() {
         seed: 1,
         ..EndToEndConfig::default()
     };
-    let (decisions, report) =
-        consensus::run_scp_with_slices(&kg, &paper::fig1_faulty(), slices, &inputs, &config);
+    let scp = consensus::run_scp_with_slices_observed(
+        &kg,
+        &paper::fig1_faulty(),
+        slices,
+        &inputs,
+        &config,
+    );
+    let verdict = oracle::evaluate(
+        &kg,
+        1,
+        &paper::fig1_faulty(),
+        &inputs,
+        &scp.decisions,
+        AdversaryKind::Silent,
+    );
+    assert!(verdict.holds(), "{:?}", verdict.violations);
 
-    let mut value = None;
     for i in w.iter() {
-        let v = decisions[i.index()].expect("every correct node externalizes");
+        let v = scp.decisions[i.index()].expect("every correct node externalizes");
         println!("node {} externalized {v}", i.as_u32() + 1);
-        match value {
-            None => value = Some(v),
-            Some(prev) => assert_eq!(prev, v, "agreement"),
-        }
     }
     println!(
         "consensus reached on {} in {}",
-        value.unwrap(),
-        report.end_time
+        scp.decisions[w.iter().next().unwrap().index()].unwrap(),
+        scp.report.end_time
     );
 }

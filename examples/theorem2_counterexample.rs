@@ -4,8 +4,9 @@
 //! Run: `cargo run --release --example theorem2_counterexample`
 
 use scup_graph::{generators, ProcessSet};
+use scup_harness::scenario::{ChurnSpec, FaultSpec, NetworkSpec, ProtocolSpec};
+use scup_harness::{oracle, protocol, AdversaryKind};
 use stellar_cup::attempts::LocalSliceStrategy;
-use stellar_cup::consensus::{self, EndToEndConfig};
 use stellar_cup::theorems;
 
 fn main() {
@@ -23,23 +24,36 @@ fn main() {
     // Dynamic: run SCP with those local slices until a schedule splits the
     // two quorums.
     println!("searching for a disagreeing schedule...");
+    let network = NetworkSpec {
+        gst: 80,
+        ..NetworkSpec::default()
+    };
+    let inputs = vec![1, 1, 1, 1, 104, 105, 106];
+    let none = ProcessSet::new();
     for seed in 0..40u64 {
-        let config = EndToEndConfig {
-            seed,
-            gst: 80,
-            inputs: Some(vec![1, 1, 1, 1, 104, 105, 106]),
-            ..EndToEndConfig::default()
-        };
-        let outcome = consensus::run_local_slices_pipeline(
+        let out = protocol::execute(
+            ProtocolSpec::StellarLocal(LocalSliceStrategy::AllButOne),
             &kg,
             1,
-            &ProcessSet::new(),
-            LocalSliceStrategy::AllButOne,
-            &config,
+            &none,
+            AdversaryKind::Silent,
+            &network,
+            &FaultSpec::default(),
+            &ChurnSpec::default(),
+            inputs.clone(),
+            seed,
         );
-        if outcome.decisions.iter().all(Option::is_some) && !outcome.agreement() {
+        let verdict = oracle::evaluate(
+            &kg,
+            1,
+            &none,
+            &inputs,
+            &out.decisions,
+            AdversaryKind::Silent,
+        );
+        if verdict.termination && !verdict.agreement {
             println!("  seed {seed}: AGREEMENT VIOLATED");
-            for (i, d) in outcome.decisions.iter().enumerate() {
+            for (i, d) in out.decisions.iter().enumerate() {
                 println!("    node {} externalized {:?}", i + 1, d.unwrap());
             }
             println!("Stellar cannot solve consensus from PD_i and f alone (Corollary 1).");

@@ -4,11 +4,10 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use scup_cup::bftcup::{BftConfig, BftCupActor, BftMsg};
 use scup_fbqs::Fbqs;
-use scup_graph::{generators, ProcessId, ProcessSet};
-use scup_sim::adversary::SilentActor;
-use scup_sim::{NetworkConfig, Simulation};
+use scup_graph::{generators, ProcessSet};
+use scup_harness::scenario::{ChurnSpec, FaultSpec, NetworkSpec, ProtocolSpec};
+use scup_harness::{oracle, protocol, AdversaryKind};
 use stellar_cup::consensus::{self, EndToEndConfig};
 use stellar_cup::{build_slices, theorems};
 
@@ -50,56 +49,41 @@ fn distributed_detections_feed_theorem_checks() {
 fn bftcup_and_scp_sd_agree_on_solvability() {
     // Theorem 1 vs Theorem 5: on Byzantine-safe graphs with ≥ 2f+1 correct
     // sink members, both the baseline and the sink-detector pipeline solve
-    // consensus.
+    // consensus — and with unanimous inputs, strong validity pins the value.
     for seed in 0..2u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let (kg, faulty) = generators::random_byzantine_safe(5, 4, 1, &mut rng);
-
-        // BFT-CUP.
-        let mut sim: Simulation<BftMsg> = Simulation::new(
-            kg.clone(),
-            NetworkConfig::partially_synchronous(100, 10, seed),
-        );
-        for i in kg.processes() {
-            if faulty.contains(i) {
-                sim.add_actor(Box::new(SilentActor::new()));
-            } else {
-                sim.add_actor(Box::new(BftCupActor::new(
-                    kg.pd(i).clone(),
-                    7,
-                    BftConfig::new(1, 400),
-                )));
-            }
-        }
-        let correct: Vec<ProcessId> = kg.processes().filter(|i| !faulty.contains(*i)).collect();
-        sim.run_while(
-            |s| {
-                !correct.iter().all(|&i| {
-                    s.actor_as::<BftCupActor>(i)
-                        .is_some_and(|a| a.decision().is_some())
-                })
-            },
-            3_000_000,
-        );
-        for &i in &correct {
-            assert_eq!(
-                sim.actor_as::<BftCupActor>(i).unwrap().decision(),
-                Some(7),
-                "BFT-CUP strong validity (all inputs equal), seed {seed}"
+        let inputs = vec![7; kg.n()];
+        for protocol in [ProtocolSpec::BftCup, ProtocolSpec::StellarMinimal] {
+            let out = protocol::execute(
+                protocol,
+                &kg,
+                1,
+                &faulty,
+                AdversaryKind::Silent,
+                &NetworkSpec::default(),
+                &FaultSpec::default(),
+                &ChurnSpec::default(),
+                inputs.clone(),
+                seed,
+            );
+            let r = oracle::evaluate(
+                &kg,
+                1,
+                &faulty,
+                &inputs,
+                &out.decisions,
+                AdversaryKind::Silent,
+            );
+            let at = format!("{}, seed {seed}", protocol.name());
+            assert!(r.premise && r.holds(), "{at}: {:?}", r.violations);
+            assert!(
+                kg.processes()
+                    .filter(|i| !faulty.contains(*i))
+                    .all(|i| out.decisions[i.index()] == Some(7)),
+                "{at}"
             );
         }
-
-        // SCP + SD.
-        let outcome = consensus::run_end_to_end(
-            &kg,
-            1,
-            &faulty,
-            &EndToEndConfig {
-                seed,
-                ..EndToEndConfig::default()
-            },
-        );
-        assert!(outcome.agreement(), "SCP+SD, seed {seed}");
     }
 }
 
