@@ -171,14 +171,16 @@ fn decode_stmt(kind: u64, n: u64, v: u64) -> Option<Statement> {
 
 /// Scans a process's durable journal for pledge contradictions — the
 /// safety property crash–recovery must preserve: a recovered node may
-/// re-announce its pre-crash pledges but must never pledge a *different*
-/// value for the same ballot statement, nor externalize two values.
+/// re-announce its pre-crash pledges but must never vote a *different*
+/// value for the same ballot statement, accept a statement contradicting
+/// one it accepted (the accept ratchet, [`Statement::contradicts`]), nor
+/// externalize two values.
 ///
-/// Only voluntary vote-level ballot pledges are scanned (nomination votes
-/// legitimately range over many values, and accept-level pledges follow
-/// the federated-voting evidence rather than the node's own choices).
+/// Nomination votes are not scanned: they legitimately range over many
+/// values.
 pub fn journal_contradictions(journal: &dyn Journal) -> Vec<String> {
     let mut votes: std::collections::BTreeMap<(u64, u64), u64> = std::collections::BTreeMap::new();
+    let mut accepts = std::collections::BTreeSet::new();
     let mut externalized: Option<u64> = None;
     let mut out = Vec::new();
     for rec in journal.records() {
@@ -187,10 +189,15 @@ pub fn journal_contradictions(journal: &dyn Journal) -> Vec<String> {
                 let [kind, n, v, accept] = rec.words[..] else {
                     continue;
                 };
-                if accept != 0 || kind == 0 {
+                let Some(stmt) = decode_stmt(kind, n, v) else {
                     continue;
-                }
-                if let Some(prev) = votes.insert((kind, n), v) {
+                };
+                if accept != 0 {
+                    for prev in accepts.iter().filter(|prev| stmt.contradicts(prev)) {
+                        out.push(format!("contradictory accepts: {prev} then {stmt}"));
+                    }
+                    accepts.insert(stmt);
+                } else if let Some(prev) = stmt.counter().and_then(|_| votes.insert((kind, n), v)) {
                     if prev != v {
                         let what = if kind == 1 { "prepare" } else { "commit" };
                         out.push(format!(
@@ -474,6 +481,29 @@ impl ScpNode {
         self.reevaluate(ctx);
     }
 
+    /// Runs the protocol from the state on hand, fresh in `on_start` or
+    /// rebuilt from the journal in `on_recover`: processes known now get
+    /// every envelope by the regular flood (only later ones need a
+    /// catch-up), the current phase's clock starts, and the rules run.
+    fn start(&mut self, ctx: &mut Context<'_, ScpMsg>) {
+        let me = ctx.self_id();
+        self.synced.clone_from(ctx.known());
+        self.synced.insert(me);
+        let nominate = Statement::Nominate(self.config.input);
+        match (self.externalized, self.ballot) {
+            (Some(_), _) => {}
+            (None, 0) => {
+                self.vote_because(ctx, nominate, || {
+                    vec![(me.as_u32(), format!("propose {nominate:?}"))]
+                });
+                ctx.set_timer(self.config.nomination_timeout, NOMINATION_TIMER);
+            }
+            (None, n) => ctx.set_timer(self.config.ballot_timeout * (n + 1), n << 8),
+        }
+        self.arm_retransmit(ctx);
+        self.reevaluate(ctx);
+    }
+
     /// Arms the next retransmission round, if the schedule has rounds
     /// left. No-op with retransmission disabled (the default).
     fn arm_retransmit(&mut self, ctx: &mut Context<'_, ScpMsg>) {
@@ -554,7 +584,7 @@ impl ScpNode {
                             )
                         });
                         let commit = Statement::Commit(n, v);
-                        if !self.tracker.accept_would_contradict(commit) {
+                        if !self.tracker.accept_would_contradict(me, commit) {
                             self.vote_because(ctx, commit, || {
                                 vec![(me.as_u32(), format!("lock {v}"))]
                             });
@@ -583,25 +613,12 @@ impl ScpNode {
 
 impl Actor<ScpMsg> for ScpNode {
     fn on_start(&mut self, ctx: &mut Context<'_, ScpMsg>) {
-        // Everyone known from the start receives every envelope through the
-        // regular flood; only processes learned later need a catch-up.
-        self.synced.clone_from(ctx.known());
-        self.synced.insert(ctx.self_id());
         let input = self.config.input;
-        let me = ctx.self_id();
         // The provenance DAG root: the input value entering the protocol.
-        self.prov_note(me, ProvRule::Proposal, || {
+        self.prov_note(ctx.self_id(), ProvRule::Proposal, || {
             (format!("{:?}", Statement::Nominate(input)), Vec::new())
         });
-        self.vote_because(ctx, Statement::Nominate(input), || {
-            vec![(
-                me.as_u32(),
-                format!("propose {:?}", Statement::Nominate(input)),
-            )]
-        });
-        ctx.set_timer(self.config.nomination_timeout, NOMINATION_TIMER);
-        self.arm_retransmit(ctx);
-        self.reevaluate(ctx);
+        self.start(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, ScpMsg>, _from: ProcessId, msg: ScpMsg) {
@@ -626,11 +643,7 @@ impl Actor<ScpMsg> for ScpNode {
         if self.check.record_slices(msg.origin, &msg.slices) {
             self.tracker.invalidate_all();
         }
-        if msg.accept {
-            self.tracker.record_accept(msg.origin, msg.stmt);
-        } else {
-            self.tracker.record_vote(msg.origin, msg.stmt);
-        }
+        self.tracker.record(msg.origin, msg.stmt, msg.accept);
         // Nomination echo: before any ballot starts, adopt others'
         // nominees so a quorum of votes can form.
         if self.ballot == 0 && msg.stmt.is_nomination() && self.externalized.is_none() {
@@ -702,28 +715,27 @@ impl Actor<ScpMsg> for ScpNode {
     ///
     /// The journal holds exactly the node's own pledges (write-ahead in
     /// `broadcast_own`), its lock, ballot counter, candidates and
-    /// externalization. Rehydrating those — and re-registering the
-    /// pledges in the vote tracker — guarantees the recovered node never
-    /// votes a conflicting value for a ballot it pledged before the
-    /// crash (checked by [`journal_contradictions`]). Peers' envelopes
-    /// were volatile and are *not* reconstructed here: they flow back in
-    /// through the peers' own retransmission rounds and the flood
-    /// relay, after which `reevaluate` re-derives accepts/confirms from
-    /// evidence as usual.
+    /// externalization. Rehydrating those — the pledges filed in the
+    /// pledge table exactly as they were, so they are the node's own votes
+    /// and accepts again — guarantees the recovered node never votes a
+    /// conflicting value for a ballot it pledged before the crash, nor
+    /// accepts against an accept (checked by [`journal_contradictions`]).
+    /// Peers' envelopes were volatile and are *not* reconstructed here:
+    /// they flow back in through the peers' own retransmission rounds and
+    /// the flood relay, after which `reevaluate` re-derives
+    /// accepts/confirms from evidence as usual.
     fn on_recover(&mut self, ctx: &mut Context<'_, ScpMsg>, journal: &dyn Journal) {
         let config = std::sync::Arc::clone(&self.config);
         let stats = self.stats;
         // The provenance log is the observer's, not the process's: it
         // survives the crash so forensic chains can span the recovery.
         let prov = std::mem::take(&mut self.prov);
+        // A fresh node, so its retransmission schedule restarts from the
+        // short intervals.
         *self = ScpNode::from_shared(config);
         self.stats = stats;
         self.prov = prov;
         let me = ctx.self_id();
-        // Knowledge survives in the simulator (it models the address
-        // book, not process memory); peers already got our backlog.
-        self.synced.clone_from(ctx.known());
-        self.synced.insert(me);
         for rec in journal.records() {
             match rec.tag {
                 J_PLEDGE => {
@@ -735,11 +747,7 @@ impl Actor<ScpMsg> for ScpNode {
                     };
                     let accept = accept != 0;
                     self.prov_note(me, ProvRule::Replay, || (format!("{stmt:?}"), Vec::new()));
-                    if accept {
-                        self.tracker.record_accept(me, stmt);
-                    } else {
-                        self.tracker.vote(me, stmt);
-                    }
+                    self.tracker.record(me, stmt, accept);
                     std::sync::Arc::make_mut(&mut self.backlog).push(ScpMsg {
                         origin: me,
                         slices: std::sync::Arc::clone(&self.shared_slices),
@@ -776,29 +784,9 @@ impl Actor<ScpMsg> for ScpNode {
         for msg in self.backlog.iter() {
             ctx.broadcast_known(msg.clone());
         }
-        // Restart the protocol clocks for the phase we crashed in.
-        if self.externalized.is_none() {
-            if self.ballot == 0 {
-                let input = self.config.input;
-                self.vote_because(ctx, Statement::Nominate(input), || {
-                    vec![(
-                        me.as_u32(),
-                        format!("propose {:?}", Statement::Nominate(input)),
-                    )]
-                });
-                ctx.set_timer(self.config.nomination_timeout, NOMINATION_TIMER);
-            } else {
-                ctx.set_timer(
-                    self.config.ballot_timeout * (self.ballot + 1),
-                    self.ballot << 8,
-                );
-            }
-            self.reevaluate(ctx);
-        }
-        // A rejoining node restarts its re-announcement schedule from the
-        // short intervals.
-        self.backoff.reset();
-        self.arm_retransmit(ctx);
+        // Knowledge survives in the simulator (it models the address
+        // book, not process memory), so peers already got our backlog.
+        self.start(ctx);
     }
 
     fn fork(&self) -> Option<Box<dyn Actor<ScpMsg>>> {
@@ -906,7 +894,7 @@ impl Actor<ScpMsg> for ScpNode {
         // A vote echo is dead once the statement is accepted; an accept
         // pledge is dead only at confirmed — except a commit accept after
         // externalization, whose confirm quorum can no longer matter.
-        let level = self.tracker.level(msg.stmt);
+        let level = self.tracker.level(self_id, msg.stmt);
         let tally_dead = level == VoteLevel::Confirmed
             || (level >= VoteLevel::Accepted
                 && (!msg.accept
@@ -1283,16 +1271,14 @@ mod tests {
         }
     }
 
-    /// Crash recovery forgets the accept ratchet: `on_recover` replays an
-    /// accept-level pledge as `record_accept(me, ..)`, which files the
-    /// pledge but leaves the level at `Voted`, and the ratchet reads the
-    /// level. Node 0 (slices `{{1, 2}}`) is walked to an accepted
-    /// `commit(1, 5)` by its two scripted peers, crashes, recovers, and is
-    /// then offered accepts of `commit(2, 7)`: it must refuse them, and it
-    /// must not re-derive — journal, count and backlog a second time — the
-    /// accept it replayed.
+    /// Crash recovery keeps the accept ratchet (ROADMAP direction 1(d)):
+    /// `on_recover` files a replayed accept-level pledge as the node's own
+    /// accept, which is what the ratchet reads. Node 0 (slices `{{1, 2}}`)
+    /// is walked to an accepted `commit(1, 5)` by its two scripted peers,
+    /// crashes, recovers, and is then offered accepts of `commit(2, 7)`: it
+    /// must refuse them, and it must not re-derive — journal, count and
+    /// backlog a second time — the accept it replayed.
     #[test]
-    #[ignore = "ROADMAP direction 1(d)"]
     fn recovered_node_keeps_its_accept_ratchet() {
         use scup_graph::KnowledgeGraph;
         use scup_sim::{CrashFault, FaultPlan};
@@ -1354,8 +1340,36 @@ mod tests {
                 assert_ne!(a, b, "accept journalled twice: {accepted:?}");
             }
         }
+        assert_eq!(
+            journal_contradictions(sim.journal(ProcessId::new(0))),
+            Vec::<String>::new()
+        );
         let node = sim.actor_as::<ScpNode>(ProcessId::new(0)).unwrap();
         assert_eq!(node.externalized(), None);
+    }
+
+    /// The durability oracle audits accepts: the journal of a node that
+    /// lost its ratchet in the scenario above — the replayed
+    /// `prepare(1, 5)` accept re-derived, then `commit(2, 7)` accepted
+    /// against `commit(1, 5)` — is flagged, and only for that pair.
+    #[test]
+    fn journal_contradictions_flags_a_broken_accept_ratchet() {
+        use scup_sim::MemJournal;
+        let mut journal = MemJournal::new();
+        for stmt in [
+            Statement::Nominate(5),
+            Statement::Prepare(1, 5),
+            Statement::Commit(1, 5),
+            Statement::Prepare(1, 5),
+            Statement::Commit(2, 7),
+        ] {
+            let (kind, n, v) = encode_stmt(stmt);
+            journal.append(J_PLEDGE, &[kind, n, v, 1]);
+        }
+        assert_eq!(
+            journal_contradictions(&journal),
+            vec!["contradictory accepts: commit(1, 5) then commit(2, 7)".to_string()]
+        );
     }
 
     #[test]

@@ -23,14 +23,17 @@
 //! registry built from received envelopes and answers the
 //! quorum/v-blocking queries.
 //!
-//! Both store their keyed state in a flat copy-on-write
-//! table (`table.rs`) — one row per statement (who voted, who
-//! accepted, our own level: the abstract per-statement state of federated
-//! voting) and one row per process (its latest slice claim). Exploration
-//! forks a node per visited state, so a fork is an `Arc` bump; a write
-//! after a fork copies the whole table, which the explorer's systems keep
-//! at 6 statements or fewer, and a sampled run never forks, so it writes
-//! in place.
+//! Both store their keyed state in a flat copy-on-write table
+//! (`table.rs`) — one row per statement (who voted, who accepted: the
+//! abstract per-statement state of federated voting, plus whether we
+//! confirmed it) and one row per process (its latest slice claim). Our own
+//! vote and accept are pledges like any other — our id in the vote or
+//! accept set — so our level on a statement is read off its row, and a
+//! pledge replayed from a journal ratchets exactly like one derived from
+//! evidence. Exploration forks a node per visited state, so a fork is an
+//! `Arc` bump; a write after a fork copies the whole table, which the
+//! explorer's systems keep at 6 statements or fewer, and a sampled run
+//! never forks, so it writes in place.
 //!
 //! # One table, two questions
 //!
@@ -51,8 +54,9 @@
 //!
 //! The table's contribution to the state fingerprint is the number of
 //! pledges and an XOR multiset digest over them (see `fingerprint.rs`),
-//! kept incrementally. Levels are not hashed: they are the deterministic
-//! monotone fixpoint of the pledge sets and the slice registry.
+//! kept incrementally. Confirmations are not hashed: they are the
+//! deterministic monotone fixpoint of the pledge sets and the slice
+//! registry.
 
 use std::sync::Arc;
 
@@ -261,20 +265,20 @@ impl QuorumCheck {
 }
 
 /// One statement's row: the processes whose pledge is on file, by level,
-/// and how far this process got on it.
+/// and whether this process confirmed the statement.
 #[derive(Debug, Clone, Default)]
 struct Pledges {
     /// Origins of the vote-level pledges (ours included, once cast).
     votes: ProcessSet,
     /// Origins of the accept-level pledges (ours included, once accepted).
     accepts: ProcessSet,
-    /// Our own level.
-    level: VoteLevel,
+    /// A quorum of accepts was seen (only ever set once we accepted).
+    confirmed: bool,
 }
 
 /// The pledge table of one process: for every statement, who voted, who
-/// accepted, and the own level — the whole state of federated voting, and
-/// the dedup set of the envelopes that carried the pledges.
+/// accepted, and whether it is confirmed — the whole state of federated
+/// voting, and the dedup set of the envelopes that carried the pledges.
 ///
 /// Exploration forks a tracker per SCP node per visited state, so the
 /// rows sit in one copy-on-write table keyed by statement: `Clone` is an
@@ -351,11 +355,12 @@ impl VoteTracker {
         self.digest ^= pledge_digest(StateHasher::new(), origin, stmt, accept);
     }
 
-    /// Files a remote pledge; `true` when it is new. The statement goes on
-    /// the worklist when a set an accept/confirm rule reads grew: the
-    /// accept set, or `votes ∪ accepts` — which a vote from a process
-    /// whose accept is already on file does not extend.
-    fn record(&mut self, from: ProcessId, stmt: Statement, accept: bool) -> bool {
+    /// Files the pledge `(from, stmt, accept)` — a remote envelope's, or
+    /// our own replayed from a journal; `true` when it is new. The
+    /// statement goes on the worklist when a set an accept/confirm rule
+    /// reads grew: the accept set, or `votes ∪ accepts` — which a vote
+    /// from a process whose accept is already on file does not extend.
+    pub(crate) fn record(&mut self, from: ProcessId, stmt: Statement, accept: bool) -> bool {
         let row = self.pledges.get_or_default(stmt);
         let fresh = if accept {
             row.accepts.insert(from)
@@ -384,26 +389,21 @@ impl VoteTracker {
         self.record(from, stmt, true)
     }
 
-    /// Registers our own vote for `stmt` (no-op if we already pledged).
-    /// Returns `true` if this is a new vote that should be broadcast — in
-    /// which case it is also a new pledge, unless the caller had recorded
-    /// its own id as a remote voter.
+    /// Registers our own vote for `stmt` (no-op if we already voted or
+    /// accepted it). Returns `true` if this is a new vote — a new pledge,
+    /// which the caller broadcasts.
     pub fn vote(&mut self, self_id: ProcessId, stmt: Statement) -> bool {
-        if self.level(stmt) >= VoteLevel::Voted {
-            return false;
-        }
-        let row = self.pledges.get_or_default(stmt);
-        row.level = VoteLevel::Voted;
-        if row.votes.insert(self_id) {
-            self.count_pledge(self_id, &stmt, false);
-        }
-        self.mark_dirty(stmt);
-        true
+        self.level(self_id, stmt) == VoteLevel::None && self.record(self_id, stmt, false)
     }
 
-    /// Our level on `stmt`.
-    pub fn level(&self, stmt: Statement) -> VoteLevel {
-        self.pledges.get(&stmt).map_or(VoteLevel::None, |t| t.level)
+    /// `self_id`'s level on `stmt`, read off the pledge sets.
+    pub fn level(&self, self_id: ProcessId, stmt: Statement) -> VoteLevel {
+        match self.pledges.get(&stmt) {
+            Some(row) if row.confirmed => VoteLevel::Confirmed,
+            Some(row) if row.accepts.contains(self_id) => VoteLevel::Accepted,
+            Some(row) if row.votes.contains(self_id) => VoteLevel::Voted,
+            _ => VoteLevel::None,
+        }
     }
 
     /// Number of pledges on file — with [`VoteTracker::digest`], the
@@ -438,17 +438,17 @@ impl VoteTracker {
     /// never walks back — this is what makes two confirmed commits of
     /// different values impossible whenever correct quorums intersect
     /// (see [`Statement::contradicts`]).
-    pub fn accept_would_contradict(&self, stmt: Statement) -> bool {
+    pub fn accept_would_contradict(&self, self_id: ProcessId, stmt: Statement) -> bool {
         self.pledges
             .iter()
-            .any(|(s, t)| t.level >= VoteLevel::Accepted && stmt.contradicts(s))
+            .any(|(s, row)| stmt.contradicts(s) && row.accepts.contains(self_id))
     }
 
     /// All statements we confirmed.
     pub fn confirmed(&self) -> impl Iterator<Item = Statement> + '_ {
         self.pledges
             .iter()
-            .filter(|(_, t)| t.level == VoteLevel::Confirmed)
+            .filter(|(_, row)| row.confirmed)
             .map(|(s, _)| *s)
     }
 
@@ -523,71 +523,64 @@ impl VoteTracker {
             // Every statement on the worklist got its row when it was
             // recorded.
             while let Some(row) = self.pledges.get(&stmt) {
-                let level = match row.level {
-                    VoteLevel::None | VoteLevel::Voted => {
-                        // Which accept rule fires matters only to the
-                        // provenance log; the `||` order matches the old
-                        // short-circuit exactly, so the quorum query runs
-                        // iff it used to.
-                        let rule = if self.accept_would_contradict(stmt) {
-                            None
-                        } else if check.is_v_blocking(own_slices, &row.accepts) {
-                            Some(ProvRule::AcceptVBlocking)
-                        } else if row.level == VoteLevel::Voted
-                            && check.has_quorum_through(
-                                self_id,
-                                own_slices,
-                                &row.votes.union(&row.accepts),
-                            )
-                        {
-                            Some(ProvRule::AcceptQuorum)
-                        } else {
-                            None
+                let level = if row.confirmed {
+                    break;
+                } else if !row.accepts.contains(self_id) {
+                    // Which accept rule fires matters only to the
+                    // provenance log; the `||` order matches the old
+                    // short-circuit exactly, so the quorum query runs
+                    // iff it used to.
+                    let rule = if self.accept_would_contradict(self_id, stmt) {
+                        None
+                    } else if check.is_v_blocking(own_slices, &row.accepts) {
+                        Some(ProvRule::AcceptVBlocking)
+                    } else if row.votes.contains(self_id)
+                        && check.has_quorum_through(
+                            self_id,
+                            own_slices,
+                            &row.votes.union(&row.accepts),
+                        )
+                    {
+                        Some(ProvRule::AcceptQuorum)
+                    } else {
+                        None
+                    };
+                    let Some(rule) = rule else { break };
+                    if prov.is_enabled() {
+                        let (support, label) = match rule {
+                            ProvRule::AcceptVBlocking => (&row.accepts, format!("accept {stmt:?}")),
+                            _ => (check.last_closure(), format!("vote {stmt:?}")),
                         };
-                        let Some(rule) = rule else { break };
-                        if prov.is_enabled() {
-                            let (support, label) = match rule {
-                                ProvRule::AcceptVBlocking => {
-                                    (&row.accepts, format!("accept {stmt:?}"))
-                                }
-                                _ => (check.last_closure(), format!("vote {stmt:?}")),
-                            };
-                            prov.push(ProvEntry {
-                                process: self_id.as_u32(),
-                                rule,
-                                statement: format!("{stmt:?}"),
-                                premises: Vec::new(),
-                                support: support.iter().map(|p| p.as_u32()).collect(),
-                                support_label: Some(label),
-                            });
-                        }
-                        VoteLevel::Accepted
+                        prov.push(ProvEntry {
+                            process: self_id.as_u32(),
+                            rule,
+                            statement: format!("{stmt:?}"),
+                            premises: Vec::new(),
+                            support: support.iter().map(|p| p.as_u32()).collect(),
+                            support_label: Some(label),
+                        });
                     }
-                    VoteLevel::Accepted => {
-                        if !check.has_quorum_through(self_id, own_slices, &row.accepts) {
-                            break;
-                        }
-                        if prov.is_enabled() {
-                            prov.push(ProvEntry {
-                                process: self_id.as_u32(),
-                                rule: ProvRule::Confirm,
-                                statement: format!("{stmt:?}"),
-                                premises: Vec::new(),
-                                support: check.last_closure().iter().map(|p| p.as_u32()).collect(),
-                                support_label: Some(format!("accept {stmt:?}")),
-                            });
-                        }
-                        VoteLevel::Confirmed
-                    }
-                    VoteLevel::Confirmed => break,
-                };
-                let row = self.pledges.get_or_default(stmt);
-                row.level = level;
-                // Our own accept is a pledge like any other (it is already
-                // on file when a recovered node re-derives a replayed one).
-                if level == VoteLevel::Accepted && row.accepts.insert(self_id) {
+                    // Our own accept is a pledge like any other.
+                    self.pledges.get_or_default(stmt).accepts.insert(self_id);
                     self.count_pledge(self_id, &stmt, true);
-                }
+                    VoteLevel::Accepted
+                } else {
+                    if !check.has_quorum_through(self_id, own_slices, &row.accepts) {
+                        break;
+                    }
+                    if prov.is_enabled() {
+                        prov.push(ProvEntry {
+                            process: self_id.as_u32(),
+                            rule: ProvRule::Confirm,
+                            statement: format!("{stmt:?}"),
+                            premises: Vec::new(),
+                            support: check.last_closure().iter().map(|p| p.as_u32()).collect(),
+                            support_label: Some(format!("accept {stmt:?}")),
+                        });
+                    }
+                    self.pledges.get_or_default(stmt).confirmed = true;
+                    VoteLevel::Confirmed
+                };
                 changes.push((stmt, level));
             }
         }
@@ -656,7 +649,7 @@ mod tests {
         tracker.record_vote(p(6), stmt);
         let changes = tracker.update(p(4), sys.slices(p(4)), &mut check);
         assert!(changes.contains(&(stmt, VoteLevel::Accepted)));
-        assert_eq!(tracker.level(stmt), VoteLevel::Accepted);
+        assert_eq!(tracker.level(p(4), stmt), VoteLevel::Accepted);
     }
 
     #[test]
@@ -690,7 +683,7 @@ mod tests {
         // accepts, in one cascade.
         assert!(changes.contains(&(stmt, VoteLevel::Accepted)));
         assert!(changes.contains(&(stmt, VoteLevel::Confirmed)));
-        assert_eq!(tracker.level(stmt), VoteLevel::Confirmed);
+        assert_eq!(tracker.level(p(4), stmt), VoteLevel::Confirmed);
         assert_eq!(tracker.confirmed().collect::<Vec<_>>(), vec![stmt]);
     }
 
@@ -726,7 +719,7 @@ mod tests {
         assert!(changes.contains(&(commit_v, VoteLevel::Accepted)));
 
         let commit_w = Statement::Commit(7, 3);
-        assert!(tracker.accept_would_contradict(commit_w));
+        assert!(tracker.accept_would_contradict(p(4), commit_w));
         tracker.record_accept(p(5), commit_w);
         tracker.record_accept(p(6), commit_w);
         let changes = tracker.update(p(4), sys.slices(p(4)), &mut check);
@@ -734,7 +727,7 @@ mod tests {
             !changes.iter().any(|(s, _)| *s == commit_w),
             "accepted a commit contradicting an accepted commit: {changes:?}"
         );
-        assert_eq!(tracker.level(commit_w), VoteLevel::None);
+        assert_eq!(tracker.level(p(4), commit_w), VoteLevel::None);
 
         // A higher prepare of another value (aborting the accepted
         // ballot) is ratcheted out the same way...
@@ -744,16 +737,39 @@ mod tests {
         tracker.record_accept(p(6), prepare_w);
         let changes = tracker.update(p(4), sys.slices(p(4)), &mut check);
         assert!(!changes.iter().any(|(s, _)| *s == prepare_w));
-        assert_eq!(tracker.level(prepare_w), VoteLevel::Voted);
+        assert_eq!(tracker.level(p(4), prepare_w), VoteLevel::Voted);
 
         // ...while the same value keeps flowing freely.
         let prepare_v = Statement::Prepare(2, 2);
-        assert!(!tracker.accept_would_contradict(prepare_v));
+        assert!(!tracker.accept_would_contradict(p(4), prepare_v));
         tracker.vote(p(4), prepare_v);
         tracker.record_vote(p(5), prepare_v);
         tracker.record_vote(p(6), prepare_v);
         let changes = tracker.update(p(4), sys.slices(p(4)), &mut check);
         assert!(changes.contains(&(prepare_v, VoteLevel::Accepted)));
+    }
+
+    #[test]
+    fn a_replayed_own_accept_ratchets() {
+        // A recovered node files its journalled accept as a pledge of its
+        // own id. That is its accept: the ratchet holds against a
+        // v-blocking set, nothing is re-derived, and no vote follows.
+        let mut check = fig1_check();
+        let sys = paper::fig1_system();
+        let me = p(4);
+        let mut tracker = VoteTracker::new();
+        let commit_v = Statement::Commit(1, 5);
+        assert!(tracker.record_accept(me, commit_v));
+        assert_eq!(tracker.level(me, commit_v), VoteLevel::Accepted);
+
+        let commit_w = Statement::Commit(2, 7);
+        tracker.record_accept(p(5), commit_w);
+        tracker.record_accept(p(6), commit_w);
+        let len = tracker.len();
+        assert_eq!(tracker.update(me, sys.slices(me), &mut check), vec![]);
+        assert_eq!(tracker.level(me, commit_w), VoteLevel::None);
+        assert_eq!(tracker.len(), len);
+        assert!(!tracker.vote(me, commit_v));
     }
 
     /// Ids range past one `ProcessSet` word.
@@ -862,7 +878,7 @@ mod tests {
         assert!(b.has_pledge(p(3), &stmt, false));
         assert_eq!((a.len(), b.len()), (4, 1));
         assert_ne!(a.digest(), b.digest());
-        assert_eq!(b.level(stmt), VoteLevel::None);
+        assert_eq!(b.level(p(4), stmt), VoteLevel::None);
     }
 
     #[test]

@@ -21,9 +21,12 @@ use scup_scp::{QuorumCheck, Statement, VoteLevel, VoteTracker};
 #[derive(Clone, Default)]
 struct Reference {
     /// Statement → (votes, accepts), each exactly as pledged: "voted or
-    /// accepted" is their union, taken where a rule reads it.
+    /// accepted" is their union, taken where a rule reads it. The own
+    /// vote and accept are `me` in these sets, however they got there —
+    /// cast, derived, or recorded like a remote pledge (as a node replays
+    /// its journal).
     pledges: BTreeMap<Statement, (BTreeSet<u32>, BTreeSet<u32>)>,
-    levels: BTreeMap<Statement, VoteLevel>,
+    confirmed: BTreeSet<Statement>,
 }
 
 fn as_set(ids: &BTreeSet<u32>) -> ProcessSet {
@@ -49,17 +52,21 @@ fn has_quorum_through(sys: &Fbqs, me: u32, candidates: &BTreeSet<u32>) -> bool {
 }
 
 impl Reference {
-    fn level(&self, stmt: Statement) -> VoteLevel {
-        self.levels.get(&stmt).copied().unwrap_or(VoteLevel::None)
+    fn level(&self, me: u32, stmt: Statement) -> VoteLevel {
+        let (votes, accepts) = self.pledges.get(&stmt).cloned().unwrap_or_default();
+        if self.confirmed.contains(&stmt) {
+            VoteLevel::Confirmed
+        } else if accepts.contains(&me) {
+            VoteLevel::Accepted
+        } else if votes.contains(&me) {
+            VoteLevel::Voted
+        } else {
+            VoteLevel::None
+        }
     }
 
     fn vote(&mut self, me: u32, stmt: Statement) -> bool {
-        if self.level(stmt) >= VoteLevel::Voted {
-            return false;
-        }
-        self.levels.insert(stmt, VoteLevel::Voted);
-        self.pledges.entry(stmt).or_default().0.insert(me);
-        true
+        self.level(me, stmt) == VoteLevel::None && self.record(me, stmt, false)
     }
 
     /// `true` when the pledge was not on file yet.
@@ -80,13 +87,13 @@ impl Reference {
             loop {
                 let (votes, accepted) = &self.pledges[&stmt];
                 let voted: BTreeSet<u32> = votes.union(accepted).copied().collect();
-                let level = self.level(stmt);
+                let level = self.level(me, stmt);
                 let next = match level {
                     VoteLevel::None | VoteLevel::Voted => {
                         let ratcheted = self
-                            .levels
+                            .pledges
                             .iter()
-                            .any(|(s, l)| *l >= VoteLevel::Accepted && stmt.contradicts(s));
+                            .any(|(s, (_, a))| a.contains(&me) && stmt.contradicts(s));
                         let accept = !ratcheted
                             && (own.is_v_blocked_by(&as_set(accepted))
                                 || (level == VoteLevel::Voted
@@ -98,11 +105,11 @@ impl Reference {
                         VoteLevel::Accepted
                     }
                     VoteLevel::Accepted if has_quorum_through(sys, me, accepted) => {
+                        self.confirmed.insert(stmt);
                         VoteLevel::Confirmed
                     }
                     _ => break,
                 };
-                self.levels.insert(stmt, next);
                 changes.push((stmt, next));
             }
         }
@@ -148,7 +155,7 @@ impl Pair {
         }
     }
 
-    fn assert_same_readouts(&self, pool: &[Statement]) {
+    fn assert_same_readouts(&self, me: u32, pool: &[Statement]) {
         for &stmt in pool {
             let (votes, accepted) = self
                 .reference
@@ -169,20 +176,14 @@ impl Pair {
             }
             let voted: BTreeSet<u32> = votes.union(&accepted).copied().collect();
             assert_eq!(
-                self.tracker.level(stmt),
-                self.reference.level(stmt),
+                self.tracker.level(ProcessId::new(me), stmt),
+                self.reference.level(me, stmt),
                 "{stmt}"
             );
             assert_eq!(self.tracker.voters(stmt), as_set(&voted), "{stmt}");
             assert_eq!(self.tracker.accepters(stmt), as_set(&accepted), "{stmt}");
         }
-        let confirmed: Vec<Statement> = self
-            .reference
-            .levels
-            .iter()
-            .filter(|(_, l)| **l == VoteLevel::Confirmed)
-            .map(|(s, _)| *s)
-            .collect();
+        let confirmed: Vec<Statement> = self.reference.confirmed.iter().copied().collect();
         assert_eq!(self.tracker.confirmed().collect::<Vec<_>>(), confirmed);
     }
 }
@@ -231,16 +232,16 @@ proptest! {
                 fork = Some(original.clone());
             }
             original.apply(&sys, me, (kind, from, pool[s]));
-            original.assert_same_readouts(&pool);
+            original.assert_same_readouts(me, &pool);
         }
         let mut fork = fork.unwrap_or_else(|| original.clone());
         // The original's later writes did not reach the fork ...
-        fork.assert_same_readouts(&pool);
+        fork.assert_same_readouts(me, &pool);
         for (kind, from, s) in fork_ops {
             fork.apply(&sys, me, (kind, from, pool[s]));
-            fork.assert_same_readouts(&pool);
+            fork.assert_same_readouts(me, &pool);
         }
         // ... nor the fork's the original.
-        original.assert_same_readouts(&pool);
+        original.assert_same_readouts(me, &pool);
     }
 }

@@ -24,6 +24,10 @@ use scup_obs::chrome::TraceClock;
 
 /// Captured at `9bc770e` (the parent of the roster refactor); the `families`
 /// and `theorem3` rows at `6219372` (the parent of the chunked event queue).
+/// `churn/fig2-join-crash` and `churn/fig2-join-storm-crash` re-pinned when
+/// SCP crash recovery started filing replayed accepts as the node's own
+/// (ROADMAP direction 1(d)): a recovered node no longer re-derives, and
+/// re-broadcasts, an accept its journal already holds.
 const PINNED: &[(&str, u64)] = &[
     ("fig1/minimal-f0", 0x97ce39d97ffbba1d),
     ("fig1/bftcup-f0", 0xf8cef0f6257295ea),
@@ -54,8 +58,8 @@ const PINNED: &[(&str, u64)] = &[
     ("nemesis/kosr-crash-loss", 0xc92a7ae57d6c1a86),
     ("churn/fig2-zero-churn", 0xe1711f32fb2d2339),
     ("churn/fig2-join-loss", 0xf20722e3b0a8997a),
-    ("churn/fig2-join-crash", 0x5deb70e62f0a9482),
-    ("churn/fig2-join-storm-crash", 0x5a43450d8df34b0b),
+    ("churn/fig2-join-crash", 0x8a0e839bf06cc27f),
+    ("churn/fig2-join-storm-crash", 0x0d1ccb5d025af855),
     ("churn/bft-join-storm-loss", 0xaded71b4db35f19e),
     ("churn/bft-leave-partition", 0xcd24cab741169fc9),
     ("churn/bft-churn-storm-partition", 0xcbb4f0890ed6fa50),
