@@ -49,11 +49,14 @@ impl Json {
         }
     }
 
-    /// The integer payload (floats with zero fraction coerce).
+    /// The integer payload (floats with zero fraction inside `i64`
+    /// coerce; `as` would saturate the ones outside).
     pub fn as_i64(&self) -> Option<i64> {
+        // -2^63 is an `i64`; 2^63 is the first float past `i64::MAX`.
+        const LIMIT: f64 = 9_223_372_036_854_775_808.0;
         match self {
             Json::Int(i) => Some(*i),
-            Json::Float(f) if f.fract() == 0.0 => Some(*f as i64),
+            Json::Float(f) if f.fract() == 0.0 && (-LIMIT..LIMIT).contains(f) => Some(*f as i64),
             _ => None,
         }
     }
@@ -265,10 +268,12 @@ impl Parser<'_> {
             text.parse::<f64>()
                 .map(Json::Float)
                 .map_err(|_| self.err("bad number"))
+        } else if text.trim_start_matches('-').is_empty() {
+            Err(self.err("bad integer"))
         } else {
             text.parse::<i64>()
                 .map(Json::Int)
-                .map_err(|_| self.err("bad integer"))
+                .map_err(|_| self.err(&format!("integer `{text}` out of range")))
         }
     }
 
@@ -425,5 +430,25 @@ mod tests {
             Some(1.5)
         );
         assert!(doc.get("missing").is_none());
+    }
+
+    #[test]
+    fn out_of_range_integers_are_errors_not_saturated() {
+        for literal in ["99999999999999999999", "-9223372036854775809"] {
+            let err = parse(&format!("{{\"seeds\": {literal}}}")).unwrap_err();
+            assert!(err.contains("out of range"), "{literal}: {err}");
+        }
+        // Written as floats, values past `i64` parse but are no integers.
+        for literal in [
+            "99999999999999999999.0",
+            "1e20",
+            "-1e19",
+            "9223372036854775808.0",
+        ] {
+            assert_eq!(parse(literal).unwrap().as_i64(), None, "{literal}");
+        }
+        assert_eq!(Json::Float(i64::MIN as f64).as_i64(), Some(i64::MIN));
+        assert_eq!(Json::Float(1e18).as_i64(), Some(1_000_000_000_000_000_000));
+        assert_eq!(parse("-9223372036854775808").unwrap(), Json::Int(i64::MIN));
     }
 }

@@ -662,6 +662,12 @@ fn parse_toml_value(text: &str) -> Result<Json, String> {
     if let Ok(i) = clean.parse::<i64>() {
         return Ok(Json::Int(i));
     }
+    // An integer literal past `i64` must not fall through to `f64`, which
+    // would round it and then saturate it on the way back to an integer.
+    let digits = clean.strip_prefix(['-', '+']).unwrap_or(&clean);
+    if !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()) {
+        return Err(format!("integer `{text}` out of range"));
+    }
     if let Ok(f) = clean.parse::<f64>() {
         return Ok(Json::Float(f));
     }
@@ -1000,6 +1006,34 @@ timer_budget = 2
         assert!(err.contains("[[scenario]]"), "{err}");
         let err = campaign_from_str("name = \"x\"\nname = \"y\"\n").unwrap_err();
         assert!(err.contains("duplicate"), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_integers_are_errors_not_saturated() {
+        for literal in [
+            "99999999999999999999",
+            "-9223372036854775809",
+            "1_000_000_000_000_000_000_000",
+        ] {
+            let err = parse_toml_value(literal).unwrap_err();
+            assert!(err.contains("out of range"), "{literal}: {err}");
+            let text = format!("name = \"x\"\n[[scenario]]\nname = \"s\"\ntopology = \"fig1\"\nseeds = {literal}\n");
+            let err = campaign_from_str(&text).unwrap_err();
+            assert!(
+                err.contains("line 5") && err.contains("out of range"),
+                "{err}"
+            );
+        }
+        assert_eq!(
+            parse_toml_value("-9223372036854775808"),
+            Ok(Json::Int(i64::MIN))
+        );
+        assert_eq!(
+            parse_toml_value("+9_223_372_036_854_775_807"),
+            Ok(Json::Int(i64::MAX))
+        );
+        // A float literal is still a float, however large.
+        assert_eq!(parse_toml_value("1e20"), Ok(Json::Float(1e20)));
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! ([`System::of`]) and run ([`run_one`]) without a panic or a record
 //! error that is a caught panic (`configuration panic: …`). A contract a
 //! generator or the simulator asserts must be a validation error naming
-//! the scenario instead.
+//! the scenario instead. Each file is mutated twice over: as the TOML it
+//! is checked in as, and rendered as the JSON document
+//! [`campaign_from_str`] also accepts.
 //!
 //! Only scenarios the mutation changed are run, on their first seed,
 //! with the time horizon cut to keep the test fast; topologies past 64
@@ -15,6 +17,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::prelude::*;
 use scup_harness::campaign::run_one;
+use scup_harness::parse::toml_to_json;
 use scup_harness::scenario::{Scenario, TopologySpec};
 use scup_harness::{campaign_from_str, AdversaryRegistry, System};
 
@@ -29,14 +32,14 @@ const CAMPAIGNS: [&str; 8] = [
     "theorem3",
 ];
 
-/// Characters a byte-level mutation writes: TOML structure, digits, a
-/// sign, a decimal point, letters.
+/// Characters a byte-level mutation writes: TOML and JSON structure,
+/// digits, a sign, a decimal point, letters.
 const ALPHABET: &[char] = &[
-    '0', '1', '9', '-', '.', '"', '=', '[', ']', '{', '}', ',', '#', ' ', 'x', 'e',
+    '0', '1', '9', '-', '.', '"', '=', '[', ']', '{', '}', ',', '#', ' ', 'x', 'e', ':',
 ];
 
 /// Numbers a mutation substitutes for a number: the edges of every
-/// integer and float key.
+/// integer and float key, and integers just past `i64` either way.
 const NUMBERS: &[&str] = &[
     "0",
     "1",
@@ -48,15 +51,23 @@ const NUMBERS: &[&str] = &[
     "4294967296",
     "18446744073709551615",
     "18446744073709551616",
+    "99999999999999999999",
+    "-9223372036854775809",
 ];
 
-fn campaign_text(name: &str) -> String {
-    std::fs::read_to_string(
+/// Stock campaign `name`, as TOML or rendered as JSON.
+fn campaign_text(name: &str, json: bool) -> String {
+    let toml = std::fs::read_to_string(
         std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../../campaigns")
             .join(format!("{name}.toml")),
     )
-    .expect("stock campaign file")
+    .expect("stock campaign file");
+    if json {
+        toml_to_json(&toml).expect("stock campaigns parse").pretty()
+    } else {
+        toml
+    }
 }
 
 /// One mutation of `text`, aimed at its non-comment lines: `kind` picks
@@ -75,7 +86,12 @@ fn mutate(text: &str, kind: usize, a: usize, b: usize) -> String {
         }
         1 => lines.insert(la, lines[lb].clone()),
         2 => lines.swap(la, lb),
-        3 => line.truncate(line.iter().position(|&c| c == '=').map_or(0, |e| e + 1)),
+        // Cut the value off a `key = value` or `"key": value` line.
+        3 => line.truncate(
+            line.iter()
+                .position(|&c| c == '=' || c == ':')
+                .map_or(0, |e| e + 1),
+        ),
         4 => line.insert(at, ALPHABET[a % ALPHABET.len()]),
         5 if at < line.len() => line[at] = ALPHABET[a % ALPHABET.len()],
         6 if at < line.len() => {
@@ -149,10 +165,10 @@ fn run(scenario: &Scenario) -> Result<(), String> {
     })
 }
 
-/// Parses a mutation of campaign `file`, then runs up to two of the
-/// scenarios it changed.
-fn check(file: usize, kind: usize, a: usize, b: usize) -> Result<(), String> {
-    let original = campaign_text(CAMPAIGNS[file]);
+/// Parses a mutation of campaign `file` (its TOML, or its JSON rendering
+/// if `json`), then runs up to two of the scenarios it changed.
+fn check(file: usize, json: bool, kind: usize, a: usize, b: usize) -> Result<(), String> {
+    let original = campaign_text(CAMPAIGNS[file], json);
     let stock = campaign_from_str(&original).expect("stock campaigns parse");
     let text = mutate(&original, kind, a, b);
     let parsed = catch_unwind(|| campaign_from_str(&text))
@@ -182,9 +198,33 @@ proptest! {
         a in 0usize..1 << 20,
         b in 0usize..1 << 20,
     ) {
-        if let Err(e) = check(file, kind, a, b) {
+        if let Err(e) = check(file, false, kind, a, b) {
             panic!("{} mutation {kind} at ({a}, {b}): {e}", CAMPAIGNS[file]);
         }
+    }
+
+    #[test]
+    fn mutated_json_campaigns_never_panic(
+        file in 0usize..8,
+        kind in 0usize..8,
+        a in 0usize..1 << 20,
+        b in 0usize..1 << 20,
+    ) {
+        if let Err(e) = check(file, true, kind, a, b) {
+            panic!("{} (JSON) mutation {kind} at ({a}, {b}): {e}", CAMPAIGNS[file]);
+        }
+    }
+}
+
+/// Every stock campaign loads to the same campaign from its JSON
+/// rendering as from its TOML, so the JSON mutations start from the same
+/// scenarios.
+#[test]
+fn json_renderings_load_like_the_toml() {
+    for name in CAMPAIGNS {
+        let toml = campaign_from_str(&campaign_text(name, false)).expect("stock campaigns parse");
+        let json = campaign_from_str(&campaign_text(name, true)).expect("rendered JSON parses");
+        assert_eq!(format!("{json:?}"), format!("{toml:?}"), "{name}");
     }
 }
 
@@ -192,14 +232,19 @@ proptest! {
 /// cases.
 #[test]
 fn regressions() {
-    // fig1.toml with `f = 0` mutated past `i64::MAX`: the threshold
+    // fig1.toml with `f = 0` mutated to a huge `f`: the threshold
     // saturated, and the sink detector's `4 (f + 1)` quota overflowed.
+    // The input found was `f = 18446744073709551616`, which is a parse
+    // error now that integers past `i64` no longer saturate.
     let text = "name = \"r\"\n[[scenario]]\nname = \"huge-f\"\ntopology = \"fig1\"\n\
-                f = 18446744073709551616\n";
+                f = 9223372036854775807\n";
     let campaign = campaign_from_str(text).expect("parses");
     let record = run_one(&campaign.scenarios[0], 0, &AdversaryRegistry::builtin());
     assert_eq!(
         record.error.as_deref(),
         Some("scenario `huge-f`: `f` must be below n = 8")
     );
+    let found = text.replace("9223372036854775807", "18446744073709551616");
+    let err = campaign_from_str(&found).expect_err("an integer past i64 is rejected");
+    assert!(err.contains("out of range"), "{err}");
 }

@@ -1,5 +1,5 @@
-//! The simulator's pending-event queue: a calendar with one FIFO per tick,
-//! each FIFO a list of capped chunks.
+//! The simulator's pending-event queue: a timing wheel of per-tick FIFOs,
+//! each FIFO a list of fixed-size chunks.
 //!
 //! The simulator orders events by `(at, seq)`, `seq` being a counter bumped
 //! on every push. Two facts make a priority heap unnecessary: every push
@@ -9,31 +9,50 @@
 //! sequence — at O(1) per event instead of a sift through a heap that peaks
 //! at several hundred thousand entries on the n = 24 SCP floods.
 //!
-//! Storage is tick-contiguous. One growable deque per tick would be the
+//! **Finding a tick.** The network is partially synchronous: a message sent
+//! at `now` is delivered by `max(now, GST) + Δ` (plus a delay fault's
+//! `extra_delay` while one is active), so almost every push lands a bounded
+//! number of ticks ahead of the clock. The tick index exploits that. The
+//! tick being drained keeps its own FIFO, `current`. Every tick `t` with
+//! `now < t < now + WHEEL` has its FIFO at `ring[t % WHEEL]`, and a
+//! `WHEEL`-bit occupancy bitmap says which of those hold events, so a push
+//! is an array index and finding the next tick is a `trailing_zeros` over
+//! [`WHEEL`]` / 64` words. Only ticks at least [`WHEEL`] ahead — far timers,
+//! fault and churn plan events, deliveries under a GST larger than any
+//! checked-in scenario's — go to an ordered map, `later`. Whenever the
+//! clock advances, the map's entries the wheel now covers move into the
+//! ring, whole FIFO at a time, so a map key is always at least [`WHEEL`]
+//! ahead of the clock and every ring tick precedes every map tick.
+//!
+//! [`WHEEL`] is 256 because the largest horizon of any checked-in scenario
+//! is `gst` 150 + Δ 10 + `extra_delay` 40 = 200 ticks ahead, and a power of
+//! two keeps `t % WHEEL` a mask; a 4-word bitmap is scanned in a few
+//! instructions. It is a constant, not a setting: a scenario whose pushes
+//! reach further is exactly as correct, those pushes just take the map.
+//!
+//! **Storage** is tick-contiguous. One growable deque per tick would be the
 //! obvious shape and is the wrong one: a deque keeps its peak capacity, and
 //! a run touches a few hundred ticks whose bursts peak at different
 //! moments, so per-tick buffers add up to well above the live event count
 //! (and a doubling buffer holds old and new copy at once while it grows).
 //! The cap answers that: a tick's FIFO is a list of *chunks*, each a ring
-//! buffer of at most [`CHUNK_CAP`] events that grows lazily (a tick holding
-//! three timers pays for four slots, not for a full chunk) and never past
-//! the cap. A drained chunk goes to a free list *with* its buffer and is
-//! handed to whichever tick next needs one, so memory follows the live
-//! event count instead of per-tick peaks. Only a tick's tail chunk — and,
-//! on the tick being drained, its head — is ever partly filled, hence
+//! buffer allocated once at exactly [`CHUNK_CAP`] events and never grown.
+//! A drained chunk goes to a free list *with* its buffer and is handed to
+//! whichever tick next needs one, so memory follows the live event count
+//! instead of per-tick peaks, and a chunk pays for its allocation once per
+//! run. Only a tick's tail chunk — and, on the tick being drained, its
+//! head — is ever partly filled, hence
 //!
 //! > chunks allocated ≤ max over the run of
 //! > (live ticks + ⌈pending events ÷ `CHUNK_CAP`⌉),
 //!
-//! each at most `CHUNK_CAP` events wide. Recycling whole chunks rather than
+//! each exactly `CHUNK_CAP` events wide. Recycling whole chunks rather than
 //! single event slots is what keeps a tick together in memory: the pops of
 //! one tick stream through consecutive addresses and the pushes of a
 //! broadcast land on one hot tail per live tick, whereas a slot-granular
 //! free list (same footprint, 4 bytes of link per event) hands a tick slots
 //! from all over a slab of tens of megabytes and misses the cache on every
-//! pop. Only the ticks that currently hold events have an entry in the tick
-//! index (the GST + Δ delivery window plus a handful of timers), so it
-//! stays small however far ahead a timer is armed.
+//! pop.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -42,6 +61,14 @@ use crate::time::SimTime;
 /// Most events one chunk holds. Throughput and footprint are flat from 16
 /// to 128 on the n = 24 floods; 32 keeps a sparse tick's waste small.
 const CHUNK_CAP: usize = 32;
+
+/// Ticks the ring spans: a push fewer than `WHEEL` ticks ahead of the
+/// clock is indexed, one further ahead goes to the ordered map. See the
+/// [module docs](self) for the choice of 256.
+const WHEEL: usize = 256;
+
+/// Words of the ring's occupancy bitmap.
+const WORDS: usize = WHEEL / 64;
 
 /// List terminator / "no chunk".
 const NIL: u32 = u32::MAX;
@@ -78,9 +105,19 @@ pub(crate) struct EventQueue<T> {
     /// The tick `current` belongs to: the time of the latest pop.
     now: SimTime,
     current: Fifo,
-    /// Every later tick that holds at least one event.
+    /// Tick `t` with `now < t < now + WHEEL` at `ring[t % WHEEL]`; the slot
+    /// of `now` itself is always empty.
+    ring: [Fifo; WHEEL],
+    /// Bit `s` set iff `ring[s]` holds events.
+    occupied: [u64; WORDS],
+    /// Every tick at least `WHEEL` ahead of `now` that holds an event.
     later: BTreeMap<SimTime, Fifo>,
     len: usize,
+}
+
+/// The ring slot of tick `at`.
+fn slot(at: SimTime) -> usize {
+    (at.ticks() % WHEEL as u64) as usize
 }
 
 impl<T> EventQueue<T> {
@@ -90,6 +127,8 @@ impl<T> EventQueue<T> {
             free: NIL,
             now: SimTime::ZERO,
             current: Fifo::EMPTY,
+            ring: [Fifo::EMPTY; WHEEL],
+            occupied: [0; WORDS],
             later: BTreeMap::new(),
             len: 0,
         }
@@ -109,6 +148,8 @@ impl<T> EventQueue<T> {
     pub(crate) fn next_time(&self) -> Option<SimTime> {
         if self.current.head != NIL {
             Some(self.now)
+        } else if let Some(ahead) = self.next_in_ring() {
+            Some(self.now + ahead)
         } else {
             self.later.first_key_value().map(|(&at, _)| at)
         }
@@ -119,8 +160,13 @@ impl<T> EventQueue<T> {
     /// timers, fault events at tick 0) but never precede it.
     pub(crate) fn push(&mut self, at: SimTime, item: T) {
         debug_assert!(at >= self.now, "events are never scheduled in the past");
-        let fifo = if at == self.now {
+        let ahead = at - self.now;
+        let fifo = if ahead == 0 {
             &mut self.current
+        } else if ahead < WHEEL as u64 {
+            let s = slot(at);
+            self.occupied[s / 64] |= 1 << (s % 64);
+            &mut self.ring[s]
         } else {
             self.later.entry(at).or_insert(Fifo::EMPTY)
         };
@@ -136,7 +182,7 @@ impl<T> EventQueue<T> {
                     "chunk indices fit in u32 below the NIL marker"
                 );
                 self.chunks.push(Chunk {
-                    items: VecDeque::new(),
+                    items: VecDeque::with_capacity(CHUNK_CAP),
                     next: NIL,
                 });
                 (self.chunks.len() - 1) as u32
@@ -154,10 +200,8 @@ impl<T> EventQueue<T> {
 
     /// Removes and returns the earliest event and its time.
     pub(crate) fn pop(&mut self) -> Option<(SimTime, T)> {
-        if self.current.head == NIL {
-            let (at, fifo) = self.later.pop_first()?;
-            self.now = at;
-            self.current = fifo;
+        if self.current.head == NIL && !self.advance() {
+            return None;
         }
         let head = self.current.head;
         let chunk = &mut self.chunks[head as usize];
@@ -169,6 +213,54 @@ impl<T> EventQueue<T> {
         }
         self.len -= 1;
         Some((self.now, item))
+    }
+
+    /// Moves the clock to the next tick that holds events and makes its
+    /// FIFO `current`; `false` if the queue is empty. Ticks of `later` the
+    /// wheel now spans move into the ring.
+    fn advance(&mut self) -> bool {
+        if let Some(ahead) = self.next_in_ring() {
+            self.now += ahead;
+            let s = slot(self.now);
+            self.occupied[s / 64] &= !(1 << (s % 64));
+            self.current = std::mem::replace(&mut self.ring[s], Fifo::EMPTY);
+        } else if let Some((at, fifo)) = self.later.pop_first() {
+            self.now = at;
+            self.current = fifo;
+        } else {
+            return false;
+        }
+        while let Some(entry) = self.later.first_entry() {
+            if *entry.key() - self.now >= WHEEL as u64 {
+                break;
+            }
+            let s = slot(*entry.key());
+            debug_assert!(self.ring[s].head == NIL, "a tick lives in one place");
+            self.occupied[s / 64] |= 1 << (s % 64);
+            self.ring[s] = entry.remove();
+        }
+        true
+    }
+
+    /// How far ahead of the clock the earliest ring tick is, if the ring
+    /// holds any: the first set bit at or after the clock's slot, wrapping
+    /// around (the clock's own bit is always clear).
+    fn next_in_ring(&self) -> Option<u64> {
+        let from = slot(self.now);
+        for k in 0..=WORDS {
+            let w = (from / 64 + k) % WORDS;
+            let mut word = self.occupied[w];
+            if k == 0 {
+                word &= !0 << (from % 64);
+            }
+            // On the wrap-around (`k == WORDS`) the bits at or after
+            // `from` are known clear, so a hit lies before it.
+            if word != 0 {
+                let s = w * 64 + word.trailing_zeros() as usize;
+                return Some(((s + WHEEL - from) % WHEEL) as u64);
+            }
+        }
+        None
     }
 }
 
@@ -189,17 +281,23 @@ mod tests {
         Push { delay: u64, burst: usize },
         /// Pop `count` events (fewer if the queue runs dry).
         Pop { count: usize },
+        /// Pop everything less than `WHEEL` ahead of the clock, so that the
+        /// next pop jumps an empty window into the overflow map.
+        DrainWindow,
     }
 
-    fn ops() -> impl Strategy<Value = Vec<Op>> {
+    /// Workouts whose far pushes reach up to `wheels` × `WHEEL` ahead.
+    fn ops(wheels: u64) -> impl Strategy<Value = Vec<Op>> {
+        let wheel = WHEEL as u64;
         proptest::collection::vec(
             (
-                0u32..10,
+                0u32..13,
                 0u64..12,
                 1usize..3 * CHUNK_CAP + 1,
                 1usize..CHUNK_CAP + 8,
+                1u64..wheels + 1,
             )
-                .prop_map(|(kind, delay, burst, count)| match kind {
+                .prop_map(move |(kind, delay, burst, count, far)| match kind {
                     // `at == now`, up to three chunks deep: with the pops
                     // below this lands behind a tick that is part-drained
                     // across a chunk boundary.
@@ -211,11 +309,19 @@ mod tests {
                         delay,
                         burst: burst % 5 + 1,
                     },
-                    // A far-future timer between the bursts.
+                    // The last ring tick, the first overflow tick and the
+                    // one after it.
                     4 => Op::Push {
-                        delay: 1_000 + delay * 997,
-                        burst: 1,
+                        delay: wheel - 1 + delay % 3,
+                        burst: burst % 5 + 1,
                     },
+                    // Several wheels ahead: a far timer, or a fault plan's
+                    // event.
+                    5 => Op::Push {
+                        delay: far * wheel + delay - 6,
+                        burst: burst % 3 + 1,
+                    },
+                    6 => Op::DrainWindow,
                     // Runs of pops short and long enough to stop inside a
                     // chunk, on its last event, or past it.
                     _ => Op::Pop { count },
@@ -224,46 +330,137 @@ mod tests {
         )
     }
 
-    proptest! {
-        /// The reference is the structure this queue replaced: a binary
-        /// heap on `(at, seq)`.
-        #[test]
-        fn pops_in_at_seq_order_like_a_binary_heap(ops in ops(), drain in proptest::bool::ANY) {
-            let mut subject: EventQueue<u64> = EventQueue::new();
-            let mut oracle: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
-            let mut seq = 0u64;
-            for op in ops {
-                match op {
-                    Op::Push { delay, burst } => {
-                        let at = subject.now() + delay;
-                        for _ in 0..burst {
-                            seq += 1;
-                            subject.push(at, seq);
-                            oracle.push(Reverse((at, seq)));
-                        }
-                    }
-                    Op::Pop { count } => {
-                        for _ in 0..count {
-                            let expected = oracle.pop().map(|Reverse(e)| e);
-                            prop_assert_eq!(subject.pop(), expected);
-                            if let Some((at, _)) = expected {
-                                prop_assert_eq!(subject.now(), at);
-                            }
-                        }
-                    }
-                }
-                prop_assert_eq!(subject.len(), oracle.len());
-                prop_assert_eq!(subject.next_time(), oracle.peek().map(|Reverse((at, _))| *at));
-            }
-            if drain {
-                while let Some(Reverse(expected)) = oracle.pop() {
-                    prop_assert_eq!(subject.pop(), Some(expected));
-                }
-                prop_assert_eq!(subject.pop(), None);
-                prop_assert_eq!(subject.len(), 0);
-                prop_assert_eq!(subject.next_time(), None);
-            }
+    /// The index invariants of the module docs, plus the chunk width.
+    fn assert_shape<T>(q: &EventQueue<T>) {
+        let clock = slot(q.now);
+        for (s, fifo) in q.ring.iter().enumerate() {
+            let bit = (q.occupied[s / 64] >> (s % 64)) & 1 == 1;
+            assert_eq!(bit, fifo.head != NIL, "occupancy bit of slot {s}");
+            assert!(s != clock || !bit, "the clock's own slot is empty");
         }
+        if let Some((&at, _)) = q.later.first_key_value() {
+            assert!(
+                at - q.now >= WHEEL as u64,
+                "{at:?} in the map, clock {:?}",
+                q.now
+            );
+        }
+        assert!(
+            q.chunks.iter().all(|c| c.items.capacity() == CHUNK_CAP),
+            "a chunk's buffer is allocated once, at the cap"
+        );
+    }
+
+    /// Runs `ops` against a binary heap on `(at, seq)`, the obviously
+    /// right reference, then optionally drains both.
+    fn against_a_heap(ops: Vec<Op>, drain: bool) {
+        let mut subject: EventQueue<u64> = EventQueue::new();
+        let mut oracle: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
+        let mut seq = 0u64;
+        let pop_both = |subject: &mut EventQueue<u64>,
+                        oracle: &mut BinaryHeap<Reverse<(SimTime, u64)>>| {
+            let expected = oracle.pop().map(|Reverse(e)| e);
+            assert_eq!(subject.pop(), expected);
+            if let Some((at, _)) = expected {
+                assert_eq!(subject.now(), at);
+            }
+        };
+        for op in ops {
+            match op {
+                Op::Push { delay, burst } => {
+                    let at = subject.now() + delay;
+                    for _ in 0..burst {
+                        seq += 1;
+                        subject.push(at, seq);
+                        oracle.push(Reverse((at, seq)));
+                    }
+                }
+                Op::Pop { count } => {
+                    for _ in 0..count {
+                        pop_both(&mut subject, &mut oracle);
+                    }
+                }
+                Op::DrainWindow => {
+                    while let Some(Reverse((at, _))) = oracle.peek() {
+                        if *at - subject.now() >= WHEEL as u64 {
+                            break;
+                        }
+                        pop_both(&mut subject, &mut oracle);
+                    }
+                }
+            }
+            assert_eq!(subject.len(), oracle.len());
+            assert_eq!(
+                subject.next_time(),
+                oracle.peek().map(|Reverse((at, _))| *at)
+            );
+            assert_shape(&subject);
+        }
+        if drain {
+            while let Some(Reverse(expected)) = oracle.pop() {
+                assert_eq!(subject.pop(), Some(expected));
+            }
+            assert_shape(&subject);
+            assert_eq!(subject.pop(), None);
+            assert_eq!(subject.len(), 0);
+            assert_eq!(subject.next_time(), None);
+        }
+    }
+
+    proptest! {
+        /// Horizons straddle the wheel: inside it, on its last tick, on the
+        /// first overflow tick, and up to four wheels out.
+        #[test]
+        fn pops_in_at_seq_order_like_a_binary_heap(ops in ops(4), drain in proptest::bool::ANY) {
+            against_a_heap(ops, drain);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The same, many more cases, far pushes up to ten wheels out.
+        #[test]
+        #[cfg_attr(debug_assertions, ignore = "release-only; see the exhaustive canaries CI step")]
+        fn pops_in_at_seq_order_like_a_binary_heap_exhaustive(
+            ops in ops(10),
+            drain in proptest::bool::ANY,
+        ) {
+            against_a_heap(ops, drain);
+        }
+    }
+
+    /// A jump over an empty window: the clock lands on an overflow tick,
+    /// the map's next tick moves into the ring, and pushes near the new
+    /// clock interleave with it.
+    #[test]
+    fn a_jump_into_overflow_refills_the_ring() {
+        let wheel = WHEEL as u64;
+        let mut q: EventQueue<u32> = EventQueue::new();
+        q.push(SimTime::from_ticks(3), 0);
+        q.push(SimTime::from_ticks(5 * wheel), 1);
+        q.push(SimTime::from_ticks(5 * wheel + 7), 2);
+        q.push(SimTime::from_ticks(9 * wheel), 3);
+        assert_eq!(q.later.len(), 3);
+        assert_eq!(q.pop(), Some((SimTime::from_ticks(3), 0)));
+        assert_eq!(q.pop(), Some((SimTime::from_ticks(5 * wheel), 1)));
+        assert_shape(&q);
+        assert_eq!(q.later.len(), 1, "the tick 7 ahead moved into the ring");
+        q.push(SimTime::from_ticks(5 * wheel + 7), 4);
+        q.push(SimTime::from_ticks(5 * wheel + 2), 5);
+        let rest: Vec<(u64, u32)> = std::iter::from_fn(|| q.pop())
+            .map(|(at, i)| (at.ticks(), i))
+            .collect();
+        assert_eq!(
+            rest,
+            [
+                (5 * wheel + 2, 5),
+                (5 * wheel + 7, 2),
+                (5 * wheel + 7, 4),
+                (9 * wheel, 3)
+            ]
+        );
+        assert_shape(&q);
     }
 
     /// The footprint contract of the module docs, on rounds whose ticks
@@ -306,13 +503,13 @@ mod tests {
             }
             assert_eq!(q.len(), 0);
             assert!(
-                q.later.is_empty() && q.current.head == NIL,
+                q.later.is_empty() && q.occupied == [0; WORDS] && q.current.head == NIL,
                 "a drained queue holds no tick-index entry"
             );
         }
         assert!(
-            q.chunks.iter().all(|c| c.items.capacity() <= CHUNK_CAP),
-            "a chunk's buffer never grows past the cap"
+            q.chunks.iter().all(|c| c.items.capacity() == CHUNK_CAP),
+            "a chunk's buffer is allocated once, at the cap, and never grows"
         );
     }
 }
