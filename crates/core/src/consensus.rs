@@ -22,15 +22,14 @@ use scup_obs::causal::{CausalGraph, ProvenanceLog};
 use scup_scp::{NodeStats, Value};
 use scup_sim::adversary::CrashActor;
 use scup_sim::{
-    ChurnPlan, FaultPlan, MemJournal, NetworkConfig, ResilientActor, RetransmitConfig, SimReport,
-    Simulation,
+    ChurnPlan, FaultPlan, MemJournal, NetworkConfig, RetransmitConfig, SimReport, Simulation,
 };
 
 use crate::attempts::LocalSliceStrategy;
 use crate::build_slices::build_slices;
 use crate::oracle::SinkDetection;
 use crate::roster::{self, AdversaryKind, BftProtocol, Protocol, ScpProtocol, SdProtocol};
-use crate::sink_detector::{GetSinkMode, SdMsg, SinkDetectorActor};
+use crate::sink_detector::{GetSinkMode, SinkDetectorActor};
 
 /// Configuration of an end-to-end run.
 #[derive(Debug, Clone)]
@@ -62,10 +61,12 @@ pub struct EndToEndConfig {
     /// `t` of the sink-detector phase and again at `t` of the SCP phase).
     /// The default zero plan is bit-identical to a fault-free run.
     pub faults: FaultPlan,
-    /// Retransmission schedule handed to every correct actor in both
-    /// phases (the sink detectors via [`ResilientActor`], the SCP nodes
-    /// natively). Disabled by default — fault-free runs keep their exact
-    /// historical schedules.
+    /// Retransmission schedule handed to every actor the roster builds
+    /// from the protocol's correct one, in both phases — the crash seats
+    /// included. Every such actor retransmits natively: the sink detectors
+    /// and the BFT-CUP actors re-send their logs, the SCP nodes re-flood
+    /// their envelope backlogs. Disabled by default — fault-free runs keep
+    /// their exact historical schedules.
     pub retransmit: RetransmitConfig,
     /// Deterministic membership churn, applied to *both* phases like
     /// [`EndToEndConfig::faults`]: joiners start dormant and materialize
@@ -266,10 +267,6 @@ pub fn run_sink_detection_traced(
                     sim.actor_as::<CrashActor<SinkDetectorActor>>(i)
                         .map(CrashActor::inner)
                 })
-                .or_else(|| {
-                    sim.actor_as::<ResilientActor<SdMsg, SinkDetectorActor>>(i)
-                        .map(ResilientActor::inner)
-                })
                 .and_then(SinkDetectorActor::detection)
         })
         .collect();
@@ -397,6 +394,48 @@ mod tests {
             let scp = run_scp_with_slices_observed(&kg, &faulty, slices, &inputs, &config);
             assert!(correct_agree(&scp.decisions, &faulty), "seed={seed}");
         }
+    }
+
+    #[test]
+    fn detector_crash_seat_retransmits_under_a_fault_plan() {
+        use scup_graph::sink;
+        use scup_sim::{bucket_of, LossFault};
+        let kg = generators::fig2();
+        let member = sink::unique_sink(kg.graph()).unwrap().to_vec()[0];
+        let faulty = ProcessSet::singleton(member);
+        let heal = 2_000;
+        // Past every delivery of the phase: the seat runs the detector
+        // to quiescence and never stops.
+        let after = 100_000;
+        let config = EndToEndConfig {
+            seed: 3,
+            adversary: AdversaryKind::Crash { after },
+            faults: FaultPlan {
+                loss: Some(LossFault {
+                    prob: 0.3,
+                    until: heal,
+                    links: None,
+                }),
+                ..FaultPlan::default()
+            },
+            retransmit: RetransmitConfig::covering(heal, 10),
+            ..EndToEndConfig::default()
+        };
+        let (detections, report) = run_sink_detection(&kg, 1, &faulty, &config);
+        assert!(report.messages_delivered < after);
+        assert!(report.messages_dropped > 0, "loss must bite");
+        assert!(detections.iter().all(Option::is_some));
+        // Every seat arms its first round once, at `base + jitter`; later
+        // rounds double past that bucket.
+        let base = config.retransmit.base;
+        let first = bucket_of(base);
+        assert_eq!(first, bucket_of(base + config.retransmit.jitter));
+        assert!(bucket_of(2 * base) > first);
+        assert_eq!(
+            report.retransmit_delay_buckets[first],
+            kg.n() as u64,
+            "the crash seat arms its first round like every correct seat"
+        );
     }
 
     #[test]

@@ -27,7 +27,7 @@
 
 use scup_graph::{ProcessId, ProcessSet};
 use scup_scp::{ScpConfig, ScpMsg, ScpNode, Value};
-use scup_sim::{Actor, Context, SimMessage, StateHasher};
+use scup_sim::{Actor, Context, RetransmitConfig, SimMessage, StateHasher};
 
 use crate::build_slices::build_slices;
 use crate::sink_detector::{GetSinkMode, SdMsg, SinkDetectorActor};
@@ -92,12 +92,13 @@ pub struct StackActor {
 impl StackActor {
     /// Creates the composite for a process with participant detector
     /// `pd`, fault threshold `f` and proposal `input`. `GET_SINK` runs in
-    /// [`GetSinkMode::Direct`] (the mode the explored pipelines use).
+    /// [`GetSinkMode::Direct`] (the mode the explored pipelines use),
+    /// without retransmission (the stack is an exploration-only actor).
     pub fn new(pd: ProcessSet, f: usize, input: Value) -> Self {
         StackActor {
             f,
             input,
-            sd: SinkDetectorActor::new(pd, f, GetSinkMode::Direct),
+            sd: SinkDetectorActor::new(pd, f, GetSinkMode::Direct, RetransmitConfig::disabled()),
             scp: None,
             buffered: Vec::new(),
             sd_scratch: Vec::new(),

@@ -8,12 +8,15 @@
 //! `i`, and how a decision and a provenance log are read back; [`seat`]
 //! maps `(faulty?, adversary)` onto [`SilentActor`] / [`EchoActor`] /
 //! [`CrashActor`] around the correct actor / the description's injector.
-//! The actor does not know who drives it, and neither does the code that
-//! seats it.
+//! A correct seat is [`Protocol::correct`] itself, so every seat the
+//! roster builds from the correct actor forks and fingerprints as that
+//! actor does. The actor does not know who drives it, and neither does
+//! the code that seats it.
 //!
 //! Everything the hosts once disagreed about is a field of a description:
 //! the retransmission schedule (every actor-building seat gets it, the
-//! crash node included), the BFT-CUP view timeout (one formula over `Δ`),
+//! crash node included; each correct actor retransmits natively), the
+//! BFT-CUP view timeout (one formula over `Δ`),
 //! the equivocators' victim split (an argument of [`seat`]; the sampler
 //! passes 0), [`BftProtocol::stale_joiner`] and
 //! [`BftProtocol::preset_sink`].
@@ -25,7 +28,7 @@ use scup_obs::causal::ProvenanceLog;
 use scup_scp::node::EquivocatingScpNode;
 use scup_scp::{ScpConfig, ScpMsg, ScpNode, Value};
 use scup_sim::adversary::{CrashActor, EchoActor, SilentActor};
-use scup_sim::{Actor, ResilientActor, RetransmitConfig, SimMessage};
+use scup_sim::{Actor, RetransmitConfig, SimMessage};
 
 use crate::consensus::EndToEndConfig;
 use crate::explore_stack::{StackActor, StackMsg};
@@ -81,14 +84,9 @@ pub trait Protocol {
     /// The correct process's state machine.
     type Actor: Actor<Self::Msg> + Clone;
 
-    /// The correct actor at process `i`.
+    /// The correct actor at process `i` — seated as is at a correct
+    /// process, and inside [`CrashActor`] at a crashing one.
     fn correct(&self, i: ProcessId) -> Self::Actor;
-
-    /// The actor seated at a *correct* process `i`: [`Protocol::correct`],
-    /// unless the description dresses it for the host.
-    fn seat_correct(&self, i: ProcessId) -> Box<dyn Actor<Self::Msg>> {
-        Box::new(self.correct(i))
-    }
 
     /// The value-injecting adversary (`kind` is
     /// [`AdversaryKind::Equivocate`] or [`AdversaryKind::ForgedSlice`]) at
@@ -124,7 +122,7 @@ pub fn seat<P: Protocol>(
     split: usize,
 ) -> Box<dyn Actor<P::Msg>> {
     if !faulty {
-        return protocol.seat_correct(i);
+        return Box::new(protocol.correct(i));
     }
     match adversary {
         AdversaryKind::Silent => Box::new(SilentActor::new()),
@@ -162,21 +160,12 @@ impl Protocol for SdProtocol<'_> {
     type Actor = SinkDetectorActor;
 
     fn correct(&self, i: ProcessId) -> SinkDetectorActor {
-        SinkDetectorActor::new(self.kg.pd(i).clone(), self.f, self.mode)
-    }
-
-    /// The sink detectors predate the fault plane; the wrapper retrofits
-    /// lossy-link re-announcement onto them. (Timed runs only, and the
-    /// crash seat stays bare: the wrapper neither forks nor clones.)
-    fn seat_correct(&self, i: ProcessId) -> Box<dyn Actor<SdMsg>> {
-        if self.retransmit.enabled() {
-            Box::new(ResilientActor::new(
-                self.correct(i),
-                self.retransmit.clone(),
-            ))
-        } else {
-            Box::new(self.correct(i))
-        }
+        SinkDetectorActor::new(
+            self.kg.pd(i).clone(),
+            self.f,
+            self.mode,
+            self.retransmit.clone(),
+        )
     }
 
     /// Value-injecting processes stay silent during knowledge increase
@@ -393,5 +382,77 @@ impl Protocol for StackProtocol<'_> {
 
     fn provenance(actor: &StackActor) -> ProvenanceLog {
         actor.provenance()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use scup_graph::generators;
+    use scup_sim::StateHasher;
+
+    /// Fig. 2 (`n = 7`, `f = 1`) with retransmission on, as a fault plan
+    /// healing at tick 2 000 switches it on.
+    fn retransmitting() -> EndToEndConfig {
+        EndToEndConfig {
+            retransmit: RetransmitConfig::covering(2_000, 10),
+            ..EndToEndConfig::default()
+        }
+    }
+
+    const KINDS: [AdversaryKind; 5] = [
+        AdversaryKind::Silent,
+        AdversaryKind::Crash { after: 3 },
+        AdversaryKind::Echo,
+        AdversaryKind::Equivocate,
+        AdversaryKind::ForgedSlice,
+    ];
+
+    fn assert_every_seat_forks<P: Protocol>(protocol: &P, name: &str, kinds: &[AdversaryKind]) {
+        let i = ProcessId::new(0);
+        assert!(
+            seat(protocol, i, false, AdversaryKind::Silent, 0)
+                .fork()
+                .is_some(),
+            "{name}: the correct seat must fork"
+        );
+        for &kind in kinds {
+            assert!(
+                seat(protocol, i, true, kind, 0).fork().is_some(),
+                "{name}: the {kind:?} seat must fork"
+            );
+        }
+    }
+
+    #[test]
+    fn every_seat_forks_under_retransmission() {
+        let kg = generators::fig2();
+        let config = retransmitting();
+        assert!(config.retransmit.enabled());
+        let inputs: Vec<Value> = (0..kg.n()).map(|i| 100 + i as Value).collect();
+        let slices = vec![SliceFamily::explicit([kg.graph().vertex_set()]); kg.n()];
+        assert_every_seat_forks(&SdProtocol::new(&kg, 1, &config), "sd", &KINDS);
+        assert_every_seat_forks(&ScpProtocol::new(&slices, &inputs, &config), "scp", &KINDS);
+        assert_every_seat_forks(&BftProtocol::new(&kg, 1, &inputs, &config), "bft", &KINDS);
+        // The stack has no value-injecting actor (`StackProtocol::injector`
+        // is unreachable); hosts refuse those pairings at setup.
+        let stack_kinds: Vec<AdversaryKind> = KINDS
+            .into_iter()
+            .filter(|k| k.preserves_validity())
+            .collect();
+        assert_every_seat_forks(&StackProtocol::new(&kg, 1, &inputs), "stack", &stack_kinds);
+    }
+
+    /// The exploration tripwire: fingerprints skip the retransmission
+    /// state, so fingerprinting an actor whose schedule is on must fail
+    /// loudly rather than merge states that differ in it.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "before exploration may enable retransmission")]
+    fn fingerprinting_a_retransmitting_actor_trips_the_exploration_guard() {
+        let kg = generators::fig2();
+        let config = retransmitting();
+        let detector = SdProtocol::new(&kg, 1, &config).correct(ProcessId::new(0));
+        Actor::fingerprint(&detector, &mut StateHasher::new());
     }
 }

@@ -30,7 +30,10 @@
 use scup_cup::discovery::{SinkCore, SinkMsg};
 use scup_cup::rrb::{RrbCore, RrbMsg};
 use scup_graph::{ProcessId, ProcessSet};
-use scup_sim::{Actor, Context, SimMessage, StateHasher};
+use scup_sim::{
+    Actor, Context, Journal, RetransmitConfig, Retransmitter, SimMessage, StateHasher,
+    RETRANSMIT_TAG,
+};
 
 use crate::oracle::SinkDetection;
 
@@ -91,6 +94,20 @@ impl SimMessage for SdMsg {
 /// After the run, [`SinkDetectorActor::detection`] returns the
 /// `⟨flag, V⟩` of `get_sink` — `Some` for every correct process
 /// (Theorem 6).
+///
+/// Under a fault plan the reliable channels Algorithm 3 assumes are
+/// manufactured by a [`Retransmitter`]: every send is noted in its
+/// deduplicated log, which each backoff round re-sends whole (receivers
+/// absorb the duplicates — discovery dedups at the `SINK` core, `asked`
+/// and the value tallies are sets, and adoption is write-once).
+///
+/// Crash recovery is pause-crash: [`Actor::on_recover`] keeps the whole
+/// discovery and detection state and only restarts the backoff schedule
+/// from its short intervals. That is honest here because every field is a
+/// monotone accumulation of what the network already told the process —
+/// a real reboot would re-learn it by re-running `SINK` on the same
+/// static graph — and nothing the detector sent is a pledge a reboot
+/// could contradict.
 #[derive(Clone)]
 pub struct SinkDetectorActor {
     pd: ProcessSet,
@@ -108,12 +125,17 @@ pub struct SinkDetectorActor {
     sink: Option<ProcessSet>,
     /// Our own id (seeded in `on_start`).
     sink_algo_self_id: ProcessId,
+    /// Fault tolerance (timed simulations only): the dedup log of sent
+    /// messages re-sent on each backoff round. Excluded from fingerprints,
+    /// so retransmission must stay disabled under exploration.
+    retransmit: Retransmitter<SdMsg>,
 }
 
 impl SinkDetectorActor {
     /// Creates the actor for a process with participant detector `pd` and
-    /// fault threshold `f`.
-    pub fn new(pd: ProcessSet, f: usize, mode: GetSinkMode) -> Self {
+    /// fault threshold `f`, retransmitting on `retransmit`'s schedule
+    /// ([`RetransmitConfig::disabled`] for reliable networks).
+    pub fn new(pd: ProcessSet, f: usize, mode: GetSinkMode, retransmit: RetransmitConfig) -> Self {
         SinkDetectorActor {
             sink_algo: SinkCore::new(ProcessId::new(u32::MAX), pd.clone(), f),
             rrb: RrbCore::new(ProcessId::new(u32::MAX), f),
@@ -125,6 +147,7 @@ impl SinkDetectorActor {
             values: Vec::new(),
             sink: None,
             sink_algo_self_id: ProcessId::new(u32::MAX),
+            retransmit: Retransmitter::new(retransmit),
         }
     }
 
@@ -138,35 +161,49 @@ impl SinkDetectorActor {
         })
     }
 
-    fn flush_sink(ctx: &mut Context<'_, SdMsg>, out: Vec<(ProcessId, SinkMsg)>) {
+    /// Sends `msg` and notes it for the retransmission rounds. Every send
+    /// of the detector goes through here, so the log's order is the send
+    /// order. `learn` makes an id from a discovery payload addressable; for
+    /// any other recipient, already known, it is a no-op.
+    fn send_logged(&mut self, ctx: &mut Context<'_, SdMsg>, to: ProcessId, msg: SdMsg) {
+        ctx.learn(to);
+        self.retransmit.note(to, &msg);
+        ctx.send(to, msg);
+    }
+
+    fn flush_sink(&mut self, ctx: &mut Context<'_, SdMsg>, out: Vec<(ProcessId, SinkMsg)>) {
         for (to, m) in out {
-            ctx.learn(to);
-            ctx.send(to, SdMsg::Sink(m));
+            self.send_logged(ctx, to, SdMsg::Sink(m));
         }
     }
 
-    /// Sink found by the SINK algorithm: adopt it and answer all askers.
+    /// Adopts `sink` (Algorithm 3's write-once `sink` variable) and
+    /// answers everyone who asked so far; later askers are answered by
+    /// `on_get_sink`.
+    fn adopt(&mut self, ctx: &mut Context<'_, SdMsg>, sink: ProcessSet) {
+        for j in self.asked_us.clone().iter() {
+            if j != ctx.self_id() {
+                self.send_logged(ctx, j, SdMsg::SinkValue(sink.clone()));
+            }
+        }
+        self.sink = Some(sink);
+    }
+
+    /// Sink found by the SINK algorithm: adopt it.
     fn maybe_adopt_own_verdict(&mut self, ctx: &mut Context<'_, SdMsg>) {
         if self.sink.is_some() {
             return;
         }
-        let Some(verdict) = self.sink_algo.verdict().cloned() else {
-            return;
-        };
-        self.sink = Some(verdict.sink.clone());
-        for j in self.asked_us.clone().iter() {
-            if j != ctx.self_id() {
-                ctx.learn(j);
-                ctx.send(j, SdMsg::SinkValue(verdict.sink.clone()));
-            }
+        if let Some(verdict) = self.sink_algo.verdict() {
+            let sink = verdict.sink.clone();
+            self.adopt(ctx, sink);
         }
     }
 
     fn on_get_sink(&mut self, ctx: &mut Context<'_, SdMsg>, from: ProcessId) {
         if self.asked_us.insert(from) {
             if let Some(sink) = self.sink.clone() {
-                ctx.learn(from);
-                ctx.send(from, SdMsg::SinkValue(sink));
+                self.send_logged(ctx, from, SdMsg::SinkValue(sink));
             }
         }
     }
@@ -182,8 +219,7 @@ impl SinkDetectorActor {
         fresh.remove(ctx.self_id());
         self.asked_by_us.union_with(&fresh);
         for j in &fresh {
-            ctx.learn(j);
-            ctx.send(j, SdMsg::GetSink);
+            self.send_logged(ctx, j, SdMsg::GetSink);
         }
     }
 
@@ -205,14 +241,8 @@ impl SinkDetectorActor {
             .iter()
             .find(|(_, senders)| senders.len() > self.f)
         {
-            self.sink = Some(set.clone());
-            // Late askers still get answers.
-            for j in self.asked_us.clone().iter() {
-                if j != ctx.self_id() {
-                    ctx.learn(j);
-                    ctx.send(j, SdMsg::SinkValue(set.clone()));
-                }
-            }
+            let set = set.clone();
+            self.adopt(ctx, set);
         }
     }
 
@@ -241,22 +271,23 @@ impl Actor<SdMsg> for SinkDetectorActor {
             GetSinkMode::ReachableBroadcast => {
                 let (_, out) = self.rrb.broadcast(&self.pd.clone(), ());
                 for (to, m) in out {
-                    ctx.send(to, SdMsg::GetSinkRb(m));
+                    self.send_logged(ctx, to, SdMsg::GetSinkRb(m));
                 }
             }
         }
         // Line 7: run SINK.
         let out = self.sink_algo.start();
-        Self::flush_sink(ctx, out);
+        self.flush_sink(ctx, out);
         self.ask_direct(ctx);
         self.maybe_adopt_own_verdict(ctx);
+        self.retransmit.arm(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, SdMsg>, from: ProcessId, msg: SdMsg) {
         match msg {
             SdMsg::Sink(m) => {
                 let out = self.sink_algo.on_message(from, m);
-                Self::flush_sink(ctx, out);
+                self.flush_sink(ctx, out);
                 self.ask_direct(ctx);
                 self.maybe_adopt_own_verdict(ctx);
             }
@@ -265,7 +296,7 @@ impl Actor<SdMsg> for SinkDetectorActor {
                 let neighbors = ctx.known().clone();
                 let (out, delivery) = self.rrb.on_copy(from, m, &neighbors);
                 for (to, fwd) in out {
-                    ctx.send(to, SdMsg::GetSinkRb(fwd));
+                    self.send_logged(ctx, to, SdMsg::GetSinkRb(fwd));
                 }
                 if let Some(d) = delivery {
                     self.on_get_sink(ctx, d.origin);
@@ -273,6 +304,19 @@ impl Actor<SdMsg> for SinkDetectorActor {
             }
             SdMsg::SinkValue(v) => self.on_sink_value(ctx, from, v),
         }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_, SdMsg>, tag: u64) {
+        if tag == RETRANSMIT_TAG {
+            self.retransmit.round(ctx);
+        }
+    }
+
+    /// Pause-crash (see the type docs): state survives, and the backoff
+    /// restarts from the short intervals so the rejoining process
+    /// re-announces quickly.
+    fn on_recover(&mut self, ctx: &mut Context<'_, SdMsg>, _: &dyn Journal) {
+        self.retransmit.reset(ctx);
     }
 
     fn fork(&self) -> Option<Box<dyn Actor<SdMsg>>> {
@@ -289,11 +333,18 @@ impl Actor<SdMsg> for SinkDetectorActor {
     /// and the explored adversaries replay only observed message kinds) —
     /// asserted below so a future `ReachableBroadcast` driver fails loudly
     /// instead of silently merging states that differ in broadcast state.
+    /// The retransmission log and backoff round are skipped too, asserted
+    /// the same way.
     fn fingerprint(&self, h: &mut StateHasher) {
         debug_assert!(
             matches!(self.mode, GetSinkMode::Direct),
             "this fingerprint skips the RRB core, so a ReachableBroadcast \
              detector cannot be explored"
+        );
+        debug_assert!(
+            !self.retransmit.enabled(),
+            "this fingerprint skips the retransmission backoff round and log; \
+             fingerprint them before exploration may enable retransmission"
         );
         h.write_set(&self.pd);
         h.write_u64(self.f as u64);
@@ -451,7 +502,12 @@ mod tests {
                     sim.add_actor(Box::new(SilentActor::new()));
                 }
             } else {
-                sim.add_actor(Box::new(SinkDetectorActor::new(kg.pd(i).clone(), f, mode)));
+                sim.add_actor(Box::new(SinkDetectorActor::new(
+                    kg.pd(i).clone(),
+                    f,
+                    mode,
+                    RetransmitConfig::disabled(),
+                )));
             }
         }
         sim.run_until_quiet(2_000_000);
@@ -559,6 +615,7 @@ mod tests {
                         kg.pd(i).clone(),
                         1,
                         GetSinkMode::Direct,
+                        RetransmitConfig::disabled(),
                     )));
                 }
             }

@@ -5,7 +5,7 @@
 
 use scup_graph::{generators, sink, ProcessSet};
 use scup_sim::adversary::CrashActor;
-use scup_sim::{NetworkConfig, Simulation};
+use scup_sim::{NetworkConfig, RetransmitConfig, Simulation};
 use stellar_cup::oracle::validate_detection;
 use stellar_cup::sink_detector::{GetSinkMode, SdMsg, SinkDetectorActor};
 
@@ -21,7 +21,12 @@ fn run_with_crash(crash_victim: u32, crash_after: u64, seed: u64) -> bool {
         NetworkConfig::partially_synchronous(120, 10, seed),
     );
     for i in kg.processes() {
-        let actor = SinkDetectorActor::new(kg.pd(i).clone(), f, GetSinkMode::Direct);
+        let actor = SinkDetectorActor::new(
+            kg.pd(i).clone(),
+            f,
+            GetSinkMode::Direct,
+            RetransmitConfig::disabled(),
+        );
         if i.as_u32() == crash_victim {
             sim.add_actor(Box::new(CrashActor::new(actor, crash_after)));
         } else {

@@ -1001,7 +1001,15 @@ impl Actor<BftMsg> for BftCupActor {
     /// decision — so the fingerprint collapses to the discovery core plus
     /// the decision. That collapse is what makes the dissemination flood
     /// tail finite for the explorer.
+    ///
+    /// The retransmission backoff round and log are not hashed, so the
+    /// schedule must be disabled under exploration (debug-asserted).
     fn fingerprint(&self, h: &mut StateHasher) {
+        debug_assert!(
+            !self.retransmit.enabled(),
+            "this fingerprint skips the retransmission backoff round and log; \
+             fingerprint them before exploration may enable retransmission"
+        );
         h.write_set(&self.pd);
         h.write_u64(self.config.f as u64);
         h.write_u64(self.proposal);

@@ -137,11 +137,6 @@ impl ScpConfig {
 }
 
 const NOMINATION_TIMER: u64 = 2;
-/// Retransmission-round timer: the simulator-wide
-/// [`scup_sim::RETRANSMIT_TAG`] (`u64::MAX`, far above any `n << 8`
-/// ballot tag), so the runner's retransmission-delay histogram sees SCP's
-/// rebroadcast rounds.
-const RETRANSMIT_TIMER: u64 = RETRANSMIT_TAG;
 
 // Durable journal record tags (see [`scup_sim::Journal`]). Word layouts:
 // J_PLEDGE = [kind, counter, value, accept] with kind 0 = Nominate,
@@ -507,9 +502,8 @@ impl ScpNode {
     /// Arms the next retransmission round, if the schedule has rounds
     /// left. No-op with retransmission disabled (the default).
     fn arm_retransmit(&mut self, ctx: &mut Context<'_, ScpMsg>) {
-        let cfg = self.config.retransmit.clone();
-        if let Some(delay) = self.backoff.next_delay(&cfg, ctx.rng()) {
-            ctx.set_timer(delay, RETRANSMIT_TIMER);
+        if let Some(delay) = self.backoff.next_delay(&self.config.retransmit, ctx.rng()) {
+            ctx.set_timer(delay, RETRANSMIT_TAG);
         }
     }
 
@@ -662,7 +656,7 @@ impl Actor<ScpMsg> for ScpNode {
     fn on_timer(&mut self, ctx: &mut Context<'_, ScpMsg>, tag: u64) {
         // Retransmission outlives externalization: peers that lost our
         // commit-accept envelopes still need them to externalize.
-        if tag == RETRANSMIT_TIMER {
+        if tag == RETRANSMIT_TAG {
             self.retransmit_round(ctx);
             return;
         }
@@ -802,7 +796,15 @@ impl Actor<ScpMsg> for ScpNode {
     /// incrementally maintained ones, so hashing a node is O(1) in its
     /// history; under one, recomputed by renaming each entry and
     /// XOR-folding — no re-sorting pass, since XOR is order-independent.
+    ///
+    /// The retransmission backoff round is not hashed either, so the
+    /// schedule must be disabled under exploration (debug-asserted).
     fn fingerprint(&self, h: &mut StateHasher) {
+        debug_assert!(
+            !self.config.retransmit.enabled(),
+            "this fingerprint skips the retransmission backoff round; \
+             fingerprint it before exploration may enable retransmission"
+        );
         let (tracker, check) = (&self.tracker, &self.check);
         let renaming = h.renaming();
         h.write_u64(self.config.input);

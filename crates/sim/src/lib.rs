@@ -89,6 +89,6 @@ pub use faults::{
 };
 pub use metrics::{bucket_bounds, bucket_of, ProcessStats, SimReport, HIST_BUCKETS};
 pub use network::NetworkConfig;
-pub use retransmit::{Backoff, ResilientActor, RetransmitConfig, Retransmitter, RETRANSMIT_TAG};
+pub use retransmit::{Backoff, RetransmitConfig, Retransmitter, RETRANSMIT_TAG};
 pub use runner::Simulation;
 pub use time::SimTime;

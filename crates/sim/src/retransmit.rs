@@ -10,7 +10,7 @@
 //! which restores eventual delivery — the reliable-channel abstraction
 //! the paper assumes (Section III-A).
 //!
-//! Three pieces live here:
+//! Two pieces live here:
 //!
 //! - [`RetransmitConfig`] + [`Backoff`]: the shared schedule (exponential
 //!   backoff with deterministic jitter drawn from the simulation RNG,
@@ -19,18 +19,17 @@
 //! - [`Retransmitter`]: the schedule plus a deduplicated log of what was
 //!   sent, re-sent whole on each backoff round — the one retransmission
 //!   algorithm of every actor that has no backlog of its own to re-flood
-//!   (the BFT-CUP actor holds one natively);
-//! - [`ResilientActor`]: a generic wrapper that retrofits a
-//!   [`Retransmitter`] onto any actor by recording its outbound messages
-//!   (used for the sink-detection phase, whose actors predate the fault
-//!   plane).
+//!   (the BFT-CUP actor and the sink detector each hold one).
+//!
+//! Every correct actor retransmits natively, so the actor a crash seat
+//! wraps and the state the exploration hooks fork and fingerprint are
+//! the correct actor's own.
 
 use rand::rngs::StdRng;
 use rand::RngExt as _;
 use scup_graph::ProcessId;
 
-use crate::actor::{Actor, Context, SimMessage};
-use crate::faults::Journal;
+use crate::actor::{Context, SimMessage};
 
 /// The timer tag reserved for retransmission rounds. Protocol actors must
 /// not arm timers with this tag.
@@ -171,6 +170,12 @@ impl<M: SimMessage + PartialEq> Retransmitter<M> {
         }
     }
 
+    /// `true` when the schedule arms timers at all (then the backoff
+    /// round and the log are live state).
+    pub fn enabled(&self) -> bool {
+        self.cfg.enabled()
+    }
+
     /// Remembers that `msg` went to `to`, once.
     pub fn note(&mut self, to: ProcessId, msg: &M) {
         if self.cfg.enabled() && !self.log.iter().any(|(t, m)| *t == to && m == msg) {
@@ -201,80 +206,6 @@ impl<M: SimMessage + PartialEq> Retransmitter<M> {
     pub fn reset(&mut self, ctx: &mut Context<'_, M>) {
         self.backoff.reset();
         self.arm(ctx);
-    }
-}
-
-/// Retrofits ack-free retransmission onto any actor: notes every message
-/// the inner actor sends in a [`Retransmitter`] and runs its rounds.
-///
-/// The wrapper is for *timed* simulations only: it does not implement
-/// the exploration hooks (`fork` returns `None`), and its crash
-/// semantics are pause-crash (inner state survives; see
-/// [`Actor::on_recover`]'s default).
-pub struct ResilientActor<M: SimMessage + PartialEq, A: Actor<M>> {
-    inner: A,
-    retransmit: Retransmitter<M>,
-    retransmissions: u64,
-}
-
-impl<M: SimMessage + PartialEq, A: Actor<M>> ResilientActor<M, A> {
-    /// Wraps `inner` with the given schedule.
-    pub fn new(inner: A, cfg: RetransmitConfig) -> Self {
-        ResilientActor {
-            inner,
-            retransmit: Retransmitter::new(cfg),
-            retransmissions: 0,
-        }
-    }
-
-    /// The wrapped actor.
-    pub fn inner(&self) -> &A {
-        &self.inner
-    }
-
-    /// Messages re-sent by retransmission rounds so far.
-    pub fn retransmissions(&self) -> u64 {
-        self.retransmissions
-    }
-
-    /// Notes every send the inner callback appended past `mark`.
-    fn capture(&mut self, ctx: &Context<'_, M>, mark: usize) {
-        for (to, msg) in &ctx.outbox[mark..] {
-            self.retransmit.note(*to, msg);
-        }
-    }
-}
-
-impl<M: SimMessage + PartialEq, A: Actor<M>> Actor<M> for ResilientActor<M, A> {
-    fn on_start(&mut self, ctx: &mut Context<'_, M>) {
-        let mark = ctx.outbox.len();
-        self.inner.on_start(ctx);
-        self.capture(ctx, mark);
-        self.retransmit.arm(ctx);
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<'_, M>, from: ProcessId, msg: M) {
-        let mark = ctx.outbox.len();
-        self.inner.on_message(ctx, from, msg);
-        self.capture(ctx, mark);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, M>, tag: u64) {
-        if tag == RETRANSMIT_TAG {
-            self.retransmissions += self.retransmit.round(ctx);
-        } else {
-            let mark = ctx.outbox.len();
-            self.inner.on_timer(ctx, tag);
-            self.capture(ctx, mark);
-        }
-    }
-
-    fn on_recover(&mut self, ctx: &mut Context<'_, M>, journal: &dyn Journal) {
-        // Pause-crash semantics for the inner actor (its state survived),
-        // but restart the re-announcement schedule from the short
-        // intervals so the rejoining node catches up quickly.
-        self.inner.on_recover(ctx, journal);
-        self.retransmit.reset(ctx);
     }
 }
 
