@@ -40,6 +40,6 @@ pub mod statement;
 mod table;
 pub mod voting;
 
-pub use node::{journal_contradictions, NodeStats, ScpConfig, ScpMsg, ScpNode};
+pub use node::{journal_contradictions, Envelope, NodeStats, ScpConfig, ScpMsg, ScpNode};
 pub use statement::{Statement, Value};
 pub use voting::{QuorumCheck, VoteLevel, VoteTracker};

@@ -37,6 +37,10 @@
 //! every newly learned process so latecomers can replay the ballot and
 //! externalize state they missed.
 
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
+
 use scup_fbqs::SliceFamily;
 use scup_graph::{ProcessId, ProcessSet};
 use scup_obs::causal::{ProvEntry, ProvRule, ProvenanceLog};
@@ -49,31 +53,78 @@ use crate::voting::{QuorumCheck, VoteLevel, VoteTracker};
 
 use crate::fingerprint::{hash_family, hash_statement};
 
-/// An SCP envelope: a federated-voting pledge by `origin`, carrying the
-/// origin's declared slices, relayed through the overlay.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ScpMsg {
+/// The content of an SCP envelope: a federated-voting pledge by `origin`,
+/// carrying the origin's declared slices. Immutable once built; every copy
+/// of the envelope in flight or on file is an [`ScpMsg`] handle to it.
+#[derive(PartialEq, Eq)]
+pub struct Envelope {
     /// The process whose pledge this is (signature-verified in real
     /// Stellar; trusted here — see module docs).
     pub origin: ProcessId,
     /// The origin's declared slice family (`S_i` attached to every
-    /// message, Section III-D). Shared: an envelope is cloned once per
-    /// flood recipient and again on every snapshot of the pending event
-    /// multiset, so the family rides behind an `Arc`.
-    pub slices: std::sync::Arc<SliceFamily>,
+    /// message, Section III-D). Behind its own `Arc` because a node
+    /// attaches one family to every envelope it originates.
+    pub slices: Arc<SliceFamily>,
     /// The statement being pledged.
     pub stmt: Statement,
     /// `true` for an accept-level pledge, `false` for a vote.
     pub accept: bool,
+    /// The abstract wire size, computed once at construction.
+    size: usize,
+}
+
+/// An SCP envelope as relayed through the overlay: a shared handle to one
+/// immutable [`Envelope`]. A flood relay, a broadcast, a fault-plane
+/// duplicate and a backlog entry each copy the handle (one pointer and a
+/// reference-count increment), never the envelope. Fields read through
+/// `Deref` (`msg.origin`, `msg.stmt`); equality compares content, so two
+/// separately built envelopes with equal fields are equal.
+#[derive(Clone, PartialEq, Eq)]
+pub struct ScpMsg(Arc<Envelope>);
+
+impl ScpMsg {
+    /// Builds an envelope: `origin` pledges `stmt` at vote (`accept =
+    /// false`) or accept level, attaching `slices`.
+    pub fn new(origin: ProcessId, slices: Arc<SliceFamily>, stmt: Statement, accept: bool) -> Self {
+        let slice_size = match slices.as_ref() {
+            SliceFamily::Explicit(slices) => slices.iter().map(|s| 4 * s.len() + 2).sum::<usize>(),
+            SliceFamily::AllSubsets { of, .. } => 4 * of.len() + 6,
+        };
+        ScpMsg(Arc::new(Envelope {
+            origin,
+            slices,
+            stmt,
+            accept,
+            size: slice_size + 22,
+        }))
+    }
+}
+
+impl Deref for ScpMsg {
+    type Target = Envelope;
+
+    fn deref(&self) -> &Envelope {
+        &self.0
+    }
+}
+
+/// Renders the envelope's fields under the name `ScpMsg`: this string is
+/// the payload of the event log, forensics, Perfetto traces and explorer
+/// counterexample schedules.
+impl fmt::Debug for ScpMsg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ScpMsg")
+            .field("origin", &self.origin)
+            .field("slices", &self.slices)
+            .field("stmt", &self.stmt)
+            .field("accept", &self.accept)
+            .finish()
+    }
 }
 
 impl SimMessage for ScpMsg {
     fn size_hint(&self) -> usize {
-        let slice_size = match self.slices.as_ref() {
-            SliceFamily::Explicit(slices) => slices.iter().map(|s| 4 * s.len() + 2).sum::<usize>(),
-            SliceFamily::AllSubsets { of, .. } => 4 * of.len() + 6,
-        };
-        slice_size + 22
+        self.size
     }
 
     fn fingerprint(&self, h: &mut StateHasher) {
@@ -254,9 +305,9 @@ pub struct NodeStats {
 pub struct ScpNode {
     /// Immutable after construction; behind an `Arc` so exploration forks
     /// share it instead of deep-copying the slice family per visited state.
-    config: std::sync::Arc<ScpConfig>,
+    config: Arc<ScpConfig>,
     /// The own slice family as shared by every outgoing envelope.
-    shared_slices: std::sync::Arc<SliceFamily>,
+    shared_slices: Arc<SliceFamily>,
     /// The pledge table: federated voting's state, and — an envelope is
     /// processed and relayed once — the envelope dedup set.
     tracker: VoteTracker,
@@ -264,9 +315,9 @@ pub struct ScpNode {
     /// Every distinct envelope, kept for late-learned processes (see the
     /// module docs on straggler repair). Copy-on-write like the tables: a
     /// fork shares it, and the first append after a fork copies it (a
-    /// `Vec` of `Arc`-backed envelopes). The explorer's step memo replays
+    /// `Vec` of 8-byte envelope handles). The explorer's step memo replays
     /// nearly every repeated step, so that append is rare.
-    backlog: std::sync::Arc<Vec<ScpMsg>>,
+    backlog: Arc<Vec<ScpMsg>>,
     /// Processes already brought up to date with the backlog.
     synced: ProcessSet,
     /// Confirmed nominees.
@@ -292,11 +343,11 @@ pub struct ScpNode {
 impl ScpNode {
     /// Creates a node.
     pub fn new(config: ScpConfig) -> Self {
-        Self::from_shared(std::sync::Arc::new(config))
+        Self::from_shared(Arc::new(config))
     }
 
-    fn from_shared(config: std::sync::Arc<ScpConfig>) -> Self {
-        let shared_slices = std::sync::Arc::new(config.slices.clone());
+    fn from_shared(config: Arc<ScpConfig>) -> Self {
+        let shared_slices = Arc::new(config.slices.clone());
         ScpNode {
             config,
             shared_slices,
@@ -372,12 +423,7 @@ impl ScpNode {
     }
 
     fn broadcast_own(&mut self, ctx: &mut Context<'_, ScpMsg>, stmt: Statement, accept: bool) {
-        let msg = ScpMsg {
-            origin: ctx.self_id(),
-            slices: std::sync::Arc::clone(&self.shared_slices),
-            stmt,
-            accept,
-        };
+        let msg = ScpMsg::new(ctx.self_id(), Arc::clone(&self.shared_slices), stmt, accept);
         // Write-ahead: the pledge hits the durable journal before the
         // network, so a crash can never lose a pledge peers already saw.
         if let Some(j) = ctx.journal() {
@@ -389,7 +435,7 @@ impl ScpNode {
         } else {
             self.stats.votes_sent += 1;
         }
-        std::sync::Arc::make_mut(&mut self.backlog).push(msg.clone());
+        Arc::make_mut(&mut self.backlog).push(msg.clone());
         ctx.broadcast_known(msg);
     }
 
@@ -649,7 +695,7 @@ impl Actor<ScpMsg> for ScpNode {
             });
         }
         ctx.broadcast_known(msg.clone());
-        std::sync::Arc::make_mut(&mut self.backlog).push(msg);
+        Arc::make_mut(&mut self.backlog).push(msg);
         self.reevaluate(ctx);
     }
 
@@ -719,7 +765,7 @@ impl Actor<ScpMsg> for ScpNode {
     /// the flood relay, after which `reevaluate` re-derives
     /// accepts/confirms from evidence as usual.
     fn on_recover(&mut self, ctx: &mut Context<'_, ScpMsg>, journal: &dyn Journal) {
-        let config = std::sync::Arc::clone(&self.config);
+        let config = Arc::clone(&self.config);
         let stats = self.stats;
         // The provenance log is the observer's, not the process's: it
         // survives the crash so forensic chains can span the recovery.
@@ -742,12 +788,8 @@ impl Actor<ScpMsg> for ScpNode {
                     let accept = accept != 0;
                     self.prov_note(me, ProvRule::Replay, || (format!("{stmt:?}"), Vec::new()));
                     self.tracker.record(me, stmt, accept);
-                    std::sync::Arc::make_mut(&mut self.backlog).push(ScpMsg {
-                        origin: me,
-                        slices: std::sync::Arc::clone(&self.shared_slices),
-                        stmt,
-                        accept,
-                    });
+                    let msg = ScpMsg::new(me, Arc::clone(&self.shared_slices), stmt, accept);
+                    Arc::make_mut(&mut self.backlog).push(msg);
                 }
                 J_LOCK => {
                     if let [v] = rec.words[..] {
@@ -918,7 +960,7 @@ pub struct EquivocatingScpNode {
     pub values: (Value, Value),
     /// The slice family it attaches (typically a forged, tiny one);
     /// shared by every outgoing envelope.
-    pub fake_slices: std::sync::Arc<SliceFamily>,
+    pub fake_slices: Arc<SliceFamily>,
     /// Rotation of the victim split: peer `idx` gets the first value when
     /// `(idx + split)` is even. The bounded model checker enumerates
     /// splits as adversary choice points; sampled runs keep the default 0.
@@ -930,7 +972,7 @@ impl EquivocatingScpNode {
     pub fn new(values: (Value, Value), fake_slices: SliceFamily) -> Self {
         EquivocatingScpNode {
             values,
-            fake_slices: std::sync::Arc::new(fake_slices),
+            fake_slices: Arc::new(fake_slices),
             split: 0,
         }
     }
@@ -941,27 +983,18 @@ impl EquivocatingScpNode {
         self
     }
 
+    /// One round: both halves are built once, and each peer gets a handle
+    /// to one of them.
     fn equivocate(&self, ctx: &mut Context<'_, ScpMsg>, stmts: (Statement, Statement)) {
         let known = ctx.known().clone();
         let me = ctx.self_id();
+        let halves = [stmts.0, stmts.1]
+            .map(|stmt| ScpMsg::new(me, Arc::clone(&self.fake_slices), stmt, true));
         for (idx, j) in known.iter().enumerate() {
             if j == me {
                 continue;
             }
-            let stmt = if (idx + self.split).is_multiple_of(2) {
-                stmts.0
-            } else {
-                stmts.1
-            };
-            ctx.send(
-                j,
-                ScpMsg {
-                    origin: me,
-                    slices: std::sync::Arc::clone(&self.fake_slices),
-                    stmt,
-                    accept: true,
-                },
-            );
+            ctx.send(j, halves[(idx + self.split) % 2].clone());
         }
     }
 }
@@ -1249,7 +1282,7 @@ mod tests {
     /// to process 0 and ignores everything it receives.
     #[derive(Clone)]
     struct ScriptedAccepter {
-        slices: std::sync::Arc<SliceFamily>,
+        slices: Arc<SliceFamily>,
         script: Vec<(u64, Statement)>,
     }
 
@@ -1263,12 +1296,8 @@ mod tests {
         fn on_message(&mut self, _: &mut Context<'_, ScpMsg>, _: ProcessId, _: ScpMsg) {}
 
         fn on_timer(&mut self, ctx: &mut Context<'_, ScpMsg>, tag: u64) {
-            let msg = ScpMsg {
-                origin: ctx.self_id(),
-                slices: std::sync::Arc::clone(&self.slices),
-                stmt: self.script[tag as usize].1,
-                accept: true,
-            };
+            let stmt = self.script[tag as usize].1;
+            let msg = ScpMsg::new(ctx.self_id(), Arc::clone(&self.slices), stmt, true);
             ctx.send(ProcessId::new(0), msg);
         }
     }
@@ -1316,11 +1345,11 @@ mod tests {
             (380, Statement::Prepare(1, 5)),
         ];
         sim.add_actor(Box::new(ScriptedAccepter {
-            slices: std::sync::Arc::new(slices([0, 2])),
+            slices: Arc::new(slices([0, 2])),
             script: both.into_iter().chain(only_1).collect(),
         }));
         sim.add_actor(Box::new(ScriptedAccepter {
-            slices: std::sync::Arc::new(slices([0, 1])),
+            slices: Arc::new(slices([0, 1])),
             script: both.to_vec(),
         }));
         sim.run_while(|s| s.now().ticks() < 600, 600);
@@ -1426,6 +1455,117 @@ mod tests {
                 })
                 .sum();
             assert!(catchup > 0, "seed {seed}: backlog replay must fire");
+        }
+    }
+
+    /// The envelope's `Debug` string is the payload of the event log,
+    /// forensics, Perfetto traces and counterexample schedules, and its
+    /// size hint feeds `bytes_per_decision`: both are pinned to what the
+    /// by-value envelope with a derived `Debug` produced.
+    #[test]
+    fn envelope_rendering_and_size_are_pinned() {
+        let explicit = Arc::new(SliceFamily::explicit([
+            ProcessSet::from_ids([0, 1]),
+            ProcessSet::from_ids([1, 3]),
+        ]));
+        let all = Arc::new(SliceFamily::all_subsets(ProcessSet::from_ids([0, 1, 5]), 2));
+        let (p2, p5) = (ProcessId::new(2), ProcessId::new(5));
+        let cases = [
+            (
+                ScpMsg::new(p2, Arc::clone(&explicit), Statement::Nominate(7), false),
+                "ScpMsg { origin: p2, slices: {{0, 1}, {1, 3}}, stmt: nominate(7), accept: false }",
+                "ScpMsg {\n    origin: p2,\n    slices: {{0, 1}, {1, 3}},\n    stmt: nominate(7),\n    accept: false,\n}",
+                42,
+            ),
+            (
+                ScpMsg::new(p2, Arc::clone(&explicit), Statement::Commit(3, 7), true),
+                "ScpMsg { origin: p2, slices: {{0, 1}, {1, 3}}, stmt: commit(3, 7), accept: true }",
+                "ScpMsg {\n    origin: p2,\n    slices: {{0, 1}, {1, 3}},\n    stmt: commit(3, 7),\n    accept: true,\n}",
+                42,
+            ),
+            (
+                ScpMsg::new(p5, Arc::clone(&all), Statement::Prepare(1, 9), false),
+                "ScpMsg { origin: p5, slices: all 2-subsets of {0, 1, 5}, stmt: prepare(1, 9), accept: false }",
+                "ScpMsg {\n    origin: p5,\n    slices: all 2-subsets of {0, 1, 5},\n    stmt: prepare(1, 9),\n    accept: false,\n}",
+                40,
+            ),
+            (
+                ScpMsg::new(p5, Arc::clone(&all), Statement::Prepare(2, 9), true),
+                "ScpMsg { origin: p5, slices: all 2-subsets of {0, 1, 5}, stmt: prepare(2, 9), accept: true }",
+                "ScpMsg {\n    origin: p5,\n    slices: all 2-subsets of {0, 1, 5},\n    stmt: prepare(2, 9),\n    accept: true,\n}",
+                40,
+            ),
+        ];
+        for (msg, flat, pretty, size) in cases {
+            assert_eq!(format!("{msg:?}"), flat);
+            assert_eq!(format!("{msg:#?}"), pretty);
+            assert_eq!(msg.size_hint(), size, "{flat}");
+        }
+    }
+
+    /// Every copy of an envelope is a handle to one allocation: a relay's
+    /// outbox copies and its new backlog entry point at the envelope it
+    /// was delivered, and an equivocation round builds its two halves
+    /// once, not once per peer.
+    #[test]
+    fn copies_of_an_envelope_share_one_allocation() {
+        use scup_graph::KnowledgeGraph;
+        use scup_sim::{ExploreEvent, ExploreSim};
+        assert_eq!(std::mem::size_of::<ScpMsg>(), std::mem::size_of::<usize>());
+        let kg = KnowledgeGraph::from_pds(
+            (0..4u32)
+                .map(|i| ProcessSet::from_ids((0..4).filter(|&j| j != i)))
+                .collect(),
+        );
+        let mut sim = ExploreSim::new(kg, 0);
+        let slices = SliceFamily::all_subsets(ProcessSet::from_ids([0, 1, 2]), 2);
+        for input in 7..10 {
+            sim.add_actor(Box::new(ScpNode::new(ScpConfig::new(
+                slices.clone(),
+                input,
+            ))));
+        }
+        let (p0, p1, p3) = (ProcessId::new(0), ProcessId::new(1), ProcessId::new(3));
+        sim.add_actor(Box::new(EquivocatingScpNode::new(
+            (666, 777),
+            SliceFamily::explicit([ProcessSet::from_ids([3])]),
+        )));
+        sim.start();
+        let sent = |sim: &ExploreSim<ScpMsg>, by: ProcessId, origin: ProcessId| -> Vec<ScpMsg> {
+            sim.pending()
+                .filter_map(|e| match e {
+                    ExploreEvent::Deliver { from, msg, .. } if *from == by => Some(msg.clone()),
+                    _ => None,
+                })
+                .filter(|msg| msg.origin == origin)
+                .collect()
+        };
+
+        let halves = sent(&sim, p3, p3);
+        assert_eq!(halves.len(), 3, "one copy per peer");
+        let allocations: std::collections::BTreeSet<*const Envelope> =
+            halves.iter().map(|msg| Arc::as_ptr(&msg.0)).collect();
+        assert_eq!(allocations.len(), 2, "{halves:?}");
+
+        let idx = sim
+            .pending()
+            .position(|e| {
+                matches!(e, ExploreEvent::Deliver { from, to, msg }
+                    if *from == p0 && *to == p1 && msg.origin == p0)
+            })
+            .expect("p0's nomination is in flight to p1");
+        let ExploreEvent::Deliver { msg: delivered, .. } = sim.pending_at(idx).clone() else {
+            unreachable!()
+        };
+        assert!(sent(&sim, p1, p0).is_empty());
+        sim.fire(idx);
+        let relayed = sent(&sim, p1, p0);
+        assert_eq!(relayed.len(), 3, "p1 relays to its three peers");
+        let node = sim.actor_as::<ScpNode>(p1).unwrap();
+        let filed: Vec<&ScpMsg> = node.backlog.iter().filter(|m| m.origin == p0).collect();
+        assert_eq!(filed.len(), 1);
+        for copy in relayed.iter().chain(filed) {
+            assert!(Arc::ptr_eq(&copy.0, &delivered.0), "{copy:?} is a copy");
         }
     }
 

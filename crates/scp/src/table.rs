@@ -1,7 +1,8 @@
 //! The flat copy-on-write table behind an SCP node's keyed state: the
-//! pledge table (one row per statement — who voted, who accepted, the own
-//! level; it answers envelope dedup and federated voting alike) and the
-//! slice registry (one row per process).
+//! pledge table (one row per statement, `{votes, accepts, confirmed}`:
+//! who voted, who accepted, whether it is confirmed here — the own level
+//! is the own id in those sets; it answers envelope dedup and federated
+//! voting alike) and the slice registry (one row per process).
 //!
 //! A sorted key vector and a parallel row vector behind one [`Arc`]:
 //!
