@@ -378,7 +378,7 @@ impl SinkCore {
     /// census is dead-state branching. The fix is one line,
     /// `(self.fired || self.replied.contains(from)) && set.is_subset(&self.known)`,
     /// and has to wait for a benchmark-only change that re-freezes the
-    /// census (ROADMAP, *Benchmark upkeep*).
+    /// census (ROADMAP, direction 14(i)).
     pub fn absorbs_msg(&self, from: ProcessId, msg: &SinkMsg) -> bool {
         match msg {
             SinkMsg::DiscoverReply(set) => {

@@ -39,6 +39,7 @@
 
 use std::fmt;
 use std::ops::Deref;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use scup_fbqs::SliceFamily;
@@ -55,7 +56,8 @@ use crate::fingerprint::{hash_family, hash_statement};
 
 /// The content of an SCP envelope: a federated-voting pledge by `origin`,
 /// carrying the origin's declared slices. Immutable once built; every copy
-/// of the envelope in flight or on file is an [`ScpMsg`] handle to it.
+/// of the envelope in flight or on file is an [`ScpMsg`] handle to it, and
+/// the last copy dropped frees it.
 #[derive(PartialEq, Eq)]
 pub struct Envelope {
     /// The process whose pledge this is (signature-verified in real
@@ -76,11 +78,19 @@ pub struct Envelope {
 /// An SCP envelope as relayed through the overlay: a shared handle to one
 /// immutable [`Envelope`]. A flood relay, a broadcast, a fault-plane
 /// duplicate and a backlog entry each copy the handle (one pointer and a
-/// reference-count increment), never the envelope. Fields read through
-/// `Deref` (`msg.origin`, `msg.stmt`); equality compares content, so two
-/// separately built envelopes with equal fields are equal.
+/// plain, non-atomic reference-count increment), never the envelope.
+/// Fields read through `Deref` (`msg.origin`, `msg.stmt`); equality
+/// compares content, so two separately built envelopes with equal fields
+/// are equal.
+///
+/// The count is an [`Rc`]'s, so an `ScpMsg` is not `Send`. Nothing needs
+/// it to be: an envelope lives and dies inside one simulation, a
+/// simulation runs on one thread, and every explorer worker builds its
+/// own simulator from the shared setup, so no envelope, node or queue
+/// ever crosses a thread. An atomic count would cost a locked
+/// read-modify-write on every send and every delivery for nothing.
 #[derive(Clone, PartialEq, Eq)]
-pub struct ScpMsg(Arc<Envelope>);
+pub struct ScpMsg(Rc<Envelope>);
 
 impl ScpMsg {
     /// Builds an envelope: `origin` pledges `stmt` at vote (`accept =
@@ -90,7 +100,7 @@ impl ScpMsg {
             SliceFamily::Explicit(slices) => slices.iter().map(|s| 4 * s.len() + 2).sum::<usize>(),
             SliceFamily::AllSubsets { of, .. } => 4 * of.len() + 6,
         };
-        ScpMsg(Arc::new(Envelope {
+        ScpMsg(Rc::new(Envelope {
             origin,
             slices,
             stmt,
@@ -1544,7 +1554,7 @@ mod tests {
         let halves = sent(&sim, p3, p3);
         assert_eq!(halves.len(), 3, "one copy per peer");
         let allocations: std::collections::BTreeSet<*const Envelope> =
-            halves.iter().map(|msg| Arc::as_ptr(&msg.0)).collect();
+            halves.iter().map(|msg| Rc::as_ptr(&msg.0)).collect();
         assert_eq!(allocations.len(), 2, "{halves:?}");
 
         let idx = sim
@@ -1565,7 +1575,7 @@ mod tests {
         let filed: Vec<&ScpMsg> = node.backlog.iter().filter(|m| m.origin == p0).collect();
         assert_eq!(filed.len(), 1);
         for copy in relayed.iter().chain(filed) {
-            assert!(Arc::ptr_eq(&copy.0, &delivered.0), "{copy:?} is a copy");
+            assert!(Rc::ptr_eq(&copy.0, &delivered.0), "{copy:?} is a copy");
         }
     }
 

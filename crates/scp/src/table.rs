@@ -8,11 +8,28 @@
 //!
 //! - **a fork is an `Arc` bump**, and most forked nodes are dropped or
 //!   forked again before they write;
-//! - **a lookup is one binary search over contiguous keys** — keys sit
-//!   apart from rows, so the search reads key memory only (33 statements
-//!   are 13 cache lines of keys; interleaved with their rows they were 50);
+//! - **a lookup is one probe of a hashed index** once the table holds
+//!   more than [`INDEXED_ABOVE`] keys, and a binary search over the
+//!   contiguous keys below that;
 //! - **a write is [`Arc::make_mut`]**: in place when unshared, which is
 //!   every sampled run, and one flat copy of the whole table after a fork.
+//!
+//! The index is open-addressed with linear probing. Each slot holds
+//! `row + 1` (0 is empty), the width is a power of two at least twice the
+//! key count, and the hash is a fixed multiply–rotate over the key's
+//! [`Hash`] — no random state, so a run is a function of its seed alone.
+//! Keys crafted to collide (a Byzantine origin's statements) can make a
+//! probe walk every row of the table, no more. A slot carries no key: a
+//! probe compares against `keys[row]`, and a present key is nearly always
+//! found on the first slot. The index is rebuilt on every insert, because
+//! an insert shifts the rows behind it. That is cheap because inserts are
+//! rare — a statement or a process gets its row once: at most 33 per node
+//! at `n = 24`, 188 on non-converging `observe` runs — while lookups come
+//! once per delivered envelope, more than nine in ten of them duplicates,
+//! and a binary search over a few dozen keys per delivery was the hottest
+//! line of the sampled simulator. Small tables keep the search and
+//! allocate no index, so no table of the explorer's systems (6 keys or
+//! fewer) carries one.
 //!
 //! Copying the *whole* table is the design, not a shortcut. Measured on
 //! every explorer scenario (`campaigns/explore.toml` and the benchmark's
@@ -21,16 +38,22 @@
 //! so the copy is a few hundred contiguous bytes with nothing to chase. The
 //! chunked persistent map this replaced shared nothing at that size — its
 //! one chunk *was* the map — and paid a spine, a chunk and a heap bitset
-//! per entry on top. Sampled runs grow larger tables (33 statements at
-//! `n = 24`, 188 on non-converging `observe` runs) but never fork, so they
-//! never copy.
+//! per entry on top. Sampled runs grow larger tables but never fork, so
+//! they never copy.
 //!
 //! Iteration is ascending key order, the order of the `BTreeMap`s these
 //! tables descend from. Order is behaviour here: the tally's rescan walks
 //! it, and the order of the changes it reports is the order of broadcasts.
+//! So keys and rows stay sorted, and the position of a new key is still
+//! found by binary search.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
+
+/// Key count up to which a lookup is a binary search and no index is
+/// allocated.
+const INDEXED_ABOVE: usize = 8;
 
 #[derive(Clone)]
 struct Columns<K, R> {
@@ -38,10 +61,112 @@ struct Columns<K, R> {
     keys: Vec<K>,
     /// `rows[i]` belongs to `keys[i]`.
     rows: Vec<R>,
+    /// Empty while `keys.len() <= INDEXED_ABOVE`; else `row + 1` per
+    /// occupied slot and 0 per free one, a power of two at least twice
+    /// `keys.len()` wide, so every probe sequence meets a free slot.
+    index: Vec<u32>,
 }
 
-/// A sorted map with O(1) clone and whole-table copy-on-write. See the
-/// [module docs](self).
+/// A fixed multiply–rotate word hash (the `FxHash` round): one rotate, one
+/// XOR and one multiply per word the key feeds in.
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(i.into());
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The first slot of `key`'s probe sequence in an index `mask + 1` wide:
+/// the hash's top bits, which the multiply mixes best.
+fn home<K: Hash>(key: &K, mask: usize) -> usize {
+    let mut h = KeyHasher(0);
+    key.hash(&mut h);
+    let bits = (mask + 1).trailing_zeros();
+    (h.finish() >> (64 - bits)) as usize
+}
+
+impl<K: Ord + Hash, R> Columns<K, R> {
+    /// The row of `key`, if any.
+    fn find(&self, key: &K) -> Option<usize> {
+        if self.index.is_empty() {
+            return self.keys.binary_search(key).ok();
+        }
+        let mask = self.index.len() - 1;
+        let mut s = home(key, mask);
+        loop {
+            let row = self.index[s].checked_sub(1)? as usize;
+            if self.keys[row] == *key {
+                return Some(row);
+            }
+            s = (s + 1) & mask;
+        }
+    }
+
+    /// `Ok` with the row of `key`, or `Err` with the sorted position it
+    /// would be inserted at. Without an index this is one binary search.
+    fn locate(&self, key: &K) -> Result<usize, usize> {
+        if self.index.is_empty() {
+            return self.keys.binary_search(key);
+        }
+        self.find(key)
+            .ok_or_else(|| self.keys.partition_point(|k| k < key))
+    }
+
+    /// Inserts `key` with `row` at its sorted position `i` and rebuilds
+    /// the index.
+    fn insert(&mut self, i: usize, key: K, row: R) {
+        self.keys.insert(i, key);
+        self.rows.insert(i, row);
+        if self.keys.len() <= INDEXED_ABOVE {
+            return;
+        }
+        assert!(
+            self.keys.len() < u32::MAX as usize,
+            "rows are indexed as u32 + 1"
+        );
+        let width = (2 * self.keys.len()).next_power_of_two();
+        let mask = width - 1;
+        self.index.clear();
+        self.index.resize(width, 0);
+        for (row, key) in self.keys.iter().enumerate() {
+            let mut s = home(key, mask);
+            while self.index[s] != 0 {
+                s = (s + 1) & mask;
+            }
+            self.index[s] = row as u32 + 1;
+        }
+    }
+}
+
+/// A sorted map with O(1) clone, whole-table copy-on-write and hashed
+/// lookup. See the [module docs](self).
 pub(crate) struct Table<K, R> {
     columns: Arc<Columns<K, R>>,
 }
@@ -60,6 +185,7 @@ impl<K, R> Default for Table<K, R> {
             columns: Arc::new(Columns {
                 keys: Vec::new(),
                 rows: Vec::new(),
+                index: Vec::new(),
             }),
         }
     }
@@ -82,10 +208,10 @@ impl<K, R> Table<K, R> {
     }
 }
 
-impl<K: Ord + Clone, R: Clone> Table<K, R> {
+impl<K: Ord + Hash + Clone, R: Clone> Table<K, R> {
     /// The row of `key`, if any.
     pub(crate) fn get(&self, key: &K) -> Option<&R> {
-        let i = self.columns.keys.binary_search(key).ok()?;
+        let i = self.columns.find(key)?;
         Some(&self.columns.rows[i])
     }
 
@@ -95,11 +221,10 @@ impl<K: Ord + Clone, R: Clone> Table<K, R> {
         R: Default,
     {
         let columns = Arc::make_mut(&mut self.columns);
-        let i = match columns.keys.binary_search(&key) {
+        let i = match columns.locate(&key) {
             Ok(i) => i,
             Err(i) => {
-                columns.keys.insert(i, key);
-                columns.rows.insert(i, R::default());
+                columns.insert(i, key, R::default());
                 i
             }
         };
@@ -113,7 +238,7 @@ impl<K: Ord + Clone, R: Clone> Table<K, R> {
     where
         R: PartialEq,
     {
-        let found = self.columns.keys.binary_search(&key);
+        let found = self.columns.locate(&key);
         if found.is_ok_and(|i| self.columns.rows[i] == *row) {
             return None;
         }
@@ -121,8 +246,7 @@ impl<K: Ord + Clone, R: Clone> Table<K, R> {
         Some(match found {
             Ok(i) => Some(std::mem::replace(&mut columns.rows[i], row.clone())),
             Err(i) => {
-                columns.keys.insert(i, key);
-                columns.rows.insert(i, row.clone());
+                columns.insert(i, key, row.clone());
                 None
             }
         })
@@ -142,6 +266,25 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
+
+    /// The index exists exactly above [`INDEXED_ABOVE`] keys, is a power
+    /// of two at least twice the key count wide, and names every row once.
+    fn assert_index<K: Ord + Hash, R>(table: &Table<K, R>) {
+        let columns = &table.columns;
+        let keys = columns.keys.len();
+        if keys <= INDEXED_ABOVE {
+            assert!(columns.index.is_empty(), "{keys} keys are searched");
+            return;
+        }
+        let width = columns.index.len();
+        assert!(
+            width.is_power_of_two() && width >= 2 * keys,
+            "width {width}"
+        );
+        let mut rows: Vec<u32> = columns.index.iter().copied().filter(|&s| s != 0).collect();
+        rows.sort_unstable();
+        assert!(rows.iter().copied().eq(1..=keys as u32), "{rows:?}");
+    }
 
     proptest! {
         /// Reads, writes and — what fingerprints and broadcast order hang
@@ -177,6 +320,7 @@ mod tests {
                 }
                 prop_assert_eq!(subject.len(), oracle.len());
                 prop_assert_eq!(subject.get(&k), oracle.get(&k));
+                assert_index(&subject);
             }
             let fork = fork.unwrap_or_else(|| (subject.clone(), oracle.clone()));
             for (table, map) in [(subject, oracle), fork] {

@@ -41,10 +41,19 @@
 //! `(origin, statement, accept)` is a duplicate iff `origin` already sits
 //! in that statement's vote or accept set ([`VoteTracker::has_pledge`]).
 //! Flood gossip delivers every envelope once per knowledge edge, so more
-//! than nine deliveries in ten are duplicates and that test — one binary
-//! search over a few dozen contiguous keys, then one bit test on an inline
-//! [`ProcessSet`] — is the node's hottest operation; it is read-only, so
-//! a duplicate never copies a fork-shared table.
+//! than nine deliveries in ten are duplicates and that test is the node's
+//! hottest operation. It is one lookup in the table — a probe of its
+//! hashed index on a sampled run's few dozen statements, a binary search
+//! over the handful an explored node holds — then one bit test on an
+//! inline [`ProcessSet`]. It is read-only, so a duplicate never copies a
+//! fork-shared table.
+//!
+//! A fresh pledge then re-evaluates its statement, and most of those
+//! evaluations end before Algorithm 1 runs:
+//! [`QuorumCheck::has_quorum_through`] first asks whether one of the
+//! node's own slices lies inside the candidate set at all, a test on the
+//! node's own slice family alone, and computes the quorum closure only
+//! when one does.
 //!
 //! Votes stay apart from accepts. The accept-by-quorum rule reads
 //! "voted-or-accepted", which is `votes ∪ accepts` taken *on read*:
@@ -213,6 +222,16 @@ impl QuorumCheck {
     /// checks membership of `self_id`. Exactly Algorithm 1 applied to the
     /// largest plausible quorum, without the per-call set clones and
     /// full-rescan rounds of the pre-engine implementation.
+    ///
+    /// Most queries are settled before Algorithm 1 runs: the closure is a
+    /// subset of `candidates`, and `self_id` survives in it only if one of
+    /// `own_slices` lies inside the closure, so when none lies inside
+    /// `candidates` the answer is `false` (Algorithm 1 is monotone:
+    /// shrinking the set never satisfies a slice it did not).
+    /// [`QuorumCheck::last_closure`] is not written then. The test comes
+    /// after the engine and the own row are in place: exploration forks
+    /// then share the compilation made before they split, where a test
+    /// ahead of it would leave each fork to compile its own.
     pub fn has_quorum_through(
         &mut self,
         self_id: ProcessId,
@@ -242,6 +261,9 @@ impl QuorumCheck {
             }
             engine.set_slices(self_id, own_slices);
             self.own_row = Some((self_id, Arc::new(own_slices.clone())));
+        }
+        if !own_slices.has_slice_within(candidates) {
+            return false;
         }
         let engine = self.engine.as_ref().expect("ensured above");
         engine.quorum_closure_in(candidates, &mut self.scratch, &mut self.closure);

@@ -35,13 +35,12 @@
 //! a run touches a few hundred ticks whose bursts peak at different
 //! moments, so per-tick buffers add up to well above the live event count
 //! (and a doubling buffer holds old and new copy at once while it grows).
-//! The cap answers that: a tick's FIFO is a list of *chunks*, each a ring
-//! buffer allocated once at exactly [`CHUNK_CAP`] events and never grown.
-//! A drained chunk goes to a free list *with* its buffer and is handed to
-//! whichever tick next needs one, so memory follows the live event count
-//! instead of per-tick peaks, and a chunk pays for its allocation once per
-//! run. Only a tick's tail chunk — and, on the tick being drained, its
-//! head — is ever partly filled, hence
+//! The cap answers that: a tick's FIFO is a list of *chunks*, each a run of
+//! exactly [`CHUNK_CAP`] event slots that never grows. A drained chunk goes
+//! to a free list and is handed to whichever tick next needs one, so memory
+//! follows the live event count instead of per-tick peaks. Only a tick's
+//! tail chunk — and, on the tick being drained, its head — is ever partly
+//! filled, hence
 //!
 //! > chunks allocated ≤ max over the run of
 //! > (live ticks + ⌈pending events ÷ `CHUNK_CAP`⌉),
@@ -53,14 +52,29 @@
 //! free list (same footprint, 4 bytes of link per event) hands a tick slots
 //! from all over a slab of tens of megabytes and misses the cache on every
 //! pop.
+//!
+//! A chunk owns no buffer. Its slots sit in a slab of *blocks*, each
+//! [`BLOCK_CHUNKS`] chunks wide: chunk `c` is slots `CHUNK_CAP × (c mod
+//! BLOCK_CHUNKS)` onwards of block `c ÷ BLOCK_CHUNKS`, and the chunk itself
+//! is three integers — the first live slot, one past the last filled slot,
+//! and the next chunk. A slot holds an event exactly when it lies between
+//! the first two of a chunk linked into a tick. A block's memory is
+//! reserved at full width when its first chunk is created, and each new
+//! chunk extends it by its own `CHUNK_CAP` empty slots, so no slot is
+//! touched before its chunk exists: a short run pays for the chunks it
+//! uses, not for a block, and a long one makes one allocation per
+//! [`BLOCK_CHUNKS`] chunks rather than one per chunk.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use crate::time::SimTime;
 
 /// Most events one chunk holds. Throughput and footprint are flat from 16
 /// to 128 on the n = 24 floods; 32 keeps a sparse tick's waste small.
 const CHUNK_CAP: usize = 32;
+
+/// Chunks whose slots share one block of the slab.
+const BLOCK_CHUNKS: usize = 64;
 
 /// Ticks the ring spans: a push fewer than `WHEEL` ticks ahead of the
 /// clock is indexed, one further ahead goes to the ordered map. See the
@@ -73,9 +87,13 @@ const WORDS: usize = WHEEL / 64;
 /// List terminator / "no chunk".
 const NIL: u32 = u32::MAX;
 
-/// Up to [`CHUNK_CAP`] consecutive events of one tick.
-struct Chunk<T> {
-    items: VecDeque<T>,
+/// Up to [`CHUNK_CAP`] consecutive events of one tick, in the chunk's
+/// slots `head..len` of the slab.
+struct Chunk {
+    /// The first slot not yet popped.
+    head: u32,
+    /// One past the last slot pushed; the chunk is full at [`CHUNK_CAP`].
+    len: u32,
     /// The next chunk of the same tick, or the next free chunk.
     next: u32,
 }
@@ -99,7 +117,10 @@ impl Fifo {
 /// docs](self).
 pub(crate) struct EventQueue<T> {
     /// Every chunk ever allocated, linked into a tick or the free list.
-    chunks: Vec<Chunk<T>>,
+    chunks: Vec<Chunk>,
+    /// The event slots of `chunks`, [`BLOCK_CHUNKS`] chunks per block (see
+    /// [`cell`]); a block holds `CHUNK_CAP` slots per chunk created so far.
+    blocks: Vec<Vec<Option<T>>>,
     /// Head of the free-chunk list.
     free: u32,
     /// The tick `current` belongs to: the time of the latest pop.
@@ -120,10 +141,17 @@ fn slot(at: SimTime) -> usize {
     (at.ticks() % WHEEL as u64) as usize
 }
 
+/// Slot `pos` of chunk `chunk` in the slab.
+fn cell<T>(blocks: &mut [Vec<Option<T>>], chunk: u32, pos: u32) -> &mut Option<T> {
+    let chunk = chunk as usize;
+    &mut blocks[chunk / BLOCK_CHUNKS][chunk % BLOCK_CHUNKS * CHUNK_CAP + pos as usize]
+}
+
 impl<T> EventQueue<T> {
     pub(crate) fn new() -> Self {
         EventQueue {
             chunks: Vec::new(),
+            blocks: Vec::new(),
             free: NIL,
             now: SimTime::ZERO,
             current: Fifo::EMPTY,
@@ -170,22 +198,30 @@ impl<T> EventQueue<T> {
         } else {
             self.later.entry(at).or_insert(Fifo::EMPTY)
         };
-        if fifo.head == NIL || self.chunks[fifo.tail as usize].items.len() == CHUNK_CAP {
+        if fifo.head == NIL || self.chunks[fifo.tail as usize].len == CHUNK_CAP as u32 {
             let chunk = if self.free != NIL {
                 let chunk = self.free;
                 self.free = self.chunks[chunk as usize].next;
                 self.chunks[chunk as usize].next = NIL;
                 chunk
             } else {
+                let c = self.chunks.len();
                 assert!(
-                    self.chunks.len() < NIL as usize,
+                    c < NIL as usize,
                     "chunk indices fit in u32 below the NIL marker"
                 );
+                if c.is_multiple_of(BLOCK_CHUNKS) {
+                    self.blocks
+                        .push(Vec::with_capacity(BLOCK_CHUNKS * CHUNK_CAP));
+                }
+                let block = &mut self.blocks[c / BLOCK_CHUNKS];
+                block.resize_with(block.len() + CHUNK_CAP, || None);
                 self.chunks.push(Chunk {
-                    items: VecDeque::with_capacity(CHUNK_CAP),
+                    head: 0,
+                    len: 0,
                     next: NIL,
                 });
-                (self.chunks.len() - 1) as u32
+                c as u32
             };
             if fifo.head == NIL {
                 fifo.head = chunk;
@@ -194,7 +230,10 @@ impl<T> EventQueue<T> {
             }
             fifo.tail = chunk;
         }
-        self.chunks[fifo.tail as usize].items.push_back(item);
+        let tail = &mut self.chunks[fifo.tail as usize];
+        let pos = tail.len;
+        tail.len += 1;
+        *cell(&mut self.blocks, fifo.tail, pos) = Some(item);
         self.len += 1;
     }
 
@@ -205,12 +244,20 @@ impl<T> EventQueue<T> {
         }
         let head = self.current.head;
         let chunk = &mut self.chunks[head as usize];
-        let item = chunk.items.pop_front().expect("linked chunks hold events");
-        if chunk.items.is_empty() {
+        let pos = chunk.head;
+        chunk.head += 1;
+        if chunk.head == chunk.len {
             self.current.head = chunk.next;
-            chunk.next = self.free;
+            *chunk = Chunk {
+                head: 0,
+                len: 0,
+                next: self.free,
+            };
             self.free = head;
         }
+        let item = cell(&mut self.blocks, head, pos)
+            .take()
+            .expect("linked chunks hold events");
         self.len -= 1;
         Some((self.now, item))
     }
@@ -330,7 +377,10 @@ mod tests {
         )
     }
 
-    /// The index invariants of the module docs, plus the chunk width.
+    /// The index invariants of the module docs, plus the slab's: every
+    /// chunk has exactly its `CHUNK_CAP` slots, each block is reserved at
+    /// full width, and a slot holds an event exactly when it lies in
+    /// `head..len` of a chunk linked into a tick.
     fn assert_shape<T>(q: &EventQueue<T>) {
         let clock = slot(q.now);
         for (s, fifo) in q.ring.iter().enumerate() {
@@ -345,10 +395,46 @@ mod tests {
                 q.now
             );
         }
-        assert!(
-            q.chunks.iter().all(|c| c.items.capacity() == CHUNK_CAP),
-            "a chunk's buffer is allocated once, at the cap"
+        assert_eq!(
+            q.blocks.iter().map(Vec::len).sum::<usize>(),
+            q.chunks.len() * CHUNK_CAP,
+            "the slab holds CHUNK_CAP slots per chunk"
         );
+        assert!(
+            q.blocks
+                .iter()
+                .all(|b| b.capacity() == BLOCK_CHUNKS * CHUNK_CAP),
+            "a block is reserved once, at full width"
+        );
+        let mut linked = vec![false; q.chunks.len()];
+        let fifos = std::iter::once(&q.current)
+            .chain(&q.ring)
+            .chain(q.later.values());
+        for fifo in fifos {
+            let mut c = fifo.head;
+            while c != NIL {
+                assert!(!linked[c as usize], "chunk {c} is linked once");
+                linked[c as usize] = true;
+                c = q.chunks[c as usize].next;
+            }
+        }
+        let mut events = 0;
+        for (c, chunk) in q.chunks.iter().enumerate() {
+            let block = &q.blocks[c / BLOCK_CHUNKS];
+            let start = c % BLOCK_CHUNKS * CHUNK_CAP;
+            for pos in 0..CHUNK_CAP {
+                let live = linked[c] && (chunk.head as usize..chunk.len as usize).contains(&pos);
+                assert_eq!(
+                    block[start + pos].is_some(),
+                    live,
+                    "slot {pos} of chunk {c} ({}..{})",
+                    chunk.head,
+                    chunk.len
+                );
+                events += usize::from(live);
+            }
+        }
+        assert_eq!(events, q.len(), "the live slots are the pending events");
     }
 
     /// Runs `ops` against a binary heap on `(at, seq)`, the obviously
@@ -506,10 +592,11 @@ mod tests {
                 q.later.is_empty() && q.occupied == [0; WORDS] && q.current.head == NIL,
                 "a drained queue holds no tick-index entry"
             );
+            assert!(
+                q.blocks.iter().flatten().all(Option::is_none),
+                "a drained queue holds no event"
+            );
+            assert_shape(&q);
         }
-        assert!(
-            q.chunks.iter().all(|c| c.items.capacity() == CHUNK_CAP),
-            "a chunk's buffer is allocated once, at the cap, and never grows"
-        );
     }
 }

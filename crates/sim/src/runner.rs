@@ -1378,4 +1378,17 @@ mod tests {
             leaves: Vec::new(),
         });
     }
+
+    /// A pending event sits in the queue's slab as an
+    /// `Option<EventKind<M>>`. For a pointer-sized message (an SCP
+    /// envelope handle) the enum's tag leaves a niche for `None`, so a
+    /// slot costs no more than the event itself: 24 bytes.
+    #[test]
+    fn a_queue_slot_costs_no_more_than_its_event() {
+        use std::mem::size_of;
+        type Handle = std::rc::Rc<u64>;
+        assert_eq!(size_of::<Handle>(), size_of::<usize>());
+        assert!(size_of::<Option<EventKind<Handle>>>() <= size_of::<EventKind<Handle>>());
+        assert_eq!(size_of::<Option<EventKind<Handle>>>(), 24);
+    }
 }
