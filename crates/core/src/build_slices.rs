@@ -16,7 +16,7 @@
 //! never needed by the quorum logic.
 
 use scup_fbqs::{Fbqs, SliceFamily};
-use scup_graph::{KnowledgeGraph, ProcessId};
+use scup_graph::KnowledgeGraph;
 
 use crate::oracle::{SinkDetection, SinkDetector};
 
@@ -52,12 +52,6 @@ pub fn build_system<D: SinkDetector>(kg: &KnowledgeGraph, sd: &D, f: usize) -> F
 /// least `⌈(|V_sink| + f + 1) / 2⌉` sink members.
 pub fn quorum_sink_lower_bound(v_sink_len: usize, f: usize) -> usize {
     sink_slice_size(v_sink_len, f)
-}
-
-/// Convenience: the slices process `i` would build (runs the oracle and
-/// Algorithm 2 in one step).
-pub fn build_slices_for<D: SinkDetector>(sd: &D, i: ProcessId, f: usize) -> SliceFamily {
-    build_slices(&sd.get_sink(i, f), f)
 }
 
 #[cfg(test)]

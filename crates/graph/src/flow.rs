@@ -32,11 +32,6 @@ impl FlowNetwork {
         }
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.head.len()
-    }
-
     /// Adds a directed edge `u → v` with capacity `cap` (and the implicit
     /// residual reverse edge with capacity 0).
     ///

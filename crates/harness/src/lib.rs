@@ -29,7 +29,8 @@
 //!   structural premise that makes "must this run succeed?" precise;
 //! - [`campaign`] — the parallel runner: scenario × seed fan-out across
 //!   threads, deterministic per-run results, structured JSON reports;
-//! - [`json`] / [`parse`] — the offline JSON/TOML layer;
+//! - [`json`] / [`parse`] — the offline JSON/TOML layer ([`json`] is
+//!   [`scup_obs::json`], re-exported);
 //! - [`perfetto`] — Chrome-trace export of sampled runs (first seed per
 //!   scenario, simulator ticks rendered as trace microseconds).
 //!
@@ -60,7 +61,6 @@
 pub mod adversary;
 pub mod campaign;
 pub mod forensics;
-pub mod json;
 pub mod oracle;
 pub mod parse;
 pub mod perfetto;
@@ -68,6 +68,8 @@ pub mod protocol;
 pub mod scenario;
 pub mod system;
 pub mod topology;
+
+pub use scup_obs::json;
 
 pub use adversary::{AdversaryKind, AdversaryRegistry, AdversaryStrategy};
 pub use campaign::{Campaign, CampaignMode, CampaignReport, RunRecord};

@@ -329,11 +329,6 @@ impl Symmetry {
         self.dropped_arrangements
     }
 
-    /// `true` when only the identity remains.
-    pub fn is_trivial(&self) -> bool {
-        self.perms.is_empty()
-    }
-
     /// Every non-identity group element with its variant shift, in the
     /// order whose index [`Symmetry::canonicalize_from`] hands to
     /// [`ExploreSim::state_hash_perm`].

@@ -5,11 +5,12 @@
 //! array whose entries carry a phase tag (`"X"` complete span, `"i"`
 //! instant, `"C"` counter, `"M"` metadata), microsecond timestamps, and a
 //! `pid`/`tid` pair that selects the track. This module models exactly
-//! the subset the workspace emits and serializes it with a hand-rolled
-//! writer (no serde in the build environment).
+//! the subset the workspace emits and serializes it through the
+//! workspace's one JSON writer, [`Json::compact`].
 
-use std::fmt::Write as _;
 use std::time::Instant;
+
+use crate::json::Json;
 
 /// A wall-clock origin for trace timestamps: all events in one trace
 /// must share a clock so tracks line up in the viewer.
@@ -229,46 +230,24 @@ impl TraceBuffer {
     }
 }
 
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+fn text(s: &str) -> Json {
+    Json::Str(s.to_string())
 }
 
-fn args_into(out: &mut String, args: &[(&'static str, ArgValue)]) {
-    out.push('{');
-    for (i, (k, v)) in args.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        escape_into(out, k);
-        out.push_str("\":");
-        match v {
-            ArgValue::Str(s) => {
-                out.push('"');
-                escape_into(out, s);
-                out.push('"');
-            }
-            ArgValue::U64(n) => {
-                let _ = write!(out, "{n}");
-            }
-        }
-    }
-    out.push('}');
+fn num(n: impl Into<u64>) -> Json {
+    Json::from(n.into())
 }
 
-fn event_into(out: &mut String, e: &ChromeEvent) {
+fn args_json(args: &[(&'static str, ArgValue)]) -> Json {
+    Json::obj(args.iter().map(|(k, v)| match v {
+        ArgValue::Str(s) => (*k, text(s)),
+        ArgValue::U64(n) => (*k, num(*n)),
+    }))
+}
+
+/// One event as a JSON object, its keys in the order viewers have always
+/// been given them.
+fn event_json(e: &ChromeEvent) -> Json {
     match e {
         ChromeEvent::Complete {
             name,
@@ -278,16 +257,16 @@ fn event_into(out: &mut String, e: &ChromeEvent) {
             pid,
             tid,
             args,
-        } => {
-            out.push_str("{\"name\":\"");
-            escape_into(out, name);
-            let _ = write!(
-                out,
-                "\",\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\"pid\":{pid},\"tid\":{tid},\"args\":"
-            );
-            args_into(out, args);
-            out.push('}');
-        }
+        } => Json::obj([
+            ("name", text(name)),
+            ("cat", text(cat)),
+            ("ph", text("X")),
+            ("ts", num(*ts)),
+            ("dur", num(*dur)),
+            ("pid", num(*pid)),
+            ("tid", num(*tid)),
+            ("args", args_json(args)),
+        ]),
         ChromeEvent::Instant {
             name,
             cat,
@@ -295,33 +274,28 @@ fn event_into(out: &mut String, e: &ChromeEvent) {
             pid,
             tid,
             args,
-        } => {
-            out.push_str("{\"name\":\"");
-            escape_into(out, name);
-            let _ = write!(
-                out,
-                "\",\"cat\":\"{cat}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid},\"args\":"
-            );
-            args_into(out, args);
-            out.push('}');
-        }
+        } => Json::obj([
+            ("name", text(name)),
+            ("cat", text(cat)),
+            ("ph", text("i")),
+            ("s", text("t")),
+            ("ts", num(*ts)),
+            ("pid", num(*pid)),
+            ("tid", num(*tid)),
+            ("args", args_json(args)),
+        ]),
         ChromeEvent::Counter {
             name,
             ts,
             pid,
             series,
-        } => {
-            out.push_str("{\"name\":\"");
-            escape_into(out, name);
-            let _ = write!(out, "\",\"ph\":\"C\",\"ts\":{ts},\"pid\":{pid},\"args\":{{");
-            for (i, (k, v)) in series.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{k}\":{v}");
-            }
-            out.push_str("}}");
-        }
+        } => Json::obj([
+            ("name", text(name)),
+            ("ph", text("C")),
+            ("ts", num(*ts)),
+            ("pid", num(*pid)),
+            ("args", Json::obj(series.iter().map(|&(k, v)| (k, num(v))))),
+        ]),
         ChromeEvent::FlowStart {
             name,
             cat,
@@ -329,15 +303,8 @@ fn event_into(out: &mut String, e: &ChromeEvent) {
             ts,
             pid,
             tid,
-        } => {
-            out.push_str("{\"name\":\"");
-            escape_into(out, name);
-            let _ = write!(
-                out,
-                "\",\"cat\":\"{cat}\",\"ph\":\"s\",\"id\":{id},\"ts\":{ts},\"pid\":{pid},\"tid\":{tid}}}"
-            );
         }
-        ChromeEvent::FlowEnd {
+        | ChromeEvent::FlowEnd {
             name,
             cat,
             id,
@@ -345,46 +312,42 @@ fn event_into(out: &mut String, e: &ChromeEvent) {
             pid,
             tid,
         } => {
-            out.push_str("{\"name\":\"");
-            escape_into(out, name);
-            let _ = write!(
-                out,
-                "\",\"cat\":\"{cat}\",\"ph\":\"f\",\"bp\":\"e\",\"id\":{id},\"ts\":{ts},\"pid\":{pid},\"tid\":{tid}}}"
-            );
+            let mut fields = vec![("name", text(name)), ("cat", text(cat))];
+            if let ChromeEvent::FlowStart { .. } = e {
+                fields.push(("ph", text("s")));
+            } else {
+                fields.extend([("ph", text("f")), ("bp", text("e"))]);
+            }
+            fields.extend([
+                ("id", num(*id)),
+                ("ts", num(*ts)),
+                ("pid", num(*pid)),
+                ("tid", num(*tid)),
+            ]);
+            Json::obj(fields)
         }
-        ChromeEvent::ProcessName { pid, name } => {
-            let _ = write!(
-                out,
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"args\":{{\"name\":\""
-            );
-            escape_into(out, name);
-            out.push_str("\"}}");
-        }
-        ChromeEvent::ThreadName { pid, tid, name } => {
-            let _ = write!(
-                out,
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":\""
-            );
-            escape_into(out, name);
-            out.push_str("\"}}");
-        }
+        ChromeEvent::ProcessName { pid, name } => Json::obj([
+            ("name", text("process_name")),
+            ("ph", text("M")),
+            ("pid", num(*pid)),
+            ("tid", Json::Int(0)),
+            ("args", Json::obj([("name", text(name))])),
+        ]),
+        ChromeEvent::ThreadName { pid, tid, name } => Json::obj([
+            ("name", text("thread_name")),
+            ("ph", text("M")),
+            ("pid", num(*pid)),
+            ("tid", num(*tid)),
+            ("args", Json::obj([("name", text(name))])),
+        ]),
     }
 }
 
 /// Serializes events into a Chrome-trace-event JSON document that
 /// Perfetto and `chrome://tracing` load directly.
 pub fn write_trace_json(events: &[ChromeEvent]) -> String {
-    // ~150 bytes/event is a decent pre-size for the common mix.
-    let mut out = String::with_capacity(32 + events.len() * 150);
-    out.push_str("{\"traceEvents\":[");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        event_into(&mut out, e);
-    }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
+    let events = Json::Arr(events.iter().map(event_json).collect());
+    Json::obj([("traceEvents", events), ("displayTimeUnit", text("ms"))]).compact()
 }
 
 #[cfg(test)]
@@ -471,6 +434,89 @@ mod tests {
         }]);
         assert!(json.contains("msg \\\"quoted\\\"\\nline"));
         assert!(json.contains("a\\\\b\\tc"));
+    }
+
+    #[test]
+    fn trace_bytes_are_pinned() {
+        let nasty = "q\"b\\n\nt\tu\u{1}";
+        // The shape `perfetto::trace_seeds` gives a consensus-phase send.
+        let flow = (1 << 40) | (1 << 32) | 7;
+        let events = vec![
+            ChromeEvent::ProcessName {
+                pid: 1,
+                name: "fig2 (seed 7)".into(),
+            },
+            ChromeEvent::ThreadName {
+                pid: 1,
+                tid: 2,
+                name: "p1".into(),
+            },
+            ChromeEvent::Complete {
+                name: format!("send {nasty}"),
+                cat: "consensus",
+                ts: 10,
+                dur: 5,
+                pid: 1,
+                tid: 2,
+                args: vec![
+                    ("payload", ArgValue::Str(nasty.into())),
+                    ("to", ArgValue::U64(2)),
+                ],
+            },
+            ChromeEvent::Instant {
+                name: "decide".into(),
+                cat: "sim",
+                ts: 15,
+                pid: 1,
+                tid: 3,
+                args: vec![],
+            },
+            ChromeEvent::Counter {
+                name: "visited".into(),
+                ts: 20,
+                pid: 1,
+                series: vec![("len", 42), ("cap", 64)],
+            },
+            ChromeEvent::Counter {
+                name: "empty".into(),
+                ts: 21,
+                pid: 1,
+                series: vec![],
+            },
+            ChromeEvent::FlowStart {
+                name: "msg".into(),
+                cat: "consensus",
+                id: flow,
+                ts: 10,
+                pid: 1,
+                tid: 2,
+            },
+            ChromeEvent::FlowEnd {
+                name: "msg".into(),
+                cat: "consensus",
+                id: flow,
+                ts: 15,
+                pid: 1,
+                tid: 3,
+            },
+        ];
+        let json = write_trace_json(&events);
+        assert!(crate::json::parse(&json).is_ok());
+        let pinned = concat!(
+            r#"{"traceEvents":["#,
+            r#"{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"fig2 (seed 7)"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":"p1"}},"#,
+            r#"{"name":"send q\"b\\n\nt\tu\u0001","cat":"consensus","ph":"X","ts":10,"dur":5,"#,
+            r#""pid":1,"tid":2,"args":{"payload":"q\"b\\n\nt\tu\u0001","to":2}},"#,
+            r#"{"name":"decide","cat":"sim","ph":"i","s":"t","ts":15,"pid":1,"tid":3,"args":{}},"#,
+            r#"{"name":"visited","ph":"C","ts":20,"pid":1,"args":{"len":42,"cap":64}},"#,
+            r#"{"name":"empty","ph":"C","ts":21,"pid":1,"args":{}},"#,
+            r#"{"name":"msg","cat":"consensus","ph":"s","id":1103806595079,"ts":10,"pid":1,"tid":2},"#,
+            r#"{"name":"msg","cat":"consensus","ph":"f","bp":"e","id":1103806595079,"ts":15,"#,
+            r#""pid":1,"tid":3}"#,
+            r#"],"displayTimeUnit":"ms"}"#,
+        );
+        assert_eq!(json, pinned);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! A minimal JSON value, writer, and parser.
 //!
 //! The build environment has no crates.io access, so instead of serde the
-//! harness carries its own tiny JSON layer: enough to emit campaign
-//! reports and read campaign files. Object key order is preserved
-//! (reports stay diffable); numbers are `i64` or `f64`.
+//! workspace carries its own tiny JSON layer: enough to emit campaign
+//! reports and Chrome traces and to read campaign files. It is the one
+//! JSON writer in the workspace — the harness re-exports it as
+//! `scup_harness::json`. Object key order is preserved (reports stay
+//! diffable); numbers are `i64` or `f64`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -89,73 +91,79 @@ impl Json {
     /// Pretty-prints with two-space indentation and a trailing newline.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, 0);
+        self.write(&mut out, Some(0));
         out.push('\n');
         out
     }
 
-    fn write(&self, out: &mut String, indent: usize) {
+    /// Writes the document on one line, without any whitespace.
+    pub fn compact(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, None);
+        out
+    }
+
+    /// The one writer behind both layouts: `indent` is the nesting depth
+    /// when pretty-printing and `None` when compact.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
+        let inner = indent.map(|depth| depth + 1);
         match self {
             Json::Null => out.push_str("null"),
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Json::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
-            Json::Float(f) => {
-                if f.is_finite() {
-                    let _ = write!(out, "{f}");
-                } else {
-                    out.push_str("null");
-                }
-            }
+            // Writing into a `String` cannot fail.
+            Json::Bool(b) => write!(out, "{b}").unwrap(),
+            Json::Int(i) => write!(out, "{i}").unwrap(),
+            Json::Float(f) if f.is_finite() => write!(out, "{f}").unwrap(),
+            Json::Float(_) => out.push_str("null"),
             Json::Str(s) => write_escaped(out, s),
+            Json::Arr(items) if items.is_empty() => out.push_str("[]"),
+            Json::Obj(pairs) if pairs.is_empty() => out.push_str("{}"),
             Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
-                    item.write(out, indent + 1);
+                    new_member(out, i, inner);
+                    item.write(out, inner);
                 }
-                out.push('\n');
-                push_indent(out, indent);
+                new_line(out, indent);
                 out.push(']');
             }
             Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
                 out.push('{');
                 for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
+                    new_member(out, i, inner);
                     write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
+                    out.push_str(if indent.is_some() { ": " } else { ":" });
+                    v.write(out, inner);
                 }
-                out.push('\n');
-                push_indent(out, indent);
+                new_line(out, indent);
                 out.push('}');
             }
         }
     }
 }
 
-fn push_indent(out: &mut String, levels: usize) {
-    for _ in 0..levels {
-        out.push_str("  ");
+/// Integers up to `i64::MAX` stay exact; larger ones become the nearest
+/// `f64` instead of wrapping negative as `as i64` would.
+impl From<u64> for Json {
+    fn from(n: u64) -> Json {
+        i64::try_from(n).map_or(Json::Float(n as f64), Json::Int)
+    }
+}
+
+/// Opens member `i` of a container: a comma after the first, then its line.
+fn new_member(out: &mut String, i: usize, indent: Option<usize>) {
+    if i > 0 {
+        out.push(',');
+    }
+    new_line(out, indent);
+}
+
+/// A line break and `indent` levels of indentation; nothing when compact.
+fn new_line(out: &mut String, indent: Option<usize>) {
+    if let Some(depth) = indent {
+        out.push('\n');
+        for _ in 0..depth {
+            out.push_str("  ");
+        }
     }
 }
 
@@ -168,9 +176,7 @@ fn write_escaped(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
             c => out.push(c),
         }
     }
@@ -297,17 +303,8 @@ impl Parser<'_> {
                         Some(b'r') => s.push('\r'),
                         Some(b't') => s.push('\t'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u"))?,
-                                16,
-                            )
-                            .map_err(|_| self.err("bad \\u"))?;
-                            s.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            self.pos += 4;
+                            s.push(self.unicode_escape()?);
+                            continue;
                         }
                         _ => return Err(self.err("bad escape")),
                     }
@@ -323,6 +320,34 @@ impl Parser<'_> {
                 }
             }
         }
+    }
+
+    /// Decodes the `\uXXXX` escape whose `u` is at the cursor (and the
+    /// low surrogate a high one needs), leaving the cursor past it.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let code = match self.hex4()? {
+            high @ 0xD800..=0xDBFF if self.bytes[self.pos..].starts_with(b"\\u") => {
+                self.pos += 1;
+                match self.hex4()? {
+                    low @ 0xDC00..=0xDFFF => 0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00),
+                    _ => return Err(self.err("high surrogate without a low one")),
+                }
+            }
+            code => code,
+        };
+        char::from_u32(code).ok_or_else(|| self.err("lone surrogate"))
+    }
+
+    /// Reads the four hex digits after the `u` at the cursor; the filter
+    /// is what refuses the sign `from_str_radix` would accept.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let digits = self
+            .bytes
+            .get(self.pos + 1..self.pos + 5)
+            .filter(|d| d.iter().all(u8::is_ascii_hexdigit))
+            .ok_or_else(|| self.err("\\u takes four hex digits"))?;
+        self.pos += 5;
+        Ok(u32::from_str_radix(std::str::from_utf8(digits).unwrap(), 16).unwrap())
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -393,15 +418,25 @@ mod tests {
             ("runs", Json::Arr(vec![Json::Int(1), Json::Float(2.5)])),
             ("nested", Json::obj([("k", Json::Null)])),
         ]);
-        let text = doc.pretty();
-        let back = parse(&text).unwrap();
-        assert_eq!(doc, back);
+        for text in [doc.pretty(), doc.compact()] {
+            assert_eq!(parse(&text).unwrap(), doc, "{text}");
+        }
+        assert_eq!(
+            doc.compact(),
+            r#"{"name":"fig1","passed":true,"runs":[1,2.5],"nested":{"k":null}}"#
+        );
     }
 
     #[test]
     fn escapes_are_symmetric() {
-        let doc = Json::Str("a\"b\\c\nd\te\u{1}".into());
+        let doc = Json::Str("a\"b\\c\nd\te\u{1}\u{1F600}".into());
         assert_eq!(parse(&doc.pretty()).unwrap(), doc);
+        assert_eq!(parse(&doc.compact()).unwrap(), doc);
+        // What Python's `json.dump` writes for U+1F600: a surrogate pair.
+        assert_eq!(
+            parse(r#""a\ud83d\ude00\u00e9\u0041""#).unwrap(),
+            Json::Str("a\u{1F600}\u{e9}A".into())
+        );
     }
 
     #[test]
@@ -414,6 +449,15 @@ mod tests {
             "tru",
             "01x",
             "[] []",
+            r#""\u+041""#,
+            r#""\u41""#,
+            r#""\u00g1""#,
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\u0041""#,
+            r#""\ud83d\ud83d""#,
+            r#""\ude00""#,
+            r#""\ude00\ud83d""#,
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
@@ -450,5 +494,8 @@ mod tests {
         assert_eq!(Json::Float(i64::MIN as f64).as_i64(), Some(i64::MIN));
         assert_eq!(Json::Float(1e18).as_i64(), Some(1_000_000_000_000_000_000));
         assert_eq!(parse("-9223372036854775808").unwrap(), Json::Int(i64::MIN));
+        // A `u64` past `i64::MAX` rounds to a float; it never wraps.
+        assert_eq!(Json::from(i64::MAX as u64), Json::Int(i64::MAX));
+        assert_eq!(Json::from(u64::MAX), Json::Float(u64::MAX as f64));
     }
 }

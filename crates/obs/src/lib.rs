@@ -1,4 +1,5 @@
-//! Workspace-wide observability: tracing, profiling, and forensics.
+//! Workspace-wide observability: tracing, profiling, forensics, and the
+//! JSON they are written in.
 //!
 //! Everything here is hand-rolled on `std` (the build environment has no
 //! crates.io access) and obeys two hard rules:
@@ -18,9 +19,13 @@
 //! - [`profile`] — [`PhaseProfile`](profile::PhaseProfile), a lap-based
 //!   timer that attributes wall time to explorer phases with one clock
 //!   read per phase boundary.
+//! - [`json`] — [`Json`](json::Json), the workspace's one JSON writer
+//!   (`pretty()` for reports, `compact()` for traces) and its reader
+//!   ([`json::parse`]); `scup-harness` re-exports it as
+//!   `scup_harness::json`.
 //! - [`chrome`] — [`ChromeEvent`](chrome::ChromeEvent) and
 //!   [`TraceClock`](chrome::TraceClock): the Chrome-trace-event model that
-//!   Perfetto loads, plus the JSON serializer
+//!   Perfetto loads, plus its serialization through [`json`]
 //!   ([`chrome::write_trace_json`]).
 //! - [`progress`] — a shared completed-work counter and a stderr ticker
 //!   thread for long campaign runs.
@@ -34,6 +39,7 @@
 
 pub mod causal;
 pub mod chrome;
+pub mod json;
 pub mod profile;
 pub mod progress;
 

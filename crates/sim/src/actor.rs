@@ -309,19 +309,10 @@ impl<M> Context<'_, M> {
     /// This is the embedding hook for composite actors (e.g. the
     /// full-stack discovery → SCP actor): an inner protocol state machine
     /// written against `Context<'_, N>` runs unchanged inside an outer
-    /// actor whose wire type is an enum over the phases.
-    pub fn with_mapped<N, R>(
-        &mut self,
-        wrap: impl Fn(N) -> M,
-        f: impl FnOnce(&mut Context<'_, N>) -> R,
-    ) -> R {
-        self.with_mapped_scratch(&mut Vec::new(), wrap, f)
-    }
-
-    /// [`Context::with_mapped`] with a caller-owned staging buffer, for
-    /// composite actors on the dispatch hot path: the buffer's allocation
-    /// is reused across deliveries instead of paying a fresh `Vec` per
-    /// call. Always left empty on return (drained into the outer outbox).
+    /// actor whose wire type is an enum over the phases. Sends are staged
+    /// in the caller-owned `scratch`, whose allocation is reused across
+    /// deliveries on the dispatch hot path; it is always left empty on
+    /// return (drained into the outer outbox).
     pub fn with_mapped_scratch<N, R>(
         &mut self,
         scratch: &mut Vec<(ProcessId, N)>,

@@ -190,12 +190,6 @@ impl<M: SimMessage> Simulation<M> {
         }
     }
 
-    /// The installed membership schedule (the zero plan unless
-    /// [`Simulation::set_churn_plan`] was called).
-    pub fn churn_plan(&self) -> &ChurnPlan {
-        &self.churn
-    }
-
     /// `true` while process `i` is crashed.
     pub fn is_down(&self, i: ProcessId) -> bool {
         self.down[i.index()]
