@@ -817,6 +817,46 @@ max_ticks = 1_000_000
         }
     }
 
+    /// The simulator addresses at most `MAX_PROCESSES` processes; every
+    /// sized family is held to that at parse time, sums and products of
+    /// its parameters saturating instead of wrapping.
+    #[test]
+    fn oversized_topologies_are_parse_errors() {
+        let big = i64::MAX;
+        let cases = [
+            ("fig2-family", "sink = 65533\nouter = 3".to_string(), 65_536),
+            (
+                "random-kosr",
+                "sink = 65535\nnonsink = 1\nk = 1".into(),
+                65_536,
+            ),
+            (
+                "byzantine-safe",
+                format!("sink = {big}\nnonsink = {big}"),
+                2 * big as usize,
+            ),
+            ("erdos-renyi", "n = 65536\np = 0.5".into(), 65_536),
+            ("scale-free", "n = 100000\nm = 2".into(), 100_000),
+            (
+                "clustered",
+                format!("clusters = {big}\ncluster_size = 4"),
+                usize::MAX,
+            ),
+        ];
+        for (family, keys, n) in cases {
+            let input = format!(
+                "name = \"x\"\n[[scenario]]\nname = \"s\"\ntopology = \"{family}\"\n{keys}"
+            );
+            let err = campaign_from_str(&input).unwrap_err();
+            let needle =
+                format!("scenario `s`: topology `{family}` needs at most 65535 processes, got {n}");
+            assert!(err.contains(&needle), "{input:?} → {err}");
+        }
+        // The largest system the simulator addresses still loads.
+        let input = "name = \"x\"\n[[scenario]]\nname = \"s\"\ntopology = \"erdos-renyi\"\nn = 65535\np = 0.5";
+        assert!(campaign_from_str(input).is_ok());
+    }
+
     #[test]
     fn explore_mode_accepts_bftcup_scenarios() {
         // PR 4 rejected BFT-CUP at load time; the checker has since grown

@@ -9,7 +9,7 @@
 use scup_graph::{KnowledgeGraph, ProcessId, ProcessSet};
 use scup_sim::{
     ChurnPlan, CrashFault, DelayFault, DupFault, FaultPlan, JoinEvent, LeaveEvent, LossFault,
-    Partition, RetransmitConfig,
+    Partition, RetransmitConfig, MAX_PROCESSES,
 };
 use stellar_cup::attempts::LocalSliceStrategy;
 
@@ -118,7 +118,8 @@ impl TopologySpec {
     /// unchecked typo would panic once per run (or, for an empty
     /// Erdős–Rényi graph, pass vacuously on a system with no process).
     /// `f` is the scenario's fault threshold (`byzantine-safe` sizes its
-    /// sink by it).
+    /// sink by it). A system past [`MAX_PROCESSES`] is refused too: the
+    /// simulator addresses no more.
     ///
     /// # Errors
     ///
@@ -138,6 +139,23 @@ impl TopologySpec {
                 &format!("`{key}` in [0, 1], got {p}"),
             )
         };
+        let n = match *self {
+            TopologySpec::Fig1 | TopologySpec::PerturbedFig1 { .. } => 8,
+            TopologySpec::Fig2 | TopologySpec::PerturbedFig2 { .. } => 7,
+            TopologySpec::Fig2Family { sink, outer } => sink.saturating_add(outer),
+            TopologySpec::RandomKosr { sink, nonsink, .. }
+            | TopologySpec::ByzantineSafe { sink, nonsink } => sink.saturating_add(nonsink),
+            TopologySpec::ErdosRenyi { n, .. } | TopologySpec::ScaleFree { n, .. } => n,
+            TopologySpec::Clustered {
+                clusters,
+                cluster_size,
+                ..
+            } => clusters.saturating_mul(cluster_size),
+        };
+        need(
+            n <= MAX_PROCESSES,
+            &format!("at most {MAX_PROCESSES} processes, got {n}"),
+        )?;
         match *self {
             TopologySpec::Fig1
             | TopologySpec::Fig2

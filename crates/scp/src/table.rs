@@ -9,7 +9,7 @@
 //! - **a fork is an `Arc` bump**, and most forked nodes are dropped or
 //!   forked again before they write;
 //! - **a lookup is one probe of a hashed index** once the table holds
-//!   more than [`INDEXED_ABOVE`] keys, and a binary search over the
+//!   more than [`INDEXED_ABOVE`] keys, and a linear scan of the
 //!   contiguous keys below that;
 //! - **a write is [`Arc::make_mut`]**: in place when unshared, which is
 //!   every sampled run, and one flat copy of the whole table after a fork.
@@ -27,9 +27,9 @@
 //! at `n = 24`, 188 on non-converging `observe` runs — while lookups come
 //! once per delivered envelope, more than nine in ten of them duplicates,
 //! and a binary search over a few dozen keys per delivery was the hottest
-//! line of the sampled simulator. Small tables keep the search and
-//! allocate no index, so no table of the explorer's systems (6 keys or
-//! fewer) carries one.
+//! line of the sampled simulator. Small tables allocate no index and are
+//! scanned front to back, so no table of the explorer's systems (6 keys or
+//! fewer) carries an index.
 //!
 //! Copying the *whole* table is the design, not a shortcut. Measured on
 //! every explorer scenario (`campaigns/explore.toml` and the benchmark's
@@ -51,7 +51,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// Key count up to which a lookup is a binary search and no index is
+/// Key count up to which a lookup is a linear scan and no index is
 /// allocated.
 const INDEXED_ABOVE: usize = 8;
 
@@ -113,10 +113,11 @@ fn home<K: Hash>(key: &K, mask: usize) -> usize {
 }
 
 impl<K: Ord + Hash, R> Columns<K, R> {
-    /// The row of `key`, if any.
+    /// The row of `key`, if any. An unindexed table holds at most
+    /// [`INDEXED_ABOVE`] keys, few enough to scan front to back.
     fn find(&self, key: &K) -> Option<usize> {
         if self.index.is_empty() {
-            return self.keys.binary_search(key).ok();
+            return self.keys.iter().position(|k| k == key);
         }
         let mask = self.index.len() - 1;
         let mut s = home(key, mask);

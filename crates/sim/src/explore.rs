@@ -505,7 +505,13 @@ struct Pending<M> {
     /// while the event log is off — i.e. outside counterexample replay).
     /// Never part of the state hash.
     cause: EventId,
+    /// The event's recipient, inline: the settle scans ask it of every
+    /// pending event and the event itself of only a few. It fits in the
+    /// padding after `cause`, so an entry stays 32 bytes.
+    to: ProcessId,
 }
+
+const _: () = assert!(std::mem::size_of::<Pending<()>>() == 32);
 
 impl<M> Clone for Pending<M> {
     fn clone(&self) -> Self {
@@ -513,6 +519,7 @@ impl<M> Clone for Pending<M> {
             event: Rc::clone(&self.event),
             hash: self.hash,
             cause: self.cause,
+            to: self.to,
         }
     }
 }
@@ -520,6 +527,7 @@ impl<M> Clone for Pending<M> {
 impl<M: SimMessage> Pending<M> {
     fn new(event: ExploreEvent<M>, cause: EventId) -> Self {
         let hash = event.event_hash();
+        let to = event.recipient();
         Pending {
             event: Rc::new(SharedEvent {
                 event,
@@ -527,6 +535,7 @@ impl<M: SimMessage> Pending<M> {
             }),
             hash,
             cause,
+            to,
         }
     }
 
@@ -1006,7 +1015,7 @@ impl<M: SimMessage> ExploreSim<M> {
             return self.execute(pending);
         };
         // The key is pinned here, before any write to the slot.
-        let to = pending.event.event.recipient().index();
+        let to = pending.to.index();
         let key = (self.slots[to].hash(), pending.hash);
         if let Some(step) = memo.steps.get(&key) {
             #[cfg(debug_assertions)]
@@ -1132,11 +1141,10 @@ impl<M: SimMessage> ExploreSim<M> {
         let mut kept = 0;
         let mut retired_below_mark = 0;
         for idx in 0..self.pending.len() {
-            let event = &self.pending[idx].event.event;
-            let to = event.recipient();
+            let to = self.pending[idx].to;
             let asked = idx >= fresh || to == at;
             self.verdict_queries += asked as u64;
-            if !asked || !self.slots[to.index()].absorbs(event) {
+            if !asked || !self.slots[to.index()].absorbs(&self.pending[idx].event.event) {
                 self.pending.swap(kept, idx);
                 kept += 1;
                 continue;
@@ -1168,8 +1176,7 @@ impl<M: SimMessage> ExploreSim<M> {
         mut forcible: impl FnMut(&ExploreEvent<M>) -> bool,
     ) -> Option<usize> {
         for (idx, p) in self.pending.iter().enumerate() {
-            let event = &p.event.event;
-            let to = event.recipient();
+            let (to, event) = (p.to, &p.event.event);
             if (idx < start && to != at) || !forcible(event) {
                 continue;
             }

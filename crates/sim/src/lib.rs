@@ -90,5 +90,5 @@ pub use faults::{
 pub use metrics::{bucket_bounds, bucket_of, ProcessStats, SimReport, HIST_BUCKETS};
 pub use network::NetworkConfig;
 pub use retransmit::{Backoff, RetransmitConfig, Retransmitter, RETRANSMIT_TAG};
-pub use runner::Simulation;
+pub use runner::{Simulation, MAX_PROCESSES};
 pub use time::SimTime;

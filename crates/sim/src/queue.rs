@@ -64,6 +64,16 @@
 //! touched before its chunk exists: a short run pays for the chunks it
 //! uses, not for a block, and a long one makes one allocation per
 //! [`BLOCK_CHUNKS`] chunks rather than one per chunk.
+//!
+//! **A slot** is an `Option<T>`, and the slab's size is the slot's size
+//! times the peak event count, so the item type is kept small. The
+//! simulator's item is its delivery record (`runner::Record`): sender,
+//! recipient, causing send and message, 16 bytes for an SCP envelope
+//! handle. The record keeps a niche for the slot's `None`, so a slot costs
+//! no more than its record. The few events that are not deliveries
+//! (timers, fault and churn plan events) wait in the simulator's control
+//! table, and their record only points there: a wider item for those would
+//! widen every slot.
 
 use std::collections::BTreeMap;
 

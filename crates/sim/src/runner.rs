@@ -1,4 +1,5 @@
 use std::any::Any;
+use std::num::NonZeroU16;
 
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
@@ -15,15 +16,75 @@ use crate::queue::EventQueue;
 use crate::retransmit::RETRANSMIT_TAG;
 use crate::time::SimTime;
 
-enum EventKind<M> {
-    Deliver {
-        from: ProcessId,
-        to: ProcessId,
-        msg: M,
-        /// Log id of the send that queued this delivery
-        /// ([`EventId::NONE`] while the event log is off).
-        cause: EventId,
-    },
+/// Most processes a [`Simulation`] addresses. A queued delivery holds its
+/// recipient as id + 1 in a `u16`, so ids run from 0 to `u16::MAX - 1`.
+pub const MAX_PROCESSES: usize = u16::MAX as usize;
+
+/// One queued event, as the queue's slab holds it. A delivery carries its
+/// message and dispatches straight from here. Every other event (a timer,
+/// or a fault or churn plan event) carries no message and points into the
+/// simulation's [`ControlTable`].
+///
+/// For a pointer-sized message (an SCP envelope handle) a record is 16
+/// bytes, and so is the queue's `Option<Record<M>>` slot: the recipient
+/// never takes the value 0, and that niche is the slot's `None`.
+struct Record<M> {
+    /// The sender's id (unused on a control event).
+    from: u16,
+    /// The recipient's id + 1 (unused on a control event).
+    to: NonZeroU16,
+    /// A delivery: the log id of the send that queued it
+    /// ([`EventId::NONE`] while the event log is off). A control event:
+    /// its slot in the control table.
+    cause: EventId,
+    /// The message; `None` marks a control event.
+    msg: Option<M>,
+}
+
+impl<M> Record<M> {
+    /// A delivery of `msg` from `from` to `to`. `from` is a dispatching
+    /// process, so [`Simulation::new`]'s bound holds for it; `to` is
+    /// whatever the actor addressed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to` is not below [`MAX_PROCESSES`].
+    fn deliver(from: ProcessId, to: ProcessId, cause: EventId, msg: M) -> Self {
+        Record {
+            from: from.as_u32() as u16,
+            to: u16::try_from(to.as_u32())
+                .ok()
+                .and_then(|to| NonZeroU16::MIN.checked_add(to))
+                .expect("a recipient id is below MAX_PROCESSES"),
+            cause,
+            msg: Some(msg),
+        }
+    }
+
+    /// The control event at `slot` of the control table.
+    fn control(slot: u32) -> Self {
+        Record {
+            from: 0,
+            to: NonZeroU16::MIN,
+            cause: EventId(slot),
+            msg: None,
+        }
+    }
+
+    fn from(&self) -> ProcessId {
+        ProcessId::new(self.from.into())
+    }
+
+    fn to(&self) -> ProcessId {
+        ProcessId::new(u32::from(self.to.get()) - 1)
+    }
+}
+
+/// An event that is not a delivery. About one event in several thousand
+/// on the SCP floods, so these wait in a side table and the queue holds
+/// only a pointer to them.
+#[derive(Clone, Copy)]
+enum Control {
     Timer {
         process: ProcessId,
         tag: u64,
@@ -45,6 +106,36 @@ enum EventKind<M> {
     Leave {
         process: ProcessId,
     },
+}
+
+/// The queued control events, each at the slot its [`Record`] names. A
+/// fired event's slot goes on a free list and is the next one handed out,
+/// so the table is as long as the most control events ever queued at
+/// once, not as the number a run fires.
+#[derive(Default)]
+struct ControlTable {
+    slots: Vec<Control>,
+    free: Vec<u32>,
+}
+
+impl ControlTable {
+    /// Stores `event` and returns its slot.
+    fn insert(&mut self, event: Control) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            self.slots[slot as usize] = event;
+            slot
+        } else {
+            let slot = u32::try_from(self.slots.len()).expect("control slots fit in u32");
+            self.slots.push(event);
+            slot
+        }
+    }
+
+    /// The event at `slot`, whose slot is free from here on.
+    fn take(&mut self, slot: u32) -> Control {
+        self.free.push(slot);
+        self.slots[slot as usize]
+    }
 }
 
 /// Owned copy of a [`JoinEvent`](crate::churn::JoinEvent)'s fields,
@@ -71,7 +162,9 @@ pub struct Simulation<M: SimMessage> {
     known: Vec<ProcessSet>,
     /// Pending events; among those of one tick, the order they were
     /// queued in is the order they fire in.
-    queue: EventQueue<EventKind<M>>,
+    queue: EventQueue<Record<M>>,
+    /// The queued events that are not deliveries.
+    control: ControlTable,
     rng: StdRng,
     report: SimReport,
     /// The run's event log: every send, delivery, timer, fault and churn
@@ -115,7 +208,16 @@ pub struct Simulation<M: SimMessage> {
 impl<M: SimMessage> Simulation<M> {
     /// Creates a simulation over the processes of `kg`, with initial
     /// knowledge `known_i = PD_i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kg` has more than [`MAX_PROCESSES`] processes.
     pub fn new(kg: KnowledgeGraph, config: NetworkConfig) -> Self {
+        assert!(
+            kg.n() <= MAX_PROCESSES,
+            "a simulation addresses at most {MAX_PROCESSES} processes, got {}",
+            kg.n()
+        );
         let known = kg.pds();
         let rng = StdRng::seed_from_u64(config.seed);
         let report = SimReport {
@@ -129,6 +231,7 @@ impl<M: SimMessage> Simulation<M> {
             actors: Vec::new(),
             known,
             queue: EventQueue::new(),
+            control: ControlTable::default(),
             rng,
             report,
             causal: CausalGraph::disabled(),
@@ -313,30 +416,23 @@ impl<M: SimMessage> Simulation<M> {
         // Scheduled fault events enter the queue before any protocol
         // traffic; with a zero plan this loop body never runs.
         for c in self.faults.crashes.clone() {
-            self.queue.push(
-                SimTime::from_ticks(c.at),
-                EventKind::Crash { process: c.process },
-            );
+            let process = c.process;
+            self.schedule(SimTime::from_ticks(c.at), Control::Crash { process });
             if let Some(r) = c.recover_at {
-                self.queue.push(
-                    SimTime::from_ticks(r),
-                    EventKind::Recover { process: c.process },
-                );
+                self.schedule(SimTime::from_ticks(r), Control::Recover { process });
             }
         }
         // Churn events likewise (joiners were already marked dormant at
         // plan install, so the `on_start` loop below skips them). A zero
         // plan touches nothing.
         if self.churn_active {
-            for (idx, j) in self.churn.joins.iter().enumerate() {
-                self.queue
-                    .push(SimTime::from_ticks(j.at), EventKind::Join { idx });
+            for idx in 0..self.churn.joins.len() {
+                let at = SimTime::from_ticks(self.churn.joins[idx].at);
+                self.schedule(at, Control::Join { idx });
             }
             for l in self.churn.leaves.clone() {
-                self.queue.push(
-                    SimTime::from_ticks(l.at),
-                    EventKind::Leave { process: l.process },
-                );
+                let at = SimTime::from_ticks(l.at);
+                self.schedule(at, Control::Leave { process: l.process });
             }
         }
         for i in 0..self.actors.len() {
@@ -416,25 +512,11 @@ impl<M: SimMessage> Simulation<M> {
                     },
                     send_ev,
                 );
-                self.queue.push(
-                    dup_at,
-                    EventKind::Deliver {
-                        from: pid,
-                        to,
-                        msg: msg.clone(),
-                        cause: send_ev,
-                    },
-                );
+                self.queue
+                    .push(dup_at, Record::deliver(pid, to, send_ev, msg.clone()));
             }
-            self.queue.push(
-                deliver_at,
-                EventKind::Deliver {
-                    from: pid,
-                    to,
-                    msg,
-                    cause: send_ev,
-                },
-            );
+            self.queue
+                .push(deliver_at, Record::deliver(pid, to, send_ev, msg));
         }
         let epoch = self.epoch[pid.index()];
         for (delay, tag) in timers.drain(..) {
@@ -445,9 +527,9 @@ impl<M: SimMessage> Simulation<M> {
                 }
                 self.report.retransmit_delay_buckets[bucket] += 1;
             }
-            self.queue.push(
+            self.schedule(
                 self.now() + delay,
-                EventKind::Timer {
+                Control::Timer {
                     process: pid,
                     tag,
                     epoch,
@@ -456,6 +538,12 @@ impl<M: SimMessage> Simulation<M> {
         }
         self.outbox_buf = outbox;
         self.timers_buf = timers;
+    }
+
+    /// Queues a control event for tick `at`.
+    fn schedule(&mut self, at: SimTime, event: Control) {
+        let slot = self.control.insert(event);
+        self.queue.push(at, Record::control(slot));
     }
 
     /// Books a dropped message: aggregate counter, per-link counter and
@@ -501,46 +589,50 @@ impl<M: SimMessage> Simulation<M> {
     /// empty.
     pub fn step(&mut self) -> bool {
         self.start();
-        let Some((_, kind)) = self.queue.pop() else {
+        let Some((_, record)) = self.queue.pop() else {
             return false;
         };
-        match kind {
-            EventKind::Deliver {
-                from,
-                to,
-                msg,
-                cause,
-            } => {
-                if self.dormant[to.index()] || self.departed[to.index()] {
-                    // A message addressed to a process that has not
-                    // joined yet (or has left for good) dies on the
-                    // wire — the churn analogue of a crashed receiver.
-                    self.report.churn_drops += 1;
-                    self.record_drop(from, to, cause);
-                    return true;
-                }
-                if self.down[to.index()] {
-                    // A message arriving at a crashed process is lost,
-                    // like a packet hitting a rebooting host.
-                    self.record_drop(from, to, cause);
-                    return true;
-                }
-                // Authenticated channel: receiving teaches the receiver the
-                // sender's identity (Section III-A).
-                self.known[to.index()].insert(from);
-                self.causal.record(
-                    self.now().ticks(),
-                    CausalKind::Deliver {
-                        from: from.as_u32(),
-                        to: to.as_u32(),
-                    },
-                    cause,
-                );
-                self.report.messages_delivered += 1;
-                self.report.per_process[to.index()].delivered += 1;
-                self.dispatch(to, |actor, ctx| actor.on_message(ctx, from, msg));
-            }
-            EventKind::Timer {
+        let (from, to, cause) = (record.from(), record.to(), record.cause);
+        let Some(msg) = record.msg else {
+            let event = self.control.take(cause.0);
+            self.fire(event);
+            return true;
+        };
+        if self.dormant[to.index()] || self.departed[to.index()] {
+            // A message addressed to a process that has not joined yet
+            // (or has left for good) dies on the wire — the churn
+            // analogue of a crashed receiver.
+            self.report.churn_drops += 1;
+            self.record_drop(from, to, cause);
+            return true;
+        }
+        if self.down[to.index()] {
+            // A message arriving at a crashed process is lost, like a
+            // packet hitting a rebooting host.
+            self.record_drop(from, to, cause);
+            return true;
+        }
+        // Authenticated channel: receiving teaches the receiver the
+        // sender's identity (Section III-A).
+        self.known[to.index()].insert(from);
+        self.causal.record(
+            self.now().ticks(),
+            CausalKind::Deliver {
+                from: from.as_u32(),
+                to: to.as_u32(),
+            },
+            cause,
+        );
+        self.report.messages_delivered += 1;
+        self.report.per_process[to.index()].delivered += 1;
+        self.dispatch(to, |actor, ctx| actor.on_message(ctx, from, msg));
+        true
+    }
+
+    /// Processes a control event taken from the table.
+    fn fire(&mut self, event: Control) {
+        match event {
+            Control::Timer {
                 process,
                 tag,
                 epoch,
@@ -553,7 +645,7 @@ impl<M: SimMessage> Simulation<M> {
                     // epoch), firing while down, or surviving a
                     // departure — all cancelled.
                     self.report.timers_cancelled += 1;
-                    return true;
+                    return;
                 }
                 self.record_step(process, |process| match tag {
                     RETRANSMIT_TAG => CausalKind::Retransmit { process },
@@ -562,7 +654,7 @@ impl<M: SimMessage> Simulation<M> {
                 self.report.timers_fired += 1;
                 self.dispatch(process, |actor, ctx| actor.on_timer(ctx, tag));
             }
-            EventKind::Crash { process } => {
+            Control::Crash { process } => {
                 if !self.down[process.index()] {
                     self.down[process.index()] = true;
                     self.epoch[process.index()] += 1;
@@ -570,7 +662,7 @@ impl<M: SimMessage> Simulation<M> {
                     self.record_step(process, |process| CausalKind::Crash { process });
                 }
             }
-            EventKind::Recover { process } => {
+            Control::Recover { process } => {
                 if self.down[process.index()] {
                     self.down[process.index()] = false;
                     self.report.recoveries += 1;
@@ -594,7 +686,7 @@ impl<M: SimMessage> Simulation<M> {
                     self.journals[process.index()] = merged;
                 }
             }
-            EventKind::Join { idx } => {
+            Control::Join { idx } => {
                 let JoinEventParts {
                     process,
                     contacts,
@@ -630,7 +722,7 @@ impl<M: SimMessage> Simulation<M> {
                     }
                 }
             }
-            EventKind::Leave { process } => {
+            Control::Leave { process } => {
                 if !self.departed[process.index()] && !self.dormant[process.index()] {
                     self.departed[process.index()] = true;
                     // The departure bumps the incarnation like a crash:
@@ -642,7 +734,6 @@ impl<M: SimMessage> Simulation<M> {
                 }
             }
         }
-        true
     }
 
     /// Clones the scheduled join's parts out of the plan (the borrow
@@ -1374,15 +1465,203 @@ mod tests {
     }
 
     /// A pending event sits in the queue's slab as an
-    /// `Option<EventKind<M>>`. For a pointer-sized message (an SCP
-    /// envelope handle) the enum's tag leaves a niche for `None`, so a
-    /// slot costs no more than the event itself: 24 bytes.
+    /// `Option<Record<M>>`. For a pointer-sized message (an SCP envelope
+    /// handle) the record's recipient leaves a niche for `None`, so a slot
+    /// costs no more than the record itself: 16 bytes.
     #[test]
     fn a_queue_slot_costs_no_more_than_its_event() {
         use std::mem::size_of;
         type Handle = std::rc::Rc<u64>;
         assert_eq!(size_of::<Handle>(), size_of::<usize>());
-        assert!(size_of::<Option<EventKind<Handle>>>() <= size_of::<EventKind<Handle>>());
-        assert_eq!(size_of::<Option<EventKind<Handle>>>(), 24);
+        assert!(size_of::<Option<Record<Handle>>>() <= size_of::<Record<Handle>>());
+        assert_eq!(size_of::<Option<Record<Handle>>>(), 16);
+    }
+
+    #[test]
+    fn a_delivery_at_the_top_of_the_id_range_round_trips() {
+        let (from, to) = (ProcessId::new(65_533), ProcessId::new(65_534));
+        let record = Record::deliver(from, to, EventId(9), Msg::Pong(3));
+        assert_eq!((record.from(), record.to()), (from, to));
+        assert_eq!(record.cause, EventId(9));
+        assert_eq!(record.msg, Some(Msg::Pong(3)));
+    }
+
+    #[test]
+    #[should_panic(expected = "a recipient id is below MAX_PROCESSES")]
+    fn a_recipient_past_the_id_range_is_refused() {
+        Record::deliver(ProcessId::new(0), ProcessId::new(65_535), EventId::NONE, ());
+    }
+
+    #[test]
+    #[should_panic(expected = "a simulation addresses at most 65535 processes, got 65536")]
+    fn a_system_past_the_id_range_is_refused() {
+        let kg = KnowledgeGraph::from_graph(scup_graph::DiGraph::new(MAX_PROCESSES + 1));
+        let _: Simulation<Msg> = Simulation::new(kg, NetworkConfig::default());
+    }
+
+    /// Writes down every callback it gets, and sends nothing.
+    #[derive(Default)]
+    struct Recorder {
+        seen: Vec<String>,
+    }
+
+    impl Actor<Msg> for Recorder {
+        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+            self.seen.push(format!("start@{}", ctx.now().ticks()));
+        }
+        fn on_message(&mut self, _: &mut Context<'_, Msg>, from: ProcessId, msg: Msg) {
+            self.seen.push(format!("{msg:?} from {}", from.as_u32()));
+        }
+        fn on_timer(&mut self, _: &mut Context<'_, Msg>, tag: u64) {
+            self.seen.push(format!("timer {tag}"));
+        }
+        fn on_recover(&mut self, _: &mut Context<'_, Msg>, _: &dyn crate::Journal) {
+            self.seen.push("recover".into());
+        }
+        fn on_peer_joined(&mut self, _: &mut Context<'_, Msg>, peer: ProcessId) {
+            self.seen.push(format!("joined {}", peer.as_u32()));
+        }
+    }
+
+    /// Deliveries and every kind of control event, all queued for one
+    /// tick, fire in the order they were queued: an order-sensitive
+    /// sequence (a timer armed before a crash is stale after the
+    /// recovery, one armed after it is live) comes out exactly as pushed.
+    #[test]
+    fn control_events_keep_their_place_in_a_tick() {
+        use scup_obs::causal::CausalKind as K;
+        let kg = generators::fig1();
+        let mut sim = Simulation::new(kg, NetworkConfig::synchronous(10, 1));
+        for _ in 0..8 {
+            sim.add_actor(Box::<Recorder>::default());
+        }
+        // Process 7 is a scheduled joiner; the plan's own join, far
+        // ahead, finds it joined already.
+        sim.set_churn_plan(ChurnPlan {
+            joins: vec![JoinEvent {
+                process: ProcessId::new(7),
+                at: 1_000,
+                contacts: ProcessSet::from_ids([0]),
+                introduce_to: ProcessSet::from_ids([0]),
+            }],
+            leaves: Vec::new(),
+        });
+        sim.enable_causal();
+        sim.start();
+        let p = ProcessId::new;
+        let at = SimTime::from_ticks(5);
+        let deliver = |sim: &mut Simulation<Msg>, from: u32, to: u32, v: u64| {
+            let record = Record::deliver(p(from), p(to), EventId::NONE, Msg::Ping(v));
+            sim.queue.push(at, record);
+        };
+        let timer = |process: u32, tag: u64, epoch: u32| Control::Timer {
+            process: p(process),
+            tag,
+            epoch,
+        };
+        deliver(&mut sim, 0, 1, 1);
+        sim.schedule(at, timer(2, 11, 0));
+        sim.schedule(at, Control::Crash { process: p(3) });
+        deliver(&mut sim, 2, 3, 2);
+        sim.schedule(at, Control::Recover { process: p(3) });
+        sim.schedule(at, timer(3, 12, 0));
+        sim.schedule(at, timer(3, 13, 1));
+        sim.schedule(at, Control::Join { idx: 0 });
+        sim.schedule(at, Control::Leave { process: p(5) });
+        deliver(&mut sim, 1, 5, 3);
+        deliver(&mut sim, 6, 4, 4);
+        let report = sim.run_until_quiet(10);
+        let fired: Vec<K> = sim
+            .causal()
+            .events()
+            .iter()
+            .filter(|e| e.at == 5)
+            .map(|e| e.kind)
+            .collect();
+        assert_eq!(
+            fired,
+            [
+                K::Deliver { from: 0, to: 1 },
+                K::Timer {
+                    process: 2,
+                    tag: 11
+                },
+                K::Crash { process: 3 },
+                K::Drop { from: 2, to: 3 },
+                K::Recover { process: 3 },
+                K::Timer {
+                    process: 3,
+                    tag: 13
+                },
+                K::Join { process: 7 },
+                K::Leave { process: 5 },
+                K::Drop { from: 1, to: 5 },
+                K::Deliver { from: 6, to: 4 },
+            ]
+        );
+        assert_eq!(report.timers_cancelled, 1, "the epoch-0 timer of 3");
+        assert_eq!(report.churn_drops, 1);
+        let seen = |i: u32| sim.actor_as::<Recorder>(p(i)).unwrap().seen.clone();
+        assert_eq!(seen(1), ["start@0", "Ping(1) from 0"]);
+        assert_eq!(seen(2), ["start@0", "timer 11"]);
+        assert_eq!(seen(3), ["start@0", "recover", "timer 13"]);
+        assert_eq!(seen(4), ["start@0", "Ping(4) from 6"]);
+        assert_eq!(seen(7), ["start@5"]);
+        assert_eq!(seen(0), ["start@0", "joined 7"]);
+        assert_eq!(seen(5), ["start@0"]);
+        assert!(sim.has_departed(p(5)));
+        assert_eq!(sim.pending_events(), 1, "the plan's own join is left");
+    }
+
+    /// Over a long run of re-armed timers (retransmission rounds and a
+    /// slower protocol timer on every process) and a crash–recover plan,
+    /// the control table is never longer than the most control events
+    /// queued at once: fired slots are handed out again.
+    #[test]
+    fn the_control_table_reuses_its_slots() {
+        struct Rearm;
+        impl Actor<Msg> for Rearm {
+            fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+                ctx.set_timer(3, RETRANSMIT_TAG);
+                ctx.set_timer(7, 1);
+            }
+            fn on_message(&mut self, _: &mut Context<'_, Msg>, _: ProcessId, _: Msg) {}
+            fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, tag: u64) {
+                ctx.broadcast_known(Msg::Ping(tag));
+                let delay = if tag == RETRANSMIT_TAG { 3 } else { 7 };
+                ctx.set_timer(delay, tag);
+            }
+            fn on_recover(&mut self, ctx: &mut Context<'_, Msg>, _: &dyn crate::Journal) {
+                self.on_start(ctx);
+            }
+        }
+        let kg = generators::fig1();
+        let mut sim = Simulation::new(kg, NetworkConfig::synchronous(10, 2));
+        for _ in 0..8 {
+            sim.add_actor(Box::new(Rearm));
+        }
+        sim.set_fault_plan(FaultPlan {
+            crashes: vec![CrashFault {
+                process: ProcessId::new(4),
+                at: 100,
+                recover_at: Some(900),
+            }],
+            ..FaultPlan::default()
+        });
+        sim.start();
+        let queued = |sim: &Simulation<Msg>| sim.control.slots.len() - sim.control.free.len();
+        let mut peak = queued(&sim);
+        while sim.now().ticks() < 3_000 && sim.step() {
+            peak = peak.max(queued(&sim));
+            assert!(
+                sim.control.slots.len() <= peak,
+                "{} slots, at most {peak} control events queued",
+                sim.control.slots.len()
+            );
+        }
+        assert!(sim.report().timers_fired > 4_000);
+        assert!(sim.report().retransmit_delay_buckets[bucket_of(3)] > 2_000);
+        assert_eq!(sim.report().timers_cancelled, 2, "the crashed host's two");
+        assert_eq!(sim.report().recoveries, 1);
     }
 }
