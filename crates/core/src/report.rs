@@ -2,24 +2,20 @@
 //! knowledge?*
 //!
 //! [`verify_network`] takes a knowledge connectivity graph and a fault
-//! threshold and checks the full chain of conditions the paper assembles,
-//! producing a structured [`NetworkReport`]:
+//! threshold and renders the paper's verdict as a structured
+//! [`NetworkReport`]:
 //!
-//! 1. the condensation has a unique sink (otherwise no sink detector can
-//!    exist — Definition 8 is unsatisfiable);
-//! 2. the graph is `(f+1)`-OSR (Definition 6) — the knowledge needed by
-//!    BFT-CUP and by the `SINK` algorithm;
-//! 3. the sink can tolerate `f` failures while keeping `2f+1` correct
-//!    members (Theorem 1 / Theorem 4 premise);
-//! 4. with Algorithm-2 slices, quorum availability holds for every failure
-//!    scenario sampled (Theorem 4), and — on small systems — the exhaustive
-//!    intertwined check passes (Theorem 3).
-//!
-//! The report also carries the witnesses (sink, violating pairs) so
-//! operators can act on failures.
+//! 1. the premise of Theorems 1 and 5 for **every** faulty set of at most
+//!    `f` processes — a unique sink, `G \ F` `(f+1)`-OSR (Definitions 6
+//!    and 7), and `2f + 1` correct sink members — judged by
+//!    [`kosr::satisfies_theorem1_for_all`], the campaign oracle's judge;
+//!    a failure names the first failing `F` and its clause;
+//! 2. when the premise holds, with Algorithm-2 slices: quorum availability
+//!    with `f` sink failures (Theorem 4), and intertwined quorums —
+//!    exhaustive on small systems, the structural bound beyond (Theorem 3).
 
-use scup_fbqs::Fbqs;
-use scup_graph::{kosr, scc, KnowledgeGraph, ProcessSet};
+use scup_graph::kosr::{self, PremiseFailure};
+use scup_graph::{sink, KnowledgeGraph, ProcessSet};
 
 use crate::theorems;
 
@@ -33,7 +29,7 @@ pub enum Check {
         /// Human-readable reason.
         String,
     ),
-    /// The condition was too expensive to check exhaustively at this size.
+    /// The condition was not checked; the string says why.
     Skipped(
         /// Why the check was skipped.
         String,
@@ -58,32 +54,23 @@ pub struct NetworkReport {
     pub f: usize,
     /// The unique sink component, if any.
     pub sink: Option<ProcessSet>,
-    /// Step 1: unique sink exists.
-    pub unique_sink: Check,
-    /// Step 2: the graph is `(f+1)`-OSR.
-    pub kosr: Check,
-    /// Step 3: the sink retains `2f+1` correct members under any `f`
-    /// failures.
-    pub sink_margin: Check,
-    /// Step 4a: Theorem 4 availability under sampled failure scenarios.
+    /// Step 1: the premise for every faulty set of at most `f` processes,
+    /// or the first that fails and its clause.
+    pub premise: Result<(), (ProcessSet, PremiseFailure)>,
+    /// Step 2a: Theorem 4 availability with `f` sink failures.
     pub availability: Check,
-    /// Step 4b: Theorem 3 intertwinedness (exhaustive on small systems).
+    /// Step 2b: Theorem 3 intertwinedness (exhaustive on small systems).
     pub intertwined: Check,
 }
 
 impl NetworkReport {
-    /// `true` iff every performed check passed (skipped checks don't fail
-    /// the verdict but are visible in the report).
+    /// `true` iff the premise holds and no theorem check failed (skipped
+    /// checks don't fail the verdict but are visible in the report).
     pub fn solvable(&self) -> bool {
-        [
-            &self.unique_sink,
-            &self.kosr,
-            &self.sink_margin,
-            &self.availability,
-            &self.intertwined,
-        ]
-        .iter()
-        .all(|c| !matches!(c, Check::Fail(_)))
+        self.premise.is_ok()
+            && ![&self.availability, &self.intertwined]
+                .iter()
+                .any(|c| matches!(c, Check::Fail(_)))
     }
 }
 
@@ -100,13 +87,11 @@ impl std::fmt::Display for NetworkReport {
         if let Some(sink) = &self.sink {
             writeln!(out, "  sink component: {sink}")?;
         }
-        line(out, "unique sink (Def. 8 satisfiable)", &self.unique_sink)?;
-        line(out, "(f+1)-OSR knowledge (Def. 6)", &self.kosr)?;
-        line(
-            out,
-            "sink margin >= 2f+1 correct (Thm 1/4 premise)",
-            &self.sink_margin,
-        )?;
+        let premise = "premise for every |F| <= f (Def. 6/7, Thm 1)";
+        match &self.premise {
+            Ok(()) => writeln!(out, "  [pass] {premise}")?,
+            Err((faulty, clause)) => writeln!(out, "  [FAIL] {premise}: F = {faulty}: {clause}")?,
+        }
         line(out, "quorum availability (Thm 4)", &self.availability)?;
         line(out, "intertwined quorums (Thm 3)", &self.intertwined)?;
         writeln!(
@@ -124,74 +109,26 @@ impl std::fmt::Display for NetworkReport {
 /// Size cap for the exhaustive intertwined check (2^n quorum enumeration).
 const EXHAUSTIVE_LIMIT_N: usize = 14;
 
-/// Verifies the full condition chain for `kg` and `f`. See the module docs
-/// for the steps.
+/// Verifies the premise and, where it holds, the theorems for `kg` and
+/// `f`. See the module docs for the steps.
 pub fn verify_network(kg: &KnowledgeGraph, f: usize) -> NetworkReport {
     let g = kg.graph();
-    let d = scc::decompose_full(g);
-    let sinks = d.sink_components();
-
-    // Step 1: unique sink.
-    let (sink, unique_sink) = match sinks.as_slice() {
-        [c] => (Some(d.component(*c).clone()), Check::Pass),
-        [] => (None, Check::fail("graph has no vertices")),
-        many => (
-            None,
-            Check::fail(format!(
-                "{} sink components — multiple sinks may decide differently",
-                many.len()
-            )),
-        ),
-    };
-    let Some(v_sink) = sink.clone() else {
+    let sink = sink::unique_sink(g);
+    let premise = kosr::satisfies_theorem1_for_all(g, f);
+    let (Ok(()), Some(v_sink)) = (&premise, &sink) else {
+        let skipped = || Check::Skipped("the premise fails".into());
         return NetworkReport {
             f,
             sink,
-            unique_sink,
-            kosr: Check::Skipped("no unique sink".into()),
-            sink_margin: Check::Skipped("no unique sink".into()),
-            availability: Check::Skipped("no unique sink".into()),
-            intertwined: Check::Skipped("no unique sink".into()),
+            premise,
+            availability: skipped(),
+            intertwined: skipped(),
         };
     };
-
-    // Step 2: (f+1)-OSR.
-    let report = kosr::check_kosr(g, f + 1);
-    let kosr_check = if report.is_k_osr() {
-        Check::Pass
-    } else if !report.undirected_connected {
-        Check::fail("undirected graph is disconnected (Def. 6 cond. 1)")
-    } else if !report.sink_k_connected {
-        Check::fail(format!(
-            "sink is not {}-strongly connected (Def. 6 cond. 3)",
-            f + 1
-        ))
-    } else {
-        Check::fail(format!(
-            "some non-sink process lacks {} node-disjoint paths to the sink (Def. 6 cond. 4)",
-            f + 1
-        ))
-    };
-
-    // Step 3: sink margin.
-    let sink_margin = if v_sink.len() >= 3 * f + 1 {
-        Check::Pass
-    } else {
-        Check::fail(format!(
-            "sink has {} members; {} needed to keep 2f+1 correct under f sink failures",
-            v_sink.len(),
-            3 * f + 1
-        ))
-    };
-
-    // Step 4: Algorithm-2 system checks.
-    let sys: Fbqs = match theorems::algorithm2_system(kg, f) {
-        Some((sys, _)) => sys,
-        None => unreachable!("unique sink established above"),
-    };
+    let (sys, _) = theorems::algorithm2_system(kg, f).expect("the premise includes a unique sink");
     let all = g.vertex_set();
 
-    // 4a: availability for the worst sampled failure sets: all-f in the
+    // 2a: availability for the worst sampled failure sets: all-f in the
     // sink (the binding case of Theorem 4's Inequality 1).
     let mut availability = Check::Pass;
     let sink_ids = v_sink.to_vec();
@@ -213,7 +150,7 @@ pub fn verify_network(kg: &KnowledgeGraph, f: usize) -> NetworkReport {
         }
     }
 
-    // 4b: intertwined (exhaustive on small systems only).
+    // 2b: intertwined (exhaustive on small systems only).
     let intertwined = if kg.n() <= EXHAUSTIVE_LIMIT_N {
         match theorems::theorem3_all_intertwined(&sys, &all, f, 1 << EXHAUSTIVE_LIMIT_N.min(20)) {
             Ok(None) => Check::Pass,
@@ -237,9 +174,7 @@ pub fn verify_network(kg: &KnowledgeGraph, f: usize) -> NetworkReport {
     NetworkReport {
         f,
         sink,
-        unique_sink,
-        kosr: kosr_check,
-        sink_margin,
+        premise,
         availability,
         intertwined,
     }
@@ -248,15 +183,14 @@ pub fn verify_network(kg: &KnowledgeGraph, f: usize) -> NetworkReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{rngs::StdRng, SeedableRng};
     use scup_graph::generators;
 
     #[test]
     fn fig2_verifies_for_f1() {
         let kg = generators::fig2();
         let report = verify_network(&kg, 1);
-        assert!(report.unique_sink.passed());
-        assert!(report.kosr.passed(), "{:?}", report.kosr);
-        assert!(report.sink_margin.passed());
+        assert_eq!(report.premise, Ok(()));
         assert!(report.availability.passed(), "{:?}", report.availability);
         assert!(report.intertwined.passed(), "{:?}", report.intertwined);
         assert!(report.solvable());
@@ -267,11 +201,20 @@ mod tests {
 
     #[test]
     fn fig1_fails_for_f1() {
-        // Fig. 1 is only 1-OSR: the k-OSR check must fail for f = 1.
+        // Fig. 1 is only 1-OSR: a Definition 6 clause must fail for f = 1.
         let kg = generators::fig1();
         let report = verify_network(&kg, 1);
-        assert!(report.unique_sink.passed());
-        assert!(!report.kosr.passed());
+        assert!(matches!(
+            report.premise,
+            Err((
+                _,
+                PremiseFailure::Disconnected
+                    | PremiseFailure::NoUniqueSink
+                    | PremiseFailure::WeakSink { .. }
+                    | PremiseFailure::TooFewPaths { .. }
+            ))
+        ));
+        assert!(matches!(report.availability, Check::Skipped(_)));
         assert!(!report.solvable());
         assert!(report.to_string().contains("[FAIL]"));
     }
@@ -287,27 +230,87 @@ mod tests {
     fn multi_sink_graph_fails_early() {
         let g = scup_graph::DiGraph::from_edges(3, [(0, 1), (0, 2)]);
         let report = verify_network(&KnowledgeGraph::from_graph(g), 1);
-        assert!(!report.unique_sink.passed());
+        assert_eq!(
+            report.premise,
+            Err((ProcessSet::new(), PremiseFailure::NoUniqueSink))
+        );
+        assert_eq!(report.sink, None);
         assert!(!report.solvable());
-        assert!(matches!(report.kosr, Check::Skipped(_)));
+        assert!(matches!(report.intertwined, Check::Skipped(_)));
     }
 
     #[test]
     fn undersized_sink_fails_margin() {
-        // Sink K3 with f = 1: needs 4 members.
+        // Sink K3 with f = 1: one faulty sink member leaves 2 correct.
         let kg = generators::fig2_family(3, 3);
         let report = verify_network(&kg, 1);
-        assert!(!report.sink_margin.passed());
+        assert_eq!(
+            report.premise,
+            Err((
+                ProcessSet::from_ids([0]),
+                PremiseFailure::SinkMargin {
+                    correct: 2,
+                    needed: 3
+                }
+            ))
+        );
         assert!(!report.solvable());
+        assert!(report
+            .to_string()
+            .contains("F = {0}: the sink keeps 2 correct members; 3 needed"));
     }
 
     #[test]
     fn large_network_uses_structural_bound() {
-        use rand::{rngs::StdRng, SeedableRng};
+        // n = 16 is past the exhaustive limit, so Theorem 3 is judged by
+        // the structural bound; the graph is Byzantine-safe for f = 1.
         let mut rng = StdRng::seed_from_u64(5);
-        let config = generators::KosrConfig::new(12, 8, 2);
+        let config = generators::KosrConfig::new(8, 8, 3);
         let kg = generators::random_kosr(&config, &mut rng);
+        assert!(kg.n() > EXHAUSTIVE_LIMIT_N);
         let report = verify_network(&kg, 1);
         assert!(report.solvable(), "{report}");
+    }
+
+    /// `verify_network` is a rendering of the judge: it calls the network
+    /// solvable exactly when `kosr::satisfies_theorem1` holds for every
+    /// faulty set of at most `f` processes, enumerated here independently.
+    #[test]
+    fn verify_network_is_solvable_iff_the_premise_holds_for_every_fault_set() {
+        fn premise_everywhere(kg: &KnowledgeGraph, f: usize) -> bool {
+            let ids = kg.graph().vertex_set().to_vec();
+            let n = ids.len();
+            (0u64..1 << n)
+                .filter(|mask| mask.count_ones() as usize <= f)
+                .all(|mask| {
+                    let faulty: ProcessSet = (0..n)
+                        .filter(|b| mask >> b & 1 == 1)
+                        .map(|b| ids[b])
+                        .collect();
+                    kosr::satisfies_theorem1(kg.graph(), f, &faulty).is_ok()
+                })
+        }
+        let mut graphs = vec![generators::fig1(), generators::fig2()];
+        for (sink_size, nonsink, k) in [(4, 3, 2), (5, 4, 2), (6, 4, 3)] {
+            for seed in 0..30 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let config = generators::KosrConfig::new(sink_size, nonsink, k);
+                graphs.push(generators::random_kosr(&config, &mut rng));
+            }
+        }
+        let (mut solvable, mut unsolvable) = (0, 0);
+        for kg in &graphs {
+            let report = verify_network(kg, 1);
+            let holds = premise_everywhere(kg, 1);
+            assert_eq!(report.solvable(), holds, "{report}");
+            assert_eq!(report.premise.is_ok(), holds, "{report}");
+            if holds {
+                solvable += 1;
+            } else {
+                unsolvable += 1;
+            }
+        }
+        // Both verdicts occur, so the pin tests both directions.
+        assert!(solvable > 0 && unsolvable > 0, "{solvable} / {unsolvable}");
     }
 }

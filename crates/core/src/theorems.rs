@@ -19,7 +19,7 @@
 //! validate the structural argument).
 
 use scup_fbqs::{cluster, intertwined, quorum, Fbqs, QuorumEngine, SliceFamily};
-use scup_graph::{sink, KnowledgeGraph, ProcessId, ProcessSet};
+use scup_graph::{sink, KnowledgeGraph, ProcessSet};
 
 use crate::attempts::{build_local_system, LocalSliceStrategy};
 use crate::build_slices::quorum_sink_lower_bound;
@@ -191,12 +191,6 @@ pub fn theorem5_consensus_cluster(
     )
 }
 
-/// Sanity check on the premise of Theorems 4–5: the sink has at least
-/// `2f + 1` correct processes.
-pub fn sink_has_enough_correct(v_sink: &ProcessSet, correct: &ProcessSet, f: usize) -> bool {
-    v_sink.intersection_len(correct) >= 2 * f + 1
-}
-
 /// Builds the Algorithm-2 system for `kg` with a perfect sink detector and
 /// returns it with the sink (convenience for tests and benches).
 pub fn algorithm2_system(kg: &KnowledgeGraph, f: usize) -> Option<(Fbqs, ProcessSet)> {
@@ -219,15 +213,10 @@ pub fn neutralize_faulty(sys: &Fbqs, faulty: &ProcessSet) -> Fbqs {
     out
 }
 
-/// Returns `i` as a `ProcessId` — tiny helper for examples.
-pub fn pid(i: u32) -> ProcessId {
-    ProcessId::new(i)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scup_graph::generators;
+    use scup_graph::{generators, kosr, ProcessId};
 
     const LIMIT: usize = 1 << 16;
 
@@ -256,12 +245,12 @@ mod tests {
     fn algorithm2_repairs_fig2() {
         // The same graph, with sink-detector slices: no violation possible.
         let kg = generators::fig2();
-        let (sys, v_sink) = algorithm2_system(&kg, 1).unwrap();
+        let (sys, _) = algorithm2_system(&kg, 1).unwrap();
         let all = kg.graph().vertex_set();
         for faulty_id in 0..7u32 {
             let faulty = ProcessSet::from_ids([faulty_id]);
             let correct = all.difference(&faulty);
-            assert!(sink_has_enough_correct(&v_sink, &correct, 1));
+            assert_eq!(kosr::satisfies_theorem1(kg.graph(), 1, &faulty), Ok(()));
             assert_eq!(
                 theorem3_all_intertwined(&sys, &correct, 1, LIMIT).unwrap(),
                 None,
@@ -322,7 +311,7 @@ mod tests {
         let (sys, v_sink) = algorithm2_system(&kg, 1).unwrap();
         let faulty = ProcessSet::from_ids([0, 1]);
         let correct = kg.graph().vertex_set().difference(&faulty);
-        assert!(!sink_has_enough_correct(&v_sink, &correct, 1));
+        assert_eq!(v_sink.intersection_len(&correct), 2);
         // Sink slices need 3 of {0,1,2,3}; only {2,3} are correct: no
         // correct process can assemble a correct quorum.
         assert!(!theorem4_quorum_availability(&sys, &correct).is_empty());
@@ -334,9 +323,9 @@ mod tests {
         for seed in 0..3u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let (kg, faulty) = generators::random_byzantine_safe(5, 3, 1, &mut rng);
-            let (sys, v_sink) = algorithm2_system(&kg, 1).unwrap();
+            let (sys, _) = algorithm2_system(&kg, 1).unwrap();
             let correct = kg.graph().vertex_set().difference(&faulty);
-            assert!(sink_has_enough_correct(&v_sink, &correct, 1));
+            assert_eq!(kosr::satisfies_theorem1(kg.graph(), 1, &faulty), Ok(()));
             assert_eq!(
                 theorem3_all_intertwined(&sys, &correct, 1, LIMIT).unwrap(),
                 None

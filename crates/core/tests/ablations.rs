@@ -138,14 +138,14 @@ fn theorem4_premise_is_tight() {
         .graph()
         .vertex_set()
         .difference(&ProcessSet::from_ids([0]));
-    assert!(theorems::sink_has_enough_correct(&v_sink, &correct3, 1));
+    assert_eq!(v_sink.intersection_len(&correct3), 3);
     assert!(theorems::theorem4_quorum_availability(&sys, &correct3).is_empty());
     // 2 correct sink members (= 2f): fails.
     let correct2 = kg
         .graph()
         .vertex_set()
         .difference(&ProcessSet::from_ids([0, 1]));
-    assert!(!theorems::sink_has_enough_correct(&v_sink, &correct2, 1));
+    assert_eq!(v_sink.intersection_len(&correct2), 2);
     assert!(!theorems::theorem4_quorum_availability(&sys, &correct2).is_empty());
 }
 

@@ -275,7 +275,7 @@ pub fn random_byzantine_safe<R: Rng + ?Sized>(
             sink_faults += 1;
         }
     }
-    debug_assert!(kosr::satisfies_theorem1(kg.graph(), f, &faulty));
+    debug_assert_eq!(kosr::satisfies_theorem1(kg.graph(), f, &faulty), Ok(()));
     (kg, faulty)
 }
 
@@ -631,8 +631,9 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let (g, faulty) = random_byzantine_safe(5, 4, 1, &mut rng);
             assert_eq!(faulty.len(), 1);
-            assert!(
+            assert_eq!(
                 kosr::satisfies_theorem1(g.graph(), 1, &faulty),
+                Ok(()),
                 "seed {seed}"
             );
         }

@@ -51,8 +51,10 @@ fn two_vertex_graphs() {
 fn f_zero_everywhere() {
     // f = 0: 1-OSR suffices; Fig. 1 qualifies.
     let kg = generators::fig1();
-    assert!(kosr::is_byzantine_safe(kg.graph(), 0, &ProcessSet::new()));
-    assert!(kosr::satisfies_theorem1(kg.graph(), 0, &ProcessSet::new()));
+    assert_eq!(
+        kosr::satisfies_theorem1(kg.graph(), 0, &ProcessSet::new()),
+        Ok(())
+    );
     // 0-reachability = plain reachability.
     let all = kg.graph().vertex_set();
     for i in kg.processes() {
@@ -66,8 +68,9 @@ fn f_zero_everywhere() {
 fn faulty_set_equal_to_everything_is_rejected() {
     let g = generators::complete(3);
     let all = g.vertex_set();
-    assert!(
-        !kosr::is_byzantine_safe(&g, 3, &all),
+    assert_eq!(
+        kosr::satisfies_theorem1(&g, 3, &all),
+        Err(kosr::PremiseFailure::NoCorrectProcess),
         "F must be a strict subset"
     );
 }

@@ -6,7 +6,10 @@
 //! - Dinic disjoint-path counts are checked against structural bounds and a
 //!   brute-force path-packing lower bound on small graphs;
 //! - the reusable `SplitNetwork` is checked against those Dinic counts;
-//! - generated `k`-OSR graphs must pass the Definition 6 checker.
+//! - generated `k`-OSR graphs must pass the Definition 6 checker;
+//! - the premise judge `kosr::satisfies_theorem1` is checked against the
+//!   composition campaigns used before it named clauses, rebuilt from
+//!   Definition 6's primitives.
 
 use std::collections::BTreeSet;
 
@@ -14,6 +17,40 @@ use proptest::prelude::*;
 use scup_graph::{
     connectivity, flow, generators, kosr, scc, traversal, DiGraph, ProcessId, ProcessSet,
 };
+
+/// The premise as the campaign oracle composed it before one judge named
+/// its clause: Definition 7 (`|F| ≤ f`, `F` a proper subset, `G \ F`
+/// `(f+1)`-OSR with all four conditions of Definition 6 evaluated in full),
+/// then the unique sink of `G` keeping `2f + 1` correct members — twice,
+/// once inside the old `satisfies_theorem1` and once in the oracle.
+fn reference_premise(g: &DiGraph, f: usize, gone: &ProcessSet) -> bool {
+    let all = g.vertex_set();
+    let correct = all.difference(gone);
+    let k = f + 1;
+    let sinks = scup_graph::sink::sink_components(g, &correct);
+    let (sink_k_connected, nonsink_paths_ok) = match sinks.as_slice() {
+        [sink] => (
+            connectivity::is_k_strongly_connected(g, k, sink),
+            correct.difference(sink).iter().all(|i| {
+                sink.iter()
+                    .all(|j| flow::max_vertex_disjoint_paths(g, i, j, &correct) >= k)
+            }),
+        ),
+        _ => (false, false),
+    };
+    let byzantine_safe = gone.len() <= f
+        && gone.is_subset(&all)
+        && gone != &all
+        && connectivity::is_undirected_connected(g, &correct)
+        && sinks.len() == 1
+        && sink_k_connected
+        && nonsink_paths_ok;
+    let margin = || {
+        scup_graph::sink::unique_sink(g)
+            .is_some_and(|v_sink| v_sink.intersection_len(&correct) >= 2 * f + 1)
+    };
+    byzantine_safe && margin() && margin()
+}
 
 fn small_ids() -> impl Strategy<Value = Vec<u32>> {
     proptest::collection::vec(0u32..200, 0..40)
@@ -328,5 +365,37 @@ proptest! {
         prop_assert!(kosr::is_k_osr(p.graph(), 3));
         let again = generators::perturb_kosr(&base, &config, &mut StdRng::seed_from_u64(seed));
         prop_assert_eq!(p.graph(), again.graph());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The judge's verdict is the old composition's on `k`-OSR draws of
+    /// every shape around the threshold (so each clause fails somewhere)
+    /// and on Erdős–Rényi draws (usually several sinks).
+    #[test]
+    fn the_premise_judge_matches_the_oracles_old_composition(
+        seed in 0u64..1_000,
+        er in proptest::bool::ANY,
+        sink in 2usize..7,
+        nonsink in 0usize..5,
+        k in 1usize..4,
+        f in 0usize..3,
+        gone in proptest::collection::vec(0u32..11, 0..3),
+    ) {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = if er {
+            generators::erdos_renyi(sink + nonsink, 0.35, &mut rng)
+        } else {
+            prop_assume!(sink > k);
+            let config = generators::KosrConfig::new(sink, nonsink, k).with_extra_edges(0.1);
+            generators::random_kosr(&config, &mut rng).graph().clone()
+        };
+        // Id 10 lies outside every graph drawn: not a proper subset.
+        let gone = ProcessSet::from_ids(gone);
+        let verdict = kosr::satisfies_theorem1(&g, f, &gone);
+        prop_assert_eq!(verdict.is_ok(), reference_premise(&g, f, &gone), "{:?}", verdict);
     }
 }

@@ -426,11 +426,11 @@ impl CampaignReport {
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("campaign", Json::Str(self.name.clone())),
-            ("threads", Json::Int(self.threads as i64)),
-            ("total_runs", Json::Int(self.runs.len() as i64)),
-            ("passed", Json::Int(self.passed() as i64)),
-            ("failed", Json::Int(self.failed() as i64)),
-            ("wall_micros", Json::Int(self.wall_micros as i64)),
+            ("threads", Json::from(self.threads)),
+            ("total_runs", Json::from(self.runs.len())),
+            ("passed", Json::from(self.passed())),
+            ("failed", Json::from(self.failed())),
+            ("wall_micros", Json::from(self.wall_micros)),
             (
                 "runs",
                 Json::Arr(self.runs.iter().map(RunRecord::to_json).collect()),
@@ -448,12 +448,12 @@ impl RunRecord {
             ("family", Json::Str(self.family.clone())),
             ("adversary", Json::Str(self.adversary.clone())),
             ("protocol", Json::Str(self.protocol.clone())),
-            ("seed", Json::Int(self.seed as i64)),
-            ("n", Json::Int(self.n as i64)),
-            ("f", Json::Int(self.f as i64)),
+            ("seed", Json::from(self.seed)),
+            ("n", Json::from(self.n)),
+            ("f", Json::from(self.f)),
             (
                 "faulty",
-                Json::Arr(self.faulty.iter().map(|&v| Json::Int(v as i64)).collect()),
+                Json::Arr(self.faulty.iter().map(|&v| Json::from(v)).collect()),
             ),
             (
                 "oracles",
@@ -480,52 +480,43 @@ impl RunRecord {
             ),
             (
                 "decided_value",
+                // A value is an opaque 64-bit word: its two's-complement i64
+                // is lossless, where `Json::from` would round the forged
+                // values u64::MAX and u64::MAX - 1 to one f64.
                 self.decided_value
                     .map(|v| Json::Int(v as i64))
                     .unwrap_or(Json::Null),
             ),
-            ("messages_sent", Json::Int(self.messages_sent as i64)),
+            ("messages_sent", Json::from(self.messages_sent)),
             (
                 "metrics",
                 Json::obj([
-                    (
-                        "messages_delivered",
-                        Json::Int(self.messages_delivered as i64),
-                    ),
-                    ("bytes_sent", Json::Int(self.bytes_sent as i64)),
-                    ("timers_fired", Json::Int(self.timers_fired as i64)),
-                    ("ballots_started", Json::Int(self.ballots_started as i64)),
+                    ("messages_delivered", Json::from(self.messages_delivered)),
+                    ("bytes_sent", Json::from(self.bytes_sent)),
+                    ("timers_fired", Json::from(self.timers_fired)),
+                    ("ballots_started", Json::from(self.ballots_started)),
                     (
                         "nominations_confirmed",
-                        Json::Int(self.nominations_confirmed as i64),
+                        Json::from(self.nominations_confirmed),
                     ),
-                    (
-                        "prepares_confirmed",
-                        Json::Int(self.prepares_confirmed as i64),
-                    ),
-                    (
-                        "commits_confirmed",
-                        Json::Int(self.commits_confirmed as i64),
-                    ),
-                    ("hot_process", Json::Int(self.hot_process as i64)),
-                    ("hot_sent", Json::Int(self.hot_sent as i64)),
-                    ("messages_dropped", Json::Int(self.messages_dropped as i64)),
-                    (
-                        "messages_duplicated",
-                        Json::Int(self.messages_duplicated as i64),
-                    ),
-                    ("crashes", Json::Int(self.crashes as i64)),
-                    ("recoveries", Json::Int(self.recoveries as i64)),
-                    ("joins", Json::Int(self.joins as i64)),
-                    ("departures", Json::Int(self.departures as i64)),
-                    ("churn_drops", Json::Int(self.churn_drops as i64)),
-                    ("retransmissions", Json::Int(self.retransmissions as i64)),
+                    ("prepares_confirmed", Json::from(self.prepares_confirmed)),
+                    ("commits_confirmed", Json::from(self.commits_confirmed)),
+                    ("hot_process", Json::from(self.hot_process)),
+                    ("hot_sent", Json::from(self.hot_sent)),
+                    ("messages_dropped", Json::from(self.messages_dropped)),
+                    ("messages_duplicated", Json::from(self.messages_duplicated)),
+                    ("crashes", Json::from(self.crashes)),
+                    ("recoveries", Json::from(self.recoveries)),
+                    ("joins", Json::from(self.joins)),
+                    ("departures", Json::from(self.departures)),
+                    ("churn_drops", Json::from(self.churn_drops)),
+                    ("retransmissions", Json::from(self.retransmissions)),
                     (
                         "retransmit_delay_buckets",
                         Json::Arr(
                             self.retransmit_delay_buckets
                                 .iter()
-                                .map(|&c| Json::Int(c as i64))
+                                .map(|&c| Json::from(c))
                                 .collect(),
                         ),
                     ),
@@ -536,9 +527,9 @@ impl RunRecord {
                                 .iter()
                                 .map(|&(from, to, dropped)| {
                                     Json::obj([
-                                        ("from", Json::Int(from as i64)),
-                                        ("to", Json::Int(to as i64)),
-                                        ("dropped", Json::Int(dropped as i64)),
+                                        ("from", Json::from(from)),
+                                        ("to", Json::from(to)),
+                                        ("dropped", Json::from(dropped)),
                                     ])
                                 })
                                 .collect(),
@@ -553,8 +544,8 @@ impl RunRecord {
                     .map(|f| f.to_json())
                     .unwrap_or(Json::Null),
             ),
-            ("end_ticks", Json::Int(self.end_ticks as i64)),
-            ("wall_micros", Json::Int(self.wall_micros as i64)),
+            ("end_ticks", Json::from(self.end_ticks)),
+            ("wall_micros", Json::from(self.wall_micros)),
             ("passed", Json::Bool(self.passed)),
             (
                 "error",
@@ -763,6 +754,30 @@ mod tests {
         assert_eq!(oracles.get("agreement").unwrap().as_bool(), Some(true));
         // The JSON must parse back.
         assert!(crate::json::parse(&json.pretty()).is_ok());
+    }
+
+    #[test]
+    fn seeds_past_i64_max_render_non_negative() {
+        // `seed_base = 9223372036854775807, seeds = 2` reaches 2^63, which
+        // a cast to i64 would render as -9223372036854775808.
+        let report = Campaign {
+            name: "top-seeds".into(),
+            mode: CampaignMode::Sample,
+            threads: 1,
+            scenarios: vec![Scenario::builder("s")
+                .topology(TopologySpec::Fig2)
+                .faults(FaultPlacement::Ids(vec![0]))
+                .seeds(i64::MAX as u64, 2)
+                .build()],
+        }
+        .run();
+        let seeds: Vec<u64> = report.runs.iter().map(|r| r.seed).collect();
+        assert_eq!(seeds, [i64::MAX as u64, 1 << 63]);
+        // Past i64 the seed renders as the nearest f64.
+        let json = report.runs[1].to_json();
+        assert_eq!(json.get("seed").unwrap().as_f64(), Some(2f64.powi(63)));
+        let text = json.compact();
+        assert!(text.contains("\"seed\":9223372036854776000,"), "{text}");
     }
 
     #[test]

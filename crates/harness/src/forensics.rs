@@ -232,17 +232,17 @@ impl ForensicReport {
             |items: &[String]| Json::Arr(items.iter().map(|s| Json::Str(s.clone())).collect());
         Json::obj([
             ("scenario", Json::Str(self.scenario.clone())),
-            ("seed", Json::Int(self.seed as i64)),
+            ("seed", Json::from(self.seed)),
             ("violations", strings(&self.violations)),
             (
                 "anchors",
-                Json::Arr(self.anchors.iter().map(|&p| Json::Int(p as i64)).collect()),
+                Json::Arr(self.anchors.iter().map(|&p| Json::from(p)).collect()),
             ),
             (
                 "events",
                 Json::obj([
-                    ("total", Json::Int(self.total_events as i64)),
-                    ("cone", Json::Int(self.cone.len() as i64)),
+                    ("total", Json::from(self.total_events)),
+                    ("cone", Json::from(self.cone.len())),
                 ]),
             ),
             ("equivocations", strings(&self.equivocations)),
@@ -253,10 +253,10 @@ impl ForensicReport {
                         .iter()
                         .map(|c| {
                             Json::obj([
-                                ("process", Json::Int(c.process as i64)),
+                                ("process", Json::from(c.process)),
                                 ("label", Json::Str(c.label.clone())),
                                 ("rooted", Json::Bool(c.rooted)),
-                                ("entries", Json::Int(c.entries as i64)),
+                                ("entries", Json::from(c.entries)),
                                 ("roots", strings(&c.roots)),
                                 ("unresolved", strings(&c.unresolved)),
                             ])

@@ -14,14 +14,13 @@
 //!
 //! The **premise** is the paper's structural precondition (Theorem 1 /
 //! Theorem 5): the knowledge graph is Byzantine-safe for the actual faulty
-//! set and the sink keeps at least `2f + 1` correct members. Under
-//! [`OracleMode::Conditional`] a
-//! violation only fails the run when the premise held — exactly the
-//! implication the theorems state.
+//! set and the sink keeps at least `2f + 1` correct members. Its one judge
+//! is [`kosr::satisfies_theorem1`], which `verify_network` and the explorer
+//! call too. Under [`OracleMode::Conditional`] a violation only fails the
+//! run when the premise held — exactly the implication the theorems state.
 
-use scup_graph::{kosr, sink, KnowledgeGraph, ProcessId, ProcessSet};
+use scup_graph::{kosr, KnowledgeGraph, ProcessId, ProcessSet};
 use scup_scp::Value;
-use stellar_cup::theorems;
 
 use crate::adversary::AdversaryKind;
 use crate::scenario::{OracleMode, ValidityMode};
@@ -173,19 +172,9 @@ pub fn evaluate_churned(
         agreement: safety.agreement(),
         validity: safety.validity,
         pledges_ok,
-        premise: premise(kg, f, &faulty.union(departed)),
+        premise: kosr::satisfies_theorem1(kg.graph(), f, &faulty.union(departed)).is_ok(),
         violations,
     }
-}
-
-/// The structural premise of Theorems 1 and 5, from the scup predicates:
-/// the graph is Byzantine-safe for `gone` (the faulty processes, plus the
-/// departed ones in a churned run) and its sink keeps `2f + 1` others.
-pub fn premise(kg: &KnowledgeGraph, f: usize, gone: &ProcessSet) -> bool {
-    let correct = kg.graph().vertex_set().difference(gone);
-    kosr::satisfies_theorem1(kg.graph(), f, gone)
-        && sink::unique_sink(kg.graph())
-            .is_some_and(|v_sink| theorems::sink_has_enough_correct(&v_sink, &correct, f))
 }
 
 /// What the safety rule found in one decision vector ([`safety`]).
@@ -273,7 +262,7 @@ pub fn safety(
 
 /// The [`OracleMode`] pass rule for a sampled run and an explored state
 /// space alike: whether a verdict whose oracles `hold` passes, given
-/// whether the [`premise`] held.
+/// whether the premise ([`kosr::satisfies_theorem1`]) held.
 pub fn passes(mode: OracleMode, premise: bool, holds: bool) -> bool {
     match mode {
         OracleMode::Require => holds,

@@ -31,7 +31,7 @@
 
 use scup_cup::bftcup::BftMsg;
 use scup_fbqs::SliceFamily;
-use scup_graph::{sink, ProcessId, ProcessSet};
+use scup_graph::{kosr, sink, ProcessId, ProcessSet};
 use scup_harness::scenario::{ProtocolSpec, Scenario, ValidityMode};
 use scup_harness::{oracle, AdversaryKind, AdversaryRegistry, System};
 use scup_obs::causal::ProvenanceLog;
@@ -60,7 +60,7 @@ pub struct Setup {
     pub explore_discovery: bool,
     /// The correct processes — whose decisions every state is judged by.
     pub correct: ProcessSet,
-    /// The paper's structural premise ([`oracle::premise`]) — computed
+    /// The paper's structural premise ([`kosr::satisfies_theorem1`]) — computed
     /// once; it is schedule-independent.
     pub premise: bool,
     /// Timer budget per process (see
@@ -129,7 +129,7 @@ impl Setup {
         };
 
         let correct = kg.graph().vertex_set().difference(faulty);
-        let premise = oracle::premise(kg, f, faulty);
+        let premise = kosr::satisfies_theorem1(kg.graph(), f, faulty).is_ok();
 
         Ok(Setup {
             system,

@@ -79,40 +79,37 @@ impl ExploreObs {
                         .map(|r| {
                             Json::obj([
                                 ("phase", Json::Str(r.phase.to_string())),
-                                ("nanos", Json::Int(r.nanos as i64)),
-                                ("laps", Json::Int(r.laps as i64)),
+                                ("nanos", Json::from(r.nanos)),
+                                ("laps", Json::from(r.laps)),
                             ])
                         })
                         .collect(),
                 ),
             ),
-            ("reexpansions", Json::Int(self.reexpansions as i64)),
+            ("reexpansions", Json::from(self.reexpansions)),
             (
                 "step_memo",
                 Json::obj([
-                    ("replayed", Json::Int(self.steps_replayed as i64)),
-                    ("executed", Json::Int(self.steps_executed as i64)),
+                    ("replayed", Json::from(self.steps_replayed)),
+                    ("executed", Json::from(self.steps_executed)),
                 ]),
             ),
             (
                 "settle",
                 Json::obj([
-                    ("queries", Json::Int(self.settle_queries as i64)),
-                    ("forced", Json::Int(self.settle_forced as i64)),
+                    ("queries", Json::from(self.settle_queries)),
+                    ("forced", Json::from(self.settle_forced)),
                 ]),
             ),
-            ("visited_len", Json::Int(self.visited_len as i64)),
-            ("visited_capacity", Json::Int(self.visited_capacity as i64)),
-            (
-                "worker_visited_peak",
-                Json::Int(self.worker_visited_peak as i64),
-            ),
+            ("visited_len", Json::from(self.visited_len)),
+            ("visited_capacity", Json::from(self.visited_capacity)),
+            ("worker_visited_peak", Json::from(self.worker_visited_peak)),
             (
                 "depth_samples",
                 Json::Arr(
                     self.depth_samples
                         .iter()
-                        .map(|&(t, d)| Json::Arr(vec![Json::Int(t as i64), Json::Int(d as i64)]))
+                        .map(|&(t, d)| Json::Arr(vec![Json::from(t), Json::from(d)]))
                         .collect(),
                 ),
             ),
@@ -250,17 +247,17 @@ impl ExploreReport {
         Json::obj([
             ("campaign", Json::Str(self.name.clone())),
             ("mode", Json::Str("explore".into())),
-            ("threads", Json::Int(self.threads as i64)),
-            ("scenarios", Json::Int(self.records.len() as i64)),
+            ("threads", Json::from(self.threads)),
+            ("scenarios", Json::from(self.records.len())),
             (
                 "passed",
-                Json::Int(self.records.iter().filter(|r| r.passed).count() as i64),
+                Json::from(self.records.iter().filter(|r| r.passed).count()),
             ),
             (
                 "failed",
-                Json::Int(self.records.iter().filter(|r| !r.passed).count() as i64),
+                Json::from(self.records.iter().filter(|r| !r.passed).count()),
             ),
-            ("wall_micros", Json::Int(self.wall_micros as i64)),
+            ("wall_micros", Json::from(self.wall_micros)),
             (
                 "records",
                 Json::Arr(self.records.iter().map(ExploreRecord::to_json).collect()),
@@ -277,25 +274,24 @@ impl ExploreRecord {
             ("family", Json::Str(self.family.clone())),
             ("adversary", Json::Str(self.adversary.clone())),
             ("protocol", Json::Str(self.protocol.clone())),
-            ("n", Json::Int(self.n as i64)),
-            ("f", Json::Int(self.f as i64)),
+            ("n", Json::from(self.n)),
+            ("f", Json::from(self.f)),
             (
                 "faulty",
-                Json::Arr(self.faulty.iter().map(|&v| Json::Int(v as i64)).collect()),
+                Json::Arr(self.faulty.iter().map(|&v| Json::from(v)).collect()),
             ),
             ("premise", Json::Bool(self.premise)),
-            ("variants", Json::Int(self.variants as i64)),
-            ("states", Json::Int(self.states as i64)),
-            ("expanded", Json::Int(self.expanded as i64)),
-            ("decided", Json::Int(self.decided as i64)),
-            (
-                "quiescent_undecided",
-                Json::Int(self.quiescent_undecided as i64),
-            ),
-            ("truncated", Json::Int(self.truncated as i64)),
-            ("violating", Json::Int(self.violating as i64)),
+            ("variants", Json::from(self.variants)),
+            ("states", Json::from(self.states)),
+            ("expanded", Json::from(self.expanded)),
+            ("decided", Json::from(self.decided)),
+            ("quiescent_undecided", Json::from(self.quiescent_undecided)),
+            ("truncated", Json::from(self.truncated)),
+            ("violating", Json::from(self.violating)),
             (
                 "decided_values",
+                // Values render as their two's-complement i64, losslessly
+                // (as in the sampler's `decided_value`).
                 Json::Arr(
                     self.decided_values
                         .iter()
@@ -304,39 +300,36 @@ impl ExploreRecord {
                 ),
             ),
             ("complete", Json::Bool(self.complete)),
-            ("frontier_roots", Json::Int(self.frontier_roots as i64)),
-            ("symmetry_group", Json::Int(self.symmetry_group as i64)),
+            ("frontier_roots", Json::from(self.frontier_roots)),
+            ("symmetry_group", Json::from(self.symmetry_group)),
             (
                 "symmetry_classes",
                 Json::Arr(
                     self.symmetry_classes
                         .iter()
-                        .map(|&c| Json::Int(c as i64))
+                        .map(|&c| Json::from(c))
                         .collect(),
                 ),
             ),
             (
                 "symmetry_dropped_classes",
-                Json::Int(self.symmetry_dropped_classes as i64),
+                Json::from(self.symmetry_dropped_classes),
             ),
             (
                 "symmetry_dropped_arrangements",
-                Json::Int(self.symmetry_dropped_arrangements as i64),
+                Json::from(self.symmetry_dropped_arrangements),
             ),
-            ("symmetric_states", Json::Int(self.symmetric_states as i64)),
-            ("transitions", Json::Int(self.transitions as i64)),
+            ("symmetric_states", Json::from(self.symmetric_states)),
+            ("transitions", Json::from(self.transitions)),
             (
                 "state_bytes_estimate",
-                Json::Int(self.state_bytes_estimate as i64),
+                Json::from(self.state_bytes_estimate),
             ),
-            (
-                "peak_memory_bytes",
-                Json::Int(self.peak_memory_bytes as i64),
-            ),
+            ("peak_memory_bytes", Json::from(self.peak_memory_bytes)),
             (
                 "min_violation_depth",
                 self.min_violation_depth
-                    .map(|d| Json::Int(d as i64))
+                    .map(Json::from)
                     .unwrap_or(Json::Null),
             ),
             (
@@ -354,7 +347,7 @@ impl ExploreRecord {
                     .map(|e| Json::Str(e.clone()))
                     .unwrap_or(Json::Null),
             ),
-            ("wall_micros", Json::Int(self.wall_micros as i64)),
+            ("wall_micros", Json::from(self.wall_micros)),
             (
                 "obs",
                 self.obs
@@ -370,8 +363,8 @@ impl CexReport {
     /// The counterexample as structured JSON.
     pub fn to_json(&self) -> Json {
         Json::obj([
-            ("depth", Json::Int(self.depth as i64)),
-            ("variant", Json::Int(self.variant as i64)),
+            ("depth", Json::from(self.depth)),
+            ("variant", Json::from(self.variant)),
             (
                 "violations",
                 Json::Arr(

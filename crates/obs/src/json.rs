@@ -149,6 +149,18 @@ impl From<u64> for Json {
     }
 }
 
+impl From<usize> for Json {
+    fn from(n: usize) -> Json {
+        Json::from(n as u64)
+    }
+}
+
+impl From<u32> for Json {
+    fn from(n: u32) -> Json {
+        Json::Int(n.into())
+    }
+}
+
 /// Opens member `i` of a container: a comma after the first, then its line.
 fn new_member(out: &mut String, i: usize, indent: Option<usize>) {
     if i > 0 {

@@ -80,11 +80,7 @@ fn lemmas_1_and_2_hold_for_the_counterexample_slices() {
 fn theorem2_proof_steps() {
     let kg = generators::fig2();
     assert!(kosr::is_k_osr(kg.graph(), 3));
-    assert!(kosr::is_byzantine_safe_for_all(
-        kg.graph(),
-        1,
-        &kg.graph().vertex_set()
-    ));
+    assert_eq!(kosr::satisfies_theorem1_for_all(kg.graph(), 1), Ok(()));
     let sys = stellar_cup::attempts::build_local_system(&kg, LocalSliceStrategy::AllButOne, 1);
     let q1 = ProcessSet::from_ids([4, 5, 6]);
     let q2 = ProcessSet::from_ids([0, 1, 2, 3]);
@@ -119,12 +115,10 @@ fn algorithm2_shapes() {
 #[test]
 fn theorems_3_4_5_on_fig2() {
     let kg = generators::fig2();
-    let (sys, v_sink) = theorems::algorithm2_system(&kg, 1).unwrap();
-    let correct = kg
-        .graph()
-        .vertex_set()
-        .difference(&ProcessSet::from_ids([1]));
-    assert!(theorems::sink_has_enough_correct(&v_sink, &correct, 1));
+    let (sys, _) = theorems::algorithm2_system(&kg, 1).unwrap();
+    let faulty = ProcessSet::from_ids([1]);
+    assert_eq!(kosr::satisfies_theorem1(kg.graph(), 1, &faulty), Ok(()));
+    let correct = kg.graph().vertex_set().difference(&faulty);
     assert_eq!(
         theorems::theorem3_all_intertwined(&sys, &correct, 1, 1 << 18).unwrap(),
         None
