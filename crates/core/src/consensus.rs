@@ -46,7 +46,7 @@ pub struct EndToEndConfig {
     /// faulty processes silent during the knowledge-increasing phase (the
     /// behaviour Lemma 2 relies on); `Crash` and `Echo` act in both phases.
     pub adversary: AdversaryKind,
-    /// Per-process inputs (defaults to `100 + i`).
+    /// Per-process inputs (defaults to [`default_inputs`]).
     pub inputs: Option<Vec<Value>>,
     /// Time horizons for the two phases.
     pub max_ticks: u64,
@@ -102,12 +102,18 @@ impl Default for EndToEndConfig {
     }
 }
 
-/// The run's per-process inputs: [`EndToEndConfig::inputs`], or the
-/// default `100 + i`.
+/// The default proposals of an `n`-process run: process `i` proposes
+/// `100 + i`, so every input is distinct.
+pub fn default_inputs(n: usize) -> Vec<Value> {
+    (0..n).map(|i| 100 + i as Value).collect()
+}
+
+/// The run's per-process inputs: [`EndToEndConfig::inputs`], or
+/// [`default_inputs`].
 fn inputs_of(config: &EndToEndConfig, n: usize) -> Cow<'_, [Value]> {
     match &config.inputs {
         Some(inputs) => Cow::Borrowed(inputs),
-        None => Cow::Owned((0..n).map(|i| 100 + i as Value).collect()),
+        None => Cow::Owned(default_inputs(n)),
     }
 }
 

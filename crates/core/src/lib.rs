@@ -50,7 +50,7 @@
 //! // Sink detection (Algorithm 3), slices (Algorithm 2), then SCP.
 //! let (detections, _) = consensus::run_sink_detection(&kg, 1, &faulty, &config);
 //! let slices = consensus::slices_from_detections(&detections, 1);
-//! let inputs: Vec<u64> = (0..kg.n() as u64).map(|i| 100 + i).collect();
+//! let inputs = consensus::default_inputs(kg.n());
 //! let scp = consensus::run_scp_with_slices_observed(&kg, &faulty, slices, &inputs, &config);
 //!
 //! let mut correct = kg.processes().filter(|i| !faulty.contains(*i));

@@ -429,7 +429,7 @@ mod tests {
         let kg = generators::fig2();
         let config = retransmitting();
         assert!(config.retransmit.enabled());
-        let inputs: Vec<Value> = (0..kg.n()).map(|i| 100 + i as Value).collect();
+        let inputs = crate::consensus::default_inputs(kg.n());
         let slices = vec![SliceFamily::explicit([kg.graph().vertex_set()]); kg.n()];
         assert_every_seat_forks(&SdProtocol::new(&kg, 1, &config), "sd", &KINDS);
         assert_every_seat_forks(&ScpProtocol::new(&slices, &inputs, &config), "scp", &KINDS);

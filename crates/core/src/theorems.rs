@@ -18,7 +18,7 @@
 //! *exhaustive* (explicit quorum enumeration on small systems, used to
 //! validate the structural argument).
 
-use scup_fbqs::{cluster, intertwined, quorum, Fbqs, QuorumEngine, SliceFamily};
+use scup_fbqs::{cluster, intertwined, quorum, Fbqs, QuorumEngine};
 use scup_graph::{sink, KnowledgeGraph, ProcessSet};
 
 use crate::attempts::{build_local_system, LocalSliceStrategy};
@@ -199,24 +199,10 @@ pub fn algorithm2_system(kg: &KnowledgeGraph, f: usize) -> Option<(Fbqs, Process
     Some((crate::build_slices::build_system(kg, &sd, f), v_sink))
 }
 
-/// The slices Byzantine processes *declare* do not matter for the theorems
-/// (quorums of correct processes are what count), but analyses sometimes
-/// want faulty processes neutralized; this replaces their families with
-/// empty ones.
-pub fn neutralize_faulty(sys: &Fbqs, faulty: &ProcessSet) -> Fbqs {
-    let mut out = sys.clone();
-    for i in faulty {
-        if i.index() < sys.n() {
-            out.set_slices(i, SliceFamily::empty());
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scup_graph::{generators, kosr, ProcessId};
+    use scup_graph::{generators, kosr};
 
     const LIMIT: usize = 1 << 16;
 
@@ -333,14 +319,5 @@ mod tests {
             assert!(theorem4_quorum_availability(&sys, &correct).is_empty());
             assert!(theorem5_consensus_cluster(&sys, &correct, 1, LIMIT).unwrap());
         }
-    }
-
-    #[test]
-    fn neutralize_faulty_clears_families() {
-        let kg = generators::fig2();
-        let (sys, _) = algorithm2_system(&kg, 1).unwrap();
-        let out = neutralize_faulty(&sys, &ProcessSet::from_ids([2]));
-        assert!(!out.slices(ProcessId::new(2)).has_slices());
-        assert!(out.slices(ProcessId::new(0)).has_slices());
     }
 }

@@ -345,16 +345,6 @@ impl QuorumEngine {
         self.is_quorum_in(q, &mut self.scratch())
     }
 
-    /// `q` is a quorum containing `i`.
-    pub fn is_quorum_for_in(
-        &self,
-        q: &ProcessSet,
-        i: ProcessId,
-        scratch: &mut EngineScratch,
-    ) -> bool {
-        q.contains(i) && self.is_quorum_in(q, scratch)
-    }
-
     /// Worklist quorum closure: writes the largest quorum contained in `u`
     /// (or the empty set) into `out`, reusing `scratch` and `out`'s
     /// allocations.
@@ -560,7 +550,6 @@ mod tests {
         let engine = QuorumEngine::from_system(&sys);
         let q = ProcessSet::from_ids([4, 5, 6]);
         assert!(engine.is_quorum(&q));
-        assert!(engine.is_quorum_for_in(&q, p(4), &mut engine.scratch()));
         assert!(!engine.is_quorum(&ProcessSet::from_ids([4, 5])));
         assert!(!engine.is_quorum(&ProcessSet::new()));
         assert!(engine.contains_quorum(&sys.universe()));

@@ -24,7 +24,7 @@ use crate::adversary::AdversaryRegistry;
 use crate::json::Json;
 use crate::oracle::{self, InvariantReport};
 use crate::protocol;
-use crate::scenario::Scenario;
+use crate::scenario::{Named, Scenario};
 use crate::system::System;
 
 /// How a campaign executes its scenarios.
@@ -41,9 +41,10 @@ pub enum CampaignMode {
     Explore,
 }
 
-impl CampaignMode {
-    /// The mode name used in campaign files and reports.
-    pub fn name(&self) -> &'static str {
+impl Named for CampaignMode {
+    const ALL: &'static [Self] = &[CampaignMode::Sample, CampaignMode::Explore];
+
+    fn name(&self) -> &'static str {
         match self {
             CampaignMode::Sample => "sample",
             CampaignMode::Explore => "explore",
@@ -561,7 +562,9 @@ impl RunRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{FaultPlacement, OracleMode, TopologySpec};
+    use crate::scenario::{
+        FaultPlacement, FaultSpec, NetworkSpec, OracleMode, ProtocolSpec, TopologySpec,
+    };
 
     fn tiny_campaign(threads: usize) -> Campaign {
         Campaign {
@@ -569,38 +572,41 @@ mod tests {
             mode: CampaignMode::Sample,
             threads,
             scenarios: vec![
-                Scenario::builder("fig2-silent")
-                    .topology(TopologySpec::Fig2)
-                    .faults(FaultPlacement::Ids(vec![5]))
-                    .seeds(0, 3)
-                    .build(),
+                Scenario {
+                    name: "fig2-silent".into(),
+                    faults: FaultPlacement::Ids(vec![5]),
+                    seeds: 3,
+                    ..Scenario::default()
+                },
                 // Fig. 1 is 1-OSR, so BFT-CUP needs f = 0 there.
-                Scenario::builder("fig1-bft")
-                    .topology(TopologySpec::Fig1)
-                    .f(0)
-                    .protocol(crate::scenario::ProtocolSpec::BftCup)
-                    .faults(FaultPlacement::None)
-                    .seeds(0, 2)
-                    .build(),
+                Scenario {
+                    name: "fig1-bft".into(),
+                    topology: TopologySpec::Fig1,
+                    f: 0,
+                    protocol: ProtocolSpec::BftCup,
+                    seeds: 2,
+                    ..Scenario::default()
+                },
                 // A healing fault plan: loss + a crash–recover cycle, so
                 // the fault-plane counters are live in these tests.
-                Scenario::builder("fig2-nemesis")
-                    .topology(TopologySpec::Fig2)
-                    .faults(FaultPlacement::Ids(vec![5]))
-                    .fault_plan(crate::scenario::FaultSpec {
+                Scenario {
+                    name: "fig2-nemesis".into(),
+                    faults: FaultPlacement::Ids(vec![5]),
+                    fault_plan: FaultSpec {
                         loss: 0.3,
                         loss_until: 1_500,
                         crash: vec![2],
                         crash_at: 300,
                         recover_at: Some(2_000),
-                        ..Default::default()
-                    })
-                    .network(crate::scenario::NetworkSpec {
+                        ..FaultSpec::default()
+                    },
+                    network: NetworkSpec {
                         max_ticks: 100_000,
-                        ..Default::default()
-                    })
-                    .seeds(0, 2)
-                    .build(),
+                        ..NetworkSpec::default()
+                    },
+                    seeds: 2,
+                    ..Scenario::default()
+                },
             ],
         }
     }
@@ -715,10 +721,12 @@ mod tests {
             name: "bad-params".into(),
             mode: CampaignMode::Sample,
             threads: 2,
-            scenarios: vec![Scenario::builder("impossible")
-                .topology(TopologySpec::ScaleFree { n: 3, m: 4 })
-                .seeds(0, 2)
-                .build()],
+            scenarios: vec![Scenario {
+                name: "impossible".into(),
+                topology: TopologySpec::ScaleFree { n: 3, m: 4 },
+                seeds: 2,
+                ..Scenario::default()
+            }],
         }
         .run();
         assert_eq!(report.runs.len(), 2);
@@ -738,11 +746,12 @@ mod tests {
             name: "shape".into(),
             mode: CampaignMode::Sample,
             threads: 1,
-            scenarios: vec![Scenario::builder("s")
-                .topology(TopologySpec::Fig2)
-                .faults(FaultPlacement::Ids(vec![0]))
-                .seeds(0, 1)
-                .build()],
+            scenarios: vec![Scenario {
+                name: "s".into(),
+                faults: FaultPlacement::Ids(vec![0]),
+                seeds: 1,
+                ..Scenario::default()
+            }],
         }
         .run();
         let json = report.to_json();
@@ -764,20 +773,26 @@ mod tests {
             name: "top-seeds".into(),
             mode: CampaignMode::Sample,
             threads: 1,
-            scenarios: vec![Scenario::builder("s")
-                .topology(TopologySpec::Fig2)
-                .faults(FaultPlacement::Ids(vec![0]))
-                .seeds(i64::MAX as u64, 2)
-                .build()],
+            scenarios: vec![Scenario {
+                name: "s".into(),
+                faults: FaultPlacement::Ids(vec![0]),
+                seed_base: i64::MAX as u64,
+                seeds: 2,
+                ..Scenario::default()
+            }],
         }
         .run();
         let seeds: Vec<u64> = report.runs.iter().map(|r| r.seed).collect();
         assert_eq!(seeds, [i64::MAX as u64, 1 << 63]);
-        // Past i64 the seed renders as the nearest f64.
+        // Past i64 the seed renders as the nearest f64, in exponent form
+        // so that it reads back as a float, not an out-of-range integer.
         let json = report.runs[1].to_json();
         assert_eq!(json.get("seed").unwrap().as_f64(), Some(2f64.powi(63)));
         let text = json.compact();
-        assert!(text.contains("\"seed\":9223372036854776000,"), "{text}");
+        assert!(text.contains("\"seed\":9.223372036854776e18,"), "{text}");
+        let back = crate::json::parse(&report.to_json().pretty()).unwrap();
+        let runs = back.get("runs").unwrap().as_arr().unwrap();
+        assert_eq!(runs[1].get("seed").unwrap().as_f64(), Some(2f64.powi(63)));
     }
 
     #[test]
@@ -785,21 +800,21 @@ mod tests {
         // Non-converging runs burn events until `max_ticks` (SCP ballot
         // timers re-arm forever), so exploratory sweeps get a small
         // horizon.
-        let network = crate::scenario::NetworkSpec {
-            max_ticks: 30_000,
-            ..Default::default()
-        };
         let report = Campaign {
             name: "er".into(),
             mode: CampaignMode::Sample,
             threads: 0,
-            scenarios: vec![Scenario::builder("er")
-                .topology(TopologySpec::ErdosRenyi { n: 8, p: 0.2 })
-                .faults(FaultPlacement::None)
-                .network(network)
-                .oracle(OracleMode::Observe)
-                .seeds(0, 4)
-                .build()],
+            scenarios: vec![Scenario {
+                name: "er".into(),
+                topology: TopologySpec::ErdosRenyi { n: 8, p: 0.2 },
+                network: NetworkSpec {
+                    max_ticks: 30_000,
+                    ..NetworkSpec::default()
+                },
+                oracle: OracleMode::Observe,
+                seeds: 4,
+                ..Scenario::default()
+            }],
         }
         .run();
         assert!(report.all_passed());

@@ -7,8 +7,10 @@
 //! - [`scenario`] — the declarative model: a [`Scenario`]
 //!   names a topology family, fault threshold, adversary strategy, fault
 //!   placement, protocol, network timing, seed range, and oracle mode;
-//!   built programmatically ([`Scenario::builder`](scenario::Scenario::builder))
-//!   or loaded from TOML/JSON campaign files ([`parse`]);
+//!   [`Scenario::default`](scenario::Scenario::default) holds every
+//!   default, which code overrides with struct-update syntax and
+//!   TOML/JSON campaign files ([`parse`]) key by key, and each mode enum
+//!   spells its variants once ([`Named`]);
 //! - [`topology`] — deterministic instantiation of the topology families
 //!   (the paper's figures, random `k`-OSR / Byzantine-safe graphs, and the
 //!   Erdős–Rényi / scale-free / clustered / perturbed families from
@@ -38,17 +40,19 @@
 //!
 //! ```
 //! use scup_harness::campaign::Campaign;
-//! use scup_harness::scenario::{FaultPlacement, Scenario, TopologySpec};
+//! use scup_harness::scenario::{FaultPlacement, Scenario};
 //!
+//! // Fig. 2 with f = 1 is the default system; process 5 fails silently.
 //! let campaign = Campaign {
 //!     name: "doc".into(),
 //!     mode: Default::default(),
 //!     threads: 2,
-//!     scenarios: vec![Scenario::builder("fig2")
-//!         .topology(TopologySpec::Fig2)
-//!         .faults(FaultPlacement::Ids(vec![5]))
-//!         .seeds(0, 4)
-//!         .build()],
+//!     scenarios: vec![Scenario {
+//!         name: "fig2".into(),
+//!         faults: FaultPlacement::Ids(vec![5]),
+//!         seeds: 4,
+//!         ..Scenario::default()
+//!     }],
 //! };
 //! let report = campaign.run();
 //! assert!(report.all_passed());
@@ -76,7 +80,7 @@ pub use campaign::{Campaign, CampaignMode, CampaignReport, RunRecord};
 pub use oracle::InvariantReport;
 pub use parse::campaign_from_str;
 pub use scenario::{
-    ExploreSpec, FaultPlacement, FaultSpec, NetworkSpec, OracleMode, ProtocolSpec, Scenario,
+    ExploreSpec, FaultPlacement, FaultSpec, Named, NetworkSpec, OracleMode, ProtocolSpec, Scenario,
     TopologySpec,
 };
 pub use system::System;

@@ -23,7 +23,7 @@ use scup_graph::{kosr, KnowledgeGraph, ProcessId, ProcessSet};
 use scup_scp::Value;
 
 use crate::adversary::AdversaryKind;
-use crate::scenario::{OracleMode, ValidityMode};
+use crate::scenario::{Named, OracleMode, ValidityMode};
 
 /// The oracle verdict for one run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -298,7 +298,7 @@ mod tests {
     }
 
     fn fig2_inputs() -> Vec<Value> {
-        (0..7).map(|i| 100 + i as Value).collect()
+        stellar_cup::consensus::default_inputs(7)
     }
 
     #[test]

@@ -20,13 +20,10 @@
 //! seeds = 16
 //! ```
 
+use crate::adversary::AdversaryRegistry;
 use crate::campaign::{Campaign, CampaignMode};
 use crate::json::{self, Json};
-use crate::scenario::{
-    ChurnSpec, ExploreSpec, FaultPlacement, FaultSpec, NetworkSpec, OracleMode, ProtocolSpec,
-    Scenario, TopologySpec, ValidityMode,
-};
-use stellar_cup::attempts::LocalSliceStrategy;
+use crate::scenario::{ChurnSpec, FaultPlacement, FaultSpec, Named, Scenario, TopologySpec};
 
 /// Loads a campaign from TOML or JSON text, deciding by syntax (JSON
 /// documents start with `{`).
@@ -57,12 +54,7 @@ pub fn campaign_from_json(doc: &Json) -> Result<Campaign, String> {
         .ok_or("campaign needs a string `name`")?
         .to_string();
     let threads = get_usize(doc, "threads")?.unwrap_or(0);
-    let mode = match doc.get("mode").map(|v| v.as_str()) {
-        None => CampaignMode::Sample,
-        Some(Some("sample")) => CampaignMode::Sample,
-        Some(Some("explore")) => CampaignMode::Explore,
-        Some(other) => return Err(format!("bad `mode` {other:?}; use sample | explore")),
-    };
+    let mode = get_named(doc, "mode")?.unwrap_or_default();
     let scenario_docs = doc
         .get("scenario")
         .and_then(Json::as_arr)
@@ -77,9 +69,14 @@ pub fn campaign_from_json(doc: &Json) -> Result<Campaign, String> {
     if mode == CampaignMode::Explore {
         // Keys the explorer does not support fail at load time, naming
         // the scenario and the offending key — a generic per-record
-        // error at run time buries the fix.
+        // error at run time buries the fix. The adversary is classified
+        // as the explorer's setup does; an unknown name stays a run-time
+        // record error.
+        let registry = AdversaryRegistry::builtin();
         for s in &scenarios {
-            let value_injecting = matches!(s.adversary.as_str(), "equivocate" | "forged-slice");
+            let value_injecting = registry
+                .resolve(&s.adversary)
+                .is_ok_and(|kind| !kind.preserves_validity());
             if let Some(err) = s.explore_unsupported(value_injecting) {
                 return Err(err);
             }
@@ -99,6 +96,8 @@ pub fn campaign_from_json(doc: &Json) -> Result<Campaign, String> {
 /// something other than what it asks for — they are rejected instead.
 const REMOVED_KEYS: [&str; 4] = ["search", "sleep_sets", "frontier_depth", "bft_view_timeout"];
 
+/// Builds a scenario from [`Scenario::default`], overriding only the keys
+/// the table sets; `name` and `topology` are required.
 fn scenario_from_json(doc: &Json) -> Result<Scenario, String> {
     let name = doc
         .get("name")
@@ -111,132 +110,78 @@ fn scenario_from_json(doc: &Json) -> Result<Scenario, String> {
         ));
     }
 
-    let topology = topology_from_json(doc)?;
-    let f = get_usize(doc, "f")?.unwrap_or(1);
-    topology
-        .validate(f)
-        .map_err(|e| format!("scenario `{name}`: {e}"))?;
-
-    let adversary = doc
-        .get("adversary")
-        .map(|v| v.as_str().ok_or("`adversary` must be a string"))
-        .transpose()?
-        .unwrap_or("silent")
-        .to_string();
-
-    let faults = faults_from_json(doc, f)?;
-    let fault_plan = fault_spec_from_json(doc)?;
-    let protocol = protocol_from_json(doc)?;
-
-    let defaults = NetworkSpec::default();
-    let network = NetworkSpec {
-        gst: get_u64(doc, "gst")?.unwrap_or(defaults.gst),
-        delta: get_u64(doc, "delta")?.unwrap_or(defaults.delta),
-        max_ticks: get_u64(doc, "max_ticks")?.unwrap_or(defaults.max_ticks),
+    let mut s = Scenario {
+        topology: topology_from_json(doc)?,
+        name,
+        ..Scenario::default()
     };
+    s.f = get_usize(doc, "f")?.unwrap_or(s.f);
+    s.topology
+        .validate(s.f)
+        .map_err(|e| format!("scenario `{}`: {e}", s.name))?;
+
+    if let Some(v) = doc.get("adversary") {
+        s.adversary = v
+            .as_str()
+            .ok_or("`adversary` must be a string")?
+            .to_string();
+    }
+    s.faults = faults_from_json(doc, s.f)?.unwrap_or(s.faults);
+    if let Some(table) = doc.get("faults") {
+        s.fault_plan = fault_spec_from_json(table)?;
+    }
+    s.protocol = get_named(doc, "protocol")?.unwrap_or(s.protocol);
+
+    let network = &mut s.network;
+    network.gst = get_u64(doc, "gst")?.unwrap_or(network.gst);
+    network.delta = get_u64(doc, "delta")?.unwrap_or(network.delta);
+    network.max_ticks = get_u64(doc, "max_ticks")?.unwrap_or(network.max_ticks);
     network
         .validate()
-        .map_err(|e| format!("scenario `{name}`: {e}"))?;
+        .map_err(|e| format!("scenario `{}`: {e}", s.name))?;
 
-    let seeds = get_u64(doc, "seeds")?.unwrap_or(8);
-    if seeds == 0 {
+    s.seeds = get_u64(doc, "seeds")?.unwrap_or(s.seeds);
+    if s.seeds == 0 {
         return Err("`seeds` must be at least 1".into());
     }
-    let seed_base = get_u64(doc, "seed_base")?.unwrap_or(0);
+    s.seed_base = get_u64(doc, "seed_base")?.unwrap_or(s.seed_base);
+    s.oracle = get_named(doc, "oracle")?.unwrap_or(s.oracle);
+    if let Some(v) = doc.get("inputs") {
+        s.inputs = Some(inputs_from_json(v)?);
+    }
 
-    let oracle = match doc.get("oracle").map(|v| v.as_str()) {
-        None => OracleMode::Require,
-        Some(Some("require")) => OracleMode::Require,
-        Some(Some("conditional")) => OracleMode::Conditional,
-        Some(Some("observe")) => OracleMode::Observe,
-        Some(other) => {
-            return Err(format!(
-                "bad `oracle` {other:?}; use require | conditional | observe"
-            ))
-        }
-    };
+    let explore = &mut s.explore;
+    explore.max_steps = get_u32(doc, "max_steps")?.unwrap_or(explore.max_steps);
+    explore.max_states = get_u64(doc, "max_states")?.unwrap_or(explore.max_states);
+    explore.timer_budget = get_u32(doc, "timer_budget")?.unwrap_or(explore.timer_budget);
+    s.expect_violation = get_bool(doc, "expect_violation")?.unwrap_or(s.expect_violation);
+    let explore = &mut s.explore;
+    explore.symmetry = get_bool(doc, "symmetry")?.unwrap_or(explore.symmetry);
+    explore.eager_inert = get_bool(doc, "eager_inert")?.unwrap_or(explore.eager_inert);
+    explore.explore_discovery =
+        get_bool(doc, "explore_discovery")?.unwrap_or(explore.explore_discovery);
+    explore.preresolve_sink = get_bool(doc, "preresolve_sink")?.unwrap_or(explore.preresolve_sink);
 
-    let inputs = match doc.get("inputs") {
-        None => None,
-        Some(v) => {
-            let arr = v.as_arr().ok_or("`inputs` must be an array of integers")?;
-            if arr.is_empty() {
-                return Err("`inputs` must not be empty".into());
-            }
-            let mut out = Vec::with_capacity(arr.len());
-            for item in arr {
-                let value = item.as_i64().ok_or("`inputs` entries must be integers")?;
-                if value < 0 {
-                    return Err("`inputs` entries must be non-negative".into());
-                }
-                out.push(value as u64);
-            }
-            Some(out)
-        }
-    };
+    if let Some(table) = doc.get("churn") {
+        s.churn = churn_spec_from_json(table)?;
+    }
+    s.validity = get_named(doc, "validity")?.unwrap_or(s.validity);
+    Ok(s)
+}
 
-    let defaults = ExploreSpec::default();
-    let explore = ExploreSpec {
-        max_steps: get_u32(doc, "max_steps")?.unwrap_or(defaults.max_steps),
-        max_states: get_u64(doc, "max_states")?.unwrap_or(defaults.max_states),
-        timer_budget: get_u32(doc, "timer_budget")?.unwrap_or(defaults.timer_budget),
-        expect_violation: match doc.get("expect_violation") {
-            None => defaults.expect_violation,
-            Some(v) => v.as_bool().ok_or("`expect_violation` must be a boolean")?,
-        },
-        symmetry: match doc.get("symmetry") {
-            None => defaults.symmetry,
-            Some(v) => v.as_bool().ok_or("`symmetry` must be a boolean")?,
-        },
-        eager_inert: match doc.get("eager_inert") {
-            None => defaults.eager_inert,
-            Some(v) => v.as_bool().ok_or("`eager_inert` must be a boolean")?,
-        },
-        explore_discovery: match doc.get("explore_discovery") {
-            None => defaults.explore_discovery,
-            Some(v) => v.as_bool().ok_or("`explore_discovery` must be a boolean")?,
-        },
-        preresolve_sink: match doc.get("preresolve_sink") {
-            None => defaults.preresolve_sink,
-            Some(v) => v.as_bool().ok_or("`preresolve_sink` must be a boolean")?,
-        },
-    };
-
-    let churn = churn_spec_from_json(doc)?;
-    let validity = match doc.get("validity").map(|v| v.as_str()) {
-        None => ValidityMode::Strong,
-        Some(Some("strong")) => ValidityMode::Strong,
-        Some(Some("weak")) => ValidityMode::Weak,
-        Some(Some("external")) => ValidityMode::External,
-        Some(other) => {
-            return Err(format!(
-                "bad `validity` {other:?}; use strong | weak | external"
-            ))
-        }
-    };
-
-    Ok(Scenario {
-        name,
-        topology,
-        f,
-        adversary,
-        faults,
-        fault_plan,
-        churn,
-        validity,
-        // One campaign key drives both consumers: sampling runs read
-        // `Scenario::expect_violation`, the explorer reads its copy in
-        // `ExploreSpec` — split values would let a scenario pass one
-        // pipeline and silently invert the other.
-        expect_violation: explore.expect_violation,
-        protocol,
-        network,
-        seeds,
-        seed_base,
-        oracle,
-        inputs,
-        explore,
-    })
+/// Reads the `inputs` override: a non-empty array of non-negative
+/// integers.
+fn inputs_from_json(v: &Json) -> Result<Vec<u64>, String> {
+    let arr = v.as_arr().ok_or("`inputs` must be an array of integers")?;
+    if arr.is_empty() {
+        return Err("`inputs` must not be empty".into());
+    }
+    arr.iter()
+        .map(|item| {
+            let value = item.as_i64().ok_or("`inputs` entries must be integers")?;
+            u64::try_from(value).map_err(|_| "`inputs` entries must be non-negative".to_string())
+        })
+        .collect()
 }
 
 /// Reads `table.key` of the inline table `section` as a list of process
@@ -258,14 +203,11 @@ fn id_list(table: &Json, section: &str, key: &str) -> Result<Vec<u32>, String> {
         .collect()
 }
 
-/// Reads the `faults = { ... }` inline table into a [`FaultSpec`]; absent
-/// key = the zero spec. Unknown keys are an error — a typo like
-/// `los = 0.3` silently becoming a fault-free run would defeat the
+/// Reads the `faults = { ... }` inline table into a [`FaultSpec`]; unset
+/// keys keep [`FaultSpec::default`]. Unknown keys are an error — a typo
+/// like `los = 0.3` silently becoming a fault-free run would defeat the
 /// campaign.
-fn fault_spec_from_json(doc: &Json) -> Result<FaultSpec, String> {
-    let Some(table) = doc.get("faults") else {
-        return Ok(FaultSpec::default());
-    };
+fn fault_spec_from_json(table: &Json) -> Result<FaultSpec, String> {
     let Json::Obj(fields) = table else {
         return Err("`faults` must be an inline table, e.g. \
                     faults = { loss = 0.3, loss_until = 2000 }"
@@ -314,14 +256,11 @@ fn fault_spec_from_json(doc: &Json) -> Result<FaultSpec, String> {
     Ok(spec)
 }
 
-/// Reads the `churn = { ... }` inline table into a [`ChurnSpec`]; absent
-/// key = zero churn. Unknown keys are an error for the same reason as in
-/// `faults`: a typo like `join = [9]` silently becoming a churn-free run
-/// would defeat the campaign.
-fn churn_spec_from_json(doc: &Json) -> Result<ChurnSpec, String> {
-    let Some(table) = doc.get("churn") else {
-        return Ok(ChurnSpec::default());
-    };
+/// Reads the `churn = { ... }` inline table into a [`ChurnSpec`]; unset
+/// keys keep [`ChurnSpec::default`]. Unknown keys are an error for the
+/// same reason as in `faults`: a typo like `join = [9]` silently becoming
+/// a churn-free run would defeat the campaign.
+fn churn_spec_from_json(table: &Json) -> Result<ChurnSpec, String> {
     let Json::Obj(fields) = table else {
         return Err("`churn` must be an inline table, e.g. \
                     churn = { joins = [9], join_at = 20000 }"
@@ -418,7 +357,9 @@ fn topology_from_json(doc: &Json) -> Result<TopologySpec, String> {
     }
 }
 
-fn faults_from_json(doc: &Json, f: usize) -> Result<FaultPlacement, String> {
+/// Reads the fault placement (`faulty`, or `fault_placement` with an
+/// optional `fault_count` defaulting to `f`); `None` when neither is set.
+fn faults_from_json(doc: &Json, f: usize) -> Result<Option<FaultPlacement>, String> {
     if let Some(ids) = doc.get("faulty") {
         let arr = ids.as_arr().ok_or("`faulty` must be an array of ids")?;
         let mut out = Vec::with_capacity(arr.len());
@@ -435,10 +376,10 @@ fn faults_from_json(doc: &Json, f: usize) -> Result<FaultPlacement, String> {
         if doc.get("fault_count").is_some() {
             return Err("give `faulty` or `fault_count`, not both".into());
         }
-        return Ok(FaultPlacement::Ids(out));
+        return Ok(Some(FaultPlacement::Ids(out)));
     }
     let count = get_usize(doc, "fault_count")?.unwrap_or(f);
-    match doc.get("fault_placement").map(|v| v.as_str()) {
+    let placement = match doc.get("fault_placement").map(|v| v.as_str()) {
         None => {
             if doc.get("fault_count").is_some() {
                 return Err(
@@ -447,39 +388,39 @@ fn faults_from_json(doc: &Json, f: usize) -> Result<FaultPlacement, String> {
                         .into(),
                 );
             }
-            Ok(FaultPlacement::None)
+            return Ok(None);
         }
-        Some(Some("none")) => Ok(FaultPlacement::None),
-        Some(Some("generator")) => Ok(FaultPlacement::Generator),
-        Some(Some("random")) => Ok(FaultPlacement::Random { count }),
-        Some(Some("sink")) => Ok(FaultPlacement::Sink { count }),
-        Some(Some("nonsink")) => Ok(FaultPlacement::NonSink { count }),
-        Some(other) => Err(format!(
-            "bad `fault_placement` {other:?}; use none | generator | random | sink | nonsink \
-             (or a `faulty` id list)"
-        )),
-    }
+        Some(Some("none")) => FaultPlacement::None,
+        Some(Some("generator")) => FaultPlacement::Generator,
+        Some(Some("random")) => FaultPlacement::Random { count },
+        Some(Some("sink")) => FaultPlacement::Sink { count },
+        Some(Some("nonsink")) => FaultPlacement::NonSink { count },
+        Some(other) => {
+            return Err(format!(
+                "bad `fault_placement` {other:?}; use none | generator | random | sink | \
+                 nonsink (or a `faulty` id list)"
+            ))
+        }
+    };
+    Ok(Some(placement))
 }
 
-fn protocol_from_json(doc: &Json) -> Result<ProtocolSpec, String> {
-    match doc.get("protocol").map(|v| v.as_str()) {
-        None => Ok(ProtocolSpec::StellarMinimal),
-        Some(Some("stellar-minimal")) => Ok(ProtocolSpec::StellarMinimal),
-        Some(Some("stellar-local-all-but-one")) => {
-            Ok(ProtocolSpec::StellarLocal(LocalSliceStrategy::AllButOne))
-        }
-        Some(Some("stellar-local-survive-f")) => {
-            Ok(ProtocolSpec::StellarLocal(LocalSliceStrategy::SurviveF))
-        }
-        Some(Some("stellar-local-f-plus-one")) => {
-            Ok(ProtocolSpec::StellarLocal(LocalSliceStrategy::FPlusOne))
-        }
-        Some(Some("bft-cup")) => Ok(ProtocolSpec::BftCup),
-        Some(other) => Err(format!(
-            "bad `protocol` {other:?}; use stellar-minimal | stellar-local-all-but-one | \
-             stellar-local-survive-f | stellar-local-f-plus-one | bft-cup"
-        )),
-    }
+/// Reads the optional mode key `key` by its variants' [`Named`] spellings;
+/// any other value is an error listing them.
+fn get_named<T: Named>(doc: &Json, key: &str) -> Result<Option<T>, String> {
+    let Some(v) = doc.get(key) else {
+        return Ok(None);
+    };
+    let name = v.as_str();
+    name.and_then(T::from_name)
+        .map(Some)
+        .ok_or_else(|| format!("bad `{key}` {name:?}; use {}", T::names(" | ")))
+}
+
+fn get_bool(doc: &Json, key: &str) -> Result<Option<bool>, String> {
+    doc.get(key)
+        .map(|v| v.as_bool().ok_or(format!("`{key}` must be a boolean")))
+        .transpose()
 }
 
 fn get_u64(doc: &Json, key: &str) -> Result<Option<u64>, String> {
@@ -677,6 +618,7 @@ fn parse_toml_value(text: &str) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{NetworkSpec, OracleMode, ProtocolSpec, ValidityMode};
 
     const EXAMPLE: &str = r#"
 # A small campaign.
@@ -814,6 +756,73 @@ max_ticks = 1_000_000
         for (input, needle) in cases {
             let err = campaign_from_str(input).unwrap_err();
             assert!(err.contains(needle), "{input:?} → {err}");
+        }
+    }
+
+    /// A table with only the required keys is [`Scenario::default`] under
+    /// its name: the parser writes no default of its own.
+    #[test]
+    fn a_bare_table_parses_to_the_default_scenario() {
+        let c =
+            campaign_from_str("name = \"x\"\n[[scenario]]\nname = \"s\"\ntopology = \"fig2\"\n")
+                .unwrap();
+        let expected = Scenario {
+            name: "s".into(),
+            ..Scenario::default()
+        };
+        assert_eq!(c.scenarios[0], expected);
+        assert_eq!(c.mode, CampaignMode::Sample);
+    }
+
+    /// Each variant's one spelling loads back as that variant, and a bad
+    /// spelling names every good one.
+    #[test]
+    fn every_mode_name_round_trips_through_the_parser() {
+        let load = |top: &str, key: &str| {
+            campaign_from_str(&format!(
+                "name = \"x\"\n{top}\n[[scenario]]\nname = \"s\"\ntopology = \"fig2\"\n{key}\n"
+            ))
+        };
+        for &mode in CampaignMode::ALL {
+            let c = load(&format!("mode = \"{}\"", mode.name()), "").unwrap();
+            assert_eq!(c.mode, mode);
+        }
+        let scenario = |key: &str, name: &str| load("", &format!("{key} = \"{name}\""));
+        for &oracle in OracleMode::ALL {
+            let c = scenario("oracle", oracle.name()).unwrap();
+            assert_eq!(c.scenarios[0].oracle, oracle);
+        }
+        for &validity in ValidityMode::ALL {
+            let c = scenario("validity", validity.name()).unwrap();
+            assert_eq!(c.scenarios[0].validity, validity);
+        }
+        for &protocol in ProtocolSpec::ALL {
+            let c = scenario("protocol", protocol.name()).unwrap();
+            assert_eq!(c.scenarios[0].protocol, protocol);
+        }
+        assert_eq!(
+            load("mode = \"wat\"", "").unwrap_err(),
+            "bad `mode` Some(\"wat\"); use sample | explore"
+        );
+        let cases = [
+            ("oracle", "use require | conditional | observe"),
+            ("validity", "use strong | weak | external"),
+            (
+                "protocol",
+                "use stellar-minimal | stellar-local-all-but-one | stellar-local-survive-f | \
+                 stellar-local-f-plus-one | bft-cup",
+            ),
+        ];
+        for (key, choices) in cases {
+            assert_eq!(
+                scenario(key, "wat").unwrap_err(),
+                format!("scenario #1: bad `{key}` Some(\"wat\"); {choices}")
+            );
+            let not_a_string = load("", &format!("{key} = 3")).unwrap_err();
+            assert_eq!(
+                not_a_string,
+                format!("scenario #1: bad `{key}` None; {choices}")
+            );
         }
     }
 

@@ -139,13 +139,8 @@ pub fn sim_trace_to_chrome(
 ///
 /// One seed per scenario keeps the export bounded: a trace is a
 /// schedule to *look at*, not a statistic, and every extra seed would
-/// only overlay another copy of the same topology.
-pub fn trace_first_seeds(campaign: &Campaign) -> Vec<ChromeEvent> {
-    trace_seeds(campaign, None)
-}
-
-/// [`trace_first_seeds`] with an optional seed override (the
-/// `--trace-seed` flag): when set, every scenario re-runs that seed
+/// only overlay another copy of the same topology. `seed_override` (the
+/// `--trace-seed` flag), when set, makes every scenario re-run that seed
 /// instead of its `seed_base` — the way to export the exact schedule a
 /// failing seed produced.
 pub fn trace_seeds(campaign: &Campaign, seed_override: Option<u64>) -> Vec<ChromeEvent> {
@@ -205,13 +200,15 @@ mod tests {
             name: "trace".into(),
             mode: CampaignMode::Sample,
             threads: 1,
-            scenarios: vec![Scenario::builder("fig2-silent")
-                .topology(TopologySpec::Fig2)
-                .faults(FaultPlacement::Ids(vec![5]))
-                .seeds(7, 1)
-                .build()],
+            scenarios: vec![Scenario {
+                name: "fig2-silent".into(),
+                faults: FaultPlacement::Ids(vec![5]),
+                seed_base: 7,
+                seeds: 1,
+                ..Scenario::default()
+            }],
         };
-        let events = trace_first_seeds(&campaign);
+        let events = trace_seeds(&campaign, None);
         let sends = events
             .iter()
             .filter(|e| matches!(e, ChromeEvent::Complete { cat, .. } if *cat == "sink-detect"))
@@ -294,11 +291,13 @@ mod tests {
             name: "bad".into(),
             mode: CampaignMode::Sample,
             threads: 1,
-            scenarios: vec![Scenario::builder("impossible")
-                .topology(TopologySpec::ScaleFree { n: 3, m: 4 })
-                .seeds(0, 1)
-                .build()],
+            scenarios: vec![Scenario {
+                name: "impossible".into(),
+                topology: TopologySpec::ScaleFree { n: 3, m: 4 },
+                seeds: 1,
+                ..Scenario::default()
+            }],
         };
-        assert!(trace_first_seeds(&campaign).is_empty());
+        assert!(trace_seeds(&campaign, None).is_empty());
     }
 }

@@ -234,8 +234,12 @@ mod tests {
 
     #[test]
     fn stellar_minimal_on_fig2_decides() {
-        let fig2 = Scenario::builder("fig2").faults(FaultPlacement::Ids(vec![5]));
-        let out = run(fig2.build(), 0);
+        let fig2 = Scenario {
+            name: "fig2".into(),
+            faults: FaultPlacement::Ids(vec![5]),
+            ..Scenario::default()
+        };
+        let out = run(fig2, 0);
         for i in 0..7usize {
             if i == 5 {
                 continue;
@@ -259,18 +263,21 @@ mod tests {
             &NetworkSpec::default(),
             &FaultSpec::default(),
             &ChurnSpec::default(),
-            (0..8).map(|i| 100 + i as Value).collect(),
+            stellar_cup::consensus::default_inputs(8),
             3,
         );
         let decided: Vec<Value> = out.decisions.iter().flatten().copied().collect();
         assert_eq!(decided.len(), 8, "all processes decide");
         assert!(decided.windows(2).all(|w| w[0] == w[1]));
         // The piecewise entry and the instantiated system are one path.
-        let fig1 = Scenario::builder("fig1")
-            .topology(TopologySpec::Fig1)
-            .f(0)
-            .protocol(ProtocolSpec::BftCup);
-        let same = run(fig1.build(), 3);
+        let fig1 = Scenario {
+            name: "fig1".into(),
+            topology: TopologySpec::Fig1,
+            f: 0,
+            protocol: ProtocolSpec::BftCup,
+            ..Scenario::default()
+        };
+        let same = run(fig1, 3);
         assert_eq!(
             (out.decisions, out.messages_sent, out.end_ticks),
             (same.decisions, same.messages_sent, same.end_ticks)
@@ -279,8 +286,11 @@ mod tests {
 
     #[test]
     fn stellar_local_runs() {
-        let local = Scenario::builder("local")
-            .protocol(ProtocolSpec::StellarLocal(LocalSliceStrategy::AllButOne));
-        assert_eq!(run(local.build(), 1).inputs.len(), 7);
+        let local = Scenario {
+            name: "local".into(),
+            protocol: ProtocolSpec::StellarLocal(LocalSliceStrategy::AllButOne),
+            ..Scenario::default()
+        };
+        assert_eq!(run(local, 1).inputs.len(), 7);
     }
 }

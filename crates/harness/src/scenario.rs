@@ -2,9 +2,11 @@
 //!
 //! A [`Scenario`] names everything one experiment needs — topology family,
 //! fault threshold, adversary strategy, fault placement, protocol, network
-//! timing, seed range, and oracle mode — as plain data. Campaign files
-//! (TOML or JSON) deserialize into this type; the builder serves
-//! programmatic use.
+//! timing, seed range, and oracle mode — as plain data.
+//! [`Scenario::default`] is the one place the defaults are written:
+//! campaign files (TOML or JSON) override the keys they set, and code
+//! spells a scenario with struct-update syntax,
+//! `Scenario { name, f: 0, ..Scenario::default() }`.
 
 use scup_graph::{KnowledgeGraph, ProcessId, ProcessSet};
 use scup_sim::{
@@ -12,6 +14,33 @@ use scup_sim::{
     Partition, RetransmitConfig, MAX_PROCESSES,
 };
 use stellar_cup::attempts::LocalSliceStrategy;
+use stellar_cup::consensus::{default_inputs, EndToEndConfig};
+
+/// A schema enum with one spelling per variant, shared by campaign files,
+/// reports and the CLI: [`Named::name`] is the only place a spelling is
+/// written, and parsing ([`Named::from_name`]) and the "use a | b" error
+/// texts ([`Named::names`]) derive from it.
+pub trait Named: Copy + 'static {
+    /// Every variant, in the order error texts list them.
+    const ALL: &'static [Self];
+
+    /// The variant's name in campaign files and reports.
+    fn name(&self) -> &'static str;
+
+    /// The variant spelled `name`, if any.
+    fn from_name(name: &str) -> Option<Self> {
+        Self::ALL.iter().copied().find(|v| v.name() == name)
+    }
+
+    /// Every name in [`Named::ALL`] order, joined by `sep`.
+    fn names(sep: &str) -> String {
+        Self::ALL
+            .iter()
+            .map(Self::name)
+            .collect::<Vec<_>>()
+            .join(sep)
+    }
+}
 
 /// A parameterized topology family.
 ///
@@ -456,11 +485,10 @@ impl ChurnSpec {
 /// (the hierarchy of Civit et al., arXiv:2301.04920). All three are
 /// safety oracles over the same decision vector; they only differ in
 /// which decided values count as legitimate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ValidityMode {
     /// A decided value must have been proposed by a *correct* process
     /// (fail-stop proposals count under the crash adversary).
-    #[default]
     Strong,
     /// Only binding when every correct process proposed the same value:
     /// then exactly that value may be decided. Distinct proposals make
@@ -472,9 +500,14 @@ pub enum ValidityMode {
     External,
 }
 
-impl ValidityMode {
-    /// The mode name used in campaign files and reports.
-    pub fn name(&self) -> &'static str {
+impl Named for ValidityMode {
+    const ALL: &'static [Self] = &[
+        ValidityMode::Strong,
+        ValidityMode::Weak,
+        ValidityMode::External,
+    ];
+
+    fn name(&self) -> &'static str {
         match self {
             ValidityMode::Strong => "strong",
             ValidityMode::Weak => "weak",
@@ -496,9 +529,16 @@ pub enum ProtocolSpec {
     BftCup,
 }
 
-impl ProtocolSpec {
-    /// The protocol name used in campaign files and reports.
-    pub fn name(&self) -> &'static str {
+impl Named for ProtocolSpec {
+    const ALL: &'static [Self] = &[
+        ProtocolSpec::StellarMinimal,
+        ProtocolSpec::StellarLocal(LocalSliceStrategy::AllButOne),
+        ProtocolSpec::StellarLocal(LocalSliceStrategy::SurviveF),
+        ProtocolSpec::StellarLocal(LocalSliceStrategy::FPlusOne),
+        ProtocolSpec::BftCup,
+    ];
+
+    fn name(&self) -> &'static str {
         match self {
             ProtocolSpec::StellarMinimal => "stellar-minimal",
             ProtocolSpec::StellarLocal(LocalSliceStrategy::AllButOne) => {
@@ -527,12 +567,14 @@ pub struct NetworkSpec {
     pub max_ticks: u64,
 }
 
+/// The timing of [`EndToEndConfig::default`].
 impl Default for NetworkSpec {
     fn default() -> Self {
+        let config = EndToEndConfig::default();
         NetworkSpec {
-            gst: 150,
-            delta: 10,
-            max_ticks: 3_000_000,
+            gst: config.gst,
+            delta: config.delta,
+            max_ticks: config.max_ticks,
         }
     }
 }
@@ -554,10 +596,9 @@ impl NetworkSpec {
 }
 
 /// How oracle violations affect a run's pass/fail status.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OracleMode {
     /// Every run must satisfy agreement, validity and termination.
-    #[default]
     Require,
     /// Runs must satisfy the oracles only when the structural premise
     /// (Byzantine-safe `k`-OSR with enough correct sink members) holds;
@@ -567,9 +608,14 @@ pub enum OracleMode {
     Observe,
 }
 
-impl OracleMode {
-    /// The mode name used in campaign files and reports.
-    pub fn name(&self) -> &'static str {
+impl Named for OracleMode {
+    const ALL: &'static [Self] = &[
+        OracleMode::Require,
+        OracleMode::Conditional,
+        OracleMode::Observe,
+    ];
+
+    fn name(&self) -> &'static str {
         match self {
             OracleMode::Require => "require",
             OracleMode::Conditional => "conditional",
@@ -599,9 +645,6 @@ pub struct ExploreSpec {
     /// treats a pending timer as a schedulable choice; re-arming would
     /// otherwise make the space infinite).
     pub timer_budget: u32,
-    /// `true` for seeded-counterexample scenarios: the run *passes* iff a
-    /// safety violation is found (and its minimal trace is reported).
-    pub expect_violation: bool,
     /// Symmetry reduction: quotient states by renamings of interchangeable
     /// processes (equal slices, inputs and adversary role, verified
     /// against the FBQS). Shrinks the state *count*; sound — reduced and
@@ -649,7 +692,6 @@ impl Default for ExploreSpec {
             max_steps: 64,
             max_states: 200_000,
             timer_budget: 1,
-            expect_violation: false,
             symmetry: true,
             eager_inert: true,
             explore_discovery: false,
@@ -660,7 +702,7 @@ impl Default for ExploreSpec {
 
 /// One declarative experiment: a topology family × adversary × protocol ×
 /// seed range, with the oracle policy to judge it by.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Scenario name (unique within a campaign).
     pub name: String,
@@ -683,10 +725,10 @@ pub struct Scenario {
     /// Which validity variant the oracle judges (TOML key `validity`);
     /// strong by default.
     pub validity: ValidityMode,
-    /// Sampling-mode counterexample expectation: the run *passes* iff
-    /// the oracles caught a violation (used by seeded misconfiguration
-    /// exhibits like `stale_joiner`). The parser sets this and
-    /// [`ExploreSpec::expect_violation`] from the same campaign key.
+    /// `true` for seeded counterexamples: the scenario *passes* iff a
+    /// violation is caught — by the oracles in a sampled run (exhibits
+    /// like `stale_joiner`), or as a safety violation with its minimal
+    /// trace under exploration. Both modes read this one flag.
     pub expect_violation: bool,
     /// Protocol under test.
     pub protocol: ProtocolSpec,
@@ -700,7 +742,7 @@ pub struct Scenario {
     pub oracle: OracleMode,
     /// Per-process input override (`inputs[i]` is process `i`'s proposal;
     /// shorter lists repeat cyclically). `None` = the default distinct
-    /// inputs `100 + i`. Fewer distinct values shrink the nomination
+    /// inputs of [`default_inputs`]. Fewer distinct values shrink the nomination
     /// space — the lever that makes exhaustive exploration of a scenario
     /// tractable.
     pub inputs: Option<Vec<u64>>,
@@ -708,18 +750,45 @@ pub struct Scenario {
     pub explore: ExploreSpec,
 }
 
+/// The one place the scenario defaults are written: the paper's Fig. 2
+/// with `f = 1` and no faulty process, the silent adversary, the positive
+/// pipeline, 8 seeds from 0, the `require` oracle under strong validity,
+/// and the default plans, timing and exploration bounds. The name is
+/// empty: a campaign file must give one, and so should code.
+impl Default for Scenario {
+    fn default() -> Self {
+        Scenario {
+            name: String::new(),
+            topology: TopologySpec::Fig2,
+            f: 1,
+            adversary: "silent".to_string(),
+            faults: FaultPlacement::None,
+            fault_plan: FaultSpec::default(),
+            churn: ChurnSpec::default(),
+            validity: ValidityMode::Strong,
+            expect_violation: false,
+            protocol: ProtocolSpec::StellarMinimal,
+            network: NetworkSpec::default(),
+            seeds: 8,
+            seed_base: 0,
+            oracle: OracleMode::Require,
+            inputs: None,
+            explore: ExploreSpec::default(),
+        }
+    }
+}
+
 impl Scenario {
     /// The concrete per-process inputs for an `n`-process instantiation:
-    /// the override repeated cyclically, or the default distinct `100 + i`
-    /// (an empty override — constructible through the builder, rejected by
-    /// the campaign-file parser — falls back to the default rather than
-    /// dividing by zero).
+    /// the override repeated cyclically, or [`default_inputs`] (an empty
+    /// override — constructible in code, rejected by the campaign-file
+    /// parser — falls back to the default rather than dividing by zero).
     pub fn resolved_inputs(&self, n: usize) -> Vec<u64> {
         match self.inputs.as_deref() {
             Some(values) if !values.is_empty() => {
                 (0..n).map(|i| values[i % values.len()]).collect()
             }
-            _ => (0..n).map(|i| 100 + i as u64).collect(),
+            _ => default_inputs(n),
         }
     }
 
@@ -728,8 +797,9 @@ impl Scenario {
     /// source of truth for the parser (`mode = "explore"` files) and the
     /// explorer's setup (`--mode explore`, programmatic scenarios), so
     /// the error text cannot drift between entry paths. `value_injecting`
-    /// is the caller's classification of the adversary — a string match
-    /// at parse time, the resolved `AdversaryKind` at setup time.
+    /// classifies the adversary the same way at both: its resolved
+    /// `AdversaryKind` does not preserve validity (an unknown name is not
+    /// value-injecting here; it fails the run instead).
     pub fn explore_unsupported(&self, value_injecting: bool) -> Option<String> {
         self.explore_discovery_unsupported(value_injecting)
             .or_else(|| self.preresolve_sink_unsupported())
@@ -802,130 +872,6 @@ impl Scenario {
             self.name
         ))
     }
-
-    /// Starts building a scenario with defaults (Fig. 2, `f = 1`, silent
-    /// adversary, no faults, positive pipeline, 8 seeds, `require`).
-    pub fn builder(name: impl Into<String>) -> ScenarioBuilder {
-        ScenarioBuilder {
-            scenario: Scenario {
-                name: name.into(),
-                topology: TopologySpec::Fig2,
-                f: 1,
-                adversary: "silent".to_string(),
-                faults: FaultPlacement::None,
-                fault_plan: FaultSpec::default(),
-                churn: ChurnSpec::default(),
-                validity: ValidityMode::Strong,
-                expect_violation: false,
-                protocol: ProtocolSpec::StellarMinimal,
-                network: NetworkSpec::default(),
-                seeds: 8,
-                seed_base: 0,
-                oracle: OracleMode::Require,
-                inputs: None,
-                explore: ExploreSpec::default(),
-            },
-        }
-    }
-}
-
-/// Fluent construction of [`Scenario`]s; see [`Scenario::builder`].
-#[derive(Debug, Clone)]
-pub struct ScenarioBuilder {
-    scenario: Scenario,
-}
-
-impl ScenarioBuilder {
-    /// Sets the topology family.
-    pub fn topology(mut self, t: TopologySpec) -> Self {
-        self.scenario.topology = t;
-        self
-    }
-
-    /// Sets the fault threshold.
-    pub fn f(mut self, f: usize) -> Self {
-        self.scenario.f = f;
-        self
-    }
-
-    /// Sets the adversary strategy name.
-    pub fn adversary(mut self, name: impl Into<String>) -> Self {
-        self.scenario.adversary = name.into();
-        self
-    }
-
-    /// Sets the fault placement.
-    pub fn faults(mut self, p: FaultPlacement) -> Self {
-        self.scenario.faults = p;
-        self
-    }
-
-    /// Sets the fault-injection spec.
-    pub fn fault_plan(mut self, spec: FaultSpec) -> Self {
-        self.scenario.fault_plan = spec;
-        self
-    }
-
-    /// Sets the membership-churn spec.
-    pub fn churn(mut self, spec: ChurnSpec) -> Self {
-        self.scenario.churn = spec;
-        self
-    }
-
-    /// Sets the validity variant the oracle judges.
-    pub fn validity(mut self, mode: ValidityMode) -> Self {
-        self.scenario.validity = mode;
-        self
-    }
-
-    /// Marks the scenario as a seeded counterexample: it passes iff the
-    /// oracles catch a violation.
-    pub fn expect_violation(mut self, expect: bool) -> Self {
-        self.scenario.expect_violation = expect;
-        self
-    }
-
-    /// Sets the protocol.
-    pub fn protocol(mut self, p: ProtocolSpec) -> Self {
-        self.scenario.protocol = p;
-        self
-    }
-
-    /// Sets the network timing.
-    pub fn network(mut self, n: NetworkSpec) -> Self {
-        self.scenario.network = n;
-        self
-    }
-
-    /// Sets the seed range.
-    pub fn seeds(mut self, base: u64, count: u64) -> Self {
-        self.scenario.seed_base = base;
-        self.scenario.seeds = count;
-        self
-    }
-
-    /// Sets the oracle mode.
-    pub fn oracle(mut self, o: OracleMode) -> Self {
-        self.scenario.oracle = o;
-        self
-    }
-
-    /// Sets the exploration bounds.
-    pub fn explore(mut self, e: ExploreSpec) -> Self {
-        self.scenario.explore = e;
-        self
-    }
-
-    /// Overrides the per-process inputs (cyclic when shorter than `n`).
-    pub fn inputs(mut self, inputs: Vec<u64>) -> Self {
-        self.scenario.inputs = Some(inputs);
-        self
-    }
-
-    /// Finishes the build.
-    pub fn build(self) -> Scenario {
-        self.scenario
-    }
 }
 
 #[cfg(test)]
@@ -934,31 +880,18 @@ mod tests {
 
     #[test]
     fn inputs_resolve_cyclically_and_tolerate_empty_overrides() {
-        let s = Scenario::builder("t").inputs(vec![4, 5]).build();
+        let s = Scenario {
+            inputs: Some(vec![4, 5]),
+            ..Scenario::default()
+        };
         assert_eq!(s.resolved_inputs(3), vec![4, 5, 4]);
-        // The builder (unlike the parser) allows an empty override; it
-        // must fall back to the defaults, not divide by zero.
-        let empty = Scenario::builder("t").inputs(vec![]).build();
+        // Code (unlike the parser) may set an empty override; it must
+        // fall back to the defaults, not divide by zero.
+        let empty = Scenario {
+            inputs: Some(vec![]),
+            ..Scenario::default()
+        };
         assert_eq!(empty.resolved_inputs(3), vec![100, 101, 102]);
-    }
-
-    #[test]
-    fn builder_round_trip() {
-        let s = Scenario::builder("t")
-            .topology(TopologySpec::ScaleFree { n: 30, m: 2 })
-            .f(0)
-            .adversary("echo")
-            .faults(FaultPlacement::Random { count: 1 })
-            .protocol(ProtocolSpec::BftCup)
-            .seeds(7, 3)
-            .oracle(OracleMode::Observe)
-            .build();
-        assert_eq!(s.name, "t");
-        assert_eq!(s.topology.family_name(), "scale-free");
-        assert_eq!(s.adversary, "echo");
-        assert_eq!(s.protocol.name(), "bft-cup");
-        assert_eq!((s.seed_base, s.seeds), (7, 3));
-        assert_eq!(s.oracle.name(), "observe");
     }
 
     #[test]

@@ -141,12 +141,14 @@ mod tests {
 
     #[test]
     fn zero_delta_is_an_error_not_a_panic_in_every_run() {
-        let scenario = Scenario::builder("instant")
-            .network(NetworkSpec {
+        let scenario = Scenario {
+            name: "instant".into(),
+            network: NetworkSpec {
                 delta: 0,
                 ..NetworkSpec::default()
-            })
-            .build();
+            },
+            ..Scenario::default()
+        };
         let err = System::of(&scenario, 0, &AdversaryRegistry::builtin()).unwrap_err();
         assert_eq!(err, "scenario `instant`: `delta` must be at least 1");
     }
@@ -178,7 +180,11 @@ mod tests {
             ),
         ];
         for (topology, needle) in cases {
-            let scenario = Scenario::builder("typo").topology(topology).f(1).build();
+            let scenario = Scenario {
+                name: "typo".into(),
+                topology,
+                ..Scenario::default()
+            };
             let err = System::of(&scenario, 0, &AdversaryRegistry::builtin()).unwrap_err();
             assert_eq!(err, format!("scenario `typo`: {needle}"));
         }

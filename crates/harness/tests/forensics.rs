@@ -15,50 +15,52 @@ use stellar_cup::attempts::LocalSliceStrategy;
 /// local survive-f slices and conflicting inputs — agreement fails on
 /// every seed.
 fn split_quorums_bad() -> Scenario {
-    Scenario::builder("split-quorums-bad")
-        .topology(TopologySpec::Clustered {
+    Scenario {
+        name: "split-quorums-bad".into(),
+        topology: TopologySpec::Clustered {
             clusters: 2,
             cluster_size: 2,
             bridges: 0,
             intra_extra_prob: 0.0,
             inter_extra_prob: 0.0,
-        })
-        .f(0)
-        .protocol(ProtocolSpec::StellarLocal(LocalSliceStrategy::SurviveF))
-        .faults(FaultPlacement::None)
-        .inputs(vec![1, 1, 2, 2])
-        .network(NetworkSpec {
+        },
+        f: 0,
+        protocol: ProtocolSpec::StellarLocal(LocalSliceStrategy::SurviveF),
+        inputs: Some(vec![1, 1, 2, 2]),
+        network: NetworkSpec {
             max_ticks: 50_000,
             ..Default::default()
-        })
+        },
         // Seeds pinned to the pair `campaigns/forensics.toml` samples: on
         // some seeds the agreement anchors' cones cover the whole (tiny)
         // event log, which is legal but makes a dull exhibit.
-        .seeds(0, 2)
-        .build()
+        seeds: 2,
+        ..Scenario::default()
+    }
 }
 
 /// The nemesis pledge violation: process 2 crashes mid-ballot and
 /// recovers with amnesia, then contradicts its journaled prepare votes
 /// (seed 1 is pinned failing; see `campaigns/forensics.toml`).
 fn amnesia_pledge() -> Scenario {
-    Scenario::builder("amnesia-pledge")
-        .topology(TopologySpec::Fig2)
-        .f(1)
-        .faults(FaultPlacement::Ids(vec![5]))
-        .fault_plan(FaultSpec {
+    Scenario {
+        name: "amnesia-pledge".into(),
+        faults: FaultPlacement::Ids(vec![5]),
+        fault_plan: FaultSpec {
             crash: vec![2],
             crash_at: 600,
             recover_at: Some(3000),
             amnesia: vec![2],
             ..Default::default()
-        })
-        .network(NetworkSpec {
+        },
+        network: NetworkSpec {
             max_ticks: 150_000,
             ..Default::default()
-        })
-        .seeds(1, 1)
-        .build()
+        },
+        seed_base: 1,
+        seeds: 1,
+        ..Scenario::default()
+    }
 }
 
 fn assert_explains(forensics: &ForensicReport) {
@@ -151,10 +153,11 @@ fn forensics_never_changes_the_outcome() {
     // traffic, identical pledge findings — on a passing scenario and on
     // both failing ones.
     let registry = AdversaryRegistry::builtin();
-    let fig2 = Scenario::builder("fig2")
-        .topology(TopologySpec::Fig2)
-        .faults(FaultPlacement::Ids(vec![5]))
-        .build();
+    let fig2 = Scenario {
+        name: "fig2".into(),
+        faults: FaultPlacement::Ids(vec![5]),
+        ..Scenario::default()
+    };
     for scenario in [fig2, split_quorums_bad(), amnesia_pledge()] {
         for seed in [scenario.seed_base, scenario.seed_base + 1] {
             let mut system = System::of(&scenario, seed, &registry).unwrap();
@@ -205,12 +208,12 @@ fn equivocation_pairs_are_attributed_in_the_cone() {
     // same-slot/different-payload send pairs, and the forensic cone must
     // name the equivocator even though the sibling sends share no causal
     // edge with the anchors.
-    let scenario = Scenario::builder("equivocation-attribution")
-        .topology(TopologySpec::Fig2)
-        .f(1)
-        .adversary("equivocate")
-        .faults(FaultPlacement::Ids(vec![5]))
-        .build();
+    let scenario = Scenario {
+        name: "equivocation-attribution".into(),
+        adversary: "equivocate".into(),
+        faults: FaultPlacement::Ids(vec![5]),
+        ..Scenario::default()
+    };
     let seed = 0;
     let mut system = System::of(&scenario, seed, &AdversaryRegistry::builtin()).unwrap();
     system.config.forensics = true;

@@ -16,26 +16,22 @@
 
 use proptest::prelude::*;
 use scup_harness::campaign::{run_one, Campaign, CampaignMode};
-use scup_harness::scenario::{
-    FaultPlacement, FaultSpec, NetworkSpec, OracleMode, Scenario, TopologySpec,
-};
+use scup_harness::scenario::{FaultPlacement, FaultSpec, NetworkSpec, Scenario};
 use scup_harness::AdversaryRegistry;
 
 /// The fig. 2 system (7 processes, 4-member sink {0..3}), one silent
 /// Byzantine outsider — the workhorse sampling scenario.
 fn fig2(spec: Option<FaultSpec>, max_ticks: u64) -> Scenario {
-    let mut b = Scenario::builder("fig2-prop")
-        .topology(TopologySpec::Fig2)
-        .faults(FaultPlacement::Ids(vec![5]))
-        .network(NetworkSpec {
+    Scenario {
+        name: "fig2-prop".into(),
+        faults: FaultPlacement::Ids(vec![5]),
+        fault_plan: spec.unwrap_or_default(),
+        network: NetworkSpec {
             max_ticks,
             ..Default::default()
-        })
-        .oracle(OracleMode::Require);
-    if let Some(spec) = spec {
-        b = b.fault_plan(spec);
+        },
+        ..Scenario::default()
     }
-    b.build()
 }
 
 /// A fault spec whose every window closes by tick ~2000 and whose
@@ -215,18 +211,16 @@ fn zero_plan_campaign_reports_are_bit_identical_across_worker_counts() {
 /// the configuration whose join/leave recovery paths (discovery
 /// re-probes, Decide vouchers, AskDecision) are all exercised.
 fn fig2_bft_churn(churn: scup_harness::scenario::ChurnSpec) -> Scenario {
-    Scenario::builder("fig2-bft-churn-prop")
-        .topology(TopologySpec::Fig2)
-        .f(1)
-        .faults(FaultPlacement::None)
-        .protocol(scup_harness::scenario::ProtocolSpec::BftCup)
-        .churn(churn)
-        .network(NetworkSpec {
+    Scenario {
+        name: "fig2-bft-churn-prop".into(),
+        protocol: scup_harness::scenario::ProtocolSpec::BftCup,
+        churn,
+        network: NetworkSpec {
             max_ticks: 300_000,
             ..Default::default()
-        })
-        .oracle(OracleMode::Require)
-        .build()
+        },
+        ..Scenario::default()
+    }
 }
 
 /// An arbitrary quiescing churn plan on fig. 2: joiners drawn from a

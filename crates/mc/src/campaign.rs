@@ -16,7 +16,7 @@ use std::time::Instant;
 use scup_graph::ProcessSet;
 use scup_harness::campaign::{configuration_panic, worker_threads, Campaign};
 use scup_harness::forensics::ForensicReport;
-use scup_harness::scenario::{ProtocolSpec, ValidityMode};
+use scup_harness::scenario::{Named, ProtocolSpec, ValidityMode};
 use scup_harness::{oracle, AdversaryRegistry, Scenario};
 use scup_obs::causal::CausalKind;
 use scup_obs::chrome::{ArgValue, ChromeEvent, TraceBuffer, TraceClock};
@@ -476,7 +476,7 @@ fn explore_with_driver<P: Explored>(
         );
     }
 
-    record.passed = if scenario.explore.expect_violation {
+    record.passed = if scenario.expect_violation {
         record.violation.is_some()
     } else {
         oracle::passes(scenario.oracle, record.premise, record.violating == 0)

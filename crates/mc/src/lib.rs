@@ -57,34 +57,35 @@
 //! the same scenario is fully exhausted: 20 880 states, 3 240 violating).
 //!
 //! ```
-//! use scup_harness::scenario::{
-//!     ExploreSpec, FaultPlacement, ProtocolSpec, Scenario, TopologySpec,
-//! };
+//! use scup_harness::scenario::{ExploreSpec, ProtocolSpec, Scenario, TopologySpec};
 //! use scup_harness::AdversaryRegistry;
 //! use scup_mc::campaign::explore_scenario;
 //! use stellar_cup::attempts::LocalSliceStrategy;
 //!
-//! let scenario = Scenario::builder("split-quorums")
-//!     .topology(TopologySpec::Clustered {
+//! let scenario = Scenario {
+//!     name: "split-quorums".into(),
+//!     topology: TopologySpec::Clustered {
 //!         clusters: 2,
 //!         cluster_size: 2,
 //!         bridges: 0,
 //!         intra_extra_prob: 0.0,
 //!         inter_extra_prob: 0.0,
-//!     })
-//!     .f(0)
-//!     .protocol(ProtocolSpec::StellarLocal(LocalSliceStrategy::SurviveF))
-//!     .faults(FaultPlacement::None)
-//!     .inputs(vec![1, 1, 2, 2])
-//!     .explore(ExploreSpec {
+//!     },
+//!     f: 0,
+//!     protocol: ProtocolSpec::StellarLocal(LocalSliceStrategy::SurviveF),
+//!     inputs: Some(vec![1, 1, 2, 2]),
+//!     explore: ExploreSpec {
 //!         max_steps: 20,
 //!         timer_budget: 0,
-//!         expect_violation: true,
 //!         ..Default::default()
-//!     })
-//!     .build();
+//!     },
+//!     // A seeded counterexample: the scenario passes iff agreement breaks.
+//!     expect_violation: true,
+//!     ..Scenario::default()
+//! };
 //! let record = explore_scenario(&scenario, 2, &AdversaryRegistry::builtin());
 //! assert!(record.violating > 0, "agreement breaks within the bound");
+//! assert!(record.passed, "…which is what the exhibit expects");
 //! let cex = record.violation.expect("minimal counterexample");
 //! assert_eq!(cex.depth, 16);
 //! assert!(cex.violations[0].starts_with("agreement:"));

@@ -39,90 +39,95 @@ use scup_sim::{ExploreSim, SimState};
 use stellar_cup::attempts::LocalSliceStrategy;
 
 fn sink2(steps: u32, timer_budget: u32, adversary: &str, inputs: Vec<u64>) -> Scenario {
-    Scenario::builder("sink2")
-        .topology(TopologySpec::RandomKosr {
+    Scenario {
+        name: "sink2".into(),
+        topology: TopologySpec::RandomKosr {
             sink: 2,
             nonsink: 2,
             k: 1,
             extra_edge_prob: 0.0,
-        })
-        .f(0)
-        .adversary(adversary)
-        .faults(FaultPlacement::Ids(vec![2, 3]))
-        .inputs(inputs)
-        .explore(ExploreSpec {
+        },
+        f: 0,
+        adversary: adversary.into(),
+        faults: FaultPlacement::Ids(vec![2, 3]),
+        inputs: Some(inputs),
+        explore: ExploreSpec {
             max_steps: steps,
             timer_budget,
             ..Default::default()
-        })
-        .build()
+        },
+        ..Scenario::default()
+    }
 }
 
 fn split22(steps: u32) -> Scenario {
-    Scenario::builder("split22")
-        .topology(TopologySpec::Clustered {
+    Scenario {
+        name: "split22".into(),
+        topology: TopologySpec::Clustered {
             clusters: 2,
             cluster_size: 2,
             bridges: 0,
             intra_extra_prob: 0.0,
             inter_extra_prob: 0.0,
-        })
-        .f(0)
-        .protocol(ProtocolSpec::StellarLocal(LocalSliceStrategy::SurviveF))
-        .faults(FaultPlacement::None)
-        .inputs(vec![1, 1, 2, 2])
-        .explore(ExploreSpec {
+        },
+        f: 0,
+        protocol: ProtocolSpec::StellarLocal(LocalSliceStrategy::SurviveF),
+        inputs: Some(vec![1, 1, 2, 2]),
+        explore: ExploreSpec {
             max_steps: steps,
             timer_budget: 0,
-            expect_violation: true,
             ..Default::default()
-        })
-        .build()
+        },
+        expect_violation: true,
+        ..Scenario::default()
+    }
 }
 
 /// The fig1-style BFT-CUP system (2-member sink, silent outsiders).
 fn bftcup_sink2(steps: u32, timer_budget: u32) -> Scenario {
-    Scenario::builder("bftcup-sink2")
-        .topology(TopologySpec::RandomKosr {
+    Scenario {
+        name: "bftcup-sink2".into(),
+        topology: TopologySpec::RandomKosr {
             sink: 2,
             nonsink: 2,
             k: 1,
             extra_edge_prob: 0.0,
-        })
-        .f(0)
-        .adversary("silent")
-        .faults(FaultPlacement::Ids(vec![2, 3]))
-        .protocol(ProtocolSpec::BftCup)
-        .inputs(vec![3, 9])
-        .explore(ExploreSpec {
+        },
+        f: 0,
+        faults: FaultPlacement::Ids(vec![2, 3]),
+        protocol: ProtocolSpec::BftCup,
+        inputs: Some(vec![3, 9]),
+        explore: ExploreSpec {
             max_steps: steps,
             timer_budget,
             ..Default::default()
-        })
-        .build()
+        },
+        ..Scenario::default()
+    }
 }
 
 /// The bounded equivocating-leader BFT-CUP system (4-member clique sink,
 /// f = 1, the view-0 leader lies).
 fn bftcup_equiv_leader(steps: u32) -> Scenario {
-    Scenario::builder("bftcup-equiv-leader")
-        .topology(TopologySpec::RandomKosr {
+    Scenario {
+        name: "bftcup-equiv-leader".into(),
+        topology: TopologySpec::RandomKosr {
             sink: 4,
             nonsink: 0,
             k: 3,
             extra_edge_prob: 0.0,
-        })
-        .f(1)
-        .adversary("equivocate")
-        .faults(FaultPlacement::Ids(vec![0]))
-        .protocol(ProtocolSpec::BftCup)
-        .inputs(vec![7])
-        .explore(ExploreSpec {
+        },
+        adversary: "equivocate".into(),
+        faults: FaultPlacement::Ids(vec![0]),
+        protocol: ProtocolSpec::BftCup,
+        inputs: Some(vec![7]),
+        explore: ExploreSpec {
             max_steps: steps,
             timer_budget: 0,
             ..Default::default()
-        })
-        .build()
+        },
+        ..Scenario::default()
+    }
 }
 
 /// The discovery-interleaved full-stack system: same graph as `sink2`,

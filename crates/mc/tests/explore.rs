@@ -2,8 +2,10 @@
 //! worker counts, exhaustive verdicts on the campaign systems, and the
 //! seeded counterexample.
 
-use scup_harness::campaign::{Campaign, CampaignMode};
-use scup_harness::scenario::{ExploreSpec, FaultPlacement, ProtocolSpec, Scenario, TopologySpec};
+use scup_harness::campaign::{run_one, Campaign, CampaignMode};
+use scup_harness::scenario::{
+    ExploreSpec, FaultPlacement, NetworkSpec, ProtocolSpec, Scenario, TopologySpec,
+};
 use scup_harness::AdversaryRegistry;
 use scup_mc::campaign::explore_scenario;
 use scup_mc::{run_explore_campaign, ExploreRecord};
@@ -12,46 +14,49 @@ use stellar_cup::attempts::LocalSliceStrategy;
 /// The n = 4 positive system of `campaigns/explore.toml`: a 2-member
 /// sink with two silent Byzantine outsiders.
 fn sink2(steps: u32, timer_budget: u32, adversary: &str, inputs: Vec<u64>) -> Scenario {
-    Scenario::builder("sink2")
-        .topology(TopologySpec::RandomKosr {
+    Scenario {
+        name: "sink2".into(),
+        topology: TopologySpec::RandomKosr {
             sink: 2,
             nonsink: 2,
             k: 1,
             extra_edge_prob: 0.0,
-        })
-        .f(0)
-        .adversary(adversary)
-        .faults(FaultPlacement::Ids(vec![2, 3]))
-        .inputs(inputs)
-        .explore(ExploreSpec {
+        },
+        f: 0,
+        adversary: adversary.into(),
+        faults: FaultPlacement::Ids(vec![2, 3]),
+        inputs: Some(inputs),
+        explore: ExploreSpec {
             max_steps: steps,
             timer_budget,
             ..Default::default()
-        })
-        .build()
+        },
+        ..Scenario::default()
+    }
 }
 
 /// The seeded known-bad system: two disjoint 2-cliques with local slices.
 fn split22() -> Scenario {
-    Scenario::builder("split22")
-        .topology(TopologySpec::Clustered {
+    Scenario {
+        name: "split22".into(),
+        topology: TopologySpec::Clustered {
             clusters: 2,
             cluster_size: 2,
             bridges: 0,
             intra_extra_prob: 0.0,
             inter_extra_prob: 0.0,
-        })
-        .f(0)
-        .protocol(ProtocolSpec::StellarLocal(LocalSliceStrategy::SurviveF))
-        .faults(FaultPlacement::None)
-        .inputs(vec![1, 1, 2, 2])
-        .explore(ExploreSpec {
+        },
+        f: 0,
+        protocol: ProtocolSpec::StellarLocal(LocalSliceStrategy::SurviveF),
+        inputs: Some(vec![1, 1, 2, 2]),
+        explore: ExploreSpec {
             max_steps: 48,
             timer_budget: 0,
-            expect_violation: true,
             ..Default::default()
-        })
-        .build()
+        },
+        expect_violation: true,
+        ..Scenario::default()
+    }
 }
 
 /// A step-bounded cut of the bad system: still finds the depth-16
@@ -214,26 +219,54 @@ fn seeded_bad_system_yields_minimal_counterexample() {
     assert!(r.passed, "expect_violation makes the find a pass");
 }
 
+/// A scenario built in code carries one exhibit flag, and both hosts read
+/// it: the sampler passes each seed because its agreement break is
+/// caught, the explorer because it finds the counterexample.
+#[test]
+fn an_exhibit_built_in_code_passes_sampled_and_explored() {
+    let scenario = Scenario {
+        network: NetworkSpec {
+            max_ticks: 50_000,
+            ..NetworkSpec::default()
+        },
+        seeds: 2,
+        ..split22_bounded()
+    };
+    assert!(scenario.expect_violation);
+    let registry = AdversaryRegistry::builtin();
+    for seed in scenario.seed_base..scenario.seed_base + scenario.seeds {
+        let record = run_one(&scenario, seed, &registry);
+        assert_eq!(record.error, None);
+        assert!(!record.invariants.agreement, "seed {seed} splits");
+        assert!(record.passed, "seed {seed}: the caught split passes");
+    }
+    let explored = explore_scenario(&scenario, 1, &registry);
+    assert_eq!(explored.error, None);
+    assert!(explored.violation.is_some(), "the split is reachable");
+    assert!(explored.passed, "the found split passes");
+}
+
 /// The fig1-style BFT-CUP system of `campaigns/explore.toml`.
 fn bftcup_sink2(steps: u32, timer_budget: u32) -> Scenario {
-    Scenario::builder("bftcup-sink2")
-        .topology(TopologySpec::RandomKosr {
+    Scenario {
+        name: "bftcup-sink2".into(),
+        topology: TopologySpec::RandomKosr {
             sink: 2,
             nonsink: 2,
             k: 1,
             extra_edge_prob: 0.0,
-        })
-        .f(0)
-        .adversary("silent")
-        .faults(FaultPlacement::Ids(vec![2, 3]))
-        .protocol(ProtocolSpec::BftCup)
-        .inputs(vec![3, 9])
-        .explore(ExploreSpec {
+        },
+        f: 0,
+        faults: FaultPlacement::Ids(vec![2, 3]),
+        protocol: ProtocolSpec::BftCup,
+        inputs: Some(vec![3, 9]),
+        explore: ExploreSpec {
             max_steps: steps,
             timer_budget,
             ..Default::default()
-        })
-        .build()
+        },
+        ..Scenario::default()
+    }
 }
 
 #[test]
@@ -656,6 +689,6 @@ fn campaign_file_parses_into_explore_mode() {
         .iter()
         .find(|s| s.name == "split-quorums-bad")
         .unwrap();
-    assert!(bad.explore.expect_violation);
+    assert!(bad.expect_violation);
     assert_eq!(bad.inputs.as_deref(), Some(&[1, 1, 2, 2][..]));
 }

@@ -28,25 +28,27 @@ fn pool(which: usize, seed_base: u64) -> Scenario {
         1 => vec![5],
         _ => vec![2, 2, 1, 1],
     };
-    Scenario::builder("split22")
-        .topology(TopologySpec::Clustered {
+    Scenario {
+        name: "split22".into(),
+        topology: TopologySpec::Clustered {
             clusters: 2,
             cluster_size: 2,
             bridges: 0,
             intra_extra_prob: 0.0,
             inter_extra_prob: 0.0,
-        })
-        .f(0)
-        .protocol(ProtocolSpec::StellarLocal(LocalSliceStrategy::SurviveF))
-        .faults(FaultPlacement::None)
-        .inputs(inputs)
-        .seeds(seed_base, 200)
-        .explore(ExploreSpec {
+        },
+        f: 0,
+        protocol: ProtocolSpec::StellarLocal(LocalSliceStrategy::SurviveF),
+        inputs: Some(inputs),
+        seed_base,
+        seeds: 200,
+        explore: ExploreSpec {
             max_steps: 64,
             timer_budget: 0,
             ..Default::default()
-        })
-        .build()
+        },
+        ..Scenario::default()
+    }
 }
 
 /// The BFT-CUP pool: the fig1-style 2-member-sink system with silent
@@ -60,25 +62,27 @@ fn bftcup_pool(which: usize, seed_base: u64) -> Scenario {
         0 => (vec![3, 9], 96, 1),
         _ => (vec![5, 5], 64, 0),
     };
-    Scenario::builder("bftcup-sink2")
-        .topology(TopologySpec::RandomKosr {
+    Scenario {
+        name: "bftcup-sink2".into(),
+        topology: TopologySpec::RandomKosr {
             sink: 2,
             nonsink: 2,
             k: 1,
             extra_edge_prob: 0.0,
-        })
-        .f(0)
-        .adversary("silent")
-        .faults(FaultPlacement::Ids(vec![2, 3]))
-        .protocol(ProtocolSpec::BftCup)
-        .inputs(inputs)
-        .seeds(seed_base, 200)
-        .explore(ExploreSpec {
+        },
+        f: 0,
+        faults: FaultPlacement::Ids(vec![2, 3]),
+        protocol: ProtocolSpec::BftCup,
+        inputs: Some(inputs),
+        seed_base,
+        seeds: 200,
+        explore: ExploreSpec {
             max_steps,
             timer_budget,
             ..Default::default()
-        })
-        .build()
+        },
+        ..Scenario::default()
+    }
 }
 
 /// The shared property body: 200 seeded sampled runs, then one

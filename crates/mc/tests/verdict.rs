@@ -48,14 +48,16 @@ fn setup(topology: usize, adversary: &str, faulty: &[u32], seed: u64) -> Setup {
         (TopologySpec::ByzantineSafe { .. }, true) => FaultPlacement::Generator,
         _ => FaultPlacement::Ids(ids),
     };
-    let scenario = Scenario::builder("verdict")
-        .topology(topology)
-        .f(1)
-        .adversary(adversary)
-        .faults(placement)
-        .protocol(ProtocolSpec::StellarLocal(LocalSliceStrategy::AllButOne))
-        .seeds(seed, 1)
-        .build();
+    let scenario = Scenario {
+        name: "verdict".into(),
+        topology,
+        adversary: adversary.into(),
+        faults: placement,
+        protocol: ProtocolSpec::StellarLocal(LocalSliceStrategy::AllButOne),
+        seed_base: seed,
+        seeds: 1,
+        ..Scenario::default()
+    };
     Setup::from_scenario(&scenario, &AdversaryRegistry::builtin()).expect("the system resolves")
 }
 

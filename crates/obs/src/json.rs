@@ -112,6 +112,12 @@ impl Json {
             // Writing into a `String` cannot fail.
             Json::Bool(b) => write!(out, "{b}").unwrap(),
             Json::Int(i) => write!(out, "{i}").unwrap(),
+            // From 2^63 on a float is integral, and its plain digits would
+            // read back as an out-of-range integer: the exponent keeps it
+            // a float.
+            Json::Float(f) if f.is_finite() && f.abs() >= TWO_POW_63 => {
+                write!(out, "{f:e}").unwrap()
+            }
             Json::Float(f) if f.is_finite() => write!(out, "{f}").unwrap(),
             Json::Float(_) => out.push_str("null"),
             Json::Str(s) => write_escaped(out, s),
@@ -140,6 +146,10 @@ impl Json {
         }
     }
 }
+
+/// The magnitude from which a float's shortest plain digits no longer
+/// parse as an `i64` (`-2^63` prints as `-9223372036854776000`).
+const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
 
 /// Integers up to `i64::MAX` stay exact; larger ones become the nearest
 /// `f64` instead of wrapping negative as `as i64` would.
@@ -509,5 +519,26 @@ mod tests {
         // A `u64` past `i64::MAX` rounds to a float; it never wraps.
         assert_eq!(Json::from(i64::MAX as u64), Json::Int(i64::MAX));
         assert_eq!(Json::from(u64::MAX), Json::Float(u64::MAX as f64));
+    }
+
+    #[test]
+    fn floats_past_i64_round_trip() {
+        for doc in [
+            Json::from(1u64 << 63),
+            Json::from(u64::MAX),
+            Json::Float(-1e19),
+            Json::Float(i64::MIN as f64),
+            Json::Float(f64::MAX),
+        ] {
+            for text in [doc.pretty(), doc.compact()] {
+                assert_eq!(parse(&text).unwrap(), doc, "{text}");
+            }
+        }
+        assert_eq!(Json::from(1u64 << 63).compact(), "9.223372036854776e18");
+        assert_eq!(Json::Float(-1e19).compact(), "-1e19");
+        // Every other float keeps its plain digits.
+        assert_eq!(Json::Float(1e18).compact(), "1000000000000000000");
+        assert_eq!(Json::Float(-9.2e18).compact(), "-9200000000000000000");
+        assert_eq!(Json::Float(2.5).compact(), "2.5");
     }
 }

@@ -123,13 +123,6 @@ impl PhaseProfile {
         }
     }
 
-    /// Disarms the lap clock: subsequent un-armed [`lap`](Self::lap)
-    /// stamps attribute nothing until [`lap_start`](Self::lap_start).
-    #[inline]
-    pub fn lap_stop(&mut self) {
-        self.lap = None;
-    }
-
     /// Total nanoseconds attributed to `phase`.
     pub fn nanos(&self, phase: Phase) -> u64 {
         self.nanos[phase as usize]
@@ -180,9 +173,6 @@ mod tests {
         p.lap(Phase::Dedup);
         assert_eq!(p.count(Phase::Expand), 1);
         assert_eq!(p.count(Phase::Dedup), 1);
-        p.lap_stop();
-        p.lap(Phase::Settle);
-        assert_eq!(p.count(Phase::Settle), 0);
     }
 
     #[test]

@@ -6,12 +6,13 @@
 use scup_graph::{generators, sink, ProcessSet};
 use scup_harness::scenario::{ChurnSpec, FaultSpec, NetworkSpec, ProtocolSpec};
 use scup_harness::{oracle, protocol, AdversaryKind};
+use stellar_cup::consensus::default_inputs;
 
 fn main() {
     let kg = generators::fig2();
     let v_sink = sink::unique_sink(kg.graph()).unwrap();
     println!("Fig. 2 graph; sink = {v_sink} (0-based)");
-    let inputs: Vec<u64> = (0..kg.n() as u64).map(|i| 100 + i).collect();
+    let inputs = default_inputs(kg.n());
 
     for faulty_id in 0..kg.n() as u32 {
         let faulty = ProcessSet::from_ids([faulty_id]);

@@ -10,6 +10,7 @@ use rand::SeedableRng;
 use scup_graph::generators;
 use scup_harness::scenario::{ChurnSpec, FaultSpec, NetworkSpec, ProtocolSpec};
 use scup_harness::{oracle, protocol, AdversaryKind};
+use stellar_cup::consensus::default_inputs;
 
 fn main() {
     let f = 1;
@@ -17,7 +18,7 @@ fn main() {
         let mut rng = StdRng::seed_from_u64(seed);
         // Sink of 6, 10 outer processes; one random Byzantine process.
         let (kg, faulty) = generators::random_byzantine_safe(6, 10, f, &mut rng);
-        let inputs: Vec<u64> = (0..kg.n() as u64).map(|i| 100 + i).collect();
+        let inputs = default_inputs(kg.n());
         let out = protocol::execute(
             ProtocolSpec::StellarMinimal,
             &kg,

@@ -52,7 +52,7 @@ use std::process::ExitCode;
 
 use scup_harness::campaign::{CampaignMode, CampaignReport};
 use scup_harness::forensics::{self, ForensicReport};
-use scup_harness::{campaign_from_str, perfetto, AdversaryRegistry};
+use scup_harness::{campaign_from_str, perfetto, AdversaryRegistry, Named};
 use scup_mc::ObsConfig;
 use scup_obs::chrome::{write_trace_json, ChromeEvent};
 
@@ -102,11 +102,9 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                 options.threads = Some(v.parse().map_err(|_| "--threads needs an integer")?);
             }
             "--mode" => {
-                options.mode = Some(match it.next().map(String::as_str) {
-                    Some("sample") => CampaignMode::Sample,
-                    Some("explore") => CampaignMode::Explore,
-                    _ => return Err("--mode needs `sample` or `explore`".into()),
-                });
+                let mode = it.next().and_then(|name| CampaignMode::from_name(name));
+                let refusal = || format!("--mode needs `{}`", CampaignMode::names("` or `"));
+                options.mode = Some(mode.ok_or_else(refusal)?);
             }
             "--out" => {
                 options.out = Some(it.next().ok_or("--out needs a path")?.clone());

@@ -170,3 +170,13 @@ fn removed_plan_keys_are_errors_naming_the_key() {
         );
     }
 }
+
+#[test]
+fn an_unknown_mode_is_refused_naming_the_modes() {
+    for args in [&["--mode", "wat", "campaigns/fig1.toml"][..], &["--mode"]] {
+        let out = campaign(args);
+        assert!(!out.status.success(), "{args:?} must be refused");
+        assert_eq!(text(&out.stderr), "--mode needs `sample` or `explore`\n");
+        assert!(out.stdout.is_empty(), "refused before anything ran");
+    }
+}

@@ -10,15 +10,9 @@ use scup_harness::oracle::{self, InvariantReport};
 use scup_harness::protocol;
 use scup_harness::scenario::{ChurnSpec, FaultSpec, NetworkSpec, ProtocolSpec};
 use scup_harness::AdversaryKind;
-use scup_scp::Value;
 use stellar_cup::attempts::LocalSliceStrategy;
-use stellar_cup::consensus::{self, EndToEndConfig};
+use stellar_cup::consensus::{self, default_inputs, EndToEndConfig};
 use stellar_cup::sink_detector::GetSinkMode;
-
-/// The `100 + i` proposals of an `n`-process run.
-fn default_inputs(n: usize) -> Vec<Value> {
-    (0..n as Value).map(|i| 100 + i).collect()
-}
 
 /// The positive pipeline on `kg` under the default network, judged.
 fn positive(

@@ -7,7 +7,7 @@
 
 use scup::harness::campaign::{Campaign, CampaignMode, RunRecord};
 use scup::harness::scenario::{
-    FaultPlacement, FaultSpec, OracleMode, ProtocolSpec, Scenario, TopologySpec,
+    FaultPlacement, FaultSpec, Named, OracleMode, ProtocolSpec, Scenario,
 };
 use scup::harness::AdversaryRegistry;
 use stellar_cup::attempts::LocalSliceStrategy;
@@ -19,18 +19,18 @@ fn sample(protocol: ProtocolSpec, plan: &FaultSpec, seeds: u64) -> Vec<RunRecord
     let scenarios = ADVERSARIES
         .iter()
         .map(|adversary| {
-            Scenario::builder(format!("{}-{adversary}", protocol.name()))
-                .topology(TopologySpec::Fig2)
-                .f(1)
-                .protocol(protocol)
-                .adversary(*adversary)
-                .faults(FaultPlacement::Sink { count: 1 })
-                .fault_plan(plan.clone())
+            Scenario {
+                name: format!("{}-{adversary}", protocol.name()),
+                protocol,
+                adversary: adversary.to_string(),
+                faults: FaultPlacement::Sink { count: 1 },
+                fault_plan: plan.clone(),
                 // The assertions below judge each cell; the campaign's own
                 // pass/fail stays out of the way.
-                .oracle(OracleMode::Observe)
-                .seeds(0, seeds)
-                .build()
+                oracle: OracleMode::Observe,
+                seeds,
+                ..Scenario::default()
+            }
         })
         .collect();
     let report = Campaign {

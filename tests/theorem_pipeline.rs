@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scup_fbqs::Fbqs;
 use scup_graph::{generators, ProcessSet};
-use scup_harness::scenario::{ChurnSpec, FaultSpec, NetworkSpec, ProtocolSpec};
+use scup_harness::scenario::{ChurnSpec, FaultSpec, Named, NetworkSpec, ProtocolSpec};
 use scup_harness::{oracle, protocol, AdversaryKind};
 use stellar_cup::consensus::{self, EndToEndConfig};
 use stellar_cup::{build_slices, theorems};
