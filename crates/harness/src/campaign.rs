@@ -65,8 +65,9 @@ pub struct Campaign {
     pub scenarios: Vec<Scenario>,
 }
 
-/// The outcome of one `(scenario, seed)` run.
-#[derive(Debug, Clone, PartialEq)]
+/// The outcome of one `(scenario, seed)` run. The default is a run not
+/// yet started: nothing counted, the verdict unjudged, not passed.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunRecord {
     /// Scenario name.
     pub scenario: String,
@@ -269,48 +270,12 @@ pub fn run_one(scenario: &Scenario, seed: u64, registry: &AdversaryRegistry) -> 
     let started = Instant::now();
     let mut record = RunRecord {
         scenario: scenario.name.clone(),
-        family: scenario.topology.family_name().to_string(),
+        family: scenario.topology.family().name().to_string(),
         adversary: scenario.adversary.clone(),
         protocol: scenario.protocol.name().to_string(),
         seed,
-        n: 0,
         f: scenario.f,
-        faulty: Vec::new(),
-        invariants: InvariantReport {
-            termination: false,
-            termination_required: true,
-            agreement: false,
-            validity: None,
-            pledges_ok: true,
-            premise: false,
-            violations: Vec::new(),
-        },
-        decided_value: None,
-        messages_sent: 0,
-        messages_delivered: 0,
-        bytes_sent: 0,
-        timers_fired: 0,
-        ballots_started: 0,
-        nominations_confirmed: 0,
-        prepares_confirmed: 0,
-        commits_confirmed: 0,
-        hot_process: 0,
-        hot_sent: 0,
-        messages_dropped: 0,
-        messages_duplicated: 0,
-        crashes: 0,
-        recoveries: 0,
-        joins: 0,
-        departures: 0,
-        churn_drops: 0,
-        retransmissions: 0,
-        retransmit_delay_buckets: Vec::new(),
-        link_drops: Vec::new(),
-        forensics: None,
-        end_ticks: 0,
-        wall_micros: 0,
-        passed: false,
-        error: None,
+        ..RunRecord::default()
     };
 
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -711,6 +676,29 @@ mod tests {
         let bad: Vec<_> = report.runs.iter().filter(|r| r.error.is_some()).collect();
         assert_eq!(bad.len(), 3);
         assert!(!report.all_passed());
+        // An errored record is the unjudged default plus what the scenario
+        // names.
+        let errored = RunRecord {
+            wall_micros: 0,
+            ..bad[0].clone()
+        };
+        let expected = concat!(
+            r#"{"scenario":"fig2-silent","family":"fig2","adversary":"wat","#,
+            r#""protocol":"stellar-minimal","seed":0,"n":0,"f":1,"faulty":[],"#,
+            r#""oracles":{"termination":false,"termination_required":true,"#,
+            r#""agreement":false,"pledges_ok":true,"validity":null,"premise":false,"#,
+            r#""violations":[]},"decided_value":null,"messages_sent":0,"#,
+            r#""metrics":{"messages_delivered":0,"bytes_sent":0,"timers_fired":0,"#,
+            r#""ballots_started":0,"nominations_confirmed":0,"prepares_confirmed":0,"#,
+            r#""commits_confirmed":0,"hot_process":0,"hot_sent":0,"messages_dropped":0,"#,
+            r#""messages_duplicated":0,"crashes":0,"recoveries":0,"joins":0,"#,
+            r#""departures":0,"churn_drops":0,"retransmissions":0,"#,
+            r#""retransmit_delay_buckets":[],"link_drops":[]},"forensics":null,"#,
+            r#""end_ticks":0,"wall_micros":0,"passed":false,"#,
+            r#""error":"unknown adversary `wat`; known: crash, echo, equivocate, "#,
+            r#"forged-slice, silent"}"#,
+        );
+        assert_eq!(errored.to_json().compact(), expected);
     }
 
     #[test]

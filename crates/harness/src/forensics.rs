@@ -7,7 +7,7 @@
 //! re-execution:
 //!
 //! * the **causal cone** — the backward closure of the violating
-//!   processes' final events over the vector-clock event graph
+//!   processes' final events over the event log's parent edges
 //!   ([`scup_obs::causal::CausalGraph`]), i.e. everything that could have
 //!   influenced the bad decisions and nothing that could not;
 //! * the **provenance chains** — each violating decision walked backward

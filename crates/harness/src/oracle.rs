@@ -51,6 +51,22 @@ pub struct InvariantReport {
     pub violations: Vec<String>,
 }
 
+/// The unjudged verdict: nothing held yet, nothing was waived, and no
+/// durability finding was made.
+impl Default for InvariantReport {
+    fn default() -> Self {
+        InvariantReport {
+            termination: false,
+            termination_required: true,
+            agreement: false,
+            validity: None,
+            pledges_ok: true,
+            premise: false,
+            violations: Vec::new(),
+        }
+    }
+}
+
 impl InvariantReport {
     /// `true` when all applicable oracles hold: safety (agreement,
     /// validity, pledge durability) unconditionally, termination only

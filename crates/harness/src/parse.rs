@@ -23,7 +23,10 @@
 use crate::adversary::AdversaryRegistry;
 use crate::campaign::{Campaign, CampaignMode};
 use crate::json::{self, Json};
-use crate::scenario::{ChurnSpec, FaultPlacement, FaultSpec, Named, Scenario, TopologySpec};
+use crate::scenario::{
+    ChurnSpec, FaultPlacement, FaultSpec, Named, PlacementKind, Scenario, TopologyFamily,
+    TopologySpec,
+};
 
 /// Loads a campaign from TOML or JSON text, deciding by syntax (JSON
 /// documents start with `{`).
@@ -194,13 +197,18 @@ fn id_list(table: &Json, section: &str, key: &str) -> Result<Vec<u32>, String> {
         .as_arr()
         .ok_or_else(|| format!("`{section}.{key}` must be an array of ids"))?;
     arr.iter()
-        .map(|item| {
-            item.as_i64()
-                .filter(|&id| id >= 0)
-                .map(|id| id as u32)
-                .ok_or_else(|| format!("`{section}.{key}` ids must be non-negative integers"))
-        })
+        .map(|item| process_id(item, &format!("{section}.{key}")))
         .collect()
+}
+
+/// Reads one entry of the id list `key` as a process id: an integer in
+/// `0..2^32`. A larger one is an error, not a wrapped id.
+fn process_id(item: &Json, key: &str) -> Result<u32, String> {
+    let id = item
+        .as_i64()
+        .filter(|&id| id >= 0)
+        .ok_or_else(|| format!("`{key}` ids must be non-negative integers"))?;
+    u32::try_from(id).map_err(|_| format!("`{key}` id {id} does not fit in 32 bits"))
 }
 
 /// Reads the `faults = { ... }` inline table into a [`FaultSpec`]; unset
@@ -304,57 +312,59 @@ fn topology_from_json(doc: &Json) -> Result<TopologySpec, String> {
         .get("topology")
         .and_then(Json::as_str)
         .ok_or("needs a string `topology`")?;
+    let kind = TopologyFamily::from_name(family).ok_or_else(|| {
+        format!(
+            "unknown topology `{family}`; known: {}",
+            TopologyFamily::names(", ")
+        )
+    })?;
     let req_usize = |key: &str| -> Result<usize, String> {
         get_usize(doc, key)?.ok_or(format!("topology `{family}` needs integer `{key}`"))
     };
     let req_f64 = |key: &str| -> Result<f64, String> {
         get_f64(doc, key)?.ok_or(format!("topology `{family}` needs number `{key}`"))
     };
-    match family {
-        "fig1" => Ok(TopologySpec::Fig1),
-        "fig2" => Ok(TopologySpec::Fig2),
-        "fig2-family" => Ok(TopologySpec::Fig2Family {
+    Ok(match kind {
+        TopologyFamily::Fig1 => TopologySpec::Fig1,
+        TopologyFamily::Fig2 => TopologySpec::Fig2,
+        TopologyFamily::Fig2Family => TopologySpec::Fig2Family {
             sink: req_usize("sink")?,
             outer: req_usize("outer")?,
-        }),
-        "random-kosr" => Ok(TopologySpec::RandomKosr {
+        },
+        TopologyFamily::RandomKosr => TopologySpec::RandomKosr {
             sink: req_usize("sink")?,
             nonsink: req_usize("nonsink")?,
             k: req_usize("k")?,
             extra_edge_prob: get_f64(doc, "extra_edge_prob")?.unwrap_or(0.0),
-        }),
-        "byzantine-safe" => Ok(TopologySpec::ByzantineSafe {
+        },
+        TopologyFamily::ByzantineSafe => TopologySpec::ByzantineSafe {
             sink: req_usize("sink")?,
             nonsink: req_usize("nonsink")?,
-        }),
-        "erdos-renyi" => Ok(TopologySpec::ErdosRenyi {
+        },
+        TopologyFamily::ErdosRenyi => TopologySpec::ErdosRenyi {
             n: req_usize("n")?,
             p: req_f64("p")?,
-        }),
-        "scale-free" => Ok(TopologySpec::ScaleFree {
+        },
+        TopologyFamily::ScaleFree => TopologySpec::ScaleFree {
             n: req_usize("n")?,
             m: req_usize("m")?,
-        }),
-        "clustered" => Ok(TopologySpec::Clustered {
+        },
+        TopologyFamily::Clustered => TopologySpec::Clustered {
             clusters: req_usize("clusters")?,
             cluster_size: req_usize("cluster_size")?,
             bridges: get_usize(doc, "bridges")?.unwrap_or(1),
             intra_extra_prob: get_f64(doc, "intra_extra_prob")?.unwrap_or(0.0),
             inter_extra_prob: get_f64(doc, "inter_extra_prob")?.unwrap_or(0.0),
-        }),
-        "perturbed-fig1" => Ok(TopologySpec::PerturbedFig1 {
+        },
+        TopologyFamily::PerturbedFig1 => TopologySpec::PerturbedFig1 {
             additions: get_usize(doc, "additions")?.unwrap_or(10),
             deletions: get_usize(doc, "deletions")?.unwrap_or(0),
-        }),
-        "perturbed-fig2" => Ok(TopologySpec::PerturbedFig2 {
+        },
+        TopologyFamily::PerturbedFig2 => TopologySpec::PerturbedFig2 {
             additions: get_usize(doc, "additions")?.unwrap_or(10),
             deletions: get_usize(doc, "deletions")?.unwrap_or(0),
-        }),
-        other => Err(format!(
-            "unknown topology `{other}`; known: fig1, fig2, fig2-family, random-kosr, \
-             byzantine-safe, erdos-renyi, scale-free, clustered, perturbed-fig1, perturbed-fig2"
-        )),
-    }
+        },
+    })
 }
 
 /// Reads the fault placement (`faulty`, or `fault_placement` with an
@@ -362,14 +372,10 @@ fn topology_from_json(doc: &Json) -> Result<TopologySpec, String> {
 fn faults_from_json(doc: &Json, f: usize) -> Result<Option<FaultPlacement>, String> {
     if let Some(ids) = doc.get("faulty") {
         let arr = ids.as_arr().ok_or("`faulty` must be an array of ids")?;
-        let mut out = Vec::with_capacity(arr.len());
-        for v in arr {
-            let id = v.as_i64().ok_or("`faulty` entries must be integers")?;
-            if id < 0 {
-                return Err("`faulty` ids must be non-negative".into());
-            }
-            out.push(id as u32);
-        }
+        let out = arr
+            .iter()
+            .map(|v| process_id(v, "faulty"))
+            .collect::<Result<_, _>>()?;
         if doc.get("fault_placement").is_some() {
             return Err("give `faulty` or `fault_placement`, not both".into());
         }
@@ -379,30 +385,29 @@ fn faults_from_json(doc: &Json, f: usize) -> Result<Option<FaultPlacement>, Stri
         return Ok(Some(FaultPlacement::Ids(out)));
     }
     let count = get_usize(doc, "fault_count")?.unwrap_or(f);
-    let placement = match doc.get("fault_placement").map(|v| v.as_str()) {
-        None => {
-            if doc.get("fault_count").is_some() {
-                return Err(
-                    "`fault_count` without `fault_placement` would be silently ignored; \
-                     add fault_placement = random | sink | nonsink | generator"
-                        .into(),
-                );
-            }
-            return Ok(None);
-        }
-        Some(Some("none")) => FaultPlacement::None,
-        Some(Some("generator")) => FaultPlacement::Generator,
-        Some(Some("random")) => FaultPlacement::Random { count },
-        Some(Some("sink")) => FaultPlacement::Sink { count },
-        Some(Some("nonsink")) => FaultPlacement::NonSink { count },
-        Some(other) => {
+    let Some(v) = doc.get("fault_placement") else {
+        if doc.get("fault_count").is_some() {
+            let placing = PlacementKind::ALL
+                .iter()
+                .filter(|&&kind| kind != PlacementKind::None)
+                .map(Named::name)
+                .collect::<Vec<_>>();
             return Err(format!(
-                "bad `fault_placement` {other:?}; use none | generator | random | sink | \
-                 nonsink (or a `faulty` id list)"
-            ))
+                "`fault_count` without `fault_placement` would be silently ignored; \
+                 add fault_placement = {}",
+                placing.join(" | ")
+            ));
         }
+        return Ok(None);
     };
-    Ok(Some(placement))
+    let name = v.as_str();
+    let kind = name.and_then(PlacementKind::from_name).ok_or_else(|| {
+        format!(
+            "bad `fault_placement` {name:?}; use {} (or a `faulty` id list)",
+            PlacementKind::names(" | ")
+        )
+    })?;
+    Ok(Some(kind.with_count(count)))
 }
 
 /// Reads the optional mode key `key` by its variants' [`Named`] spellings;
@@ -800,9 +805,44 @@ max_ticks = 1_000_000
             let c = scenario("protocol", protocol.name()).unwrap();
             assert_eq!(c.scenarios[0].protocol, protocol);
         }
+        for &family in TopologyFamily::ALL {
+            let params = match family {
+                TopologyFamily::Fig1
+                | TopologyFamily::Fig2
+                | TopologyFamily::PerturbedFig1
+                | TopologyFamily::PerturbedFig2 => "",
+                TopologyFamily::Fig2Family => "sink = 3\nouter = 3",
+                TopologyFamily::RandomKosr => "sink = 4\nnonsink = 2\nk = 1",
+                TopologyFamily::ByzantineSafe => "sink = 5\nnonsink = 2",
+                TopologyFamily::ErdosRenyi => "n = 5\np = 0.5",
+                TopologyFamily::ScaleFree => "n = 5\nm = 2",
+                TopologyFamily::Clustered => "clusters = 2\ncluster_size = 2",
+            };
+            let c = campaign_from_str(&format!(
+                "name = \"x\"\n[[scenario]]\nname = \"s\"\ntopology = \"{}\"\n{params}\n",
+                family.name()
+            ))
+            .unwrap();
+            assert_eq!(c.scenarios[0].topology.family(), family);
+        }
+        for &kind in PlacementKind::ALL {
+            let c = scenario("fault_placement", kind.name()).unwrap();
+            assert_eq!(c.scenarios[0].faults, kind.with_count(1));
+        }
         assert_eq!(
             load("mode = \"wat\"", "").unwrap_err(),
             "bad `mode` Some(\"wat\"); use sample | explore"
+        );
+        assert_eq!(
+            campaign_from_str("name = \"x\"\n[[scenario]]\nname = \"s\"\ntopology = \"wat\"\n")
+                .unwrap_err(),
+            "scenario #1: unknown topology `wat`; known: fig1, fig2, fig2-family, random-kosr, \
+             byzantine-safe, erdos-renyi, scale-free, clustered, perturbed-fig1, perturbed-fig2"
+        );
+        assert_eq!(
+            scenario("fault_placement", "wat").unwrap_err(),
+            "scenario #1: bad `fault_placement` Some(\"wat\"); use none | generator | random | \
+             sink | nonsink (or a `faulty` id list)"
         );
         let cases = [
             ("oracle", "use require | conditional | observe"),
@@ -1083,6 +1123,35 @@ timer_budget = 2
         );
         // A float literal is still a float, however large.
         assert_eq!(parse_toml_value("1e20"), Ok(Json::Float(1e20)));
+    }
+
+    /// An id past `u32` is refused by name, not wrapped onto a small one
+    /// (`2^32 + 5` used to load as process 5).
+    #[test]
+    fn process_ids_past_32_bits_are_errors_not_wrapped() {
+        let cases = [
+            (
+                "faulty = [4294967301]",
+                "`faulty` id 4294967301 does not fit in 32 bits",
+            ),
+            (
+                "faults = { crash = [4294967298], crash_at = 100 }",
+                "`faults.crash` id 4294967298 does not fit in 32 bits",
+            ),
+            (
+                "churn = { joins = [4294967296] }",
+                "`churn.joins` id 4294967296 does not fit in 32 bits",
+            ),
+        ];
+        for (key, message) in cases {
+            let input = format!(
+                "name = \"x\"\n[[scenario]]\nname = \"s\"\ntopology = \"fig2\"\nf = 1\n{key}\n"
+            );
+            assert_eq!(
+                campaign_from_str(&input).unwrap_err(),
+                format!("scenario #1: {message}")
+            );
+        }
     }
 
     #[test]

@@ -125,20 +125,76 @@ pub enum TopologySpec {
     },
 }
 
-impl TopologySpec {
-    /// The family name used in campaign files and reports.
-    pub fn family_name(&self) -> &'static str {
+/// A [`TopologySpec`] family without its parameters: the `topology` key
+/// of campaign files and the `family` field of reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TopologyFamily {
+    /// [`TopologySpec::Fig1`].
+    Fig1,
+    /// [`TopologySpec::Fig2`].
+    Fig2,
+    /// [`TopologySpec::Fig2Family`].
+    Fig2Family,
+    /// [`TopologySpec::RandomKosr`].
+    RandomKosr,
+    /// [`TopologySpec::ByzantineSafe`].
+    ByzantineSafe,
+    /// [`TopologySpec::ErdosRenyi`].
+    ErdosRenyi,
+    /// [`TopologySpec::ScaleFree`].
+    ScaleFree,
+    /// [`TopologySpec::Clustered`].
+    Clustered,
+    /// [`TopologySpec::PerturbedFig1`].
+    PerturbedFig1,
+    /// [`TopologySpec::PerturbedFig2`].
+    PerturbedFig2,
+}
+
+impl Named for TopologyFamily {
+    const ALL: &'static [Self] = &[
+        TopologyFamily::Fig1,
+        TopologyFamily::Fig2,
+        TopologyFamily::Fig2Family,
+        TopologyFamily::RandomKosr,
+        TopologyFamily::ByzantineSafe,
+        TopologyFamily::ErdosRenyi,
+        TopologyFamily::ScaleFree,
+        TopologyFamily::Clustered,
+        TopologyFamily::PerturbedFig1,
+        TopologyFamily::PerturbedFig2,
+    ];
+
+    fn name(&self) -> &'static str {
         match self {
-            TopologySpec::Fig1 => "fig1",
-            TopologySpec::Fig2 => "fig2",
-            TopologySpec::Fig2Family { .. } => "fig2-family",
-            TopologySpec::RandomKosr { .. } => "random-kosr",
-            TopologySpec::ByzantineSafe { .. } => "byzantine-safe",
-            TopologySpec::ErdosRenyi { .. } => "erdos-renyi",
-            TopologySpec::ScaleFree { .. } => "scale-free",
-            TopologySpec::Clustered { .. } => "clustered",
-            TopologySpec::PerturbedFig1 { .. } => "perturbed-fig1",
-            TopologySpec::PerturbedFig2 { .. } => "perturbed-fig2",
+            TopologyFamily::Fig1 => "fig1",
+            TopologyFamily::Fig2 => "fig2",
+            TopologyFamily::Fig2Family => "fig2-family",
+            TopologyFamily::RandomKosr => "random-kosr",
+            TopologyFamily::ByzantineSafe => "byzantine-safe",
+            TopologyFamily::ErdosRenyi => "erdos-renyi",
+            TopologyFamily::ScaleFree => "scale-free",
+            TopologyFamily::Clustered => "clustered",
+            TopologyFamily::PerturbedFig1 => "perturbed-fig1",
+            TopologyFamily::PerturbedFig2 => "perturbed-fig2",
+        }
+    }
+}
+
+impl TopologySpec {
+    /// The family this spec instantiates.
+    pub fn family(&self) -> TopologyFamily {
+        match self {
+            TopologySpec::Fig1 => TopologyFamily::Fig1,
+            TopologySpec::Fig2 => TopologyFamily::Fig2,
+            TopologySpec::Fig2Family { .. } => TopologyFamily::Fig2Family,
+            TopologySpec::RandomKosr { .. } => TopologyFamily::RandomKosr,
+            TopologySpec::ByzantineSafe { .. } => TopologyFamily::ByzantineSafe,
+            TopologySpec::ErdosRenyi { .. } => TopologyFamily::ErdosRenyi,
+            TopologySpec::ScaleFree { .. } => TopologyFamily::ScaleFree,
+            TopologySpec::Clustered { .. } => TopologyFamily::Clustered,
+            TopologySpec::PerturbedFig1 { .. } => TopologyFamily::PerturbedFig1,
+            TopologySpec::PerturbedFig2 { .. } => TopologyFamily::PerturbedFig2,
         }
     }
 
@@ -154,7 +210,7 @@ impl TopologySpec {
     ///
     /// Names the family and the violated bound.
     pub fn validate(&self, f: usize) -> Result<(), String> {
-        let family = self.family_name();
+        let family = self.family().name();
         let need = |ok: bool, bound: &str| {
             if ok {
                 Ok(())
@@ -257,6 +313,55 @@ pub enum FaultPlacement {
     },
     /// A fixed list of (0-based) process ids.
     Ids(Vec<u32>),
+}
+
+/// A [`FaultPlacement`] drawn by name: the `fault_placement` key of
+/// campaign files (an id list is the `faulty` key instead).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlacementKind {
+    /// [`FaultPlacement::None`].
+    None,
+    /// [`FaultPlacement::Generator`].
+    Generator,
+    /// [`FaultPlacement::Random`].
+    Random,
+    /// [`FaultPlacement::Sink`].
+    Sink,
+    /// [`FaultPlacement::NonSink`].
+    NonSink,
+}
+
+impl Named for PlacementKind {
+    const ALL: &'static [Self] = &[
+        PlacementKind::None,
+        PlacementKind::Generator,
+        PlacementKind::Random,
+        PlacementKind::Sink,
+        PlacementKind::NonSink,
+    ];
+
+    fn name(&self) -> &'static str {
+        match self {
+            PlacementKind::None => "none",
+            PlacementKind::Generator => "generator",
+            PlacementKind::Random => "random",
+            PlacementKind::Sink => "sink",
+            PlacementKind::NonSink => "nonsink",
+        }
+    }
+}
+
+impl PlacementKind {
+    /// The placement of this kind; `count` sizes the drawn ones.
+    pub fn with_count(self, count: usize) -> FaultPlacement {
+        match self {
+            PlacementKind::None => FaultPlacement::None,
+            PlacementKind::Generator => FaultPlacement::Generator,
+            PlacementKind::Random => FaultPlacement::Random { count },
+            PlacementKind::Sink => FaultPlacement::Sink { count },
+            PlacementKind::NonSink => FaultPlacement::NonSink { count },
+        }
+    }
 }
 
 /// Declarative fault-injection spec: the flat, campaign-file-friendly

@@ -210,12 +210,11 @@ mod tests {
         ];
         for spec in specs {
             let (kg, generated) = instantiate(&spec, 1, 7);
-            assert!(kg.n() >= 7, "{}", spec.family_name());
+            assert!(kg.n() >= 7, "{spec:?}");
             assert_eq!(
                 generated.is_some(),
                 matches!(spec, T::ByzantineSafe { .. }),
-                "{}",
-                spec.family_name()
+                "{spec:?}"
             );
         }
     }

@@ -173,37 +173,12 @@ pub fn explore_scenario_obs(
     let started = Instant::now();
     let mut record = ExploreRecord {
         scenario: scenario.name.clone(),
-        family: scenario.topology.family_name().to_string(),
+        family: scenario.topology.family().name().to_string(),
         adversary: scenario.adversary.clone(),
         protocol: scenario.protocol.name().to_string(),
-        n: 0,
         f: scenario.f,
-        faulty: Vec::new(),
-        premise: false,
-        variants: 0,
-        states: 0,
-        expanded: 0,
-        decided: 0,
-        quiescent_undecided: 0,
-        truncated: 0,
-        violating: 0,
-        decided_values: Vec::new(),
-        complete: false,
-        frontier_roots: 0,
         symmetry_group: 1,
-        symmetry_classes: Vec::new(),
-        symmetry_dropped_classes: 0,
-        symmetry_dropped_arrangements: 0,
-        symmetric_states: 0,
-        transitions: 0,
-        state_bytes_estimate: 0,
-        peak_memory_bytes: 0,
-        min_violation_depth: None,
-        violation: None,
-        passed: false,
-        error: None,
-        wall_micros: 0,
-        obs: None,
+        ..ExploreRecord::default()
     };
 
     if obs.trace {

@@ -143,7 +143,7 @@ pub struct CexReport {
 }
 
 /// The exploration outcome for one scenario.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ExploreRecord {
     /// Scenario name.
     pub scenario: String,

@@ -12,12 +12,13 @@
 //! - [`CausalGraph`]: the per-run event log, in recording order. Every
 //!   network, timer, fault-plane and churn-plane event (send, deliver,
 //!   drop, duplicate, timer, retransmit, crash, recover, join, leave) is
-//!   one [`CausalEvent`] carrying its tick, the acting process's
-//!   [`VectorClock`] and up to two parent edges: the previous event of the
-//!   same process, and — for deliveries, drops and duplicates — the send
-//!   that caused it. A send carries the rendered payload; whatever the
-//!   network later did to the message reads it through that cause edge
-//!   ([`CausalGraph::payload`]). Timelines (Perfetto export),
+//!   one [`CausalEvent`] carrying its tick and up to two parent edges: the
+//!   previous event of the same process, and — for deliveries, drops and
+//!   duplicates — the send that caused it. The log is the DAG of those
+//!   edges and nothing else: happens-before is reachability over them, so
+//!   no per-event clock is kept. A send carries the rendered payload;
+//!   whatever the network later did to the message reads it through that
+//!   cause edge ([`CausalGraph::payload`]). Timelines (Perfetto export),
 //!   counterexample schedules and forensics are all views of this log; the
 //!   backward closure of a violating decision over it is the decision's
 //!   **causal cone**: the exact set of events that could have influenced
@@ -30,61 +31,6 @@
 //!   initial proposals (or journal replays) that seeded it.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt;
-
-/// A vector clock over `n` processes.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct VectorClock(Vec<u64>);
-
-impl VectorClock {
-    /// The zero clock for `n` processes.
-    pub fn new(n: usize) -> Self {
-        VectorClock(vec![0; n])
-    }
-
-    /// Advances process `i`'s component by one.
-    pub fn tick(&mut self, i: usize) {
-        if i < self.0.len() {
-            self.0[i] += 1;
-        }
-    }
-
-    /// Component-wise maximum with `other` (the receive-side merge).
-    pub fn merge(&mut self, other: &VectorClock) {
-        for (a, b) in self.0.iter_mut().zip(&other.0) {
-            *a = (*a).max(*b);
-        }
-    }
-
-    /// Process `i`'s component (0 when out of range).
-    pub fn get(&self, i: usize) -> u64 {
-        self.0.get(i).copied().unwrap_or(0)
-    }
-
-    /// `true` when every component of `self` is ≤ the matching component
-    /// of `other` — i.e. `self` causally precedes or equals `other`.
-    pub fn leq(&self, other: &VectorClock) -> bool {
-        self.0.iter().zip(&other.0).all(|(a, b)| a <= b)
-    }
-
-    /// Strict happens-before: `self ≤ other` and `self ≠ other`.
-    pub fn before(&self, other: &VectorClock) -> bool {
-        self.leq(other) && self.0 != other.0
-    }
-}
-
-impl fmt::Display for VectorClock {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[")?;
-        for (i, c) in self.0.iter().enumerate() {
-            if i > 0 {
-                write!(f, ",")?;
-            }
-            write!(f, "{c}")?;
-        }
-        write!(f, "]")
-    }
-}
 
 /// Index of an event in a [`CausalGraph`] (dense, in recording order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -208,8 +154,6 @@ pub struct CausalEvent {
     pub at: u64,
     /// What happened.
     pub kind: CausalKind,
-    /// The acting process's vector clock *after* this event.
-    pub clock: VectorClock,
     /// Parent edges: `[program-order predecessor, causing send]` for a
     /// step of a process, `[causing send, NONE]` for a drop or duplicate.
     /// Either may be [`EventId::NONE`].
@@ -257,13 +201,12 @@ pub struct EquivocationPair {
 /// The zero-cost-when-disabled event log of one run.
 ///
 /// Disabled by default; [`CausalGraph::enable`] sizes the per-process
-/// clock state. [`CausalGraph::record`] returns the new event's id (or
-/// [`EventId::NONE`] when disabled) so the simulation can thread send→
-/// deliver causality through its event queue.
+/// program-order tails. [`CausalGraph::record`] returns the new event's
+/// id (or [`EventId::NONE`] when disabled) so the simulation can thread
+/// send→deliver causality through its event queue.
 #[derive(Debug, Clone, Default)]
 pub struct CausalGraph {
     enabled: bool,
-    clocks: Vec<VectorClock>,
     last: Vec<EventId>,
     events: Vec<CausalEvent>,
     /// Per `(sender, slot)`: the first payload digest seen, its send
@@ -282,7 +225,6 @@ impl CausalGraph {
     /// Turns recording on for `n` processes.
     pub fn enable(&mut self, n: usize) {
         self.enabled = true;
-        self.clocks = vec![VectorClock::new(n); n];
         self.last = vec![EventId::NONE; n];
     }
 
@@ -331,12 +273,13 @@ impl CausalGraph {
     /// disabled). `cause` is the send a delivery, drop or duplicate
     /// happened to, [`EventId::NONE`] for every other kind.
     ///
-    /// A drop or duplicate is a network artifact: it depends on the
-    /// causing send but advances *no* process clock and enters no program
-    /// order, so later events never falsely depend on undelivered
-    /// messages. Every other kind is a step of its
-    /// [`CausalKind::acting_process`]: it merges the cause's clock, ticks
-    /// the process's own component and becomes its program-order tail.
+    /// A drop or duplicate is a network artifact: it hangs off the
+    /// causing send but enters no program order, so later events never
+    /// falsely depend on undelivered messages. Every other kind is a step
+    /// of its [`CausalKind::acting_process`]: its parents are that
+    /// process's previous step and the cause, and it becomes the
+    /// process's program-order tail. A step of a process past the `n` the
+    /// log was enabled for is not recorded.
     #[inline]
     pub fn record(&mut self, at: u64, kind: CausalKind, cause: EventId) -> EventId {
         if !self.enabled {
@@ -350,33 +293,19 @@ impl CausalGraph {
     #[inline(never)]
     fn append(&mut self, at: u64, kind: CausalKind, cause: EventId) -> EventId {
         let id = EventId(self.events.len() as u32);
-        // `EventId::NONE` indexes past every event.
-        let send_clock = self.events.get(cause.0 as usize).map(|send| &send.clock);
-        let (clock, parents) = match kind {
-            CausalKind::Drop { .. } | CausalKind::Duplicate { .. } => {
-                let clock = send_clock
-                    .cloned()
-                    .unwrap_or_else(|| VectorClock::new(self.clocks.len()));
-                (clock, [cause, EventId::NONE])
-            }
+        let parents = match kind {
+            CausalKind::Drop { .. } | CausalKind::Duplicate { .. } => [cause, EventId::NONE],
             _ => {
-                let p = kind.acting_process() as usize;
-                if p >= self.clocks.len() {
+                let Some(last) = self.last.get_mut(kind.acting_process() as usize) else {
                     return EventId::NONE;
-                }
-                if let Some(other) = send_clock {
-                    self.clocks[p].merge(other);
-                }
-                self.clocks[p].tick(p);
-                let prev = std::mem::replace(&mut self.last[p], id);
-                (self.clocks[p].clone(), [prev, cause])
+                };
+                [std::mem::replace(last, id), cause]
             }
         };
         self.events.push(CausalEvent {
             id,
             at,
             kind,
-            clock,
             parents,
             payload: None,
         });
@@ -461,14 +390,6 @@ impl CausalGraph {
             .collect()
     }
 
-    /// `true` when event `a` happens-before event `b` per their clocks.
-    pub fn happens_before(&self, a: EventId, b: EventId) -> bool {
-        let (a, b) = (a.0 as usize, b.0 as usize);
-        a < self.events.len()
-            && b < self.events.len()
-            && self.events[a].clock.before(&self.events[b].clock)
-    }
-
     /// Renders the sub-graph induced by `ids` as a Graphviz DOT digraph,
     /// clustered by acting process. Pass the full id range to render the
     /// whole graph, or a [`CausalGraph::cone`] for a forensic view.
@@ -483,8 +404,7 @@ impl CausalGraph {
         out.push_str("digraph causal {\n");
         out.push_str(&format!("  label=\"{title}\";\n"));
         out.push_str("  rankdir=TB; node [shape=box, fontsize=10];\n");
-        let n = self.clocks.len();
-        for p in 0..n {
+        for p in 0..self.last.len() {
             let members: Vec<&CausalEvent> = self
                 .events
                 .iter()
@@ -497,12 +417,11 @@ impl CausalGraph {
             out.push_str(&format!("    label=\"process {p}\";\n"));
             for e in members {
                 out.push_str(&format!(
-                    "    e{} [label=\"#{} t{} {}\\n{}\"];\n",
+                    "    e{} [label=\"#{} t{} {}\"];\n",
                     e.id.0,
                     e.id.0,
                     e.at,
-                    e.kind.dot_label(),
-                    e.clock
+                    e.kind.dot_label()
                 ));
             }
             out.push_str("  }\n");
@@ -735,35 +654,36 @@ mod tests {
         assert!(!g.is_enabled());
     }
 
+    /// A delivery's parents are its process's previous step and the
+    /// send: the send reaches the delivery, never the other way round.
     #[test]
     fn deliver_merges_clocks_and_links_cause() {
         let mut g = graph(3);
         let s = send(&mut g, 1, 0, 1);
         let d = g.record(5, Deliver { from: 0, to: 1 }, s);
         let events = g.events();
-        assert_eq!(events[s.0 as usize].clock.get(0), 1);
-        let dc = &events[d.0 as usize].clock;
-        assert_eq!((dc.get(0), dc.get(1)), (1, 1), "merged then ticked");
+        assert_eq!(events[s.0 as usize].parents, [EventId::NONE; 2]);
         assert_eq!(events[d.0 as usize].parents, [EventId::NONE, s]);
         assert_eq!(events[d.0 as usize].cause(), s);
-        assert!(g.happens_before(s, d));
-        assert!(!g.happens_before(d, s));
+        assert_eq!(g.cone(&[d]), vec![s, d]);
+        assert_eq!(g.cone(&[s]), vec![s]);
     }
 
+    /// A drop hangs off its send and nothing hangs off the drop: no
+    /// later step of either process depends on the lost message.
     #[test]
     fn drops_do_not_advance_clocks() {
         let mut g = graph(2);
         let s = send(&mut g, 1, 0, 1);
         let dr = g.record(3, Drop { from: 0, to: 1 }, s);
         let t = timer(&mut g, 9, 1, 4);
-        assert_eq!(
-            g.events()[dr.0 as usize].clock,
-            g.events()[s.0 as usize].clock
-        );
+        let s2 = send(&mut g, 10, 0, 1);
+        assert_eq!(g.events()[dr.0 as usize].parents, [s, EventId::NONE]);
         assert_eq!(g.events()[dr.0 as usize].cause(), s);
         // The timer at process 1 is concurrent with the dropped send.
-        assert!(!g.happens_before(s, t));
-        assert_eq!(g.last_of(0), s, "drop is not program order");
+        assert_eq!(g.cone(&[t]), vec![t]);
+        assert_eq!(g.cone(&[s2]), vec![s, s2], "drop is not program order");
+        assert_eq!(g.last_of(0), s2);
     }
 
     #[test]
@@ -804,8 +724,8 @@ mod tests {
         let j = g.record(5, Join { process: 1 }, EventId::NONE);
         let s = send(&mut g, 6, 1, 0);
         let l = g.record(9, Leave { process: 1 }, EventId::NONE);
-        assert!(g.happens_before(j, s));
-        assert!(g.happens_before(s, l));
+        assert_eq!(g.cone(&[s]), vec![j, s]);
+        assert_eq!(g.cone(&[l]), vec![j, s, l]);
         assert_eq!(g.last_of(1), l);
     }
 
@@ -851,6 +771,7 @@ mod tests {
         let dot = g.to_dot(&all, "test");
         assert!(dot.contains("cluster_p0"));
         assert!(dot.contains("cluster_p1"));
+        assert!(dot.contains(&format!("e{} [label=\"#{} t2 deliver 0→1\"];", d.0, d.0)));
         assert!(dot.contains(&format!("e{} -> e{} [color=blue];", s.0, d.0)));
     }
 

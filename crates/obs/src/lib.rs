@@ -29,7 +29,7 @@
 //!   ([`chrome::write_trace_json`]).
 //! - [`progress`] — a shared completed-work counter and a stderr ticker
 //!   thread for long campaign runs.
-//! - [`causal`] — vector-clock event graphs
+//! - [`causal`] — the event log as a DAG of parent edges
 //!   ([`CausalGraph`](causal::CausalGraph)) and decision provenance
 //!   ([`ProvenanceLog`](causal::ProvenanceLog)): the forensic layer that
 //!   turns a failing run into a causal cone plus a justification DAG.

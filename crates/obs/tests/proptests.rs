@@ -1,33 +1,21 @@
-//! Vector-clock laws and causal-cone laws (the forensics substrate).
+//! Causal-cone laws (the forensics substrate), against a vector-clock
+//! reference computed from the log's parent edges.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use scup_obs::causal::{CausalGraph, CausalKind, EventId, VectorClock};
-
-fn clock_of(components: &[u64]) -> VectorClock {
-    let mut c = VectorClock::new(components.len());
-    for (i, &ticks) in components.iter().enumerate() {
-        for _ in 0..ticks {
-            c.tick(i);
-        }
-    }
-    c
-}
-
-fn merged_clocks(a: &VectorClock, b: &VectorClock) -> VectorClock {
-    let mut out = a.clone();
-    out.merge(b);
-    out
-}
+use scup_obs::causal::{CausalEvent, CausalGraph, CausalKind, EventId};
 
 /// A random schedule over `N_PROCS` processes, interpreted against a
 /// [`CausalGraph`]: sends enqueue, delivers consume the oldest in-flight
-/// send (FIFO, like the simulator), timers and crash/recover are local
-/// steps.
+/// send (FIFO, like the simulator), the network drops it or duplicates it
+/// (the copy re-enters the queue under the same send), and timers and
+/// crashes are local steps.
 #[derive(Debug, Clone)]
 enum CausalOp {
     Send { from: u32, to: u32 },
     DeliverOldest,
+    DropOldest,
+    DuplicateOldest,
     Timer { process: u32, tag: u64 },
     Crash { process: u32 },
 }
@@ -40,6 +28,8 @@ fn causal_op() -> impl Strategy<Value = CausalOp> {
         (0..N_PROCS, 0..N_PROCS).prop_map(|(from, to)| CausalOp::Send { from, to }),
         Just(CausalOp::DeliverOldest),
         Just(CausalOp::DeliverOldest),
+        Just(CausalOp::DropOldest),
+        Just(CausalOp::DuplicateOldest),
         (0..N_PROCS, 0u64..4).prop_map(|(process, tag)| CausalOp::Timer { process, tag }),
         (0..N_PROCS).prop_map(|process| CausalOp::Crash { process }),
     ]
@@ -62,6 +52,17 @@ fn graph_of(ops: &[CausalOp]) -> CausalGraph {
                     g.record(at, CausalKind::Deliver { from, to }, cause);
                 }
             }
+            CausalOp::DropOldest => {
+                if let Some((from, to, cause)) = in_flight.pop_front() {
+                    g.record(at, CausalKind::Drop { from, to }, cause);
+                }
+            }
+            CausalOp::DuplicateOldest => {
+                if let Some(&(from, to, cause)) = in_flight.front() {
+                    g.record(at, CausalKind::Duplicate { from, to }, cause);
+                    in_flight.push_back((from, to, cause));
+                }
+            }
             CausalOp::Timer { process, tag } => {
                 g.record(at, CausalKind::Timer { process, tag }, EventId::NONE);
             }
@@ -73,34 +74,44 @@ fn graph_of(ops: &[CausalOp]) -> CausalGraph {
     g
 }
 
+/// `true` for a step of a process; `false` for a drop or duplicate, which
+/// the network does to a message in flight.
+fn is_step(event: &CausalEvent) -> bool {
+    !matches!(
+        event.kind,
+        CausalKind::Drop { .. } | CausalKind::Duplicate { .. }
+    )
+}
+
+/// The vector clock of every event, computed forward in recording order
+/// from the parent edges alone: a step merges its parents' clocks and
+/// ticks its own process's component; a drop or duplicate carries its
+/// send's clock. This is the recurrence the log used to store per event.
+fn reference_clocks(g: &CausalGraph) -> Vec<Vec<u64>> {
+    let mut clocks: Vec<Vec<u64>> = Vec::with_capacity(g.len());
+    for event in g.events() {
+        let mut clock = vec![0; N_PROCS as usize];
+        for parent in event.parents.into_iter().filter(|p| p.is_some()) {
+            for (c, &p) in clock.iter_mut().zip(&clocks[parent.0 as usize]) {
+                *c = (*c).max(p);
+            }
+        }
+        if is_step(event) {
+            clock[event.kind.acting_process() as usize] += 1;
+        }
+        clocks.push(clock);
+    }
+    clocks
+}
+
+/// Strict happens-before between two clocks: `a ≤ b` component-wise and
+/// `a ≠ b`.
+fn precedes(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x <= y) && a != b
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn clock_merge_is_commutative(
-        xs in vec(0u64..6, 4),
-        ys in vec(0u64..6, 4),
-    ) {
-        let (a, b) = (clock_of(&xs), clock_of(&ys));
-        prop_assert_eq!(merged_clocks(&a, &b), merged_clocks(&b, &a));
-    }
-
-    #[test]
-    fn clock_merge_is_associative_and_idempotent(
-        xs in vec(0u64..6, 4),
-        ys in vec(0u64..6, 4),
-        zs in vec(0u64..6, 4),
-    ) {
-        let (a, b, c) = (clock_of(&xs), clock_of(&ys), clock_of(&zs));
-        prop_assert_eq!(
-            merged_clocks(&merged_clocks(&a, &b), &c),
-            merged_clocks(&a, &merged_clocks(&b, &c)),
-        );
-        prop_assert_eq!(merged_clocks(&a, &a), a.clone());
-        // The merge is an upper bound of both operands.
-        let m = merged_clocks(&a, &b);
-        prop_assert!(a.leq(&m) && b.leq(&m));
-    }
 
     #[test]
     fn cone_is_a_causally_closed_subset_containing_its_roots(
@@ -135,6 +146,8 @@ proptest! {
         }
     }
 
+    /// For a step `e` of any process, `e` is in the root's cone exactly
+    /// when it is the root or happens before it by the reference clocks.
     #[test]
     fn cone_members_happen_before_or_equal_the_root(
         ops in vec(causal_op(), 1..120),
@@ -143,10 +156,15 @@ proptest! {
         let g = graph_of(&ops);
         let root = g.last_of(anchor);
         prop_assume!(root.is_some());
-        for &id in &g.cone(&[root]) {
-            prop_assert!(
-                id == root || g.happens_before(id, root),
-                "cone event {:?} does not happen-before the root {:?}", id, root
+        let clocks = reference_clocks(&g);
+        let cone = g.cone(&[root]);
+        for event in g.events().iter().filter(|e| is_step(e)) {
+            let id = event.id;
+            let before = id == root || precedes(&clocks[id.0 as usize], &clocks[root.0 as usize]);
+            prop_assert_eq!(
+                cone.contains(&id),
+                before,
+                "event {:?} against root {:?}: in the cone iff it happens before it", id, root
             );
         }
     }

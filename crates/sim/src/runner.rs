@@ -1210,7 +1210,7 @@ mod tests {
             g.events()[cause.0 as usize].kind,
             CausalKind::Send { .. }
         ));
-        assert!(g.happens_before(cause, deliver.id));
+        assert!(g.cone(&[deliver.id]).contains(&cause));
         // Recording is pure observability: the report is unchanged.
         let baseline = build(3).run_until_quiet(10_000);
         assert_eq!(&baseline, sim.report());

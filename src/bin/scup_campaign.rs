@@ -67,10 +67,13 @@ struct Options {
     files: Vec<PathBuf>,
 }
 
-fn usage() -> &'static str {
-    "usage: scup-campaign [--threads N] [--mode sample|explore] [--out PATH|-] \
-     [--obs] [--trace-out PATH] [--trace-seed N] [--forensics-out DIR] \
-     [--list-adversaries] <campaign.toml>..."
+fn usage() -> String {
+    format!(
+        "usage: scup-campaign [--threads N] [--mode {}] [--out PATH|-] \
+         [--obs] [--trace-out PATH] [--trace-seed N] [--forensics-out DIR] \
+         [--list-adversaries] <campaign.toml>...",
+        CampaignMode::names("|")
+    )
 }
 
 fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
@@ -130,7 +133,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         }
     }
     if options.files.is_empty() {
-        return Err(usage().to_string());
+        return Err(usage());
     }
     // One path holds one document: a second campaign would overwrite the
     // first one's report (or, with `--out -`, append a second JSON value).

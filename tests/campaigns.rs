@@ -5,7 +5,7 @@
 use std::path::PathBuf;
 
 use scup::harness::campaign::Campaign;
-use scup::harness::{campaign_from_str, json};
+use scup::harness::{campaign_from_str, json, Named};
 
 fn campaign_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("campaigns")
@@ -31,7 +31,7 @@ fn every_checked_in_campaign_parses() {
         let campaign = load(file);
         assert!(!campaign.scenarios.is_empty(), "{file}");
         for s in &campaign.scenarios {
-            families.insert(s.topology.family_name());
+            families.insert(s.topology.family().name());
             adversaries.insert(s.adversary.clone());
         }
     }
