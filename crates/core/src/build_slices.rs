@@ -21,6 +21,10 @@ use scup_graph::KnowledgeGraph;
 use crate::oracle::{SinkDetection, SinkDetector};
 
 /// The sink-member slice size `⌈(|V| + f + 1) / 2⌉` of Algorithm 2, line 3.
+///
+/// It is also Section V's lower bound on quorums: every quorum of a
+/// correct process in an Algorithm-2 system contains at least this many
+/// sink members.
 pub fn sink_slice_size(v_len: usize, f: usize) -> usize {
     (v_len + f + 1).div_ceil(2)
 }
@@ -45,13 +49,6 @@ pub fn build_system<D: SinkDetector>(kg: &KnowledgeGraph, sd: &D, f: usize) -> F
         .map(|i| build_slices(&sd.get_sink(i, f), f))
         .collect();
     Fbqs::new(families)
-}
-
-/// Lower bound on the size of any quorum produced by Algorithm 2 slices
-/// (Section V's observation): every quorum of a correct process contains at
-/// least `⌈(|V_sink| + f + 1) / 2⌉` sink members.
-pub fn quorum_sink_lower_bound(v_sink_len: usize, f: usize) -> usize {
-    sink_slice_size(v_sink_len, f)
 }
 
 #[cfg(test)]
@@ -115,7 +112,7 @@ mod tests {
         let sd = PerfectSinkDetector::new(&kg).unwrap();
         let sys = build_system(&kg, &sd, 1);
         let v_sink = ProcessSet::from_ids([0, 1, 2, 3]);
-        let bound = quorum_sink_lower_bound(4, 1);
+        let bound = sink_slice_size(4, 1);
         let quorums = quorum::enumerate_quorums(&sys, &sys.universe(), 1 << 12).unwrap();
         assert!(!quorums.is_empty());
         for q in quorums {

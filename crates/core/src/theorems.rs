@@ -18,11 +18,12 @@
 //! *exhaustive* (explicit quorum enumeration on small systems, used to
 //! validate the structural argument).
 
-use scup_fbqs::{cluster, intertwined, quorum, Fbqs, QuorumEngine};
+use scup_fbqs::intertwined::{EnumerationTooLarge, Violation};
+use scup_fbqs::{cluster, intertwined, quorum, Fbqs};
 use scup_graph::{sink, KnowledgeGraph, ProcessSet};
 
 use crate::attempts::{build_local_system, LocalSliceStrategy};
-use crate::build_slices::quorum_sink_lower_bound;
+use crate::build_slices::sink_slice_size;
 
 /// A Theorem 2 witness: two quorums whose intersection is at most `f`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,46 +42,50 @@ pub struct QuorumIntersectionViolation {
 ///
 /// On the paper's Fig. 2 with [`LocalSliceStrategy::AllButOne`] and
 /// `f = 1`, the witness is `Q1 = {5,6,7}`, `Q2 = {1,2,3,4}` (1-based).
+///
+/// The proof's structural split (the largest quorums inside the non-sink
+/// members and inside the sink) is tried first and costs two closures;
+/// when it finds no witness — or the graph has no unique sink — every
+/// pair of quorums is searched. `Ok(None)` means that search found none.
+///
+/// # Errors
+///
+/// Returns [`EnumerationTooLarge`] when the split finds no witness and the
+/// graph has more than 20 processes, too many to enumerate.
 pub fn theorem2_violation(
     kg: &KnowledgeGraph,
     strategy: LocalSliceStrategy,
     f: usize,
-) -> Option<QuorumIntersectionViolation> {
+) -> Result<Option<QuorumIntersectionViolation>, EnumerationTooLarge> {
     let sys = build_local_system(kg, strategy, f);
-    let v_sink = sink::unique_sink(kg.graph())?;
     let all = kg.graph().vertex_set();
-    let nonsink = all.difference(&v_sink);
-
-    // One compiled engine serves the structural closures and the
-    // exhaustive fallback sweep (the naive predicates remain the proptest
-    // oracle).
-    let engine = QuorumEngine::from_system(&sys);
 
     // The structural split the proof uses: the sink closes on itself, and
     // the non-sink members may close among themselves.
-    let q1 = engine.quorum_closure(&nonsink);
-    let q2 = engine.quorum_closure(&v_sink);
-    if !q1.is_empty() && !q2.is_empty() && q1.intersection_len(&q2) <= f {
-        return Some(QuorumIntersectionViolation {
-            intersection_len: q1.intersection_len(&q2),
-            q1,
-            q2,
-        });
+    if let Some(v_sink) = sink::unique_sink(kg.graph()) {
+        let q1 = quorum::quorum_closure(&sys, &all.difference(&v_sink));
+        let q2 = quorum::quorum_closure(&sys, &v_sink);
+        if !q1.is_empty() && !q2.is_empty() && q1.intersection_len(&q2) <= f {
+            return Ok(Some(QuorumIntersectionViolation {
+                intersection_len: q1.intersection_len(&q2),
+                q1,
+                q2,
+            }));
+        }
     }
-    // Fall back to exhaustive search on small systems.
-    let quorums = quorum::enumerate_quorums_compiled(&engine, &all, 1 << 20)?;
+    let quorums = quorum::enumerate_quorums(&sys, &all, 1 << 20).ok_or(EnumerationTooLarge)?;
     for (i, q1) in quorums.iter().enumerate() {
         for q2 in &quorums[i + 1..] {
             if q1.intersection_len(q2) <= f {
-                return Some(QuorumIntersectionViolation {
+                return Ok(Some(QuorumIntersectionViolation {
                     q1: q1.clone(),
                     q2: q2.clone(),
                     intersection_len: q1.intersection_len(q2),
-                });
+                }));
             }
         }
     }
-    None
+    Ok(None)
 }
 
 /// Structural intertwinedness (Section V): in an Algorithm-2 system every
@@ -89,7 +94,7 @@ pub fn theorem2_violation(
 /// least `2m − |V_sink| > f` sink members. Returns the guaranteed minimum
 /// pairwise intersection.
 pub fn structural_intersection_bound(v_sink_len: usize, f: usize) -> usize {
-    let m = quorum_sink_lower_bound(v_sink_len, f);
+    let m = sink_slice_size(v_sink_len, f);
     (2 * m).saturating_sub(v_sink_len)
 }
 
@@ -101,7 +106,7 @@ pub fn lemma3_sink_pairs_intertwined(
     correct: &ProcessSet,
     f: usize,
     limit: usize,
-) -> Result<Option<intertwined::Violation>, intertwined::EnumerationTooLarge> {
+) -> Result<Option<Violation>, EnumerationTooLarge> {
     let members = v_sink.intersection(correct);
     intertwined::check_threshold_intertwined(sys, &members, &sys.universe(), f, limit)
 }
@@ -114,23 +119,17 @@ pub fn lemma4_mixed_pairs_intertwined(
     correct: &ProcessSet,
     f: usize,
     limit: usize,
-) -> Result<Option<intertwined::Violation>, intertwined::EnumerationTooLarge> {
+) -> Result<Option<Violation>, EnumerationTooLarge> {
     // The pairwise check over the union covers mixed pairs; restricted
-    // variants keep the lemma structure visible in reports. One compiled
-    // engine serves every pair.
-    let engine = QuorumEngine::from_system(sys);
+    // variants keep the lemma structure visible in reports.
     let sink_members = v_sink.intersection(correct);
     let nonsink_members = correct.difference(v_sink);
     for i in &sink_members {
         for j in &nonsink_members {
             let pair = ProcessSet::from_ids([i.as_u32(), j.as_u32()]);
-            if let Some(v) = intertwined::check_threshold_intertwined_compiled(
-                &engine,
-                &pair,
-                &sys.universe(),
-                f,
-                limit,
-            )? {
+            if let Some(v) =
+                intertwined::check_threshold_intertwined(sys, &pair, &sys.universe(), f, limit)?
+            {
                 return Ok(Some(v));
             }
         }
@@ -146,7 +145,7 @@ pub fn lemma5_nonsink_pairs_intertwined(
     correct: &ProcessSet,
     f: usize,
     limit: usize,
-) -> Result<Option<intertwined::Violation>, intertwined::EnumerationTooLarge> {
+) -> Result<Option<Violation>, EnumerationTooLarge> {
     let members = correct.difference(v_sink);
     intertwined::check_threshold_intertwined(sys, &members, &sys.universe(), f, limit)
 }
@@ -158,7 +157,7 @@ pub fn theorem3_all_intertwined(
     correct: &ProcessSet,
     f: usize,
     limit: usize,
-) -> Result<Option<intertwined::Violation>, intertwined::EnumerationTooLarge> {
+) -> Result<Option<Violation>, EnumerationTooLarge> {
     intertwined::check_threshold_intertwined(sys, correct, &sys.universe(), f, limit)
 }
 
@@ -166,12 +165,8 @@ pub fn theorem3_all_intertwined(
 /// correct processes — equivalently the correct set is quorum-closed.
 /// Returns the correct processes *without* such a quorum (empty = theorem
 /// holds).
-///
-/// Runs on a compiled [`QuorumEngine`] (worklist closure); the naive
-/// [`quorum::quorum_closure`] remains the proptest oracle.
 pub fn theorem4_quorum_availability(sys: &Fbqs, correct: &ProcessSet) -> ProcessSet {
-    let closure = QuorumEngine::from_system(sys).quorum_closure(correct);
-    correct.difference(&closure)
+    correct.difference(&quorum::quorum_closure(sys, correct))
 }
 
 /// **Theorem 5 / Corollary 2**: with PD, `f` and a sink detector, all
@@ -181,7 +176,7 @@ pub fn theorem5_consensus_cluster(
     correct: &ProcessSet,
     f: usize,
     limit: usize,
-) -> Result<bool, cluster::EnumerationTooLarge> {
+) -> Result<bool, EnumerationTooLarge> {
     cluster::all_correct_form_unique_maximal_cluster(
         sys,
         correct,
@@ -202,7 +197,7 @@ pub fn algorithm2_system(kg: &KnowledgeGraph, f: usize) -> Option<(Fbqs, Process
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scup_graph::{generators, kosr};
+    use scup_graph::{generators, kosr, DiGraph};
 
     const LIMIT: usize = 1 << 16;
 
@@ -210,6 +205,7 @@ mod tests {
     fn theorem2_on_fig2_matches_paper() {
         let kg = generators::fig2();
         let v = theorem2_violation(&kg, LocalSliceStrategy::AllButOne, 1)
+            .unwrap()
             .expect("Theorem 2: the violation must exist");
         // Paper: Q1 = {5,6,7} (0-based {4,5,6}), Q2 = {1,2,3,4} ({0,1,2,3}).
         assert_eq!(v.q1, ProcessSet::from_ids([4, 5, 6]));
@@ -222,9 +218,37 @@ mod tests {
         for (s, r) in [(3, 3), (4, 5), (5, 6)] {
             let kg = generators::fig2_family(s, r);
             let v = theorem2_violation(&kg, LocalSliceStrategy::AllButOne, 1)
+                .unwrap()
                 .unwrap_or_else(|| panic!("violation must exist for family ({s}, {r})"));
             assert!(v.intersection_len <= 1);
         }
+    }
+
+    #[test]
+    fn theorem2_answers_none_only_after_a_search() {
+        let search = |g| {
+            theorem2_violation(
+                &KnowledgeGraph::from_graph(g),
+                LocalSliceStrategy::AllButOne,
+                1,
+            )
+        };
+        // On a complete graph every process is in the sink, so the
+        // structural split has no non-sink quorum and the search enumerates
+        // every quorum: it finds none failing on K4 (any two of its quorums
+        // share at least two members), and cannot search K21.
+        assert_eq!(search(generators::complete(4)), Ok(None));
+        assert_eq!(search(generators::complete(21)), Err(EnumerationTooLarge));
+        // Two disjoint triangles have no unique sink, and no split to try;
+        // the search finds their disjoint quorums.
+        let triangles = DiGraph::from_edges(
+            6,
+            [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
+                .into_iter()
+                .flat_map(|(u, v)| [(u, v), (v, u)]),
+        );
+        let v = search(triangles).unwrap().expect("the triangles split");
+        assert!(v.intersection_len <= 1);
     }
 
     #[test]

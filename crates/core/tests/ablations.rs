@@ -30,6 +30,25 @@ fn custom_system(
     Fbqs::new(families)
 }
 
+/// Algorithm 1 with caller-provided slices `S_Q`: what a process evaluates
+/// when the slices of remote processes are whatever arrived attached to
+/// their messages (possibly lies, for Byzantine senders).
+fn is_quorum_with<F>(q: &ProcessSet, mut slices_of: F) -> bool
+where
+    F: FnMut(scup_graph::ProcessId) -> SliceFamily,
+{
+    !q.is_empty() && q.iter().all(|i| slices_of(i).has_slice_within(q))
+}
+
+#[test]
+fn is_quorum_with_custom_slices() {
+    // A Byzantine process can claim slices that make anything a quorum.
+    let q = ProcessSet::from_ids([0, 1]);
+    let anything = |_| SliceFamily::all_subsets(q.clone(), 1);
+    assert!(is_quorum_with(&q, anything));
+    assert!(!is_quorum_with(&q, |_| SliceFamily::empty()));
+}
+
 #[test]
 fn sink_slice_size_is_tight() {
     // Fig. 2: |V_sink| = 4, f = 1, m = 3. With m the pairs intertwine;
@@ -87,7 +106,7 @@ fn nonsink_slice_size_is_tight_against_slice_lies() {
         }
     };
     assert!(
-        scup_fbqs::quorum::is_quorum_with(&fake_q, with_size_f),
+        is_quorum_with(&fake_q, with_size_f),
         "size-f slices let a lying faulty member fabricate a 2-process quorum"
     );
     // That fake quorum intersects a legitimate sink quorum in ≤ f members.
@@ -116,7 +135,7 @@ fn nonsink_slice_size_is_tight_against_slice_lies() {
             .filter(|b| mask & (1 << b) != 0)
             .map(scup_graph::ProcessId::new)
             .collect();
-        if !q.contains(nonsink) || !scup_fbqs::quorum::is_quorum_with(&q, with_size_f1) {
+        if !q.contains(nonsink) || !is_quorum_with(&q, with_size_f1) {
             continue;
         }
         assert!(

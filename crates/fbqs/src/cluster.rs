@@ -16,7 +16,7 @@
 
 use scup_graph::ProcessSet;
 
-use crate::{intertwined, Fbqs, QuorumEngine};
+use crate::{intertwined, Fbqs};
 
 pub use crate::intertwined::EnumerationTooLarge;
 
@@ -51,6 +51,8 @@ impl ClusterReport {
 
 /// Checks whether `candidate ⊆ correct` is a consensus cluster
 /// (Definition 3) of `sys`, drawing quorums from subsets of `universe`.
+/// Both halves — the availability closure and the intertwined sweep — run
+/// on the system's compiled engine.
 ///
 /// # Errors
 ///
@@ -64,37 +66,16 @@ pub fn check_consensus_cluster(
     mode: IntertwinedMode,
     limit: usize,
 ) -> Result<ClusterReport, EnumerationTooLarge> {
-    check_consensus_cluster_compiled(
-        &QuorumEngine::from_system(sys),
-        candidate,
-        correct,
-        universe,
-        mode,
-        limit,
-    )
-}
-
-/// [`check_consensus_cluster`] over an already compiled engine — both
-/// halves of Definition 3 (the availability closure and the intertwined
-/// sweep) run on the packed bitmask rows.
-pub fn check_consensus_cluster_compiled(
-    engine: &QuorumEngine,
-    candidate: &ProcessSet,
-    correct: &ProcessSet,
-    universe: &ProcessSet,
-    mode: IntertwinedMode,
-    limit: usize,
-) -> Result<ClusterReport, EnumerationTooLarge> {
     let availability = !candidate.is_empty()
         && candidate.is_subset(correct)
-        && engine.quorum_closure(candidate) == *candidate;
+        && sys.engine().quorum_closure(candidate) == *candidate;
     let intersection_violation = match mode {
         IntertwinedMode::CorrectWitness => {
-            intertwined::check_intertwined_compiled(engine, candidate, universe, correct, limit)?
+            intertwined::check_intertwined(sys, candidate, universe, correct, limit)?
         }
-        IntertwinedMode::Threshold(f) => intertwined::check_threshold_intertwined_compiled(
-            engine, candidate, universe, f, limit,
-        )?,
+        IntertwinedMode::Threshold(f) => {
+            intertwined::check_threshold_intertwined(sys, candidate, universe, f, limit)?
+        }
     };
     Ok(ClusterReport {
         availability,
@@ -140,8 +121,6 @@ pub fn all_consensus_clusters(
     if n >= usize::BITS as usize - 1 || (1usize << n) > limit {
         return Err(EnumerationTooLarge);
     }
-    // One compiled engine serves all 2^n candidate checks.
-    let engine = QuorumEngine::from_system(sys);
     let mut out = Vec::new();
     for mask in 1usize..(1 << n) {
         let candidate: ProcessSet = ids
@@ -150,8 +129,7 @@ pub fn all_consensus_clusters(
             .filter(|(b, _)| mask & (1 << b) != 0)
             .map(|(_, &id)| id)
             .collect();
-        let report =
-            check_consensus_cluster_compiled(&engine, &candidate, correct, universe, mode, limit)?;
+        let report = check_consensus_cluster(sys, &candidate, correct, universe, mode, limit)?;
         if report.is_consensus_cluster() {
             out.push(candidate);
         }

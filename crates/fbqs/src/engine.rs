@@ -1,10 +1,13 @@
-//! `QuorumEngine`: a compiled, allocation-free fast path for Definition 1.
+//! `QuorumEngine`: a compiled, allocation-free form of Definition 1.
 //!
-//! The naive predicates in [`crate::quorum`] walk [`SliceFamily`] values
-//! through enum dispatch and re-scan the whole candidate set every closure
-//! round. That is fine for one-off analyses, but every protocol step in the
-//! simulator bottoms out in `is_quorum` / `quorum_closure`, and campaign
-//! sweeps execute hundreds of runs — the quorum hot path dominates.
+//! Every quorum question of the workspace bottoms out here: each
+//! [`Fbqs`](crate::Fbqs) compiles one engine when it is built and the
+//! global analyses ([`crate::quorum`], [`crate::intertwined`],
+//! [`crate::cluster`]) query it, while protocol-local views (SCP's federated
+//! voting) fill an engine row by row as slice claims arrive. Walking
+//! [`SliceFamily`] values through enum dispatch and re-scanning the whole
+//! candidate set every closure round is left to the test-side reference
+//! (`tests/reference.rs`), which pins the engine on random systems.
 //!
 //! The engine compiles a slice view once into **packed bitmask rows**:
 //! every slice (and every symbolic `AllSubsets` ground set) becomes a
@@ -15,6 +18,13 @@
 //! mention `j`), which turns the closure's full-rescan loop into a
 //! worklist fixpoint: when a member is discarded, only the processes whose
 //! slices touched it are re-examined.
+//!
+//! The same rows answer **v-blocking**: a set `B` is v-blocking for `i`
+//! when `B` intersects every slice of `i`. If all members of a v-blocking
+//! set of `i` are faulty, `i` has no all-correct slice left (the
+//! quantitative form of the paper's Lemma 2); in SCP's federated voting, a
+//! statement accepted by a v-blocking set of `i` can be accepted by `i`
+//! even without a quorum.
 //!
 //! All queries have two forms: a convenience form that allocates a scratch
 //! internally, and an `_in` form taking a caller-owned [`EngineScratch`] so
@@ -29,22 +39,27 @@
 //! # Example
 //!
 //! ```
-//! use scup_fbqs::{paper, quorum, QuorumEngine};
-//! use scup_graph::ProcessSet;
+//! use scup_fbqs::{paper, QuorumEngine};
+//! use scup_graph::{ProcessId, ProcessSet};
 //!
 //! let sys = paper::fig1_system();
-//! let engine = QuorumEngine::from_system(&sys);
-//! let q = ProcessSet::from_ids([4, 5, 6]);
-//! assert!(engine.is_quorum(&q));
-//! assert_eq!(
-//!     engine.quorum_closure(&sys.universe()),
-//!     quorum::quorum_closure(&sys, &sys.universe()),
-//! );
+//! let engine = sys.engine();
+//! assert!(engine.is_quorum(&ProcessSet::from_ids([4, 5, 6])));
+//! // Process 7 declares no slices, so the largest quorum is W = {0..6}.
+//! assert_eq!(engine.quorum_closure(&sys.universe()), paper::fig1_correct());
+//! // Process 4 (0-based) has the one slice {5, 6}: {5} blocks it, {3} does not.
+//! assert!(engine.is_v_blocking(ProcessId::new(4), &ProcessSet::from_ids([5])));
+//! assert!(!engine.is_v_blocking(ProcessId::new(4), &ProcessSet::from_ids([3])));
+//!
+//! // A protocol-local view knows only the slices that reached it.
+//! let mut view = QuorumEngine::new(8);
+//! view.set_slices(ProcessId::new(4), sys.slices(ProcessId::new(4)));
+//! assert!(!view.is_quorum(&ProcessSet::from_ids([4, 5, 6])));
 //! ```
 
 use scup_graph::{ProcessId, ProcessSet};
 
-use crate::{Fbqs, SliceFamily};
+use crate::SliceFamily;
 
 const BITS: usize = 64;
 
@@ -125,14 +140,6 @@ impl QuorumEngine {
             garbage: 0,
             deps: Vec::new(),
         }
-    }
-
-    /// Compiles the declared slices of a whole system.
-    pub fn from_system(sys: &Fbqs) -> Self {
-        Self::from_families(
-            sys.n(),
-            (0..sys.n()).map(|i| sys.slices(ProcessId::new(i as u32))),
-        )
     }
 
     /// Compiles an engine from per-process families (process `i` gets the
@@ -503,7 +510,7 @@ fn seed_queue(words: &[u64], queue: &mut Vec<u32>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{paper, quorum, vblocking};
+    use crate::{paper, quorum, reference};
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -512,7 +519,7 @@ mod tests {
     #[test]
     fn engine_matches_naive_on_fig1() {
         let sys = paper::fig1_system();
-        let engine = QuorumEngine::from_system(&sys);
+        let engine = sys.engine();
         let mut scratch = engine.scratch();
         // Every subset of the 8-process universe.
         for mask in 0u32..256 {
@@ -524,30 +531,35 @@ mod tests {
                 .collect();
             assert_eq!(
                 engine.is_quorum_in(&q, &mut scratch),
-                quorum::is_quorum(&sys, &q),
+                reference::is_quorum(&sys, &q),
                 "is_quorum mismatch on {q}"
             );
             let mut closed = ProcessSet::new();
             engine.quorum_closure_in(&q, &mut scratch, &mut closed);
             assert_eq!(
                 closed,
-                quorum::quorum_closure(&sys, &q),
+                reference::quorum_closure(&sys, &q),
                 "closure mismatch on {q}"
             );
             for i in 0..8u32 {
                 assert_eq!(
                     engine.is_v_blocking(p(i), &q),
-                    vblocking::is_v_blocking(&sys, p(i), &q),
+                    reference::is_v_blocking(&sys, p(i), &q),
                     "v-blocking mismatch for {i} on {q}"
                 );
             }
         }
+        let u = sys.universe();
+        assert_eq!(
+            quorum::enumerate_quorums(&sys, &u, 1 << 8),
+            Some(reference::enumerate_quorums(&sys, &u))
+        );
     }
 
     #[test]
     fn paper_quorums_via_engine() {
         let sys = paper::fig1_system();
-        let engine = QuorumEngine::from_system(&sys);
+        let engine = sys.engine();
         let q = ProcessSet::from_ids([4, 5, 6]);
         assert!(engine.is_quorum(&q));
         assert!(!engine.is_quorum(&ProcessSet::from_ids([4, 5])));
@@ -559,7 +571,7 @@ mod tests {
     #[test]
     fn incremental_rows_match_batch_compilation() {
         let sys = paper::fig1_system();
-        let batch = QuorumEngine::from_system(&sys);
+        let batch = sys.engine();
         // Insert rows in reverse order, with one overwrite.
         let mut inc = QuorumEngine::new(0);
         inc.set_slices(p(3), &SliceFamily::empty());
@@ -595,7 +607,7 @@ mod tests {
     #[test]
     fn out_of_range_members_are_dropped() {
         let sys = paper::fig1_system();
-        let engine = QuorumEngine::from_system(&sys);
+        let engine = sys.engine();
         let mut q = ProcessSet::from_ids([4, 5, 6]);
         q.insert(p(300));
         assert!(!engine.is_quorum(&q), "member without a row");
@@ -656,7 +668,7 @@ mod tests {
     #[test]
     fn blocked_processes_matches_naive() {
         let sys = paper::fig1_system();
-        let engine = QuorumEngine::from_system(&sys);
+        let engine = sys.engine();
         for b in [
             ProcessSet::from_ids([4, 5, 6]),
             ProcessSet::from_ids([3]),
@@ -664,8 +676,56 @@ mod tests {
         ] {
             assert_eq!(
                 engine.blocked_processes(&b),
-                vblocking::blocked_processes(&sys, &b)
+                reference::blocked_processes(&sys, &b)
             );
         }
+    }
+
+    #[test]
+    fn fig1_correct_slices_survive_f8() {
+        // With F = {8}, every correct process of the paper's example keeps a
+        // fully correct slice (Lemma 2 is satisfiable): F blocks nobody
+        // but 8 itself, which declares no slices.
+        let sys = paper::fig1_system();
+        let blocked = sys.engine().blocked_processes(&paper::fig1_faulty());
+        assert_eq!(blocked, ProcessSet::from_ids([7]));
+    }
+
+    #[test]
+    fn faulty_set_blocks_single_slice_processes() {
+        let sys = paper::fig1_system();
+        let engine = sys.engine();
+        // S2 = {{4}} (0-based {3}): the set {3} is v-blocking for process 1.
+        assert!(engine.is_v_blocking(p(1), &ProcessSet::from_ids([3])));
+        // S5 = {{6,7}} (0-based {{5,6}}): {5} blocks, {3} does not.
+        assert!(engine.is_v_blocking(p(4), &ProcessSet::from_ids([5])));
+        assert!(!engine.is_v_blocking(p(4), &ProcessSet::from_ids([3])));
+    }
+
+    #[test]
+    fn blocked_processes_of_sink_core() {
+        // Every slice but 1's {3} meets the sink core {4,5,6}: blocking
+        // all three blocks everyone else (7 vacuously, having no slices).
+        let sys = paper::fig1_system();
+        let blocked = sys
+            .engine()
+            .blocked_processes(&ProcessSet::from_ids([4, 5, 6]));
+        assert_eq!(blocked, ProcessSet::from_ids([0, 2, 3, 4, 5, 6, 7]));
+    }
+
+    #[test]
+    fn lemma2_violation_detected() {
+        // If 5 (paper 6) were faulty too, process 3 (paper 4), with slices
+        // {{4,5},{5,7}} (0-based), has no all-correct slice left: the faulty
+        // set {5, 7} is v-blocking for it — and for 4 and 6, whose slices
+        // all contain 5 as well.
+        let sys = paper::fig1_system();
+        let faulty = ProcessSet::from_ids([5, 7]);
+        let blocked = sys.engine().blocked_processes(&faulty);
+        let correct = ProcessSet::from_ids([0, 1, 2, 3, 4, 6]);
+        assert_eq!(
+            blocked.intersection(&correct),
+            ProcessSet::from_ids([3, 4, 6])
+        );
     }
 }

@@ -13,7 +13,7 @@
 
 use scup_graph::{ProcessId, ProcessSet};
 
-use crate::{quorum, Fbqs, QuorumEngine};
+use crate::{quorum, Fbqs};
 
 /// A witness that two processes are *not* intertwined: a pair of quorums
 /// whose intersection misses the requirement.
@@ -48,26 +48,7 @@ pub fn check_threshold_intertwined(
     f: usize,
     limit: usize,
 ) -> Result<Option<Violation>, EnumerationTooLarge> {
-    check_threshold_intertwined_compiled(
-        &QuorumEngine::from_system(sys),
-        members,
-        universe,
-        f,
-        limit,
-    )
-}
-
-/// [`check_threshold_intertwined`] over an already compiled engine — one
-/// compilation serves every member pair (and, for the cluster analyses,
-/// every candidate subset).
-pub fn check_threshold_intertwined_compiled(
-    engine: &QuorumEngine,
-    members: &ProcessSet,
-    universe: &ProcessSet,
-    f: usize,
-    limit: usize,
-) -> Result<Option<Violation>, EnumerationTooLarge> {
-    check_with(engine, members, universe, limit, |qi, qj| {
+    check_with(sys, members, universe, limit, |qi, qj| {
         qi.intersection_len(qj) > f
     })
 }
@@ -85,24 +66,7 @@ pub fn check_intertwined(
     correct: &ProcessSet,
     limit: usize,
 ) -> Result<Option<Violation>, EnumerationTooLarge> {
-    check_intertwined_compiled(
-        &QuorumEngine::from_system(sys),
-        members,
-        universe,
-        correct,
-        limit,
-    )
-}
-
-/// [`check_intertwined`] over an already compiled engine.
-pub fn check_intertwined_compiled(
-    engine: &QuorumEngine,
-    members: &ProcessSet,
-    universe: &ProcessSet,
-    correct: &ProcessSet,
-    limit: usize,
-) -> Result<Option<Violation>, EnumerationTooLarge> {
-    check_with(engine, members, universe, limit, |qi, qj| {
+    check_with(sys, members, universe, limit, |qi, qj| {
         !qi.intersection(qj).is_disjoint(correct)
     })
 }
@@ -121,7 +85,7 @@ impl std::fmt::Display for EnumerationTooLarge {
 impl std::error::Error for EnumerationTooLarge {}
 
 fn check_with<P>(
-    engine: &QuorumEngine,
+    sys: &Fbqs,
     members: &ProcessSet,
     universe: &ProcessSet,
     limit: usize,
@@ -132,10 +96,9 @@ where
 {
     // Minimal quorums of each member; pairs of minimal quorums realize the
     // minimum intersection over all quorum pairs. One enumeration of the
-    // universe serves every member (the compiled engine makes the 2^n
-    // subset sweep itself cheap).
-    let all =
-        quorum::enumerate_quorums_compiled(engine, universe, limit).ok_or(EnumerationTooLarge)?;
+    // universe serves every member (the system's compiled engine makes the
+    // 2^n subset sweep itself cheap).
+    let all = quorum::enumerate_quorums(sys, universe, limit).ok_or(EnumerationTooLarge)?;
     let mut min_quorums: Vec<(ProcessId, Vec<ProcessSet>)> = Vec::new();
     for i in members {
         min_quorums.push((i, quorum::minimal_containing(&all, i)));

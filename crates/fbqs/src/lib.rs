@@ -13,17 +13,20 @@
 //! - [`SliceFamily`]: explicit or symbolic (`all subsets of V of size m`)
 //!   slice sets — the symbolic form is what Algorithm 2 of the paper
 //!   produces, kept symbolic so quorum checks stay polynomial;
-//! - [`Fbqs`]: a system assigning a slice family to every process;
+//! - [`Fbqs`]: a system assigning a slice family to every process, which
+//!   compiles its [`QuorumEngine`] once when it is built;
+//! - [`engine`]: [`QuorumEngine`] — packed slice bitmask rows, a worklist
+//!   closure, v-blocking tests and reusable scratch buffers; every analysis
+//!   below runs on it, and SCP's federated voting fills one row by row;
 //! - [`quorum`]: Algorithm 1, quorum closure (greatest fixed point),
 //!   minimal-quorum search and bounded enumeration;
-//! - [`engine`]: [`QuorumEngine`], the compiled fast path — packed slice
-//!   bitmask rows, a worklist closure, and reusable scratch buffers for
-//!   the simulator/campaign hot loops;
-//! - [`vblocking`]: v-blocking sets (used by SCP's federated voting);
 //! - [`intertwined`]: Definition 2 and the threshold form `|Q ∩ Q'| > f` of
 //!   Section III-F;
 //! - [`cluster`]: consensus clusters and maximal-cluster computation;
 //! - [`paper`]: the hand-crafted Fig. 1 slice assignment from Section III-D.
+//!
+//! The naive per-subset predicates live only in `tests/reference.rs`, the
+//! reference the engine is tested against.
 //!
 //! # Example
 //!
@@ -48,7 +51,15 @@ pub mod engine;
 pub mod intertwined;
 pub mod paper;
 pub mod quorum;
-pub mod vblocking;
+
+// The unit tests check the engine against the naive predicates of
+// `tests/reference.rs`, which name this crate by its package name.
+#[cfg(test)]
+extern crate self as scup_fbqs;
+#[cfg(test)]
+#[allow(dead_code)] // each suite uses a part of the reference
+#[path = "../tests/reference.rs"]
+mod reference;
 
 pub use engine::{EngineScratch, QuorumEngine};
 pub use slice::SliceFamily;

@@ -8,29 +8,13 @@
 
 use scup_graph::{ProcessId, ProcessSet};
 
-use crate::{Fbqs, QuorumEngine, SliceFamily};
+use crate::Fbqs;
 
 /// Algorithm 1 — `is_quorum(Q, S_Q)`: returns `true` iff every member of
 /// `q` has a slice contained in `q`, per the system's declared slices.
 /// The empty set is not a quorum.
-///
-/// This is the reference implementation; hot paths should compile a
-/// [`crate::QuorumEngine`] instead.
 pub fn is_quorum(sys: &Fbqs, q: &ProcessSet) -> bool {
-    !q.is_empty() && q.iter().all(|i| sys.slices(i).has_slice_within(q))
-}
-
-/// Algorithm 1 with caller-provided slices `S_Q` — the form used inside
-/// protocols, where the slices of remote processes are whatever arrived
-/// attached to their messages (possibly lies, for Byzantine senders).
-pub fn is_quorum_with<F>(q: &ProcessSet, mut slices_of: F) -> bool
-where
-    F: FnMut(ProcessId) -> SliceFamily,
-{
-    if q.is_empty() {
-        return false;
-    }
-    q.iter().all(|i| slices_of(i).has_slice_within(q))
+    sys.engine().is_quorum(q)
 }
 
 /// Returns `true` if `q` is a quorum *for process `i`* (Definition 1's
@@ -46,35 +30,13 @@ pub fn is_quorum_for(sys: &Fbqs, q: &ProcessSet, i: ProcessId) -> bool {
 ///
 /// Quorum availability checks reduce to this closure: a set `I` owns a
 /// quorum for each of its members iff `quorum_closure(I) == I`.
-///
-/// This is the reference (full-rescan) implementation; hot paths should
-/// compile a [`crate::QuorumEngine`], whose worklist fixpoint re-examines
-/// only the processes whose slices touched a removed member.
 pub fn quorum_closure(sys: &Fbqs, u: &ProcessSet) -> ProcessSet {
-    let mut current = u.clone();
-    // One buffer reused across rounds: removals are collected first because
-    // Definition 1 is evaluated against the current candidate set, not a
-    // half-updated one.
-    let mut losers: Vec<ProcessId> = Vec::new();
-    loop {
-        losers.clear();
-        losers.extend(
-            current
-                .iter()
-                .filter(|&i| !sys.slices(i).has_slice_within(&current)),
-        );
-        if losers.is_empty() {
-            return current;
-        }
-        for &i in &losers {
-            current.remove(i);
-        }
-    }
+    sys.engine().quorum_closure(u)
 }
 
 /// Returns `true` if some (non-empty) quorum is contained in `u`.
 pub fn contains_quorum(sys: &Fbqs, u: &ProcessSet) -> bool {
-    !quorum_closure(sys, u).is_empty()
+    sys.engine().contains_quorum(u)
 }
 
 /// Returns the largest quorum of process `i` contained in `u`, if any:
@@ -118,23 +80,8 @@ pub fn minimal_quorum_of_within(sys: &Fbqs, i: ProcessId, u: &ProcessSet) -> Opt
 /// Exponential in `|universe|`; returns `None` when `2^|universe|` exceeds
 /// `limit` so callers must opt into the cost. Intended for verification on
 /// small systems (the paper's figures have `n ≤ 8`).
-///
-/// Compiles the system into a [`QuorumEngine`] once and runs the
-/// per-subset Algorithm 1 tests on packed bitmask rows; the proptest
-/// oracle checks it against [`enumerate_quorums_naive`].
 pub fn enumerate_quorums(
     sys: &Fbqs,
-    universe: &ProcessSet,
-    limit: usize,
-) -> Option<Vec<ProcessSet>> {
-    enumerate_quorums_compiled(&QuorumEngine::from_system(sys), universe, limit)
-}
-
-/// [`enumerate_quorums`] over an already compiled engine — the form the
-/// global analyses (intertwined checks, consensus clusters) use so one
-/// compilation serves every member/candidate.
-pub fn enumerate_quorums_compiled(
-    engine: &QuorumEngine,
     universe: &ProcessSet,
     limit: usize,
 ) -> Option<Vec<ProcessSet>> {
@@ -143,6 +90,7 @@ pub fn enumerate_quorums_compiled(
     if n >= usize::BITS as usize - 1 || (1usize << n) > limit {
         return None;
     }
+    let engine = sys.engine();
     let mut scratch = engine.scratch();
     let mut out = Vec::new();
     for mask in 1usize..(1 << n) {
@@ -159,43 +107,11 @@ pub fn enumerate_quorums_compiled(
     Some(out)
 }
 
-/// The reference (enum-dispatch, per-call) enumeration — kept as the
-/// proptest oracle for [`enumerate_quorums`].
-pub fn enumerate_quorums_naive(
-    sys: &Fbqs,
-    universe: &ProcessSet,
-    limit: usize,
-) -> Option<Vec<ProcessSet>> {
-    let ids = universe.to_vec();
-    let n = ids.len();
-    if n >= usize::BITS as usize - 1 || (1usize << n) > limit {
-        return None;
-    }
-    let mut out = Vec::new();
-    for mask in 1usize..(1 << n) {
-        let q: ProcessSet = ids
-            .iter()
-            .enumerate()
-            .filter(|(b, _)| mask & (1 << b) != 0)
-            .map(|(_, &id)| id)
-            .collect();
-        if is_quorum(sys, &q) {
-            out.push(q);
-        }
-    }
-    Some(out)
-}
-
 /// Enumerates the inclusion-minimal quorums contained in `universe`
 /// (exponential; see [`enumerate_quorums`]).
 pub fn minimal_quorums(sys: &Fbqs, universe: &ProcessSet, limit: usize) -> Option<Vec<ProcessSet>> {
     let all = enumerate_quorums(sys, universe, limit)?;
-    let minimal: Vec<ProcessSet> = all
-        .iter()
-        .filter(|q| !all.iter().any(|other| other != *q && other.is_subset(q)))
-        .cloned()
-        .collect();
-    Some(minimal)
+    Some(minimal_elements(all.iter()))
 }
 
 /// Enumerates the inclusion-minimal quorums **of process `i`** (minimal
@@ -210,17 +126,7 @@ pub fn minimal_quorums_of(
     universe: &ProcessSet,
     limit: usize,
 ) -> Option<Vec<ProcessSet>> {
-    minimal_quorums_of_compiled(&QuorumEngine::from_system(sys), i, universe, limit)
-}
-
-/// [`minimal_quorums_of`] over an already compiled engine.
-pub fn minimal_quorums_of_compiled(
-    engine: &QuorumEngine,
-    i: ProcessId,
-    universe: &ProcessSet,
-    limit: usize,
-) -> Option<Vec<ProcessSet>> {
-    let all = enumerate_quorums_compiled(engine, universe, limit)?;
+    let all = enumerate_quorums(sys, universe, limit)?;
     Some(minimal_containing(&all, i))
 }
 
@@ -228,15 +134,14 @@ pub fn minimal_quorums_of_compiled(
 /// the per-process minimal-quorum queries and the intertwined sweeps
 /// (which enumerate the universe once and slice it per member).
 pub(crate) fn minimal_containing(all: &[ProcessSet], i: ProcessId) -> Vec<ProcessSet> {
-    let with_i: Vec<&ProcessSet> = all.iter().filter(|q| q.contains(i)).collect();
-    with_i
-        .iter()
-        .filter(|q| {
-            !with_i
-                .iter()
-                .any(|other| *other != **q && other.is_subset(q))
-        })
-        .map(|q| (*q).clone())
+    minimal_elements(all.iter().filter(|q| q.contains(i)))
+}
+
+/// The inclusion-minimal sets among `sets`.
+fn minimal_elements<'a>(sets: impl Iterator<Item = &'a ProcessSet> + Clone) -> Vec<ProcessSet> {
+    sets.clone()
+        .filter(|q| !sets.clone().any(|other| other != *q && other.is_subset(q)))
+        .cloned()
         .collect()
 }
 
@@ -342,28 +247,16 @@ mod tests {
         let sys = fig1();
         let w = ProcessSet::from_ids([0, 1, 2, 3, 4, 5, 6]);
         let m3 = minimal_quorums_of(&sys, p(2), &w, 1 << 12).unwrap();
-        // Process 3 (paper): S3 = {{5,7}} → quorum {3,5,7} wait — 0-based
-        // {2,4,6}: needs slices of 4 ({5,6}→{4,5,6}...) — verify all are
-        // quorums of p2 and minimal.
-        assert!(!m3.is_empty());
-        for q in &m3 {
-            assert!(is_quorum_for(&sys, q, p(2)));
-        }
+        // Process 2 (paper 3) needs its slice {4, 6}, 4 then needs {5, 6},
+        // and {4, 5, 6} is closed: the one minimal quorum of 2 is
+        // {2, 4, 5, 6}.
+        assert_eq!(m3, vec![ProcessSet::from_ids([2, 4, 5, 6])]);
+        assert!(is_quorum_for(&sys, &m3[0], p(2)));
     }
 
     #[test]
     fn enumeration_respects_limit() {
         let sys = fig1();
         assert!(enumerate_quorums(&sys, &sys.universe(), 16).is_none());
-    }
-
-    #[test]
-    fn is_quorum_with_custom_slices() {
-        // A Byzantine process can claim slices that make anything a quorum.
-        let q = ProcessSet::from_ids([0, 1]);
-        let ok = is_quorum_with(&q, |_| SliceFamily::all_subsets(q.clone(), 1));
-        assert!(ok);
-        let bad = is_quorum_with(&q, |_| SliceFamily::empty());
-        assert!(!bad);
     }
 }

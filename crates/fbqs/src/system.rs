@@ -2,7 +2,7 @@ use std::fmt;
 
 use scup_graph::{ProcessId, ProcessSet};
 
-use crate::SliceFamily;
+use crate::{QuorumEngine, SliceFamily};
 
 /// A Federated Byzantine Quorum System: one [`SliceFamily`] per process.
 ///
@@ -11,6 +11,10 @@ use crate::SliceFamily;
 /// paper notes they "can define \[their\] slices arbitrarily"); protocol-level
 /// equivocation about slices is modeled in the simulation crates, while this
 /// structure supports the global analyses of Sections IV–V.
+///
+/// A system is immutable: [`Fbqs::new`] compiles its [`QuorumEngine`] once,
+/// and every analysis ([`crate::quorum`], [`crate::intertwined`],
+/// [`crate::cluster`]) queries that one engine through [`Fbqs::engine`].
 ///
 /// # Example
 ///
@@ -23,17 +27,20 @@ use crate::SliceFamily;
 ///     SliceFamily::explicit([ProcessSet::from_ids([0])]),
 /// ]);
 /// assert_eq!(sys.n(), 2);
+/// assert!(sys.engine().is_quorum(&ProcessSet::from_ids([0, 1])));
 /// ```
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Fbqs {
     families: Vec<SliceFamily>,
+    engine: QuorumEngine,
 }
 
 impl Fbqs {
     /// Creates a system from per-process slice families; process `i` gets
-    /// `families[i]`.
+    /// `families[i]`. Compiles the system's [`QuorumEngine`].
     pub fn new(families: Vec<SliceFamily>) -> Self {
-        Fbqs { families }
+        let engine = QuorumEngine::from_families(families.len(), &families);
+        Fbqs { families, engine }
     }
 
     /// Number of processes `|Π|`.
@@ -52,14 +59,10 @@ impl Fbqs {
         &self.families[i.index()]
     }
 
-    /// Replaces the slice family of process `i` (used by adversaries and by
-    /// incremental slice-building protocols).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn set_slices(&mut self, i: ProcessId, family: SliceFamily) {
-        self.families[i.index()] = family;
+    /// The compiled engine every quorum analysis of this system runs on.
+    #[inline]
+    pub fn engine(&self) -> &QuorumEngine {
+        &self.engine
     }
 
     /// Iterates over all process ids.
@@ -95,7 +98,7 @@ mod tests {
 
     #[test]
     fn accessors() {
-        let mut sys = Fbqs::new(vec![
+        let sys = Fbqs::new(vec![
             SliceFamily::explicit([ProcessSet::from_ids([1, 2])]),
             SliceFamily::empty(),
             SliceFamily::all_subsets(ProcessSet::from_ids([0, 1]), 1),
@@ -110,10 +113,7 @@ mod tests {
             sys.known_by(ProcessId::new(2)),
             ProcessSet::from_ids([0, 1])
         );
-        sys.set_slices(
-            ProcessId::new(1),
-            SliceFamily::explicit([ProcessSet::from_ids([0])]),
-        );
-        assert!(sys.slices(ProcessId::new(1)).has_slices());
+        assert!(!sys.slices(ProcessId::new(1)).has_slices());
+        assert_eq!(sys.engine().n(), 3);
     }
 }

@@ -6,10 +6,16 @@
 //!   is a fixed point, and contains every quorum inside the input;
 //! - unions of quorums are quorums;
 //! - v-blocking and `has_slice_within` are complementary through the
-//!   correct/faulty partition.
+//!   correct/faulty partition;
+//! - the compiled engine every `Fbqs` carries — batch-compiled or filled
+//!   row by row — and the analyses on it (enumeration, the consensus-cluster
+//!   check in both intertwined modes) agree with the naive predicates of
+//!   `reference.rs`, never with another function that asks the engine.
+
+mod reference;
 
 use proptest::prelude::*;
-use scup_fbqs::{quorum, vblocking, Fbqs, QuorumEngine, SliceFamily};
+use scup_fbqs::{quorum, Fbqs, QuorumEngine, SliceFamily};
 use scup_graph::{ProcessId, ProcessSet};
 
 const N: usize = 8;
@@ -103,84 +109,97 @@ proptest! {
 
     #[test]
     fn is_quorum_matches_definition(sys in arb_system(), q in arb_subset(N)) {
-        let expected = !q.is_empty()
-            && q.iter().all(|i| sys.slices(i).has_slice_within(&q));
-        prop_assert_eq!(quorum::is_quorum(&sys, &q), expected);
+        prop_assert_eq!(quorum::is_quorum(&sys, &q), reference::is_quorum(&sys, &q));
     }
 
     #[test]
     fn engine_agrees_with_naive_predicates(sys in arb_system(), q in arb_subset(N), b in arb_subset(N)) {
-        let engine = QuorumEngine::from_system(&sys);
+        let engine = sys.engine();
         let mut scratch = engine.scratch();
         prop_assert_eq!(
             engine.is_quorum_in(&q, &mut scratch),
-            quorum::is_quorum(&sys, &q),
+            reference::is_quorum(&sys, &q),
             "is_quorum disagrees on {}", q
         );
         let mut closed = ProcessSet::new();
         engine.quorum_closure_in(&q, &mut scratch, &mut closed);
-        prop_assert_eq!(
-            closed,
-            quorum::quorum_closure(&sys, &q),
-            "quorum_closure disagrees on {}", q
-        );
-        prop_assert_eq!(
-            engine.contains_quorum_in(&q, &mut scratch),
-            quorum::contains_quorum(&sys, &q)
-        );
+        let expected = reference::quorum_closure(&sys, &q);
+        prop_assert_eq!(&closed, &expected, "quorum_closure disagrees on {}", q);
+        prop_assert_eq!(engine.contains_quorum_in(&q, &mut scratch), !expected.is_empty());
         for i in sys.processes() {
             prop_assert_eq!(
                 engine.is_v_blocking(i, &b),
-                vblocking::is_v_blocking(&sys, i, &b),
+                reference::is_v_blocking(&sys, i, &b),
                 "v-blocking disagrees for {} on {}", i, b
             );
         }
-        prop_assert_eq!(engine.blocked_processes(&b), vblocking::blocked_processes(&sys, &b));
+        prop_assert_eq!(engine.blocked_processes(&b), reference::blocked_processes(&sys, &b));
     }
 
     #[test]
     fn incremental_engine_agrees_with_batch(sys in arb_system(), q in arb_subset(N)) {
         // Rows recorded one at a time (protocol-style), in reverse order
-        // and with an interleaved overwrite, must match batch compilation.
+        // and with an interleaved overwrite, must match batch compilation
+        // and the reference.
         let mut engine = QuorumEngine::new(0);
         for i in (0..sys.n() as u32).rev().map(ProcessId::new) {
             engine.set_slices(i, &SliceFamily::empty());
             engine.set_slices(i, sys.slices(i));
         }
-        prop_assert_eq!(engine.is_quorum(&q), quorum::is_quorum(&sys, &q));
-        prop_assert_eq!(engine.quorum_closure(&q), quorum::quorum_closure(&sys, &q));
+        prop_assert_eq!(engine.is_quorum(&q), reference::is_quorum(&sys, &q));
+        let closed = engine.quorum_closure(&q);
+        prop_assert_eq!(&closed, &reference::quorum_closure(&sys, &q));
+        prop_assert_eq!(closed, sys.engine().quorum_closure(&q));
     }
 
     #[test]
     fn compiled_enumeration_matches_naive(sys in arb_system(), u in arb_subset(N)) {
-        // The global analyses now run on the compiled engine; the naive
-        // enum-dispatch sweep remains their oracle.
+        // The global analyses run on the system's compiled engine; the
+        // naive subset sweep of the reference is their oracle.
         prop_assert_eq!(
             quorum::enumerate_quorums(&sys, &u, 1 << N),
-            quorum::enumerate_quorums_naive(&sys, &u, 1 << N)
+            Some(reference::enumerate_quorums(&sys, &u))
         );
     }
 
     #[test]
-    fn compiled_cluster_check_matches_naive(sys in arb_system(), cand in arb_subset(N), f in 0usize..3) {
+    fn compiled_cluster_check_matches_naive(
+        sys in arb_system(),
+        cand in arb_subset(N),
+        correct in arb_subset(N),
+        f in 0usize..3,
+    ) {
         use scup_fbqs::cluster::{self, IntertwinedMode};
         let all = sys.universe();
-        // Naive reference for Definition 3, straight off the reference
-        // predicates: availability = closure fixed point, intersection =
-        // threshold-intertwined over naive minimal quorums.
-        let naive_avail = !cand.is_empty() && quorum::quorum_closure(&sys, &cand) == cand;
-        let report = cluster::check_consensus_cluster(
-            &sys, &cand, &all, &all, IntertwinedMode::Threshold(f), 1 << N,
-        ).expect("within limit");
-        prop_assert_eq!(report.availability, naive_avail);
-        // The violation witness (if any) must be a real pair of quorums
-        // intersecting in at most f processes.
-        if let Some(v) = &report.intersection_violation {
-            prop_assert!(quorum::is_quorum(&sys, &v.qi));
-            prop_assert!(quorum::is_quorum(&sys, &v.qj));
-            prop_assert!(v.qi.contains(v.i) && v.qj.contains(v.j));
-            prop_assert!(v.intersection_len <= f);
-            prop_assert!(cand.contains(v.i) && cand.contains(v.j));
+        // Definition 3 straight off the reference: availability is the
+        // closure fixed point, and the intersection half must report a
+        // violation iff some pair of quorums of the candidates fails the
+        // mode's test — and then a real one.
+        let closed = !cand.is_empty() && reference::quorum_closure(&sys, &cand) == cand;
+        let threshold = |qi: &ProcessSet, qj: &ProcessSet| qi.intersection_len(qj) > f;
+        let witness = |qi: &ProcessSet, qj: &ProcessSet| !qi.intersection(qj).is_disjoint(&correct);
+        // The threshold mode is checked with every process correct.
+        let modes: [(IntertwinedMode, &ProcessSet, &dyn Fn(&ProcessSet, &ProcessSet) -> bool); 2] = [
+            (IntertwinedMode::Threshold(f), &all, &threshold),
+            (IntertwinedMode::CorrectWitness, &correct, &witness),
+        ];
+        for (mode, correct_arg, ok) in modes {
+            let report = cluster::check_consensus_cluster(&sys, &cand, correct_arg, &all, mode, 1 << N)
+                .expect("within limit");
+            prop_assert_eq!(report.availability, closed && cand.is_subset(correct_arg));
+            prop_assert_eq!(
+                report.intersection_violation.is_some(),
+                reference::intertwined_violation_exists(&sys, &cand, &all, ok),
+                "{:?} on candidates {}", mode, cand
+            );
+            if let Some(v) = &report.intersection_violation {
+                prop_assert!(reference::is_quorum(&sys, &v.qi));
+                prop_assert!(reference::is_quorum(&sys, &v.qj));
+                prop_assert!(v.qi.contains(v.i) && v.qj.contains(v.j));
+                prop_assert!(cand.contains(v.i) && cand.contains(v.j));
+                prop_assert_eq!(v.intersection_len, v.qi.intersection_len(&v.qj));
+                prop_assert!(!ok(&v.qi, &v.qj));
+            }
         }
     }
 }

@@ -384,18 +384,21 @@ fn faults_from_json(doc: &Json, f: usize) -> Result<Option<FaultPlacement>, Stri
         }
         return Ok(Some(FaultPlacement::Ids(out)));
     }
-    let count = get_usize(doc, "fault_count")?.unwrap_or(f);
+    let count = get_usize(doc, "fault_count")?;
+    let counted = || {
+        PlacementKind::ALL
+            .iter()
+            .filter(|kind| kind.takes_count())
+            .map(Named::name)
+            .collect::<Vec<_>>()
+            .join(" | ")
+    };
     let Some(v) = doc.get("fault_placement") else {
-        if doc.get("fault_count").is_some() {
-            let placing = PlacementKind::ALL
-                .iter()
-                .filter(|&&kind| kind != PlacementKind::None)
-                .map(Named::name)
-                .collect::<Vec<_>>();
+        if count.is_some() {
             return Err(format!(
                 "`fault_count` without `fault_placement` would be silently ignored; \
                  add fault_placement = {}",
-                placing.join(" | ")
+                counted()
             ));
         }
         return Ok(None);
@@ -407,7 +410,15 @@ fn faults_from_json(doc: &Json, f: usize) -> Result<Option<FaultPlacement>, Stri
             PlacementKind::names(" | ")
         )
     })?;
-    Ok(Some(kind.with_count(count)))
+    if count.is_some() && !kind.takes_count() {
+        return Err(format!(
+            "`fault_count` would be silently ignored under fault_placement = \"{}\"; \
+             drop `fault_count` or use fault_placement = {}",
+            kind.name(),
+            counted()
+        ));
+    }
+    Ok(Some(kind.with_count(count.unwrap_or(f))))
 }
 
 /// Reads the optional mode key `key` by its variants' [`Named`] spellings;
@@ -863,6 +874,44 @@ max_ticks = 1_000_000
                 not_a_string,
                 format!("scenario #1: bad `{key}` None; {choices}")
             );
+        }
+    }
+
+    /// `none` and `generator` draw no faults, so a `fault_count` beside
+    /// them is refused, naming both keys, instead of dropped.
+    #[test]
+    fn a_fault_count_the_placement_ignores_is_an_error() {
+        for kind in ["none", "generator"] {
+            let err = campaign_from_str(&format!(
+                "name = \"x\"\n[[scenario]]\nname = \"s\"\ntopology = \"fig2\"\n\
+                 fault_placement = \"{kind}\"\nfault_count = 2\n"
+            ))
+            .unwrap_err();
+            assert_eq!(
+                err,
+                format!(
+                    "scenario #1: `fault_count` would be silently ignored under \
+                     fault_placement = \"{kind}\"; drop `fault_count` or use \
+                     fault_placement = random | sink | nonsink"
+                )
+            );
+        }
+        let err = campaign_from_str(
+            "name = \"x\"\n[[scenario]]\nname = \"s\"\ntopology = \"fig2\"\nfault_count = 2\n",
+        )
+        .unwrap_err();
+        assert!(
+            err.ends_with("add fault_placement = random | sink | nonsink"),
+            "{err}"
+        );
+        for kind in ["random", "sink", "nonsink"] {
+            let c = campaign_from_str(&format!(
+                "name = \"x\"\n[[scenario]]\nname = \"s\"\ntopology = \"fig2\"\n\
+                 fault_placement = \"{kind}\"\nfault_count = 2\n"
+            ))
+            .unwrap();
+            let kind = PlacementKind::from_name(kind).unwrap();
+            assert_eq!(c.scenarios[0].faults, kind.with_count(2));
         }
     }
 

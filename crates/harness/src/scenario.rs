@@ -352,6 +352,12 @@ impl Named for PlacementKind {
 }
 
 impl PlacementKind {
+    /// Whether `count` sizes a placement of this kind: `none` and
+    /// `generator` place no drawn faults.
+    pub fn takes_count(self) -> bool {
+        !matches!(self, PlacementKind::None | PlacementKind::Generator)
+    }
+
     /// The placement of this kind; `count` sizes the drawn ones.
     pub fn with_count(self, count: usize) -> FaultPlacement {
         match self {

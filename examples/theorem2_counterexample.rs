@@ -14,6 +14,7 @@ fn main() {
 
     // Static: the violation witness of Theorem 2.
     let v = theorems::theorem2_violation(&kg, LocalSliceStrategy::AllButOne, 1)
+        .expect("Fig. 2 is small enough to search")
         .expect("Fig. 2 must exhibit the violation");
     println!("Theorem 2 witness on Fig. 2 (0-based ids):");
     println!(

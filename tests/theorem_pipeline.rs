@@ -115,7 +115,10 @@ fn paper_quote_pipeline_order_matters() {
     let kg = generators::fig2();
     let violation =
         theorems::theorem2_violation(&kg, stellar_cup::attempts::LocalSliceStrategy::AllButOne, 1);
-    assert!(violation.is_some(), "before: quorum intersection fails");
+    assert!(
+        matches!(violation, Ok(Some(_))),
+        "before: quorum intersection fails"
+    );
     let (sys, _) = theorems::algorithm2_system(&kg, 1).unwrap();
     let correct = kg.graph().vertex_set();
     assert!(
