@@ -397,10 +397,7 @@ impl CampaignReport {
             ("passed", Json::from(self.passed())),
             ("failed", Json::from(self.failed())),
             ("wall_micros", Json::from(self.wall_micros)),
-            (
-                "runs",
-                Json::Arr(self.runs.iter().map(RunRecord::to_json).collect()),
-            ),
+            ("runs", self.runs.iter().map(RunRecord::to_json).collect()),
         ])
     }
 }
@@ -417,10 +414,7 @@ impl RunRecord {
             ("seed", Json::from(self.seed)),
             ("n", Json::from(self.n)),
             ("f", Json::from(self.f)),
-            (
-                "faulty",
-                Json::Arr(self.faulty.iter().map(|&v| Json::from(v)).collect()),
-            ),
+            ("faulty", self.faulty.iter().copied().collect()),
             (
                 "oracles",
                 Json::obj([
@@ -428,20 +422,9 @@ impl RunRecord {
                     ("termination_required", Json::Bool(inv.termination_required)),
                     ("agreement", Json::Bool(inv.agreement)),
                     ("pledges_ok", Json::Bool(inv.pledges_ok)),
-                    (
-                        "validity",
-                        inv.validity.map(Json::Bool).unwrap_or(Json::Null),
-                    ),
+                    ("validity", Json::from(inv.validity)),
                     ("premise", Json::Bool(inv.premise)),
-                    (
-                        "violations",
-                        Json::Arr(
-                            inv.violations
-                                .iter()
-                                .map(|v| Json::Str(v.clone()))
-                                .collect(),
-                        ),
-                    ),
+                    ("violations", inv.violations.iter().cloned().collect()),
                 ]),
             ),
             (
@@ -479,47 +462,31 @@ impl RunRecord {
                     ("retransmissions", Json::from(self.retransmissions)),
                     (
                         "retransmit_delay_buckets",
-                        Json::Arr(
-                            self.retransmit_delay_buckets
-                                .iter()
-                                .map(|&c| Json::from(c))
-                                .collect(),
-                        ),
+                        self.retransmit_delay_buckets.iter().copied().collect(),
                     ),
                     (
                         "link_drops",
-                        Json::Arr(
-                            self.link_drops
-                                .iter()
-                                .map(|&(from, to, dropped)| {
-                                    Json::obj([
-                                        ("from", Json::from(from)),
-                                        ("to", Json::from(to)),
-                                        ("dropped", Json::from(dropped)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
+                        self.link_drops
+                            .iter()
+                            .map(|&(from, to, dropped)| {
+                                Json::obj([
+                                    ("from", Json::from(from)),
+                                    ("to", Json::from(to)),
+                                    ("dropped", Json::from(dropped)),
+                                ])
+                            })
+                            .collect(),
                     ),
                 ]),
             ),
             (
                 "forensics",
-                self.forensics
-                    .as_ref()
-                    .map(|f| f.to_json())
-                    .unwrap_or(Json::Null),
+                Json::from(self.forensics.as_ref().map(|f| f.to_json())),
             ),
             ("end_ticks", Json::from(self.end_ticks)),
             ("wall_micros", Json::from(self.wall_micros)),
             ("passed", Json::Bool(self.passed)),
-            (
-                "error",
-                self.error
-                    .as_ref()
-                    .map(|e| Json::Str(e.clone()))
-                    .unwrap_or(Json::Null),
-            ),
+            ("error", Json::from(self.error.clone())),
         ])
     }
 }

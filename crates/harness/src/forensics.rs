@@ -228,16 +228,12 @@ impl ForensicReport {
     /// The JSON block embedded in campaign reports (the DOT graph is
     /// written as its own artifact, not inlined here).
     pub fn to_json(&self) -> Json {
-        let strings =
-            |items: &[String]| Json::Arr(items.iter().map(|s| Json::Str(s.clone())).collect());
+        let strings = |items: &[String]| items.iter().cloned().collect::<Json>();
         Json::obj([
             ("scenario", Json::Str(self.scenario.clone())),
             ("seed", Json::from(self.seed)),
             ("violations", strings(&self.violations)),
-            (
-                "anchors",
-                Json::Arr(self.anchors.iter().map(|&p| Json::from(p)).collect()),
-            ),
+            ("anchors", self.anchors.iter().copied().collect()),
             (
                 "events",
                 Json::obj([
@@ -248,21 +244,19 @@ impl ForensicReport {
             ("equivocations", strings(&self.equivocations)),
             (
                 "chains",
-                Json::Arr(
-                    self.chains
-                        .iter()
-                        .map(|c| {
-                            Json::obj([
-                                ("process", Json::from(c.process)),
-                                ("label", Json::Str(c.label.clone())),
-                                ("rooted", Json::Bool(c.rooted)),
-                                ("entries", Json::from(c.entries)),
-                                ("roots", strings(&c.roots)),
-                                ("unresolved", strings(&c.unresolved)),
-                            ])
-                        })
-                        .collect(),
-                ),
+                self.chains
+                    .iter()
+                    .map(|c| {
+                        Json::obj([
+                            ("process", Json::from(c.process)),
+                            ("label", Json::Str(c.label.clone())),
+                            ("rooted", Json::Bool(c.rooted)),
+                            ("entries", Json::from(c.entries)),
+                            ("roots", strings(&c.roots)),
+                            ("unresolved", strings(&c.unresolved)),
+                        ])
+                    })
+                    .collect(),
             ),
         ])
     }

@@ -365,7 +365,7 @@ fn explore_with_driver<P: Explored>(
                                     series: vec![("states", visited.len() as u64)],
                                 });
                             }
-                            stats.visited_peak = (visited.len() as u64, visited.capacity() as u64);
+                            stats.visited_peak = visited.len() as u64;
                             Ok((visited, stats, buf))
                         },
                     )
@@ -408,7 +408,8 @@ fn explore_with_driver<P: Explored>(
             settle_forced: stats.settle_forced,
             visited_len: merged.len() as u64,
             visited_capacity: merged.capacity() as u64,
-            worker_visited_peak: stats.visited_peak.0,
+            worker_visited_peak: stats.visited_peak,
+            frontier_peak: stats.frontier_peak,
             depth_samples: stats.depth_samples.clone(),
         });
     }
@@ -418,9 +419,9 @@ fn explore_with_driver<P: Explored>(
     for (_, entry) in merged.iter() {
         tally(record, &mut decided, &mut min_violation, &entry);
     }
-    // Flat-table memory: 32 bytes per slot (capacity is a pure function of
-    // the state count), plus the live frontier-layer snapshots,
-    // approximated by one state estimate per state.
+    // A deterministic size model, not a measured peak: every visited state
+    // counted at the initial state's size, plus the flat table's 32-byte
+    // slots (capacity is a pure function of the state count).
     record.peak_memory_bytes = record.states * record.state_bytes_estimate
         + merged.capacity() as u64 * FpTable::SLOT_BYTES;
     for buf in buffers {
@@ -653,7 +654,7 @@ pub fn summary(report: &ExploreReport) -> String {
             let _ = writeln!(
                 out,
                 "    reductions: symmetry group {} (classes {}), {} symmetric states, \
-                 {} transitions; mem ≈ {:.1} MiB ({} B/state × {} states)",
+                 {} transitions; size model {:.1} MiB ({} B/state × {} states)",
                 r.symmetry_group,
                 if classes.is_empty() {
                     "-".to_string()

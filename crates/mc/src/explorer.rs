@@ -69,7 +69,6 @@
 //! one first.
 
 use std::collections::HashMap;
-use std::rc::Rc;
 
 use scup_graph::ProcessId;
 use scup_harness::scenario::ExploreSpec;
@@ -125,9 +124,12 @@ pub struct WorkerStats {
     /// Per-phase wall-time attribution (inert unless obs profiling is
     /// on — see [`WorkerStats::profiled`]).
     pub profile: PhaseProfile,
-    /// Peak visited-map occupancy across workers: `(len, capacity)` of
-    /// the largest per-worker map (set by the campaign driver).
-    pub visited_peak: (u64, u64),
+    /// Entries in the largest per-worker visited map (set by the
+    /// campaign driver).
+    pub visited_peak: u64,
+    /// Most saved parent states [`Engine::ucs`] held alive at once, the
+    /// largest over workers.
+    pub frontier_peak: u64,
     /// Sampled `(transitions, branching depth)` pairs — the
     /// frontier-depth-over-time series. Stride doubles (with decimation)
     /// when the buffer fills, bounding it to [`DEPTH_SAMPLE_CAP`].
@@ -148,7 +150,8 @@ impl Default for WorkerStats {
             settle_forced: 0,
             reexpansions: 0,
             profile: PhaseProfile::disabled(),
-            visited_peak: (0, 0),
+            visited_peak: 0,
+            frontier_peak: 0,
             depth_samples: Vec::new(),
             depth_stride: 64,
         }
@@ -165,8 +168,8 @@ impl WorkerStats {
     }
 
     /// Accumulates another worker's counters (profiles sum; the visited
-    /// peak keeps the larger map; depth samples concatenate, decimated
-    /// back under the cap).
+    /// and frontier peaks keep the larger; depth samples concatenate,
+    /// decimated back under the cap).
     pub fn absorb(&mut self, other: WorkerStats) {
         self.transitions += other.transitions;
         self.steps_replayed += other.steps_replayed;
@@ -175,9 +178,8 @@ impl WorkerStats {
         self.settle_forced += other.settle_forced;
         self.reexpansions += other.reexpansions;
         self.profile.merge(&other.profile);
-        if other.visited_peak.0 > self.visited_peak.0 {
-            self.visited_peak = other.visited_peak;
-        }
+        self.visited_peak = self.visited_peak.max(other.visited_peak);
+        self.frontier_peak = self.frontier_peak.max(other.frontier_peak);
         self.depth_samples.extend_from_slice(&other.depth_samples);
         while self.depth_samples.len() > DEPTH_SAMPLE_CAP {
             let mut keep = false;
@@ -460,13 +462,17 @@ impl<'a, P: Explored> Engine<'a, P> {
     /// so the layered expansion ascends in global depth order and every
     /// canonical state is expanded exactly once, at its minimal depth.
     ///
-    /// Each frontier layer holds `(parent snapshot, variant, choice)`
-    /// jobs; siblings share their parent's snapshot through an [`Rc`]
-    /// (workers are single-threaded), and one live simulation per variant
-    /// serves as the restore target, so expanding a job is
+    /// Each frontier layer holds one `(saved state, variant, choices)`
+    /// parent per inner node, consumed in order, and one live simulation
+    /// per variant serves as the restore target, so expanding a child is
     /// restore → fire → settle → classify with no replay from the root.
-    /// Restore and snapshot copy slot pointers; the one actor fork a
-    /// delivery needs happens at its first write, inside fire or settle.
+    /// Every child but the last restores the parent's state by reference;
+    /// the last takes it by move ([`ExploreSim::restore_owned`]), so a
+    /// parent is freed as soon as its last child is expanded and at most
+    /// one layer plus the part of the next built so far is alive. Restore
+    /// and snapshot copy slot pointers; the one actor fork a delivery
+    /// needs happens at its first write, inside fire or settle, and only
+    /// when a saved state or the memo still shares the slot.
     ///
     /// Repeated local steps are replayed, not executed: when the protocol
     /// declares [`Explored::CONGRUENT_FINGERPRINT`], every restore target
@@ -489,31 +495,18 @@ impl<'a, P: Explored> Engine<'a, P> {
         visited: &mut FpTable,
         stats: &mut WorkerStats,
     ) -> Result<(), StateCapExceeded> {
-        struct Job<M: scup_sim::SimMessage> {
-            parent: Rc<SimState<M>>,
-            variant: u32,
-            choice: usize,
-        }
-
         // Bootstrap: replay every root (the only replays ucs ever does),
         // keep one live sim per variant as the restore target, and seed
-        // the first layer with the roots' children.
+        // the first layer with the roots that are inner nodes.
         let mut sims: Vec<Option<ExploreSim<P::Msg>>> = Vec::new();
-        let mut layer: Vec<Job<P::Msg>> = Vec::new();
+        let mut layer: Vec<(SimState<P::Msg>, u32, Vec<usize>)> = Vec::new();
         for (variant, path) in roots {
             if visited.len() as u64 > self.spec.max_states {
                 return Err(StateCapExceeded);
             }
             let mut sim = self.replay(*variant, path);
             if let Some(choices) = self.visit_fp(*variant, &sim, visited, stats) {
-                let parent = Rc::new(sim.snapshot());
-                for choice in choices {
-                    layer.push(Job {
-                        parent: Rc::clone(&parent),
-                        variant: *variant,
-                        choice,
-                    });
-                }
+                layer.push((sim.snapshot(), *variant, choices));
             }
             let slot = *variant as usize;
             if sims.len() <= slot {
@@ -529,31 +522,37 @@ impl<'a, P: Explored> Engine<'a, P> {
             }
         }
 
+        // Saved states alive: the layer's unreleased parents plus `next`.
+        let mut saved = layer.len() as u64;
+        stats.frontier_peak = stats.frontier_peak.max(saved);
         while !layer.is_empty() {
-            let mut next: Vec<Job<P::Msg>> = Vec::new();
-            for job in &layer {
-                if visited.len() as u64 > self.spec.max_states {
-                    return Err(StateCapExceeded);
-                }
-                let sim = sims[job.variant as usize]
+            let mut next = Vec::new();
+            for (state, variant, choices) in layer {
+                let sim = sims[variant as usize]
                     .as_mut()
                     .expect("restore target exists for every rooted variant");
-                stats.profile.lap_start();
-                sim.restore(&job.parent);
-                stats.profile.lap(Phase::Restore);
-                stats.transitions += 1;
-                self.advance(sim, job.choice, &mut stats.profile);
-                stats.sample_depth(sim.steps() as u32);
-                if let Some(choices) = self.visit_fp(job.variant, sim, visited, stats) {
+                let mut state = Some(state);
+                for (i, &choice) in choices.iter().enumerate() {
+                    if visited.len() as u64 > self.spec.max_states {
+                        return Err(StateCapExceeded);
+                    }
                     stats.profile.lap_start();
-                    let parent = Rc::new(sim.snapshot());
+                    if i + 1 < choices.len() {
+                        sim.restore(state.as_ref().expect("held until the last child"));
+                    } else {
+                        sim.restore_owned(state.take().expect("moved once"));
+                        saved -= 1;
+                    }
                     stats.profile.lap(Phase::Restore);
-                    for choice in choices {
-                        next.push(Job {
-                            parent: Rc::clone(&parent),
-                            variant: job.variant,
-                            choice,
-                        });
+                    stats.transitions += 1;
+                    self.advance(sim, choice, &mut stats.profile);
+                    stats.sample_depth(sim.steps() as u32);
+                    if let Some(choices) = self.visit_fp(variant, sim, visited, stats) {
+                        stats.profile.lap_start();
+                        next.push((sim.snapshot(), variant, choices));
+                        stats.profile.lap(Phase::Restore);
+                        saved += 1;
+                        stats.frontier_peak = stats.frontier_peak.max(saved);
                     }
                 }
             }

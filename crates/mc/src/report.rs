@@ -51,6 +51,9 @@ pub struct ExploreObs {
     pub visited_capacity: u64,
     /// Largest per-worker visited map (entries) before merging.
     pub worker_visited_peak: u64,
+    /// Most saved parent states one worker's frontier held alive at
+    /// once, the largest over workers.
+    pub frontier_peak: u64,
     /// Sampled `(transitions, branching depth)` pairs over the run.
     pub depth_samples: Vec<(u64, u32)>,
 }
@@ -73,18 +76,16 @@ impl ExploreObs {
         Json::obj([
             (
                 "phases",
-                Json::Arr(
-                    self.phases
-                        .iter()
-                        .map(|r| {
-                            Json::obj([
-                                ("phase", Json::Str(r.phase.to_string())),
-                                ("nanos", Json::from(r.nanos)),
-                                ("laps", Json::from(r.laps)),
-                            ])
-                        })
-                        .collect(),
-                ),
+                self.phases
+                    .iter()
+                    .map(|r| {
+                        Json::obj([
+                            ("phase", Json::Str(r.phase.to_string())),
+                            ("nanos", Json::from(r.nanos)),
+                            ("laps", Json::from(r.laps)),
+                        ])
+                    })
+                    .collect(),
             ),
             ("reexpansions", Json::from(self.reexpansions)),
             (
@@ -104,14 +105,13 @@ impl ExploreObs {
             ("visited_len", Json::from(self.visited_len)),
             ("visited_capacity", Json::from(self.visited_capacity)),
             ("worker_visited_peak", Json::from(self.worker_visited_peak)),
+            ("frontier_peak", Json::from(self.frontier_peak)),
             (
                 "depth_samples",
-                Json::Arr(
-                    self.depth_samples
-                        .iter()
-                        .map(|&(t, d)| Json::Arr(vec![Json::from(t), Json::from(d)]))
-                        .collect(),
-                ),
+                self.depth_samples
+                    .iter()
+                    .map(|&(t, d)| Json::Arr(vec![Json::from(t), Json::from(d)]))
+                    .collect(),
             ),
         ])
     }
@@ -203,10 +203,14 @@ pub struct ExploreRecord {
     /// Traversal effort — partition-dependent, excluded from the
     /// bit-identical contract (like `wall_micros`).
     pub transitions: u64,
-    /// Rough bytes per forked state (initial-state estimate).
+    /// The initial state's size model
+    /// ([`scup_sim::ExploreSim::state_size_estimate`]), in bytes.
     pub state_bytes_estimate: u64,
-    /// Peak-memory estimate: states × state bytes + visited-table slots
-    /// × slot bytes. Deterministic.
+    /// A deterministic size model, not a measured peak: every visited
+    /// state counted at the initial state's size (`states ×
+    /// state_bytes_estimate`) plus the visited table's slots × slot
+    /// bytes. The process's resident peak is neither bounded nor tracked
+    /// by it.
     pub peak_memory_bytes: u64,
     /// Minimal branching depth of a violation, if any exists.
     pub min_violation_depth: Option<u32>,
@@ -260,7 +264,7 @@ impl ExploreReport {
             ("wall_micros", Json::from(self.wall_micros)),
             (
                 "records",
-                Json::Arr(self.records.iter().map(ExploreRecord::to_json).collect()),
+                self.records.iter().map(ExploreRecord::to_json).collect(),
             ),
         ])
     }
@@ -276,10 +280,7 @@ impl ExploreRecord {
             ("protocol", Json::Str(self.protocol.clone())),
             ("n", Json::from(self.n)),
             ("f", Json::from(self.f)),
-            (
-                "faulty",
-                Json::Arr(self.faulty.iter().map(|&v| Json::from(v)).collect()),
-            ),
+            ("faulty", self.faulty.iter().copied().collect()),
             ("premise", Json::Bool(self.premise)),
             ("variants", Json::from(self.variants)),
             ("states", Json::from(self.states)),
@@ -292,24 +293,17 @@ impl ExploreRecord {
                 "decided_values",
                 // Values render as their two's-complement i64, losslessly
                 // (as in the sampler's `decided_value`).
-                Json::Arr(
-                    self.decided_values
-                        .iter()
-                        .map(|&v| Json::Int(v as i64))
-                        .collect(),
-                ),
+                self.decided_values
+                    .iter()
+                    .map(|&v| Json::Int(v as i64))
+                    .collect(),
             ),
             ("complete", Json::Bool(self.complete)),
             ("frontier_roots", Json::from(self.frontier_roots)),
             ("symmetry_group", Json::from(self.symmetry_group)),
             (
                 "symmetry_classes",
-                Json::Arr(
-                    self.symmetry_classes
-                        .iter()
-                        .map(|&c| Json::from(c))
-                        .collect(),
-                ),
+                self.symmetry_classes.iter().copied().collect(),
             ),
             (
                 "symmetry_dropped_classes",
@@ -326,34 +320,17 @@ impl ExploreRecord {
                 Json::from(self.state_bytes_estimate),
             ),
             ("peak_memory_bytes", Json::from(self.peak_memory_bytes)),
-            (
-                "min_violation_depth",
-                self.min_violation_depth
-                    .map(Json::from)
-                    .unwrap_or(Json::Null),
-            ),
+            ("min_violation_depth", Json::from(self.min_violation_depth)),
             (
                 "violation",
-                self.violation
-                    .as_ref()
-                    .map(CexReport::to_json)
-                    .unwrap_or(Json::Null),
+                Json::from(self.violation.as_ref().map(CexReport::to_json)),
             ),
             ("passed", Json::Bool(self.passed)),
-            (
-                "error",
-                self.error
-                    .as_ref()
-                    .map(|e| Json::Str(e.clone()))
-                    .unwrap_or(Json::Null),
-            ),
+            ("error", Json::from(self.error.clone())),
             ("wall_micros", Json::from(self.wall_micros)),
             (
                 "obs",
-                self.obs
-                    .as_ref()
-                    .map(ExploreObs::to_json)
-                    .unwrap_or(Json::Null),
+                Json::from(self.obs.as_ref().map(ExploreObs::to_json)),
             ),
         ])
     }
@@ -365,34 +342,18 @@ impl CexReport {
         Json::obj([
             ("depth", Json::from(self.depth)),
             ("variant", Json::from(self.variant)),
-            (
-                "violations",
-                Json::Arr(
-                    self.violations
-                        .iter()
-                        .map(|v| Json::Str(v.clone()))
-                        .collect(),
-                ),
-            ),
-            (
-                "schedule",
-                Json::Arr(self.schedule.iter().map(|s| Json::Str(s.clone())).collect()),
-            ),
+            ("violations", self.violations.iter().cloned().collect()),
+            ("schedule", self.schedule.iter().cloned().collect()),
             (
                 "decisions",
-                Json::Arr(
-                    self.decisions
-                        .iter()
-                        .map(|d| d.map(|v| Json::Int(v as i64)).unwrap_or(Json::Null))
-                        .collect(),
-                ),
+                self.decisions
+                    .iter()
+                    .map(|d| Json::from(d.map(|v| Json::Int(v as i64))))
+                    .collect(),
             ),
             (
                 "forensics",
-                self.forensics
-                    .as_ref()
-                    .map(|f| f.to_json())
-                    .unwrap_or(Json::Null),
+                Json::from(self.forensics.as_ref().map(|f| f.to_json())),
             ),
         ])
     }

@@ -19,7 +19,9 @@
 //!   pointers and the pending multiset's pointers; no actor is forked.
 //!   The first write to a slot that a [`SimState`] still shares forks
 //!   that one actor ([`Actor::fork`]), so a transition pays for the
-//!   processes it delivers to, not for `n`;
+//!   processes it delivers to, not for `n`. [`ExploreSim::restore_owned`]
+//!   moves the pointers out of a state its caller is done with, so a
+//!   slot only that state held is written in place;
 //! - **canonical hashing** — [`ExploreSim::state_hash`] folds per-slot
 //!   hashes (knowledge set, timer count, [`Actor::fingerprint`]) in id
 //!   order with an order-independent digest of the pending-event multiset
@@ -497,7 +499,7 @@ struct SharedEvent<M> {
 /// payload copy (slice families and all) into reference bumps. The clone
 /// cost moves to [`ExploreSim::fire`], which unwraps or clones exactly the
 /// one event it consumes.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Pending<M> {
     event: Rc<SharedEvent<M>>,
     hash: u128,
@@ -512,17 +514,6 @@ struct Pending<M> {
 }
 
 const _: () = assert!(std::mem::size_of::<Pending<()>>() == 32);
-
-impl<M> Clone for Pending<M> {
-    fn clone(&self) -> Self {
-        Pending {
-            event: Rc::clone(&self.event),
-            hash: self.hash,
-            cause: self.cause,
-            to: self.to,
-        }
-    }
-}
 
 impl<M: SimMessage> Pending<M> {
     fn new(event: ExploreEvent<M>, cause: EventId) -> Self {
@@ -689,31 +680,13 @@ struct StepMemo<M> {
 /// A saved simulation state: the process slots and pending events (both
 /// shared with the simulation that took it and with every state derived
 /// from it) and the step counters. Produced by [`ExploreSim::snapshot`],
-/// consumed by [`ExploreSim::restore`].
+/// read by [`ExploreSim::restore`] and consumed by
+/// [`ExploreSim::restore_owned`].
 pub struct SimState<M> {
     slots: Vec<Rc<Slot<M>>>,
     pending: Vec<Pending<M>>,
     steps: u64,
     events_fired: u64,
-}
-
-impl<M: SimMessage> SimState<M> {
-    /// A second handle on the same state: slot and event pointers are
-    /// copied, no actor is. Saved states are immutable, so sharing is
-    /// unobservable.
-    pub fn fork(&self) -> SimState<M> {
-        SimState {
-            slots: self.slots.clone(),
-            pending: self.pending.clone(),
-            steps: self.steps,
-            events_fired: self.events_fired,
-        }
-    }
-
-    /// Number of branching steps taken to reach this state.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
 }
 
 /// A choice-driven simulation over the actors of a knowledge graph: the
@@ -1431,10 +1404,12 @@ impl<M: SimMessage> ExploreSim<M> {
         self.slots[event.recipient().index()].threshold_inert(event)
     }
 
-    /// A rough estimate of one forked state's resident size in bytes:
-    /// per-actor bookkeeping plus the pending payloads' size hints.
-    /// Multiplied by the visited-state count it approximates the
-    /// explorer's peak memory; deterministic (no allocator introspection).
+    /// A size model of one state in bytes: a fixed per-actor charge plus
+    /// the pending payloads' size hints. Deterministic (no allocator
+    /// introspection) and not a measurement: the explorer's
+    /// `peak_memory_bytes` charges every visited state at the initial
+    /// state's figure, plus its table slots, and tracks neither what a
+    /// state really holds nor the process's resident peak.
     pub fn state_size_estimate(&self) -> u64 {
         // Box + vtable + knowledge set + timer counter + the handles of
         // the copy-on-write tables, per actor.
@@ -1467,6 +1442,21 @@ impl<M: SimMessage> ExploreSim<M> {
     pub fn restore(&mut self, state: &SimState<M>) {
         self.slots.clone_from(&state.slots);
         self.pending.clone_from(&state.pending);
+        self.steps = state.steps;
+        self.events_fired = state.events_fired;
+        self.started = true;
+    }
+
+    /// [`ExploreSim::restore`] for a saved state the caller is done with:
+    /// its pointers move into the live vectors (whose capacity survives,
+    /// as in `restore`) with no reference count bumped. A slot nothing
+    /// but `state` held is then the simulation's alone, so its next write
+    /// needs no fork.
+    pub fn restore_owned(&mut self, mut state: SimState<M>) {
+        self.slots.clear();
+        self.slots.append(&mut state.slots);
+        self.pending.clear();
+        self.pending.append(&mut state.pending);
         self.steps = state.steps;
         self.events_fired = state.events_fired;
         self.started = true;
@@ -1555,11 +1545,7 @@ mod tests {
         let mut sim = flooder_sim();
         let snap = sim.snapshot();
         let h0 = sim.state_hash();
-        // Perturb: fire a few events.
-        while sim.steps() < 5 && !sim.is_quiescent() {
-            let c = sim.choices();
-            sim.fire(c[0]);
-        }
+        walk(&mut sim, 5);
         assert_ne!(sim.state_hash(), h0, "firing events changes the state");
         sim.restore(&snap);
         assert_eq!(sim.state_hash(), h0, "restore rewinds bit-identically");
@@ -1571,6 +1557,67 @@ mod tests {
         let c = sim.choices();
         sim.fire(c[0]);
         assert_eq!(sim.state_hash(), h1);
+    }
+
+    /// Fires the first choice until `steps` branching steps are taken.
+    fn walk<M: SimMessage>(sim: &mut ExploreSim<M>, steps: u64) {
+        while sim.steps() < steps && !sim.is_quiescent() {
+            let c = sim.choices();
+            sim.fire(c[0]);
+        }
+    }
+
+    #[test]
+    fn restore_owned_lands_where_restore_does() {
+        // Hash, choices, depth and pending *order*: every index a caller
+        // holds is relative to the last.
+        let seen = |sim: &ExploreSim<Gossip>| {
+            let order: Vec<u128> = sim.pending().map(ExploreEvent::event_hash).collect();
+            (sim.state_hash(), sim.choices(), sim.steps(), order)
+        };
+        let mut sim = flooder_sim();
+        walk(&mut sim, 3);
+        let (moved, copy) = (sim.snapshot(), sim.snapshot());
+        walk(&mut sim, 7);
+        sim.restore(&copy);
+        let by_ref = seen(&sim);
+        walk(&mut sim, 9);
+        sim.restore_owned(moved);
+        assert_eq!(seen(&sim), by_ref);
+        assert_eq!(by_ref.2, 3);
+    }
+
+    #[test]
+    fn restore_owned_writes_a_slot_only_the_moved_state_held_in_place() {
+        let forks = Rc::new(std::cell::Cell::new(0));
+        let mut sim = counting_sim(&forks);
+        let moved = sim.snapshot();
+        sim.fire(0);
+        assert_eq!(forks.get(), 1, "the live simulation forks what it writes");
+        // The live handles go: every slot is now held by the simulation
+        // alone, so no write forks.
+        sim.restore_owned(moved);
+        while !sim.is_quiescent() {
+            sim.fire(0);
+        }
+        assert_eq!(forks.get(), 1, "unshared slots are written in place");
+    }
+
+    #[test]
+    fn restore_owned_forks_a_slot_another_saved_state_shares() {
+        let forks = Rc::new(std::cell::Cell::new(0));
+        let mut sim = counting_sim(&forks);
+        let h0 = sim.state_hash();
+        let (kept, moved) = (sim.snapshot(), sim.snapshot());
+        sim.restore_owned(moved);
+        let to = sim.pending_at(0).recipient();
+        sim.fire(0);
+        assert_eq!(forks.get(), 1, "the slot `kept` shares is forked");
+        for i in sim.knowledge_graph().processes() {
+            assert_eq!(sim.shares_slot(&kept, i), i != to, "slot {i}");
+        }
+        sim.restore(&kept);
+        assert_eq!(sim.state_hash_from_scratch(None), h0, "`kept` is unchanged");
     }
 
     #[test]
@@ -1600,30 +1647,21 @@ mod tests {
         // Fire two deliveries to *different* recipients in both orders:
         // the resulting states must hash identically (the independence
         // relation the explorer's pruning relies on).
-        let sim = flooder_sim();
+        let mut sim = flooder_sim();
         let snap = sim.snapshot();
-        let (i, j) = {
-            let recipients: Vec<ProcessId> = sim.pending().map(ExploreEvent::recipient).collect();
-            let first = recipients[0];
-            let j = recipients
-                .iter()
-                .position(|&r| r != first)
-                .expect("two recipients");
-            (0, j)
-        };
-        let mut one = ExploreSim::new(generators::fig1(), 0);
-        for _ in 0..8 {
-            one.add_actor(Box::new(Flooder::default()));
-        }
-        one.restore(&snap);
-        one.fire(i);
-        // After removing i, j shifted down by one.
-        one.fire(j - 1);
-        let h_ij = one.state_hash();
-        one.restore(&snap);
-        one.fire(j);
-        one.fire(i);
-        assert_eq!(one.state_hash(), h_ij);
+        let first = sim.pending_at(0).recipient();
+        let j = sim
+            .pending()
+            .position(|e| e.recipient() != first)
+            .expect("two recipients");
+        sim.fire(0);
+        // After removing 0, j shifted down by one.
+        sim.fire(j - 1);
+        let h_ij = sim.state_hash();
+        sim.restore(&snap);
+        sim.fire(j);
+        sim.fire(0);
+        assert_eq!(sim.state_hash(), h_ij);
     }
 
     #[test]
@@ -1776,14 +1814,7 @@ mod tests {
     #[test]
     fn a_delivery_forks_the_one_slot_it_writes() {
         let forks = Rc::new(std::cell::Cell::new(0));
-        let mut sim = ExploreSim::new(generators::fig1(), 0);
-        for _ in 0..8 {
-            sim.add_actor(Box::new(CountingFlooder {
-                inner: Flooder::default(),
-                forks: Rc::clone(&forks),
-            }));
-        }
-        sim.start();
+        let mut sim = counting_sim(&forks);
         assert_eq!(forks.get(), 0, "unshared slots are written in place");
 
         let snap = sim.snapshot();
