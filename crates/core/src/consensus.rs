@@ -7,14 +7,15 @@
 //!
 //! 1. **knowledge increase** — every correct process runs Algorithm 3
 //!    ([`crate::sink_detector`]) until `get_sink` returns
-//!    ([`run_sink_detection`]);
+//!    ([`run_knowledge_phase`]; [`run_sink_detection`] projects it);
 //! 2. **slice construction** — Algorithm 2 on each process's own
 //!    detection ([`slices_from_detections`]), or, for the negative
 //!    pipeline of Theorem 2, from `PD_i` and `f` alone ([`local_slices`]);
 //! 3. **SCP** — [`run_scp_with_slices_observed`] externalizes with those
 //!    slices; [`run_bftcup`] runs the BFT-CUP baseline instead.
-
-use std::borrow::Cow;
+//!
+//! Each phase's simulation is recorded as one [`Phase`]; the harness keeps
+//! them in order (`scup_harness::protocol::ProtocolOutput::phases`).
 
 use scup_fbqs::SliceFamily;
 use scup_graph::{KnowledgeGraph, ProcessId, ProcessSet};
@@ -46,12 +47,13 @@ pub struct EndToEndConfig {
     /// faulty processes silent during the knowledge-increasing phase (the
     /// behaviour Lemma 2 relies on); `Crash` and `Echo` act in both phases.
     pub adversary: AdversaryKind,
-    /// Per-process inputs (defaults to [`default_inputs`]).
+    /// Per-process inputs, as the run's host resolved them; the phase
+    /// functions take theirs as an argument.
     pub inputs: Option<Vec<Value>>,
     /// Time horizons for the two phases.
     pub max_ticks: u64,
-    /// Turn on the event log of *both* phases ([`run_sink_detection_traced`]'s
-    /// and [`Phase::causal`]) — what a timeline export reads. Off by
+    /// Turn on the event log of *both* phases (each one's
+    /// [`Phase::causal`]) — what a timeline export reads. Off by
     /// default: the log renders every message payload to a string, once,
     /// at its send. Off the bit-identity surface like
     /// [`EndToEndConfig::forensics`].
@@ -108,15 +110,6 @@ pub fn default_inputs(n: usize) -> Vec<Value> {
     (0..n).map(|i| 100 + i as Value).collect()
 }
 
-/// The run's per-process inputs: [`EndToEndConfig::inputs`], or
-/// [`default_inputs`].
-fn inputs_of(config: &EndToEndConfig, n: usize) -> Cow<'_, [Value]> {
-    match &config.inputs {
-        Some(inputs) => Cow::Borrowed(inputs),
-        None => Cow::Owned(default_inputs(n)),
-    }
-}
-
 /// The dressing every sampled phase shares: a [`Simulation`] on the
 /// configured network with the event log switched on under
 /// [`EndToEndConfig::trace`], the fault and churn plans installed, and
@@ -161,10 +154,8 @@ fn read<'a, P: Protocol, T>(
 
 /// The one sampled consensus phase: [`seated`], the event log and
 /// provenance armed under [`EndToEndConfig::forensics`], run to the stop
-/// rule, and everything
-/// protocol-independent read out; the caller fills
-/// [`Phase::node_stats`] / [`Phase::retransmissions`] from the returned
-/// simulation.
+/// rule, and [`readout`]; the caller fills [`Phase::node_stats`] from the
+/// returned simulation.
 ///
 /// The phase may stop once every planned recovery, join and leave has
 /// executed **and** every correct non-departing process has decided.
@@ -215,21 +206,27 @@ fn run_consensus<P: Protocol>(
         },
         config.max_ticks,
     );
+    (readout::<P>(PhaseKind::Consensus, &mut sim, report), sim)
+}
+
+/// A finished phase's record, read out through the roster description;
+/// only [`Phase::node_stats`] is left to the caller.
+fn readout<P: Protocol>(kind: PhaseKind, sim: &mut Simulation<P::Msg>, report: SimReport) -> Phase {
     let journals = sim.take_journals();
-    let phase = Phase {
-        decisions: read::<P, _>(&sim, P::decision)
+    Phase {
+        kind,
+        decisions: read::<P, _>(sim, P::decision)
             .map(Option::flatten)
             .collect(),
         report,
         node_stats: Vec::new(),
-        retransmissions: 0,
+        retransmissions: read::<P, _>(sim, P::retransmissions).flatten().sum(),
         journals,
         causal: sim.causal().clone(),
-        provenance: read::<P, _>(&sim, P::provenance)
+        provenance: read::<P, _>(sim, P::provenance)
             .map(Option::unwrap_or_default)
             .collect(),
-    };
-    (phase, sim)
+    }
 }
 
 /// Phase 1: runs Algorithm 3 for every correct process and returns the
@@ -241,20 +238,19 @@ pub fn run_sink_detection(
     faulty: &ProcessSet,
     config: &EndToEndConfig,
 ) -> (Vec<Option<SinkDetection>>, SimReport) {
-    let (detections, report, _) = run_sink_detection_traced(kg, f, faulty, config);
-    (detections, report)
+    let (detections, phase) = run_knowledge_phase(kg, f, faulty, config);
+    (detections, phase.report)
 }
 
-/// [`run_sink_detection`], additionally returning the phase's event log
-/// (disabled unless [`EndToEndConfig::trace`]).
-pub fn run_sink_detection_traced(
+/// [`run_sink_detection`], returning the whole [`Phase`] record. Nobody
+/// decides here, so the phase runs to quiescence, its decisions are all
+/// `None`, and forensics never records it.
+pub fn run_knowledge_phase(
     kg: &KnowledgeGraph,
     f: usize,
     faulty: &ProcessSet,
     config: &EndToEndConfig,
-) -> (Vec<Option<SinkDetection>>, SimReport, CausalGraph) {
-    // Nobody decides in this phase, so it runs to quiescence; forensics
-    // never records it.
+) -> (Vec<Option<SinkDetection>>, Phase) {
     let mut sim = seated(
         &SdProtocol::new(kg, f, config),
         kg,
@@ -276,7 +272,8 @@ pub fn run_sink_detection_traced(
                 .and_then(SinkDetectorActor::detection)
         })
         .collect();
-    (detections, report, sim.causal().clone())
+    let phase = readout::<SdProtocol>(PhaseKind::Knowledge, &mut sim, report);
+    (detections, phase)
 }
 
 /// Algorithm 2 applied to every detection of phase 1 (the empty family
@@ -302,25 +299,51 @@ pub fn local_slices(
         .collect()
 }
 
-/// Everything observable from the consensus phase of a run.
+/// Which of a run's simulations a [`Phase`] records. The discriminant is
+/// the phase's lane in a trace's flow ids.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PhaseKind {
+    /// The knowledge-increase phase ([`run_knowledge_phase`]).
+    Knowledge = 0,
+    /// The consensus phase ([`run_scp_with_slices_observed`], [`run_bftcup`]).
+    Consensus = 1,
+}
+
+impl PhaseKind {
+    /// The phase's name, as trace categories spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            PhaseKind::Knowledge => "sink-detect",
+            PhaseKind::Consensus => "consensus",
+        }
+    }
+}
+
+/// Everything observable from one simulation of a run — the one record
+/// of a phase, from the simulator to the report. Each phase runs on its
+/// own sim clock, starting at tick 0.
 #[derive(Debug, Clone)]
 pub struct Phase {
-    /// Decided values (`None` if undecided, and for faulty processes).
+    /// Which phase this is.
+    pub kind: PhaseKind,
+    /// Decided values (`None` if undecided, for faulty processes, and
+    /// everywhere in the knowledge phase).
     pub decisions: Vec<Option<Value>>,
     /// Simulator metrics of the phase.
     pub report: SimReport,
     /// Per-node SCP message/ballot counters (defaults for faulty/non-SCP
-    /// actors; empty for protocols without an SCP phase).
+    /// actors; empty for phases that run no SCP).
     pub node_stats: Vec<NodeStats>,
-    /// Messages re-sent by the correct actors' retransmission layer.
+    /// Messages re-sent by the correct actors' retransmission layer in
+    /// this phase.
     pub retransmissions: u64,
     /// Per-process durable journals.
     pub journals: Vec<MemJournal>,
-    /// The phase's event log (disabled unless [`EndToEndConfig::trace`] or
-    /// [`EndToEndConfig::forensics`]).
+    /// The phase's event log (disabled unless [`EndToEndConfig::trace`] or,
+    /// in the consensus phase, [`EndToEndConfig::forensics`]).
     pub causal: CausalGraph,
     /// Per-process provenance logs (disabled unless
-    /// [`EndToEndConfig::forensics`]).
+    /// [`EndToEndConfig::forensics`], and always in the knowledge phase).
     pub provenance: Vec<ProvenanceLog>,
 }
 
@@ -342,7 +365,6 @@ pub fn run_scp_with_slices_observed(
     phase.node_stats = read::<ScpProtocol, _>(&sim, |node| *node.stats())
         .map(Option::unwrap_or_default)
         .collect();
-    phase.retransmissions = phase.node_stats.iter().map(|s| s.retransmissions).sum();
     phase
 }
 
@@ -354,17 +376,13 @@ pub fn run_bftcup(
     kg: &KnowledgeGraph,
     f: usize,
     faulty: &ProcessSet,
+    inputs: &[Value],
     config: &EndToEndConfig,
     stale_joiner: Option<ProcessId>,
 ) -> Phase {
-    let inputs = inputs_of(config, kg.n());
-    let mut protocol = BftProtocol::new(kg, f, &inputs, config);
+    let mut protocol = BftProtocol::new(kg, f, inputs, config);
     protocol.stale_joiner = stale_joiner;
-    let (mut phase, sim) = run_consensus(&protocol, kg, faulty, config, config.seed);
-    phase.retransmissions = read::<BftProtocol, _>(&sim, |actor| actor.retransmissions())
-        .flatten()
-        .sum();
-    phase
+    run_consensus(&protocol, kg, faulty, config, config.seed).0
 }
 
 #[cfg(test)]
@@ -396,7 +414,7 @@ mod tests {
             };
             let (detections, _) = run_sink_detection(&kg, 1, &faulty, &config);
             let slices = slices_from_detections(&detections, 1);
-            let inputs = inputs_of(&config, kg.n());
+            let inputs = default_inputs(kg.n());
             let scp = run_scp_with_slices_observed(&kg, &faulty, slices, &inputs, &config);
             assert!(correct_agree(&scp.decisions, &faulty), "seed={seed}");
         }
@@ -459,8 +477,8 @@ mod tests {
                 ..EndToEndConfig::default()
             };
             let slices = local_slices(&kg, 1, LocalSliceStrategy::AllButOne);
-            let inputs = inputs_of(&config, kg.n());
-            let scp = run_scp_with_slices_observed(&kg, &none, slices, &inputs, &config);
+            let inputs = config.inputs.as_deref().unwrap();
+            let scp = run_scp_with_slices_observed(&kg, &none, slices, inputs, &config);
             let decided = scp.decisions.iter().flatten().count();
             if decided == kg.n() && !correct_agree(&scp.decisions, &none) {
                 disagreements += 1;

@@ -109,6 +109,9 @@ pub trait Protocol {
 
     /// The correct actor's provenance log (disabled unless armed).
     fn provenance(actor: &Self::Actor) -> ProvenanceLog;
+
+    /// Messages the correct actor's retransmission layer re-sent.
+    fn retransmissions(actor: &Self::Actor) -> u64;
 }
 
 /// The actor standing at process `i`: the description's correct actor,
@@ -184,6 +187,10 @@ impl Protocol for SdProtocol<'_> {
     fn provenance(_: &SinkDetectorActor) -> ProvenanceLog {
         ProvenanceLog::default()
     }
+
+    fn retransmissions(actor: &SinkDetectorActor) -> u64 {
+        actor.retransmissions()
+    }
 }
 
 /// SCP over fixed slices ([`ScpMsg`]).
@@ -243,6 +250,10 @@ impl Protocol for ScpProtocol<'_> {
 
     fn provenance(node: &ScpNode) -> ProvenanceLog {
         node.provenance().clone()
+    }
+
+    fn retransmissions(node: &ScpNode) -> u64 {
+        node.stats().retransmissions
     }
 }
 
@@ -338,6 +349,10 @@ impl Protocol for BftProtocol<'_> {
     fn provenance(actor: &BftCupActor) -> ProvenanceLog {
         actor.provenance().clone()
     }
+
+    fn retransmissions(actor: &BftCupActor) -> u64 {
+        actor.retransmissions()
+    }
 }
 
 /// The full positive pipeline in one actor ([`StackMsg`]): discovery,
@@ -382,6 +397,11 @@ impl Protocol for StackProtocol<'_> {
 
     fn provenance(actor: &StackActor) -> ProvenanceLog {
         actor.provenance()
+    }
+
+    /// The stack is exploration-only, so it never retransmits.
+    fn retransmissions(_: &StackActor) -> u64 {
+        0
     }
 }
 

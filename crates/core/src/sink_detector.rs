@@ -129,6 +129,10 @@ pub struct SinkDetectorActor {
     /// messages re-sent on each backoff round. Excluded from fingerprints,
     /// so retransmission must stay disabled under exploration.
     retransmit: Retransmitter<SdMsg>,
+    /// Messages re-sent by `retransmit`'s rounds. Excluded from
+    /// fingerprints like the log it counts; a recovery keeps it, as it
+    /// keeps the rest of the state.
+    retransmissions: u64,
 }
 
 impl SinkDetectorActor {
@@ -148,7 +152,13 @@ impl SinkDetectorActor {
             sink: None,
             sink_algo_self_id: ProcessId::new(u32::MAX),
             retransmit: Retransmitter::new(retransmit),
+            retransmissions: 0,
         }
+    }
+
+    /// Messages re-sent by the retransmission rounds so far.
+    pub fn retransmissions(&self) -> u64 {
+        self.retransmissions
     }
 
     /// The result of `get_sink`, once available (Algorithm 3 lines 10–14:
@@ -308,7 +318,7 @@ impl Actor<SdMsg> for SinkDetectorActor {
 
     fn on_timer(&mut self, ctx: &mut Context<'_, SdMsg>, tag: u64) {
         if tag == RETRANSMIT_TAG {
-            self.retransmit.round(ctx);
+            self.retransmissions += self.retransmit.round(ctx);
         }
     }
 

@@ -3,9 +3,11 @@
 //! processes the theorems assume — the pipeline must survive them at every
 //! crash point.
 
-use scup_graph::{generators, sink, ProcessSet};
+use scup_graph::{generators, sink, ProcessId, ProcessSet};
+use scup_obs::causal::CausalKind;
 use scup_sim::adversary::CrashActor;
-use scup_sim::{NetworkConfig, RetransmitConfig, Simulation};
+use scup_sim::{CrashFault, FaultPlan, LossFault, NetworkConfig, RetransmitConfig, Simulation};
+use stellar_cup::consensus::{run_knowledge_phase, EndToEndConfig, PhaseKind};
 use stellar_cup::oracle::validate_detection;
 use stellar_cup::sink_detector::{GetSinkMode, SdMsg, SinkDetectorActor};
 
@@ -114,4 +116,69 @@ fn end_to_end_survives_scp_phase_crash() {
             Some(prev) => assert_eq!(d, Some(prev), "agreement at {i}"),
         }
     }
+}
+
+#[test]
+fn knowledge_phase_counts_every_re_send_across_a_crash() {
+    // The detector's retransmission count survives a pause-crash: the
+    // crashed process re-sends before its crash and after its recovery.
+    let kg = generators::fig2();
+    let faulty = ProcessSet::singleton(ProcessId::new(5));
+    let heal = 2_000;
+    let crashed = 2;
+    let config = EndToEndConfig {
+        seed: 1,
+        trace: true,
+        faults: FaultPlan {
+            loss: Some(LossFault {
+                prob: 0.3,
+                until: heal,
+                links: None,
+            }),
+            crashes: vec![CrashFault {
+                process: ProcessId::new(crashed),
+                at: 300,
+                recover_at: Some(heal),
+            }],
+            ..FaultPlan::default()
+        },
+        retransmit: RetransmitConfig::covering(heal, 10),
+        ..EndToEndConfig::default()
+    };
+    let (_, phase) = run_knowledge_phase(&kg, 1, &faulty, &config);
+    assert_eq!(phase.kind, PhaseKind::Knowledge);
+    assert!(phase.decisions.iter().all(Option::is_none));
+    // A round's re-sends follow its `Retransmit` event in the
+    // process's program order, up to the process's next step; count
+    // them from the log. (Drops and duplicates are the network's
+    // events, not steps.)
+    let mut in_round = vec![false; kg.n()];
+    let mut resent = 0;
+    // The crashed process's rounds: before its crash, after its recovery.
+    let (mut epoch, mut rounds) = (0, [0; 3]);
+    for e in phase.causal.events() {
+        let p = e.kind.acting_process() as usize;
+        match e.kind {
+            CausalKind::Send { .. } => resent += in_round[p] as u64,
+            CausalKind::Drop { .. } | CausalKind::Duplicate { .. } => {}
+            CausalKind::Retransmit { .. } => {
+                in_round[p] = true;
+                if p == crashed as usize {
+                    rounds[epoch] += 1;
+                }
+            }
+            CausalKind::Crash { .. } | CausalKind::Recover { .. } => {
+                epoch += 1;
+                in_round[p] = false;
+            }
+            _ => in_round[p] = false,
+        }
+    }
+    assert_eq!(epoch, 2, "one crash, one recovery");
+    assert!(
+        rounds[0] > 0 && rounds[2] > 0,
+        "the crashed seat re-sends on both sides of its crash: {rounds:?}"
+    );
+    assert!(resent > 0);
+    assert_eq!(phase.retransmissions, resent, "every logged re-send counts");
 }

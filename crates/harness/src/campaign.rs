@@ -23,7 +23,7 @@ use scup_scp::Value;
 use crate::adversary::AdversaryRegistry;
 use crate::json::Json;
 use crate::oracle::{self, InvariantReport};
-use crate::protocol;
+use crate::protocol::{self, ProtocolOutput};
 use crate::scenario::{Named, Scenario};
 use crate::system::System;
 
@@ -124,7 +124,8 @@ pub struct RunRecord {
     /// Messages lost because an endpoint was dormant or departed (a
     /// subset of `messages_dropped`).
     pub churn_drops: u64,
-    /// Messages re-sent by the protocols' retransmission layer.
+    /// Messages re-sent by the consensus phase's retransmission layer (the
+    /// knowledge phase counts its own in its [`Phase`](stellar_cup::consensus::Phase)).
     pub retransmissions: u64,
     /// log₂ histogram of retransmission delays, summed across phases:
     /// bucket `0` counts retransmit rounds armed with delay `0`, bucket
@@ -301,7 +302,8 @@ fn run_configured(
     let adversary = system.config.adversary;
     record.n = kg.n();
     record.faulty = faulty.iter().map(|p| p.as_u32()).collect();
-    let (output, _) = protocol::execute_observed(&system);
+    let output = protocol::execute_observed(&system);
+    let decisions = &output.consensus().decisions;
 
     // Graceful degradation: a plan that heals (or injects nothing) must
     // still terminate; an unhealed plan only owes safety. Churn itself
@@ -315,7 +317,7 @@ fn run_configured(
         faulty,
         &departed,
         &output.inputs,
-        &output.decisions,
+        decisions,
         adversary,
         termination_required,
         &output.pledge_violations,
@@ -325,7 +327,7 @@ fn run_configured(
     record.decided_value = if invariants.agreement {
         kg.processes()
             .filter(|i| !faulty.contains(*i))
-            .find_map(|i| output.decisions[i.index()])
+            .find_map(|i| decisions[i.index()])
     } else {
         None
     };
@@ -335,40 +337,7 @@ fn run_configured(
     let ok = invariants.passes(scenario.oracle);
     record.passed = if scenario.expect_violation { !ok } else { ok };
     record.invariants = invariants;
-    record.messages_sent = output.messages_sent;
-    record.messages_delivered = output.messages_delivered;
-    record.bytes_sent = output.bytes_sent;
-    record.timers_fired = output.timers_fired;
-    for ns in &output.node_stats {
-        record.ballots_started += ns.ballots_started;
-        record.nominations_confirmed += ns.nominations_confirmed;
-        record.prepares_confirmed += ns.prepares_confirmed;
-        record.commits_confirmed += ns.commits_confirmed;
-    }
-    if let Some((id, stats)) = output
-        .per_process
-        .iter()
-        .enumerate()
-        .max_by_key(|(_, s)| s.sent)
-    {
-        record.hot_process = id as u32;
-        record.hot_sent = stats.sent;
-    }
-    record.messages_dropped = output.messages_dropped;
-    record.messages_duplicated = output.messages_duplicated;
-    record.crashes = output.crashes;
-    record.recoveries = output.recoveries;
-    record.joins = output.joins;
-    record.departures = output.departures;
-    record.churn_drops = output.churn_drops;
-    record.retransmissions = output.retransmissions;
-    record.retransmit_delay_buckets = output.retransmit_delay_buckets.clone();
-    record.link_drops = output
-        .link_drops
-        .iter()
-        .map(|(&(from, to), &dropped)| (from, to, dropped))
-        .collect();
-    record.end_ticks = output.end_ticks;
+    record.count(&output);
     Ok(())
 }
 
@@ -403,6 +372,48 @@ impl CampaignReport {
 }
 
 impl RunRecord {
+    /// Fills the record's counters from a run's phases, the one place they
+    /// are derived: the [`ProtocolOutput::total`] over every phase, and
+    /// the consensus phase's end time, re-sends and SCP ballot counters.
+    pub(crate) fn count(&mut self, output: &ProtocolOutput) {
+        let total = output.total();
+        let consensus = output.consensus();
+        self.messages_sent = total.messages_sent;
+        self.messages_delivered = total.messages_delivered;
+        self.bytes_sent = total.bytes_sent;
+        self.timers_fired = total.timers_fired;
+        for ns in &consensus.node_stats {
+            self.ballots_started += ns.ballots_started;
+            self.nominations_confirmed += ns.nominations_confirmed;
+            self.prepares_confirmed += ns.prepares_confirmed;
+            self.commits_confirmed += ns.commits_confirmed;
+        }
+        if let Some((id, stats)) = total
+            .per_process
+            .iter()
+            .enumerate()
+            .max_by_key(|(_, s)| s.sent)
+        {
+            self.hot_process = id as u32;
+            self.hot_sent = stats.sent;
+        }
+        self.messages_dropped = total.messages_dropped;
+        self.messages_duplicated = total.messages_duplicated;
+        self.crashes = total.crashes;
+        self.recoveries = total.recoveries;
+        self.joins = total.joins;
+        self.departures = total.departures;
+        self.churn_drops = total.churn_drops;
+        self.retransmissions = consensus.retransmissions;
+        self.retransmit_delay_buckets = total.retransmit_delay_buckets;
+        self.link_drops = total
+            .link_drops
+            .into_iter()
+            .map(|((from, to), dropped)| (from, to, dropped))
+            .collect();
+        self.end_ticks = consensus.report.end_time.ticks();
+    }
+
     /// The record as structured JSON.
     pub fn to_json(&self) -> Json {
         let inv = &self.invariants;
@@ -545,6 +556,7 @@ mod tests {
 
     #[test]
     fn campaign_runs_and_passes() {
+        let registry = AdversaryRegistry::builtin();
         let report = tiny_campaign(2).run();
         assert_eq!(report.runs.len(), 7);
         for run in &report.runs {
@@ -568,7 +580,17 @@ mod tests {
                 // One planned crash–recover cycle, but the two pipeline
                 // phases (knowledge-increase, consensus) run on
                 // independent sim clocks and each installs the plan — so
-                // the cycle fires once per phase.
+                // the cycle fires once per phase, and the record sums
+                // both.
+                let scenario = &tiny_campaign(1).scenarios[2];
+                let system = System::of(scenario, run.seed, &registry).unwrap();
+                let output = protocol::execute_observed(&system);
+                assert_eq!(output.phases.len(), 2);
+                for phase in &output.phases {
+                    let report = &phase.report;
+                    assert_eq!((report.crashes, report.recoveries), (1, 1));
+                    assert!(phase.retransmissions > 0, "{:?} re-sends", phase.kind);
+                }
                 assert_eq!((run.crashes, run.recoveries), (2, 2));
                 assert!(run.retransmissions > 0, "retransmission populates");
                 // Backoff observability: every retransmit round lands in

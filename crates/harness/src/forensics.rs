@@ -28,7 +28,7 @@ use scup_scp::Value;
 use crate::adversary::AdversaryRegistry;
 use crate::campaign::{Campaign, CampaignReport};
 use crate::json::Json;
-use crate::protocol::{self, ProtocolOutput};
+use crate::protocol;
 use crate::scenario::Scenario;
 use crate::system::System;
 
@@ -80,30 +80,13 @@ pub struct ForensicReport {
 }
 
 impl ForensicReport {
-    /// Builds the report from a forensics-enabled run's output.
+    /// Builds the report from a forensics-enabled run's captures: the
+    /// consensus phase's event log, provenance logs and decisions (a
+    /// sampled run's [`Phase`](stellar_cup::consensus::Phase), or the explorer's counterexample replay).
     ///
     /// Anchors are the processes the violations name (`p{id}` tokens in
     /// the oracle findings); when a violation names nobody (pure
     /// termination stalls), every process that acted anchors the cone.
-    pub fn build(
-        scenario: &str,
-        seed: u64,
-        violations: &[String],
-        output: &ProtocolOutput,
-    ) -> ForensicReport {
-        Self::from_parts(
-            scenario,
-            seed,
-            violations,
-            &output.causal,
-            &output.provenance,
-            &output.decisions,
-        )
-    }
-
-    /// [`Self::build`] from the raw forensic captures — for callers (the
-    /// model checker's counterexample replay) that have a causal graph
-    /// and provenance logs but no [`ProtocolOutput`].
     pub fn from_parts(
         scenario: &str,
         seed: u64,
@@ -213,15 +196,18 @@ impl ForensicReport {
         let output = std::panic::catch_unwind(|| {
             let mut system = System::of(scenario, seed, &AdversaryRegistry::builtin()).ok()?;
             system.config.forensics = true;
-            Some(protocol::execute_observed(&system).0)
+            Some(protocol::execute_observed(&system))
         })
         .ok()
         .flatten()?;
-        Some(ForensicReport::build(
+        let phase = output.consensus();
+        Some(ForensicReport::from_parts(
             &scenario.name,
             seed,
             violations,
-            &output,
+            &phase.causal,
+            &phase.provenance,
+            &phase.decisions,
         ))
     }
 

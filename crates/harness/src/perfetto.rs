@@ -152,10 +152,9 @@ pub fn trace_seeds(campaign: &Campaign, seed_override: Option<u64>) -> Vec<Chrom
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut system = System::of(scenario, seed, &registry).ok()?;
             system.config.trace = true;
-            let (output, phase1) = protocol::execute_observed(&system);
-            Some((system.kg.n(), phase1, output.causal))
+            Some((system.kg.n(), protocol::execute_observed(&system).phases))
         }));
-        let Ok(Some((n, phase1, phase2))) = outcome else {
+        let Ok(Some((n, phases))) = outcome else {
             continue;
         };
         events.push(ChromeEvent::ProcessName {
@@ -169,20 +168,18 @@ pub fn trace_seeds(campaign: &Campaign, seed_override: Option<u64>) -> Vec<Chrom
                 name: format!("process {i}"),
             });
         }
-        // The phases' logs run on independent sim clocks; lay phase 2 out
-        // after phase 1's last event so the pipeline reads left to right.
-        let phase1_end = phase1.events().last().map_or(0, |e| e.at);
-        // Disjoint flow-id ranges: pid in the high bits, phase below, the
-        // send's 32-bit event id lowest.
+        // The phases' logs run on independent sim clocks; lay each out
+        // after the previous phase's last event so the pipeline reads left
+        // to right. Disjoint flow-id ranges: pid in the high bits, the
+        // phase kind below, the send's 32-bit event id lowest.
         let base = (pid as u64) << 40;
-        events.extend(sim_trace_to_chrome(&phase1, pid, 0, "sink-detect", base));
-        events.extend(sim_trace_to_chrome(
-            &phase2,
-            pid,
-            phase1_end,
-            "consensus",
-            base | (1 << 32),
-        ));
+        let mut offset = 0;
+        for phase in &phases {
+            let (log, cat) = (&phase.causal, phase.kind.name());
+            let flow_base = base | (phase.kind as u64) << 32;
+            events.extend(sim_trace_to_chrome(log, pid, offset, cat, flow_base));
+            offset += log.events().last().map_or(0, |e| e.at);
+        }
     }
     events
 }

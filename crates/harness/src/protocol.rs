@@ -8,119 +8,89 @@
 //! when it may stop and how it is read out is the sampled phase runner's
 //! ([`stellar_cup::consensus`]); what a scenario means is
 //! [`System::of`]'s. This module picks the phases a [`ProtocolSpec`]
-//! consists of and folds their reports into one [`ProtocolOutput`].
+//! consists of ([`slices_of`] is the one place a protocol turns into
+//! slices) and keeps each phase's record, in order, in one
+//! [`ProtocolOutput`].
 
-use std::collections::BTreeMap;
-
-use scup_graph::{KnowledgeGraph, ProcessId, ProcessSet};
-use scup_obs::causal::{CausalGraph, ProvenanceLog};
-use scup_scp::{NodeStats, Value};
-use scup_sim::{Journal, ProcessStats, SimReport};
-use stellar_cup::consensus::{self, EndToEndConfig, Phase};
+use scup_fbqs::SliceFamily;
+use scup_graph::{KnowledgeGraph, ProcessSet};
+use scup_scp::Value;
+use scup_sim::{Journal, SimReport};
+use stellar_cup::consensus::{self, Phase};
+use stellar_cup::oracle::SinkDetection;
 
 use crate::adversary::AdversaryKind;
+use crate::campaign::RunRecord;
 use crate::scenario::{ChurnSpec, FaultSpec, NetworkSpec, ProtocolSpec};
 use crate::system::{self, System};
 
-/// What one protocol execution produced.
+/// What a `stellar-minimal` run's knowledge-increase phase produced.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Knowledge {
+    /// Each process's sink detection (`None` where it detected nothing).
+    pub detections: Vec<Option<SinkDetection>>,
+    /// The Algorithm-2 families built from them, one per process — the
+    /// slices the consensus phase ran on.
+    pub slices: Vec<SliceFamily>,
+}
+
+/// What one protocol execution produced: the record of each simulation
+/// it ran, and what the oracles read beside them. Totals are not stored:
+/// [`ProtocolOutput::total`] folds them from the phases.
 #[derive(Debug, Clone)]
 pub struct ProtocolOutput {
     /// Per-process proposals.
     pub inputs: Vec<Value>,
-    /// Per-process decisions (`None` = undecided or faulty).
-    pub decisions: Vec<Option<Value>>,
-    /// Messages sent across all phases.
-    pub messages_sent: u64,
-    /// Messages delivered across all phases.
-    pub messages_delivered: u64,
-    /// Bytes (per `size_hint`) handed to the network across all phases.
-    pub bytes_sent: u64,
-    /// Timers fired across all phases.
-    pub timers_fired: u64,
-    /// Simulated end time of the last phase.
-    pub end_ticks: u64,
-    /// Per-process traffic breakdown, summed across phases (indexed by
-    /// process id).
-    pub per_process: Vec<ProcessStats>,
-    /// Per-node SCP counters (message traffic, ballot-phase
-    /// confirmations); empty for protocols without an SCP phase.
-    pub node_stats: Vec<NodeStats>,
-    /// Messages lost to the fault plan across all phases (0 without one).
-    pub messages_dropped: u64,
-    /// Extra deliveries injected by duplication faults.
-    pub messages_duplicated: u64,
-    /// Crash events executed.
-    pub crashes: u64,
-    /// Recovery events executed.
-    pub recoveries: u64,
-    /// Messages re-sent by the protocol's retransmission layer.
-    pub retransmissions: u64,
+    /// The run's simulations in order: `[knowledge, consensus]` for
+    /// `stellar-minimal`, `[consensus]` for every other protocol.
+    pub phases: Vec<Phase>,
+    /// The detections and the slices built from them (`stellar-minimal`
+    /// only).
+    pub knowledge: Option<Knowledge>,
     /// Durability-oracle findings: a correct process whose post-recovery
     /// journal contradicts its pre-crash pledges (always a safety bug,
     /// regardless of oracle mode).
     pub pledge_violations: Vec<String>,
-    /// log₂ histogram of retransmission delays, summed across phases:
-    /// bucket `0` counts retransmit timers armed with delay `0`, bucket
-    /// `k ≥ 1` those armed `[2^(k-1), 2^k)` ticks ahead
-    /// ([`scup_sim::bucket_of`]).
-    pub retransmit_delay_buckets: Vec<u64>,
-    /// Per-link fault-plane drop counters, keyed `(from, to)`, summed
-    /// across phases.
-    pub link_drops: BTreeMap<(u32, u32), u64>,
-    /// Join events executed by the churn plane (0 without one), summed
-    /// across phases.
-    pub joins: u64,
-    /// Leave events executed by the churn plane, summed across phases.
-    pub departures: u64,
-    /// Messages lost because an endpoint was dormant or departed; a
-    /// subset of `messages_dropped`, summed across phases.
-    pub churn_drops: u64,
-    /// Event log of the consensus phase (disabled unless the run asked
-    /// for a trace or for forensics).
-    pub causal: CausalGraph,
-    /// Per-process decision-provenance logs of the consensus phase
-    /// (disabled unless the run asked for forensics).
-    pub provenance: Vec<ProvenanceLog>,
 }
 
 impl ProtocolOutput {
-    /// Folds a run's phases into one output: traffic and fault counters
-    /// sum over the knowledge-increase phase (the default report for
-    /// protocols without one) and the consensus phase; everything else is
-    /// the consensus phase's.
-    fn new(
-        inputs: Vec<Value>,
-        knowledge: SimReport,
-        consensus: Phase,
-        pledge_violations: Vec<String>,
-    ) -> ProtocolOutput {
-        let end_ticks = consensus.report.end_time.ticks();
-        let mut total = knowledge;
-        total.absorb(&consensus.report);
-        ProtocolOutput {
-            inputs,
-            decisions: consensus.decisions,
-            messages_sent: total.messages_sent,
-            messages_delivered: total.messages_delivered,
-            bytes_sent: total.bytes_sent,
-            timers_fired: total.timers_fired,
-            end_ticks,
-            per_process: total.per_process,
-            node_stats: consensus.node_stats,
-            messages_dropped: total.messages_dropped,
-            messages_duplicated: total.messages_duplicated,
-            crashes: total.crashes,
-            recoveries: total.recoveries,
-            retransmissions: consensus.retransmissions,
-            pledge_violations,
-            retransmit_delay_buckets: total.retransmit_delay_buckets,
-            link_drops: total.link_drops,
-            joins: total.joins,
-            departures: total.departures,
-            churn_drops: total.churn_drops,
-            causal: consensus.causal,
-            provenance: consensus.provenance,
+    /// The consensus phase, the last one: the run's decisions, its event
+    /// log under forensics, and its provenance.
+    pub fn consensus(&self) -> &Phase {
+        self.phases.last().expect("every run has a consensus phase")
+    }
+
+    /// Every phase's report folded into one ([`SimReport::absorb`]):
+    /// counters sum across phases, per-process rows element-wise.
+    pub fn total(&self) -> SimReport {
+        let mut total = SimReport::default();
+        for phase in &self.phases {
+            total.absorb(&phase.report);
         }
+        total
+    }
+}
+
+/// The flat view [`execute`] returns: the consensus phase's decisions,
+/// the pledge findings, and — through `Deref` — the [`RunRecord`]
+/// counters, derived from the phases by the function that fills a
+/// campaign's records. It is the shape the benchmark reads, and it is
+/// deleted together with `execute` when the benchmark moves to
+/// [`execute_observed`].
+#[derive(Debug, Clone)]
+pub struct Executed {
+    /// Per-process decisions (`None` = undecided or faulty).
+    pub decisions: Vec<Option<Value>>,
+    /// See [`ProtocolOutput::pledge_violations`].
+    pub pledge_violations: Vec<String>,
+    counters: RunRecord,
+}
+
+impl std::ops::Deref for Executed {
+    type Target = RunRecord;
+
+    fn deref(&self) -> &RunRecord {
+        &self.counters
     }
 }
 
@@ -141,68 +111,51 @@ pub fn execute(
     churn: &ChurnSpec,
     inputs: Vec<Value>,
     seed: u64,
-) -> ProtocolOutput {
-    let config = system::end_to_end_config(kg, adversary, network, fault_plan, churn, inputs, seed);
-    let stale_joiner = system::stale_joiner(churn, faulty);
-    run(protocol, kg, f, faulty, &config, stale_joiner).0
+) -> Executed {
+    let system = System {
+        kg: kg.clone(),
+        f,
+        faulty: faulty.clone(),
+        protocol,
+        config: system::end_to_end_config(kg, adversary, network, fault_plan, churn, inputs, seed),
+        stale_joiner: system::stale_joiner(churn, faulty),
+    };
+    let mut output = execute_observed(&system);
+    let mut counters = RunRecord::default();
+    counters.count(&output);
+    let consensus = output
+        .phases
+        .pop()
+        .expect("every run has a consensus phase");
+    Executed {
+        decisions: consensus.decisions,
+        pledge_violations: output.pledge_violations,
+        counters,
+    }
 }
 
-/// Runs an instantiated system. Also returns the event log of the
-/// knowledge-increase phase (disabled unless `system.config.trace`; the
-/// consensus phase's is [`ProtocolOutput::causal`]) for Perfetto export —
-/// the log renders every message payload to a string, so use it for
-/// one-off exports, not inside sampling loops; the two logs are on
-/// independent sim clocks (each phase restarts at tick 0). Under
+/// Runs an instantiated system. Under `system.config.trace` every phase
+/// keeps its event log (each on its own sim clock, from tick 0) for
+/// Perfetto export — the log renders every message payload to a string,
+/// so use it for one-off exports, not inside sampling loops. Under
 /// `system.config.forensics` the consensus phase is logged as well, and
-/// the output carries per-node decision provenance. Neither switch
-/// perturbs the schedule: decisions, reports and logs are bit-identical
-/// whichever turned the log on.
-pub fn execute_observed(system: &System) -> (ProtocolOutput, CausalGraph) {
-    run(
-        system.protocol,
-        &system.kg,
-        system.f,
-        &system.faulty,
-        &system.config,
-        system.stale_joiner,
-    )
-}
-
-fn run(
-    protocol: ProtocolSpec,
-    kg: &KnowledgeGraph,
-    f: usize,
-    faulty: &ProcessSet,
-    config: &EndToEndConfig,
-    stale_joiner: Option<ProcessId>,
-) -> (ProtocolOutput, CausalGraph) {
-    let inputs = config
-        .inputs
-        .as_deref()
-        .expect("a run's configuration carries its inputs");
+/// carries per-node decision provenance. Neither switch perturbs the
+/// schedule: decisions, reports and logs are bit-identical whichever
+/// turned the log on.
+pub fn execute_observed(system: &System) -> ProtocolOutput {
+    let (kg, f, faulty, config) = (&system.kg, system.f, &system.faulty, &system.config);
+    let inputs = system.inputs();
     debug_assert_eq!(inputs.len(), kg.n());
-    let scp = |slices| consensus::run_scp_with_slices_observed(kg, faulty, slices, inputs, config);
-    let (knowledge, knowledge_log, phase) = match protocol {
-        ProtocolSpec::StellarMinimal => {
-            let (detections, report, log) =
-                consensus::run_sink_detection_traced(kg, f, faulty, config);
-            let slices = consensus::slices_from_detections(&detections, f);
-            (report, log, scp(slices))
+    let (knowledge_phase, knowledge, slices) = slices_of(system);
+    let consensus = match system.protocol {
+        ProtocolSpec::BftCup => {
+            consensus::run_bftcup(kg, f, faulty, inputs, config, system.stale_joiner)
         }
-        ProtocolSpec::StellarLocal(strategy) => (
-            SimReport::default(),
-            CausalGraph::disabled(),
-            scp(consensus::local_slices(kg, f, strategy)),
-        ),
-        ProtocolSpec::BftCup => (
-            SimReport::default(),
-            CausalGraph::disabled(),
-            consensus::run_bftcup(kg, f, faulty, config, stale_joiner),
-        ),
+        _ => consensus::run_scp_with_slices_observed(kg, faulty, slices, inputs, config),
     };
     // The durability oracle: each correct process's journal re-read for
     // pledges a crash–recovery cycle made it betray.
-    let contradictions: fn(&dyn Journal) -> Vec<String> = match protocol {
+    let contradictions: fn(&dyn Journal) -> Vec<String> = match system.protocol {
         ProtocolSpec::BftCup => scup_cup::bftcup::journal_contradictions,
         _ => scup_scp::journal_contradictions,
     };
@@ -210,13 +163,42 @@ fn run(
         .processes()
         .filter(|i| !faulty.contains(*i))
         .flat_map(|i| {
-            contradictions(&phase.journals[i.index()])
+            contradictions(&consensus.journals[i.index()])
                 .into_iter()
                 .map(move |v| format!("process {i}: {v}"))
         })
         .collect();
-    let output = ProtocolOutput::new(inputs.to_vec(), knowledge, phase, pledge_violations);
-    (output, knowledge_log)
+    ProtocolOutput {
+        inputs: inputs.to_vec(),
+        phases: knowledge_phase.into_iter().chain([consensus]).collect(),
+        knowledge,
+        pledge_violations,
+    }
+}
+
+/// The knowledge phase, the [`Knowledge`] it produced and the slices the
+/// system's SCP phase runs on — the one place a protocol turns into
+/// slices, for sampled runs and the explorer alike. `stellar-minimal`
+/// runs sink detection and then Algorithm 2 on each detection;
+/// `stellar-local` applies its strategy to each `PD_i`; `bft-cup` runs no
+/// SCP and gets no slices.
+pub fn slices_of(system: &System) -> (Option<Phase>, Option<Knowledge>, Vec<SliceFamily>) {
+    let (kg, f, faulty, config) = (&system.kg, system.f, &system.faulty, &system.config);
+    match system.protocol {
+        ProtocolSpec::StellarMinimal => {
+            let (detections, phase) = consensus::run_knowledge_phase(kg, f, faulty, config);
+            let slices = consensus::slices_from_detections(&detections, f);
+            let knowledge = Knowledge {
+                detections,
+                slices: slices.clone(),
+            };
+            (Some(phase), Some(knowledge), slices)
+        }
+        ProtocolSpec::StellarLocal(strategy) => {
+            (None, None, consensus::local_slices(kg, f, strategy))
+        }
+        ProtocolSpec::BftCup => (None, None, Vec::new()),
+    }
 }
 
 #[cfg(test)]
@@ -229,7 +211,7 @@ mod tests {
 
     fn run(scenario: Scenario, seed: u64) -> ProtocolOutput {
         let system = System::of(&scenario, seed, &AdversaryRegistry::builtin()).unwrap();
-        execute_observed(&system).0
+        execute_observed(&system)
     }
 
     #[test]
@@ -240,13 +222,14 @@ mod tests {
             ..Scenario::default()
         };
         let out = run(fig2, 0);
+        let scp = out.consensus();
         for i in 0..7usize {
             if i == 5 {
                 continue;
             }
-            assert!(out.decisions[i].is_some(), "process {i} must decide");
+            assert!(scp.decisions[i].is_some(), "process {i} must decide");
         }
-        assert!(out.messages_sent > 0 && out.end_ticks > 0);
+        assert!(out.total().messages_sent > 0 && scp.report.end_time.ticks() > 0);
     }
 
     #[test]
@@ -278,9 +261,11 @@ mod tests {
             ..Scenario::default()
         };
         let same = run(fig1, 3);
+        let (scp, sent) = (same.consensus(), same.total().messages_sent);
+        let end = scp.report.end_time.ticks();
         assert_eq!(
-            (out.decisions, out.messages_sent, out.end_ticks),
-            (same.decisions, same.messages_sent, same.end_ticks)
+            (&out.decisions, out.messages_sent, out.end_ticks),
+            (&scp.decisions, sent, end)
         );
     }
 

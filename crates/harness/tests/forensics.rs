@@ -163,23 +163,38 @@ fn forensics_never_changes_the_outcome() {
             let mut system = System::of(&scenario, seed, &registry).unwrap();
             let mut run = |forensics: bool| {
                 system.config.forensics = forensics;
-                protocol::execute_observed(&system).0
+                protocol::execute_observed(&system)
             };
             let off = run(false);
             let on = run(true);
-            assert_eq!(off.decisions, on.decisions, "{} seed {seed}", scenario.name);
+            let (off_scp, on_scp) = (off.consensus(), on.consensus());
+            assert_eq!(
+                off_scp.decisions, on_scp.decisions,
+                "{} seed {seed}",
+                scenario.name
+            );
             assert_eq!(off.inputs, on.inputs);
-            assert_eq!(off.messages_sent, on.messages_sent);
-            assert_eq!(off.messages_delivered, on.messages_delivered);
-            assert_eq!(off.messages_dropped, on.messages_dropped);
-            assert_eq!(off.retransmissions, on.retransmissions);
+            assert_eq!(off.knowledge, on.knowledge);
+            assert_eq!(off.phases.len(), on.phases.len());
+            for (a, b) in off.phases.iter().zip(&on.phases) {
+                assert_eq!(a.report.messages_sent, b.report.messages_sent);
+                assert_eq!(a.report.messages_delivered, b.report.messages_delivered);
+                assert_eq!(a.report.messages_dropped, b.report.messages_dropped);
+                assert_eq!(a.retransmissions, b.retransmissions);
+                assert_eq!(
+                    a.report.retransmit_delay_buckets,
+                    b.report.retransmit_delay_buckets
+                );
+                assert_eq!(a.report.link_drops, b.report.link_drops);
+            }
             assert_eq!(off.pledge_violations, on.pledge_violations);
-            assert_eq!(off.retransmit_delay_buckets, on.retransmit_delay_buckets);
-            assert_eq!(off.link_drops, on.link_drops);
             // Off really is off: nothing recorded, nothing allocated.
-            assert!(off.causal.is_empty() && !off.causal.is_enabled());
-            assert!(off.provenance.iter().all(|log| log.entries().is_empty()));
-            assert!(!on.causal.is_empty(), "on really records");
+            assert!(off_scp.causal.is_empty() && !off_scp.causal.is_enabled());
+            assert!(off_scp
+                .provenance
+                .iter()
+                .all(|log| log.entries().is_empty()));
+            assert!(!on_scp.causal.is_empty(), "on really records");
         }
     }
 }
@@ -217,18 +232,21 @@ fn equivocation_pairs_are_attributed_in_the_cone() {
     let seed = 0;
     let mut system = System::of(&scenario, seed, &AdversaryRegistry::builtin()).unwrap();
     system.config.forensics = true;
-    let (output, _) = protocol::execute_observed(&system);
+    let output = protocol::execute_observed(&system);
     assert!(
-        !output.causal.equivocations().is_empty(),
+        !output.consensus().causal.equivocations().is_empty(),
         "the equivocator's same-slot splits must be recorded"
     );
     // Anchor the cone on every acting process (a violation text that
     // names nobody), so the delivered half of each pair is inside it.
-    let report = ForensicReport::build(
+    let phase = output.consensus();
+    let report = ForensicReport::from_parts(
         "equivocation-attribution",
         seed,
         &["staged: agreement stressed by an equivocator".to_string()],
-        &output,
+        &phase.causal,
+        &phase.provenance,
+        &phase.decisions,
     );
     assert!(
         !report.equivocations.is_empty(),

@@ -32,12 +32,12 @@
 use scup_cup::bftcup::BftMsg;
 use scup_fbqs::SliceFamily;
 use scup_graph::{kosr, sink, ProcessId, ProcessSet};
+use scup_harness::protocol::{self, Knowledge};
 use scup_harness::scenario::{ProtocolSpec, Scenario, ValidityMode};
 use scup_harness::{oracle, AdversaryKind, AdversaryRegistry, System};
 use scup_obs::causal::ProvenanceLog;
 use scup_scp::{ScpMsg, Value};
 use scup_sim::ExploreSim;
-use stellar_cup::consensus;
 use stellar_cup::explore_stack::StackMsg;
 use stellar_cup::roster::{self, BftProtocol, Protocol, ScpProtocol, StackProtocol};
 
@@ -51,6 +51,10 @@ pub struct Setup {
     /// ([`Scenario::explore_unsupported`] rejects anything else), so
     /// retransmission is off.
     pub system: System,
+    /// The sampled knowledge phase's detections and the slices built from
+    /// them ([`protocol::slices_of`]; `stellar-minimal` without
+    /// `explore_discovery` only).
+    pub knowledge: Option<Knowledge>,
     /// Per-process slice families (empty for faulty processes; empty
     /// *altogether* for protocols that build no pre-computed slices —
     /// BFT-CUP, and the full stack under `explore_discovery`).
@@ -118,14 +122,10 @@ impl Setup {
             None
         };
 
-        let slices = match system.protocol {
-            ProtocolSpec::StellarMinimal if explore_discovery => Vec::new(),
-            ProtocolSpec::StellarMinimal => {
-                let (detections, _) = consensus::run_sink_detection(kg, f, faulty, &system.config);
-                consensus::slices_from_detections(&detections, f)
-            }
-            ProtocolSpec::StellarLocal(strategy) => consensus::local_slices(kg, f, strategy),
-            ProtocolSpec::BftCup => Vec::new(),
+        let (_, knowledge, slices) = if explore_discovery {
+            (None, None, Vec::new())
+        } else {
+            protocol::slices_of(&system)
         };
 
         let correct = kg.graph().vertex_set().difference(faulty);
@@ -133,6 +133,7 @@ impl Setup {
 
         Ok(Setup {
             system,
+            knowledge,
             slices,
             explore_discovery,
             correct,

@@ -108,8 +108,10 @@ impl SimReport {
     /// Folds another report into this one: counters add, `end_time`
     /// keeps the maximum, `quiescent` holds only if both runs drained,
     /// and per-process rows sum element-wise (shorter vectors extend).
-    /// Used to combine the reports of a multi-phase pipeline into one
-    /// per-scenario record.
+    /// The one fold of a multi-phase run: its per-phase reports stay
+    /// apart, and its totals are computed by absorbing them in order
+    /// (`scup_harness::protocol::ProtocolOutput::total`), from which the
+    /// one per-scenario record (`scup_harness::RunRecord`) is derived.
     pub fn absorb(&mut self, other: &SimReport) {
         self.messages_sent += other.messages_sent;
         self.messages_delivered += other.messages_delivered;
