@@ -220,7 +220,21 @@ fn readout<P: Protocol>(kind: PhaseKind, sim: &mut Simulation<P::Msg>, report: S
             .collect(),
         report,
         node_stats: Vec::new(),
-        retransmissions: read::<P, _>(sim, P::retransmissions).flatten().sum(),
+        // A crash seat re-sends like the correct actor it wraps until it
+        // stops, so its rounds count too. Only this counter reads through
+        // the wrapper: a crash seat's decision and provenance are not a
+        // correct process's.
+        retransmissions: sim
+            .knowledge_graph()
+            .processes()
+            .filter_map(|i| {
+                sim.actor_as::<P::Actor>(i).or_else(|| {
+                    sim.actor_as::<CrashActor<P::Actor>>(i)
+                        .map(CrashActor::inner)
+                })
+            })
+            .map(P::retransmissions)
+            .sum(),
         journals,
         causal: sim.causal().clone(),
         provenance: read::<P, _>(sim, P::provenance)
@@ -334,8 +348,8 @@ pub struct Phase {
     /// Per-node SCP message/ballot counters (defaults for faulty/non-SCP
     /// actors; empty for phases that run no SCP).
     pub node_stats: Vec<NodeStats>,
-    /// Messages re-sent by the correct actors' retransmission layer in
-    /// this phase.
+    /// Messages re-sent in this phase by the correct actors'
+    /// retransmission layers, the ones crash seats wrap included.
     pub retransmissions: u64,
     /// Per-process durable journals.
     pub journals: Vec<MemJournal>,

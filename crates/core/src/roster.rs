@@ -110,7 +110,8 @@ pub trait Protocol {
     /// The correct actor's provenance log (disabled unless armed).
     fn provenance(actor: &Self::Actor) -> ProvenanceLog;
 
-    /// Messages the correct actor's retransmission layer re-sent.
+    /// Messages the correct actor's retransmission layer re-sent (also
+    /// read of the correct actor a crash seat wraps).
     fn retransmissions(actor: &Self::Actor) -> u64;
 }
 

@@ -7,8 +7,9 @@ use scup_graph::{generators, sink, ProcessId, ProcessSet};
 use scup_obs::causal::CausalKind;
 use scup_sim::adversary::CrashActor;
 use scup_sim::{CrashFault, FaultPlan, LossFault, NetworkConfig, RetransmitConfig, Simulation};
-use stellar_cup::consensus::{run_knowledge_phase, EndToEndConfig, PhaseKind};
+use stellar_cup::consensus::{run_knowledge_phase, EndToEndConfig, Phase, PhaseKind};
 use stellar_cup::oracle::validate_detection;
+use stellar_cup::roster::AdversaryKind;
 use stellar_cup::sink_detector::{GetSinkMode, SdMsg, SinkDetectorActor};
 
 fn run_with_crash(crash_victim: u32, crash_after: u64, seed: u64) -> bool {
@@ -118,6 +119,25 @@ fn end_to_end_survives_scp_phase_crash() {
     }
 }
 
+/// The re-sends in a phase's event log. A round's re-sends follow its
+/// `Retransmit` event in the process's program order, up to the
+/// process's next step; a crash or recovery ends the round. (Drops and
+/// duplicates are the network's events, not steps.)
+fn logged_re_sends(phase: &Phase, n: usize) -> u64 {
+    let mut in_round = vec![false; n];
+    let mut resent = 0;
+    for e in phase.causal.events() {
+        let p = e.kind.acting_process() as usize;
+        match e.kind {
+            CausalKind::Send { .. } => resent += in_round[p] as u64,
+            CausalKind::Drop { .. } | CausalKind::Duplicate { .. } => {}
+            CausalKind::Retransmit { .. } => in_round[p] = true,
+            _ => in_round[p] = false,
+        }
+    }
+    resent
+}
+
 #[test]
 fn knowledge_phase_counts_every_re_send_across_a_crash() {
     // The detector's retransmission count survives a pause-crash: the
@@ -148,30 +168,13 @@ fn knowledge_phase_counts_every_re_send_across_a_crash() {
     let (_, phase) = run_knowledge_phase(&kg, 1, &faulty, &config);
     assert_eq!(phase.kind, PhaseKind::Knowledge);
     assert!(phase.decisions.iter().all(Option::is_none));
-    // A round's re-sends follow its `Retransmit` event in the
-    // process's program order, up to the process's next step; count
-    // them from the log. (Drops and duplicates are the network's
-    // events, not steps.)
-    let mut in_round = vec![false; kg.n()];
-    let mut resent = 0;
     // The crashed process's rounds: before its crash, after its recovery.
     let (mut epoch, mut rounds) = (0, [0; 3]);
     for e in phase.causal.events() {
-        let p = e.kind.acting_process() as usize;
         match e.kind {
-            CausalKind::Send { .. } => resent += in_round[p] as u64,
-            CausalKind::Drop { .. } | CausalKind::Duplicate { .. } => {}
-            CausalKind::Retransmit { .. } => {
-                in_round[p] = true;
-                if p == crashed as usize {
-                    rounds[epoch] += 1;
-                }
-            }
-            CausalKind::Crash { .. } | CausalKind::Recover { .. } => {
-                epoch += 1;
-                in_round[p] = false;
-            }
-            _ => in_round[p] = false,
+            CausalKind::Retransmit { process } if process == crashed => rounds[epoch] += 1,
+            CausalKind::Crash { .. } | CausalKind::Recover { .. } => epoch += 1,
+            _ => {}
         }
     }
     assert_eq!(epoch, 2, "one crash, one recovery");
@@ -179,6 +182,45 @@ fn knowledge_phase_counts_every_re_send_across_a_crash() {
         rounds[0] > 0 && rounds[2] > 0,
         "the crashed seat re-sends on both sides of its crash: {rounds:?}"
     );
+    let resent = logged_re_sends(&phase, kg.n());
     assert!(resent > 0);
     assert_eq!(phase.retransmissions, resent, "every logged re-send counts");
+}
+
+#[test]
+fn knowledge_phase_counts_a_crash_seats_re_sends() {
+    // A `crash` seat runs the detector it wraps up to its crash point —
+    // past every delivery of the phase here — and re-sends like it under
+    // loss, so its rounds count like a correct seat's.
+    let kg = generators::fig2();
+    let seat = sink::unique_sink(kg.graph()).unwrap().to_vec()[0];
+    let heal = 2_000;
+    let config = EndToEndConfig {
+        seed: 3,
+        trace: true,
+        adversary: AdversaryKind::Crash { after: 100_000 },
+        faults: FaultPlan {
+            loss: Some(LossFault {
+                prob: 0.3,
+                until: heal,
+                links: None,
+            }),
+            ..FaultPlan::default()
+        },
+        retransmit: RetransmitConfig::covering(heal, 10),
+        ..EndToEndConfig::default()
+    };
+    let (_, phase) = run_knowledge_phase(&kg, 1, &ProcessSet::singleton(seat), &config);
+    assert!(
+        phase.causal.events().iter().any(|e| e.kind
+            == CausalKind::Retransmit {
+                process: seat.as_u32()
+            }),
+        "the crash seat re-sends"
+    );
+    assert_eq!(
+        phase.retransmissions,
+        logged_re_sends(&phase, kg.n()),
+        "every logged re-send counts, the crash seat's too"
+    );
 }

@@ -406,6 +406,8 @@ fn explore_with_driver<P: Explored>(
             steps_executed: stats.steps_executed,
             settle_queries: stats.settle_queries,
             settle_forced: stats.settle_forced,
+            events_emitted: stats.events_emitted,
+            events_distinct: stats.events_distinct,
             visited_len: merged.len() as u64,
             visited_capacity: merged.capacity() as u64,
             worker_visited_peak: stats.visited_peak,

@@ -117,6 +117,12 @@ pub struct WorkerStats {
     pub settle_queries: u64,
     /// Threshold-inert deliveries `ucs`'s settles fired as forced moves.
     pub settle_forced: u64,
+    /// Pending entries the actor callbacks of `ucs`'s simulations emitted
+    /// (see [`ExploreSim::event_counts`]).
+    pub events_emitted: u64,
+    /// Distinct events among them, summed over those simulations (each
+    /// interns its own).
+    pub events_distinct: u64,
     /// Strictly shallower revisits of an already-recorded canonical
     /// state. Never taken under depth-layered expansion — the counter
     /// exists to prove that.
@@ -148,6 +154,8 @@ impl Default for WorkerStats {
             steps_executed: 0,
             settle_queries: 0,
             settle_forced: 0,
+            events_emitted: 0,
+            events_distinct: 0,
             reexpansions: 0,
             profile: PhaseProfile::disabled(),
             visited_peak: 0,
@@ -176,6 +184,8 @@ impl WorkerStats {
         self.steps_executed += other.steps_executed;
         self.settle_queries += other.settle_queries;
         self.settle_forced += other.settle_forced;
+        self.events_emitted += other.events_emitted;
+        self.events_distinct += other.events_distinct;
         self.reexpansions += other.reexpansions;
         self.profile.merge(&other.profile);
         self.visited_peak = self.visited_peak.max(other.visited_peak);
@@ -190,8 +200,8 @@ impl WorkerStats {
         }
     }
 
-    /// Adds the step and settle counters of a simulation `ucs` is done
-    /// with.
+    /// Adds the step, settle and event counters of a simulation `ucs` is
+    /// done with.
     fn count_steps<M: scup_sim::SimMessage>(&mut self, sim: &ExploreSim<M>) {
         let (replayed, executed) = sim.step_counts();
         self.steps_replayed += replayed;
@@ -199,6 +209,9 @@ impl WorkerStats {
         let (queries, forced) = sim.settle_counts();
         self.settle_queries += queries;
         self.settle_forced += forced;
+        let (emitted, distinct) = sim.event_counts();
+        self.events_emitted += emitted;
+        self.events_distinct += distinct;
     }
 
     /// Records one frontier-depth sample if profiling is on and the
@@ -495,32 +508,47 @@ impl<'a, P: Explored> Engine<'a, P> {
         visited: &mut FpTable,
         stats: &mut WorkerStats,
     ) -> Result<(), StateCapExceeded> {
-        // Bootstrap: replay every root (the only replays ucs ever does),
-        // keep one live sim per variant as the restore target, and seed
-        // the first layer with the roots that are inner nodes.
-        let mut sims: Vec<Option<ExploreSim<P::Msg>>> = Vec::new();
+        // Bootstrap: replay every root (the only replays ucs ever does)
+        // into one live sim per variant — the restore target — rewound to
+        // the variant's settled start before each, and seed the first
+        // layer with the roots that are inner nodes. One sim per variant
+        // is one event table, so every root's events are interned once.
+        // No memo yet: a replay executes every step, as the frontier that
+        // recorded the paths did.
+        let mut started: Vec<Option<(ExploreSim<P::Msg>, SimState<P::Msg>)>> = Vec::new();
         let mut layer: Vec<(SimState<P::Msg>, u32, Vec<usize>)> = Vec::new();
         for (variant, path) in roots {
             if visited.len() as u64 > self.spec.max_states {
                 return Err(StateCapExceeded);
             }
-            let mut sim = self.replay(*variant, path);
-            if let Some(choices) = self.visit_fp(*variant, &sim, visited, stats) {
+            let slot = *variant as usize;
+            if started.len() <= slot {
+                started.resize_with(slot + 1, || None);
+            }
+            let (sim, start) = started[slot].get_or_insert_with(|| {
+                let sim = self.replay(*variant, &[]);
+                let start = sim.snapshot();
+                (sim, start)
+            });
+            sim.restore(start);
+            for &choice in path {
+                self.advance(sim, choice as usize, &mut PhaseProfile::disabled());
+            }
+            if let Some(choices) = self.visit_fp(*variant, sim, visited, stats) {
                 layer.push((sim.snapshot(), *variant, choices));
             }
-            let slot = *variant as usize;
-            if sims.len() <= slot {
-                sims.resize_with(slot + 1, || None);
-            }
-            if sims[slot].is_none() {
-                if P::CONGRUENT_FINGERPRINT {
-                    sim.memoise_steps();
-                }
-                sims[slot] = Some(sim);
-            } else {
-                stats.count_steps(&sim);
-            }
         }
+        let mut sims: Vec<Option<ExploreSim<P::Msg>>> = started
+            .into_iter()
+            .map(|live| {
+                live.map(|(mut sim, _start)| {
+                    if P::CONGRUENT_FINGERPRINT {
+                        sim.memoise_steps();
+                    }
+                    sim
+                })
+            })
+            .collect();
 
         // Saved states alive: the layer's unreleased parents plus `next`.
         let mut saved = layer.len() as u64;

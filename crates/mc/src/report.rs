@@ -45,6 +45,11 @@ pub struct ExploreObs {
     /// Threshold-inert deliveries the workers' settles fired as forced
     /// moves.
     pub settle_forced: u64,
+    /// Pending entries the workers' actor callbacks emitted.
+    pub events_emitted: u64,
+    /// Distinct events among them, summed over the workers' simulations
+    /// (one allocation each).
+    pub events_distinct: u64,
     /// Entries in the merged visited map.
     pub visited_len: u64,
     /// Allocated capacity of the merged visited map.
@@ -100,6 +105,13 @@ impl ExploreObs {
                 Json::obj([
                     ("queries", Json::from(self.settle_queries)),
                     ("forced", Json::from(self.settle_forced)),
+                ]),
+            ),
+            (
+                "events",
+                Json::obj([
+                    ("emitted", Json::from(self.events_emitted)),
+                    ("distinct", Json::from(self.events_distinct)),
                 ]),
             ),
             ("visited_len", Json::from(self.visited_len)),

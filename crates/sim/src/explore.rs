@@ -33,10 +33,24 @@
 //!   runs the same fingerprints on [`StateHasher::with_renaming`] hashers to
 //!   get the hash of the renamed state (symmetry reduction).
 //!   A slot remembers its hash — under the identity and under each
-//!   symmetry-group element — until it is next written, and a pending
-//!   event remembers its renamed hashes for as long as it is in flight,
-//!   so hashing a state re-fingerprints only what the last transition
+//!   symmetry-group element — until it is next written, and an event
+//!   remembers its hashes for the life of the simulation (below), so
+//!   hashing a state re-fingerprints only what the last transition
 //!   touched;
+//! - **one allocation per distinct event** — an exploration emits the
+//!   same few dozen events hundreds of thousands of times. Every pending
+//!   entry is built through one table per simulation that maps an event
+//!   hash to the first event emitted with it ([`SimMessage::fingerprint`]
+//!   says two payloads are equal iff delivering them is
+//!   indistinguishable, the contract state dedup already rests on). An
+//!   entry is that shared event plus what belongs to the one copy — the
+//!   send that caused it and its recipient, 16 bytes — so a repeat costs a
+//!   reference bump, and an event's renamed hashes are computed once per
+//!   distinct event, not once per copy. The table lives as long as the
+//!   simulation and serves it with the memo on or off; it counts what it
+//!   was handed ([`ExploreSim::event_counts`]). Debug builds check on
+//!   every hit that the interned event renders (`Debug`, what a
+//!   counterexample prints) like the one it stands for;
 //! - **absorbed events** — gossip floods make most deliveries no-ops
 //!   (duplicate envelopes the receiver has already seen).
 //!   [`Actor::absorbs`] lets an actor declare such deliveries, and
@@ -480,54 +494,42 @@ impl HashMemo {
     }
 }
 
-/// A pending event as the states that hold it share it: the event itself
-/// and its hashes under the group elements it has been hashed under so
-/// far. Shared behind an `Rc`, so a renamed hash is computed once per
-/// event, not once per state the event stays in flight in.
+/// One distinct event of a simulation, as every pending entry that holds
+/// it shares it: the event, its hash, and its hashes under the group
+/// elements it has been hashed under so far. Made only by
+/// [`EventTable::pending`], once per event hash, and kept by the table
+/// for the life of the simulation.
 #[derive(Debug)]
 struct SharedEvent<M> {
     event: ExploreEvent<M>,
-    /// `perm_hashes[k]`: the event's hash under group element `k` (the
-    /// identity hash is [`Pending::hash`]).
+    /// [`ExploreEvent::event_hash`]: the table's key, and what the state
+    /// hash and the choice dedup read.
+    hash: u128,
+    /// `perm_hashes[k]`: the event's hash under group element `k`.
     perm_hashes: HashMemo,
 }
 
-/// One pending entry: the event plus its hash, computed once on enqueue —
-/// the state hash and choice dedup then work on cached 128-bit values.
-/// The event rides behind an `Rc`: snapshot/restore clone the pending
-/// multiset once per visited state, and sharing turns that from a deep
-/// payload copy (slice families and all) into reference bumps. The clone
-/// cost moves to [`ExploreSim::fire`], which unwraps or clones exactly the
-/// one event it consumes.
+/// One pending entry: the interned event and what belongs to this copy
+/// alone. Snapshot/restore clone the pending multiset once per visited
+/// state, and that clone is a reference bump per entry.
 #[derive(Debug, Clone)]
 struct Pending<M> {
     event: Rc<SharedEvent<M>>,
-    hash: u128,
-    /// Log id of the send that enqueued this event ([`EventId::NONE`]
+    /// Log id of the send that enqueued this copy ([`EventId::NONE`]
     /// while the event log is off — i.e. outside counterexample replay).
     /// Never part of the state hash.
     cause: EventId,
     /// The event's recipient, inline: the settle scans ask it of every
-    /// pending event and the event itself of only a few. It fits in the
-    /// padding after `cause`, so an entry stays 32 bytes.
+    /// pending event and the event itself of only a few.
     to: ProcessId,
 }
 
-const _: () = assert!(std::mem::size_of::<Pending<()>>() == 32);
+const _: () = assert!(std::mem::size_of::<Pending<()>>() == 16);
 
 impl<M: SimMessage> Pending<M> {
-    fn new(event: ExploreEvent<M>, cause: EventId) -> Self {
-        let hash = event.event_hash();
-        let to = event.recipient();
-        Pending {
-            event: Rc::new(SharedEvent {
-                event,
-                perm_hashes: HashMemo::default(),
-            }),
-            hash,
-            cause,
-            to,
-        }
+    /// The event's hash under the identity.
+    fn hash(&self) -> u128 {
+        self.event.hash
     }
 
     /// The event's hash under group element `k`, remembered in the shared
@@ -542,6 +544,56 @@ impl<M: SimMessage> Pending<M> {
         match &self.event.event {
             ExploreEvent::Deliver { msg, .. } => msg.size_hint(),
             ExploreEvent::Timer { .. } => 16,
+        }
+    }
+}
+
+/// The events of one simulation, interned by event hash (see the
+/// [module docs](self)): the one way to build a [`Pending`] entry.
+/// Probed by key only — nothing iterates it, so its layout reaches no
+/// result.
+struct EventTable<M> {
+    interned: FoldMap<u128, Rc<SharedEvent<M>>>,
+    /// Entries built so far. An effort counter, untouched by `restore`.
+    emitted: u64,
+}
+
+impl<M: SimMessage> EventTable<M> {
+    fn new() -> Self {
+        EventTable {
+            interned: FoldMap::default(),
+            emitted: 0,
+        }
+    }
+
+    /// The pending entry for `event`, sent by `cause`: a handle on the
+    /// first event with its hash, which `event` is dropped in favour of.
+    fn pending(&mut self, event: ExploreEvent<M>, cause: EventId) -> Pending<M> {
+        self.emitted += 1;
+        let hash = event.event_hash();
+        let to = event.recipient();
+        let shared = match self.interned.entry(hash) {
+            Entry::Occupied(first) => {
+                // A counterexample prints the interned event, so it must
+                // render as the one it stands for.
+                debug_assert_eq!(
+                    format!("{:?}", first.get().event),
+                    format!("{event:?}"),
+                    "two events with one event hash render differently: the payload's \
+                     fingerprint misses what its Debug shows"
+                );
+                Rc::clone(first.get())
+            }
+            Entry::Vacant(vacant) => Rc::clone(vacant.insert(Rc::new(SharedEvent {
+                event,
+                hash,
+                perm_hashes: HashMemo::default(),
+            }))),
+        };
+        Pending {
+            event: shared,
+            cause,
+            to,
         }
     }
 }
@@ -634,7 +686,7 @@ impl<M: SimMessage> Slot<M> {
     }
 }
 
-/// Hasher of the memo tables. Their keys are 128-bit state hashes —
+/// Hasher of the memo and event tables. Their keys are 128-bit hashes —
 /// already uniform — so folding the words together is all the mixing a
 /// bucket index needs.
 #[derive(Default)]
@@ -710,6 +762,8 @@ pub struct ExploreSim<M: SimMessage> {
     timers_buf: Vec<(u64, u64)>,
     /// `None` unless [`ExploreSim::memoise_steps`] was called.
     memo: Option<StepMemo<M>>,
+    /// Every event emitted so far, interned by hash.
+    events: EventTable<M>,
     /// Fires answered from the memo / fires that ran an actor callback.
     /// Effort counters: not part of any state, untouched by `restore`.
     steps_replayed: u64,
@@ -739,6 +793,7 @@ impl<M: SimMessage> ExploreSim<M> {
             outbox_buf: Vec::new(),
             timers_buf: Vec::new(),
             memo: None,
+            events: EventTable::new(),
             steps_replayed: 0,
             steps_executed: 0,
             verdict_queries: 0,
@@ -869,6 +924,15 @@ impl<M: SimMessage> ExploreSim<M> {
         (self.steps_replayed, self.steps_executed)
     }
 
+    /// `(emitted, distinct)`: how many pending entries the actor
+    /// callbacks run so far emitted (a memo replay emits none: it installs
+    /// entries built before), and how many distinct events — hence
+    /// allocations — they came to. Effort counters over the life of the
+    /// simulation, like [`ExploreSim::step_counts`].
+    pub fn event_counts(&self) -> (u64, u64) {
+        (self.events.emitted, self.events.interned.len() as u64)
+    }
+
     /// `(queries, forced)`: how many [`Actor::absorbs`] /
     /// [`Actor::threshold_inert`] answers [`ExploreSim::drain_absorbed_touched`]
     /// (hence [`ExploreSim::drain_absorbed`]) and
@@ -941,20 +1005,20 @@ impl<M: SimMessage> ExploreSim<M> {
                     .record_send(self.events_fired, pid.as_u32(), to.as_u32(), || {
                         (format!("{msg:?}"), None)
                     });
-            self.pending.push(Pending::new(
-                ExploreEvent::Deliver { from: pid, to, msg },
-                cause,
-            ));
+            self.pending.push(
+                self.events
+                    .pending(ExploreEvent::Deliver { from: pid, to, msg }, cause),
+            );
             enqueued += 1;
         }
         for (_delay, tag) in timers.drain(..) {
             // Delays are meaningless in the untimed semantics; the budget
             // caps how often a process's timers may fire at all.
             if slot.arm_timer(self.timer_budget) {
-                self.pending.push(Pending::new(
-                    ExploreEvent::Timer { process: pid, tag },
-                    EventId::NONE,
-                ));
+                self.pending.push(
+                    self.events
+                        .pending(ExploreEvent::Timer { process: pid, tag }, EventId::NONE),
+                );
                 enqueued += 1;
             }
         }
@@ -989,7 +1053,7 @@ impl<M: SimMessage> ExploreSim<M> {
         };
         // The key is pinned here, before any write to the slot.
         let to = pending.to.index();
-        let key = (self.slots[to].hash(), pending.hash);
+        let key = (self.slots[to].hash(), pending.hash());
         if let Some(step) = memo.steps.get(&key) {
             #[cfg(debug_assertions)]
             let before = Rc::clone(&self.slots[to]);
@@ -1030,11 +1094,8 @@ impl<M: SimMessage> ExploreSim<M> {
     /// events it enqueued (at the end of `pending`).
     fn execute(&mut self, pending: Pending<M>) -> usize {
         self.steps_executed += 1;
-        let event = match Rc::try_unwrap(pending.event) {
-            Ok(owned) => owned.event,
-            Err(shared) => shared.event.clone(),
-        };
-        match event {
+        // The table keeps the event; the callback gets a copy.
+        match pending.event.event.clone() {
             ExploreEvent::Deliver { from, to, msg } => {
                 // Authenticated channel: receiving teaches the receiver
                 // the sender's identity, exactly like the timed simulator.
@@ -1249,7 +1310,7 @@ impl<M: SimMessage> ExploreSim<M> {
         );
         let mut memoised: Vec<u128> = self.pending[self.pending.len() - replayed..]
             .iter()
-            .map(|p| p.hash)
+            .map(Pending::hash)
             .collect();
         executed.sort_unstable();
         memoised.sort_unstable();
@@ -1288,10 +1349,10 @@ impl<M: SimMessage> ExploreSim<M> {
         let mut seen: Vec<u128> = Vec::new();
         let mut out = Vec::new();
         for (idx, p) in self.pending.iter().enumerate() {
-            if seen.contains(&p.hash) {
+            if seen.contains(&p.hash()) {
                 continue;
             }
-            seen.push(p.hash);
+            seen.push(p.hash());
             out.push(idx);
         }
         out
@@ -1305,7 +1366,7 @@ impl<M: SimMessage> ExploreSim<M> {
     pub fn state_hash(&self) -> u128 {
         Self::fold_state(
             self.slots.iter().map(|slot| slot.hash()),
-            self.pending.iter().map(|p| p.hash),
+            self.pending.iter().map(Pending::hash),
         )
     }
 
@@ -1391,7 +1452,7 @@ impl<M: SimMessage> ExploreSim<M> {
 
     /// The cached canonical hash of pending event `idx`.
     pub fn pending_hash(&self, idx: usize) -> u128 {
-        self.pending[idx].hash
+        self.pending[idx].hash()
     }
 
     /// `true` when pending event `idx` is a delivery its recipient declares
@@ -1404,12 +1465,16 @@ impl<M: SimMessage> ExploreSim<M> {
         self.slots[event.recipient().index()].threshold_inert(event)
     }
 
-    /// A size model of one state in bytes: a fixed per-actor charge plus
-    /// the pending payloads' size hints. Deterministic (no allocator
-    /// introspection) and not a measurement: the explorer's
-    /// `peak_memory_bytes` charges every visited state at the initial
-    /// state's figure, plus its table slots, and tracks neither what a
-    /// state really holds nor the process's resident peak.
+    /// A size model of one state in bytes: a fixed per-actor charge plus,
+    /// per pending entry, a fixed charge and the payload's size hint.
+    /// Deterministic (no allocator introspection) and a model, not a
+    /// measurement: a pending entry really is 16 bytes and shares its
+    /// event with every equal copy, and a slot is shared with every state
+    /// that has not written it, but the charges are constants a report
+    /// field pins. The explorer's `peak_memory_bytes` charges every
+    /// visited state at the initial state's figure, plus its table slots,
+    /// and tracks neither what a state really holds nor the process's
+    /// resident peak.
     pub fn state_size_estimate(&self) -> u64 {
         // Box + vtable + knowledge set + timer counter + the handles of
         // the copy-on-write tables, per actor.
@@ -2057,6 +2122,79 @@ mod tests {
         // The second copy is the same (slot hash, event) pair: a hit. Its
         // re-execution absorbs the third copy; the installed slot does not.
         fire(&mut sim, 0);
+    }
+
+    #[test]
+    fn equal_events_share_one_allocation() {
+        let mut sim = flooder_sim();
+        // One initial send per knowledge edge, no two alike.
+        assert_eq!(sim.event_counts(), (18, 18));
+        let snap = sim.snapshot();
+        let emitted = |sim: &ExploreSim<Gossip>, n: usize| -> Vec<Rc<SharedEvent<Gossip>>> {
+            let fresh = &sim.pending[sim.pending.len() - n..];
+            fresh.iter().map(|p| Rc::clone(&p.event)).collect()
+        };
+        let n = sim.fire(0);
+        assert!(n > 0, "a first delivery floods on");
+        let first = emitted(&sim, n);
+        // The same step again (no memo: the actor runs again) emits equal
+        // events, and each is the allocation the first run made.
+        sim.restore(&snap);
+        assert_eq!(sim.fire(0), n);
+        let second = emitted(&sim, n);
+        assert!(first.iter().zip(&second).all(|(a, b)| Rc::ptr_eq(a, b)));
+        assert_eq!(sim.event_counts(), (18 + 2 * n as u64, 18 + n as u64));
+
+        // Along a whole walk the table holds one entry per distinct hash.
+        let mut hashes: std::collections::HashSet<u128> =
+            sim.pending().map(ExploreEvent::event_hash).collect();
+        hashes.extend(snap.pending.iter().map(Pending::hash));
+        while !sim.is_quiescent() {
+            sim.drain_absorbed();
+            if let Some(&idx) = sim.choices().first() {
+                sim.fire(idx);
+                hashes.extend(sim.pending().map(ExploreEvent::event_hash));
+            }
+        }
+        let (emitted, distinct) = sim.event_counts();
+        assert_eq!(distinct, hashes.len() as u64);
+        assert!(emitted > distinct, "the flood repeats itself");
+    }
+
+    /// A payload whose fingerprint leaves out the note its `Debug` shows.
+    #[derive(Clone, Debug)]
+    struct Noted(#[allow(dead_code)] u32);
+
+    impl SimMessage for Noted {
+        fn fingerprint(&self, _: &mut StateHasher) {}
+    }
+
+    /// Sends every known process two [`Noted`] on start.
+    struct Noter;
+
+    impl Actor<Noted> for Noter {
+        fn on_start(&mut self, ctx: &mut Context<'_, Noted>) {
+            for to in ctx.known().clone().iter() {
+                ctx.send(to, Noted(0));
+                ctx.send(to, Noted(1));
+            }
+        }
+        fn on_message(&mut self, _: &mut Context<'_, Noted>, _: ProcessId, _: Noted) {}
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "render differently")]
+    fn a_fingerprint_that_misses_a_shown_field_trips_the_intern_check() {
+        // p0's two sends to p1 fingerprint alike but render differently.
+        let kg = scup_graph::KnowledgeGraph::from_pds(vec![
+            ProcessSet::from_ids([1]),
+            ProcessSet::from_ids([0]),
+        ]);
+        let mut sim: ExploreSim<Noted> = ExploreSim::new(kg, 0);
+        sim.add_actor(Box::new(Noter));
+        sim.add_actor(Box::new(Noter));
+        sim.start();
     }
 
     #[test]
